@@ -102,6 +102,20 @@
 // so campaigns replay bit-for-bit and reports are byte-identical at every
 // parallelism level (tested, like the experiment tables).
 //
+// The randomness itself is a splitmix64 sub-stream per (seed, salt),
+// keyed by SubSeed — FNV-1a of "<seed>|<salt>" — so the choices of one
+// probe never share a stream, and a stream is one word of state that
+// costs nothing to open. The per-message decision of the random-omission
+// family is an integer mix of (seed, sender, receiver, round): it runs
+// for every message that touches a faulty process and allocates nothing.
+// adversary.StreamVersion (2) names this seed → plan mapping and is
+// written as stream_version into campaign, fuzz and matrix reports, fuzz
+// corpora and dist checkpoints; a corpus or checkpoint of another version
+// is refused on resume (a missing field reads as 1), and the dist wire
+// version moves with it so mixed binaries fail at hello. Bump it whenever
+// the same (seed, salt) would yield a different plan, proposal vector or
+// mutation; the goldens under testdata/ fail if that is forgotten.
+//
 // Every probe is checked for Termination, Agreement, and a pluggable
 // validity property (CheckWeakValidity, CheckStrongValidity,
 // CheckSenderValidity, or a Problem's own admissibility via
@@ -149,7 +163,10 @@
 // (and the matching CampaignReport field) records probes-to-first-
 // violation; scripts/bench.sh compares the two on FloodSet at t = n-1,
 // where blind sweeping essentially never finds the E10 split and the
-// fuzzer reaches it within a few thousand probes:
+// fuzzer usually reaches it within a few thousand probes (the exact index
+// belongs to the stream version and is pinned under testdata/). A corpus
+// records the stream version it was grown under and is refused by a
+// binary that draws another:
 //
 //	f, _ := expensive.NewFuzzerFor(proto, params,
 //	    expensive.StrategyRandomSendOmission(40), 2048)
@@ -212,7 +229,8 @@
 // to the single-process run at any worker count, join order or death
 // schedule. Progress optionally checkpoints to JSON after every unit;
 // a restarted coordinator re-issues only the incomplete units and the
-// final report is byte-identical to an uninterrupted run. Workers
+// final report is byte-identical to an uninterrupted run (a checkpoint
+// of another job, or of another stream version, is refused). Workers
 // heartbeat; a silent worker's in-flight unit is reassigned:
 //
 //	job := &expensive.DistJob{Kind: "hunt", Hunt: &expensive.DistHuntJob{

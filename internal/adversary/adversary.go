@@ -11,15 +11,16 @@
 // ad-hoc randomness of the stress tests. This package generalizes both
 // into a subsystem every layer can use:
 //
-//   - Strategy (strategy.go, machines.go) — a named, seed-deterministic
+//   - Strategy (strategy.go, machines.go, stream.go) — a named, seed-deterministic
 //     generator of sim.FaultPlan values. The library covers random and
 //     targeted send/receive omission, silent crashes, Definition 1 style
 //     group isolation, and Byzantine machines (chaos, equivocation,
 //     two-faced honest twins), plus combinators: Union splits the fault
 //     budget between two strategies, Windowed gates omissions to a round
 //     interval, Biased attenuates them per message. Everything a strategy
-//     does derives from its explicit seed, so every discovered failure
-//     replays bit-for-bit.
+//     does derives from its explicit seed — through splitmix64 sub-streams
+//     keyed by SubSeed and an integer per-message coin, a mapping named by
+//     StreamVersion — so every discovered failure replays bit-for-bit.
 //
 //   - Campaign (campaign.go, problem.go) — fans a seed range out over the
 //     experiment engine's worker pool (internal/experiments/runner). Each

@@ -466,13 +466,17 @@ type Campaign struct {
 // Wall-clock statistics are carried alongside but excluded from the
 // encoding.
 type CampaignReport struct {
-	Protocol string    `json:"protocol"`
-	Strategy string    `json:"strategy"`
-	N        int       `json:"n"`
-	T        int       `json:"t"`
-	Rounds   int       `json:"round_bound"`
-	Horizon  int       `json:"horizon"`
-	Seeds    SeedRange `json:"seeds"`
+	// StreamVersion is the StreamVersion the probes drew their plans and
+	// proposals under: the same seeds mean the same probes only within one
+	// version.
+	StreamVersion int       `json:"stream_version"`
+	Protocol      string    `json:"protocol"`
+	Strategy      string    `json:"strategy"`
+	N             int       `json:"n"`
+	T             int       `json:"t"`
+	Rounds        int       `json:"round_bound"`
+	Horizon       int       `json:"horizon"`
+	Seeds         SeedRange `json:"seeds"`
 	// Probes counts the executed probes (one per seed).
 	Probes int `json:"probes"`
 	// ViolationCount counts every violating seed; Violations records up to
@@ -530,7 +534,7 @@ func (c *Campaign) env() Env {
 // single process proposing the minority value) — the shape most splitting
 // attacks need.
 func defaultProposals(seed int64, env Env) []msg.Value {
-	r := rng(seed, "proposals")
+	r := NewStream(seed, "proposals")
 	out := make([]msg.Value, env.N)
 	if r.Intn(4) == 0 {
 		lone := r.Intn(env.N)
@@ -598,15 +602,16 @@ func (c *Campaign) Run() (*CampaignReport, error) {
 	}
 
 	report := &CampaignReport{
-		Protocol: c.Protocol,
-		Strategy: c.Strategy.Name,
-		N:        c.N,
-		T:        c.T,
-		Rounds:   c.Rounds,
-		Horizon:  env.Horizon,
-		Seeds:    c.Seeds,
-		Probes:   len(results),
-		Workers:  workers,
+		StreamVersion: StreamVersion,
+		Protocol:      c.Protocol,
+		Strategy:      c.Strategy.Name,
+		N:             c.N,
+		T:             c.T,
+		Rounds:        c.Rounds,
+		Horizon:       env.Horizon,
+		Seeds:         c.Seeds,
+		Probes:        len(results),
+		Workers:       workers,
 	}
 	messages := make([]int, 0, len(results))
 	rounds := make([]int, 0, len(results))

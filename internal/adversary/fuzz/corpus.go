@@ -42,6 +42,12 @@ type Entry struct {
 // processed in index order), so corpora are byte-identical at every
 // parallelism level.
 type Corpus struct {
+	// StreamVersion is the adversary.StreamVersion the entries were derived
+	// under. A fuzzer refuses to resume from a populated corpus of another
+	// version (a corpus saved before the field existed reads as version 1):
+	// parent selection and mutation would continue on a different stream
+	// than the one that grew it.
+	StreamVersion int `json:"stream_version"`
 	// Protocol, N and T identify the target the corpus was grown against;
 	// a fuzzer refuses to resume from a corpus for a different target.
 	Protocol string `json:"protocol"`
@@ -53,7 +59,7 @@ type Corpus struct {
 
 // NewCorpus returns an empty corpus for the given target.
 func NewCorpus(protocol string, n, t int) *Corpus {
-	return &Corpus{Protocol: protocol, N: n, T: t}
+	return &Corpus{StreamVersion: adversary.StreamVersion, Protocol: protocol, N: n, T: t}
 }
 
 // Size returns the number of entries.

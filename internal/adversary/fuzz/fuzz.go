@@ -122,13 +122,16 @@ type Fuzzer struct {
 // parallelism level. Wall-clock statistics are carried alongside but
 // excluded from the encoding.
 type Report struct {
-	Protocol     string `json:"protocol"`
-	SeedStrategy string `json:"seed_strategy,omitempty"`
-	N            int    `json:"n"`
-	T            int    `json:"t"`
-	Rounds       int    `json:"round_bound"`
-	Horizon      int    `json:"horizon"`
-	Budget       int    `json:"budget"`
+	// StreamVersion is the adversary.StreamVersion the seed plans,
+	// proposals and mutations were drawn under.
+	StreamVersion int    `json:"stream_version"`
+	Protocol      string `json:"protocol"`
+	SeedStrategy  string `json:"seed_strategy,omitempty"`
+	N             int    `json:"n"`
+	T             int    `json:"t"`
+	Rounds        int    `json:"round_bound"`
+	Horizon       int    `json:"horizon"`
+	Budget        int    `json:"budget"`
 	// Probes counts executed candidate probes; Generations counts the
 	// processed batches (seeding included).
 	Probes      int `json:"probes"`
@@ -176,10 +179,14 @@ func (f *Fuzzer) validate() error {
 	case f.Seed.Build == nil && (f.Corpus == nil || f.Corpus.Size() == 0):
 		return fmt.Errorf("fuzz: need a seed strategy or a non-empty corpus")
 	}
-	if f.Corpus != nil && f.Corpus.Size() > 0 &&
-		(f.Corpus.Protocol != f.Protocol || f.Corpus.N != f.N || f.Corpus.T != f.T) {
-		return fmt.Errorf("fuzz: corpus was grown against %s n=%d t=%d, fuzzing %s n=%d t=%d",
-			f.Corpus.Protocol, f.Corpus.N, f.Corpus.T, f.Protocol, f.N, f.T)
+	if f.Corpus != nil && f.Corpus.Size() > 0 {
+		if f.Corpus.Protocol != f.Protocol || f.Corpus.N != f.N || f.Corpus.T != f.T {
+			return fmt.Errorf("fuzz: corpus was grown against %s n=%d t=%d, fuzzing %s n=%d t=%d",
+				f.Corpus.Protocol, f.Corpus.N, f.Corpus.T, f.Protocol, f.N, f.T)
+		}
+		if err := adversary.CheckStreamVersion("corpus", f.Corpus.StreamVersion); err != nil {
+			return fmt.Errorf("fuzz: %w", err)
+		}
 	}
 	return nil
 }
@@ -344,7 +351,8 @@ func (f *Fuzzer) seedProposals(seed int64, env adversary.Env) []msg.Value {
 		}
 	}
 	m := mutator{n: f.N, t: f.T, horizon: env.Horizon}
-	return m.reseedProposals(stream(seed, "proposals"))
+	r := adversary.NewStream(seed, "proposals")
+	return m.reseedProposals(&r)
 }
 
 // mutantProbe runs one mutated candidate at the lean RecordDecisions tier

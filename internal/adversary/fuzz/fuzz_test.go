@@ -3,8 +3,11 @@ package fuzz
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -161,6 +164,62 @@ func TestFuzzerCorpusRoundTripAndResume(t *testing.T) {
 	if _, err := foreign.Run(); err == nil {
 		t.Error("expected a target-mismatch error for a foreign corpus")
 	}
+
+	// A corpus recorded under another stream version is refused, with an
+	// error naming both versions. The saved file is re-encoded with the
+	// field edited (or removed: a pre-versioning corpus reads as 1).
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		field    any // nil removes stream_version
+		recorded int // 0 = accepted
+	}{
+		{"missing", nil, 1},
+		{"older", 1, 1},
+		{"newer", adversary.StreamVersion + 1, adversary.StreamVersion + 1},
+		{"current", adversary.StreamVersion, 0},
+	} {
+		var doc map[string]any
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc["stream_version"] != float64(adversary.StreamVersion) {
+			t.Fatalf("saved corpus carries stream_version %v, want %d", doc["stream_version"], adversary.StreamVersion)
+		}
+		delete(doc, "stream_version")
+		if tc.field != nil {
+			doc["stream_version"] = tc.field
+		}
+		edited, _ := json.Marshal(doc)
+		editedPath := filepath.Join(t.TempDir(), tc.name+".json")
+		if err := os.WriteFile(editedPath, edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		old, err := LoadCorpus(editedPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale := floodsetFuzzer(4, 3, 64, 1)
+		stale.Corpus = old
+		_, err = stale.Run()
+		if tc.recorded == 0 {
+			if err != nil {
+				t.Errorf("%s: corpus of the current stream refused: %v", tc.name, err)
+			}
+			continue
+		}
+		for _, want := range []string{
+			fmt.Sprintf("stream_version %d,", tc.recorded),
+			fmt.Sprintf("stream_version %d:", adversary.StreamVersion),
+		} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: resume error %v does not name %q", tc.name, err, want)
+			}
+		}
+	}
 }
 
 // TestFuzzerValidation rejects malformed fuzzers.
@@ -234,7 +293,8 @@ func TestMutatorInvariants(t *testing.T) {
 	env := adversary.Env{N: n, T: tf, Rounds: floodset.RoundBound(tf), Horizon: horizon, Factory: factory}
 
 	for i := 0; i < 600; i++ {
-		c := m.mutate(stream(42, string(rune(i))), corpus)
+		r := adversary.NewStream(42, string(rune(i)))
+		c := m.mutate(&r, corpus)
 		p := &c.Plan
 		if len(p.Faulty) > tf {
 			t.Fatalf("op %s: %d faulty > t=%d", c.Op, len(p.Faulty), tf)

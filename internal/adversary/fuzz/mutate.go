@@ -1,7 +1,6 @@
 package fuzz
 
 import (
-	"math/rand"
 	"slices"
 
 	"expensive/internal/adversary"
@@ -22,16 +21,8 @@ type Candidate struct {
 	Op     string `json:"op"`
 }
 
-// stream returns the deterministic random stream of (seed, salt), derived
-// through the strategy library's own seed mixer (adversary.SubSeed) so
-// every (generation, slot) pair owns an independent stream and seed
-// derivation stays interoperable with campaigns.
-func stream(seed int64, salt string) *rand.Rand {
-	return rand.New(rand.NewSource(adversary.SubSeed(seed, salt)))
-}
-
 // mutator derives candidates from corpus parents. All choices come from
-// the candidate's private rand stream, so derivation is a pure function of
+// the candidate's private stream, so derivation is a pure function of
 // (master seed, generation, slot, corpus-at-generation-start) — the
 // determinism the byte-identical-corpus guarantee rests on.
 type mutator struct {
@@ -65,7 +56,7 @@ const frontier = 64
 
 // pickParent selects a corpus entry, biased towards the discovery
 // frontier.
-func pickParent(r *rand.Rand, corpus *Corpus) *Entry {
+func pickParent(r *adversary.Stream, corpus *Corpus) *Entry {
 	n := len(corpus.Entries)
 	if n > frontier && r.Intn(2) == 0 {
 		return corpus.Entries[n-frontier+r.Intn(frontier)]
@@ -75,7 +66,7 @@ func pickParent(r *rand.Rand, corpus *Corpus) *Entry {
 
 // mutate derives one candidate: pick a parent, apply one operator,
 // normalize. The corpus must be non-empty.
-func (m mutator) mutate(r *rand.Rand, corpus *Corpus) Candidate {
+func (m mutator) mutate(r *adversary.Stream, corpus *Corpus) Candidate {
 	parent := pickParent(r, corpus)
 	c := Candidate{
 		Plan:      clonePlan(parent.Plan),
@@ -133,7 +124,7 @@ func clonePlan(p adversary.ExplicitPlan) adversary.ExplicitPlan {
 // faultyFor returns the faulty process an omission should hang off:
 // usually an existing corrupted process, occasionally (budget permitting)
 // a freshly corrupted one, so the corrupted set itself is searched too.
-func (m mutator) faultyFor(r *rand.Rand, p *adversary.ExplicitPlan) proc.ID {
+func (m mutator) faultyFor(r *adversary.Stream, p *adversary.ExplicitPlan) proc.ID {
 	if len(p.Faulty) == 0 || (len(p.Faulty) < m.t && r.Intn(4) == 0) {
 		id := proc.ID(r.Intn(m.n))
 		if !slices.Contains(p.Faulty, id) {
@@ -145,7 +136,7 @@ func (m mutator) faultyFor(r *rand.Rand, p *adversary.ExplicitPlan) proc.ID {
 }
 
 // peer picks a process other than id.
-func (m mutator) peer(r *rand.Rand, id proc.ID) proc.ID {
+func (m mutator) peer(r *adversary.Stream, id proc.ID) proc.ID {
 	q := proc.ID(r.Intn(m.n - 1))
 	if q >= id {
 		q++
@@ -155,7 +146,7 @@ func (m mutator) peer(r *rand.Rand, id proc.ID) proc.ID {
 
 // addOmission appends one omitted message identity committed by a faulty
 // process (send- or receive-side, uniformly).
-func (m mutator) addOmission(r *rand.Rand, p *adversary.ExplicitPlan) {
+func (m mutator) addOmission(r *adversary.Stream, p *adversary.ExplicitPlan) {
 	id := m.faultyFor(r, p)
 	round := 1 + r.Intn(m.horizon)
 	if r.Intn(2) == 0 {
@@ -171,7 +162,7 @@ func (m mutator) addOmission(r *rand.Rand, p *adversary.ExplicitPlan) {
 // flow, the pattern both the E10 attack and the paper's isolation
 // construction are made of, which single-omission steps only reach one
 // round at a time.
-func (m mutator) addStreak(r *rand.Rand, p *adversary.ExplicitPlan) {
+func (m mutator) addStreak(r *adversary.Stream, p *adversary.ExplicitPlan) {
 	id := m.faultyFor(r, p)
 	from := 1 + r.Intn(m.horizon)
 	to := from + r.Intn(m.horizon-from+1)
@@ -194,7 +185,7 @@ func (m mutator) addStreak(r *rand.Rand, p *adversary.ExplicitPlan) {
 
 // pickOmission selects one omission uniformly across both sides; false
 // when the plan has none. send reports which slice index i refers to.
-func pickOmission(r *rand.Rand, p *adversary.ExplicitPlan) (i int, send, ok bool) {
+func pickOmission(r *adversary.Stream, p *adversary.ExplicitPlan) (i int, send, ok bool) {
 	total := len(p.SendOmit) + len(p.ReceiveOmit)
 	if total == 0 {
 		return 0, false, false
@@ -207,7 +198,7 @@ func pickOmission(r *rand.Rand, p *adversary.ExplicitPlan) (i int, send, ok bool
 }
 
 // dropOmission removes one omitted identity; false when there is none.
-func (m mutator) dropOmission(r *rand.Rand, p *adversary.ExplicitPlan) bool {
+func (m mutator) dropOmission(r *adversary.Stream, p *adversary.ExplicitPlan) bool {
 	i, send, ok := pickOmission(r, p)
 	if !ok {
 		return false
@@ -222,7 +213,7 @@ func (m mutator) dropOmission(r *rand.Rand, p *adversary.ExplicitPlan) bool {
 
 // retargetOmission re-aims one omission at a different peer, keeping its
 // faulty endpoint and round.
-func (m mutator) retargetOmission(r *rand.Rand, p *adversary.ExplicitPlan) bool {
+func (m mutator) retargetOmission(r *adversary.Stream, p *adversary.ExplicitPlan) bool {
 	i, send, ok := pickOmission(r, p)
 	if !ok {
 		return false
@@ -237,7 +228,7 @@ func (m mutator) retargetOmission(r *rand.Rand, p *adversary.ExplicitPlan) bool 
 
 // shiftRound moves one omission a round earlier or later (clamped to the
 // horizon).
-func (m mutator) shiftRound(r *rand.Rand, p *adversary.ExplicitPlan) bool {
+func (m mutator) shiftRound(r *adversary.Stream, p *adversary.ExplicitPlan) bool {
 	i, send, ok := pickOmission(r, p)
 	if !ok {
 		return false
@@ -268,7 +259,7 @@ var byzKinds = []string{adversary.KindChaos, adversary.KindEquivocate, adversary
 // promoteByzantine upgrades one faulty process from omission-faulty
 // (crash-shaped) to a fully Byzantine machine — or re-seeds its machine if
 // it already has one.
-func (m mutator) promoteByzantine(r *rand.Rand, p *adversary.ExplicitPlan) {
+func (m mutator) promoteByzantine(r *adversary.Stream, p *adversary.ExplicitPlan) {
 	id := m.faultyFor(r, p)
 	spec := adversary.MachineSpec{Kind: byzKinds[r.Intn(len(byzKinds))], Seed: r.Int63()}
 	for i := range p.Byzantine {
@@ -283,7 +274,7 @@ func (m mutator) promoteByzantine(r *rand.Rand, p *adversary.ExplicitPlan) {
 // dropProcess un-corrupts one faulty process, removing its machine and
 // every omission it commits — the in-search counterpart of the shrinker's
 // element removal.
-func (m mutator) dropProcess(r *rand.Rand, p *adversary.ExplicitPlan) bool {
+func (m mutator) dropProcess(r *adversary.Stream, p *adversary.ExplicitPlan) bool {
 	if len(p.Faulty) == 0 {
 		return false
 	}
@@ -298,7 +289,7 @@ func (m mutator) dropProcess(r *rand.Rand, p *adversary.ExplicitPlan) bool {
 // crossover unions two parents: corrupted sets, omissions and machines are
 // merged (first parent winning machine ties); normalize then trims the
 // union back inside the fault budget.
-func (m mutator) crossover(_ *rand.Rand, p, other *adversary.ExplicitPlan) {
+func (m mutator) crossover(_ *adversary.Stream, p, other *adversary.ExplicitPlan) {
 	for _, f := range other.Faulty {
 		if !slices.Contains(p.Faulty, f) {
 			p.Faulty = append(p.Faulty, f)
@@ -316,7 +307,7 @@ func (m mutator) crossover(_ *rand.Rand, p, other *adversary.ExplicitPlan) {
 // reseedProposals draws a fresh input configuration: uniform random bits,
 // with one candidate in four using the lone-dissenter pattern splitting
 // attacks need.
-func (m mutator) reseedProposals(r *rand.Rand) []msg.Value {
+func (m mutator) reseedProposals(r *adversary.Stream) []msg.Value {
 	out := make([]msg.Value, m.n)
 	if r.Intn(4) == 0 {
 		lone := r.Intn(m.n)

@@ -74,6 +74,9 @@ func (f *Fuzzer) newSession() *Session {
 	if f.Corpus == nil {
 		f.Corpus = NewCorpus(f.Protocol, f.N, f.T)
 	}
+	// validate refused a populated corpus of another version; an empty one
+	// holds no draws, so it simply becomes a corpus of this version.
+	f.Corpus.StreamVersion = adversary.StreamVersion
 	s := &Session{
 		f:      f,
 		env:    adversary.Env{N: f.N, T: f.T, Rounds: f.Rounds, Horizon: horizon, Factory: f.Factory},
@@ -82,15 +85,16 @@ func (f *Fuzzer) newSession() *Session {
 		seen:   make(map[uint64]bool, f.Corpus.Size()),
 		m:      mutator{n: f.N, t: f.T, horizon: horizon},
 		report: &Report{
-			Protocol:     f.Protocol,
-			SeedStrategy: f.Seed.Name,
-			N:            f.N,
-			T:            f.T,
-			Rounds:       f.Rounds,
-			Horizon:      horizon,
-			Budget:       f.Budget,
-			CorpusLoaded: f.Corpus.Size(),
-			Workers:      runner.Workers(f.Parallelism),
+			StreamVersion: adversary.StreamVersion,
+			Protocol:      f.Protocol,
+			SeedStrategy:  f.Seed.Name,
+			N:             f.N,
+			T:             f.T,
+			Rounds:        f.Rounds,
+			Horizon:       horizon,
+			Budget:        f.Budget,
+			CorpusLoaded:  f.Corpus.Size(),
+			Workers:       runner.Workers(f.Parallelism),
 		},
 		msgCounts:   make(map[int]int),
 		roundCounts: make(map[int]int),
@@ -123,7 +127,8 @@ func (s *Session) NextGeneration() *Generation {
 	g := &Generation{Gen: s.nextGen, Count: min(s.f.genSize(), s.f.Budget-s.report.Probes)}
 	g.Candidates = make([]Candidate, g.Count)
 	for i := range g.Candidates {
-		g.Candidates[i] = s.m.mutate(stream(s.f.FuzzSeed, fmt.Sprintf("g%d|s%d", g.Gen, i)), s.corpus)
+		r := adversary.NewStream(s.f.FuzzSeed, fmt.Sprintf("g%d|s%d", g.Gen, i))
+		g.Candidates[i] = s.m.mutate(&r, s.corpus)
 	}
 	s.nextGen++
 	return g

@@ -86,8 +86,8 @@ func (p byzPlan) Specs() []ByzEntry { return p.specs }
 // each with a freshly seeded machine of the given kind.
 func byzStrategy(name, kind string) Strategy {
 	return Strategy{Name: name, Build: func(seed int64, env Env) sim.FaultPlan {
-		r := rng(seed, name)
-		f := randomFaulty(r, env.N, env.T)
+		r := NewStream(seed, name)
+		f := randomFaulty(&r, env.N, env.T)
 		machines := make(map[proc.ID]sim.Machine, f.Len())
 		entries := make([]ByzEntry, 0, f.Len())
 		for _, id := range f.Members() {

@@ -10,7 +10,7 @@ import (
 // generator problem-derived hunts use (see solve.HuntCampaign).
 func DomainProposals(inputs []msg.Value) func(seed int64, env Env) []msg.Value {
 	return func(seed int64, env Env) []msg.Value {
-		r := rng(seed, "problem-proposals")
+		r := NewStream(seed, "problem-proposals")
 		out := make([]msg.Value, env.N)
 		for i := range out {
 			out[i] = inputs[r.Intn(len(inputs))]

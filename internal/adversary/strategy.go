@@ -2,8 +2,6 @@ package adversary
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 
 	"expensive/internal/msg"
 	"expensive/internal/omission"
@@ -38,43 +36,9 @@ type Strategy struct {
 	Proposals func(seed int64, env Env) []msg.Value
 }
 
-// subSeed mixes a seed with a salt string into a derived seed, so the
-// independent random choices of one probe never share a stream.
-func subSeed(seed int64, salt string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", seed, salt)
-	return int64(h.Sum64())
-}
-
-// SubSeed exposes the seed mixer to the fuzz package: campaign seed
-// sweeps and the fuzzer's seed generation must derive their streams the
-// same way, so there is exactly one mixer.
-func SubSeed(seed int64, salt string) int64 { return subSeed(seed, salt) }
-
-// rng returns the deterministic random stream of (seed, salt).
-func rng(seed int64, salt string) *rand.Rand {
-	return rand.New(rand.NewSource(subSeed(seed, salt)))
-}
-
-// coin makes a deterministic pseudo-random decision for a message under a
-// seed: the same (seed, message identity) always lands the same way, which
-// keeps predicate-based fault plans valid static adversaries. Percentages
-// outside 0..100 behave as the nearest bound (never/always).
-func coin(seed int64, m msg.Message, biasPct int) bool {
-	if biasPct <= 0 {
-		return false
-	}
-	if biasPct >= 100 {
-		return true
-	}
-	h := fnv.New32a()
-	fmt.Fprintf(h, "%d|%d|%d|%d", seed, m.Sender, m.Receiver, m.Round)
-	return h.Sum32()%100 < uint32(biasPct)
-}
-
 // randomFaulty draws a non-empty random subset of at most t processes
 // (empty when the budget t is zero, as happens under Union sub-budgets).
-func randomFaulty(r *rand.Rand, n, t int) proc.Set {
+func randomFaulty(r *Stream, n, t int) proc.Set {
 	var f proc.Set
 	if t < 1 {
 		return f
@@ -91,8 +55,8 @@ func randomFaulty(r *rand.Rand, n, t int) proc.Set {
 func RandomSendOmission(biasPct int) Strategy {
 	name := fmt.Sprintf("random-send-omission(bias=%d%%)", biasPct)
 	return Strategy{Name: name, Build: func(seed int64, env Env) sim.FaultPlan {
-		r := rng(seed, name)
-		f := randomFaulty(r, env.N, env.T)
+		r := NewStream(seed, name)
+		f := randomFaulty(&r, env.N, env.T)
 		s := r.Int63()
 		return sim.OmissionPlan{
 			F:      f,
@@ -106,8 +70,8 @@ func RandomSendOmission(biasPct int) Strategy {
 func RandomReceiveOmission(biasPct int) Strategy {
 	name := fmt.Sprintf("random-receive-omission(bias=%d%%)", biasPct)
 	return Strategy{Name: name, Build: func(seed int64, env Env) sim.FaultPlan {
-		r := rng(seed, name)
-		f := randomFaulty(r, env.N, env.T)
+		r := NewStream(seed, name)
+		f := randomFaulty(&r, env.N, env.T)
 		s := r.Int63()
 		return sim.OmissionPlan{
 			F:         f,
@@ -122,8 +86,8 @@ func RandomReceiveOmission(biasPct int) Strategy {
 func RandomOmission(biasPct int) Strategy {
 	name := fmt.Sprintf("random-omission(bias=%d%%)", biasPct)
 	return Strategy{Name: name, Build: func(seed int64, env Env) sim.FaultPlan {
-		r := rng(seed, name)
-		f := randomFaulty(r, env.N, env.T)
+		r := NewStream(seed, name)
+		f := randomFaulty(&r, env.N, env.T)
 		sendSeed, recvSeed := r.Int63(), r.Int63()
 		return sim.OmissionPlan{
 			F:         f,
@@ -139,8 +103,8 @@ func RandomOmission(biasPct int) Strategy {
 func SilentCrash() Strategy {
 	const name = "silent-crash"
 	return Strategy{Name: name, Build: func(seed int64, env Env) sim.FaultPlan {
-		r := rng(seed, name)
-		f := randomFaulty(r, env.N, env.T)
+		r := NewStream(seed, name)
+		f := randomFaulty(&r, env.N, env.T)
 		specs := make(map[proc.ID]sim.CrashSpec, f.Len())
 		for _, id := range f.Members() {
 			deliver := proc.Set{}
@@ -159,7 +123,7 @@ func SilentCrash() Strategy {
 // withholding attack. Build and Proposals share it, so the proposal vector
 // always gives the attacker the uniquely small value its attack needs.
 func targetParams(seed int64, env Env) (attacker, victim proc.ID, pivot int) {
-	r := rng(seed, "targeted-withhold")
+	r := NewStream(seed, "targeted-withhold")
 	attacker = proc.ID(r.Intn(env.N))
 	victim = proc.ID(r.Intn(env.N - 1))
 	if victim >= attacker {
@@ -216,8 +180,8 @@ func TargetedWithhold() Strategy {
 func SenderIsolation() Strategy {
 	const name = "sender-isolation"
 	return Strategy{Name: name, Build: func(seed int64, env Env) sim.FaultPlan {
-		r := rng(seed, name)
-		group := randomFaulty(r, env.N, env.T)
+		r := NewStream(seed, name)
+		group := randomFaulty(&r, env.N, env.T)
 		from := 1 + r.Intn(env.Horizon)
 		return omission.Isolation(group, from)
 	}}

@@ -113,10 +113,13 @@ func (c *Cell) Broken() bool { return c.ViolationCount > 0 }
 // encoding depends only on the matrix inputs, never on scheduling.
 // Wall-clock statistics ride alongside, excluded from the encoding.
 type Grid struct {
-	Protocols  []string            `json:"protocols"`
-	Strategies []string            `json:"strategies"`
-	Sizes      []Size              `json:"sizes"`
-	Seeds      adversary.SeedRange `json:"seeds"`
+	// StreamVersion is the adversary.StreamVersion every cell's campaign
+	// drew its plans and proposals under.
+	StreamVersion int                 `json:"stream_version"`
+	Protocols     []string            `json:"protocols"`
+	Strategies    []string            `json:"strategies"`
+	Sizes         []Size              `json:"sizes"`
+	Seeds         adversary.SeedRange `json:"seeds"`
 	// Cells holds one entry per (protocol, strategy, size), protocol-major
 	// in the order of the Protocols/Strategies/Sizes headers.
 	Cells []Cell `json:"cells"`
@@ -361,11 +364,12 @@ func ProbeCell(spec catalog.Spec, strat adversary.Named, size Size, seeds advers
 // cells, never on where they were probed.
 func AssembleGrid(protocols, strategies []string, sizes []Size, seeds adversary.SeedRange, cells []Cell) *Grid {
 	g := &Grid{
-		Protocols:  protocols,
-		Strategies: strategies,
-		Sizes:      sizes,
-		Seeds:      seeds,
-		Cells:      cells,
+		StreamVersion: adversary.StreamVersion,
+		Protocols:     protocols,
+		Strategies:    strategies,
+		Sizes:         sizes,
+		Seeds:         seeds,
+		Cells:         cells,
 	}
 	for i := range cells {
 		c := &cells[i]

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"expensive/internal/adversary"
 	"expensive/internal/adversary/fuzz"
 )
 
@@ -21,8 +22,13 @@ const checkpointVersion = 1
 // and the report-so-far). It marshals deterministically — encoding/json
 // sorts the unit-map keys.
 type Checkpoint struct {
-	Version int  `json:"version"`
-	Job     *Job `json:"job"`
+	Version int `json:"version"`
+	// StreamVersion is the adversary.StreamVersion the completed units
+	// and the fuzz session drew their randomness under; a checkpoint from
+	// another version is refused (a missing field reads as version 1),
+	// because the remaining units would be cut from a different stream.
+	StreamVersion int  `json:"stream_version"`
+	Job           *Job `json:"job"`
 	// Units holds the completed units by ID (hunt and matrix kinds).
 	Units map[int]*Result `json:"units,omitempty"`
 	// Fuzz is the session snapshot after the last folded generation.
@@ -71,9 +77,10 @@ func saveCheckpoint(path string, cp *Checkpoint) error {
 }
 
 // loadCheckpoint reads a checkpoint and verifies it belongs to job. A
-// missing file is a fresh start (nil, nil); a version or job mismatch is
-// an error — resuming a different campaign's checkpoint would silently
-// corrupt the report.
+// missing file is a fresh start (nil, nil); a format-version,
+// stream-version or job mismatch is an error — resuming a different
+// campaign's checkpoint, or the same campaign's on another random stream,
+// would silently corrupt the report.
 func loadCheckpoint(path string, job *Job) (*Checkpoint, error) {
 	body, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -88,6 +95,9 @@ func loadCheckpoint(path string, job *Job) (*Checkpoint, error) {
 	}
 	if cp.Version != checkpointVersion {
 		return nil, fmt.Errorf("dist: checkpoint %s has version %d, want %d", path, cp.Version, checkpointVersion)
+	}
+	if err := adversary.CheckStreamVersion("checkpoint "+path, cp.StreamVersion); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	if cp.Job == nil {
 		return nil, fmt.Errorf("dist: checkpoint %s carries no job", path)

@@ -187,7 +187,7 @@ func (c *Coordinator) Run() (*Report, error) {
 	}
 	report := &Report{Kind: c.Job.Kind, Resumed: cp != nil}
 	if cp == nil {
-		cp = &Checkpoint{Version: checkpointVersion, Job: c.Job, Units: make(map[int]*Result)}
+		cp = &Checkpoint{Version: checkpointVersion, StreamVersion: adversary.StreamVersion, Job: c.Job, Units: make(map[int]*Result)}
 	}
 	if cp.Units == nil {
 		cp.Units = make(map[int]*Result)

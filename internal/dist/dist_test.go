@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -193,6 +196,58 @@ func TestDistHuntKillResume(t *testing.T) {
 	c1 := &Coordinator{Job: huntJob(), LocalWorkers: 2, WorkerParallelism: 2, CheckpointPath: path, stopAfterUnits: 3}
 	if _, err := c1.Run(); !errors.Is(err, ErrStopped) {
 		t.Fatalf("stop hook: got %v, want ErrStopped", err)
+	}
+
+	// The same checkpoint under another stream version is refused, with
+	// an error naming both versions (a checkpoint written before the field
+	// existed reads as version 1).
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := huntJob()
+	job.normalize()
+	for _, tc := range []struct {
+		name     string
+		field    any // nil removes stream_version
+		recorded int // 0 = accepted
+	}{
+		{"missing", nil, 1},
+		{"older", 1, 1},
+		{"newer", adversary.StreamVersion + 1, adversary.StreamVersion + 1},
+		{"current", adversary.StreamVersion, 0},
+	} {
+		var doc map[string]any
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc["stream_version"] != float64(adversary.StreamVersion) {
+			t.Fatalf("saved checkpoint carries stream_version %v, want %d", doc["stream_version"], adversary.StreamVersion)
+		}
+		delete(doc, "stream_version")
+		if tc.field != nil {
+			doc["stream_version"] = tc.field
+		}
+		edited, _ := json.Marshal(doc)
+		editedPath := filepath.Join(t.TempDir(), tc.name+".json")
+		if err := os.WriteFile(editedPath, edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := loadCheckpoint(editedPath, job)
+		if tc.recorded == 0 {
+			if err != nil || cp == nil || len(cp.Units) == 0 {
+				t.Errorf("%s: checkpoint of the current stream not loaded: %v", tc.name, err)
+			}
+			continue
+		}
+		for _, want := range []string{
+			fmt.Sprintf("stream_version %d,", tc.recorded),
+			fmt.Sprintf("stream_version %d:", adversary.StreamVersion),
+		} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: load error %v does not name %q", tc.name, err, want)
+			}
+		}
 	}
 
 	c2 := &Coordinator{Job: huntJob(), LocalWorkers: 2, WorkerParallelism: 2, CheckpointPath: path}

@@ -110,13 +110,14 @@ func batchUnits(g *fuzz.Generation, size int, nextID *int) []*Unit {
 func mergeHunt(c *adversary.Campaign, results []*Result, quarantined map[int]bool) (*adversary.CampaignReport, error) {
 	env := c.RecheckOptions()
 	report := &adversary.CampaignReport{
-		Protocol: c.Protocol,
-		Strategy: c.Strategy.Name,
-		N:        c.N,
-		T:        c.T,
-		Rounds:   c.Rounds,
-		Horizon:  env.Horizon,
-		Seeds:    c.Seeds,
+		StreamVersion: adversary.StreamVersion,
+		Protocol:      c.Protocol,
+		Strategy:      c.Strategy.Name,
+		N:             c.N,
+		T:             c.T,
+		Rounds:        c.Rounds,
+		Horizon:       env.Horizon,
+		Seeds:         c.Seeds,
 	}
 	for i, r := range results {
 		if r == nil || r.Hunt == nil {

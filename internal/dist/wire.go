@@ -16,8 +16,11 @@ import (
 
 // ProtocolVersion gates coordinator/worker compatibility: a hello with a
 // different version is rejected at handshake. Version 2 added
-// MsgUnitFailed (unit-level failure without worker death).
-const ProtocolVersion = 2
+// MsgUnitFailed (unit-level failure without worker death). Version 3
+// changed no message: it marks adversary.StreamVersion 2, so a fleet of
+// mixed binaries fails at hello instead of folding units drawn from two
+// random streams into one report. Bump it with every StreamVersion bump.
+const ProtocolVersion = 3
 
 // maxFrame bounds one wire frame (64 MiB) — far above any real message,
 // low enough that a corrupt length prefix cannot allocate the machine

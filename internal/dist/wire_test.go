@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/binary"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -67,5 +68,49 @@ func TestWireOversizeFrame(t *testing.T) {
 	_, err := conn.Recv(time.Second)
 	if err == nil || !strings.Contains(err.Error(), "frame") {
 		t.Fatalf("oversize frame not rejected: %v", err)
+	}
+}
+
+// TestHelloVersionGate: the coordinator answers a hello of its own
+// protocol version with the job and any other with an error naming both
+// versions — which is how a worker built before a stream-version bump is
+// kept out of a campaign instead of contributing units drawn from the
+// old stream.
+func TestHelloVersionGate(t *testing.T) {
+	c := &Coordinator{Job: huntJob()}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.shutdown()
+	for _, tc := range []struct {
+		version int
+		want    MsgKind
+	}{
+		{ProtocolVersion - 1, MsgError},
+		{ProtocolVersion + 1, MsgError},
+		{ProtocolVersion, MsgJob},
+	} {
+		conn, err := Dial(c.ListenAddr(), 3, 10*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(&Message{Kind: MsgHello, Hello: &Hello{Version: tc.version, Name: "probe"}}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := conn.Recv(5 * time.Second)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("hello v%d: %v", tc.version, err)
+		}
+		if m.Kind != tc.want {
+			t.Errorf("hello v%d answered with %q, want %q", tc.version, m.Kind, tc.want)
+		}
+		if tc.want == MsgError {
+			for _, want := range []string{fmt.Sprint(tc.version), fmt.Sprint(ProtocolVersion)} {
+				if !strings.Contains(m.Error, want) {
+					t.Errorf("hello v%d: refusal %q does not name version %s", tc.version, m.Error, want)
+				}
+			}
+		}
 	}
 }

@@ -21,9 +21,7 @@ import (
 // with good-case adaptivity on orthogonal metrics.
 func NewEarlyStopping(cfg Config) sim.Factory {
 	return func(id proc.ID, proposal msg.Value) sim.Machine {
-		return &earlyMachine{
-			machine: machine{cfg: cfg, id: id, seen: map[msg.Value]bool{proposal: true}, dirty: true},
-		}
+		return &earlyMachine{machine: newMachine(cfg, id, proposal)}
 	}
 }
 
@@ -41,25 +39,16 @@ func (m *earlyMachine) Step(round int, received []msg.Message) []sim.Outgoing {
 		return nil
 	}
 	var heard proc.Set
-	for _, rm := range received {
-		heard = heard.Add(rm.Sender)
-		w, ok := decodeW(rm.Payload)
-		if !ok {
-			continue
-		}
-		for _, v := range w {
-			if !m.seen[v] {
-				m.seen[v] = true
-				m.dirty = true
-			}
-		}
+	for i := range received {
+		heard = heard.Add(received[i].Sender)
+		m.absorb(received[i].Payload)
 	}
 
 	clean := m.hasPrev && heard.Equal(m.prevHeard)
 	m.prevHeard, m.hasPrev = heard, true
 
 	if !m.decided && (clean || round >= RoundBound(m.cfg.T)) {
-		m.decision, m.decided = m.sorted()[0], true
+		m.decision, m.decided = m.w[0], true
 	}
 	if round >= RoundBound(m.cfg.T) {
 		m.done = true

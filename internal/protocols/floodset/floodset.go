@@ -13,7 +13,8 @@
 package floodset
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"expensive/internal/msg"
 	"expensive/internal/proc"
@@ -32,7 +33,8 @@ func RoundBound(t int) int { return t + 1 }
 // New returns the honest-machine factory.
 func New(cfg Config) sim.Factory {
 	return func(id proc.ID, proposal msg.Value) sim.Machine {
-		return &machine{cfg: cfg, id: id, seen: map[msg.Value]bool{proposal: true}, dirty: true}
+		m := newMachine(cfg, id, proposal)
+		return &m
 	}
 }
 
@@ -46,23 +48,51 @@ type payload struct {
 // decode is a repeat. Decoded sets are shared and read-only.
 var decodePayload = msg.CachedDecoder[payload]()
 
-func decodeW(body string) ([]msg.Value, bool) {
-	p, ok := decodePayload(body)
-	if !ok {
-		return nil, false
+// encodeW is msg.Encode(payload{W: w}) — the same bytes — written
+// directly when every value is one encoding/json copies verbatim into a
+// string literal: printable ASCII other than the quote, the backslash and
+// the three characters json.Marshal escapes for HTML. Anything else goes
+// through msg.Encode, so the payload format has a single definition.
+func encodeW(w []msg.Value) string {
+	size := len(`{"W":[]}`)
+	for _, v := range w {
+		for i := 0; i < len(v); i++ {
+			if c := v[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+				return msg.Encode(payload{W: w})
+			}
+		}
+		size += len(v) + len(`"",`)
 	}
-	return p.W, true
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(`{"W":[`)
+	for i, v := range w {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('"')
+		b.WriteString(string(v))
+		b.WriteByte('"')
+	}
+	b.WriteString("]}")
+	return b.String()
 }
 
 type machine struct {
-	cfg  Config
-	id   proc.ID
-	seen map[msg.Value]bool
+	cfg Config
+	id  proc.ID
+	// w is W, the set of values seen, ascending; it starts as the
+	// proposal and only grows.
+	w []msg.Value
 
-	// encoded caches the broadcast body; it is rebuilt only when seen
-	// changed since the last encode (after round 1 it rarely does).
+	// out is the broadcast: one entry per peer, built on first use and
+	// returned from every Init/Step (sim.Machine lets a machine reuse the
+	// slice it returns). encoded is the body all entries carry; it is
+	// rewritten only when W grew since the last broadcast (after round 1
+	// it rarely does).
+	out     []sim.Outgoing
 	encoded string
-	dirty   bool
+	grew    bool
 
 	decided  bool
 	decision msg.Value
@@ -71,27 +101,48 @@ type machine struct {
 
 var _ sim.Machine = (*machine)(nil)
 
-func (m *machine) sorted() []msg.Value {
-	out := make([]msg.Value, 0, len(m.seen))
-	for v := range m.seen {
-		out = append(out, v)
+func newMachine(cfg Config, id proc.ID, proposal msg.Value) machine {
+	w := make([]msg.Value, 1, 2) // room for the other bit
+	w[0] = proposal
+	return machine{cfg: cfg, id: id, w: w, grew: true}
+}
+
+// absorb merges a received body's values into W. A body equal to the
+// machine's own last broadcast encodes a subset of W and is skipped
+// undecoded — from round 2 on that is nearly every message.
+func (m *machine) absorb(body string) {
+	if body == m.encoded {
+		return
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	p, ok := decodePayload(body)
+	if !ok {
+		return
+	}
+	for _, v := range p.W {
+		if i, found := slices.BinarySearch(m.w, v); !found {
+			m.w = slices.Insert(m.w, i, v)
+			m.grew = true
+		}
+	}
 }
 
 func (m *machine) broadcast() []sim.Outgoing {
-	if m.dirty {
-		m.encoded = msg.Encode(payload{W: m.sorted()})
-		m.dirty = false
-	}
-	out := make([]sim.Outgoing, 0, m.cfg.N-1)
-	for p := proc.ID(0); p < proc.ID(m.cfg.N); p++ {
-		if p != m.id {
-			out = append(out, sim.Outgoing{To: p, Payload: m.encoded})
+	if m.out == nil {
+		m.out = make([]sim.Outgoing, 0, m.cfg.N-1)
+		for p := proc.ID(0); p < proc.ID(m.cfg.N); p++ {
+			if p != m.id {
+				m.out = append(m.out, sim.Outgoing{To: p})
+			}
 		}
 	}
-	return out
+	if m.grew {
+		m.encoded = encodeW(m.w)
+		m.grew = false
+		for i := range m.out {
+			m.out[i].Payload = m.encoded
+		}
+	}
+	return m.out
 }
 
 // Init implements sim.Machine.
@@ -102,20 +153,11 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 	if m.done {
 		return nil
 	}
-	for _, rm := range received {
-		w, ok := decodeW(rm.Payload)
-		if !ok {
-			continue
-		}
-		for _, v := range w {
-			if !m.seen[v] {
-				m.seen[v] = true
-				m.dirty = true
-			}
-		}
+	for i := range received {
+		m.absorb(received[i].Payload)
 	}
 	if round >= RoundBound(m.cfg.T) {
-		m.decision = m.sorted()[0] // min of W
+		m.decision = m.w[0] // min of W
 		m.decided, m.done = true, true
 		return nil
 	}

@@ -88,10 +88,14 @@ type Outgoing struct {
 // returns the messages to send in round r+1; the received slice is only
 // valid for the duration of the call — at the lean recording tier it is
 // backing-store the engine reuses — so machines must copy anything they
-// keep. Decision exposes the decision-bit component of the state; once
-// set it must never change. Quiescent reports that the machine will never
-// send again regardless of future inputs — the engine uses it for sound
-// early termination.
+// keep. The ownership rule is the same in the other direction: a slice
+// returned by Init or Step is valid until the next Init or Step call on
+// that machine, which may rewrite it in place (FloodSet builds its
+// broadcast once and only refreshes payloads), so drivers route or copy
+// the messages before stepping the machine again. Decision exposes the
+// decision-bit component of the state; once set it must never change.
+// Quiescent reports that the machine will never send again regardless of
+// future inputs — the engine uses it for sound early termination.
 type Machine interface {
 	Init() []Outgoing
 	Step(round int, received []msg.Message) []Outgoing
@@ -490,19 +494,22 @@ func (s *scratch) grow(n int) {
 	}
 }
 
-// release returns the scratch to the pool, dropping references into the
-// run's output (fragment slices, machine-owned pending slices, message
-// payload strings left in the inboxes) so pooled scratch never pins a
-// finished execution in memory.
-func (s *scratch) release() {
-	clear(s.frags)
-	clear(s.pending)
-	for i := range s.inboxes {
-		full := s.inboxes[i][:cap(s.inboxes[i])]
-		clear(full)
-		s.inboxes[i] = full[:0]
+// reset drops the references a finished run over n processes left in the
+// scratch — fragment slices, machine-owned pending slices, message payload
+// strings in the inboxes — so pooled scratch never pins a finished
+// execution in memory. It touches only what such a run can have written:
+// the first n entries of each table and, per inbox, the first n slots (a
+// round delivers at most one message per sender). Whatever lies beyond
+// was cleared when the larger run that grew it was reset, and sweeping it
+// again would make every small run pay for the largest one the pool has
+// seen.
+func (s *scratch) reset(n int) {
+	clear(s.frags[:n])
+	clear(s.pending[:n])
+	for i, inbox := range s.inboxes[:n] {
+		clear(inbox[:min(n, cap(inbox))])
+		s.inboxes[i] = inbox[:0]
 	}
-	scratchPool.Put(s)
 }
 
 // Run executes the protocol under the fault plan and returns the recorded
@@ -511,6 +518,13 @@ func (s *scratch) release() {
 // process) — never mere protocol-property violations, which are left in
 // the trace for the checkers to find.
 func Run(cfg Config, factory Factory, plan FaultPlan) (*Execution, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.run(cfg, factory, plan)
+}
+
+// run is Run on the given scratch, which it leaves reset.
+func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -540,12 +554,11 @@ func Run(cfg Config, factory Factory, plan FaultPlan) (*Execution, error) {
 		behaviors[i] = &behArr[i]
 	}
 
-	sc := scratchPool.Get().(*scratch)
-	sc.grow(cfg.N)
-	defer sc.release()
+	s.grow(cfg.N)
+	defer s.reset(cfg.N)
 
 	// Outgoing messages for the next round, per process.
-	pending := sc.pending
+	pending := s.pending
 	for i := range machines {
 		pending[i] = machines[i].Init()
 	}
@@ -559,9 +572,9 @@ func Run(cfg Config, factory Factory, plan FaultPlan) (*Execution, error) {
 	}
 	var err error
 	if cfg.Recording == RecordDecisions {
-		err = runLean(cfg, e, machines, pending, plan, faulty, sc)
+		err = runLean(cfg, e, machines, pending, plan, faulty, s)
 	} else {
-		err = runFull(cfg, e, machines, pending, plan, faulty, sc)
+		err = runFull(cfg, e, machines, pending, plan, faulty, s)
 	}
 	if err != nil {
 		return nil, err
