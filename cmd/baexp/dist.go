@@ -4,11 +4,12 @@ package main
 // serves work units over TCP; `baexp worker` connects to a coordinator
 // and probes. `coord -workers N` forks N worker processes of this very
 // binary against its own listener, so the one-machine convenience mode
-// exercises the identical wire path a cluster does. Reports stay
-// byte-identical to `baexp hunt/fuzz/matrix -json` at any worker count.
+// exercises the identical wire path a cluster does. Both parse the job
+// flags `baexp hunt/fuzz/matrix` parse (addJobFlags, one defaults table)
+// and print through the same emit, so `coord -kind K` and `baexp K` with
+// the same flags print the same report at any worker count.
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -21,18 +22,15 @@ import (
 	"time"
 
 	"expensive/internal/adversary"
-	"expensive/internal/adversary/fuzz"
 	"expensive/internal/catalog"
+	cmatrix "expensive/internal/catalog/matrix"
 	"expensive/internal/dist"
 	"expensive/internal/transport/chaosnet"
 )
 
-// defaultSizes mirrors the `baexp matrix` default grid.
-const defaultSizes = "4:1,5:1,8:2"
-
 func runCoord(args []string) error {
 	fs := flag.NewFlagSet("coord", flag.ContinueOnError)
-	kind := fs.String("kind", "hunt", "campaign kind: hunt|fuzz|matrix")
+	kind := fs.String("kind", "hunt", "campaign kind: hunt|fuzz|matrix; unset job flags take the kind's defaults (hunt's are shown; baexp fuzz -h and baexp matrix -h show theirs)")
 	addr := fs.String("addr", "127.0.0.1:0", "TCP listen address for workers")
 	workers := fs.Int("workers", 0, "fork this many worker processes of this binary against the coordinator")
 	inproc := fs.Int("inproc", 0, "run this many in-process workers (loopback TCP, same wire path)")
@@ -45,13 +43,13 @@ func runCoord(args []string) error {
 	jsonOut := fs.Bool("json", false, "emit the deterministic JSON report (identical to the single-process subcommand's)")
 	corpusPath := fs.String("corpus", "", "corpus file: loaded if present, saved after the run (fuzz)")
 
-	collect := addJobFlags(fs)
+	jf := addJobFlags(fs, "hunt")
 	tf := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	job, err := buildJob(*kind, collect())
+	applyJobDefaults(fs, *kind)
+	job, err := buildJob(*kind, jf)
 	if err != nil {
 		return err
 	}
@@ -74,17 +72,8 @@ func runCoord(args []string) error {
 		WorkerParallelism: *parallel,
 		Ctx:               tel.ctx,
 	}
-	if *corpusPath != "" {
-		// Only a genuinely absent file means "start fresh" — same contract
-		// as `baexp fuzz -corpus`.
-		corpus, err := fuzz.LoadCorpus(*corpusPath)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-		case err != nil:
-			return fmt.Errorf("-corpus: %w", err)
-		default:
-			c.Corpus = corpus
-		}
+	if c.Corpus, err = loadCorpus(*corpusPath); err != nil {
+		return err
 	}
 	if err := c.Start(); err != nil {
 		return err
@@ -126,81 +115,28 @@ func runCoord(args []string) error {
 	if runErr != nil {
 		return runErr
 	}
-	if *corpusPath != "" && report.Corpus != nil {
-		if err := report.Corpus.Save(*corpusPath); err != nil {
-			return err
+	if err := saveCorpus(*corpusPath, report.Corpus, tel); err != nil {
+		return err
+	}
+	if !*jsonOut {
+		resumed := ""
+		if report.Resumed {
+			resumed = ", resumed from checkpoint"
 		}
-		if s := tel.rec.Sink(); s != nil {
-			s.Emit("corpus-save", "path", *corpusPath, "size", report.Corpus.Size())
+		fmt.Printf("coord %s: %d units over %d workers (%d reassigned)%s\n",
+			report.Kind, report.Units, report.Workers, report.Reassigned, resumed)
+		fmt.Printf("  [%.1f ms wall]\n", float64(report.Wall)/float64(time.Millisecond))
+		if len(report.Quarantined) > 0 {
+			fmt.Printf("  QUARANTINED units %v: retry budget exhausted, results below exclude them\n", report.Quarantined)
 		}
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		var inner any
-		switch {
-		case report.Hunt != nil:
-			inner = report.Hunt
-		case report.Fuzz != nil:
-			inner = report.Fuzz
-		default:
-			inner = report.Grid
-		}
-		if err := enc.Encode(inner); err != nil {
-			return err
-		}
-		return tel.finish()
-	}
-
-	resumed := ""
-	if report.Resumed {
-		resumed = ", resumed from checkpoint"
-	}
-	fmt.Printf("coord %s: %d units over %d workers (%d reassigned)%s\n",
-		report.Kind, report.Units, report.Workers, report.Reassigned, resumed)
-	fmt.Printf("  [%.1f ms wall]\n", float64(report.Wall)/float64(time.Millisecond))
-	if len(report.Quarantined) > 0 {
-		fmt.Printf("  QUARANTINED units %v: retry budget exhausted, results below exclude them\n", report.Quarantined)
-	}
-	switch {
-	case report.Hunt != nil:
-		r := report.Hunt
-		fmt.Printf("hunt %s vs %s: n=%d t=%d seeds [%d,%d)\n",
-			r.Strategy, r.Protocol, r.N, r.T, r.Seeds.From, r.Seeds.To)
-		fmt.Printf("  %d probes, %d violating seeds; messages %d..%d, rounds %d..%d\n",
-			r.Probes, r.ViolationCount,
-			r.Messages.Min, r.Messages.Max, r.RoundsHist.Min, r.RoundsHist.Max)
-		for _, v := range r.Violations {
-			fmt.Printf("VERDICT: %v\n", v)
-			if v.Shrunk != nil {
-				fmt.Printf("  shrunk: %v\n", v.Shrunk)
-			}
-		}
-		if !r.Broken() {
-			fmt.Println("VERDICT: no violation — the protocol survived every probe")
-		}
-	case report.Fuzz != nil:
-		r := report.Fuzz
-		fmt.Printf("fuzz %s vs %s: n=%d t=%d budget %d\n",
-			r.SeedStrategy, r.Protocol, r.N, r.T, r.Budget)
-		fmt.Printf("  %d probes over %d generations; corpus %d (+%d novel), %d violating probes\n",
-			r.Probes, r.Generations, r.CorpusSize, r.NewCoverage, r.ViolationCount)
-		for _, v := range r.Violations {
-			fmt.Printf("VERDICT: %v\n", v)
-			if v.Shrunk != nil {
-				fmt.Printf("  shrunk: %v\n", v.Shrunk)
-			}
-		}
-		if !r.Broken() {
-			fmt.Println("VERDICT: no violation — the protocol survived every probe")
-		}
-	case report.Grid != nil:
-		renderGrid(report.Grid)
+	if err := emit(report, job, *jsonOut, false); err != nil {
+		return err
 	}
 	return tel.finish()
 }
 
-// jobFlags carries the parsed campaign-shape flags into job construction.
+// jobFlags holds the campaign-shape flags: what a dist.Job is built from.
 type jobFlags struct {
 	proto, strategy, seeds, sizes string
 	n, t, units, keep, bias       int
@@ -209,110 +145,129 @@ type jobFlags struct {
 	shrink, full, stop            bool
 }
 
-// addJobFlags registers the campaign-shape flags shared by `coord` and
-// `soak` on fs and returns a closure that collects the parsed values.
-func addJobFlags(fs *flag.FlagSet) func() jobFlags {
-	proto := fs.String("proto", "", "protocol ID (hunt/fuzz; empty = floodset), or comma-separated IDs (matrix; empty = all)")
-	strategy := fs.String("strategy", "", "strategy ID (hunt/fuzz; default per kind), or comma-separated IDs (matrix; empty = full library)")
-	n := fs.Int("n", 8, "system size (hunt/fuzz)")
-	t := fs.Int("t", 2, "fault budget (hunt/fuzz)")
-	seeds := fs.String("seeds", "0:64", "half-open seed range FROM:TO (hunt; per-cell for matrix)")
-	units := fs.Int("units", 0, "hunt work units to cut the seed range into (0 = default 16)")
-	shrink := fs.Bool("shrink", true, "minimize found violations (merged report, coordinator-side)")
-	full := fs.Bool("full", false, "record full traces and validate every probe")
-	keep := fs.Int("keep", 3, "record at most this many violations (0 = all)")
-	bias := fs.Int("bias", 40, "omission percentage for the random strategies")
-	budget := fs.Int("budget", 2048, "total candidate probes (fuzz)")
-	genSize := fs.Int("gen", 0, "candidates per mutation generation (fuzz; 0 = default 64)")
-	fuzzSeed := fs.Int64("seed", 0, "master seed for the deterministic search (fuzz)")
-	batch := fs.Int("batch", 0, "probes per fuzz work unit (0 = default 16)")
-	stop := fs.Bool("stop", false, "stop after the first generation that found a violation (fuzz)")
-	sizes := fs.String("sizes", "", "comma-separated N:T grid points (matrix; empty = "+defaultSizes+")")
-	return func() jobFlags {
-		return jobFlags{
-			proto: *proto, strategy: *strategy, n: *n, t: *t,
-			seeds: *seeds, units: *units, shrink: *shrink, full: *full,
-			keep: *keep, bias: *bias, budget: *budget, genSize: *genSize,
-			fuzzSeed: *fuzzSeed, batch: *batch, stop: *stop, sizes: *sizes,
+// jobDefaults is the one table of per-kind defaults, for the job flags
+// whose default depends on the campaign kind; the rest have one default
+// for every kind, registered in addJobFlags. A kind the table does not
+// know (soak's smr, which reads only -n and -t) takes the hunt column.
+var jobDefaults = []struct{ flag, hunt, fuzz, matrix string }{
+	{"proto", "floodset", "floodset", ""},                         // matrix: empty = every registered protocol
+	{"strategy", "targeted-withhold", "random-send-omission", ""}, // matrix: empty = the full library
+	{"n", "8", "4", "0"},
+	{"t", "2", "3", "0"},
+	{"seeds", "0:64", "0:64", "0:16"},
+	{"keep", "3", "3", "1"},
+	{"shrink", "true", "true", "false"},
+}
+
+// addJobFlags registers the campaign-shape flags — the one set `hunt`,
+// `fuzz`, `matrix`, `coord` and `soak` all parse — on fs, with kind's
+// defaults, and returns where the parsed values land. coord and soak,
+// whose kind is itself a flag, register under its default and call
+// applyJobDefaults again once they know it.
+func addJobFlags(fs *flag.FlagSet, kind string) *jobFlags {
+	f := &jobFlags{}
+	fs.StringVar(&f.proto, "proto", "", "protocol ID (hunt/fuzz), or comma-separated IDs (matrix; empty = every registered protocol)")
+	fs.StringVar(&f.strategy, "strategy", "", "strategy ID (hunt; fuzz: the seed strategy of generation 0), or comma-separated IDs (matrix; empty = the full library)")
+	fs.IntVar(&f.n, "n", 0, "system size (hunt/fuzz)")
+	fs.IntVar(&f.t, "t", 0, "fault budget (hunt/fuzz)")
+	fs.StringVar(&f.seeds, "seeds", "", "half-open seed range FROM:TO (hunt; per-cell for matrix)")
+	fs.IntVar(&f.units, "units", 0, "hunt work units to cut the seed range into (0 = default 16)")
+	fs.BoolVar(&f.shrink, "shrink", false, "minimize found violations (coord: once, on the merged report)")
+	fs.BoolVar(&f.full, "full", false, "record full traces and validate every probe (default: lean probes, full replay of violating seeds only; reports are byte-identical either way)")
+	fs.IntVar(&f.keep, "keep", 0, "record at most this many violations (matrix: per cell; hunt/fuzz: 0 = all)")
+	fs.IntVar(&f.bias, "bias", cmatrix.DefaultBias, "omission percentage for the random strategies")
+	fs.IntVar(&f.budget, "budget", 2048, "total candidate probes (fuzz)")
+	fs.IntVar(&f.genSize, "gen", 0, "candidates per mutation generation (fuzz; 0 = default 64)")
+	fs.Int64Var(&f.fuzzSeed, "seed", 0, "master seed for the deterministic search (fuzz)")
+	fs.IntVar(&f.batch, "batch", 0, "probes per fuzz work unit (0 = default 16)")
+	fs.BoolVar(&f.stop, "stop", false, "stop after the first generation that found a violation (fuzz)")
+	fs.StringVar(&f.sizes, "sizes", "", "comma-separated N:T grid points (matrix; empty = 4:1,5:1,8:2)")
+	applyJobDefaults(fs, kind)
+	return f
+}
+
+// applyJobDefaults gives every jobDefaults flag the command line has not
+// set its default for kind, and makes -h print it.
+func applyJobDefaults(fs *flag.FlagSet, kind string) {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, d := range jobDefaults {
+		if set[d.flag] {
+			continue
 		}
+		v := d.hunt
+		switch kind {
+		case "fuzz":
+			v = d.fuzz
+		case "matrix":
+			v = d.matrix
+		}
+		f := fs.Lookup(d.flag)
+		if err := f.Value.Set(v); err != nil {
+			panic(fmt.Sprintf("jobDefaults: -%s=%q: %v", d.flag, v, err))
+		}
+		f.DefValue = v
 	}
 }
 
-// buildJob translates CLI flags into the wire-format job for one kind.
+func checkBias(bias int) error {
+	if bias < 0 || bias > 100 {
+		return fmt.Errorf("bias must be a percentage within 0..100, got %d", bias)
+	}
+	return nil
+}
+
+// splitIDs parses a comma-separated ID list; empty means all.
+func splitIDs(list string, all []string) []string {
+	ids := strings.FieldsFunc(list, func(r rune) bool { return r == ',' || r == ' ' })
+	if len(ids) == 0 {
+		return all
+	}
+	return ids
+}
+
+// buildJob translates the job flags into the campaign description for
+// one kind — the only thing any route to an engine is built from.
 // Registry IDs travel as strings; workers resolve them against their own
 // catalog, so coordinator and workers must run the same binary version.
-func buildJob(kind string, f jobFlags) (*dist.Job, error) {
-	if f.bias < 0 || f.bias > 100 {
-		return nil, fmt.Errorf("bias must be a percentage within 0..100, got %d", f.bias)
+func buildJob(kind string, f *jobFlags) (*dist.Job, error) {
+	if err := checkBias(f.bias); err != nil {
+		return nil, err
 	}
 	switch kind {
 	case "hunt":
-		proto := f.proto
-		if proto == "" {
-			proto = "floodset"
-		}
-		strategy := f.strategy
-		if strategy == "" {
-			strategy = "targeted-withhold"
-		}
 		seeds, err := parseSeedRange(f.seeds)
 		if err != nil {
 			return nil, err
 		}
 		return &dist.Job{Kind: "hunt", Hunt: &dist.HuntJob{
-			Protocol: proto, Strategy: strategy, Bias: f.bias,
+			Protocol: f.proto, Strategy: f.strategy, Bias: f.bias,
 			N: f.n, T: f.t, Seeds: seeds, Units: f.units,
 			Shrink: f.shrink, MaxViolations: f.keep, RecordFull: f.full,
 		}}, nil
 	case "fuzz":
-		proto := f.proto
-		if proto == "" {
-			proto = "floodset"
-		}
-		strategy := f.strategy
-		if strategy == "" {
-			strategy = "random-send-omission"
-		}
 		return &dist.Job{Kind: "fuzz", Fuzz: &dist.FuzzJob{
-			Protocol: proto, SeedStrategy: strategy, Bias: f.bias,
+			Protocol: f.proto, SeedStrategy: f.strategy, Bias: f.bias,
 			N: f.n, T: f.t, Budget: f.budget, GenSize: f.genSize,
 			FuzzSeed: f.fuzzSeed, Batch: f.batch,
 			Shrink: f.shrink, MaxViolations: f.keep, StopOnViolation: f.stop,
 		}}, nil
 	case "matrix":
-		var protos []string
-		if f.proto != "" {
-			for _, id := range strings.Split(f.proto, ",") {
-				protos = append(protos, strings.TrimSpace(id))
+		sizes := cmatrix.DefaultSizes()
+		if f.sizes != "" {
+			var err error
+			if sizes, err = parseSizes(f.sizes); err != nil {
+				return nil, err
 			}
-		} else {
-			for _, s := range catalog.Protocols() {
-				protos = append(protos, s.ID)
-			}
-		}
-		var strategies []string
-		if f.strategy != "" {
-			for _, id := range strings.Split(f.strategy, ",") {
-				strategies = append(strategies, strings.TrimSpace(id))
-			}
-		} else {
-			strategies = adversary.LibraryIDs()
-		}
-		sizesStr := f.sizes
-		if sizesStr == "" {
-			sizesStr = defaultSizes
-		}
-		sizes, err := parseSizes(sizesStr)
-		if err != nil {
-			return nil, err
 		}
 		seeds, err := parseSeedRange(f.seeds)
 		if err != nil {
 			return nil, err
 		}
 		return &dist.Job{Kind: "matrix", Matrix: &dist.MatrixJob{
-			Protocols: protos, Strategies: strategies, Sizes: sizes,
-			Bias: f.bias, Seeds: seeds,
+			Protocols:  splitIDs(f.proto, catalog.IDs()),
+			Strategies: splitIDs(f.strategy, adversary.LibraryIDs()),
+			Sizes:      sizes, Bias: f.bias, Seeds: seeds,
 			MaxViolations: f.keep, Shrink: f.shrink, RecordFull: f.full,
 		}}, nil
 	default:

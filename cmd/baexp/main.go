@@ -21,6 +21,10 @@
 //
 // Every protocol offering is derived from the catalog registry
 // (internal/catalog) — there is no hand-maintained protocol table here.
+// A campaign has one description, dist.Job: hunt, fuzz, matrix, coord and
+// soak parse the same job flags with one per-kind defaults table
+// (addJobFlags, jobDefaults), and hunt|fuzz|matrix are dist.Serial of the
+// Job that `coord -kind K` distributes, printed by the same emit.
 // Run `baexp <subcommand> -h` for flags.
 package main
 
@@ -33,6 +37,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"expensive/internal/adversary"
 	"expensive/internal/adversary/fuzz"
@@ -42,6 +47,7 @@ import (
 	_ "expensive/internal/catalog/all" // link every protocol registration
 	cmatrix "expensive/internal/catalog/matrix"
 	"expensive/internal/crypto/sig"
+	"expensive/internal/dist"
 	"expensive/internal/experiments"
 	"expensive/internal/experiments/runner"
 	"expensive/internal/lowerbound"
@@ -73,12 +79,8 @@ func run(args []string) error {
 		return runExperiments(args[1:])
 	case "falsify":
 		return runFalsify(args[1:])
-	case "hunt":
-		return runHunt(args[1:])
-	case "fuzz":
-		return runFuzz(args[1:])
-	case "matrix":
-		return runMatrix(args[1:])
+	case "hunt", "fuzz", "matrix":
+		return runCampaign(args[0], args[1:])
 	case "solve":
 		return runSolve(args[1:])
 	case "run":
@@ -266,9 +268,7 @@ func runExperiments(args []string) error {
 		return err
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
+		if err := emitJSON(results); err != nil {
 			return err
 		}
 		return tel.finish()
@@ -371,95 +371,186 @@ func parseSeedRange(s string) (adversary.SeedRange, error) {
 	return r, nil
 }
 
-// lookupStrategy resolves a library strategy or fails with the available
-// IDs.
-func lookupStrategy(name string, bias int) (adversary.Strategy, error) {
-	s, ok := adversary.FromLibrary(name, bias)
-	if !ok {
-		return s, fmt.Errorf("unknown strategy %q (have %v)", name, adversary.LibraryIDs())
-	}
-	return s, nil
-}
-
-func runHunt(args []string) error {
-	fs := flag.NewFlagSet("hunt", flag.ContinueOnError)
-	protoName := fs.String("proto", "floodset", "cataloged protocol to hunt")
-	strategyName := fs.String("strategy", "targeted-withhold", "attack strategy")
-	n := fs.Int("n", 8, "system size")
-	t := fs.Int("t", 2, "fault budget")
-	seedsFlag := fs.String("seeds", "0:64", "half-open seed range FROM:TO")
-	parallel := fs.Int("parallel", 0, "probe worker count (0 = NumCPU, 1 = serial)")
+// runCampaign is `baexp hunt`, `fuzz` and `matrix`: the dist.Job the
+// shared job flags describe, run in this process — dist.Serial plus the
+// three settings that belong to this invocation and not to the campaign
+// (-parallel, -corpus, -timing) — and printed by the emit `coord` uses.
+// `coord -kind K` with the same flags builds the same Job, which is why
+// the two print the same report.
+func runCampaign(kind string, args []string) error {
+	fs := flag.NewFlagSet(kind, flag.ContinueOnError)
+	parallel := fs.Int("parallel", 0, "probe worker count (matrix: cell worker count; 0 = NumCPU, 1 = serial)")
+	corpusPath := fs.String("corpus", "", "corpus file: loaded if present, saved after the run (fuzz)")
+	timing := fs.Bool("timing", false, "attach the wall-clock timing block (probes_per_sec) to the grid JSON (matrix); nondeterministic, so off by default")
 	jsonOut := fs.Bool("json", false, "emit the deterministic JSON report")
-	shrink := fs.Bool("shrink", true, "minimize found violations")
-	full := fs.Bool("full", false, "record full traces and validate every probe (default: lean probes, full replay of violating seeds only; reports are byte-identical either way)")
-	keep := fs.Int("keep", 3, "record at most this many violations (0 = all)")
-	bias := fs.Int("bias", 40, "omission percentage for the random strategies")
-	verbose := fs.Bool("v", false, "render the first shrunk counterexample's timeline")
+	verbose := fs.Bool("v", false, "render the first shrunk counterexample's timeline (hunt)")
 	list := fs.Bool("list", false, "list protocols and strategies and exit")
+	jf := addJobFlags(fs, kind)
 	tf := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *bias < 0 || *bias > 100 {
-		return fmt.Errorf("bias must be a percentage within 0..100, got %d", *bias)
-	}
 	if *list {
-		printCatalog(*bias)
+		if err := checkBias(jf.bias); err != nil {
+			return err
+		}
+		printCatalog(jf.bias)
 		return nil
 	}
-	spec, err := catalog.Get(*protoName)
+	job, err := buildJob(kind, jf)
 	if err != nil {
 		return err
 	}
-	strategy, err := lookupStrategy(*strategyName, *bias)
-	if err != nil {
+	local := dist.Local{Parallelism: *parallel, Timing: *timing}
+	if local.Corpus, err = loadCorpus(*corpusPath); err != nil {
 		return err
 	}
-	seeds, err := parseSeedRange(*seedsFlag)
-	if err != nil {
-		return err
-	}
-	params := catalog.DefaultParams(*n, *t)
-	campaign, err := cmatrix.CampaignFor(spec, params, strategy, seeds)
-	if err != nil {
-		return err
-	}
-	campaign.Shrink = *shrink
-	campaign.RecordFull = *full
-	campaign.MaxViolations = *keep
-	campaign.Parallelism = *parallel
 	tel, err := tf.open()
 	if err != nil {
 		return err
 	}
 	defer tel.finish() //nolint:errcheck // surfaced by the explicit call below
-	campaign.Ctx = tel.ctx
-	tel.watchCounter("hunt", int64(seeds.Count()), "campaign_probes")
-	report, err := campaign.Run()
+	// How many matrix cells the resilience conditions will skip is unknown
+	// up front, so its progress line reports the probe rate only.
+	total, counter := int64(0), "campaign_probes"
+	switch {
+	case job.Hunt != nil:
+		total = int64(job.Hunt.Seeds.Count())
+	case job.Fuzz != nil:
+		total, counter = int64(job.Fuzz.Budget), "fuzz_probes"
+	}
+	tel.watchCounter(kind, total, counter)
+	report, err := local.Run(tel.ctx, job)
 	if err != nil {
 		return err
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
+	if err := saveCorpus(*corpusPath, report.Corpus, tel); err != nil {
+		return err
+	}
+	if err := emit(report, job, *jsonOut, *verbose); err != nil {
+		return err
+	}
+	return tel.finish()
+}
+
+// loadCorpus reads the -corpus file. Only a genuinely absent file (or no
+// -corpus at all) means "start fresh": any other load failure must abort,
+// or the final save would overwrite an existing corpus the run silently
+// failed to resume from.
+func loadCorpus(path string) (*fuzz.Corpus, error) {
+	if path == "" {
+		return nil, nil
+	}
+	corpus, err := fuzz.LoadCorpus(path)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return nil, nil
+	case err != nil:
+		return nil, fmt.Errorf("-corpus: %w", err)
+	}
+	return corpus, nil
+}
+
+// saveCorpus writes a fuzz run's grown corpus back to the -corpus file.
+func saveCorpus(path string, corpus *fuzz.Corpus, tel *telemetry) error {
+	if path == "" || corpus == nil {
+		return nil
+	}
+	if err := corpus.Save(path); err != nil {
+		return err
+	}
+	if s := tel.rec.Sink(); s != nil {
+		s.Emit("corpus-save", "path", path, "size", corpus.Size())
+	}
+	return nil
+}
+
+// inner is the engine report a dist.Report wraps: the bytes `-json`
+// prints and the soak oracle compares.
+func inner(rep *dist.Report) any {
+	switch {
+	case rep.Hunt != nil:
+		return rep.Hunt
+	case rep.Fuzz != nil:
+		return rep.Fuzz
+	}
+	return rep.Grid
+}
+
+func emitJSON(v any) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// emit prints a finished campaign, run here or coordinated: the inner
+// report as JSON, or its text rendering.
+func emit(rep *dist.Report, job *dist.Job, jsonOut, verbose bool) error {
+	if jsonOut {
+		return emitJSON(inner(rep))
+	}
+	return render(rep, job, verbose)
+}
+
+// engineWall prints a report's wall-clock line when the engine timed the
+// run; a report the coordinator merged carries no engine timing (its
+// wall is on the coord line).
+func engineWall(wall time.Duration, ms, rate float64, workers int) {
+	if wall > 0 {
+		fmt.Printf("  [%.1f ms wall, %.0f probes/sec, %d workers]\n", ms, rate, workers)
+	}
+}
+
+// render is the one text rendering of a campaign report, run here or
+// coordinated.
+func render(rep *dist.Report, job *dist.Job, verbose bool) error {
+	switch {
+	case rep.Hunt != nil:
+		r := rep.Hunt
+		fmt.Printf("hunt %s vs %s: n=%d t=%d seeds [%d,%d)\n",
+			r.Strategy, r.Protocol, r.N, r.T, r.Seeds.From, r.Seeds.To)
+		fmt.Printf("  %d probes, %d violating seeds; messages %d..%d, rounds %d..%d\n",
+			r.Probes, r.ViolationCount,
+			r.Messages.Min, r.Messages.Max, r.RoundsHist.Min, r.RoundsHist.Max)
+		engineWall(r.Wall, r.WallMS, r.ProbesPerSec, r.Workers)
+		camp, err := job.Hunt.Campaign()
+		if err != nil {
 			return err
 		}
-		return tel.finish()
+		return renderVerdicts(r.Violations, camp.RecheckOptions(), verbose)
+	case rep.Fuzz != nil:
+		r := rep.Fuzz
+		fmt.Printf("fuzz %s vs %s: n=%d t=%d budget %d\n",
+			r.SeedStrategy, r.Protocol, r.N, r.T, r.Budget)
+		fmt.Printf("  %d probes over %d generations; corpus %d (+%d novel), %d violating probes\n",
+			r.Probes, r.Generations, r.CorpusSize, r.NewCoverage, r.ViolationCount)
+		fmt.Printf("  messages %d..%d, rounds %d..%d\n",
+			r.Messages.Min, r.Messages.Max, r.RoundsHist.Min, r.RoundsHist.Max)
+		engineWall(r.Wall, r.WallMS, r.ProbesPerSec, r.Workers)
+		f, err := job.Fuzz.Fuzzer()
+		if err != nil {
+			return err
+		}
+		if r.Broken() {
+			fmt.Printf("VERDICT: first violation at probe %d of %d\n", r.FirstViolationProbe, r.Probes)
+		}
+		return renderVerdicts(r.Violations, f.ShrinkOptions(), false)
+	default:
+		renderGrid(rep.Grid)
+		return nil
 	}
+}
 
-	fmt.Printf("hunt %s vs %s: n=%d t=%d seeds [%d,%d)\n",
-		report.Strategy, report.Protocol, report.N, report.T, report.Seeds.From, report.Seeds.To)
-	fmt.Printf("  %d probes, %d violating seeds; messages %d..%d, rounds %d..%d\n",
-		report.Probes, report.ViolationCount,
-		report.Messages.Min, report.Messages.Max, report.RoundsHist.Min, report.RoundsHist.Max)
-	fmt.Printf("  [%.1f ms wall, %.0f probes/sec, %d workers]\n", report.WallMS, report.ProbesPerSec, report.Workers)
-	if !report.Broken() {
+// renderVerdicts prints one verdict per recorded violation (a broken
+// report records at least one) and re-validates each certificate
+// independently of the engine that found it; timeline also draws the
+// first shrunk counterexample.
+func renderVerdicts(vs []*adversary.Violation, opts adversary.ShrinkOptions, timeline bool) error {
+	if len(vs) == 0 {
 		fmt.Println("VERDICT: no violation — the protocol survived every probe")
-		return tel.finish()
+		return nil
 	}
-	opts := campaign.RecheckOptions()
-	for _, v := range report.Violations {
+	for _, v := range vs {
 		fmt.Printf("VERDICT: %v\n", v)
 		if v.Plan != nil {
 			fmt.Printf("  found plan: %v\n", v.Plan)
@@ -472,138 +563,18 @@ func runHunt(args []string) error {
 		}
 		fmt.Println("  certificate independently re-validated: execution guarantees, fault budget, machine conformance all hold")
 	}
-	if *verbose {
-		if v := report.Violations[0]; v.Shrunk != nil {
-			rebuild := spec.Rebuilder(params)
-			factory2, rounds2, err := rebuild(v.Shrunk.N, *t)
-			if err == nil {
-				env := adversary.Env{N: v.Shrunk.N, T: *t, Rounds: rounds2, Horizon: rounds2 + 2, Factory: factory2}
-				cfg := sim.Config{N: v.Shrunk.N, T: *t, Proposals: v.Shrunk.Proposals, MaxRounds: rounds2 + 2}
-				if e, rerr := sim.Run(cfg, factory2, v.Shrunk.Plan.Plan(env)); rerr == nil {
-					fmt.Println("\nminimal counterexample timeline:")
-					fmt.Print(viz.Timeline(e, viz.Options{MaxRounds: 12}))
-				}
+	if sh := vs[0].Shrunk; timeline && sh != nil {
+		factory, rounds, err := opts.New(sh.N, opts.T)
+		if err == nil {
+			env := adversary.Env{N: sh.N, T: opts.T, Rounds: rounds, Horizon: rounds + 2, Factory: factory}
+			cfg := sim.Config{N: sh.N, T: opts.T, Proposals: sh.Proposals, MaxRounds: rounds + 2}
+			if e, rerr := sim.Run(cfg, factory, sh.Plan.Plan(env)); rerr == nil {
+				fmt.Println("\nminimal counterexample timeline:")
+				fmt.Print(viz.Timeline(e, viz.Options{MaxRounds: 12}))
 			}
 		}
 	}
-	return tel.finish()
-}
-
-func runFuzz(args []string) error {
-	fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
-	protoName := fs.String("proto", "floodset", "cataloged protocol to fuzz")
-	strategyName := fs.String("strategy", "random-send-omission", "seed strategy for generation 0")
-	n := fs.Int("n", 4, "system size")
-	t := fs.Int("t", 3, "fault budget")
-	budget := fs.Int("budget", 2048, "total candidate probes")
-	genSize := fs.Int("gen", 0, "candidates per mutation generation (0 = default 64)")
-	fuzzSeed := fs.Int64("seed", 0, "master seed for the deterministic search")
-	corpusPath := fs.String("corpus", "", "corpus file: loaded if present, saved after the run")
-	parallel := fs.Int("parallel", 0, "probe worker count (0 = NumCPU, 1 = serial)")
-	jsonOut := fs.Bool("json", false, "emit the deterministic JSON report")
-	shrink := fs.Bool("shrink", true, "minimize found violations")
-	stop := fs.Bool("stop", false, "stop after the first generation that found a violation")
-	keep := fs.Int("keep", 3, "record at most this many violations (0 = all)")
-	bias := fs.Int("bias", 40, "omission percentage for the random seed strategies")
-	list := fs.Bool("list", false, "list protocols and strategies and exit")
-	tf := addTelemetryFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *bias < 0 || *bias > 100 {
-		return fmt.Errorf("bias must be a percentage within 0..100, got %d", *bias)
-	}
-	if *list {
-		printCatalog(*bias)
-		return nil
-	}
-	spec, err := catalog.Get(*protoName)
-	if err != nil {
-		return err
-	}
-	strategy, err := lookupStrategy(*strategyName, *bias)
-	if err != nil {
-		return err
-	}
-	params := catalog.DefaultParams(*n, *t)
-	fuzzer, err := cmatrix.FuzzerFor(spec, params, strategy, *budget)
-	if err != nil {
-		return err
-	}
-	fuzzer.GenSize = *genSize
-	fuzzer.FuzzSeed = *fuzzSeed
-	fuzzer.Shrink = *shrink
-	fuzzer.StopOnViolation = *stop
-	fuzzer.MaxViolations = *keep
-	fuzzer.Parallelism = *parallel
-	if *corpusPath != "" {
-		// Only a genuinely absent file means "start fresh": any other
-		// load failure must abort, or the final Save would overwrite an
-		// existing corpus the run silently failed to resume from.
-		corpus, err := fuzz.LoadCorpus(*corpusPath)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-		case err != nil:
-			return fmt.Errorf("-corpus: %w", err)
-		default:
-			fuzzer.Corpus = corpus
-		}
-	}
-	tel, err := tf.open()
-	if err != nil {
-		return err
-	}
-	defer tel.finish() //nolint:errcheck // surfaced by the explicit call below
-	fuzzer.Ctx = tel.ctx
-	tel.watchCounter("fuzz", int64(*budget), "fuzz_probes")
-	report, err := fuzzer.Run()
-	if err != nil {
-		return err
-	}
-	if *corpusPath != "" {
-		if err := fuzzer.Corpus.Save(*corpusPath); err != nil {
-			return err
-		}
-		if s := tel.rec.Sink(); s != nil {
-			s.Emit("corpus-save", "path", *corpusPath, "size", fuzzer.Corpus.Size())
-		}
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			return err
-		}
-		return tel.finish()
-	}
-
-	fmt.Printf("fuzz %s vs %s: n=%d t=%d budget %d\n",
-		report.SeedStrategy, report.Protocol, report.N, report.T, report.Budget)
-	fmt.Printf("  %d probes over %d generations; corpus %d (+%d novel), %d violating probes\n",
-		report.Probes, report.Generations, report.CorpusSize, report.NewCoverage, report.ViolationCount)
-	fmt.Printf("  messages %d..%d, rounds %d..%d\n",
-		report.Messages.Min, report.Messages.Max, report.RoundsHist.Min, report.RoundsHist.Max)
-	fmt.Printf("  [%.1f ms wall, %.0f probes/sec, %d workers]\n", report.WallMS, report.ProbesPerSec, report.Workers)
-	if !report.Broken() {
-		fmt.Println("VERDICT: no violation — the protocol survived every probe")
-		return tel.finish()
-	}
-	fmt.Printf("VERDICT: first violation at probe %d of %d\n", report.FirstViolationProbe, report.Probes)
-	opts := fuzzer.ShrinkOptions()
-	for _, v := range report.Violations {
-		fmt.Printf("VERDICT: %v\n", v)
-		if v.Plan != nil {
-			fmt.Printf("  found plan: %v\n", v.Plan)
-		}
-		if v.Shrunk != nil {
-			fmt.Printf("  shrunk: %v\n", v.Shrunk)
-		}
-		if err := adversary.Recheck(v, opts); err != nil {
-			return fmt.Errorf("certificate failed independent recheck: %w", err)
-		}
-		fmt.Println("  certificate independently re-validated: execution guarantees, fault budget, machine conformance all hold")
-	}
-	return tel.finish()
+	return nil
 }
 
 // parseSizes parses a comma-separated list of N:T grid points.
@@ -624,94 +595,6 @@ func parseSizes(s string) ([]cmatrix.Size, error) {
 	return out, nil
 }
 
-func runMatrix(args []string) error {
-	fs := flag.NewFlagSet("matrix", flag.ContinueOnError)
-	protoFlag := fs.String("proto", "", "comma-separated protocol IDs (default: every registered protocol)")
-	strategyFlag := fs.String("strategy", "", "comma-separated strategy IDs (default: the full library)")
-	sizesFlag := fs.String("sizes", "", "comma-separated N:T grid points (default: 4:1,5:1,8:2)")
-	seedsFlag := fs.String("seeds", "0:16", "half-open per-cell seed range FROM:TO")
-	parallel := fs.Int("parallel", 0, "cell worker count (0 = NumCPU, 1 = serial)")
-	jsonOut := fs.Bool("json", false, "emit the deterministic JSON grid report")
-	shrink := fs.Bool("shrink", false, "minimize recorded violations")
-	full := fs.Bool("full", false, "record full traces and validate every probe in every cell (default: lean probes, full replay of violating seeds only)")
-	keep := fs.Int("keep", 1, "violations recorded per cell")
-	bias := fs.Int("bias", cmatrix.DefaultBias, "omission percentage for the random strategies")
-	timing := fs.Bool("timing", false, "attach the wall-clock timing block (probes_per_sec) to the grid JSON; nondeterministic, so off by default")
-	list := fs.Bool("list", false, "list protocols and strategies and exit")
-	tf := addTelemetryFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *bias < 0 || *bias > 100 {
-		return fmt.Errorf("bias must be a percentage within 0..100, got %d", *bias)
-	}
-	if *list {
-		printCatalog(*bias)
-		return nil
-	}
-	seeds, err := parseSeedRange(*seedsFlag)
-	if err != nil {
-		return err
-	}
-	m := &cmatrix.Matrix{
-		Seeds:         seeds,
-		Parallelism:   *parallel,
-		Shrink:        *shrink,
-		RecordFull:    *full,
-		MaxViolations: *keep,
-		Timing:        *timing,
-	}
-	if *protoFlag != "" {
-		for _, id := range strings.Split(*protoFlag, ",") {
-			spec, err := catalog.Get(strings.TrimSpace(id))
-			if err != nil {
-				return err
-			}
-			m.Protocols = append(m.Protocols, spec)
-		}
-	}
-	if *strategyFlag != "" {
-		for _, id := range strings.Split(*strategyFlag, ",") {
-			id = strings.TrimSpace(id)
-			s, err := lookupStrategy(id, *bias)
-			if err != nil {
-				return err
-			}
-			m.Strategies = append(m.Strategies, adversary.Named{ID: id, Strategy: s})
-		}
-	} else {
-		m.Strategies = adversary.Library(*bias)
-	}
-	if *sizesFlag != "" {
-		if m.Sizes, err = parseSizes(*sizesFlag); err != nil {
-			return err
-		}
-	}
-	tel, err := tf.open()
-	if err != nil {
-		return err
-	}
-	defer tel.finish() //nolint:errcheck // surfaced by the explicit call below
-	m.Ctx = tel.ctx
-	// How many cells the resilience conditions will skip is unknown up
-	// front, so the progress line reports the aggregate probe rate only.
-	tel.watchCounter("matrix", 0, "campaign_probes")
-	grid, err := m.Run()
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(grid); err != nil {
-			return err
-		}
-		return tel.finish()
-	}
-	renderGrid(grid)
-	return tel.finish()
-}
-
 // renderGrid draws the grid as one table per size: rows are protocols,
 // columns are strategies, cells show the violating-seed count (· = clean,
 // - = skipped by the resilience condition).
@@ -719,7 +602,7 @@ func renderGrid(g *cmatrix.Grid) {
 	fmt.Printf("matrix: %d protocols × %d strategies × %d sizes, seeds [%d,%d): %d cells (%d skipped), %d probes, %d violating cells\n",
 		len(g.Protocols), len(g.Strategies), len(g.Sizes), g.Seeds.From, g.Seeds.To,
 		len(g.Cells), g.SkippedCells, g.Probes, g.ViolatingCells)
-	fmt.Printf("  [%.1f ms wall, %.0f probes/sec, %d workers]\n", g.WallMS, g.ProbesPerSec, g.Workers)
+	engineWall(g.Wall, g.WallMS, g.ProbesPerSec, g.Workers)
 	fmt.Println("\nstrategies:")
 	for i, s := range g.Strategies {
 		fmt.Printf("  [%c] %s\n", 'A'+i, s)

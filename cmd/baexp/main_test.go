@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"flag"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -105,6 +108,11 @@ func TestRunErrors(t *testing.T) {
 		{"soak bad churn", []string{"soak", "-churn", "junk"}, "churn"},
 		{"soak smr resilience", []string{"soak", "-kind", "smr", "-n", "4", "-t", "1"}, "n > 4t"},
 		{"soak no workers", []string{"soak", "-workers", "0"}, "worker"},
+		// A job no engine accepts is refused before the coordinator listens;
+		// it used to reach the workers, kill them, and wait for more forever
+		// (go test's deadline is what fails a regression here).
+		{"coord resilience", []string{"coord", "-kind", "hunt", "-proto", "phase-king", "-n", "4", "-t", "1", "-inproc", "1"}, "n > 4t"},
+		{"soak resilience", []string{"soak", "-kind", "fuzz", "-proto", "phase-king", "-n", "4", "-t", "1", "-duration", "5s"}, "n > 4t"},
 		{"worker unknown chaos", []string{"worker", "-coord", "127.0.0.1:1", "-chaos", "bogus"}, "unknown chaos profile"},
 	}
 	for _, tc := range cases {
@@ -199,24 +207,42 @@ func TestProblemByName(t *testing.T) {
 	}
 }
 
-// TestLookupStrategy resolves every library ID and rejects unknown ones
-// with the available IDs in the message.
-func TestLookupStrategy(t *testing.T) {
-	for _, id := range adversary.LibraryIDs() {
-		s, err := lookupStrategy(id, 40)
+// TestCoordDefaultsMatchSingleProcess: `baexp K` and `coord -kind K` fill
+// every flag the command line leaves unset from one per-kind table, so
+// with no shape flag beyond a small budget they print the same bytes
+// (they used to disagree on n, t, seeds, -keep and -shrink), and `K -h`
+// names the kind's defaults.
+func TestCoordDefaultsMatchSingleProcess(t *testing.T) {
+	for _, tc := range []struct {
+		kind  string
+		small []string
+		help  []string
+	}{
+		{"hunt", []string{"-seeds", "0:16"}, []string{"(default 8)", `(default "targeted-withhold")`, "(default true)"}},
+		{"fuzz", []string{"-budget", "256", "-shrink=false"}, []string{"(default 4)", `(default "random-send-omission")`}},
+		{"matrix", []string{"-proto", "floodset", "-sizes", "4:1"}, []string{`(default "0:16")`, "(default 1)"}},
+	} {
+		local, _, err := captureRun(t, append([]string{tc.kind, "-json"}, tc.small...))
 		if err != nil {
-			t.Fatalf("lookupStrategy(%q): %v", id, err)
+			t.Fatalf("%s: %v", tc.kind, err)
 		}
-		if s.Build == nil {
-			t.Errorf("lookupStrategy(%q) returned a strategy without Build", id)
+		coord, _, err := captureRun(t, append([]string{"coord", "-kind", tc.kind, "-inproc", "1", "-json"}, tc.small...))
+		if err != nil {
+			t.Fatalf("coord -kind %s: %v", tc.kind, err)
 		}
-	}
-	_, err := lookupStrategy("nope", 40)
-	if err == nil {
-		t.Fatal("lookupStrategy(nope): expected error")
-	}
-	if !strings.Contains(err.Error(), "targeted-withhold") {
-		t.Errorf("error %q does not list the available strategies", err)
+		if len(local) == 0 || !bytes.Equal(local, coord) {
+			t.Errorf("%s %v: `baexp %s` and `baexp coord -kind %s` print different reports\nlocal: %s\ncoord: %s",
+				tc.kind, tc.small, tc.kind, tc.kind, local, coord)
+		}
+		_, usage, err := captureRun(t, []string{tc.kind, "-h"})
+		if !errors.Is(err, flag.ErrHelp) {
+			t.Fatalf("%s -h: %v", tc.kind, err)
+		}
+		for _, want := range tc.help {
+			if !bytes.Contains(usage, []byte(want)) {
+				t.Errorf("%s -h does not name the default %s:\n%s", tc.kind, want, usage)
+			}
+		}
 	}
 }
 

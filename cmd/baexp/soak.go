@@ -35,7 +35,7 @@ import (
 
 func runSoak(args []string) error {
 	fs := flag.NewFlagSet("soak", flag.ContinueOnError)
-	kind := fs.String("kind", "hunt", "what to soak: hunt|fuzz|matrix (dist campaign vs serial oracle) or smr (replicated log)")
+	kind := fs.String("kind", "hunt", "what to soak: hunt|fuzz|matrix (dist campaign vs serial oracle; unset job flags take the kind's defaults, as in baexp coord) or smr (replicated log)")
 	workers := fs.Int("workers", 2, "worker processes (dist kinds)")
 	churnSpec := fs.String("churn", "", `kill schedule "AFTER:SLOT,..." (e.g. "400ms:0,900ms:1"); killed workers respawn`)
 	chaosProfile := fs.String("chaos", "", "chaosnet profile on every worker link ("+strings.Join(chaosnet.IDs(), "|")+"; empty = clean wire)")
@@ -46,7 +46,7 @@ func runSoak(args []string) error {
 	retryBudget := fs.Int("retry-budget", -1, "reassignments per unit before quarantine (negative = unlimited: chaos losses must retry, not degrade)")
 	reconnect := fs.Int("reconnect", 8, "worker reconnect attempts after a lost coordinator link")
 	parallel := fs.Int("parallel", 2, "probe worker count inside each worker process")
-	collect := addJobFlags(fs)
+	jf := addJobFlags(fs, "hunt")
 	tf := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -62,7 +62,7 @@ func runSoak(args []string) error {
 	}
 	defer tel.finish() //nolint:errcheck // surfaced by the explicit call below
 
-	jf := collect()
+	applyJobDefaults(fs, *kind)
 	if *kind == "smr" {
 		if err := soakSMR(tel.ctx, jf.n, jf.t, *chaosProfile, *chaosSeed, *duration); err != nil {
 			return err
@@ -174,17 +174,10 @@ func runSoak(args []string) error {
 }
 
 // soakBytes canonicalizes a report for the oracle comparison: the inner
-// campaign report bytes plus (fuzz only) the corpus bytes.
+// campaign report bytes plus the corpus bytes (null unless fuzz).
 func soakBytes(rep *dist.Report) (report, corpus []byte) {
-	switch {
-	case rep.Hunt != nil:
-		report, _ = json.Marshal(rep.Hunt)
-	case rep.Fuzz != nil:
-		report, _ = json.Marshal(rep.Fuzz)
-		corpus, _ = json.Marshal(rep.Corpus)
-	case rep.Grid != nil:
-		report, _ = json.Marshal(rep.Grid)
-	}
+	report, _ = json.Marshal(inner(rep))
+	corpus, _ = json.Marshal(rep.Corpus)
 	return report, corpus
 }
 

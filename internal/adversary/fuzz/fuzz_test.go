@@ -43,8 +43,9 @@ func floodsetFuzzer(n, t, budget, parallelism int) *Fuzzer {
 // path: coverage-guided mutation reaches the FloodSet agreement split at
 // t = n-1 within budget, the violation shrinks to a minimal plan, and the
 // certificate survives independent re-checking — while the blind sweep of
-// the same seed strategy over the same budget finds nothing (pinned by
-// the bench comparison in scripts/bench.sh).
+// the same seed strategy over the same budget finds nothing (`bash
+// bench/run.sh --workload fuzz-floodset --trace 1` records the fuzzer's
+// probes-to-first-violation).
 func TestFuzzerFindsAndShrinksFloodSetSplit(t *testing.T) {
 	f := floodsetFuzzer(4, 3, 2048, 0)
 	f.Shrink = true

@@ -186,6 +186,13 @@ func (m *Matrix) withDefaults() (Matrix, error) {
 	return r, nil
 }
 
+// Err reports what Run would refuse before probing anything: an empty
+// header or seed range, or a size outside 1 <= t < n.
+func (m *Matrix) Err() error {
+	_, err := m.withDefaults()
+	return err
+}
+
 // Run executes the sweep on the worker pool and returns the grid. Errors
 // indicate harness failures (an engine-invalid trace, a non-conformant
 // machine), never protocol-property violations — those land in the cells.

@@ -123,7 +123,7 @@ func (c *Coordinator) Start() error {
 	if rec := obs.From(c.Ctx); rec != nil && rec.Sink() != nil {
 		c.Job.WantEvents = true
 	}
-	if err := c.Job.validate(); err != nil {
+	if _, err := c.Job.build(); err != nil {
 		return err
 	}
 	addr := c.Addr
@@ -243,9 +243,11 @@ func (c *Coordinator) save(cp *Checkpoint) error {
 	return saveCheckpoint(c.CheckpointPath, cp)
 }
 
-// runHunt distributes the seed-range units and merges the sub-reports.
-func (c *Coordinator) runHunt(cp *Checkpoint, report *Report) error {
-	units := huntUnits(c.Job.Hunt)
+// collect runs a campaign whose units are all known up front (hunt,
+// matrix): units the checkpoint already holds are kept, the rest are
+// scheduled, and every completed one is checkpointed. It returns the
+// results by unit ID; a quarantined unit's slot stays nil.
+func (c *Coordinator) collect(units []*Unit, cp *Checkpoint, report *Report) ([]*Result, error) {
 	results := make([]*Result, len(units))
 	var pending []*Unit
 	for _, u := range units {
@@ -279,12 +281,18 @@ func (c *Coordinator) runHunt(cp *Checkpoint, report *Report) error {
 		return nil
 	})
 	if err != nil {
+		return nil, err
+	}
+	return results, c.save(cp)
+}
+
+// runHunt distributes the seed-range units and merges the sub-reports.
+func (c *Coordinator) runHunt(cp *Checkpoint, report *Report) error {
+	results, err := c.collect(huntUnits(c.Job.Hunt), cp, report)
+	if err != nil {
 		return err
 	}
-	if err := c.save(cp); err != nil {
-		return err
-	}
-	camp, err := campaignFor(c.Job.Hunt)
+	camp, err := c.Job.Hunt.Campaign()
 	if err != nil {
 		return err
 	}
@@ -293,7 +301,7 @@ func (c *Coordinator) runHunt(cp *Checkpoint, report *Report) error {
 	if err != nil {
 		return err
 	}
-	if c.Job.Hunt.Shrink {
+	if camp.Shrink {
 		opts := camp.RecheckOptions()
 		opts.Obs = obs.From(c.Ctx)
 		for _, v := range merged.Violations {
@@ -314,43 +322,8 @@ func (c *Coordinator) runHunt(cp *Checkpoint, report *Report) error {
 // runMatrix distributes one unit per cell and assembles the grid.
 func (c *Coordinator) runMatrix(cp *Checkpoint, report *Report) error {
 	j := c.Job.Matrix
-	units := matrixUnits(j)
-	results := make([]*Result, len(units))
-	var pending []*Unit
-	for _, u := range units {
-		if r := cp.Units[u.ID]; r != nil {
-			results[u.ID] = r
-		} else {
-			pending = append(pending, u)
-		}
-	}
-	every := c.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-	completed := 0
-	err := c.sched.execute(pending, func(r *Result) error {
-		results[r.Unit] = r
-		cp.Units[r.Unit] = r
-		completed++
-		report.Units++
-		if completed%every == 0 {
-			if err := c.save(cp); err != nil {
-				return err
-			}
-		}
-		if c.stopAfterUnits > 0 && completed >= c.stopAfterUnits && completed < len(pending) {
-			if err := c.save(cp); err != nil {
-				return err
-			}
-			return ErrStopped
-		}
-		return nil
-	})
+	results, err := c.collect(matrixUnits(j), cp, report)
 	if err != nil {
-		return err
-	}
-	if err := c.save(cp); err != nil {
 		return err
 	}
 	cells := make([]matrix.Cell, len(results))
@@ -373,14 +346,11 @@ func (c *Coordinator) runMatrix(cp *Checkpoint, report *Report) error {
 // in slot order — the same Session a local Fuzzer.Run drives, which is
 // why the report and corpus are byte-identical.
 func (c *Coordinator) runFuzz(cp *Checkpoint, report *Report) error {
-	f, err := fuzzerFor(c.Job.Fuzz)
+	j := c.Job.Fuzz
+	f, err := j.Fuzzer()
 	if err != nil {
 		return err
 	}
-	j := c.Job.Fuzz
-	f.Shrink = j.Shrink
-	f.MaxViolations = j.MaxViolations
-	f.StopOnViolation = j.StopOnViolation
 	f.Corpus = c.Corpus
 	f.Ctx = c.Ctx
 

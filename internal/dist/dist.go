@@ -36,6 +36,7 @@ import (
 	"fmt"
 
 	"expensive/internal/adversary"
+	"expensive/internal/adversary/fuzz"
 	"expensive/internal/catalog"
 	"expensive/internal/catalog/matrix"
 )
@@ -145,11 +146,22 @@ func (j *Job) normalize() {
 	}
 }
 
-// validate checks the job shape and that every registry ID resolves —
-// cheap coordinator-side rejection before anything ships to a worker.
-func (j *Job) validate() error {
+// engines is what a valid job builds: exactly one field is set.
+type engines struct {
+	campaign *adversary.Campaign
+	fuzzer   *fuzz.Fuzzer
+	matrix   *matrix.Matrix
+}
+
+// build checks the job shape and builds the kind's engine through the Job
+// constructors. It is where every route starts — Coordinator.Start,
+// Serial, the worker executor — so a job no engine accepts (an unknown
+// ID, a size outside the protocol's resilience condition) is refused
+// before a listener binds or a worker is handed it.
+func (j *Job) build() (engines, error) {
+	var e engines
 	if j == nil {
-		return fmt.Errorf("dist: nil job")
+		return e, fmt.Errorf("dist: nil job")
 	}
 	set := 0
 	for _, ok := range []bool{j.Hunt != nil, j.Fuzz != nil, j.Matrix != nil} {
@@ -158,58 +170,126 @@ func (j *Job) validate() error {
 		}
 	}
 	if set != 1 {
-		return fmt.Errorf("dist: job needs exactly one of hunt/fuzz/matrix, has %d", set)
+		return e, fmt.Errorf("dist: job needs exactly one of hunt/fuzz/matrix, has %d", set)
 	}
+	kind := "matrix"
+	var err error
 	switch {
 	case j.Hunt != nil:
-		if j.Kind != "hunt" {
-			return fmt.Errorf("dist: hunt job with kind %q", j.Kind)
-		}
-		if _, err := catalog.Get(j.Hunt.Protocol); err != nil {
-			return fmt.Errorf("dist: %w", err)
-		}
-		if _, ok := adversary.FromLibrary(j.Hunt.Strategy, j.Hunt.Bias); !ok {
-			return fmt.Errorf("dist: unknown strategy %q", j.Hunt.Strategy)
-		}
-		if err := j.Hunt.Seeds.Err(); err != nil {
-			return fmt.Errorf("dist: %w", err)
-		}
+		kind = "hunt"
+		e.campaign, err = j.Hunt.Campaign()
 	case j.Fuzz != nil:
-		if j.Kind != "fuzz" {
-			return fmt.Errorf("dist: fuzz job with kind %q", j.Kind)
-		}
-		if _, err := catalog.Get(j.Fuzz.Protocol); err != nil {
-			return fmt.Errorf("dist: %w", err)
-		}
-		if j.Fuzz.SeedStrategy != "" {
-			if _, ok := adversary.FromLibrary(j.Fuzz.SeedStrategy, j.Fuzz.Bias); !ok {
-				return fmt.Errorf("dist: unknown seed strategy %q", j.Fuzz.SeedStrategy)
-			}
-		}
-		if j.Fuzz.Budget <= 0 {
-			return fmt.Errorf("dist: fuzz budget must be positive, got %d", j.Fuzz.Budget)
-		}
-	case j.Matrix != nil:
-		if j.Kind != "matrix" {
-			return fmt.Errorf("dist: matrix job with kind %q", j.Kind)
-		}
-		m := j.Matrix
-		if len(m.Protocols) == 0 || len(m.Strategies) == 0 || len(m.Sizes) == 0 {
-			return fmt.Errorf("dist: matrix job needs protocols, strategies and sizes")
-		}
-		for _, id := range m.Protocols {
-			if _, err := catalog.Get(id); err != nil {
-				return fmt.Errorf("dist: %w", err)
-			}
-		}
-		for _, id := range m.Strategies {
-			if _, ok := adversary.FromLibrary(id, m.Bias); !ok {
-				return fmt.Errorf("dist: unknown strategy %q", id)
-			}
-		}
-		if err := m.Seeds.Err(); err != nil {
-			return fmt.Errorf("dist: %w", err)
+		kind = "fuzz"
+		e.fuzzer, err = j.Fuzz.Fuzzer()
+	default:
+		e.matrix, err = j.Matrix.Matrix()
+	}
+	if j.Kind != kind {
+		return e, fmt.Errorf("dist: %s job with kind %q", kind, j.Kind)
+	}
+	return e, err
+}
+
+// strategyFor is the one strategy-ID resolver (catalog.Get is its
+// protocol twin): like Get's, its error lists the IDs that exist.
+func strategyFor(id string, bias int) (adversary.Named, error) {
+	s, ok := adversary.FromLibrary(id, bias)
+	if !ok {
+		return adversary.Named{}, fmt.Errorf("dist: unknown strategy %q (have %v)", id, adversary.LibraryIDs())
+	}
+	return adversary.Named{ID: id, Strategy: s}, nil
+}
+
+// Campaign builds the hunt's engine from the registries with every
+// campaign field of the job applied. It is the only route from a HuntJob
+// to an adversary.Campaign; callers add what is theirs rather than the
+// campaign's (Ctx, Parallelism, a unit's sub-range).
+func (j *HuntJob) Campaign() (*adversary.Campaign, error) {
+	if err := j.Seeds.Err(); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
+	spec, err := catalog.Get(j.Protocol)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
+	strat, err := strategyFor(j.Strategy, j.Bias)
+	if err != nil {
+		return nil, err
+	}
+	c, err := matrix.CampaignFor(spec, catalog.DefaultParams(j.N, j.T), strat.Strategy, j.Seeds)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
+	c.Shrink = j.Shrink
+	c.MaxViolations = j.MaxViolations
+	c.RecordFull = j.RecordFull
+	return c, nil
+}
+
+// Fuzzer builds the fuzz engine from the registries with every fuzzer
+// field of the job applied; the only route from a FuzzJob to a
+// fuzz.Fuzzer. An empty SeedStrategy keeps the fuzzer's default seeding.
+func (j *FuzzJob) Fuzzer() (*fuzz.Fuzzer, error) {
+	if j.Budget <= 0 {
+		return nil, fmt.Errorf("dist: fuzz budget must be positive, got %d", j.Budget)
+	}
+	spec, err := catalog.Get(j.Protocol)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
+	var seed adversary.Named
+	if j.SeedStrategy != "" {
+		if seed, err = strategyFor(j.SeedStrategy, j.Bias); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	f, err := matrix.FuzzerFor(spec, catalog.DefaultParams(j.N, j.T), seed.Strategy, j.Budget)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
+	f.SeedProbes = j.SeedProbes
+	f.GenSize = j.GenSize
+	f.FuzzSeed = j.FuzzSeed
+	f.Horizon = j.Horizon
+	f.Shrink = j.Shrink
+	f.MaxViolations = j.MaxViolations
+	f.StopOnViolation = j.StopOnViolation
+	return f, nil
+}
+
+// Matrix builds the sweep from the registries: every ID resolved once,
+// in header order, and the grid shape checked. The only route from a
+// MatrixJob to a matrix.Matrix; the worker executor probes single cells
+// out of the same resolved headers.
+func (j *MatrixJob) Matrix() (*matrix.Matrix, error) {
+	if len(j.Protocols) == 0 || len(j.Strategies) == 0 || len(j.Sizes) == 0 {
+		return nil, fmt.Errorf("dist: matrix job needs protocols, strategies and sizes")
+	}
+	m := &matrix.Matrix{
+		Protocols:     make([]catalog.Spec, len(j.Protocols)),
+		Strategies:    make([]adversary.Named, len(j.Strategies)),
+		Sizes:         j.Sizes,
+		Seeds:         j.Seeds,
+		MaxViolations: j.MaxViolations,
+		Shrink:        j.Shrink,
+		RecordFull:    j.RecordFull,
+	}
+	var err error
+	for i, id := range j.Protocols {
+		if m.Protocols[i], err = catalog.Get(id); err != nil {
+			return nil, fmt.Errorf("dist: %w", err)
+		}
+	}
+	for i, id := range j.Strategies {
+		if m.Strategies[i], err = strategyFor(id, j.Bias); err != nil {
+			return nil, err
+		}
+	}
+	if err := j.Seeds.Err(); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
+	if err := m.Err(); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
+	return m, nil
 }

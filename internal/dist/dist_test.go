@@ -2,9 +2,11 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,15 +63,26 @@ func matrixJob() *Job {
 	}}
 }
 
-// singleHunt runs the hunt single-process through the same engine
-// construction the workers use and returns the report JSON.
+// singleHunt is the hunt oracle: the campaign built straight from
+// matrix.CampaignFor — not through the Job constructors every dist route
+// shares — so the byte-identity tests compare two routes.
 func singleHunt(t *testing.T, j *HuntJob) []byte {
 	t.Helper()
-	c, err := campaignFor(j)
+	spec, err := catalog.Get(j.Protocol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat, ok := adversary.FromLibrary(j.Strategy, j.Bias)
+	if !ok {
+		t.Fatalf("unknown strategy %q", j.Strategy)
+	}
+	c, err := matrix.CampaignFor(spec, catalog.DefaultParams(j.N, j.T), strat, j.Seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Shrink = j.Shrink
+	c.MaxViolations = j.MaxViolations
+	c.RecordFull = j.RecordFull
 	rep, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -81,14 +94,26 @@ func singleHunt(t *testing.T, j *HuntJob) []byte {
 	return out
 }
 
-// singleFuzz runs the fuzz campaign single-process and returns report
-// and corpus JSON.
+// singleFuzz is the fuzz oracle, built straight from matrix.FuzzerFor
+// like singleHunt; it returns report and corpus JSON.
 func singleFuzz(t *testing.T, j *FuzzJob) ([]byte, []byte) {
 	t.Helper()
-	f, err := fuzzerFor(j)
+	spec, err := catalog.Get(j.Protocol)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seed, ok := adversary.FromLibrary(j.SeedStrategy, j.Bias)
+	if !ok {
+		t.Fatalf("unknown strategy %q", j.SeedStrategy)
+	}
+	f, err := matrix.FuzzerFor(spec, catalog.DefaultParams(j.N, j.T), seed, j.Budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SeedProbes = j.SeedProbes
+	f.GenSize = j.GenSize
+	f.FuzzSeed = j.FuzzSeed
+	f.Horizon = j.Horizon
 	f.Shrink = j.Shrink
 	f.MaxViolations = j.MaxViolations
 	f.StopOnViolation = j.StopOnViolation
@@ -332,26 +357,121 @@ func TestDistReassignsDeadWorkerUnits(t *testing.T) {
 }
 
 // TestDistJobValidation rejects malformed jobs before any socket work.
+// build constructs the engine, so a job only an engine would refuse — a
+// size outside the protocol's resilience condition — is rejected at
+// every entry point, where it used to reach the workers and hang the
+// coordinator waiting for them.
 func TestDistJobValidation(t *testing.T) {
+	seeds := adversary.SeedRange{From: 0, To: 8}
 	bad := []*Job{
 		nil,
 		{},
 		{Kind: "hunt"},
 		{Kind: "fuzz", Hunt: huntJob().Hunt},
-		{Kind: "hunt", Hunt: &HuntJob{Protocol: "no-such-protocol", Strategy: "chaos", N: 4, T: 1, Seeds: adversary.SeedRange{From: 0, To: 8}}},
-		{Kind: "hunt", Hunt: &HuntJob{Protocol: "floodset", Strategy: "no-such-strategy", N: 4, T: 1, Seeds: adversary.SeedRange{From: 0, To: 8}}},
+		{Kind: "hunt", Hunt: &HuntJob{Protocol: "no-such-protocol", Strategy: "chaos", N: 4, T: 1, Seeds: seeds}},
+		{Kind: "hunt", Hunt: &HuntJob{Protocol: "floodset", Strategy: "no-such-strategy", N: 4, T: 1, Seeds: seeds}},
 		{Kind: "hunt", Hunt: &HuntJob{Protocol: "floodset", Strategy: "chaos", N: 4, T: 1, Seeds: adversary.SeedRange{From: 8, To: 8}}},
 		{Kind: "fuzz", Fuzz: &FuzzJob{Protocol: "floodset", SeedStrategy: "chaos", N: 4, T: 3}},
 		{Kind: "matrix", Matrix: &MatrixJob{}},
+		{Kind: "matrix", Matrix: &MatrixJob{Protocols: []string{"floodset"}, Strategies: []string{"chaos"}, Sizes: []matrix.Size{{N: 3, T: 0}}, Seeds: seeds}},
 	}
 	for i, j := range bad {
-		if err := j.validate(); err == nil {
+		if _, err := j.build(); err == nil {
 			t.Errorf("job %d validated; want error", i)
 		}
 	}
 	good := huntJob()
 	good.normalize()
-	if err := good.validate(); err != nil {
+	if _, err := good.build(); err != nil {
 		t.Errorf("good job rejected: %v", err)
+	}
+
+	for _, j := range []*Job{
+		{Kind: "hunt", Hunt: &HuntJob{Protocol: "phase-king", Strategy: "chaos", N: 4, T: 1, Seeds: seeds}},
+		{Kind: "fuzz", Fuzz: &FuzzJob{Protocol: "phase-king", SeedStrategy: "chaos", N: 4, T: 1, Budget: 32}},
+	} {
+		_, buildErr := j.build()
+		_, serialErr := Serial(context.Background(), j)
+		_, execErr := newExecutor(j, context.Background(), 1)
+		c := &Coordinator{Job: j}
+		startErr := c.Start()
+		c.shutdown()
+		for route, err := range map[string]error{"build": buildErr, "Serial": serialErr, "newExecutor": execErr, "Coordinator.Start": startErr} {
+			if err == nil || !strings.Contains(err.Error(), "n > 4t") {
+				t.Errorf("%s job outside the resilience condition, %s: got %v, want the n > 4t refusal", j.Kind, route, err)
+			}
+		}
+	}
+}
+
+// TestCellRefOutOfRange: a cell reference is three indices off the wire;
+// one outside the job's headers on either side is the unit's error, not
+// a worker panic.
+func TestCellRefOutOfRange(t *testing.T) {
+	ex, err := newExecutor(matrixJob(), context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range []CellRef{
+		{Protocol: 2}, {Strategy: 2}, {Size: 2},
+		{Protocol: -1}, {Strategy: -1}, {Size: -1},
+	} {
+		ref := ref
+		if _, err := ex.run(&Unit{ID: 7, Cell: &ref}); err == nil || !strings.Contains(err.Error(), "cell reference out of range") {
+			t.Errorf("cell %+v: got %v, want the out-of-range error", ref, err)
+		}
+	}
+	if _, err := ex.run(&Unit{ID: 0, Cell: &CellRef{Protocol: 1, Strategy: 1, Size: 1}}); err != nil {
+		t.Errorf("last in-range cell refused: %v", err)
+	}
+}
+
+// TestStrategyFor: the one strategy resolver resolves every library ID
+// and rejects an unknown one with the available IDs in the message.
+func TestStrategyFor(t *testing.T) {
+	for _, id := range adversary.LibraryIDs() {
+		s, err := strategyFor(id, 40)
+		if err != nil {
+			t.Fatalf("strategyFor(%q): %v", id, err)
+		}
+		if s.ID != id || s.Strategy.Build == nil {
+			t.Errorf("strategyFor(%q) = %+v: want the ID and a strategy with Build", id, s)
+		}
+	}
+	_, err := strategyFor("nope", 40)
+	if err == nil {
+		t.Fatal("strategyFor(nope): expected error")
+	}
+	if !strings.Contains(err.Error(), "targeted-withhold") {
+		t.Errorf("error %q does not list the available strategies", err)
+	}
+}
+
+// TestHandshakeAfterShutdownReleasesWorker: a worker whose handshake
+// completes as the campaign ends — the job already in its hands, its join
+// never seen by the event loop — must still be told done. It used to be
+// left on an open connection, so a forked `coord -workers N` on a short
+// campaign, and TestDistWorkerJoinsMidFuzzGeneration about one run in
+// twenty, waited for it forever.
+func TestHandshakeAfterShutdownReleasesWorker(t *testing.T) {
+	job := huntJob()
+	job.normalize()
+	s := newScheduler(context.Background(), job, time.Second, 0, 3)
+	s.shutdown()
+	coordSide, workerSide := net.Pipe()
+	go s.handshake(NewConn(coordSide))
+	w := NewConn(workerSide)
+	defer w.Close()
+	if err := w.Send(&Message{Kind: MsgHello, Hello: &Hello{Version: ProtocolVersion, Name: "late"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []MsgKind{MsgJob, MsgDone} {
+		m, err := w.Recv(5 * time.Second)
+		if err != nil {
+			t.Fatalf("waiting for %s: %v", want, err)
+		}
+		if m.Kind != want {
+			t.Fatalf("got %s, want %s", m.Kind, want)
+		}
 	}
 }

@@ -68,6 +68,16 @@ type scheduler struct {
 	drainOnce sync.Once
 	draining  bool
 
+	// admit orders a handshake against shutdown. A worker is in admitted
+	// from the moment it holds the job, whether or not the event loop ever
+	// consumes its join: shutdown releases every one of them, and a
+	// handshake that finishes after shutdown releases its own. Without it a
+	// worker joining as the campaign ends is never told done, and waits on
+	// an open connection forever.
+	admit    sync.Mutex
+	down     bool
+	admitted []*remoteWorker
+
 	// workers is every worker that ever joined, in join order; dead ones
 	// stay (slots keep history, and slices keep map iteration out of the
 	// fold path).
@@ -156,6 +166,17 @@ func (s *scheduler) handshake(conn *Conn) {
 		return
 	}
 	w := &remoteWorker{name: m.Hello.Name, conn: conn}
+	s.admit.Lock()
+	down := s.down
+	if !down {
+		s.admitted = append(s.admitted, w)
+	}
+	s.admit.Unlock()
+	if down {
+		_ = conn.Send(&Message{Kind: MsgDone})
+		_ = conn.Close()
+		return
+	}
 	s.post(schedEvent{w: w, join: true})
 	go s.reader(w)
 }
@@ -404,7 +425,10 @@ func (s *scheduler) drop(w *remoteWorker, queue []*Unit, outstanding int, done m
 func (s *scheduler) shutdown() {
 	s.once.Do(func() {
 		close(s.closed)
-		for _, w := range s.workers {
+		s.admit.Lock()
+		s.down = true
+		s.admit.Unlock()
+		for _, w := range s.admitted {
 			if !w.dead {
 				_ = w.conn.Send(&Message{Kind: MsgDone})
 				_ = w.conn.Close()

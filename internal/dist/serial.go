@@ -2,93 +2,67 @@ package dist
 
 import (
 	"context"
-	"fmt"
 
-	"expensive/internal/adversary"
-	"expensive/internal/catalog"
-	"expensive/internal/catalog/matrix"
+	"expensive/internal/adversary/fuzz"
 )
+
+// Local holds what an in-process run is given beside the job: settings of
+// the machine and the invocation, which a worker or a later resume must
+// not inherit and which therefore never travel on the Job. The zero value
+// is Serial.
+type Local struct {
+	// Parallelism is the probe (hunt, fuzz) or cell (matrix) worker
+	// count; <= 0 means NumCPU. It never changes report bytes.
+	Parallelism int
+	// Corpus seeds a fuzz run with a resumed corpus, like
+	// Coordinator.Corpus.
+	Corpus *fuzz.Corpus
+	// Timing attaches the nondeterministic wall-clock block to a matrix
+	// grid's JSON encoding (matrix.Matrix.Timing).
+	Timing bool
+}
 
 // Serial runs a job single-process through the exact engine construction
 // the workers use and returns the Report a distributed run of the same
-// job is contractually byte-identical to. It is the soak harness's
-// oracle: after a campaign survives churn and chaos, its report and
-// corpus are diffed against this baseline, and any divergence is a
-// determinism bug, not noise.
+// job is contractually byte-identical to. It is what `baexp hunt`,
+// `fuzz` and `matrix` run, and the soak harness's oracle: after a
+// campaign survives churn and chaos, its report and corpus are diffed
+// against this baseline, and any divergence is a determinism bug, not
+// noise.
 func Serial(ctx context.Context, job *Job) (*Report, error) {
-	if job == nil {
-		return nil, fmt.Errorf("dist: serial: nil job")
-	}
-	job.normalize()
-	if err := job.validate(); err != nil {
+	return Local{}.Run(ctx, job)
+}
+
+// Run is Serial with the local settings applied.
+func (l Local) Run(ctx context.Context, job *Job) (*Report, error) {
+	e, err := job.build()
+	if err != nil {
 		return nil, err
 	}
+	job.normalize()
 	report := &Report{Kind: job.Kind, Workers: 1}
 	switch {
-	case job.Hunt != nil:
-		j := job.Hunt
-		c, err := campaignFor(j)
-		if err != nil {
-			return nil, err
+	case e.campaign != nil:
+		e.campaign.Parallelism = l.Parallelism
+		e.campaign.Ctx = ctx
+		report.Hunt, err = e.campaign.Run()
+		report.Units = job.Hunt.Units
+	case e.fuzzer != nil:
+		e.fuzzer.Parallelism = l.Parallelism
+		e.fuzzer.Corpus = l.Corpus
+		e.fuzzer.Ctx = ctx
+		report.Fuzz, err = e.fuzzer.Run()
+		report.Corpus = e.fuzzer.Corpus
+	default:
+		e.matrix.Parallelism = l.Parallelism
+		e.matrix.Timing = l.Timing
+		e.matrix.Ctx = ctx
+		if report.Grid, err = e.matrix.Run(); err == nil {
+			report.Units = len(report.Grid.Cells)
 		}
-		c.Shrink = j.Shrink
-		c.Ctx = ctx
-		rep, err := c.Run()
-		if err != nil {
-			return nil, err
-		}
-		report.Hunt = rep
-		report.Units = j.Units
-	case job.Fuzz != nil:
-		j := job.Fuzz
-		f, err := fuzzerFor(j)
-		if err != nil {
-			return nil, err
-		}
-		f.Shrink = j.Shrink
-		f.MaxViolations = j.MaxViolations
-		f.StopOnViolation = j.StopOnViolation
-		f.Ctx = ctx
-		rep, err := f.Run()
-		if err != nil {
-			return nil, err
-		}
-		report.Fuzz = rep
-		report.Corpus = f.Corpus
-	case job.Matrix != nil:
-		j := job.Matrix
-		specs := make([]catalog.Spec, len(j.Protocols))
-		for i, id := range j.Protocols {
-			s, err := catalog.Get(id)
-			if err != nil {
-				return nil, err
-			}
-			specs[i] = s
-		}
-		named := make([]adversary.Named, len(j.Strategies))
-		for i, id := range j.Strategies {
-			strat, ok := adversary.FromLibrary(id, j.Bias)
-			if !ok {
-				return nil, fmt.Errorf("dist: unknown strategy %q", id)
-			}
-			named[i] = adversary.Named{ID: id, Strategy: strat}
-		}
-		m := &matrix.Matrix{
-			Protocols:     specs,
-			Strategies:    named,
-			Sizes:         j.Sizes,
-			Seeds:         j.Seeds,
-			MaxViolations: j.MaxViolations,
-			Shrink:        j.Shrink,
-			RecordFull:    j.RecordFull,
-			Ctx:           ctx,
-		}
-		grid, err := m.Run()
-		if err != nil {
-			return nil, err
-		}
-		report.Grid = grid
-		report.Units = len(grid.Cells)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return report, nil
 }

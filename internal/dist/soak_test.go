@@ -208,10 +208,12 @@ func TestDistStragglerReassignedWhileAlive(t *testing.T) {
 // the report or corpus bytes.
 func TestDistWorkerJoinsMidFuzzGeneration(t *testing.T) {
 	// A budget big enough that the single local worker is still inside a
-	// generation when the second worker joins.
+	// generation when the second worker joins: at stream 2's probe rate
+	// 1024 probes were over before the joiner's 40 ms had passed on an
+	// idle box, and it dialed a coordinator that had already gone.
 	job := func() *Job {
 		j := fuzzJob()
-		j.Fuzz.Budget = 1024
+		j.Fuzz.Budget = 8192
 		return j
 	}
 	wantRep, wantCorpus := singleFuzz(t, job().Fuzz)

@@ -9,7 +9,6 @@ import (
 
 	"expensive/internal/adversary"
 	"expensive/internal/adversary/fuzz"
-	"expensive/internal/catalog"
 	"expensive/internal/catalog/matrix"
 	"expensive/internal/experiments/runner"
 	"expensive/internal/obs"
@@ -206,10 +205,10 @@ func (f *eventForwarder) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// executor resolves a job's probe engines once and runs its units. The
-// hunt campaign and fuzz prober are built from the registries exactly as
-// the coordinator's merge-side twins are, so both ends agree on every
-// derived constant (round bounds, horizons, validity properties).
+// executor builds a job's probe engine once, through the same Job
+// constructors the coordinator's merge side uses, so both ends agree on
+// every derived constant (round bounds, horizons, validity properties),
+// and runs the job's units on it.
 type executor struct {
 	job         *Job
 	ctx         context.Context
@@ -217,78 +216,27 @@ type executor struct {
 
 	campaign *adversary.Campaign // hunt template (Seeds overridden per unit)
 	prober   *fuzz.Prober        // fuzz probe executor
+	matrix   *matrix.Matrix      // matrix headers, resolved
 }
 
 func newExecutor(job *Job, ctx context.Context, parallelism int) (*executor, error) {
-	if err := job.validate(); err != nil {
+	e, err := job.build()
+	if err != nil {
 		return nil, err
 	}
-	ex := &executor{job: job, ctx: ctx, parallelism: parallelism}
-	switch {
-	case job.Hunt != nil:
-		c, err := campaignFor(job.Hunt)
-		if err != nil {
-			return nil, err
-		}
+	ex := &executor{job: job, ctx: ctx, parallelism: parallelism, campaign: e.campaign, matrix: e.matrix}
+	if c := ex.campaign; c != nil {
+		// The coordinator shrinks the merged report once; a worker that
+		// shrank its sub-report would do it per unit, on violations the
+		// merge may cut.
+		c.Shrink = false
 		c.Ctx = ctx
-		ex.campaign = c
-	case job.Fuzz != nil:
-		f, err := fuzzerFor(job.Fuzz)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if f := e.fuzzer; f != nil {
 		f.Ctx = ctx
-		ex.prober = f.Prober()
+		ex.prober = f.Prober() // probes only: the session, and its shrinking, is the coordinator's
 	}
 	return ex, nil
-}
-
-// campaignFor rebuilds the hunt campaign from registry IDs. Shrinking is
-// off and stays off worker-side — the coordinator shrinks the merged
-// report once.
-func campaignFor(j *HuntJob) (*adversary.Campaign, error) {
-	spec, err := catalog.Get(j.Protocol)
-	if err != nil {
-		return nil, err
-	}
-	strat, ok := adversary.FromLibrary(j.Strategy, j.Bias)
-	if !ok {
-		return nil, fmt.Errorf("dist: unknown strategy %q", j.Strategy)
-	}
-	c, err := matrix.CampaignFor(spec, catalog.DefaultParams(j.N, j.T), strat, j.Seeds)
-	if err != nil {
-		return nil, err
-	}
-	c.MaxViolations = j.MaxViolations
-	c.RecordFull = j.RecordFull
-	return c, nil
-}
-
-// fuzzerFor rebuilds the fuzzer from registry IDs. Only the probe
-// environment matters worker-side (Prober); session-level knobs like
-// Shrink and StopOnViolation live with the coordinator.
-func fuzzerFor(j *FuzzJob) (*fuzz.Fuzzer, error) {
-	spec, err := catalog.Get(j.Protocol)
-	if err != nil {
-		return nil, err
-	}
-	var seed adversary.Strategy
-	if j.SeedStrategy != "" {
-		var ok bool
-		seed, ok = adversary.FromLibrary(j.SeedStrategy, j.Bias)
-		if !ok {
-			return nil, fmt.Errorf("dist: unknown seed strategy %q", j.SeedStrategy)
-		}
-	}
-	f, err := matrix.FuzzerFor(spec, catalog.DefaultParams(j.N, j.T), seed, j.Budget)
-	if err != nil {
-		return nil, err
-	}
-	f.SeedProbes = j.SeedProbes
-	f.GenSize = j.GenSize
-	f.FuzzSeed = j.FuzzSeed
-	f.Horizon = j.Horizon
-	return f, nil
 }
 
 // run executes one unit.
@@ -301,7 +249,7 @@ func (ex *executor) run(u *Unit) (*Result, error) {
 		return ex.runHunt(u)
 	case u.Batch != nil && ex.prober != nil:
 		return ex.runFuzz(u)
-	case u.Cell != nil && ex.job.Matrix != nil:
+	case u.Cell != nil && ex.matrix != nil:
 		return ex.runCell(u)
 	}
 	return nil, fmt.Errorf("dist: unit %d does not match job kind %q", u.ID, ex.job.Kind)
@@ -340,24 +288,17 @@ func (ex *executor) runFuzz(u *Unit) (*Result, error) {
 }
 
 func (ex *executor) runCell(u *Unit) (*Result, error) {
-	j := ex.job.Matrix
-	ref := u.Cell
-	if ref.Protocol >= len(j.Protocols) || ref.Strategy >= len(j.Strategies) || ref.Size >= len(j.Sizes) {
+	m, ref := ex.matrix, u.Cell
+	// The indices arrive off the wire: bound them on both sides.
+	if ref.Protocol < 0 || ref.Protocol >= len(m.Protocols) ||
+		ref.Strategy < 0 || ref.Strategy >= len(m.Strategies) ||
+		ref.Size < 0 || ref.Size >= len(m.Sizes) {
 		return nil, fmt.Errorf("dist: unit %d cell reference out of range", u.ID)
 	}
-	spec, err := catalog.Get(j.Protocols[ref.Protocol])
-	if err != nil {
-		return nil, err
-	}
-	id := j.Strategies[ref.Strategy]
-	strat, ok := adversary.FromLibrary(id, j.Bias)
-	if !ok {
-		return nil, fmt.Errorf("dist: unknown strategy %q", id)
-	}
-	cell, err := matrix.ProbeCell(spec, adversary.Named{ID: id, Strategy: strat}, j.Sizes[ref.Size], j.Seeds, matrix.CellOptions{
-		MaxViolations: j.MaxViolations,
-		Shrink:        j.Shrink,
-		RecordFull:    j.RecordFull,
+	cell, err := matrix.ProbeCell(m.Protocols[ref.Protocol], m.Strategies[ref.Strategy], m.Sizes[ref.Size], m.Seeds, matrix.CellOptions{
+		MaxViolations: m.MaxViolations,
+		Shrink:        m.Shrink,
+		RecordFull:    m.RecordFull,
 		Parallelism:   ex.parallelism,
 		Ctx:           ex.ctx,
 	})
