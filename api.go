@@ -91,6 +91,10 @@ type (
 	AttackStrategy = adversary.Strategy
 	// AttackEnv is the probe environment strategies build plans for.
 	AttackEnv = adversary.Env
+	// AttackTarget is the protocol under test, embedded by Campaign, Fuzzer
+	// and ShrinkOptions; it owns the evidence pipeline (Probe, Evidence,
+	// Replay).
+	AttackTarget = adversary.Target
 	// Campaign is a seeded adversarial hunt: one strategy versus one
 	// protocol over a range of seeds, every probe fully checked.
 	Campaign = adversary.Campaign
@@ -441,11 +445,7 @@ func DeriveWeakFromAgreement(inner Factory, n, t, horizon int, c0, c1 []Value) (
 // Parallelism, New for n-shrinking) before calling Run.
 func NewCampaign(protocol string, factory Factory, rounds, n, t int, strategy AttackStrategy, seeds SeedRange) *Campaign {
 	return &Campaign{
-		Protocol: protocol,
-		Factory:  factory,
-		Rounds:   rounds,
-		N:        n,
-		T:        t,
+		Target:   AttackTarget{Protocol: protocol, Factory: factory, Rounds: rounds, N: n, T: t},
 		Strategy: strategy,
 		Seeds:    seeds,
 	}
@@ -511,13 +511,9 @@ func TelemetryFrom(ctx context.Context) *Telemetry { return obs.From(ctx) }
 // Parallelism, New for n-shrinking) before calling Run.
 func NewFuzzer(protocol string, factory Factory, rounds, n, t int, seed AttackStrategy, budget int) *Fuzzer {
 	return &Fuzzer{
-		Protocol: protocol,
-		Factory:  factory,
-		Rounds:   rounds,
-		N:        n,
-		T:        t,
-		Seed:     seed,
-		Budget:   budget,
+		Target: AttackTarget{Protocol: protocol, Factory: factory, Rounds: rounds, N: n, T: t},
+		Seed:   seed,
+		Budget: budget,
 	}
 }
 

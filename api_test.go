@@ -375,8 +375,14 @@ func TestFacadeAdversaryHunt(t *testing.T) {
 	}
 	v := report.Violations[0]
 	opts := expensive.ShrinkOptions{
-		Factory: factory, Rounds: rounds, N: n, T: tf,
-		New: campaign.New, Validity: campaign.Validity,
+		Target: expensive.AttackTarget{
+			Factory:  factory,
+			Rounds:   rounds,
+			N:        n,
+			T:        tf,
+			New:      campaign.New,
+			Validity: campaign.Validity,
+		},
 	}
 	shrunk, err := expensive.Shrink(v, opts)
 	if err != nil {

@@ -381,8 +381,14 @@ func BenchmarkShrink(b *testing.B) {
 	}
 	v := rep.Violations[0]
 	opts := expensive.ShrinkOptions{
-		Factory: factory, Rounds: rounds, N: n, T: tf,
-		New: newAt, Validity: expensive.CheckWeakValidity,
+		Target: expensive.AttackTarget{
+			Factory:  factory,
+			Rounds:   rounds,
+			N:        n,
+			T:        tf,
+			New:      newAt,
+			Validity: expensive.CheckWeakValidity,
+		},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

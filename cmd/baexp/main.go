@@ -564,11 +564,14 @@ func renderVerdicts(vs []*adversary.Violation, opts adversary.ShrinkOptions, tim
 		fmt.Println("  certificate independently re-validated: execution guarantees, fault budget, machine conformance all hold")
 	}
 	if sh := vs[0].Shrunk; timeline && sh != nil {
-		factory, rounds, err := opts.New(sh.N, opts.T)
-		if err == nil {
-			env := adversary.Env{N: sh.N, T: opts.T, Rounds: rounds, Horizon: rounds + 2, Factory: factory}
-			cfg := sim.Config{N: sh.N, T: opts.T, Proposals: sh.Proposals, MaxRounds: rounds + 2}
-			if e, rerr := sim.Run(cfg, factory, sh.Plan.Plan(env)); rerr == nil {
+		// Recheck above replayed this certificate; the timeline needs the
+		// trace itself, at the size and horizon the shrinker validated.
+		target := opts.Target
+		target.N, target.Horizon = sh.N, sh.Horizon
+		var err error
+		if target.Factory, target.Rounds, err = opts.New(sh.N, opts.T); err == nil {
+			env := target.Env()
+			if e, _, rerr := target.Replay(env, sh.Plan.Plan(env), sh.Proposals); rerr == nil {
 				fmt.Println("\nminimal counterexample timeline:")
 				fmt.Print(viz.Timeline(e, viz.Options{MaxRounds: 12}))
 			}

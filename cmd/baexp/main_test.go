@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -271,5 +272,41 @@ func TestSeedRangeNoPanic(t *testing.T) {
 	err := run([]string{"hunt", "-proto", "floodset", "-seeds", "-4611686018427387904:4611686018427387904"})
 	if err == nil {
 		t.Fatal("expected an error for a 2^63-wide seed range")
+	}
+}
+
+// TestGoldenText pins the text rendering of the four campaign routes the
+// way the root golden_test.go pins the JSON: `-json` output is compared
+// between routes by the CI smokes, but nothing else holds the text. Lines
+// that state a fact of the machine or the schedule are dropped before the
+// comparison: the wall-clock line, and coord's header (how many in-process
+// workers had joined before a 48-probe hunt was over is a race). If a test
+// here fails because the rendering was changed on purpose, replace the
+// file with the bytes the failure prints.
+func TestGoldenText(t *testing.T) {
+	const hunt = "-proto floodset -n 8 -t 2 -strategy targeted-withhold -seeds 0:48 -shrink"
+	for _, tc := range []struct{ file, cmd string }{
+		{"hunt-shrink-v.txt", "hunt " + hunt + " -v"},
+		{"fuzz-shrink-stop.txt", "fuzz -proto floodset -n 4 -t 3 -budget 2048 -shrink -stop"},
+		{"matrix-floodset-4-1.txt", "matrix -proto floodset -sizes 4:1"},
+		{"coord-hunt-shrink-inproc2.txt", "coord -kind hunt " + hunt + " -inproc 2"},
+	} {
+		stdout, _, err := captureRun(t, strings.Fields(tc.cmd))
+		if err != nil {
+			t.Fatalf("baexp %s: %v", tc.cmd, err)
+		}
+		var got []byte
+		for _, line := range bytes.SplitAfter(stdout, []byte("\n")) {
+			if !bytes.Contains(line, []byte(" ms wall")) && !bytes.HasPrefix(line, []byte("coord ")) {
+				got = append(got, line...)
+			}
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatalf("%v\ncontent for a deliberate pin:\n%s", err, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("baexp %s no longer prints testdata/%s. Got:\n%s", tc.cmd, tc.file, got)
+		}
 	}
 }

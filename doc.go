@@ -39,7 +39,9 @@
 //   - "Protocol catalog": the Spec registry, resilience conditions and the
 //     matrix sweep (NewMatrix).
 //   - "Adversary hunting": strategies, the random stream and its
-//     StreamVersion, campaigns and the shrinker (NewCampaignFor, Shrink).
+//     StreamVersion, campaigns, the shrinker and the evidence standard
+//     every reported counterexample meets (NewCampaignFor, Shrink,
+//     AttackTarget).
 //   - "Adaptive fuzzing": the coverage-guided hunt and its corpus
 //     (NewFuzzerFor).
 //   - "Distributed campaigns": the Job description every route to an

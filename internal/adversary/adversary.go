@@ -22,16 +22,23 @@
 //     keyed by SubSeed and an integer per-message coin, a mapping named by
 //     StreamVersion — so every discovered failure replays bit-for-bit.
 //
+//   - Target (target.go) — the protocol under test, declared once and
+//     embedded by Campaign, fuzz.Fuzzer and ShrinkOptions, and the one
+//     evidence pipeline: Replay runs a plan at the full trace tier, holds
+//     the trace to the five Appendix A.1.6 execution guarantees, the fault
+//     budget and honest-machine conformance, and reads the verdict off
+//     the validated trace; Probe runs lean and sends only a violating
+//     probe through it. No other code in the hunting stack validates a
+//     trace.
+//
 //   - Campaign (campaign.go, problem.go) — fans a seed range out over the
 //     experiment engine's worker pool (internal/experiments/runner). Each
-//     probe builds the strategy's plan for its seed, runs the protocol in
-//     the deterministic simulator, validates the trace against the five
-//     Appendix A.1.6 execution guarantees, re-runs every honest machine
-//     against its recorded inputs (sim.Conforms), and checks Termination,
-//     Agreement, and a pluggable validity property. The CampaignReport is
-//     JSON-serializable and byte-identical at every parallelism level:
-//     probes are computed concurrently but aggregated strictly in seed
-//     order, and wall-clock statistics stay out of the encoding.
+//     probe builds the strategy's plan for its seed, runs it through
+//     Target.Probe and checks Termination, Agreement, and a pluggable
+//     validity property. The CampaignReport is JSON-serializable and
+//     byte-identical at every parallelism level: probes are computed
+//     concurrently but aggregated strictly in seed order, and wall-clock
+//     statistics stay out of the encoding.
 //
 //   - Shrink (plan.go, shrink.go) — minimizes a found violation in the
 //     delta-debugging style: the fault plan exercised by the violating
@@ -39,9 +46,9 @@
 //     message identities plus replayable Byzantine machine specs), then
 //     greedily reduced — fewer corrupted processes, fewer omitted
 //     messages, and, when the protocol is available at smaller sizes, a
-//     smaller n — re-validating every candidate with omission.Validate
-//     and sim.Conforms. Recheck independently re-validates the final
-//     certificate from scratch, CheckViolation-style.
+//     smaller n — every candidate through Target.Replay. Recheck
+//     independently re-validates the final certificate from scratch,
+//     CheckViolation-style.
 //
 // The falsifier proves one theorem's construction; campaigns search the
 // whole space around it. Both end the same way: a minimal execution a

@@ -9,7 +9,6 @@ import (
 	"expensive/internal/experiments/runner"
 	"expensive/internal/msg"
 	"expensive/internal/obs"
-	"expensive/internal/omission"
 	"expensive/internal/proc"
 	"expensive/internal/sim"
 	"expensive/internal/validity"
@@ -188,15 +187,17 @@ func (v *Violation) String() string {
 	return fmt.Sprintf("seed %d: %s violation: %s", v.Seed, v.Kind, v.Detail)
 }
 
-// violationIn checks Termination, Agreement, and the validity property on
-// a recorded execution and returns the first violation found (scanning
-// correct processes in ID order, so the verdict is deterministic).
+// CheckExecution checks Termination, Agreement, and the validity property
+// on a recorded execution and returns the first violation found (scanning
+// correct processes in ID order, so the verdict is deterministic), or nil
+// when every property holds. It works at both recording tiers and is the
+// one probe verdict of campaigns, the fuzzer and the shrinker.
 //
 // With a nil compat relation, Agreement is strict decision equality and
 // validity is checked once against the common decision. With a compat
 // relation, Agreement is the relation over all correct pairs and validity
 // is checked against every correct decision.
-func violationIn(e *sim.Execution, proposals []msg.Value, validity ValidityFunc, compat AgreementFunc) *Violation {
+func CheckExecution(e *sim.Execution, proposals []msg.Value, validity ValidityFunc, compat AgreementFunc) *Violation {
 	correct := e.Correct()
 	members := correct.Members()
 	if compat == nil {
@@ -287,26 +288,10 @@ func violationIn(e *sim.Execution, proposals []msg.Value, validity ValidityFunc,
 	return nil
 }
 
-// CheckExecution returns the first Termination/Agreement/validity
-// violation of a recorded execution, in the campaign's deterministic
-// verdict order, or nil when every property holds. It works at both
-// recording tiers and is the probe verdict shared by campaigns and the
-// coverage-guided fuzzer (package fuzz).
-func CheckExecution(e *sim.Execution, proposals []msg.Value, validity ValidityFunc, compat AgreementFunc) *Violation {
-	return violationIn(e, proposals, validity, compat)
-}
-
 // ByzantineSkip returns the processes whose machines the plan replaced —
 // the set sim.Conforms must skip, since no honest machine produced their
 // behavior.
 func ByzantineSkip(plan sim.FaultPlan, faulty proc.Set) proc.Set {
-	return byzSkip(plan, faulty)
-}
-
-// byzSkip returns the processes whose machines the plan replaced — the
-// set sim.Conforms must skip, since no honest machine produced their
-// behavior.
-func byzSkip(plan sim.FaultPlan, faulty proc.Set) proc.Set {
 	skip := proc.Set{}
 	for _, id := range faulty.Members() {
 		if plan.Byzantine(id) != nil {
@@ -334,9 +319,7 @@ type Histogram struct {
 // NewHistogram builds the deterministic exact-value histogram of values —
 // the statistic campaign and fuzz reports carry for message and round
 // counts.
-func NewHistogram(values []int) Histogram { return histogramOf(values) }
-
-func histogramOf(values []int) Histogram {
+func NewHistogram(values []int) Histogram {
 	if len(values) == 0 {
 		return Histogram{}
 	}
@@ -414,45 +397,27 @@ func (h Histogram) Merge(o Histogram) Histogram {
 // Campaign is a seeded adversarial hunt: one strategy versus one protocol
 // over a range of seeds, every probe fully checked.
 type Campaign struct {
-	// Protocol names the target for reports.
-	Protocol string
-	// Factory builds the target's honest machines; Rounds is its
-	// decision-round bound. Both are required.
-	Factory sim.Factory
-	Rounds  int
-	N, T    int
+	// Target is the protocol under attack (Factory, Rounds, N and T are
+	// required).
+	Target
 	// Strategy is the adversary (required).
 	Strategy Strategy
 	// Seeds is the half-open seed range to sweep (required, non-empty).
 	Seeds SeedRange
-	// Horizon overrides the probe execution length (default Rounds+2).
-	Horizon int
 	// Proposals overrides the per-seed proposal generator. Default: the
 	// strategy's own generator if it has one, else seeded random bits with
 	// an occasional lone-dissenter pattern.
 	Proposals func(seed int64, env Env) []msg.Value
-	// Validity is the optional validity property checked after Termination
-	// and Agreement.
-	Validity ValidityFunc
-	// Agreement optionally replaces strict equal-decision Agreement with a
-	// pairwise compatibility relation (graded broadcast).
-	Agreement AgreementFunc
 	// Shrink minimizes every recorded violation after the sweep.
 	Shrink bool
-	// New optionally rebuilds the protocol at a different system size,
-	// enabling the shrinker to reduce n. Returning an error refuses a size.
-	New func(n, t int) (sim.Factory, int, error)
 	// MaxViolations caps the violations recorded in the report (0 = all).
 	// Probes beyond the cap are still counted in ViolationCount.
 	MaxViolations int
-	// RecordFull forces full Appendix A.1.6 trace recording plus the
-	// per-probe trace validation and conformance re-execution on every
-	// seed (the pre-tiered behavior). By default the campaign probes at
-	// sim.RecordDecisions — an allocation-free engine loop recording only
-	// decisions and message counts — and deterministically re-runs just
-	// the violating seeds at sim.RecordFull, where the full validation
-	// pipeline runs before the evidence (ExplicitPlan, shrink input) is
-	// extracted. Reports are byte-identical at both settings.
+	// RecordFull holds every seed to Target.Evidence (the pre-tiered
+	// behavior). By default the campaign probes through Target.Probe — an
+	// allocation-free engine loop recording only decisions and message
+	// counts — and only the violating seeds pay for the evidence. Reports
+	// are byte-identical at both settings.
 	RecordFull bool
 	// Parallelism is the probe worker count; <= 0 means NumCPU, 1 serial.
 	Parallelism int
@@ -520,15 +485,6 @@ func (c *Campaign) validate() error {
 	return nil
 }
 
-// env resolves the probe environment of the campaign.
-func (c *Campaign) env() Env {
-	horizon := c.Horizon
-	if horizon <= 0 {
-		horizon = c.Rounds + 2
-	}
-	return Env{N: c.N, T: c.T, Rounds: c.Rounds, Horizon: horizon, Factory: c.Factory}
-}
-
 // defaultProposals is the generic seeded input generator: uniform random
 // bits, with one probe in four using the "lone dissenter" pattern (a
 // single process proposing the minority value) — the shape most splitting
@@ -584,7 +540,7 @@ func (c *Campaign) Run() (*CampaignReport, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	env := c.env()
+	env := c.Env()
 	workers := runner.Workers(c.Parallelism)
 	sw := runner.StartWall()
 	co := campaignObsFrom(c.Ctx)
@@ -630,21 +586,14 @@ func (c *Campaign) Run() (*CampaignReport, error) {
 		}
 		report.Violations = append(report.Violations, res.v)
 	}
-	report.Messages = histogramOf(messages)
-	report.RoundsHist = histogramOf(rounds)
+	report.Messages = NewHistogram(messages)
+	report.RoundsHist = NewHistogram(rounds)
 
 	if c.Shrink {
-		opts := c.shrinkOptions(env)
+		opts := c.RecheckOptions()
 		opts.Obs = obs.From(c.Ctx)
-		for _, v := range report.Violations {
-			if v.Plan == nil {
-				continue // not replayable (foreign Byzantine machines): report unshrunk
-			}
-			sh, err := Shrink(v, opts)
-			if err != nil {
-				return nil, fmt.Errorf("campaign %s seed %d: shrink: %w", c.Protocol, v.Seed, err)
-			}
-			v.Shrunk = sh
+		if err := ShrinkAll(report.Violations, opts); err != nil {
+			return nil, err
 		}
 	}
 
@@ -659,123 +608,43 @@ func (c *Campaign) Run() (*CampaignReport, error) {
 }
 
 // RecheckOptions returns the configuration for independently re-checking
-// (or further shrinking) violations this campaign found — the same
-// factory, validity property, rebuild hook and resolved horizon the
-// campaign itself used, without rebuilding anything.
-func (c *Campaign) RecheckOptions() ShrinkOptions {
-	return c.shrinkOptions(c.env())
-}
+// (or further shrinking) violations this campaign found: its own target.
+func (c *Campaign) RecheckOptions() ShrinkOptions { return ShrinkOptions{Target: c.Target} }
 
-// shrinkOptions derives the shrinker configuration from the campaign.
-func (c *Campaign) shrinkOptions(env Env) ShrinkOptions {
-	return ShrinkOptions{
-		Factory:   c.Factory,
-		Rounds:    c.Rounds,
-		N:         c.N,
-		T:         c.T,
-		Horizon:   env.Horizon,
-		New:       c.New,
-		Validity:  c.Validity,
-		Agreement: c.Agreement,
-	}
-}
-
-// probe executes one seed. At the default lean tier it runs the engine at
-// sim.RecordDecisions — enough to read decisions, rounds and message
-// counts — and only a seed whose probe violates a property pays for the
-// full pipeline: a deterministic re-run at sim.RecordFull, trace
-// validation against the Appendix A.1.6 guarantees, conformance
-// re-execution of every honest machine, and evidence extraction. With
-// RecordFull set, every seed runs that pipeline (the pre-tiered behavior).
+// probe executes one seed: through Target.Probe at the default lean tier,
+// through Target.Evidence on every seed with RecordFull set.
 func (c *Campaign) probe(seed int64, env Env, co campaignObs) (probeResult, error) {
 	t := co.probeNS.StartTimer()
 	defer func() {
 		t.Stop()
 		co.probes.Inc()
 	}()
-	plan := c.Strategy.Build(seed, env)
 	proposals := c.proposalsFor(seed, env)
-	rec := sim.RecordDecisions
+	var e *sim.Execution
+	var v *Violation
+	var err error
 	if c.RecordFull {
-		rec = sim.RecordFull
+		e, _, v, err = c.Target.Evidence(env, c.Strategy.Build(seed, env), proposals)
+	} else {
+		e, v, err = c.Target.Probe(env, func() sim.FaultPlan { return c.Strategy.Build(seed, env) }, proposals)
 	}
-	cfg := sim.Config{N: c.N, T: c.T, Proposals: proposals, MaxRounds: env.Horizon, Recording: rec}
-	e, err := sim.Run(cfg, c.Factory, plan)
 	if err != nil {
 		return probeResult{}, fmt.Errorf("seed %d: %w", seed, err)
 	}
-	if c.RecordFull {
-		// Every engine-produced trace must satisfy the execution model, and
-		// every honest machine must conform to its recording — failures here
-		// are engine or protocol-determinism bugs, not protocol violations.
-		//balint:allow leantier guarded by c.RecordFull: this branch only sees full traces
-		if err := omission.Validate(e); err != nil {
-			return probeResult{}, fmt.Errorf("seed %d: invalid trace: %w", seed, err)
-		}
-		//balint:allow leantier guarded by c.RecordFull: this branch only sees full traces
-		if err := sim.Conforms(e, c.Factory, byzSkip(plan, e.Faulty)); err != nil {
-			return probeResult{}, fmt.Errorf("seed %d: conformance: %w", seed, err)
-		}
-	}
-
-	res := probeResult{messages: e.CorrectMessages(), rounds: e.Rounds}
+	res := probeResult{messages: e.CorrectMessages(), rounds: e.Rounds, v: v}
 	co.messages.Add(int64(res.messages))
-	v := violationIn(e, proposals, c.Validity, c.Agreement)
 	if v == nil {
 		return res, nil
 	}
+	v.Seed = seed
 	co.violations.Inc()
+	if !c.RecordFull {
+		co.replays.Inc()
+	}
 	if co.sink != nil {
 		co.sink.Emit("violation-found",
 			"protocol", c.Protocol, "strategy", c.Strategy.Name,
 			"seed", seed, "kind", v.Kind, "detail", v.Detail)
 	}
-	if !c.RecordFull {
-		co.replays.Inc()
-		e, plan, err = c.replayFull(seed, env, proposals, v)
-		if err != nil {
-			return probeResult{}, err
-		}
-	}
-	v.Seed = seed
-	v.Proposals = proposals
-	// Materialize the exercised plan for replay and shrinking. Foreign
-	// Byzantine machines are the only non-replayable case; the violation
-	// is still reported, just without a plan.
-	if ep, err := Extract(e, plan); err == nil {
-		v.Plan = ep
-	}
-	res.v = v
 	return res, nil
-}
-
-// replayFull re-runs a violating seed at sim.RecordFull: a fresh plan
-// (Byzantine machines are stateful), the same proposals, the same horizon.
-// The engine is deterministic, so the replay reproduces the lean probe's
-// execution exactly — now with the message slices the validation pipeline
-// and the evidence extraction need. The replayed trace is held to the same
-// standard the pre-tiered campaign held every probe to, and the replayed
-// violation must match the lean verdict; any divergence is an engine or
-// protocol-determinism bug.
-func (c *Campaign) replayFull(seed int64, env Env, proposals []msg.Value, lean *Violation) (*sim.Execution, sim.FaultPlan, error) {
-	plan := c.Strategy.Build(seed, env)
-	cfg := sim.Config{N: c.N, T: c.T, Proposals: proposals, MaxRounds: env.Horizon}
-	e, err := sim.Run(cfg, c.Factory, plan)
-	if err != nil {
-		return nil, nil, fmt.Errorf("seed %d: full replay: %w", seed, err)
-	}
-	//balint:allow leantier replayFull records at the default RecordFull tier
-	if err := omission.Validate(e); err != nil {
-		return nil, nil, fmt.Errorf("seed %d: invalid trace: %w", seed, err)
-	}
-	//balint:allow leantier replayFull records at the default RecordFull tier
-	if err := sim.Conforms(e, c.Factory, byzSkip(plan, e.Faulty)); err != nil {
-		return nil, nil, fmt.Errorf("seed %d: conformance: %w", seed, err)
-	}
-	full := violationIn(e, proposals, c.Validity, c.Agreement)
-	if full == nil || full.Kind != lean.Kind || full.Witness1 != lean.Witness1 ||
-		full.Witness2 != lean.Witness2 || full.D1 != lean.D1 || full.D2 != lean.D2 {
-		return nil, nil, fmt.Errorf("seed %d: full replay does not reproduce the lean probe's %s violation — engine or protocol nondeterminism", seed, lean.Kind)
-	}
-	return e, plan, nil
 }

@@ -17,18 +17,20 @@ import (
 func floodsetCampaign(parallelism int) *Campaign {
 	n, tf := 8, 2
 	return &Campaign{
-		Protocol: "floodset",
-		Factory:  floodset.New(floodset.Config{N: n, T: tf}),
-		Rounds:   floodset.RoundBound(tf),
-		N:        n,
-		T:        tf,
-		Strategy: TargetedWithhold(),
-		Seeds:    SeedRange{From: 0, To: 32},
-		Validity: WeakValidity,
-		Shrink:   true,
-		New: func(n, t int) (sim.Factory, int, error) {
-			return floodset.New(floodset.Config{N: n, T: t}), floodset.RoundBound(t), nil
+		Target: Target{
+			Protocol: "floodset",
+			Factory:  floodset.New(floodset.Config{N: n, T: tf}),
+			Rounds:   floodset.RoundBound(tf),
+			N:        n,
+			T:        tf,
+			Validity: WeakValidity,
+			New: func(n, t int) (sim.Factory, int, error) {
+				return floodset.New(floodset.Config{N: n, T: t}), floodset.RoundBound(t), nil
+			},
 		},
+		Strategy:    TargetedWithhold(),
+		Seeds:       SeedRange{From: 0, To: 32},
+		Shrink:      true,
 		Parallelism: parallelism,
 	}
 }
@@ -72,7 +74,7 @@ func TestCampaignFindsAndShrinksFloodSetSplit(t *testing.T) {
 		t.Errorf("minimal FloodSet split needs exactly 1 faulty process, got %d", sh.FaultyAfter)
 	}
 
-	opts := c.shrinkOptions(c.env())
+	opts := c.RecheckOptions()
 	for _, v := range rep.Violations {
 		if err := Recheck(v, opts); err != nil {
 			t.Fatalf("seed %d: recheck: %v", v.Seed, err)
@@ -92,7 +94,7 @@ func TestCampaignFindsAndShrinksFloodSetSplit(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return violationIn(e, sh.Proposals, c.Validity, c.Agreement) != nil
+		return CheckExecution(e, sh.Proposals, c.Validity, c.Agreement) != nil
 	}
 	if !stillViolates(sh.Plan) {
 		t.Fatal("shrunk plan does not violate on replay")
@@ -149,14 +151,16 @@ func TestCampaignSoundProtocols(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			c := &Campaign{
-				Protocol: "phase-king",
-				Factory:  factory,
-				Rounds:   rounds,
-				N:        n,
-				T:        tf,
+				Target: Target{
+					Protocol: "phase-king",
+					Factory:  factory,
+					Rounds:   rounds,
+					N:        n,
+					T:        tf,
+					Validity: StrongValidity,
+				},
 				Strategy: s,
 				Seeds:    SeedRange{From: 0, To: 20},
-				Validity: StrongValidity,
 			}
 			rep, err := c.Run()
 			if err != nil {
@@ -255,7 +259,7 @@ func TestSeedRangeCount(t *testing.T) {
 
 // TestHistogramDeterminism pins the histogram shape.
 func TestHistogramDeterminism(t *testing.T) {
-	h := histogramOf([]int{3, 1, 3, 2, 3})
+	h := NewHistogram([]int{3, 1, 3, 2, 3})
 	want := Histogram{Min: 1, Max: 3, Sum: 12, Buckets: []Bucket{{1, 1}, {2, 1}, {3, 3}}}
 	if fmt.Sprint(h) != fmt.Sprint(want) {
 		t.Fatalf("histogram %v, want %v", h, want)

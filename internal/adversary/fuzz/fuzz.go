@@ -9,9 +9,8 @@
 // sent/omitted/received count vectors plus the decision pattern. Probes
 // that exercise new engine behavior enter a persisted, replayable JSON
 // corpus; probes that violate a property flow into the campaign
-// subsystem's evidence pipeline — deterministic RecordFull replay,
-// Appendix A.1.6 validation, machine conformance, plan extraction,
-// shrinking, and independent recheck.
+// subsystem's evidence pipeline (adversary.Target), then shrinking and
+// independent recheck.
 //
 // Scheduling is generation-batched on the experiment runner pool: every
 // generation's candidates are derived sequentially from the
@@ -31,7 +30,6 @@ import (
 	"expensive/internal/experiments/runner"
 	"expensive/internal/msg"
 	"expensive/internal/obs"
-	"expensive/internal/omission"
 	"expensive/internal/sim"
 )
 
@@ -69,13 +67,9 @@ func fuzzObsFrom(ctx context.Context) fuzzObs {
 // Fuzzer is one coverage-guided hunt: a target protocol, a seed strategy
 // (or a resumed corpus) and a probe budget.
 type Fuzzer struct {
-	// Protocol names the target for reports and corpus compatibility.
-	Protocol string
-	// Factory builds the target's honest machines; Rounds is its
-	// decision-round bound. Both are required.
-	Factory sim.Factory
-	Rounds  int
-	N, T    int
+	// Target is the protocol under attack (Factory, Rounds, N and T are
+	// required); its Protocol name also keys corpus compatibility.
+	adversary.Target
 	// Seed is the strategy whose plans populate generation 0. Required
 	// unless a non-empty Corpus is supplied.
 	Seed adversary.Strategy
@@ -87,18 +81,8 @@ type Fuzzer struct {
 	GenSize    int
 	// FuzzSeed is the master seed every deterministic choice derives from.
 	FuzzSeed int64
-	// Horizon overrides the probe execution length (default Rounds+2).
-	Horizon int
-	// Validity is the optional validity property checked after Termination
-	// and Agreement; Agreement optionally replaces strict equal-decision
-	// Agreement with a pairwise compatibility relation.
-	Validity  adversary.ValidityFunc
-	Agreement adversary.AgreementFunc
 	// Shrink minimizes every recorded violation after the run.
 	Shrink bool
-	// New optionally rebuilds the protocol at a different system size,
-	// enabling the shrinker to reduce n.
-	New func(n, t int) (sim.Factory, int, error)
 	// MaxViolations caps the violations recorded in the report (0 = all).
 	MaxViolations int
 	// StopOnViolation ends the run after the first generation that found a
@@ -191,18 +175,14 @@ func (f *Fuzzer) validate() error {
 	return nil
 }
 
-func (f *Fuzzer) horizon() int {
-	if f.Horizon > 0 {
-		return f.Horizon
-	}
-	return f.Rounds + 2
-}
-
+// seedCount is the size of generation 0: SeedProbes (default 32), capped
+// by the budget.
 func (f *Fuzzer) seedCount() int {
+	n := 32
 	if f.SeedProbes > 0 {
-		return f.SeedProbes
+		n = f.SeedProbes
 	}
-	return 32
+	return min(n, f.Budget)
 }
 
 func (f *Fuzzer) genSize() int {
@@ -213,18 +193,9 @@ func (f *Fuzzer) genSize() int {
 }
 
 // ShrinkOptions returns the configuration for shrinking and independently
-// re-checking violations this fuzzer found.
+// re-checking violations this fuzzer found: its own target.
 func (f *Fuzzer) ShrinkOptions() adversary.ShrinkOptions {
-	return adversary.ShrinkOptions{
-		Factory:   f.Factory,
-		Rounds:    f.Rounds,
-		N:         f.N,
-		T:         f.T,
-		Horizon:   f.horizon(),
-		New:       f.New,
-		Validity:  f.Validity,
-		Agreement: f.Agreement,
-	}
+	return adversary.ShrinkOptions{Target: f.Target}
 }
 
 // Outcome is one probe's deterministic result. It is JSON-serializable
@@ -289,10 +260,14 @@ type Prober struct {
 func (f *Fuzzer) Prober() *Prober {
 	return &Prober{
 		f:   f,
-		env: adversary.Env{N: f.N, T: f.T, Rounds: f.Rounds, Horizon: f.horizon(), Factory: f.Factory},
+		env: f.Env(),
 		fo:  fuzzObsFrom(f.Ctx),
 	}
 }
+
+// SeedCount is the number of generation-0 probes: Seed accepts i in
+// [0, SeedCount).
+func (p *Prober) SeedCount() int { return p.f.seedCount() }
 
 // Seed executes generation-0 probe i (the strategy-seeded probes).
 func (p *Prober) Seed(i int) (Outcome, error) { return p.f.seedProbe(i, p.env, p.fo) }
@@ -301,10 +276,9 @@ func (p *Prober) Seed(i int) (Outcome, error) { return p.f.seedProbe(i, p.env, p
 // replay of violations, exactly like a mutation-generation probe.
 func (p *Prober) Candidate(c *Candidate) (Outcome, error) { return p.f.mutantProbe(c, p.env, p.fo) }
 
-// seedProbe runs one generation-0 probe: the seed strategy's plan at
-// RecordFull (the trace is needed to extract the replayable explicit plan
-// the mutation generations grow from), held to the evidence-grade checks —
-// Appendix A.1.6 validation and machine conformance — on every seed.
+// seedProbe runs one generation-0 probe: the seed strategy's plan through
+// Target.Evidence on every seed — the trace is needed to extract the
+// replayable explicit plan the mutation generations grow from.
 func (f *Fuzzer) seedProbe(i int, env adversary.Env, fo fuzzObs) (Outcome, error) {
 	t := fo.probeNS.StartTimer()
 	defer func() {
@@ -312,31 +286,14 @@ func (f *Fuzzer) seedProbe(i int, env adversary.Env, fo fuzzObs) (Outcome, error
 		fo.probes.Inc()
 	}()
 	seed := adversary.SubSeed(f.FuzzSeed, fmt.Sprintf("seed|%d", i))
-	plan := f.Seed.Build(seed, env)
 	proposals := f.seedProposals(seed, env)
-	cfg := sim.Config{N: f.N, T: f.T, Proposals: proposals, MaxRounds: env.Horizon}
-	e, err := sim.Run(cfg, f.Factory, plan)
+	e, ep, v, err := f.Evidence(env, f.Seed.Build(seed, env), proposals)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("seed probe %d: %w", i, err)
 	}
-	if err := omission.Validate(e); err != nil {
-		return Outcome{}, fmt.Errorf("seed probe %d: invalid trace: %w", i, err)
-	}
-	if err := sim.Conforms(e, f.Factory, adversary.ByzantineSkip(plan, e.Faulty)); err != nil {
-		return Outcome{}, fmt.Errorf("seed probe %d: conformance: %w", i, err)
-	}
-	out := Outcome{Cov: coverage(e), Messages: e.CorrectMessages(), Rounds: e.Rounds}
-	v := adversary.CheckExecution(e, proposals, f.Validity, f.Agreement)
-	ep, eerr := adversary.Extract(e, plan)
-	if eerr == nil {
+	out := Outcome{Cov: coverage(e), Messages: e.CorrectMessages(), Rounds: e.Rounds, V: v}
+	if ep != nil {
 		out.Cand = &Candidate{Plan: *ep, Proposals: proposals, Parent: -1, Op: "seed"}
-	}
-	if v != nil {
-		v.Proposals = proposals
-		if eerr == nil {
-			v.Plan = ep
-		}
-		out.V = v
 	}
 	return out, nil
 }
@@ -355,56 +312,19 @@ func (f *Fuzzer) seedProposals(seed int64, env adversary.Env) []msg.Value {
 	return m.reseedProposals(&r)
 }
 
-// mutantProbe runs one mutated candidate at the lean RecordDecisions tier
-// — enough for the coverage hash and the property verdict — and only a
-// violating candidate pays for the full pipeline: a deterministic re-run
-// at RecordFull, trace validation, conformance re-execution, and evidence
-// extraction, exactly as campaign probes do.
+// mutantProbe runs one mutated candidate through Target.Probe: the lean
+// tier gives the coverage hash and the property verdict, and only a
+// violating candidate pays for the evidence, exactly as campaign probes
+// do.
 func (f *Fuzzer) mutantProbe(c *Candidate, env adversary.Env, fo fuzzObs) (Outcome, error) {
 	t := fo.probeNS.StartTimer()
 	defer func() {
 		t.Stop()
 		fo.probes.Inc()
 	}()
-	fp := c.Plan.Plan(env)
-	cfg := sim.Config{N: f.N, T: f.T, Proposals: c.Proposals, MaxRounds: env.Horizon, Recording: sim.RecordDecisions}
-	e, err := sim.Run(cfg, f.Factory, fp)
+	e, v, err := f.Probe(env, func() sim.FaultPlan { return c.Plan.Plan(env) }, c.Proposals)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("mutant (%s of entry %d): %w", c.Op, c.Parent, err)
 	}
-	out := Outcome{Cov: coverage(e), Messages: e.CorrectMessages(), Rounds: e.Rounds, Cand: c}
-	lean := adversary.CheckExecution(e, c.Proposals, f.Validity, f.Agreement)
-	if lean == nil {
-		return out, nil
-	}
-
-	// Violation: replay at RecordFull (fresh machines — they are stateful)
-	// and run the full evidence pipeline. The engine is deterministic, so
-	// any divergence from the lean verdict is an engine or
-	// protocol-determinism bug, not a protocol violation.
-	fp2 := c.Plan.Plan(env)
-	cfg.Recording = sim.RecordFull
-	e2, err := sim.Run(cfg, f.Factory, fp2)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("mutant (%s of entry %d): full replay: %w", c.Op, c.Parent, err)
-	}
-	//balint:allow leantier guarded: the replay above runs at sim.RecordFull
-	if err := omission.Validate(e2); err != nil {
-		return Outcome{}, fmt.Errorf("mutant (%s of entry %d): invalid trace: %w", c.Op, c.Parent, err)
-	}
-	//balint:allow leantier guarded: the replay above runs at sim.RecordFull
-	if err := sim.Conforms(e2, f.Factory, adversary.ByzantineSkip(fp2, e2.Faulty)); err != nil {
-		return Outcome{}, fmt.Errorf("mutant (%s of entry %d): conformance: %w", c.Op, c.Parent, err)
-	}
-	full := adversary.CheckExecution(e2, c.Proposals, f.Validity, f.Agreement)
-	if full == nil || full.Kind != lean.Kind || full.Witness1 != lean.Witness1 ||
-		full.Witness2 != lean.Witness2 || full.D1 != lean.D1 || full.D2 != lean.D2 {
-		return Outcome{}, fmt.Errorf("mutant (%s of entry %d): full replay does not reproduce the lean probe's %s violation — engine or protocol nondeterminism", c.Op, c.Parent, lean.Kind)
-	}
-	full.Proposals = c.Proposals
-	if ep, err := adversary.Extract(e2, fp2); err == nil {
-		full.Plan = ep
-	}
-	out.V = full
-	return out, nil
+	return Outcome{Cov: coverage(e), Messages: e.CorrectMessages(), Rounds: e.Rounds, V: v, Cand: c}, nil
 }

@@ -24,17 +24,19 @@ import (
 // attack, which blind random sweeps essentially never produce at n >= 4.
 func floodsetFuzzer(n, t, budget, parallelism int) *Fuzzer {
 	return &Fuzzer{
-		Protocol: "floodset",
-		Factory:  floodset.New(floodset.Config{N: n, T: t}),
-		Rounds:   floodset.RoundBound(t),
-		N:        n,
-		T:        t,
-		Seed:     adversary.RandomSendOmission(40),
-		Budget:   budget,
-		Validity: adversary.WeakValidity,
-		New: func(n2, t2 int) (sim.Factory, int, error) {
-			return floodset.New(floodset.Config{N: n2, T: t2}), floodset.RoundBound(t2), nil
+		Target: adversary.Target{
+			Protocol: "floodset",
+			Factory:  floodset.New(floodset.Config{N: n, T: t}),
+			Rounds:   floodset.RoundBound(t),
+			N:        n,
+			T:        t,
+			Validity: adversary.WeakValidity,
+			New: func(n2, t2 int) (sim.Factory, int, error) {
+				return floodset.New(floodset.Config{N: n2, T: t2}), floodset.RoundBound(t2), nil
+			},
 		},
+		Seed:        adversary.RandomSendOmission(40),
+		Budget:      budget,
 		Parallelism: parallelism,
 	}
 }

@@ -70,7 +70,7 @@ func (f *Fuzzer) NewSession() (*Session, error) {
 }
 
 func (f *Fuzzer) newSession() *Session {
-	horizon := f.horizon()
+	env := f.Env()
 	if f.Corpus == nil {
 		f.Corpus = NewCorpus(f.Protocol, f.N, f.T)
 	}
@@ -79,11 +79,11 @@ func (f *Fuzzer) newSession() *Session {
 	f.Corpus.StreamVersion = adversary.StreamVersion
 	s := &Session{
 		f:      f,
-		env:    adversary.Env{N: f.N, T: f.T, Rounds: f.Rounds, Horizon: horizon, Factory: f.Factory},
+		env:    env,
 		fo:     fuzzObsFrom(f.Ctx),
 		corpus: f.Corpus,
 		seen:   make(map[uint64]bool, f.Corpus.Size()),
-		m:      mutator{n: f.N, t: f.T, horizon: horizon},
+		m:      mutator{n: f.N, t: f.T, horizon: env.Horizon},
 		report: &Report{
 			StreamVersion: adversary.StreamVersion,
 			Protocol:      f.Protocol,
@@ -91,7 +91,7 @@ func (f *Fuzzer) newSession() *Session {
 			N:             f.N,
 			T:             f.T,
 			Rounds:        f.Rounds,
-			Horizon:       horizon,
+			Horizon:       env.Horizon,
 			Budget:        f.Budget,
 			CorpusLoaded:  f.Corpus.Size(),
 			Workers:       runner.Workers(f.Parallelism),
@@ -115,7 +115,7 @@ func (s *Session) NextGeneration() *Generation {
 	if s.nextGen == 0 {
 		s.nextGen = 1
 		if s.corpus.Size() == 0 {
-			return &Generation{Gen: 0, Seed: true, Count: min(s.f.seedCount(), s.f.Budget)}
+			return &Generation{Gen: 0, Seed: true, Count: s.f.seedCount()}
 		}
 	}
 	if s.report.Probes >= s.f.Budget || s.corpus.Size() == 0 {
@@ -208,15 +208,8 @@ func (s *Session) Finish() (*Report, error) {
 	if s.f.Shrink {
 		opts := s.f.ShrinkOptions()
 		opts.Obs = obs.From(s.f.Ctx)
-		for _, v := range report.Violations {
-			if v.Plan == nil {
-				continue // not replayable (foreign seed machines): report unshrunk
-			}
-			sh, err := adversary.Shrink(v, opts)
-			if err != nil {
-				return nil, fmt.Errorf("fuzz %s probe %d: shrink: %w", s.f.Protocol, v.Seed, err)
-			}
-			v.Shrunk = sh
+		if err := adversary.ShrinkAll(report.Violations, opts); err != nil {
+			return nil, err
 		}
 	}
 	if s.fo.sink != nil {

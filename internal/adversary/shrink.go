@@ -5,29 +5,16 @@ import (
 
 	"expensive/internal/msg"
 	"expensive/internal/obs"
-	"expensive/internal/omission"
 	"expensive/internal/proc"
-	"expensive/internal/sim"
 )
 
 // ShrinkOptions parameterize the shrinker with the protocol the violation
 // was found against.
 type ShrinkOptions struct {
-	// Factory and Rounds describe the protocol at the violation's original
-	// system size N (all required, along with T).
-	Factory sim.Factory
-	Rounds  int
-	N, T    int
-	// Horizon is the probe execution length (default Rounds+2).
-	Horizon int
-	// New optionally rebuilds the protocol at a smaller system size,
-	// enabling n-shrinking. Returning an error refuses a size.
-	New func(n, t int) (sim.Factory, int, error)
-	// Validity is the property the original campaign checked.
-	Validity ValidityFunc
-	// Agreement is the campaign's pairwise compatibility relation, when it
-	// replaced strict equal-decision Agreement.
-	Agreement AgreementFunc
+	// Target is the protocol at the violation's original system size
+	// (Factory, Rounds, N and T are required); its New hook enables
+	// n-shrinking.
+	Target
 	// Obs optionally receives shrink telemetry (a shrink_steps counter and
 	// shrink-step trace events). Nil — the default — costs one pointer
 	// check per candidate replay; the ShrinkResult itself never depends on
@@ -75,47 +62,32 @@ func (s *ShrinkResult) String() string {
 
 // shrinker carries the mutable state of one minimization.
 type shrinker struct {
-	opts  ShrinkOptions
 	steps int
 
-	// Telemetry handles, nil when opts.Obs is nil.
+	// Telemetry handles, nil when ShrinkOptions.Obs is nil.
 	obsSteps *obs.Counter // shrink_steps: candidate replays evaluated
 	sink     *obs.Sink
 
-	// Current protocol instance (changes when n shrinks).
-	n       int
-	factory sim.Factory
-	rounds  int
-	horizon int
+	// cur is the current protocol instance, horizon resolved (changes when
+	// n shrinks).
+	cur Target
 
 	plan      ExplicitPlan
 	proposals []msg.Value
 	last      *Violation // violation of the current (accepted) state
 }
 
-// replay runs a candidate plan from scratch and returns the violation it
-// produces, or nil when the candidate no longer fails (or is not even a
-// valid, conformant execution — such candidates are rejected, keeping
-// every accepted step machine-checkable).
-func (s *shrinker) replay(plan ExplicitPlan, n int, factory sim.Factory, horizon int, proposals []msg.Value) *Violation {
+// replay runs a candidate plan from scratch through Target.Replay and
+// returns the violation it produces, or nil when the candidate no longer
+// fails (or is not even a valid, conformant execution — such candidates
+// are rejected, keeping every accepted step machine-checkable).
+func (s *shrinker) replay(target *Target, plan ExplicitPlan, proposals []msg.Value) *Violation {
 	s.steps++
 	s.obsSteps.Inc()
-	env := Env{N: n, T: s.opts.T, Rounds: s.rounds, Horizon: horizon, Factory: factory}
-	fp := plan.Plan(env)
-	cfg := sim.Config{N: n, T: s.opts.T, Proposals: proposals, MaxRounds: horizon}
-	e, err := sim.Run(cfg, factory, fp)
+	env := target.Env()
+	_, v, err := target.Replay(env, plan.Plan(env), proposals)
 	if err != nil {
 		return nil
-	}
-	if omission.Validate(e) != nil {
-		return nil
-	}
-	if sim.Conforms(e, factory, byzSkip(fp, e.Faulty)) != nil {
-		return nil
-	}
-	v := violationIn(e, proposals, s.opts.Validity, s.opts.Agreement)
-	if v != nil {
-		v.Proposals = proposals
 	}
 	return v
 }
@@ -123,14 +95,14 @@ func (s *shrinker) replay(plan ExplicitPlan, n int, factory sim.Factory, horizon
 // try evaluates a candidate plan at the current size and accepts it when
 // the violation persists.
 func (s *shrinker) try(cand ExplicitPlan) bool {
-	v := s.replay(cand, s.n, s.factory, s.horizon, s.proposals)
+	v := s.replay(&s.cur, cand, s.proposals)
 	if v == nil {
 		return false
 	}
 	s.plan, s.last = cand, v
 	if s.sink != nil {
 		s.sink.Emit("shrink-step",
-			"n", s.n, "faulty", len(s.plan.Faulty), "omissions", s.plan.Omissions(), "step", s.steps)
+			"n", s.cur.N, "faulty", len(s.plan.Faulty), "omissions", s.plan.Omissions(), "step", s.steps)
 	}
 	return true
 }
@@ -170,13 +142,14 @@ func (s *shrinker) minimizeElements() {
 // minimizeN drops the highest-numbered process while the protocol can be
 // rebuilt at the smaller size and the violation persists.
 func (s *shrinker) minimizeN() {
-	if s.opts.New == nil {
+	if s.cur.New == nil {
 		return
 	}
-	for s.n > 2 && s.n-1 > s.opts.T {
-		n2 := s.n - 1
-		factory2, rounds2, err := s.opts.New(n2, s.opts.T)
-		if err != nil {
+	for s.cur.N > 2 && s.cur.N-1 > s.cur.T {
+		next := s.cur
+		next.N--
+		var err error
+		if next.Factory, next.Rounds, err = s.cur.New(next.N, next.T); err != nil {
 			return
 		}
 		// Re-derive the horizon for the rebuilt protocol by preserving the
@@ -187,19 +160,14 @@ func (s *shrinker) minimizeN() {
 		// replay a smaller-rounds protocol past (or short of) the window
 		// the violation was defined in — TestShrinkRederivesHorizon pins
 		// this with a rounds-reducing New.
-		horizon2 := rounds2 + (s.horizon - s.rounds)
-		plan2 := s.plan.filterTo(n2)
-		proposals2 := append([]msg.Value(nil), s.proposals[:n2]...)
-		// rounds must be updated before replay builds the Env.
-		oldRounds := s.rounds
-		s.rounds = rounds2
-		v := s.replay(plan2, n2, factory2, horizon2, proposals2)
+		next.Horizon = next.Rounds + (s.cur.Horizon - s.cur.Rounds)
+		plan2 := s.plan.filterTo(next.N)
+		proposals2 := append([]msg.Value(nil), s.proposals[:next.N]...)
+		v := s.replay(&next, plan2, proposals2)
 		if v == nil {
-			s.rounds = oldRounds
 			return
 		}
-		s.n, s.factory, s.horizon = n2, factory2, horizon2
-		s.plan, s.proposals, s.last = plan2, proposals2, v
+		s.cur, s.plan, s.proposals, s.last = next, plan2, proposals2, v
 	}
 }
 
@@ -214,24 +182,17 @@ func Shrink(v *Violation, opts ShrinkOptions) (*ShrinkResult, error) {
 	if opts.Factory == nil || opts.Rounds <= 0 || opts.N < 2 {
 		return nil, fmt.Errorf("shrink: options need Factory, Rounds and N")
 	}
-	horizon := opts.Horizon
-	if horizon <= 0 {
-		horizon = opts.Rounds + 2
-	}
 	s := &shrinker{
-		opts:      opts,
-		n:         opts.N,
-		factory:   opts.Factory,
-		rounds:    opts.Rounds,
-		horizon:   horizon,
+		cur:       opts.Target,
 		plan:      v.Plan.clone(),
 		proposals: append([]msg.Value(nil), v.Proposals...),
 		obsSteps:  opts.Obs.Counter("shrink_steps"),
 		sink:      opts.Obs.Sink(),
 	}
+	s.cur.Horizon = opts.Env().Horizon
 	// The materialized plan must reproduce a violation before anything is
 	// removed; if it does not, the certificate was never replayable.
-	if s.last = s.replay(s.plan, s.n, s.factory, s.horizon, s.proposals); s.last == nil {
+	if s.last = s.replay(&s.cur, s.plan, s.proposals); s.last == nil {
 		return nil, fmt.Errorf("shrink: violation of seed %d does not replay from its explicit plan", v.Seed)
 	}
 
@@ -241,18 +202,18 @@ func Shrink(v *Violation, opts ShrinkOptions) (*ShrinkResult, error) {
 	// work for the other, so iterate to a fixpoint (progress is monotone —
 	// n, |faulty| and omission counts only ever decrease).
 	for {
-		n, faulty, omits := s.n, len(s.plan.Faulty), s.plan.Omissions()
+		n, faulty, omits := s.cur.N, len(s.plan.Faulty), s.plan.Omissions()
 		s.minimizeN()
 		s.minimizeElements()
-		if s.n == n && len(s.plan.Faulty) == faulty && s.plan.Omissions() == omits {
+		if s.cur.N == n && len(s.plan.Faulty) == faulty && s.plan.Omissions() == omits {
 			break
 		}
 	}
 
 	return &ShrinkResult{
-		N:            s.n,
-		Rounds:       s.rounds,
-		Horizon:      s.horizon,
+		N:            s.cur.N,
+		Rounds:       s.cur.Rounds,
+		Horizon:      s.cur.Horizon,
 		Plan:         s.plan,
 		Proposals:    s.proposals,
 		Kind:         s.last.Kind,
@@ -272,71 +233,47 @@ func Shrink(v *Violation, opts ShrinkOptions) (*ShrinkResult, error) {
 
 // Recheck independently re-validates a violation certificate,
 // CheckViolation-style: the explicit plan (the shrunken one when present)
-// is replayed from scratch; the resulting execution must satisfy the five
-// Appendix A.1.6 guarantees, stay within the fault budget, conform to the
-// protocol's honest machines, and exhibit exactly the recorded violation.
+// is replayed from scratch through Target.Replay and must exhibit exactly
+// the recorded violation.
 func Recheck(v *Violation, opts ShrinkOptions) error {
 	if v == nil {
 		return fmt.Errorf("recheck: nil violation")
 	}
-	plan, n, factory, rounds := v.Plan, opts.N, opts.Factory, opts.Rounds
-	proposals := v.Proposals
-	kind, w1, d1, w2, d2 := v.Kind, int(v.Witness1), v.D1, int(v.Witness2), v.D2
-	horizon := opts.Horizon
-	if horizon <= 0 {
-		horizon = rounds + 2
-	}
-	if v.Shrunk != nil {
-		sh := v.Shrunk
-		plan, n, rounds, proposals = &sh.Plan, sh.N, sh.Rounds, sh.Proposals
-		kind, w1, d1, w2, d2 = sh.Kind, sh.Witness1, sh.D1, sh.Witness2, sh.D2
-		// Replay at the horizon the shrinker validated the minimal plan
-		// under (it tracks the campaign's Horizon slack across n changes).
-		horizon = sh.Horizon
-		if horizon <= 0 {
-			horizon = rounds + 2
-		}
-		if n != opts.N {
+	target, plan, proposals, want := opts.Target, v.Plan, v.Proposals, v
+	if sh := v.Shrunk; sh != nil {
+		plan, proposals = &sh.Plan, sh.Proposals
+		want = &Violation{Kind: sh.Kind, Witness1: proc.ID(sh.Witness1), D1: sh.D1, Witness2: proc.ID(sh.Witness2), D2: sh.D2}
+		// Replay at the size and horizon the shrinker validated the minimal
+		// plan under (it tracks the campaign's Horizon slack across n
+		// changes).
+		if sh.N != opts.N {
 			if opts.New == nil {
-				return fmt.Errorf("recheck: shrunk to n=%d but no protocol constructor supplied", n)
+				return fmt.Errorf("recheck: shrunk to n=%d but no protocol constructor supplied", sh.N)
 			}
 			var err error
-			factory, rounds, err = opts.New(n, opts.T)
-			if err != nil {
-				return fmt.Errorf("recheck: rebuild protocol at n=%d: %w", n, err)
+			if target.Factory, target.Rounds, err = opts.New(sh.N, opts.T); err != nil {
+				return fmt.Errorf("recheck: rebuild protocol at n=%d: %w", sh.N, err)
 			}
+			target.N = sh.N
 		}
+		target.Horizon = sh.Horizon
 	}
 	if plan == nil {
 		return fmt.Errorf("recheck: violation carries no replayable plan")
 	}
-	if factory == nil {
+	if target.Factory == nil {
 		return fmt.Errorf("recheck: options carry no factory")
 	}
-
-	env := Env{N: n, T: opts.T, Rounds: rounds, Horizon: horizon, Factory: factory}
-	fp := plan.Plan(env)
-	cfg := sim.Config{N: n, T: opts.T, Proposals: proposals, MaxRounds: horizon}
-	e, err := sim.Run(cfg, factory, fp)
-	if err != nil {
-		return fmt.Errorf("recheck: replay: %w", err)
-	}
-	if err := omission.Validate(e); err != nil {
-		return fmt.Errorf("recheck: execution invalid: %w", err)
-	}
-	if e.Faulty.Len() > opts.T {
-		return fmt.Errorf("recheck: %d faulty processes exceed t=%d", e.Faulty.Len(), opts.T)
-	}
-	if err := sim.Conforms(e, factory, byzSkip(fp, e.Faulty)); err != nil {
-		return fmt.Errorf("recheck: trace does not conform to the protocol: %w", err)
-	}
-	got := violationIn(e, proposals, opts.Validity, opts.Agreement)
-	if got == nil {
+	env := target.Env()
+	_, got, err := target.Replay(env, plan.Plan(env), proposals)
+	switch {
+	case err != nil:
+		return fmt.Errorf("recheck: %w", err)
+	case got == nil:
 		return fmt.Errorf("recheck: replayed execution exhibits no violation")
-	}
-	if got.Kind != kind || int(got.Witness1) != w1 || got.D1 != d1 || int(got.Witness2) != w2 || got.D2 != d2 {
-		return fmt.Errorf("recheck: replayed violation %q (%s/%s) does not match recorded %q (p%d/p%d)",
-			got.Kind, got.Witness1, got.Witness2, kind, w1, w2)
+	case !sameVerdict(got, want):
+		return fmt.Errorf("recheck: replayed violation %q (%s/%s) does not match recorded %q (%s/%s)",
+			got.Kind, got.Witness1, got.Witness2, want.Kind, want.Witness1, want.Witness2)
 	}
 	return nil
 }

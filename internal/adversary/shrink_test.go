@@ -39,7 +39,7 @@ func handmadeFloodSetViolation(t *testing.T, n, tf int) (*Violation, ShrinkOptio
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := violationIn(e, proposals, WeakValidity, nil)
+	v := CheckExecution(e, proposals, WeakValidity, nil)
 	if v == nil || v.Kind != "agreement" {
 		t.Fatalf("handmade attack did not split FloodSet (violation: %v)", v)
 	}
@@ -47,15 +47,17 @@ func handmadeFloodSetViolation(t *testing.T, n, tf int) (*Violation, ShrinkOptio
 	v.Proposals = proposals
 	v.Plan = plan
 	opts := ShrinkOptions{
-		Factory: factory,
-		Rounds:  rounds,
-		N:       n,
-		T:       tf,
-		Horizon: horizon,
-		New: func(n, t int) (sim.Factory, int, error) {
-			return floodset.New(floodset.Config{N: n, T: t}), floodset.RoundBound(t), nil
+		Target: Target{
+			Factory: factory,
+			Rounds:  rounds,
+			N:       n,
+			T:       tf,
+			Horizon: horizon,
+			New: func(n, t int) (sim.Factory, int, error) {
+				return floodset.New(floodset.Config{N: n, T: t}), floodset.RoundBound(t), nil
+			},
+			Validity: WeakValidity,
 		},
-		Validity: WeakValidity,
 	}
 	return v, opts
 }

@@ -138,7 +138,7 @@ func TestCoinProperties(t *testing.T) {
 // proposals, run, check — stays under 100 allocations.
 func TestLeanProbeAllocations(t *testing.T) {
 	env := testEnv(8, 2)
-	c := &Campaign{Factory: env.Factory, Rounds: env.Rounds, N: env.N, T: env.T, Strategy: RandomOmission(40), Validity: WeakValidity}
+	c := &Campaign{Target: Target{Factory: env.Factory, Rounds: env.Rounds, N: env.N, T: env.T, Validity: WeakValidity}, Strategy: RandomOmission(40)}
 	seed := int64(0)
 	probe := func() {
 		seed++

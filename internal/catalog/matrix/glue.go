@@ -10,71 +10,55 @@ import (
 	"expensive/internal/transport"
 )
 
-// CampaignFor wires an adversarial hunt against a cataloged protocol: the
-// factory, round bound, validity property and n-shrinking rebuild hook
-// all come from the spec, so callers pick a protocol and a strategy and
-// nothing else. Build validation applies — hunting a protocol outside its
-// resilience condition is a typed error, not a doomed campaign.
-func CampaignFor(s catalog.Spec, p catalog.Params, strategy adversary.Strategy, seeds adversary.SeedRange) (*adversary.Campaign, error) {
+// TargetFor describes a cataloged protocol as a hunting target: the
+// factory, round bound, validity property and n-shrinking rebuild hook all
+// come from the spec. Build validation applies — hunting a protocol
+// outside its resilience condition is a typed error, not a doomed
+// campaign.
+func TargetFor(s catalog.Spec, p catalog.Params) (adversary.Target, error) {
 	factory, rounds, err := s.Build(p)
 	if err != nil {
-		return nil, err
+		return adversary.Target{}, err
 	}
-	return &adversary.Campaign{
+	return adversary.Target{
 		Protocol:  s.ID,
 		Factory:   factory,
 		Rounds:    rounds,
 		N:         p.N,
 		T:         p.T,
-		Strategy:  strategy,
-		Seeds:     seeds,
 		Validity:  s.ValidityFor(p),
 		Agreement: s.Agreement,
 		New:       s.Rebuilder(p),
 	}, nil
 }
 
-// FuzzerFor wires a coverage-guided adaptive hunt against a cataloged
-// protocol: like CampaignFor, the factory, round bound, validity property
-// and n-shrinking rebuild hook all come from the spec, so callers pick a
-// protocol, a seed strategy and a probe budget and nothing else. Tune the
-// returned fuzzer (Shrink, Corpus, StopOnViolation, Parallelism) before
-// calling Run.
-func FuzzerFor(s catalog.Spec, p catalog.Params, seed adversary.Strategy, budget int) (*fuzz.Fuzzer, error) {
-	factory, rounds, err := s.Build(p)
+// CampaignFor wires an adversarial hunt against a cataloged protocol
+// (TargetFor), so callers pick a protocol and a strategy and nothing else.
+func CampaignFor(s catalog.Spec, p catalog.Params, strategy adversary.Strategy, seeds adversary.SeedRange) (*adversary.Campaign, error) {
+	target, err := TargetFor(s, p)
 	if err != nil {
 		return nil, err
 	}
-	return &fuzz.Fuzzer{
-		Protocol:  s.ID,
-		Factory:   factory,
-		Rounds:    rounds,
-		N:         p.N,
-		T:         p.T,
-		Seed:      seed,
-		Budget:    budget,
-		Validity:  s.ValidityFor(p),
-		Agreement: s.Agreement,
-		New:       s.Rebuilder(p),
-	}, nil
+	return &adversary.Campaign{Target: target, Strategy: strategy, Seeds: seeds}, nil
+}
+
+// FuzzerFor wires a coverage-guided adaptive hunt against a cataloged
+// protocol (TargetFor), so callers pick a protocol, a seed strategy and a
+// probe budget and nothing else. Tune the returned fuzzer (Shrink, Corpus,
+// StopOnViolation, Parallelism) before calling Run.
+func FuzzerFor(s catalog.Spec, p catalog.Params, seed adversary.Strategy, budget int) (*fuzz.Fuzzer, error) {
+	target, err := TargetFor(s, p)
+	if err != nil {
+		return nil, err
+	}
+	return &fuzz.Fuzzer{Target: target, Seed: seed, Budget: budget}, nil
 }
 
 // ShrinkOptionsFor derives the shrink/recheck configuration for
 // violations found against a cataloged protocol.
 func ShrinkOptionsFor(s catalog.Spec, p catalog.Params) (adversary.ShrinkOptions, error) {
-	factory, rounds, err := s.Build(p)
-	if err != nil {
-		return adversary.ShrinkOptions{}, err
-	}
-	return adversary.ShrinkOptions{
-		Factory:   factory,
-		Rounds:    rounds,
-		N:         p.N,
-		T:         p.T,
-		New:       s.Rebuilder(p),
-		Validity:  s.ValidityFor(p),
-		Agreement: s.Agreement,
-	}, nil
+	target, err := TargetFor(s, p)
+	return adversary.ShrinkOptions{Target: target}, err
 }
 
 // LogFor builds a replicated log whose slots each run one instance of the

@@ -304,15 +304,8 @@ func (c *Coordinator) runHunt(cp *Checkpoint, report *Report) error {
 	if camp.Shrink {
 		opts := camp.RecheckOptions()
 		opts.Obs = obs.From(c.Ctx)
-		for _, v := range merged.Violations {
-			if v.Plan == nil {
-				continue // not replayable: report unshrunk
-			}
-			sh, err := adversary.Shrink(v, opts)
-			if err != nil {
-				return fmt.Errorf("dist: campaign %s seed %d: shrink: %w", merged.Protocol, v.Seed, err)
-			}
-			v.Shrunk = sh
+		if err := adversary.ShrinkAll(merged.Violations, opts); err != nil {
+			return fmt.Errorf("dist: %w", err)
 		}
 	}
 	report.Hunt = merged
@@ -372,14 +365,10 @@ func (c *Coordinator) runFuzz(cp *Checkpoint, report *Report) error {
 		outs := make([]fuzz.Outcome, g.Count)
 		filled := make([]bool, len(units))
 		err := c.sched.execute(units, func(r *Result) error {
+			// execute hands over only results of these units, each with its
+			// batch's Count outcomes (Unit.fits).
 			i := r.Unit - firstID
-			if i < 0 || i >= len(units) {
-				return fmt.Errorf("dist: fuzz result for unknown unit %d", r.Unit)
-			}
 			b := units[i].Batch
-			if len(r.Fuzz) != b.Count {
-				return fmt.Errorf("dist: fuzz unit %d returned %d outcomes, want %d", r.Unit, len(r.Fuzz), b.Count)
-			}
 			copy(outs[b.Start:b.Start+b.Count], r.Fuzz)
 			filled[i] = true
 			report.Units++

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"expensive/internal/adversary"
+	"expensive/internal/adversary/fuzz"
 	"expensive/internal/catalog"
 	_ "expensive/internal/catalog/all" // register every protocol
 	"expensive/internal/catalog/matrix"
@@ -423,6 +424,43 @@ func TestCellRefOutOfRange(t *testing.T) {
 	}
 	if _, err := ex.run(&Unit{ID: 0, Cell: &CellRef{Protocol: 1, Strategy: 1, Size: 1}}); err != nil {
 		t.Errorf("last in-range cell refused: %v", err)
+	}
+}
+
+// TestFuzzBatchOutOfRange: a fuzz batch's Start, Count and candidate list
+// come off the wire like a cell reference; a batch that does not fit them
+// (or, for a seed batch, the job's generation 0) is the unit's error, not
+// a panic inside a pool goroutine that takes the worker process with it.
+func TestFuzzBatchOutOfRange(t *testing.T) {
+	ex, err := newExecutor(fuzzJob(), context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := ex.prober.SeedCount()
+	one, err := ex.run(&Unit{ID: 0, Batch: &FuzzBatch{Seed: true, Start: seeds - 1, Count: 1}})
+	if err != nil || len(one.Fuzz) != 1 || one.Fuzz[0].Cand == nil {
+		t.Fatalf("last in-range seed probe refused: %v", err)
+	}
+	cands := []fuzz.Candidate{*one.Fuzz[0].Cand}
+	for _, tc := range []struct {
+		name  string
+		batch FuzzBatch
+	}{
+		{"negative count", FuzzBatch{Gen: 1, Count: -1, Candidates: cands}},
+		{"negative start", FuzzBatch{Gen: 1, Start: -1, Count: 1, Candidates: cands}},
+		{"count beyond candidates", FuzzBatch{Gen: 1, Count: 2, Candidates: cands}},
+		{"seed batch beyond the seed-probe count", FuzzBatch{Seed: true, Start: seeds - 1, Count: 2}},
+		{"seed batch with negative start", FuzzBatch{Seed: true, Start: -1, Count: 1}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ex.run(&Unit{ID: 7, Batch: &tc.batch}); err == nil || !strings.Contains(err.Error(), "batch out of range") {
+				t.Errorf("got %v, want the out-of-range error", err)
+			}
+		})
+	}
+	if _, err := ex.run(&Unit{ID: 1, Batch: &FuzzBatch{Gen: 1, Count: 1, Candidates: cands}}); err != nil {
+		t.Errorf("in-range mutant batch refused: %v", err)
 	}
 }
 

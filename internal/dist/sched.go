@@ -36,6 +36,18 @@ type remoteWorker struct {
 	dead       bool
 }
 
+// release takes unit id back from the worker and returns it, or nil when
+// the worker is dead or holds another unit (a stale message about a unit
+// it has already lost).
+func (w *remoteWorker) release(id int) *Unit {
+	if w.dead || w.unit == nil || w.unit.ID != id {
+		return nil
+	}
+	u := w.unit
+	w.unit = nil
+	return u
+}
+
 // scheduler multiplexes work units over the live worker population. Its
 // core is deliberately single-threaded: execute owns all worker state
 // and consumes a single event channel, so assignment, reassignment and
@@ -231,13 +243,20 @@ func (s *scheduler) reader(w *remoteWorker) {
 // the retry budget. Duplicate results (a slow worker racing its own
 // death sentence or a straggle reassignment) are dropped — first result
 // wins, and since results are deterministic, which copy wins is
-// unobservable.
+// unobservable. Result IDs and payloads arrive off the wire: a result for
+// a unit this call never issued (a stray ID, a late duplicate from an
+// earlier call) is logged and dropped, and one whose payload does not fit
+// its unit costs the unit a retry, like a reported failure.
 func (s *scheduler) execute(pending []*Unit, onResult func(*Result) error) error {
 	if len(pending) == 0 {
 		return nil
 	}
 	queue := make([]*Unit, len(pending))
 	copy(queue, pending)
+	issued := make(map[int]*Unit, len(pending))
+	for _, u := range pending {
+		issued[u.ID] = u
+	}
 	done := make(map[int]bool, len(pending))
 	outstanding := len(pending)
 
@@ -282,13 +301,23 @@ func (s *scheduler) execute(pending []*Unit, onResult func(*Result) error) error
 				s.workers = append(s.workers, ev.w)
 				s.log("worker-join", "worker", ev.w.name, "id", ev.w.id)
 			case ev.result != nil:
-				if !ev.w.dead && ev.w.unit != nil && ev.w.unit.ID == ev.result.Unit {
-					ev.w.unit = nil
+				u := issued[ev.result.Unit]
+				if u == nil {
+					s.log("result-stray", "worker", ev.w.name, "unit", ev.result.Unit)
+					continue
 				}
-				if done[ev.result.Unit] {
+				held := ev.w.release(u.ID) != nil
+				if done[u.ID] {
 					continue // duplicate, or late result for a quarantined unit
 				}
-				done[ev.result.Unit] = true
+				if err := u.fits(ev.result); err != nil {
+					if held {
+						queue, outstanding = s.requeue(u, queue, outstanding, done,
+							fmt.Errorf("dist: worker %s: %w", ev.w.name, err))
+					}
+					continue
+				}
+				done[u.ID] = true
 				outstanding--
 				if err := onResult(ev.result); err != nil {
 					return err
@@ -296,11 +325,7 @@ func (s *scheduler) execute(pending []*Unit, onResult func(*Result) error) error
 			case ev.failed != nil:
 				// Unit-level failure: the worker stays alive and idle; only
 				// the unit is charged.
-				var u *Unit
-				if !ev.w.dead && ev.w.unit != nil && ev.w.unit.ID == ev.failed.Unit {
-					u = ev.w.unit
-					ev.w.unit = nil
-				}
+				u := ev.w.release(ev.failed.Unit)
 				if u == nil || done[u.ID] {
 					continue // stale failure for an already reassigned unit
 				}

@@ -27,6 +27,25 @@ func serialHuntJSON(t *testing.T, job *Job) []byte {
 	return out
 }
 
+// joinFake dials the coordinator and handshakes as a hand-driven worker,
+// returning its connection and the job it was shipped.
+func joinFake(t *testing.T, c *Coordinator, name string) (*Conn, *Job) {
+	t.Helper()
+	conn, err := Dial(c.ListenAddr(), 3, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := conn.Send(&Message{Kind: MsgHello, Hello: &Hello{Version: ProtocolVersion, Name: name}}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := conn.Recv(5 * time.Second)
+	if err != nil || m.Kind != MsgJob {
+		t.Fatalf("handshake: %v (%+v)", err, m)
+	}
+	return conn, m.Job
+}
+
 // TestSerialMatchesEngineBaselines pins Serial to the same bytes the
 // test-local single-process helpers produce — the exported oracle and
 // the historical one must never drift apart.
@@ -70,17 +89,7 @@ func TestDistQuarantineAfterRetryBudget(t *testing.T) {
 	// The poisoned worker: fails every unit; after unit 0 is quarantined
 	// (its second failure spends the budget of 1), it smuggles in a late
 	// result for it, which the done-map dedup must drop.
-	conn, err := Dial(c.ListenAddr(), 3, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Send(&Message{Kind: MsgHello, Hello: &Hello{Version: ProtocolVersion, Name: "poisoned"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Recv(5 * time.Second); err != nil { // the job
-		t.Fatal(err)
-	}
+	conn, _ := joinFake(t, c, "poisoned")
 	go func() {
 		sentLate := false
 		for {
@@ -152,17 +161,7 @@ func TestDistStragglerReassignedWhileAlive(t *testing.T) {
 	// The straggler: joins first (so it receives the first unit), sends a
 	// heartbeat every 500ms — inside the 600ms timeout, at its boundary —
 	// and never returns a result.
-	conn, err := Dial(c.ListenAddr(), 3, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Send(&Message{Kind: MsgHello, Hello: &Hello{Version: ProtocolVersion, Name: "straggler"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Recv(5 * time.Second); err != nil { // the job
-		t.Fatal(err)
-	}
+	conn, _ := joinFake(t, c, "straggler")
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -200,6 +199,112 @@ func TestDistStragglerReassignedWhileAlive(t *testing.T) {
 	got, _ := json.Marshal(rep.Hunt)
 	if !bytes.Equal(got, want) {
 		t.Errorf("report diverged after straggle reassignment\ngot:  %s\nwant: %s", got, want)
+	}
+}
+
+// TestDistStrayResultDropped: a result names its unit in a field off the
+// wire. One for a unit the coordinator never issued used to index the
+// result slice with it (9999: index out of range; -1 likewise) and take
+// the coordinator down; it must be dropped, and the report must not
+// notice.
+func TestDistStrayResultDropped(t *testing.T) {
+	want := serialHuntJSON(t, huntJob())
+	c := &Coordinator{Job: huntJob(), LocalWorkers: 1, WorkerParallelism: 2}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The liar joins first, sends its strays and hangs up: the unit it was
+	// handed meanwhile goes back to the honest worker.
+	conn, _ := joinFake(t, c, "liar")
+	for _, id := range []int{9999, -1} {
+		if err := conn.Send(&Message{Kind: MsgResult, Result: &Result{Unit: id, Probes: 8}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn.Close()
+
+	rep, err := c.Run()
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	if rep.Units != huntJob().Hunt.Units || len(rep.Quarantined) != 0 {
+		t.Errorf("folded %d units (quarantined %v), want %d and none", rep.Units, rep.Quarantined, huntJob().Hunt.Units)
+	}
+	got, _ := json.Marshal(rep.Hunt)
+	if !bytes.Equal(got, want) {
+		t.Errorf("report diverged after stray results\ngot:  %s\nwant: %s", got, want)
+	}
+}
+
+// TestDistFuzzStaleAndMalformedResults: the fuzz fold takes results one
+// generation at a time, so a straggler's late duplicate from the previous
+// generation is a result for a unit the current one never issued; it used
+// to abort the campaign ("fuzz result for unknown unit"), as did an empty
+// result for a unit ("returned 0 outcomes, want 16"). The worker here
+// does honest work — it runs the real executor — and lies three times
+// when generation 1 starts: it replays its generation-0 result, sends an
+// empty result for a unit it does not hold, and answers its own unit
+// empty once (which must cost that unit a retry, not the campaign).
+func TestDistFuzzStaleAndMalformedResults(t *testing.T) {
+	wantRep, wantCorpus := singleFuzz(t, fuzzJob().Fuzz)
+	c := &Coordinator{Job: fuzzJob(), LocalWorkers: 1, WorkerParallelism: 1}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn, job := joinFake(t, c, "liar")
+	job.normalize()
+	ex, err := newExecutor(job, context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lied := make(chan bool, 1)
+	go func() {
+		var gen0 *Result
+		told := false
+		defer func() { lied <- told }()
+		for {
+			m, err := conn.Recv(30 * time.Second)
+			if err != nil || m.Kind != MsgUnit {
+				return
+			}
+			u := m.Unit
+			if u.Batch.Gen == 1 && gen0 != nil && !told {
+				told = true
+				_ = conn.Send(&Message{Kind: MsgResult, Result: gen0})
+				_ = conn.Send(&Message{Kind: MsgResult, Result: &Result{Unit: u.ID + 1}})
+				_ = conn.Send(&Message{Kind: MsgResult, Result: &Result{Unit: u.ID}})
+				continue
+			}
+			res, err := ex.run(u)
+			if err != nil {
+				return
+			}
+			if gen0 == nil {
+				gen0 = res
+			}
+			if conn.Send(&Message{Kind: MsgResult, Result: res}) != nil {
+				return
+			}
+		}
+	}()
+
+	rep, err := c.Run()
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	if !<-lied {
+		t.Fatal("the fake worker never held a generation-1 unit: nothing was tested")
+	}
+	if rep.Reassigned < 1 {
+		t.Errorf("the empty result for a held unit cost no retry (reassigned=%d)", rep.Reassigned)
+	}
+	gotRep, _ := json.Marshal(rep.Fuzz)
+	gotCorpus, _ := json.Marshal(rep.Corpus)
+	if !bytes.Equal(gotRep, wantRep) {
+		t.Errorf("fuzz report diverged\ngot:  %s\nwant: %s", gotRep, wantRep)
+	}
+	if !bytes.Equal(gotCorpus, wantCorpus) {
+		t.Error("fuzz corpus diverged")
 	}
 }
 

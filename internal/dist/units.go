@@ -53,6 +53,18 @@ type Result struct {
 	Fuzz   []fuzz.Outcome            `json:"fuzz,omitempty"`
 }
 
+// fits reports a result whose payload is not its unit's: the wrong kind,
+// or a fuzz batch of the wrong length.
+func (u *Unit) fits(r *Result) error {
+	switch {
+	case u.Seeds != nil && r.Hunt == nil,
+		u.Cell != nil && r.Cell == nil,
+		u.Batch != nil && len(r.Fuzz) != u.Batch.Count:
+		return fmt.Errorf("dist: result does not carry the payload of unit %d", u.ID)
+	}
+	return nil
+}
+
 // huntUnits cuts the hunt's seed range into the job's fixed unit count —
 // contiguous, ascending, worker-count-independent.
 func huntUnits(j *HuntJob) []*Unit {
@@ -108,7 +120,6 @@ func batchUnits(g *fuzz.Generation, size int, nextID *int) []*Unit {
 // (those probes are simply missing, and Report.Quarantined says so)
 // rather than failing the whole campaign.
 func mergeHunt(c *adversary.Campaign, results []*Result, quarantined map[int]bool) (*adversary.CampaignReport, error) {
-	env := c.RecheckOptions()
 	report := &adversary.CampaignReport{
 		StreamVersion: adversary.StreamVersion,
 		Protocol:      c.Protocol,
@@ -116,7 +127,7 @@ func mergeHunt(c *adversary.Campaign, results []*Result, quarantined map[int]boo
 		N:             c.N,
 		T:             c.T,
 		Rounds:        c.Rounds,
-		Horizon:       env.Horizon,
+		Horizon:       c.Env().Horizon,
 		Seeds:         c.Seeds,
 	}
 	for i, r := range results {

@@ -268,6 +268,15 @@ func (ex *executor) runHunt(u *Unit) (*Result, error) {
 
 func (ex *executor) runFuzz(u *Unit) (*Result, error) {
 	b := u.Batch
+	// The bounds arrive off the wire: a bad one must fail the unit, not
+	// panic a pool goroutine.
+	limit := len(b.Candidates)
+	if b.Seed {
+		limit = ex.prober.SeedCount() - b.Start
+	}
+	if b.Start < 0 || b.Count < 0 || b.Count > limit {
+		return nil, fmt.Errorf("dist: unit %d batch out of range", u.ID)
+	}
 	outs, err := runner.Map(ex.ctx, runner.Workers(ex.parallelism), b.Count, func(i int) (fuzz.Outcome, error) {
 		if b.Seed {
 			return ex.prober.Seed(b.Start + i)

@@ -25,14 +25,16 @@ func HuntCampaign(p validity.Problem, d *Derived, strategy adversary.Strategy, s
 		return nil, fmt.Errorf("solve: problem %s has no derived protocol", p.Name)
 	}
 	return &adversary.Campaign{
-		Protocol:  p.Name + "/" + d.Mode,
-		Factory:   d.Factory,
-		Rounds:    d.Rounds,
-		N:         p.N,
-		T:         p.T,
+		Target: adversary.Target{
+			Protocol: p.Name + "/" + d.Mode,
+			Factory:  d.Factory,
+			Rounds:   d.Rounds,
+			N:        p.N,
+			T:        p.T,
+			Validity: adversary.ProblemValidity(p),
+		},
 		Strategy:  strategy,
 		Seeds:     seeds,
 		Proposals: adversary.DomainProposals(p.Inputs),
-		Validity:  adversary.ProblemValidity(p),
 	}, nil
 }

@@ -54,14 +54,16 @@ func TestPhaseKingUnderRandomByzantine(t *testing.T) {
 		adversary.TwoFaced(),
 	} {
 		hunt(t, &adversary.Campaign{
-			Protocol: "phase-king",
-			Factory:  factory,
-			Rounds:   phaseking.RoundBound(tf),
-			N:        n,
-			T:        tf,
+			Target: adversary.Target{
+				Protocol: "phase-king",
+				Factory:  factory,
+				Rounds:   phaseking.RoundBound(tf),
+				N:        n,
+				T:        tf,
+				Validity: binaryStrong,
+			},
 			Strategy: strategy,
 			Seeds:    adversary.SeedRange{From: 0, To: fuzzSeeds},
-			Validity: binaryStrong,
 		})
 	}
 }
@@ -69,14 +71,16 @@ func TestPhaseKingUnderRandomByzantine(t *testing.T) {
 func TestPhaseKingUnderRandomOmissions(t *testing.T) {
 	n, tf := 9, 2
 	hunt(t, &adversary.Campaign{
-		Protocol: "phase-king",
-		Factory:  phaseking.New(phaseking.Config{N: n, T: tf}),
-		Rounds:   phaseking.RoundBound(tf),
-		N:        n,
-		T:        tf,
+		Target: adversary.Target{
+			Protocol: "phase-king",
+			Factory:  phaseking.New(phaseking.Config{N: n, T: tf}),
+			Rounds:   phaseking.RoundBound(tf),
+			N:        n,
+			T:        tf,
+			Validity: binaryStrong,
+		},
 		Strategy: adversary.RandomOmission(40),
 		Seeds:    adversary.SeedRange{From: 1000, To: 1000 + fuzzSeeds},
-		Validity: binaryStrong,
 	})
 }
 
@@ -89,14 +93,16 @@ func TestPhaseKingUnderCombinedAdversary(t *testing.T) {
 		adversary.Chaos(),
 	)
 	hunt(t, &adversary.Campaign{
-		Protocol: "phase-king",
-		Factory:  phaseking.New(phaseking.Config{N: n, T: tf}),
-		Rounds:   phaseking.RoundBound(tf),
-		N:        n,
-		T:        tf,
+		Target: adversary.Target{
+			Protocol: "phase-king",
+			Factory:  phaseking.New(phaseking.Config{N: n, T: tf}),
+			Rounds:   phaseking.RoundBound(tf),
+			N:        n,
+			T:        tf,
+			Validity: binaryStrong,
+		},
 		Strategy: strategy,
 		Seeds:    adversary.SeedRange{From: 0, To: fuzzSeeds / 2},
-		Validity: binaryStrong,
 	})
 }
 
@@ -104,14 +110,16 @@ func TestWeakEIGUnderRandomByzantine(t *testing.T) {
 	n, tf := 7, 2
 	factory, rounds := weak.ViaEIG(n, tf)
 	hunt(t, &adversary.Campaign{
-		Protocol: "weak-via-eig",
-		Factory:  factory,
-		Rounds:   rounds,
-		N:        n,
-		T:        tf,
+		Target: adversary.Target{
+			Protocol: "weak-via-eig",
+			Factory:  factory,
+			Rounds:   rounds,
+			N:        n,
+			T:        tf,
+			Validity: adversary.WeakValidity,
+		},
 		Strategy: adversary.Chaos(),
 		Seeds:    adversary.SeedRange{From: 2000, To: 2000 + fuzzSeeds/2},
-		Validity: adversary.WeakValidity,
 	})
 }
 
@@ -119,14 +127,16 @@ func TestWeakICUnderRandomByzantine(t *testing.T) {
 	n, tf := 6, 2
 	factory, rounds := weak.ViaIC(n, tf, sig.NewIdeal("stress-ic"))
 	hunt(t, &adversary.Campaign{
-		Protocol: "weak-via-ic",
-		Factory:  factory,
-		Rounds:   rounds,
-		N:        n,
-		T:        tf,
+		Target: adversary.Target{
+			Protocol: "weak-via-ic",
+			Factory:  factory,
+			Rounds:   rounds,
+			N:        n,
+			T:        tf,
+			Validity: adversary.WeakValidity,
+		},
 		Strategy: adversary.Chaos(),
 		Seeds:    adversary.SeedRange{From: 3000, To: 3000 + fuzzSeeds/3},
-		Validity: adversary.WeakValidity,
 	})
 }
 
@@ -134,14 +144,16 @@ func TestDolevStrongUnderRandomByzantine(t *testing.T) {
 	n, tf := 7, 2
 	cfg := dolevstrong.Config{N: n, T: tf, Sender: 0, Scheme: sig.NewIdeal("stress-ds"), Tag: "bb", Default: "⊥"}
 	hunt(t, &adversary.Campaign{
-		Protocol: "dolev-strong",
-		Factory:  dolevstrong.New(cfg),
-		Rounds:   dolevstrong.RoundBound(tf),
-		N:        n,
-		T:        tf,
+		Target: adversary.Target{
+			Protocol: "dolev-strong",
+			Factory:  dolevstrong.New(cfg),
+			Rounds:   dolevstrong.RoundBound(tf),
+			N:        n,
+			T:        tf,
+			Validity: adversary.SenderValidity(0),
+		},
 		Strategy: adversary.Chaos(),
 		Seeds:    adversary.SeedRange{From: 4000, To: 4000 + fuzzSeeds},
-		Validity: adversary.SenderValidity(0),
 	})
 }
 
@@ -151,11 +163,13 @@ func TestCampaignsReplayFromSeeds(t *testing.T) {
 	n, tf := 9, 2
 	campaign := func() *adversary.Campaign {
 		return &adversary.Campaign{
-			Protocol: "phase-king",
-			Factory:  phaseking.New(phaseking.Config{N: n, T: tf}),
-			Rounds:   phaseking.RoundBound(tf),
-			N:        n,
-			T:        tf,
+			Target: adversary.Target{
+				Protocol: "phase-king",
+				Factory:  phaseking.New(phaseking.Config{N: n, T: tf}),
+				Rounds:   phaseking.RoundBound(tf),
+				N:        n,
+				T:        tf,
+			},
 			Strategy: adversary.RandomOmission(40),
 			Seeds:    adversary.SeedRange{From: 0, To: 10},
 		}
