@@ -41,7 +41,6 @@ import (
 
 	"expensive/internal/adversary"
 	"expensive/internal/adversary/fuzz"
-	"expensive/internal/analysis"
 	"expensive/internal/analysis/balint"
 	"expensive/internal/catalog"
 	_ "expensive/internal/catalog/all" // link every protocol registration
@@ -131,9 +130,8 @@ subcommands:
                  online safety/liveness monitors instead
   lint [-list] [-v] [-json] [-dir D]
                  run the balint analyzer suite (determinism, lean-tier,
-                 registry, telemetry side-channel, sentinel and goroutine
-                 shutdown contracts) over the module; -json emits the
-                 findings array on stdout
+                 registry, telemetry side-channel and sentinel contracts)
+                 over the module; -json emits the findings array on stdout
 
 telemetry (exp, falsify, hunt, fuzz, matrix):
   -progress      live progress lines + final summary block on stderr
@@ -203,31 +201,12 @@ func runLint(args []string) error {
 	if err != nil {
 		return err
 	}
-	failing := analysis.Unsuppressed(diags)
-	if *jsonOut {
-		if err := balint.EncodeJSON(os.Stdout, diags); err != nil {
-			return err
-		}
-	} else {
-		for _, d := range failing {
-			fmt.Printf("%s:%d:%d: %s: %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-		}
+	failing, err := balint.Report(os.Stdout, os.Stderr, diags, *jsonOut, *verbose)
+	if err != nil {
+		return err
 	}
-	if *verbose {
-		// Same stream contract as the telemetry flags: under -json the
-		// findings document owns stdout, chatter goes to stderr.
-		out := os.Stdout
-		if *jsonOut {
-			out = os.Stderr
-		}
-		for _, d := range diags {
-			if d.Suppressed {
-				fmt.Fprintf(out, "%s:%d:%d: %s: suppressed (%s)\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Reason)
-			}
-		}
-	}
-	if len(failing) > 0 {
-		return fmt.Errorf("%d unsuppressed finding(s)", len(failing))
+	if failing > 0 {
+		return fmt.Errorf("%d unsuppressed finding(s)", failing)
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
-// Command balint runs the repo's analyzer suite — the eight checks that
-// enforce the determinism, lean-tier, registry, telemetry-side-channel,
-// sentinel-classification and goroutine-shutdown contracts — over the
-// whole module and exits non-zero on any unsuppressed diagnostic.
+// Command balint runs the repo's analyzer suite — the seven checks that
+// enforce the determinism, lean-tier, registry, telemetry-side-channel
+// and sentinel-classification contracts — over the whole module and
+// exits non-zero on any unsuppressed diagnostic.
 //
 // Usage:
 //
@@ -10,7 +10,7 @@
 // dir is the module root (default "."). Unlike a `go vet -vettool`
 // pass, balint loads the entire module into one type universe: the
 // maporder and leantier contracts are whole-program reachability
-// properties, and the obstaint/goleak dataflow runs on the same shared
+// properties, and the obstaint dataflow runs on the same shared
 // callgraph — none of which the per-package unitchecker protocol can
 // see. scripts/lint.sh runs balint alongside plain `go vet`.
 //
@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"os"
 
-	"expensive/internal/analysis"
 	"expensive/internal/analysis/balint"
 )
 
@@ -67,32 +66,13 @@ func run(args []string) int {
 		return 2
 	}
 
-	failing := analysis.Unsuppressed(diags)
-	if *jsonOut {
-		if err := balint.EncodeJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "balint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range failing {
-			fmt.Printf("%s:%d:%d: %s: %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-		}
+	failing, err := balint.Report(os.Stdout, os.Stderr, diags, *jsonOut, *verbose)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "balint:", err)
+		return 2
 	}
-	if *verbose {
-		// Human chatter: stdout in text mode, stderr under -json so the
-		// findings document stays the only stdout bytes.
-		out := os.Stdout
-		if *jsonOut {
-			out = os.Stderr
-		}
-		for _, d := range diags {
-			if d.Suppressed {
-				fmt.Fprintf(out, "%s:%d:%d: %s: suppressed (%s)\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Reason)
-			}
-		}
-	}
-	if len(failing) > 0 {
-		fmt.Fprintf(os.Stderr, "balint: %d unsuppressed diagnostic(s)\n", len(failing))
+	if failing > 0 {
+		fmt.Fprintf(os.Stderr, "balint: %d unsuppressed diagnostic(s)\n", failing)
 		return 1
 	}
 	return 0

@@ -1,21 +1,22 @@
 // Package balint assembles the repo's analyzer suite: maporder,
 // wallclock, globalrand, leantier and regcheck enforce the determinism,
-// lean-tier and registry contracts; obstaint, errcmp and goleak — the
-// dataflow tier built on the taint engine and callgraph v2 — enforce
-// the telemetry side-channel, sentinel-classification and
-// goroutine-shutdown contracts of the concurrent subsystems. All eight
-// are documented in the README's "Static analysis" section. cmd/balint
-// and `baexp lint` are thin frontends over this package.
+// lean-tier and registry contracts; obstaint and errcmp — the dataflow
+// tier built on the taint engine and the shared callgraph — enforce the
+// telemetry side-channel and sentinel-classification contracts of the
+// concurrent subsystems. (The goroutine-shutdown contract is checked at
+// run time, by internal/leakcheck.) All seven are documented in the
+// README's "Static analysis" section. cmd/balint and `baexp lint` are
+// thin frontends over this package.
 package balint
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"expensive/internal/analysis"
 	"expensive/internal/analysis/errcmp"
 	"expensive/internal/analysis/globalrand"
-	"expensive/internal/analysis/goleak"
 	"expensive/internal/analysis/leantier"
 	"expensive/internal/analysis/maporder"
 	"expensive/internal/analysis/obstaint"
@@ -34,7 +35,6 @@ func Suite() []*analysis.Analyzer {
 		regcheck.Analyzer,
 		obstaint.Analyzer,
 		errcmp.Analyzer,
-		goleak.Analyzer,
 	}
 }
 
@@ -95,4 +95,33 @@ func Findings(diags []analysis.Diagnostic) []Finding {
 func EncodeJSON(w io.Writer, diags []analysis.Diagnostic) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(Findings(diags))
+}
+
+// Report is the output both lint front ends share. Unsuppressed findings
+// go to stdout one per line, or — with jsonOut — every finding goes there
+// as the EncodeJSON document and nothing else does; verbose adds the
+// suppressed findings with their reasons, on stdout in text mode and on
+// stderr under jsonOut. It returns the number of unsuppressed findings,
+// which is what the caller's exit status is made of.
+func Report(stdout, stderr io.Writer, diags []analysis.Diagnostic, jsonOut, verbose bool) (unsuppressed int, err error) {
+	failing := analysis.Unsuppressed(diags)
+	chatter := stdout
+	if jsonOut {
+		chatter = stderr
+		if err := EncodeJSON(stdout, diags); err != nil {
+			return 0, err
+		}
+	} else {
+		for _, d := range failing {
+			fmt.Fprintln(stdout, d)
+		}
+	}
+	if verbose {
+		for _, d := range diags {
+			if d.Suppressed {
+				fmt.Fprintf(chatter, "%s: %s: suppressed (%s)\n", d.Pos, d.Analyzer, d.Reason)
+			}
+		}
+	}
+	return len(failing), nil
 }

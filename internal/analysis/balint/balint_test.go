@@ -115,14 +115,11 @@ func TestModuleIsClean(t *testing.T) {
 	if len(suppressedBy) == 0 {
 		t.Error("expected at least one suppressed finding in the module (the lean-tier annotations)")
 	}
-	// The dataflow tier is live: each of these analyzers found its known
-	// sanctioned site in the real tree (runner.Result.wall_ms for
-	// obstaint, the DebugServer Serve launch for goleak). A zero here
-	// means the analyzer silently stopped seeing the module.
-	for _, name := range []string{"obstaint", "goleak"} {
-		if suppressedBy[name] == 0 {
-			t.Errorf("analyzer %s reported no suppressed findings in the module; its known sanctioned site should still be visible", name)
-		}
+	// The dataflow tier is live: obstaint found its known sanctioned site
+	// in the real tree (runner.Result.wall_ms). A zero here means the
+	// analyzer silently stopped seeing the module.
+	if suppressedBy["obstaint"] == 0 {
+		t.Error("analyzer obstaint reported no suppressed findings in the module; its known sanctioned site should still be visible")
 	}
 }
 
@@ -130,7 +127,7 @@ func TestModuleIsClean(t *testing.T) {
 // registered and every name is directive-addressable.
 func TestSuiteNames(t *testing.T) {
 	names := balint.Names()
-	want := []string{"maporder", "wallclock", "globalrand", "leantier", "regcheck", "obstaint", "errcmp", "goleak"}
+	want := []string{"maporder", "wallclock", "globalrand", "leantier", "regcheck", "obstaint", "errcmp"}
 	if len(names) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d: %v", len(names), len(want), names)
 	}

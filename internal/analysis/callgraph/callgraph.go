@@ -19,10 +19,8 @@ package callgraph
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"expensive/internal/analysis"
 )
@@ -41,46 +39,6 @@ type Node struct {
 	// Callees are the outgoing edges (calls and references), deduplicated,
 	// in deterministic order.
 	Callees []*Node
-	// GoSites are the `go` statements in the node's body, in source
-	// order. Goroutines launched inside function literals are recorded on
-	// the enclosing named function, like every other literal site.
-	GoSites []GoSite
-	// ChanOps are the channel send/receive/close sites in the node's
-	// body, in source order.
-	ChanOps []ChanOp
-}
-
-// GoSite is one `go` statement: who gets launched, and how.
-type GoSite struct {
-	// Stmt is the `go` statement itself.
-	Stmt *ast.GoStmt
-	// Target is the statically resolved callee, when the launched
-	// expression is a named function or method; nil for dynamic calls and
-	// literals.
-	Target *types.Func
-	// Lit is the launched function literal for `go func(){...}()` sites;
-	// nil otherwise.
-	Lit *ast.FuncLit
-}
-
-// OpKind classifies a channel operation site.
-type OpKind int
-
-// Channel operation kinds.
-const (
-	OpSend OpKind = iota
-	OpRecv
-	OpClose
-)
-
-// ChanOp is one channel operation site.
-type ChanOp struct {
-	Kind OpKind
-	Pos  token.Pos
-	// Done marks a receive wired to shutdown: a receive from ctx.Done()
-	// (any method named Done) or from a channel whose name matches the
-	// done/stop/quit/close idiom. Always false for sends and closes.
-	Done bool
 }
 
 // Name renders the node for diagnostics: the types.Func FullName, or
@@ -236,7 +194,7 @@ func build(prog *analysis.Program) *Graph {
 }
 
 // addEdges scans one body (or initializer expression) and appends edges
-// and go/channel sites to from.
+// to from.
 func (g *Graph) addEdges(from *Node, pkg *analysis.Package, root ast.Node) {
 	info := pkg.Info
 	// Call expressions get call edges; every *other* use of a function
@@ -244,31 +202,6 @@ func (g *Graph) addEdges(from *Node, pkg *analysis.Package, root ast.Node) {
 	// the generic ident walk below skips them.
 	callFuns := map[*ast.Ident]bool{}
 	ast.Inspect(root, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.GoStmt:
-			site := GoSite{Stmt: s, Target: analysis.FuncObject(info, s.Call.Fun)}
-			if lit, ok := analysis.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-				site.Lit = lit
-			}
-			from.GoSites = append(from.GoSites, site)
-			return true
-		case *ast.SendStmt:
-			from.ChanOps = append(from.ChanOps, ChanOp{Kind: OpSend, Pos: s.Pos()})
-			return true
-		case *ast.UnaryExpr:
-			if s.Op == token.ARROW {
-				from.ChanOps = append(from.ChanOps, ChanOp{Kind: OpRecv, Pos: s.Pos(), Done: DoneChan(s.X)})
-			}
-			return true
-		case *ast.RangeStmt:
-			// Ranging over a channel receives until it closes.
-			if t := info.TypeOf(s.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					from.ChanOps = append(from.ChanOps, ChanOp{Kind: OpRecv, Pos: s.X.Pos(), Done: DoneChan(s.X)})
-				}
-			}
-			return true
-		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -276,9 +209,6 @@ func (g *Graph) addEdges(from *Node, pkg *analysis.Package, root ast.Node) {
 		switch fun := analysis.Unparen(call.Fun).(type) {
 		case *ast.Ident:
 			callFuns[fun] = true
-			if b, ok := info.Uses[fun].(*types.Builtin); ok && b.Name() == "close" {
-				from.ChanOps = append(from.ChanOps, ChanOp{Kind: OpClose, Pos: call.Pos()})
-			}
 		case *ast.SelectorExpr:
 			callFuns[fun.Sel] = true
 		}
@@ -361,36 +291,6 @@ func implementations(g *Graph, concrete []types.Type) map[*types.Func][]*types.F
 		out[im] = dedupFuncs(out[im])
 	}
 	return out
-}
-
-// DoneChan reports whether e, the operand of a channel receive, is a
-// shutdown channel by idiom: the result of calling a method named Done
-// (context.Context and everything shaped like it), or a channel whose
-// root identifier / selected field name contains done, stop, quit or
-// clos (close/closed/closing). Name-based on purpose — the repo's
-// shutdown channels (stopHB, stopCh, p.stop, m.done, m.epDone, waited
-// aside) follow the idiom, and goleak's verdicts must be explainable
-// from the source line alone.
-func DoneChan(e ast.Expr) bool {
-	switch x := analysis.Unparen(e).(type) {
-	case *ast.CallExpr:
-		if sel, ok := analysis.Unparen(x.Fun).(*ast.SelectorExpr); ok {
-			return sel.Sel.Name == "Done"
-		}
-	case *ast.Ident:
-		return doneName(x.Name)
-	case *ast.SelectorExpr:
-		return doneName(x.Sel.Name)
-	case *ast.IndexExpr:
-		return DoneChan(x.X)
-	}
-	return false
-}
-
-func doneName(name string) bool {
-	n := strings.ToLower(name)
-	return strings.Contains(n, "done") || strings.Contains(n, "stop") ||
-		strings.Contains(n, "quit") || strings.Contains(n, "clos")
 }
 
 func dedup(nodes []*Node) []*Node {

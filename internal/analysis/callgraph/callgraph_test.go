@@ -57,7 +57,7 @@ func calleeNames(n *callgraph.Node) map[string]bool {
 // TestEdgeKinds checks that Use gains edges for a method value, a
 // function stored into a function-typed field, and an interface call
 // expanded to its concrete implementation — none of which are direct
-// calls.
+// calls — and a call edge for the target of a go statement.
 func TestEdgeKinds(t *testing.T) {
 	g, pkg := loadCG(t)
 	use := g.Node(funcOf(t, pkg, "Use"))
@@ -69,6 +69,7 @@ func TestEdgeKinds(t *testing.T) {
 		"cg.target",     // via Pool{fold: target}
 		"(cg.T).Method", // via the method value t.Method
 		"(cg.Impl).Run", // via interface dispatch on Runner
+		"cg.spawned",    // via go spawned()
 	} {
 		if !names[want] {
 			t.Errorf("Use is missing callee %s (got %v)", want, names)
@@ -106,70 +107,6 @@ func TestReachable(t *testing.T) {
 	}
 	if pruned[helper] {
 		t.Error("helper lies behind the stop node and must be pruned")
-	}
-}
-
-// TestGoSites checks that Spawn records both launch sites — the static
-// worker target and the inline literal — and that go targets still get
-// call edges.
-func TestGoSites(t *testing.T) {
-	g, pkg := loadCG(t)
-	spawn := g.Node(funcOf(t, pkg, "Spawn"))
-	if spawn == nil {
-		t.Fatal("no node for cg.Spawn")
-	}
-	if len(spawn.GoSites) != 2 {
-		t.Fatalf("Spawn should record 2 go sites, got %d", len(spawn.GoSites))
-	}
-	if tgt := spawn.GoSites[0].Target; tgt == nil || tgt.Name() != "worker" {
-		t.Errorf("first go site should statically target worker, got %v", tgt)
-	}
-	if spawn.GoSites[0].Lit != nil {
-		t.Error("first go site is a named call, Lit must be nil")
-	}
-	if spawn.GoSites[1].Lit == nil {
-		t.Error("second go site launches a literal, Lit must be set")
-	}
-	if spawn.GoSites[1].Target != nil {
-		t.Error("literal go site must not report a static target")
-	}
-	if !calleeNames(spawn)["cg.worker"] {
-		t.Error("go worker(ch) should still contribute a call edge")
-	}
-}
-
-// TestChanOps checks send/receive/close recording and done-receive
-// classification: the stop-named channel and the c.Done() call are
-// shutdown receives, the value receive and the range receive are not.
-func TestChanOps(t *testing.T) {
-	g, pkg := loadCG(t)
-	spawn := g.Node(funcOf(t, pkg, "Spawn"))
-	worker := g.Node(funcOf(t, pkg, "worker"))
-	if spawn == nil || worker == nil {
-		t.Fatal("missing nodes for Spawn/worker")
-	}
-	counts := map[callgraph.OpKind]int{}
-	doneRecvs := 0
-	for _, op := range spawn.ChanOps {
-		counts[op.Kind]++
-		if op.Kind == callgraph.OpRecv && op.Done {
-			doneRecvs++
-		}
-	}
-	if counts[callgraph.OpSend] != 1 || counts[callgraph.OpClose] != 1 {
-		t.Errorf("Spawn should record 1 send and 1 close, got %v", counts)
-	}
-	if counts[callgraph.OpRecv] != 3 {
-		t.Errorf("Spawn should record 3 receives (literal flattened in), got %d", counts[callgraph.OpRecv])
-	}
-	if doneRecvs != 2 {
-		t.Errorf("Spawn should classify 2 receives as done receives (<-stop, <-c.Done()), got %d", doneRecvs)
-	}
-	if len(worker.ChanOps) != 1 || worker.ChanOps[0].Kind != callgraph.OpRecv {
-		t.Errorf("worker's range over ch should record one receive, got %v", worker.ChanOps)
-	}
-	if worker.ChanOps[0].Done {
-		t.Error("range over a data channel is not a done receive")
 	}
 }
 

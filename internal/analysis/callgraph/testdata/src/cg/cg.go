@@ -1,11 +1,13 @@
-// Fixture exercising the three edge kinds beyond plain calls: method
-// values, functions stored into function-typed fields, and interface
-// dispatch.
+// Fixture exercising the edge kinds beyond plain calls: method values,
+// functions stored into function-typed fields, interface dispatch and
+// go statements.
 package cg
 
 func target() {}
 
 func helper() {}
+
+func spawned() {}
 
 type T struct{}
 
@@ -31,6 +33,7 @@ func Use(r Runner, t T) {
 	p := Pool{fold: target} // function-typed field: reference edge
 	p.fold()                // dynamic call, statically unresolvable
 	r.Run()                 // interface dispatch: expands to (Impl).Run
+	go spawned()            // go statement: a call edge like any other call
 }
 
 // Isolated is referenced by nobody; it must not be reachable from Use.

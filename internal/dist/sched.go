@@ -163,7 +163,7 @@ func (s *scheduler) acceptLoop(ln net.Listener) {
 // reader. Runs on its own goroutine so a stalled dialer cannot block
 // admission of others.
 func (s *scheduler) handshake(conn *Conn) {
-	m, err := conn.Recv(s.hbTimeout)
+	m, err := conn.recv(maxHello, s.hbTimeout)
 	if err != nil || m.Kind != MsgHello || m.Hello == nil {
 		_ = conn.Close()
 		return

@@ -27,6 +27,11 @@ const ProtocolVersion = 3
 // away.
 const maxFrame = 64 << 20
 
+// maxHello bounds the one frame the coordinator reads from a dialer it
+// knows nothing about: a hello is a version and a name, so a stranger
+// announcing more is cut off before anything is allocated for it.
+const maxHello = 4 << 10
+
 // MsgKind discriminates wire messages.
 type MsgKind string
 
@@ -152,6 +157,11 @@ func classify(err error) error {
 // covering the whole frame — the coordinator's dead-worker detector and
 // the worker's handshake guard; 0 blocks indefinitely.
 func (c *Conn) Recv(timeout time.Duration) (*Message, error) {
+	return c.recv(maxFrame, timeout)
+}
+
+// recv is Recv with the caller's bound on the announced frame length.
+func (c *Conn) recv(limit int, timeout time.Duration) (*Message, error) {
 	if timeout > 0 {
 		if err := c.c.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 			return nil, fmt.Errorf("dist: arm read deadline: %w", err)
@@ -166,8 +176,8 @@ func (c *Conn) Recv(timeout time.Duration) (*Message, error) {
 		return nil, fmt.Errorf("dist: read frame length: %w", classify(err))
 	}
 	n := binary.BigEndian.Uint32(prefix[:])
-	if n == 0 || n > maxFrame {
-		return nil, fmt.Errorf("dist: frame length %d outside (0, %d]", n, maxFrame)
+	if n == 0 || n > uint32(limit) {
+		return nil, fmt.Errorf("dist: frame length %d outside (0, %d]", n, limit)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(c.c, body); err != nil {

@@ -2,8 +2,10 @@ package dist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +70,35 @@ func TestWireOversizeFrame(t *testing.T) {
 	_, err := conn.Recv(time.Second)
 	if err == nil || !strings.Contains(err.Error(), "frame") {
 		t.Fatalf("oversize frame not rejected: %v", err)
+	}
+}
+
+// TestHelloOversizeFrame: before the hello the dialer is a stranger, so
+// the coordinator reads its first frame under maxHello, not maxFrame — a
+// prefix announcing a megabyte gets the connection closed at once, rather
+// than a megabyte allocated and the heartbeat timeout spent waiting for
+// bytes that never come.
+func TestHelloOversizeFrame(t *testing.T) {
+	c := &Coordinator{Job: huntJob(), HeartbeatTimeout: 5 * time.Second}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.shutdown()
+	conn, err := net.Dial("tcp", c.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var prefix [4]byte
+	binary.BigEndian.PutUint32(prefix[:], 1<<20)
+	if _, err := conn.Write(prefix[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(prefix[:]); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("coordinator kept a connection announcing a 1 MiB hello open: %v", err)
 	}
 }
 

@@ -3,7 +3,7 @@
 // mapping). Each experiment is registered by ID with its default
 // parameters in the runner registry (see register.go); cmd/baexp runs
 // them through the parallel engine and EXPERIMENTS.md records the
-// outputs; bench_test.go wraps each one in a testing.B benchmark.
+// outputs; the benchmark's paper-tables workload times each one.
 package experiments
 
 import (

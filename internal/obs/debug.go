@@ -65,7 +65,6 @@ func ServeDebug(addr string, r *Recorder) (*DebugServer, error) {
 		srv:  &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
 		ln:   ln,
 	}
-	//balint:allow goleak Serve's accept loop is tied to DebugServer.Close: srv.Close closes the listener, Serve returns ErrServerClosed, and the obs callers defer Close on the same handle they got here
 	go s.srv.Serve(ln) //nolint:errcheck // Serve always returns ErrServerClosed after Close
 	return s, nil
 }

@@ -16,8 +16,7 @@
 // *Recorder itself are nil-safe: with telemetry off, instrumented code
 // holds nil handles and every operation returns after a single pointer
 // check — no allocation, no atomic, no clock read. The zero-allocation
-// property is pinned by TestDisabledOpsAllocFree and the
-// BenchmarkObsDisabled benchmark in the root package. Hot loops resolve
+// property is pinned by TestDisabledOpsAllocFree. Hot loops resolve
 // handles once, outside the loop:
 //
 //	rec := obs.From(ctx)               // nil when telemetry is off

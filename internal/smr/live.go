@@ -52,10 +52,9 @@ type Divergence struct {
 // safety (non-faulty replicas never diverge) checked at every commit,
 // liveness (slots keep committing, latency histogram) fed to obs.
 type LiveLog struct {
-	cfg    LiveConfig
-	queues [][]Command
+	queues
+	cfg LiveConfig
 
-	entries     []Entry
 	divergences []Divergence
 
 	commitsC   *obs.Counter
@@ -65,38 +64,21 @@ type LiveLog struct {
 
 // NewLive creates an empty live replicated log.
 func NewLive(cfg LiveConfig) (*LiveLog, error) {
-	switch {
-	case cfg.N < 2 || cfg.T < 0 || cfg.T >= cfg.N:
-		return nil, fmt.Errorf("smr: need 0 <= t < n, n >= 2 (n=%d t=%d)", cfg.N, cfg.T)
-	case cfg.Protocol == nil:
-		return nil, fmt.Errorf("smr: nil protocol constructor")
-	case cfg.Mesh == nil:
+	q, err := newQueues(cfg.N, cfg.T, cfg.Protocol)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Mesh == nil {
 		return nil, fmt.Errorf("smr: live log needs a mesh builder")
 	}
 	rec := obs.From(cfg.Ctx)
 	return &LiveLog{
+		queues:     q,
 		cfg:        cfg,
-		queues:     make([][]Command, cfg.N),
 		commitsC:   rec.Counter("smr_live_commits"),
 		divergedC:  rec.Counter("smr_live_divergences"),
 		commitHist: rec.Histogram("smr_commit_ns"),
 	}, nil
-}
-
-// Submit enqueues a command at one replica.
-func (l *LiveLog) Submit(replica proc.ID, cmd Command) error {
-	if replica < 0 || int(replica) >= l.cfg.N {
-		return fmt.Errorf("smr: unknown replica %v", replica)
-	}
-	l.queues[replica] = append(l.queues[replica], cmd)
-	return nil
-}
-
-// Entries returns the committed log.
-func (l *LiveLog) Entries() []Entry {
-	out := make([]Entry, len(l.entries))
-	copy(out, l.entries)
-	return out
 }
 
 // Divergences returns every safety violation the monitor recorded.
@@ -104,15 +86,6 @@ func (l *LiveLog) Divergences() []Divergence {
 	out := make([]Divergence, len(l.divergences))
 	copy(out, l.divergences)
 	return out
-}
-
-// Pending reports the number of commands still queued across replicas.
-func (l *LiveLog) Pending() int {
-	total := 0
-	for _, q := range l.queues {
-		total += len(q)
-	}
-	return total
 }
 
 // correct is the trusted set at a slot: everyone minus the faulty set.
@@ -140,14 +113,7 @@ func (l *LiveLog) CommitSlot() (Entry, error) {
 	}
 	slot := len(l.entries)
 	factory, rounds := l.cfg.Protocol(slot)
-	proposals := make([]msg.Value, l.cfg.N)
-	for i := range proposals {
-		if len(l.queues[i]) > 0 {
-			proposals[i] = l.queues[i][0]
-		} else {
-			proposals[i] = l.cfg.NoOp
-		}
-	}
+	proposals := l.proposals(l.cfg.NoOp)
 	eps, closeMesh, err := l.cfg.Mesh(slot)
 	if err != nil {
 		return Entry{}, fmt.Errorf("smr slot %d: mesh: %w", slot, err)
@@ -190,37 +156,19 @@ func (l *LiveLog) CommitSlot() (Entry, error) {
 		}
 	}
 
-	for i := range l.queues {
-		for j, cmd := range l.queues[i] {
-			if cmd == decision {
-				l.queues[i] = append(l.queues[i][:j], l.queues[i][j+1:]...)
-				break
-			}
-		}
-	}
 	sent := 0
 	for _, id := range correct.Members() {
 		sent += results[id].Sent
 	}
 	entry := Entry{Slot: slot, Command: decision, Messages: sent, Rounds: rounds}
-	l.entries = append(l.entries, entry)
+	l.commit(entry)
 	l.commitsC.Inc()
 	return entry, nil
 }
 
 // Drain commits slots until no commands are pending or maxSlots is
 // reached, returning the committed entries.
-func (l *LiveLog) Drain(maxSlots int) ([]Entry, error) {
-	var out []Entry
-	for len(out) < maxSlots && l.Pending() > 0 {
-		e, err := l.CommitSlot()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
+func (l *LiveLog) Drain(maxSlots int) ([]Entry, error) { return l.drain(maxSlots, l.CommitSlot) }
 
 // LatencyP50P99 reads the liveness monitor: the p50 and p99 commit
 // latencies in nanoseconds observed so far (zeros before any commit).

@@ -47,45 +47,17 @@ type Config struct {
 
 // Log is a deterministic replicated log driven by repeated agreement.
 type Log struct {
-	cfg     Config
-	queues  [][]Command
-	entries []Entry
+	queues
+	cfg Config
 }
 
 // New creates an empty replicated log with one command queue per replica.
 func New(cfg Config) (*Log, error) {
-	switch {
-	case cfg.N < 2 || cfg.T < 0 || cfg.T >= cfg.N:
-		return nil, fmt.Errorf("smr: need 0 <= t < n, n >= 2 (n=%d t=%d)", cfg.N, cfg.T)
-	case cfg.Protocol == nil:
-		return nil, fmt.Errorf("smr: nil protocol constructor")
+	q, err := newQueues(cfg.N, cfg.T, cfg.Protocol)
+	if err != nil {
+		return nil, err
 	}
-	return &Log{cfg: cfg, queues: make([][]Command, cfg.N)}, nil
-}
-
-// Submit enqueues a command at one replica (as if a client contacted it).
-func (l *Log) Submit(replica proc.ID, cmd Command) error {
-	if replica < 0 || int(replica) >= l.cfg.N {
-		return fmt.Errorf("smr: unknown replica %v", replica)
-	}
-	l.queues[replica] = append(l.queues[replica], cmd)
-	return nil
-}
-
-// Entries returns the committed log.
-func (l *Log) Entries() []Entry {
-	out := make([]Entry, len(l.entries))
-	copy(out, l.entries)
-	return out
-}
-
-// Pending reports the number of commands still queued across replicas.
-func (l *Log) Pending() int {
-	total := 0
-	for _, q := range l.queues {
-		total += len(q)
-	}
-	return total
+	return &Log{queues: q, cfg: cfg}, nil
 }
 
 // CommitSlot runs one agreement instance over the replicas' current queue
@@ -94,21 +66,13 @@ func (l *Log) Pending() int {
 func (l *Log) CommitSlot() (Entry, error) {
 	slot := len(l.entries)
 	factory, rounds := l.cfg.Protocol(slot)
-	proposals := make([]msg.Value, l.cfg.N)
-	for i := range proposals {
-		if len(l.queues[i]) > 0 {
-			proposals[i] = l.queues[i][0]
-		} else {
-			proposals[i] = l.cfg.NoOp
-		}
-	}
 	plan := sim.FaultPlan(sim.NoFaults{})
 	if l.cfg.Plan != nil {
 		if p := l.cfg.Plan(slot); p != nil {
 			plan = p
 		}
 	}
-	cfg := sim.Config{N: l.cfg.N, T: l.cfg.T, Proposals: proposals, MaxRounds: rounds + 2}
+	cfg := sim.Config{N: l.cfg.N, T: l.cfg.T, Proposals: l.proposals(l.cfg.NoOp), MaxRounds: rounds + 2}
 	exec, err := sim.Run(cfg, factory, plan)
 	if err != nil {
 		return Entry{}, fmt.Errorf("smr slot %d: %w", slot, err)
@@ -117,26 +81,94 @@ func (l *Log) CommitSlot() (Entry, error) {
 	if err != nil {
 		return Entry{}, fmt.Errorf("smr slot %d: %w", slot, err)
 	}
-	// Dequeue the committed command everywhere it is pending.
-	for i := range l.queues {
-		for j, cmd := range l.queues[i] {
-			if cmd == decision {
-				l.queues[i] = append(l.queues[i][:j], l.queues[i][j+1:]...)
-				break
-			}
-		}
-	}
 	entry := Entry{Slot: slot, Command: decision, Messages: exec.CorrectMessages(), Rounds: exec.Rounds}
-	l.entries = append(l.entries, entry)
+	l.commit(entry)
 	return entry, nil
 }
 
 // Drain commits slots until no commands are pending or maxSlots is
 // reached, returning the committed entries.
-func (l *Log) Drain(maxSlots int) ([]Entry, error) {
+func (l *Log) Drain(maxSlots int) ([]Entry, error) { return l.drain(maxSlots, l.CommitSlot) }
+
+// queues is the state both logs keep between slots: one queue of pending
+// commands per replica and the committed entries. Log and LiveLog embed
+// it and differ only in how a slot is decided (their CommitSlot).
+type queues struct {
+	pending [][]Command
+	entries []Entry
+}
+
+// newQueues validates what both configs carry — replica count, fault
+// bound, protocol constructor — and returns empty queues, one per replica.
+func newQueues(n, t int, protocol func(slot int) (sim.Factory, int)) (queues, error) {
+	switch {
+	case n < 2 || t < 0 || t >= n:
+		return queues{}, fmt.Errorf("smr: need 0 <= t < n, n >= 2 (n=%d t=%d)", n, t)
+	case protocol == nil:
+		return queues{}, fmt.Errorf("smr: nil protocol constructor")
+	}
+	return queues{pending: make([][]Command, n)}, nil
+}
+
+// Submit enqueues a command at one replica (as if a client contacted it).
+func (q *queues) Submit(replica proc.ID, cmd Command) error {
+	if replica < 0 || int(replica) >= len(q.pending) {
+		return fmt.Errorf("smr: unknown replica %v", replica)
+	}
+	q.pending[replica] = append(q.pending[replica], cmd)
+	return nil
+}
+
+// Entries returns the committed log.
+func (q *queues) Entries() []Entry {
+	out := make([]Entry, len(q.entries))
+	copy(out, q.entries)
+	return out
+}
+
+// Pending reports the number of commands still queued across replicas.
+func (q *queues) Pending() int {
+	total := 0
+	for _, p := range q.pending {
+		total += len(p)
+	}
+	return total
+}
+
+// proposals is what the replicas bring to the next slot: each one's queue
+// head, or noOp where the queue is empty.
+func (q *queues) proposals(noOp Command) []msg.Value {
+	out := make([]msg.Value, len(q.pending))
+	for i, p := range q.pending {
+		if len(p) > 0 {
+			out[i] = p[0]
+		} else {
+			out[i] = noOp
+		}
+	}
+	return out
+}
+
+// commit appends a decided slot and dequeues its command wherever it is
+// pending.
+func (q *queues) commit(e Entry) {
+	for i, p := range q.pending {
+		for j, cmd := range p {
+			if cmd == e.Command {
+				q.pending[i] = append(p[:j], p[j+1:]...)
+				break
+			}
+		}
+	}
+	q.entries = append(q.entries, e)
+}
+
+// drain calls commitSlot until no commands are pending or maxSlots is
+// reached, returning the committed entries.
+func (q *queues) drain(maxSlots int, commitSlot func() (Entry, error)) ([]Entry, error) {
 	var out []Entry
-	for len(out) < maxSlots && l.Pending() > 0 {
-		e, err := l.CommitSlot()
+	for len(out) < maxSlots && q.Pending() > 0 {
+		e, err := commitSlot()
 		if err != nil {
 			return out, err
 		}
