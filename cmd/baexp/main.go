@@ -751,7 +751,7 @@ func runLive(args []string) error {
 		return fmt.Errorf("agreement check: %w", err)
 	}
 	fmt.Printf("decision: %s over %s in %d rounds, %d messages total (t²/32 floor = %d)\n",
-		d, *over, rounds, total, (*t)*(*t)/32)
+		d, *over, rounds, total, lowerbound.Floor(*t))
 	if spec.Decode != nil {
 		decoded, derr := spec.Decode(d)
 		if derr != nil {

@@ -277,11 +277,11 @@ func TestSeedRangeNoPanic(t *testing.T) {
 
 // TestGoldenText pins the text rendering of the four campaign routes the
 // way the root golden_test.go pins the JSON: `-json` output is compared
-// between routes by the CI smokes, but nothing else holds the text. Lines
-// that state a fact of the machine or the schedule are dropped before the
-// comparison: the wall-clock line, and coord's header (how many in-process
-// workers had joined before a 48-probe hunt was over is a race). If a test
-// here fails because the rendering was changed on purpose, replace the
+// between routes by the CI smokes, but nothing else holds the text. The
+// one line that states facts of the machine and the schedule is dropped
+// before the comparison: the wall-clock line, which for coord also counts
+// the workers that had joined before the hunt was over. If a test here
+// fails because the rendering was changed on purpose, replace the
 // file with the bytes the failure prints.
 func TestGoldenText(t *testing.T) {
 	const hunt = "-proto floodset -n 8 -t 2 -strategy targeted-withhold -seeds 0:48 -shrink"
@@ -297,7 +297,7 @@ func TestGoldenText(t *testing.T) {
 		}
 		var got []byte
 		for _, line := range bytes.SplitAfter(stdout, []byte("\n")) {
-			if !bytes.Contains(line, []byte(" ms wall")) && !bytes.HasPrefix(line, []byte("coord ")) {
+			if !bytes.Contains(line, []byte(" ms wall")) {
 				got = append(got, line...)
 			}
 		}

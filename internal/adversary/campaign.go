@@ -469,15 +469,11 @@ type CampaignReport struct {
 func (r *CampaignReport) Broken() bool { return r.ViolationCount > 0 }
 
 func (c *Campaign) validate() error {
-	switch {
-	case c.Factory == nil:
-		return fmt.Errorf("campaign: nil factory")
-	case c.Strategy.Build == nil:
+	if err := c.Target.Err(); err != nil {
+		return fmt.Errorf("campaign: %w", err)
+	}
+	if c.Strategy.Build == nil {
 		return fmt.Errorf("campaign: strategy has no Build function")
-	case c.Rounds <= 0:
-		return fmt.Errorf("campaign: round bound must be positive, got %d", c.Rounds)
-	case c.N < 2 || c.T < 1 || c.T >= c.N:
-		return fmt.Errorf("campaign: need n >= 2 and 1 <= t < n, got n=%d t=%d", c.N, c.T)
 	}
 	if err := c.Seeds.Err(); err != nil {
 		return fmt.Errorf("campaign: %w", err)
@@ -485,43 +481,14 @@ func (c *Campaign) validate() error {
 	return nil
 }
 
-// defaultProposals is the generic seeded input generator: uniform random
-// bits, with one probe in four using the "lone dissenter" pattern (a
-// single process proposing the minority value) — the shape most splitting
-// attacks need.
-func defaultProposals(seed int64, env Env) []msg.Value {
-	r := NewStream(seed, "proposals")
-	out := make([]msg.Value, env.N)
-	if r.Intn(4) == 0 {
-		lone := r.Intn(env.N)
-		v := msg.Bit(r.Intn(2))
-		for i := range out {
-			if i == lone {
-				out[i] = v
-			} else {
-				out[i] = msg.FlipBit(v)
-			}
-		}
-		return out
-	}
-	for i := range out {
-		out[i] = msg.Bit(r.Intn(2))
-	}
-	return out
-}
-
+// proposalsFor resolves one seed's inputs: the campaign's override, when
+// set, stands in for the strategy's own generator.
 func (c *Campaign) proposalsFor(seed int64, env Env) []msg.Value {
-	var out []msg.Value
-	switch {
-	case c.Proposals != nil:
-		out = c.Proposals(seed, env)
-	case c.Strategy.Proposals != nil:
-		out = c.Strategy.Proposals(seed, env)
+	s := c.Strategy
+	if c.Proposals != nil {
+		s.Proposals = c.Proposals
 	}
-	if len(out) != env.N {
-		return defaultProposals(seed, env)
-	}
-	return out
+	return s.ProposalsFor(seed, env)
 }
 
 // probeResult is one seed's deterministic outcome.
@@ -557,18 +524,8 @@ func (c *Campaign) Run() (*CampaignReport, error) {
 		return nil, err
 	}
 
-	report := &CampaignReport{
-		StreamVersion: StreamVersion,
-		Protocol:      c.Protocol,
-		Strategy:      c.Strategy.Name,
-		N:             c.N,
-		T:             c.T,
-		Rounds:        c.Rounds,
-		Horizon:       env.Horizon,
-		Seeds:         c.Seeds,
-		Probes:        len(results),
-		Workers:       workers,
-	}
+	report := c.newReport()
+	report.Probes, report.Workers = len(results), workers
 	messages := make([]int, 0, len(results))
 	rounds := make([]int, 0, len(results))
 	for i, res := range results {
@@ -605,6 +562,49 @@ func (c *Campaign) Run() (*CampaignReport, error) {
 			"first_violation_probe", report.FirstViolationProbe)
 	}
 	return report, nil
+}
+
+// newReport is the header every report of this campaign starts from.
+func (c *Campaign) newReport() *CampaignReport {
+	return &CampaignReport{
+		StreamVersion: StreamVersion,
+		Protocol:      c.Protocol,
+		Strategy:      c.Strategy.Name,
+		N:             c.N,
+		T:             c.T,
+		Rounds:        c.Rounds,
+		Horizon:       c.Env().Horizon,
+		Seeds:         c.Seeds,
+	}
+}
+
+// Merge folds the reports of sub-campaigns over consecutive pieces of
+// c.Seeds, in ascending seed order, into the report Run produces over the
+// whole range (before shrinking, which runs once, on the merged report).
+// It works because each sub-campaign records up to the same MaxViolations
+// cap: the global first-K violations are a prefix of the concatenated
+// per-piece first-K lists, a first-violation index shifts by the probes
+// of the pieces before it, and exact-value histograms merge losslessly.
+// A nil entry is a piece nobody probed; its probes are simply missing.
+func (c *Campaign) Merge(subs []*CampaignReport) *CampaignReport {
+	report := c.newReport()
+	for _, sub := range subs {
+		if sub == nil {
+			continue
+		}
+		if report.FirstViolationProbe == 0 && sub.FirstViolationProbe > 0 {
+			report.FirstViolationProbe = report.Probes + sub.FirstViolationProbe
+		}
+		report.ViolationCount += sub.ViolationCount
+		report.Violations = append(report.Violations, sub.Violations...)
+		report.Probes += sub.Probes
+		report.Messages = report.Messages.Merge(sub.Messages)
+		report.RoundsHist = report.RoundsHist.Merge(sub.RoundsHist)
+	}
+	if c.MaxViolations > 0 && len(report.Violations) > c.MaxViolations {
+		report.Violations = report.Violations[:c.MaxViolations]
+	}
+	return report
 }
 
 // RecheckOptions returns the configuration for independently re-checking

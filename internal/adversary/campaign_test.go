@@ -365,3 +365,45 @@ func TestHistogramMerge(t *testing.T) {
 		t.Fatalf("Merge(empty) = %+v", m)
 	}
 }
+
+// TestMergeMatchesRun holds Merge to the serial reference: the
+// Seeds.Split(k) sub-campaign reports fold to the bytes Run produces over
+// the whole range, with and without a violation cap, and a nil entry
+// drops exactly that piece's probes. The dist tests hold the same
+// identity, through TCP.
+func TestMergeMatchesRun(t *testing.T) {
+	for _, maxViolations := range []int{0, 3} {
+		c := floodsetCampaign(1)
+		c.Seeds, c.Shrink, c.MaxViolations = SeedRange{From: 0, To: 96}, false, maxViolations
+		whole, err := c.Run()
+		if err != nil || !whole.Broken() {
+			t.Fatalf("the reference hunt must find the split: %v", err)
+		}
+		want, _ := json.Marshal(whole)
+		for _, k := range []int{1, 2, 5, 16} {
+			var subs []*CampaignReport
+			for _, part := range c.Seeds.Split(k) {
+				sub := *c
+				sub.Seeds = part
+				rep, err := sub.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				subs = append(subs, rep)
+			}
+			if got, _ := json.Marshal(c.Merge(subs)); !bytes.Equal(got, want) {
+				t.Errorf("cap %d, %d pieces: Merge = %s\nRun = %s", maxViolations, k, got, want)
+			}
+			if k < 2 {
+				continue
+			}
+			dropped := subs[1]
+			subs[1] = nil
+			got := c.Merge(subs)
+			if got.Probes != whole.Probes-dropped.Probes || got.ViolationCount != whole.ViolationCount-dropped.ViolationCount {
+				t.Errorf("cap %d, %d pieces, piece 1 missing: %d probes and %d violations, want %d and %d", maxViolations, k,
+					got.Probes, got.ViolationCount, whole.Probes-dropped.Probes, whole.ViolationCount-dropped.ViolationCount)
+			}
+		}
+	}
+}

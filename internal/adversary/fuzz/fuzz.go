@@ -28,7 +28,6 @@ import (
 
 	"expensive/internal/adversary"
 	"expensive/internal/experiments/runner"
-	"expensive/internal/msg"
 	"expensive/internal/obs"
 	"expensive/internal/sim"
 )
@@ -151,13 +150,10 @@ type Report struct {
 func (r *Report) Broken() bool { return r.ViolationCount > 0 }
 
 func (f *Fuzzer) validate() error {
+	if err := f.Target.Err(); err != nil {
+		return fmt.Errorf("fuzz: %w", err)
+	}
 	switch {
-	case f.Factory == nil:
-		return fmt.Errorf("fuzz: nil factory")
-	case f.Rounds <= 0:
-		return fmt.Errorf("fuzz: round bound must be positive, got %d", f.Rounds)
-	case f.N < 2 || f.T < 1 || f.T >= f.N:
-		return fmt.Errorf("fuzz: need n >= 2 and 1 <= t < n, got n=%d t=%d", f.N, f.T)
 	case f.Budget <= 0:
 		return fmt.Errorf("fuzz: probe budget must be positive, got %d", f.Budget)
 	case f.Seed.Build == nil && (f.Corpus == nil || f.Corpus.Size() == 0):
@@ -286,7 +282,7 @@ func (f *Fuzzer) seedProbe(i int, env adversary.Env, fo fuzzObs) (Outcome, error
 		fo.probes.Inc()
 	}()
 	seed := adversary.SubSeed(f.FuzzSeed, fmt.Sprintf("seed|%d", i))
-	proposals := f.seedProposals(seed, env)
+	proposals := f.Seed.ProposalsFor(seed, env)
 	e, ep, v, err := f.Evidence(env, f.Seed.Build(seed, env), proposals)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("seed probe %d: %w", i, err)
@@ -296,20 +292,6 @@ func (f *Fuzzer) seedProbe(i int, env adversary.Env, fo fuzzObs) (Outcome, error
 		out.Cand = &Candidate{Plan: *ep, Proposals: proposals, Parent: -1, Op: "seed"}
 	}
 	return out, nil
-}
-
-// seedProposals resolves a seed probe's input configuration: the seed
-// strategy's own generator when it has one, else the generic seeded
-// pattern (random bits with an occasional lone dissenter).
-func (f *Fuzzer) seedProposals(seed int64, env adversary.Env) []msg.Value {
-	if f.Seed.Proposals != nil {
-		if out := f.Seed.Proposals(seed, env); len(out) == env.N {
-			return out
-		}
-	}
-	m := mutator{n: f.N, t: f.T, horizon: env.Horizon}
-	r := adversary.NewStream(seed, "proposals")
-	return m.reseedProposals(&r)
 }
 
 // mutantProbe runs one mutated candidate through Target.Probe: the lean

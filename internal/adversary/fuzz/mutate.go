@@ -69,7 +69,7 @@ func pickParent(r *adversary.Stream, corpus *Corpus) *Entry {
 func (m mutator) mutate(r *adversary.Stream, corpus *Corpus) Candidate {
 	parent := pickParent(r, corpus)
 	c := Candidate{
-		Plan:      clonePlan(parent.Plan),
+		Plan:      parent.Plan.Clone(),
 		Proposals: append([]msg.Value(nil), parent.Proposals...),
 		Parent:    parent.ID,
 	}
@@ -105,20 +105,10 @@ func (m mutator) mutate(r *adversary.Stream, corpus *Corpus) Candidate {
 		other := corpus.Entries[r.Intn(len(corpus.Entries))]
 		m.crossover(r, &c.Plan, &other.Plan)
 	case "reseed-proposals":
-		c.Proposals = m.reseedProposals(r)
+		c.Proposals = adversary.DrawProposals(r, m.n)
 	}
 	m.normalize(&c.Plan)
 	return c
-}
-
-// clonePlan deep-copies a plan so mutations never alias corpus entries.
-func clonePlan(p adversary.ExplicitPlan) adversary.ExplicitPlan {
-	return adversary.ExplicitPlan{
-		Faulty:      append([]proc.ID(nil), p.Faulty...),
-		SendOmit:    append([]msg.Key(nil), p.SendOmit...),
-		ReceiveOmit: append([]msg.Key(nil), p.ReceiveOmit...),
-		Byzantine:   append([]adversary.ByzEntry(nil), p.Byzantine...),
-	}
 }
 
 // faultyFor returns the faulty process an omission should hang off:
@@ -304,40 +294,6 @@ func (m mutator) crossover(_ *adversary.Stream, p, other *adversary.ExplicitPlan
 	}
 }
 
-// reseedProposals draws a fresh input configuration: uniform random bits,
-// with one candidate in four using the lone-dissenter pattern splitting
-// attacks need.
-func (m mutator) reseedProposals(r *adversary.Stream) []msg.Value {
-	out := make([]msg.Value, m.n)
-	if r.Intn(4) == 0 {
-		lone := r.Intn(m.n)
-		v := msg.Bit(r.Intn(2))
-		for i := range out {
-			if i == lone {
-				out[i] = v
-			} else {
-				out[i] = msg.FlipBit(v)
-			}
-		}
-		return out
-	}
-	for i := range out {
-		out[i] = msg.Bit(r.Intn(2))
-	}
-	return out
-}
-
-// keyLess orders message identities (round, sender, receiver).
-func keyLess(a, b msg.Key) int {
-	if a.Round != b.Round {
-		return a.Round - b.Round
-	}
-	if a.Sender != b.Sender {
-		return int(a.Sender) - int(b.Sender)
-	}
-	return int(a.Receiver) - int(b.Receiver)
-}
-
 // normalize restores the plan invariants the engine enforces and the
 // canonical element order the corpus encoding depends on: the corrupted
 // set is sorted, deduplicated and truncated to the fault budget; every
@@ -362,10 +318,10 @@ func (m mutator) normalize(p *adversary.ExplicitPlan) {
 			k.Sender != k.Receiver && fset.Contains(faultySide)
 	}
 	p.SendOmit = slices.DeleteFunc(p.SendOmit, func(k msg.Key) bool { return !keep(k, k.Sender) })
-	slices.SortFunc(p.SendOmit, keyLess)
+	slices.SortFunc(p.SendOmit, msg.Key.Compare)
 	p.SendOmit = slices.Compact(p.SendOmit)
 	p.ReceiveOmit = slices.DeleteFunc(p.ReceiveOmit, func(k msg.Key) bool { return !keep(k, k.Receiver) })
-	slices.SortFunc(p.ReceiveOmit, keyLess)
+	slices.SortFunc(p.ReceiveOmit, msg.Key.Compare)
 	p.ReceiveOmit = slices.Compact(p.ReceiveOmit)
 
 	p.Byzantine = slices.DeleteFunc(p.Byzantine, func(e adversary.ByzEntry) bool { return !fset.Contains(e.ID) })

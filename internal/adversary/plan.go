@@ -33,23 +33,9 @@ func (p *ExplicitPlan) String() string {
 		len(p.Faulty), len(p.SendOmit), len(p.ReceiveOmit), len(p.Byzantine))
 }
 
-// sortKeys orders message identities deterministically (round, sender,
-// receiver), in place, and returns them.
-func sortKeys(ks []msg.Key) []msg.Key {
-	slices.SortFunc(ks, func(a, b msg.Key) int {
-		if a.Round != b.Round {
-			return a.Round - b.Round
-		}
-		if a.Sender != b.Sender {
-			return int(a.Sender) - int(b.Sender)
-		}
-		return int(a.Receiver) - int(b.Receiver)
-	})
-	return ks
-}
-
-// clone deep-copies the plan so shrink candidates never alias.
-func (p *ExplicitPlan) clone() ExplicitPlan {
+// Clone deep-copies the plan so shrink candidates and fuzz mutants never
+// alias the plan they were derived from.
+func (p *ExplicitPlan) Clone() ExplicitPlan {
 	return ExplicitPlan{
 		Faulty:      append([]proc.ID(nil), p.Faulty...),
 		SendOmit:    append([]msg.Key(nil), p.SendOmit...),
@@ -88,14 +74,14 @@ func (p *ExplicitPlan) withoutProc(id proc.ID) ExplicitPlan {
 
 // withoutSendOmit returns the plan minus one send-omitted identity.
 func (p *ExplicitPlan) withoutSendOmit(i int) ExplicitPlan {
-	out := p.clone()
+	out := p.Clone()
 	out.SendOmit = append(out.SendOmit[:i:i], out.SendOmit[i+1:]...)
 	return out
 }
 
 // withoutReceiveOmit returns the plan minus one receive-omitted identity.
 func (p *ExplicitPlan) withoutReceiveOmit(i int) ExplicitPlan {
-	out := p.clone()
+	out := p.Clone()
 	out.ReceiveOmit = append(out.ReceiveOmit[:i:i], out.ReceiveOmit[i+1:]...)
 	return out
 }
@@ -195,8 +181,8 @@ func Extract(e *sim.Execution, plan sim.FaultPlan) (*ExplicitPlan, error) {
 			}
 		}
 	}
-	sortKeys(out.SendOmit)
-	sortKeys(out.ReceiveOmit)
+	slices.SortFunc(out.SendOmit, msg.Key.Compare)
+	slices.SortFunc(out.ReceiveOmit, msg.Key.Compare)
 
 	specs := make(map[proc.ID]MachineSpec)
 	for _, entry := range specsOf(plan) {

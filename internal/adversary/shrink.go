@@ -184,7 +184,7 @@ func Shrink(v *Violation, opts ShrinkOptions) (*ShrinkResult, error) {
 	}
 	s := &shrinker{
 		cur:       opts.Target,
-		plan:      v.Plan.clone(),
+		plan:      v.Plan.Clone(),
 		proposals: append([]msg.Value(nil), v.Proposals...),
 		obsSteps:  opts.Obs.Counter("shrink_steps"),
 		sink:      opts.Obs.Sink(),

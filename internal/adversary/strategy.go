@@ -36,6 +36,38 @@ type Strategy struct {
 	Proposals func(seed int64, env Env) []msg.Value
 }
 
+// DrawProposals is the generic input generator: uniform random bits, with
+// one draw in four using the "lone dissenter" pattern (a single process
+// proposing the minority value) — the shape most splitting attacks need.
+// The draw sequence is part of the stream contract (StreamVersion).
+func DrawProposals(r *Stream, n int) []msg.Value {
+	if r.Intn(4) == 0 {
+		lone := r.Intn(n)
+		v := msg.Bit(r.Intn(2))
+		out := msg.Uniform(n, msg.FlipBit(v))
+		out[lone] = v
+		return out
+	}
+	out := make([]msg.Value, n)
+	for i := range out {
+		out[i] = msg.Bit(r.Intn(2))
+	}
+	return out
+}
+
+// ProposalsFor is the input configuration of the seed's probe: the
+// strategy's own generator when it yields env.N values, else
+// DrawProposals on the seed's "proposals" stream.
+func (s Strategy) ProposalsFor(seed int64, env Env) []msg.Value {
+	if s.Proposals != nil {
+		if out := s.Proposals(seed, env); len(out) == env.N {
+			return out
+		}
+	}
+	r := NewStream(seed, "proposals")
+	return DrawProposals(&r, env.N)
+}
+
 // randomFaulty draws a non-empty random subset of at most t processes
 // (empty when the budget t is zero, as happens under Union sub-budgets).
 func randomFaulty(r *Stream, n, t int) proc.Set {
@@ -162,10 +194,7 @@ func TargetedWithhold() Strategy {
 		},
 		Proposals: func(seed int64, env Env) []msg.Value {
 			attacker, _, _ := targetParams(seed, env)
-			out := make([]msg.Value, env.N)
-			for i := range out {
-				out[i] = msg.One
-			}
+			out := msg.Uniform(env.N, msg.One)
 			out[attacker] = msg.Zero
 			return out
 		},

@@ -20,7 +20,7 @@ type Target struct {
 	Factory sim.Factory
 	Rounds  int
 	N, T    int
-	// Horizon overrides the probe execution length (default Rounds+2).
+	// Horizon overrides the probe execution length (default sim.Horizon(Rounds)).
 	Horizon int
 	// Validity is the optional validity property checked after Termination
 	// and Agreement.
@@ -33,21 +33,33 @@ type Target struct {
 	New func(n, t int) (sim.Factory, int, error)
 }
 
-// Env resolves the probe environment strategies build plans for; the
-// default horizon is applied here and nowhere else.
+// Err reports the first required field — factory, round bound, system
+// size — that is missing or out of range.
+func (t *Target) Err() error {
+	switch {
+	case t.Factory == nil:
+		return fmt.Errorf("nil factory")
+	case t.Rounds <= 0:
+		return fmt.Errorf("round bound must be positive, got %d", t.Rounds)
+	case t.N < 2 || t.T < 1 || t.T >= t.N:
+		return fmt.Errorf("need n >= 2 and 1 <= t < n, got n=%d t=%d", t.N, t.T)
+	}
+	return nil
+}
+
+// Env resolves the probe environment strategies build plans for; an unset
+// horizon defaults to sim.Horizon of the round bound.
 func (t *Target) Env() Env {
 	horizon := t.Horizon
 	if horizon <= 0 {
-		horizon = t.Rounds + 2
+		horizon = sim.Horizon(t.Rounds)
 	}
 	return Env{N: t.N, T: t.T, Rounds: t.Rounds, Horizon: horizon, Factory: t.Factory}
 }
 
-// Replay is the evidence standard. It runs the plan at sim.RecordFull and
-// holds the trace to the five Appendix A.1.6 guarantees, the fault budget
-// and machine conformance — every honest machine re-executed against its
-// recorded inputs, Byzantine replacements skipped — before reading the
-// verdict (nil when every property holds) off the validated trace. An
+// Replay runs the plan at sim.RecordFull and holds the trace to the
+// evidence standard, omission.Certify (Byzantine replacements skipped),
+// before reading the verdict (nil when every property holds) off it. An
 // error is a harness failure: an engine or protocol-determinism bug,
 // never a protocol-property violation. The plan must be freshly built:
 // Byzantine machines are stateful.
@@ -58,15 +70,8 @@ func (t *Target) Replay(env Env, plan sim.FaultPlan, proposals []msg.Value) (*si
 		return nil, nil, err
 	}
 	//balint:allow leantier the run above records at sim.RecordFull
-	if err := omission.Validate(e); err != nil {
-		return nil, nil, fmt.Errorf("invalid trace: %w", err)
-	}
-	if e.Faulty.Len() > env.T {
-		return nil, nil, fmt.Errorf("%d faulty processes exceed t=%d", e.Faulty.Len(), env.T)
-	}
-	//balint:allow leantier the run above records at sim.RecordFull
-	if err := sim.Conforms(e, env.Factory, ByzantineSkip(plan, e.Faulty)); err != nil {
-		return nil, nil, fmt.Errorf("conformance: %w", err)
+	if err := omission.Certify(e, env.Factory, ByzantineSkip(plan, e.Faulty)); err != nil {
+		return nil, nil, err
 	}
 	v := CheckExecution(e, proposals, t.Validity, t.Agreement)
 	if v != nil {

@@ -37,6 +37,7 @@ var Analyzer = &analysis.Analyzer{
 var sinks = map[string]bool{
 	"expensive/internal/sim.Conforms":                      true,
 	"expensive/internal/omission.Validate":                 true,
+	"expensive/internal/omission.Certify":                  true,
 	"(*expensive/internal/sim.Behavior).AllSent":           true,
 	"(*expensive/internal/sim.Behavior).AllSendOmitted":    true,
 	"(*expensive/internal/sim.Behavior).AllReceiveOmitted": true,

@@ -73,7 +73,8 @@ func TestKillRestartSchedule(t *testing.T) {
 	}
 	defer h.Stop()
 	deadline := time.Now().Add(10 * time.Second)
-	for h.Kills() < 3 && time.Now().Before(deadline) {
+	// A kill is counted before its respawn finishes: wait for both.
+	for (h.Kills() < 3 || h.Restarts() < 3) && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if h.Kills() != 3 || h.Restarts() != 3 {

@@ -37,7 +37,8 @@ type Report struct {
 	// Corpus is the merged fuzz corpus (fuzz kind only).
 	Corpus *fuzz.Corpus `json:"-"`
 	// Units counts completed work units; Reassigned the units re-issued
-	// after a worker death; Workers the distinct workers that joined.
+	// after a worker death; Workers the distinct workers that had joined
+	// by the time the last unit folded — a fact of the schedule.
 	Units      int `json:"-"`
 	Reassigned int `json:"-"`
 	Workers    int `json:"-"`
@@ -84,7 +85,7 @@ type Coordinator struct {
 	// negative means unlimited retries.
 	RetryBudget int
 	// LocalWorkers forks that many in-process workers connected over
-	// loopback TCP — the `-workers N` convenience mode. Zero means only
+	// loopback TCP — `baexp coord -inproc N`. Zero means only
 	// external workers probe.
 	LocalWorkers int
 	// WorkerParallelism is passed to local workers (<= 0 means NumCPU).
@@ -193,8 +194,8 @@ func (c *Coordinator) Run() (*Report, error) {
 		cp.Units = make(map[int]*Result)
 	}
 
-	// The -workers N convenience mode: in-process workers over loopback
-	// TCP, exercising the identical wire path as external processes.
+	// The -inproc N mode: in-process workers over loopback TCP,
+	// exercising the identical wire path as external processes.
 	for i := 0; i < c.LocalWorkers; i++ {
 		w := &Worker{
 			Addr:        c.ListenAddr(),

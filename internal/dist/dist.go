@@ -138,12 +138,25 @@ type MatrixJob struct {
 
 // normalize fills job defaults in place (idempotent).
 func (j *Job) normalize() {
-	if j.Hunt != nil && j.Hunt.Units <= 0 {
+	if j.Hunt != nil && j.Hunt.Units == 0 {
 		j.Hunt.Units = 16
 	}
-	if j.Fuzz != nil && j.Fuzz.Batch <= 0 {
+	if j.Fuzz != nil && j.Fuzz.Batch == 0 {
 		j.Fuzz.Batch = 16
 	}
+}
+
+// nonNegative refuses a negative job size, sizes[i] being named names[i].
+// Zero is how a job says "the default", and the engines read every value
+// <= 0 that way — so a negative one, from a flag or off the wire, would
+// quietly run the default.
+func nonNegative(kind string, names []string, sizes ...int) error {
+	for i, v := range sizes {
+		if v < 0 {
+			return fmt.Errorf("dist: %s job: %s must be >= 0, got %d", kind, names[i], v)
+		}
+	}
+	return nil
 }
 
 // engines is what a valid job builds: exactly one field is set.
@@ -205,6 +218,9 @@ func strategyFor(id string, bias int) (adversary.Named, error) {
 // to an adversary.Campaign; callers add what is theirs rather than the
 // campaign's (Ctx, Parallelism, a unit's sub-range).
 func (j *HuntJob) Campaign() (*adversary.Campaign, error) {
+	if err := nonNegative("hunt", []string{"units", "max violations"}, j.Units, j.MaxViolations); err != nil {
+		return nil, err
+	}
 	if err := j.Seeds.Err(); err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
@@ -230,6 +246,10 @@ func (j *HuntJob) Campaign() (*adversary.Campaign, error) {
 // field of the job applied; the only route from a FuzzJob to a
 // fuzz.Fuzzer. An empty SeedStrategy keeps the fuzzer's default seeding.
 func (j *FuzzJob) Fuzzer() (*fuzz.Fuzzer, error) {
+	if err := nonNegative("fuzz", []string{"seed probes", "generation size", "batch", "horizon", "max violations"},
+		j.SeedProbes, j.GenSize, j.Batch, j.Horizon, j.MaxViolations); err != nil {
+		return nil, err
+	}
 	if j.Budget <= 0 {
 		return nil, fmt.Errorf("dist: fuzz budget must be positive, got %d", j.Budget)
 	}
@@ -262,6 +282,9 @@ func (j *FuzzJob) Fuzzer() (*fuzz.Fuzzer, error) {
 // MatrixJob to a matrix.Matrix; the worker executor probes single cells
 // out of the same resolved headers.
 func (j *MatrixJob) Matrix() (*matrix.Matrix, error) {
+	if err := nonNegative("matrix", []string{"max violations"}, j.MaxViolations); err != nil {
+		return nil, err
+	}
 	if len(j.Protocols) == 0 || len(j.Strategies) == 0 || len(j.Sizes) == 0 {
 		return nil, fmt.Errorf("dist: matrix job needs protocols, strategies and sizes")
 	}

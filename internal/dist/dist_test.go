@@ -381,6 +381,30 @@ func TestDistJobValidation(t *testing.T) {
 			t.Errorf("job %d validated; want error", i)
 		}
 	}
+
+	// A negative size is refused, not read as "unset" — before or after
+	// normalize, which is the order the coordinator and the workers use.
+	for _, tc := range []struct {
+		job  func() *Job
+		want string
+		set  func(*Job)
+	}{
+		{huntJob, "hunt job: units must be >= 0, got -3", func(j *Job) { j.Hunt.Units = -3 }},
+		{huntJob, "hunt job: max violations must be >= 0, got -1", func(j *Job) { j.Hunt.MaxViolations = -1 }},
+		{fuzzJob, "fuzz job: seed probes must be >= 0, got -2", func(j *Job) { j.Fuzz.SeedProbes = -2 }},
+		{fuzzJob, "fuzz job: generation size must be >= 0, got -5", func(j *Job) { j.Fuzz.GenSize = -5 }},
+		{fuzzJob, "fuzz job: batch must be >= 0, got -1", func(j *Job) { j.Fuzz.Batch = -1 }},
+		{fuzzJob, "fuzz job: horizon must be >= 0, got -4", func(j *Job) { j.Fuzz.Horizon = -4 }},
+		{fuzzJob, "fuzz job: max violations must be >= 0, got -1", func(j *Job) { j.Fuzz.MaxViolations = -1 }},
+		{matrixJob, "matrix job: max violations must be >= 0, got -1", func(j *Job) { j.Matrix.MaxViolations = -1 }},
+	} {
+		j := tc.job()
+		tc.set(j)
+		j.normalize()
+		if _, err := j.build(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("got %v, want %q", err, tc.want)
+		}
+	}
 	good := huntJob()
 	good.normalize()
 	if _, err := good.build(); err != nil {

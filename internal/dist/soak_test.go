@@ -28,7 +28,11 @@ func serialHuntJSON(t *testing.T, job *Job) []byte {
 }
 
 // joinFake dials the coordinator and handshakes as a hand-driven worker,
-// returning its connection and the job it was shipped.
+// returning its connection and the job it was shipped. It is called
+// between Start and Run by tests that need the fake to join first, and
+// the coordinator replies before it queues the join, so it returns only
+// once the join is queued: otherwise a local worker can finish a short
+// campaign before the fake exists.
 func joinFake(t *testing.T, c *Coordinator, name string) (*Conn, *Job) {
 	t.Helper()
 	conn, err := Dial(c.ListenAddr(), 3, 10*time.Millisecond)
@@ -42,6 +46,11 @@ func joinFake(t *testing.T, c *Coordinator, name string) (*Conn, *Job) {
 	m, err := conn.Recv(5 * time.Second)
 	if err != nil || m.Kind != MsgJob {
 		t.Fatalf("handshake: %v (%+v)", err, m)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(c.sched.events) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("join never queued")
+		}
 	}
 	return conn, m.Job
 }

@@ -106,49 +106,19 @@ func batchUnits(g *fuzz.Generation, size int, nextID *int) []*Unit {
 	return units
 }
 
-// mergeHunt folds per-unit campaign sub-reports (unit order = ascending
-// seed order) into the report a single-process campaign over the full
-// range produces. The merge works because sub-campaigns record up to the
-// same MaxViolations cap the merged report enforces: the global first-K
-// violations are a prefix-selection of the concatenated per-unit
-// first-K lists, first-violation indices shift by the probe count of the
-// preceding units, and exact-value histograms merge losslessly.
-// Shrinking is the caller's job (it runs once, on the merged report).
-//
-// quarantined marks units abandoned after exhausting their retry budget:
-// their nil results are skipped instead of erred on, degrading the report
-// (those probes are simply missing, and Report.Quarantined says so)
-// rather than failing the whole campaign.
+// mergeHunt hands the per-unit sub-reports (unit order = ascending seed
+// order) to Campaign.Merge. What it decides itself is what a missing
+// result means: a unit quarantined after exhausting its retry budget
+// degrades the report — its probes are simply missing, and
+// Report.Quarantined says so — while any other gap fails the campaign.
 func mergeHunt(c *adversary.Campaign, results []*Result, quarantined map[int]bool) (*adversary.CampaignReport, error) {
-	report := &adversary.CampaignReport{
-		StreamVersion: adversary.StreamVersion,
-		Protocol:      c.Protocol,
-		Strategy:      c.Strategy.Name,
-		N:             c.N,
-		T:             c.T,
-		Rounds:        c.Rounds,
-		Horizon:       c.Env().Horizon,
-		Seeds:         c.Seeds,
-	}
+	subs := make([]*adversary.CampaignReport, len(results))
 	for i, r := range results {
-		if r == nil || r.Hunt == nil {
-			if quarantined[i] {
-				continue // abandoned unit: its seeds go unprobed, reported via Quarantined
-			}
+		if r != nil && r.Hunt != nil {
+			subs[i] = r.Hunt
+		} else if !quarantined[i] {
 			return nil, fmt.Errorf("dist: merge: missing hunt result for unit %d", i)
 		}
-		sub := r.Hunt
-		if report.FirstViolationProbe == 0 && sub.FirstViolationProbe > 0 {
-			report.FirstViolationProbe = report.Probes + sub.FirstViolationProbe
-		}
-		report.ViolationCount += sub.ViolationCount
-		report.Violations = append(report.Violations, sub.Violations...)
-		report.Probes += sub.Probes
-		report.Messages = report.Messages.Merge(sub.Messages)
-		report.RoundsHist = report.RoundsHist.Merge(sub.RoundsHist)
 	}
-	if c.MaxViolations > 0 && len(report.Violations) > c.MaxViolations {
-		report.Violations = report.Violations[:c.MaxViolations]
-	}
-	return report, nil
+	return c.Merge(subs), nil
 }

@@ -154,11 +154,7 @@ func E2(n, t, isolateAt int) (*Table, error) {
 		return nil, err
 	}
 	horizon := isolateAt + 5
-	uniform := make([]msg.Value, n)
-	for i := range uniform {
-		uniform[i] = msg.Zero
-	}
-	e0, err := sim.Run(sim.Config{N: n, T: t, Proposals: uniform, MaxRounds: horizon, DisableEarlyStop: true}, factory, sim.NoFaults{})
+	e0, err := sim.Run(sim.Config{N: n, T: t, Proposals: msg.Uniform(n, msg.Zero), MaxRounds: horizon, DisableEarlyStop: true}, factory, sim.NoFaults{})
 	if err != nil {
 		return nil, err
 	}

@@ -21,11 +21,8 @@ import (
 // omission-faulty process, while the Byzantine-tolerant Phase-King (a
 // fortiori omission-tolerant) survives the same attack.
 func E10(n, t int) (*Table, error) {
-	proposals := make([]msg.Value, n)
+	proposals := msg.Uniform(n, msg.One)
 	proposals[0] = msg.Zero
-	for i := 1; i < n; i++ {
-		proposals[i] = msg.One
-	}
 	correct := proc.Range(1, proc.ID(n))
 
 	type trial struct {
@@ -55,7 +52,7 @@ func E10(n, t int) (*Table, error) {
 	tolerates := map[string]string{"floodset": "crash", "phase-king": "byzantine (n > 4t)"}
 	for _, tr := range trials {
 		// Each trial reads only the correct group's common decision — lean tier.
-		cfg := sim.Config{N: n, T: t, Proposals: proposals, MaxRounds: tr.rounds + 2, Recording: sim.RecordDecisions}
+		cfg := sim.Config{N: n, T: t, Proposals: proposals, MaxRounds: sim.Horizon(tr.rounds), Recording: sim.RecordDecisions}
 		e, err := sim.Run(cfg, tr.factory, tr.plan)
 		if err != nil {
 			return nil, fmt.Errorf("E10 %s/%s: %w", tr.protocol, tr.model, err)
@@ -176,11 +173,7 @@ func E11() (*Table, error) {
 	for i, noRelay := range []bool{true, false} {
 		cfg := dolevstrong.Config{N: 7, T: 2, Sender: 0, Scheme: scheme, Tag: "bb", Default: "⊥", UnsafeNoRelay: noRelay}
 		adv := sim.ByzantinePlan{Machines: map[proc.ID]sim.Machine{0: &dsEquivocator{cfg: cfg, signer: scheme}}}
-		proposals := make([]msg.Value, 7)
-		for j := range proposals {
-			proposals[j] = "x"
-		}
-		e, err := sim.Run(sim.Config{N: 7, T: 2, Proposals: proposals, MaxRounds: dolevstrong.RoundBound(2) + 1, Recording: sim.RecordDecisions},
+		e, err := sim.Run(sim.Config{N: 7, T: 2, Proposals: msg.Uniform(7, "x"), MaxRounds: dolevstrong.RoundBound(2) + 1, Recording: sim.RecordDecisions},
 			dolevstrong.New(cfg), adv)
 		if err != nil {
 			return nil, err
@@ -226,7 +219,7 @@ func E11() (*Table, error) {
 	pk := phaseking.New(phaseking.Config{N: 5, T: 1})
 	zeros := []msg.Value{"0", "0", "0", "0", "0"}
 	ones := []msg.Value{"1", "1", "1", "1", "1"}
-	goodSpec, err := reduction.DeriveAlg1(pk, 5, 1, phaseking.RoundBound(1)+2, zeros, ones)
+	goodSpec, err := reduction.DeriveAlg1(pk, 5, 1, sim.Horizon(phaseking.RoundBound(1)), zeros, ones)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +227,7 @@ func E11() (*Table, error) {
 	badSpec.C1 = zeros // the ablation: c1 no longer contains a config excluding v0
 	for i, spec := range []reduction.Alg1Spec{badSpec, goodSpec} {
 		wrapped := reduction.WeakFromAgreement(pk, spec)
-		e, err := sim.Run(sim.Config{N: 5, T: 1, Proposals: ones, MaxRounds: phaseking.RoundBound(1) + 2, Recording: sim.RecordDecisions},
+		e, err := sim.Run(sim.Config{N: 5, T: 1, Proposals: ones, MaxRounds: sim.Horizon(phaseking.RoundBound(1)), Recording: sim.RecordDecisions},
 			wrapped, sim.NoFaults{})
 		if err != nil {
 			return nil, err

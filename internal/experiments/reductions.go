@@ -16,17 +16,9 @@ import (
 	"expensive/internal/sim"
 )
 
-func uniformVals(n int, v msg.Value) []msg.Value {
-	out := make([]msg.Value, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
 func countRun(factory sim.Factory, n, t, rounds int, proposals []msg.Value) (int, msg.Value, error) {
 	// Callers read the common decision and the message count only — lean tier.
-	cfg := sim.Config{N: n, T: t, Proposals: proposals, MaxRounds: rounds + 2, Recording: sim.RecordDecisions}
+	cfg := sim.Config{N: n, T: t, Proposals: proposals, MaxRounds: sim.Horizon(rounds), Recording: sim.RecordDecisions}
 	e, err := sim.Run(cfg, factory, sim.NoFaults{})
 	if err != nil {
 		return 0, msg.NoDecision, err
@@ -65,8 +57,8 @@ func E5(n, t int) (*Table, error) {
 			name:    "strong consensus (phase-king)",
 			factory: phaseking.New(phaseking.Config{N: n, T: t}),
 			rounds:  phaseking.RoundBound(t),
-			c0:      uniformVals(n, msg.Zero),
-			c1:      uniformVals(n, msg.One),
+			c0:      msg.Uniform(n, msg.Zero),
+			c1:      msg.Uniform(n, msg.One),
 		})
 	}
 	if n > 3*t {
@@ -74,8 +66,8 @@ func E5(n, t int) (*Table, error) {
 			name:    "interactive consistency (EIG)",
 			factory: eig.New(eig.Config{N: n, T: t, Default: msg.One}),
 			rounds:  eig.RoundBound(t),
-			c0:      uniformVals(n, msg.Zero),
-			c1:      uniformVals(n, msg.One),
+			c0:      msg.Uniform(n, msg.Zero),
+			c1:      msg.Uniform(n, msg.One),
 		})
 	}
 	cases = append(cases,
@@ -83,15 +75,15 @@ func E5(n, t int) (*Table, error) {
 			name:    "interactive consistency (n × Dolev-Strong)",
 			factory: ic.New(ic.Config{N: n, T: t, Scheme: scheme, Default: msg.One}),
 			rounds:  ic.RoundBound(t),
-			c0:      uniformVals(n, msg.Zero),
-			c1:      uniformVals(n, msg.One),
+			c0:      msg.Uniform(n, msg.Zero),
+			c1:      msg.Uniform(n, msg.One),
 		},
 		underlying{
 			name:    "external validity (IC + first-valid)",
 			factory: external.New(external.Config{N: n, T: t, Scheme: scheme, Authority: auth, Fallback: tx0}),
 			rounds:  external.RoundBound(t),
-			c0:      uniformVals(n, tx0),
-			c1:      uniformVals(n, tx1),
+			c0:      msg.Uniform(n, tx0),
+			c1:      msg.Uniform(n, tx1),
 		},
 	)
 
@@ -104,7 +96,7 @@ func E5(n, t int) (*Table, error) {
 		},
 	}
 	for _, u := range cases {
-		spec, err := reduction.DeriveAlg1(u.factory, n, t, u.rounds+2, u.c0, u.c1)
+		spec, err := reduction.DeriveAlg1(u.factory, n, t, sim.Horizon(u.rounds), u.c0, u.c1)
 		if err != nil {
 			return nil, fmt.Errorf("E5 %s: %w", u.name, err)
 		}
@@ -114,7 +106,7 @@ func E5(n, t int) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E5 %s: %w", u.name, err)
 		}
-		w0, d0, err := countRun(wrapped, n, t, u.rounds, uniformVals(n, msg.Zero))
+		w0, d0, err := countRun(wrapped, n, t, u.rounds, msg.Uniform(n, msg.Zero))
 		if err != nil {
 			return nil, fmt.Errorf("E5 %s: %w", u.name, err)
 		}
@@ -122,7 +114,7 @@ func E5(n, t int) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E5 %s: %w", u.name, err)
 		}
-		w1, d1, err := countRun(wrapped, n, t, u.rounds, uniformVals(n, msg.One))
+		w1, d1, err := countRun(wrapped, n, t, u.rounds, msg.Uniform(n, msg.One))
 		if err != nil {
 			return nil, fmt.Errorf("E5 %s: %w", u.name, err)
 		}
@@ -169,7 +161,7 @@ func E8(n, t int, opts runner.Options) (*Table, error) {
 		// Cheap external protocol: must be falsified, certificate re-checked.
 		func() ([]string, error) {
 			cheapInner := external.CheapLeader(n, auth, tx0)
-			spec, err := reduction.DeriveAlg1(cheapInner, n, t, external.CheapLeaderRounds+1, uniformVals(n, tx0), uniformVals(n, tx1))
+			spec, err := reduction.DeriveAlg1(cheapInner, n, t, external.CheapLeaderRounds+1, msg.Uniform(n, tx0), msg.Uniform(n, tx1))
 			if err != nil {
 				return nil, err
 			}
@@ -192,7 +184,7 @@ func E8(n, t int, opts runner.Options) (*Table, error) {
 		// Sound external protocol: must respect the budget.
 		func() ([]string, error) {
 			soundInner := external.New(external.Config{N: n, T: t, Scheme: scheme, Authority: auth, Fallback: tx0})
-			soundSpec, err := reduction.DeriveAlg1(soundInner, n, t, external.RoundBound(t)+2, uniformVals(n, tx0), uniformVals(n, tx1))
+			soundSpec, err := reduction.DeriveAlg1(soundInner, n, t, sim.Horizon(external.RoundBound(t)), msg.Uniform(n, tx0), msg.Uniform(n, tx1))
 			if err != nil {
 				return nil, err
 			}

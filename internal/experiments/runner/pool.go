@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"expensive/internal/obs"
 )
@@ -54,16 +55,54 @@ func Workers(parallelism int) int {
 	return parallelism
 }
 
+// fan starts workers goroutines that claim the indices 0..n-1 in ascending
+// order off one counter and call do on each. Once ctx is cancelled the
+// indices still unclaimed keep being claimed, in order, but go to skip
+// instead of do. Cancellation is read before the claim, so when a do
+// cancels ctx every lower index — claimed earlier — still runs. The
+// returned group is done when every index is claimed and every do has
+// returned.
+func fan(ctx context.Context, po poolObs, workers, n int, do, skip func(i int)) *sync.WaitGroup {
+	var next atomic.Int64
+	wg := new(sync.WaitGroup)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			wjobs, wbusy := po.worker(w)
+			for {
+				cancelled := ctx.Err() != nil
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				po.depth.Set(max(0, int64(n)-next.Load()))
+				if cancelled {
+					skip(i)
+					continue
+				}
+				t := po.jobNS.StartTimer()
+				do(i)
+				wbusy.Add(t.Stop())
+				po.jobs.Inc()
+				wjobs.Inc()
+			}
+		}(w)
+	}
+	return wg
+}
+
 // Map runs fn(0), …, fn(n-1) on a pool of workers and returns the results
 // in index order. workers <= 1 runs the jobs inline, in order, stopping at
 // the first error — the serial semantics every parallel run must
 // reproduce.
 //
-// With workers > 1 the jobs are pulled off a shared feed in index order.
-// An error cancels the remaining (not yet started) jobs; because fn must
-// be deterministic and indices are claimed monotonically, the
-// lowest-index error is exactly the error a serial run would have
-// returned, so Map is observationally equivalent to the serial loop.
+// With workers > 1 the jobs are claimed in index order (fan). An error
+// cancels the remaining (not yet started) jobs, which fail with the
+// context's error; because fn must be deterministic and every index
+// below a failing one still runs, the lowest-index error is exactly the
+// error a serial run would have returned, so Map is observationally
+// equivalent to the serial loop — under the caller's cancellation too.
 func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -95,42 +134,11 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, n)
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := 0; i < n; i++ {
-			select {
-			case next <- i:
-				po.depth.Set(int64(n - 1 - i))
-			case <-ctx.Done():
-				po.depth.Set(0)
-				return
-			}
+	fan(ctx, po, workers, n, func(i int) {
+		if out[i], errs[i] = fn(i); errs[i] != nil {
+			cancel()
 		}
-		po.depth.Set(0)
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wjobs, wbusy := po.worker(w)
-			for i := range next {
-				t := po.jobNS.StartTimer()
-				v, err := fn(i)
-				wbusy.Add(t.Stop())
-				po.jobs.Inc()
-				wjobs.Inc()
-				if err != nil {
-					errs[i] = err
-					cancel()
-					continue
-				}
-				out[i] = v
-			}
-		}(w)
-	}
-	wg.Wait()
+	}, func(i int) { errs[i] = ctx.Err() }).Wait()
 	for i := range errs {
 		if errs[i] != nil {
 			return nil, errs[i]
@@ -214,40 +222,12 @@ func Prefetch[T any](ctx context.Context, workers, n int, fn func(i int) (T, err
 		promises[i] = &Promise[T]{done: make(chan struct{})}
 	}
 	ctx, cancel := context.WithCancel(ctx)
-	if workers > n {
-		workers = n
-	}
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := 0; i < n; i++ {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				var zero T
-				for j := i; j < n; j++ {
-					promises[j].resolve(zero, ctx.Err())
-				}
-				return
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wjobs, wbusy := po.worker(w)
-			for i := range next {
-				t := po.jobNS.StartTimer()
-				v, err := fn(i)
-				wbusy.Add(t.Stop())
-				po.jobs.Inc()
-				wjobs.Inc()
-				promises[i].resolve(v, err)
-			}
-		}(w)
-	}
+	wg := fan(ctx, po, min(workers, n), n,
+		func(i int) { promises[i].resolve(fn(i)) },
+		func(i int) {
+			var zero T
+			promises[i].resolve(zero, ctx.Err())
+		})
 	return promises, func() {
 		cancel()
 		wg.Wait()

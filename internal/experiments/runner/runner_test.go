@@ -126,14 +126,17 @@ func TestPrefetchCancelStopsUnstarted(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	Register(Experiment{
-		ID:     "T1",
-		Title:  "test experiment",
-		Params: "none",
-		Run: func(o Options) (*Table, error) {
-			return &Table{ID: "T1", Title: "test", Header: []string{"w"}, Rows: [][]string{{itoa(o.Workers())}}}, nil
-		},
-	})
+	// The registry is process-global: under -count=2 T1 is already there.
+	if _, again := Lookup("T1"); !again {
+		Register(Experiment{
+			ID:     "T1",
+			Title:  "test experiment",
+			Params: "none",
+			Run: func(o Options) (*Table, error) {
+				return &Table{ID: "T1", Title: "test", Header: []string{"w"}, Rows: [][]string{{itoa(o.Workers())}}}, nil
+			},
+		})
+	}
 
 	if _, ok := Lookup("T1"); !ok {
 		t.Fatal("T1 not found after Register")
@@ -186,5 +189,17 @@ func TestTableRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestMapParallelContextCancelled: the caller's cancellation is an error
+// at every worker count. The pool used to drop the unclaimed jobs and
+// return its half-filled slice with a nil error.
+func TestMapParallelContextCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := Map(ctx, 4, 50, func(i int) (int, error) { return i, nil })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"expensive/internal/crypto/sig"
 	"expensive/internal/experiments/runner"
+	"expensive/internal/lowerbound"
 	"expensive/internal/msg"
 	"expensive/internal/proc"
 	"expensive/internal/protocols/dolevstrong"
@@ -87,12 +88,8 @@ func E9(sizes []int, opts runner.Options) (*Table, error) {
 }
 
 func scalingRow(name string, factory sim.Factory, n, t, bound int) ([]string, error) {
-	proposals := make([]msg.Value, n)
-	for i := range proposals {
-		proposals[i] = msg.Zero
-	}
 	// The row reads decisions and message counts only — lean tier.
-	cfg := sim.Config{N: n, T: t, Proposals: proposals, MaxRounds: bound + 2, Recording: sim.RecordDecisions}
+	cfg := sim.Config{N: n, T: t, Proposals: msg.Uniform(n, msg.Zero), MaxRounds: sim.Horizon(bound), Recording: sim.RecordDecisions}
 	e, err := sim.Run(cfg, factory, sim.NoFaults{})
 	if err != nil {
 		return nil, fmt.Errorf("E9 %s n=%d: %w", name, n, err)
@@ -101,7 +98,7 @@ func scalingRow(name string, factory sim.Factory, n, t, bound int) ([]string, er
 		return nil, fmt.Errorf("E9 %s n=%d: %w", name, n, err)
 	}
 	msgs := e.CorrectMessages()
-	floor := t * t / 32
+	floor := lowerbound.Floor(t)
 	if msgs < floor {
 		return nil, fmt.Errorf("E9 %s n=%d: %d messages below the t²/32 floor %d — contradicts Theorem 2",
 			name, n, msgs, floor)

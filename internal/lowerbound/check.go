@@ -3,7 +3,6 @@ package lowerbound
 import (
 	"fmt"
 
-	"expensive/internal/msg"
 	"expensive/internal/omission"
 	"expensive/internal/proc"
 	"expensive/internal/sim"
@@ -11,12 +10,12 @@ import (
 
 // CheckViolation independently verifies a certificate produced by Falsify:
 //
-//  1. the execution satisfies the five Appendix A.1.6 guarantees,
-//  2. at most t processes are faulty,
-//  3. every process's recorded behavior is exactly reproduced by
-//     re-running the protocol's honest machine on its recorded inputs
-//     (so the trace genuinely belongs to the protocol), and
-//  4. the claimed violation is visible in the trace: two correct processes
+//  1. the execution passes omission.Certify — the five Appendix A.1.6
+//     guarantees (at most t faulty among them) and every process's
+//     recorded behavior exactly reproduced by re-running the protocol's
+//     honest machine on its recorded inputs, so the trace genuinely
+//     belongs to the protocol — and
+//  2. the claimed violation is visible in the trace: two correct processes
 //     with different decisions, a correct process undecided past the
 //     protocol's round bound, or a correct process breaking Weak Validity
 //     in a unanimous fault-free execution.
@@ -28,14 +27,8 @@ func CheckViolation(v *Violation, factory sim.Factory, roundBound int) error {
 		return fmt.Errorf("check: nil violation")
 	}
 	e := v.Exec
-	if err := omission.Validate(e); err != nil {
-		return fmt.Errorf("check: execution invalid: %w", err)
-	}
-	if e.Faulty.Len() > e.T {
-		return fmt.Errorf("check: %d faulty processes exceed t=%d", e.Faulty.Len(), e.T)
-	}
-	if err := sim.Conforms(e, factory, proc.Set{}); err != nil {
-		return fmt.Errorf("check: trace does not conform to the protocol: %w", err)
+	if err := omission.Certify(e, factory, proc.Set{}); err != nil {
+		return fmt.Errorf("check: %w", err)
 	}
 
 	correct := e.Correct()
@@ -104,13 +97,4 @@ type Candidate struct {
 // ExpectedMessages returns a human-readable note for reports.
 func (c Candidate) String() string {
 	return fmt.Sprintf("%s (%s)", c.Name, c.Complexity)
-}
-
-// BitProposals builds a uniform proposal vector helper shared by tests.
-func BitProposals(n int, v msg.Value) []msg.Value {
-	out := make([]msg.Value, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
 }

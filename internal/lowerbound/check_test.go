@@ -152,7 +152,4 @@ func TestCandidateString(t *testing.T) {
 	if got := c.String(); got != "x (O(1))" {
 		t.Errorf("String = %q", got)
 	}
-	if got := BitProposals(3, msg.One); len(got) != 3 || got[0] != msg.One {
-		t.Errorf("BitProposals = %v", got)
-	}
 }

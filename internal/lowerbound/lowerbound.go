@@ -77,7 +77,7 @@ func (v *Violation) String() string {
 type Report struct {
 	Protocol string
 	N, T     int
-	// Threshold is the paper's bound t²/32 (integer floor).
+	// Threshold is the paper's bound, Floor(T).
 	Threshold int
 	// MaxCorrectMessages is the largest message complexity observed across
 	// all probe executions.
@@ -95,7 +95,7 @@ func (r *Report) Broken() bool { return r.Violation != nil }
 
 // Options tune the falsifier.
 type Options struct {
-	// Horizon overrides the probe-execution length (default roundBound+2).
+	// Horizon overrides the probe-execution length (default sim.Horizon(roundBound)).
 	Horizon int
 	// DisableMerge skips steps 3-5 (the Lemma 3/4/5 machinery), keeping
 	// only the direct Lemma 2 attempts on isolation probes. This is the
@@ -142,6 +142,11 @@ type falsifier struct {
 	sink  *obs.Sink
 }
 
+// Floor is Theorem 2's bound: any weak consensus protocol tolerating t
+// omission faults has an execution in which correct processes send at
+// least t²/32 messages (integer floor).
+func Floor(t int) int { return t * t / 32 }
+
 // Falsify runs the Theorem 2 construction against a weak consensus
 // protocol. factory builds the honest machines; roundBound is the
 // protocol's claimed decision round for correct processes in every
@@ -153,7 +158,7 @@ func Falsify(name string, factory sim.Factory, roundBound, n, t int, opts Option
 	}
 	horizon := opts.Horizon
 	if horizon <= 0 {
-		horizon = roundBound + 2
+		horizon = sim.Horizon(roundBound)
 	}
 	f := &falsifier{
 		name:    name,
@@ -167,7 +172,7 @@ func Falsify(name string, factory sim.Factory, roundBound, n, t int, opts Option
 			Protocol:  name,
 			N:         n,
 			T:         t,
-			Threshold: t * t / 32,
+			Threshold: Floor(t),
 		},
 	}
 	if rec := obs.From(opts.Ctx); rec != nil {
@@ -204,14 +209,6 @@ func (f *falsifier) observe(label string, e *sim.Execution) {
 		label, e.Rounds, m, f.report.Threshold)
 }
 
-func (f *falsifier) uniform(v msg.Value) []msg.Value {
-	ps := make([]msg.Value, f.n)
-	for i := range ps {
-		ps[i] = v
-	}
-	return ps
-}
-
 // probe is a deferred simulation probe: a Promise resolving to the
 // execution, computed on the worker pool (or inline when serial).
 type probe = runner.Promise[*sim.Execution]
@@ -221,7 +218,7 @@ type probe = runner.Promise[*sim.Execution]
 // safe to run concurrently.
 func (f *falsifier) fullFetch(v msg.Value, rec sim.Recording) func() (*sim.Execution, error) {
 	return func() (*sim.Execution, error) {
-		cfg := sim.Config{N: f.n, T: f.t, Proposals: f.uniform(v), MaxRounds: f.horizon, Recording: rec}
+		cfg := sim.Config{N: f.n, T: f.t, Proposals: msg.Uniform(f.n, v), MaxRounds: f.horizon, Recording: rec}
 		return sim.Run(cfg, f.factory, sim.NoFaults{})
 	}
 }

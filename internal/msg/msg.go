@@ -91,20 +91,34 @@ func (m Message) Key() Key {
 	return Key{Sender: m.Sender, Receiver: m.Receiver, Round: m.Round}
 }
 
-// Sort orders messages deterministically (round, sender, receiver) in
-// place and returns the slice. Message keys are unique within an inbox or
-// trace, so the order is total and the (non-stable) sort deterministic.
+// Compare is the one message order — round, then sender, then receiver —
+// that traces, explicit plans and corpora are all sorted by. Keys are
+// unique within an inbox, trace or omission list, so the order is total
+// there and a non-stable sort by it deterministic.
+func (k Key) Compare(o Key) int {
+	if k.Round != o.Round {
+		return k.Round - o.Round
+	}
+	if k.Sender != o.Sender {
+		return int(k.Sender) - int(o.Sender)
+	}
+	return int(k.Receiver) - int(o.Receiver)
+}
+
+// Sort orders messages by Key.Compare in place and returns the slice.
 func Sort(ms []Message) []Message {
-	slices.SortFunc(ms, func(a, b Message) int {
-		if a.Round != b.Round {
-			return a.Round - b.Round
-		}
-		if a.Sender != b.Sender {
-			return int(a.Sender) - int(b.Sender)
-		}
-		return int(a.Receiver) - int(b.Receiver)
-	})
+	slices.SortFunc(ms, func(a, b Message) int { return a.Key().Compare(b.Key()) })
 	return ms
+}
+
+// Uniform returns the unanimous proposal vector: n copies of v (the
+// inputs of the paper's executions E_0 and E_1).
+func Uniform(n int, v Value) []Value {
+	out := make([]Value, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }
 
 // SetOf builds a set keyed by message identity.

@@ -1,7 +1,9 @@
 package msg
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -146,5 +148,40 @@ func TestSetOf(t *testing.T) {
 	}
 	if set[ms[0].Key()].Payload != "a" {
 		t.Error("SetOf lookup wrong")
+	}
+}
+
+// TestKeyCompare: Sort is a sort by Key.Compare, and the order is total
+// on distinct keys — exactly one of a<b, b<a holds, so a non-stable sort
+// by it has one outcome.
+func TestKeyCompare(t *testing.T) {
+	var ms []Message
+	for r := 1; r <= 3; r++ {
+		for s := proc.ID(0); s < 4; s++ {
+			for q := proc.ID(0); q < 4; q++ {
+				if s != q {
+					ms = append(ms, Message{Sender: s, Receiver: q, Round: r, Payload: "x"})
+				}
+			}
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(ms), func(i, j int) { ms[i], ms[j] = ms[j], ms[i] })
+	keys := make([]Key, len(ms))
+	for i, m := range ms {
+		keys[i] = m.Key()
+	}
+	slices.SortFunc(keys, Key.Compare)
+	for i, m := range Sort(ms) {
+		if m.Key() != keys[i] {
+			t.Fatalf("Sort[%d] = %v, sorting the keys by Compare puts %v there", i, m, keys[i])
+		}
+	}
+	for i, a := range keys {
+		for j, b := range keys {
+			ab, ba := a.Compare(b), b.Compare(a)
+			if (i < j) != (ab < 0) || (i > j) != (ab > 0) || (ab < 0) != (ba > 0) {
+				t.Fatalf("Compare(%v, %v) = %d and %d reversed, at sorted positions %d and %d", a, b, ab, ba, i, j)
+			}
+		}
 	}
 }

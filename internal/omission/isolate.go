@@ -67,11 +67,7 @@ func RunIsolated(n, t int, factory sim.Factory, prop msg.Value, group proc.Set, 
 // deterministic configuration at sim.RecordFull — where the checks do
 // run — before using the trace as evidence.
 func RunIsolatedAt(n, t int, factory sim.Factory, prop msg.Value, group proc.Set, fromRound, horizon int, rec sim.Recording) (*sim.Execution, error) {
-	proposals := make([]msg.Value, n)
-	for i := range proposals {
-		proposals[i] = prop
-	}
-	cfg := sim.Config{N: n, T: t, Proposals: proposals, MaxRounds: horizon, Recording: rec}
+	cfg := sim.Config{N: n, T: t, Proposals: msg.Uniform(n, prop), MaxRounds: horizon, Recording: rec}
 	exec, err := sim.Run(cfg, factory, Isolation(group, fromRound))
 	if err != nil {
 		return nil, fmt.Errorf("run isolated %v from round %d: %w", group, fromRound, err)

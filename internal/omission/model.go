@@ -94,6 +94,22 @@ func Validate(e *sim.Execution) error {
 	return nil
 }
 
+// Certify is the standard a trace is held to before anything is read off
+// it as evidence: the five Appendix A.1.6 guarantees — the first of which
+// is the fault budget |F| <= t — and machine conformance, every process
+// outside skip re-executed against its recorded inputs (skip holds the
+// processes whose machines a Byzantine plan replaced). A refusal is a
+// harness failure or a forged trace, never a protocol-property violation.
+func Certify(e *sim.Execution, factory sim.Factory, skip proc.Set) error {
+	if err := Validate(e); err != nil {
+		return fmt.Errorf("invalid trace: %w", err)
+	}
+	if err := sim.Conforms(e, factory, skip); err != nil {
+		return fmt.Errorf("conformance: %w", err)
+	}
+	return nil
+}
+
 func validateBehavior(b *sim.Behavior) error {
 	decided := false
 	var decision msg.Value

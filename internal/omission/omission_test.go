@@ -458,3 +458,46 @@ func TestUniformProposal(t *testing.T) {
 		t.Error("expected non-uniform error")
 	}
 }
+
+// TestCertify: one row per way the evidence standard refuses a trace, the
+// tampering taken from TestValidateRejectsMutations. The fault budget is
+// the first Appendix A.1.6 guarantee, so an over-budget trace is refused
+// as an invalid one.
+func TestCertify(t *testing.T) {
+	factory := echoFactory(tn, 3)
+	forge := func(e *sim.Execution) {
+		for i, f := range e.Behavior(3).Fragments {
+			if f.Decided {
+				e.Behavior(3).Fragments[i].Decision = msg.One
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(e *sim.Execution)
+		skip proc.Set
+		want string // "" = certified
+	}{
+		{"untouched", func(*sim.Execution) {}, proc.Set{}, ""},
+		{"dropped delivery", func(e *sim.Execution) {
+			f := &e.Behavior(1).Fragments[0]
+			f.Received = f.Received[1:]
+		}, proc.Set{}, "invalid trace: send-validity"},
+		{"too many faulty", func(e *sim.Execution) { e.Faulty = proc.Range(0, proc.ID(tt+1)) }, proc.Set{}, "exceeds t=4"},
+		{"forged decision", forge, proc.Set{}, "conformance: "},
+		{"forged decision of a skipped process", forge, proc.NewSet(3), ""},
+	} {
+		e := runFull(t, msg.Zero)
+		tc.mut(e)
+		err := Certify(e, factory, tc.skip)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got %v, want a %q refusal", tc.name, err, tc.want)
+		}
+	}
+	if err := Certify(runFull(t, msg.Zero), echoFactory(tn, 2), proc.Set{}); err == nil || !strings.Contains(err.Error(), "conformance: ") {
+		t.Errorf("another protocol's trace: got %v, want a conformance refusal", err)
+	}
+}

@@ -211,6 +211,16 @@ type Config struct {
 	Recording Recording
 }
 
+// Horizon is how long a protocol with the given decision-round bound is
+// run by default: two rounds past the bound. The first extra round makes
+// "undecided past the bound" observable — a termination claim on a trace
+// no longer than the bound is not yet a violation, and the falsifier's
+// last isolation candidate starts at round bound+1 — and the second gives
+// whatever that round provokes a round to land in, so a late send or
+// decision is recorded instead of cut off. Clean runs do not pay for the
+// slack: the engine stops once every machine is quiescent and decided.
+func Horizon(roundBound int) int { return roundBound + 2 }
+
 func (c Config) validate() error {
 	switch {
 	case c.N < 2:

@@ -72,7 +72,7 @@ func (l *Log) CommitSlot() (Entry, error) {
 			plan = p
 		}
 	}
-	cfg := sim.Config{N: l.cfg.N, T: l.cfg.T, Proposals: l.proposals(l.cfg.NoOp), MaxRounds: rounds + 2}
+	cfg := sim.Config{N: l.cfg.N, T: l.cfg.T, Proposals: l.proposals(l.cfg.NoOp), MaxRounds: sim.Horizon(rounds)}
 	exec, err := sim.Run(cfg, factory, plan)
 	if err != nil {
 		return Entry{}, fmt.Errorf("smr slot %d: %w", slot, err)

@@ -177,7 +177,7 @@ func Check(p validity.Problem, d *Derived, c validity.InputConfig, byzantine map
 			machines[id] = &silentMachine{}
 		}
 	}
-	cfg := sim.Config{N: p.N, T: p.T, Proposals: proposals, MaxRounds: d.Rounds + 2}
+	cfg := sim.Config{N: p.N, T: p.T, Proposals: proposals, MaxRounds: sim.Horizon(d.Rounds)}
 	exec, err := sim.Run(cfg, d.Factory, sim.ByzantinePlan{Machines: machines})
 	if err != nil {
 		return fmt.Errorf("run derived protocol: %w", err)
