@@ -56,6 +56,20 @@ func smallestSupported(s catalog.Spec) (int, int, bool) {
 	return 0, 0, false
 }
 
+// faultFreeMessages are the closed forms of what correct processes send in
+// a fault-free run at t >= 1, for the protocols on the
+// interactive-consistency substrates: an EIG level per round, all to all;
+// n bundled Dolev-Strong instances, a round of proposals and a round of
+// relays; one Dolev-Strong instance, the sender's broadcast and everyone
+// else's relay.
+var faultFreeMessages = map[string]func(n, t int) int{
+	"eig":          func(n, t int) int { return (t + 1) * n * (n - 1) },
+	"weak-eig":     func(n, t int) int { return (t + 1) * n * (n - 1) },
+	"ic":           func(n, t int) int { return 2 * n * (n - 1) },
+	"weak-ic":      func(n, t int) int { return 2 * n * (n - 1) },
+	"dolev-strong": func(n, t int) int { return (n - 1) + (n-1)*(n-1) },
+}
+
 // TestEveryProtocolRunsFaultFree is the registry completeness gate: every
 // registered spec must build at a small supported (n, t), run fault-free
 // to its round bound, terminate, agree (under its own Agreement relation
@@ -123,6 +137,12 @@ func TestEveryProtocolRunsFaultFree(t *testing.T) {
 			if spec.Decode != nil {
 				if _, err := spec.Decode(decisions[0]); err != nil {
 					t.Fatalf("Decode(%q): %v", decisions[0], err)
+				}
+			}
+			// The message count, where it has a closed form.
+			if want, ok := faultFreeMessages[spec.ID]; ok {
+				if got := e.CorrectMessages(); got != want(n, tf) {
+					t.Errorf("correct processes sent %d messages at n=%d t=%d, closed form %d", got, n, tf, want(n, tf))
 				}
 			}
 		})

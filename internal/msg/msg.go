@@ -159,6 +159,36 @@ func Encode(v any) string {
 	return string(b)
 }
 
+// AppendString appends s to b exactly as encoding/json writes a string
+// value. It is the one place the protocols' direct payload encoders take
+// their escaping from: printable ASCII is copied, the quote and the
+// backslash get a backslash, and a string holding anything else — control
+// bytes, non-ASCII, invalid UTF-8, or the three characters json.Marshal
+// escapes for HTML — is handed to json.Marshal whole, so the format keeps
+// a single definition.
+func AppendString(b []byte, s string) []byte {
+	base := len(b)
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e || c == '<' || c == '>' || c == '&':
+			quoted, err := json.Marshal(s)
+			if err != nil {
+				// json.Marshal cannot fail on a string.
+				panic(fmt.Sprintf("msg: encode string: %v", err))
+			}
+			return append(b[:base], quoted...)
+		case c == '"' || c == '\\':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', c)
+			start = i + 1
+		}
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
+
 // Decode parses a payload produced by Encode into out.
 func Decode(payload string, out any) error {
 	if err := json.Unmarshal([]byte(payload), out); err != nil {

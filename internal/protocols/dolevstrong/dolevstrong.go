@@ -22,7 +22,7 @@ package dolevstrong
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 
 	"expensive/internal/crypto/sig"
 	"expensive/internal/msg"
@@ -71,7 +71,8 @@ type Payload struct {
 
 // decodePayload memoizes payload decoding (msg.CachedDecoder): relayed
 // item sets recur across rounds, probes and seeds. Decoded payloads are
-// shared and read-only — chains are copied before extension (chainFor).
+// shared and read-only — a relayed chain is written out, never extended
+// in place.
 var decodePayload = msg.CachedDecoder[Payload]()
 
 // SignedData is the byte string each chain signature covers.
@@ -87,7 +88,7 @@ func New(cfg Config) sim.Factory {
 }
 
 type machine struct {
-	cfg      cfg2
+	cfg      Config
 	id       proc.ID
 	proposal msg.Value
 
@@ -97,16 +98,50 @@ type machine struct {
 	done      bool
 }
 
-// cfg2 aliases Config so the struct literal in New stays short.
-type cfg2 = Config
-
 var _ sim.Machine = (*machine)(nil)
 
-func (m *machine) broadcast(items []Item) []sim.Outgoing {
-	if len(items) == 0 {
+// itemsOpen starts msg.Encode(Payload{Items: …}), which the machine
+// writes directly: items through appendItem, then "]}".
+const itemsOpen = `{"Items":[`
+
+// appendItem appends Item{V: v, C: chain·own} as encoding/json writes it,
+// after a comma unless it is the body's first item.
+func appendItem(b []byte, v msg.Value, chain []Link, own Link) []byte {
+	if len(b) > len(itemsOpen) {
+		b = append(b, ',')
+	}
+	b = append(b, `{"V":`...)
+	b = msg.AppendString(b, string(v))
+	b = append(b, `,"C":[`...)
+	for _, l := range chain {
+		b = appendLink(b, l)
+		b = append(b, ',')
+	}
+	b = appendLink(b, own)
+	return append(b, "]}"...)
+}
+
+func appendLink(b []byte, l Link) []byte {
+	b = append(b, `{"S":`...)
+	b = strconv.AppendInt(b, int64(l.S), 10)
+	b = append(b, `,"G":`...)
+	b = msg.AppendString(b, string(l.G))
+	return append(b, '}')
+}
+
+// openBody starts a body with room for one item of the round: a chain of
+// round+1 links, about 100 bytes each under HMAC signatures.
+func openBody(round int) []byte {
+	return append(make([]byte, 0, 128*(round+1)), itemsOpen...)
+}
+
+// broadcast closes the body of items in b and sends it to every peer;
+// no items, no messages.
+func (m *machine) broadcast(b []byte) []sim.Outgoing {
+	if len(b) == len(itemsOpen) {
 		return nil
 	}
-	payload := msg.Encode(Payload{Items: items})
+	payload := string(append(b, "]}"...))
 	out := make([]sim.Outgoing, 0, m.cfg.N-1)
 	for p := proc.ID(0); p < proc.ID(m.cfg.N); p++ {
 		if p != m.id {
@@ -129,25 +164,28 @@ func (m *machine) Init() []sim.Outgoing {
 		// harness wired a wrong scheme. Stay silent; the run will surface it.
 		return nil
 	}
-	return m.broadcast([]Item{{V: m.proposal, C: []Link{{S: int(m.id), G: s}}}})
+	return m.broadcast(appendItem(openBody(0), m.proposal, nil, Link{S: int(m.id), G: s}))
 }
 
-// validChain checks that item carries round-many valid, distinct
-// signatures beginning with the sender.
-func (m *machine) validChain(it Item, round int) bool {
+// validChain checks that item carries round-many valid signatures over
+// data, from distinct processes other than this one, beginning with the
+// sender.
+func (m *machine) validChain(it Item, round int, data []byte) bool {
 	if len(it.C) != round {
 		return false
 	}
 	if proc.ID(it.C[0].S) != m.cfg.Sender {
 		return false
 	}
-	seen := make(map[int]bool, len(it.C))
-	data := SignedData(m.cfg.Tag, it.V)
-	for _, l := range it.C {
-		if l.S < 0 || l.S >= m.cfg.N || seen[l.S] {
+	for i, l := range it.C {
+		if l.S < 0 || l.S >= m.cfg.N || proc.ID(l.S) == m.id {
 			return false
 		}
-		seen[l.S] = true
+		for _, earlier := range it.C[:i] {
+			if earlier.S == l.S {
+				return false
+			}
+		}
 		if !m.cfg.Scheme.Verify(proc.ID(l.S), data, l.G) {
 			return false
 		}
@@ -169,7 +207,13 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 	if m.done {
 		return nil
 	}
-	var newlyAccepted []msg.Value
+	// The items accepted in this round, each with the bytes its signatures
+	// cover. A process extracts two values at most, ever.
+	var accepted [2]struct {
+		Item
+		data []byte
+	}
+	n := 0
 	for _, rm := range received {
 		p, ok := decodePayload(rm.Payload)
 		if !ok {
@@ -179,21 +223,13 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 			if len(m.extracted) >= 2 || m.hasExtracted(it.V) {
 				continue
 			}
-			if !m.validChain(it, round) {
-				continue
-			}
-			inChain := false
-			for _, l := range it.C {
-				if proc.ID(l.S) == m.id {
-					inChain = true
-					break
-				}
-			}
-			if inChain {
+			data := SignedData(m.cfg.Tag, it.V)
+			if !m.validChain(it, round, data) {
 				continue
 			}
 			m.extracted = append(m.extracted, it.V)
-			newlyAccepted = append(newlyAccepted, it.V)
+			accepted[n].Item, accepted[n].data = it, data
+			n++
 		}
 	}
 
@@ -208,41 +244,23 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 		return nil
 	}
 
-	// Forward newly accepted values in round+1 with our signature appended.
-	if m.cfg.UnsafeNoRelay {
+	// Forward newly accepted values in round+1, in value order, with our
+	// signature appended.
+	if m.cfg.UnsafeNoRelay || n == 0 {
 		return nil
 	}
-	sort.Slice(newlyAccepted, func(i, j int) bool { return newlyAccepted[i] < newlyAccepted[j] })
-	items := make([]Item, 0, len(newlyAccepted))
-	for _, v := range newlyAccepted {
-		s, err := m.cfg.Scheme.Sign(m.id, SignedData(m.cfg.Tag, v))
+	if n == 2 && accepted[1].V < accepted[0].V {
+		accepted[0], accepted[1] = accepted[1], accepted[0]
+	}
+	b := openBody(round)
+	for _, a := range accepted[:n] {
+		s, err := m.cfg.Scheme.Sign(m.id, a.data)
 		if err != nil {
 			continue
 		}
-		chain := m.chainFor(v, received, round)
-		if chain == nil {
-			continue
-		}
-		items = append(items, Item{V: v, C: append(chain, Link{S: int(m.id), G: s})})
+		b = appendItem(b, a.V, a.C, Link{S: int(m.id), G: s})
 	}
-	return m.broadcast(items)
-}
-
-// chainFor recovers the valid chain that caused v's acceptance this round.
-func (m *machine) chainFor(v msg.Value, received []msg.Message, round int) []Link {
-	for _, rm := range received {
-		p, ok := decodePayload(rm.Payload)
-		if !ok {
-			continue
-		}
-		for _, it := range p.Items {
-			if it.V != v || !m.validChain(it, round) {
-				continue
-			}
-			return append([]Link{}, it.C...)
-		}
-	}
-	return nil
+	return m.broadcast(b)
 }
 
 // Decision implements sim.Machine.

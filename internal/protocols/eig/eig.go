@@ -21,9 +21,9 @@ package eig
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
+	"sync"
 
 	"expensive/internal/msg"
 	"expensive/internal/proc"
@@ -54,18 +54,109 @@ func (c Config) Validate() error {
 // encoding of the resolved n-vector (IC semantics); consensus variants are
 // obtained by composing with reduction.FromIC.
 func New(cfg Config) sim.Factory {
+	// The tree's shape depends on (n, t) alone: the first machine builds
+	// it, and from then on it is immutable and shared by every machine of
+	// the factory, on any goroutine.
+	var (
+		once sync.Once
+		sh   *shape
+	)
 	return func(id proc.ID, proposal msg.Value) sim.Machine {
-		return &machine{cfg: cfg, id: id, proposal: proposal, val: map[string]msg.Value{"": proposal}}
+		once.Do(func() { sh = newShape(cfg.N, cfg.T) })
+		m := &machine{cfg: cfg, shape: sh, id: id, val: make([]msg.Value, sh.nodes()), set: make([]bool, sh.nodes())}
+		m.val[0], m.set[0] = proposal, true
+		return m
 	}
 }
 
-type machine struct {
-	cfg      Config
-	id       proc.ID
-	proposal msg.Value
+// shape is the EIG tree of one (n, t) without its values. Nodes are
+// numbered level by level — level l holds the labels of length l — and in
+// lexicographic label order within a level, so a level is one index range
+// and relaying it in index order relays it in label order. The root ε is
+// node 0.
+type shape struct {
+	n int
+	// first[l] is the first node of level l, for l = 0..t+2: first[t+1]
+	// counts the inner nodes and first[t+2] all nodes. A level whose
+	// labels would need more than n distinct IDs is empty.
+	first []int
+	// child[x*n+j] is the node σ·j of inner node x = σ, or -1 when j ∈ σ.
+	// Leaves (level t+1) have no row.
+	child []int32
+	// heads[headAt[x]:headAt[x+1]] is `{"L":[σ],"V":`, the bytes the
+	// relayed pair of inner node x = σ starts with.
+	heads  string
+	headAt []int32
+}
 
-	// val maps a label key ("3.0.5"; "" is the root ε) to the stored value.
-	val map[string]msg.Value
+func newShape(n, t int) *shape {
+	s := &shape{n: n, first: []int{0, 1}, headAt: []int32{0}}
+	var heads []byte
+	nodes := 1
+	level := [][]int{{}} // the current level's labels, in order
+	for l := 0; l <= t; l++ {
+		var next [][]int
+		for _, label := range level {
+			heads = append(heads, `{"L":[`...)
+			for i, j := range label {
+				if i > 0 {
+					heads = append(heads, ',')
+				}
+				heads = strconv.AppendInt(heads, int64(j), 10)
+			}
+			heads = append(heads, `],"V":`...)
+			s.headAt = append(s.headAt, int32(len(heads)))
+			for j := 0; j < n; j++ {
+				if contains(label, j) {
+					s.child = append(s.child, -1)
+					continue
+				}
+				s.child = append(s.child, int32(nodes))
+				nodes++
+				if l < t { // leaves relay nothing and need no label
+					next = append(next, append(label[:l:l], j))
+				}
+			}
+		}
+		level = next
+		s.first = append(s.first, nodes)
+	}
+	s.heads = string(heads)
+	return s
+}
+
+func (s *shape) nodes() int { return s.first[len(s.first)-1] }
+
+// inner counts the nodes that have a child row and a head: every level
+// but the last.
+func (s *shape) inner() int { return len(s.headAt) - 1 }
+
+// down returns the node σ·j below node x = σ, or -1 when there is none:
+// x is already -1 or a leaf, j is outside 0..n-1, or j ∈ σ. Walking a
+// label down from the root is therefore the whole label check — range,
+// distinctness and depth.
+func (s *shape) down(x, j int) int {
+	if x < 0 || x >= s.inner() || j < 0 || j >= s.n {
+		return -1
+	}
+	return int(s.child[x*s.n+j])
+}
+
+type machine struct {
+	cfg Config
+	*shape
+	id proc.ID
+
+	// val[x] is the value stored at node x once set[x]; the first write
+	// wins.
+	val []msg.Value
+	set []bool
+
+	// out is the broadcast, one entry per peer, and buf the body being
+	// written; both are reused from round to round (sim.Machine lets a
+	// machine rewrite the slice it returned).
+	out []sim.Outgoing
+	buf []byte
 
 	decided  bool
 	decision msg.Value
@@ -85,16 +176,8 @@ type payload struct {
 
 // decodePayload memoizes payload decoding (msg.CachedDecoder): level
 // relays repeat the same bodies across probes. Decoded payloads are
-// shared and read-only — labels are copied before extension.
+// shared and read-only.
 var decodePayload = msg.CachedDecoder[payload]()
-
-func key(label []int) string {
-	parts := make([]string, len(label))
-	for i, x := range label {
-		parts[i] = strconv.Itoa(x)
-	}
-	return strings.Join(parts, ".")
-}
 
 func contains(label []int, id int) bool {
 	for _, x := range label {
@@ -105,55 +188,56 @@ func contains(label []int, id int) bool {
 	return false
 }
 
-// labels enumerates all valid labels of the given length in lexicographic
-// order (sequences of distinct IDs from 0..n-1).
-func labels(n, length int) [][]int {
-	if length == 0 {
-		return [][]int{{}}
+// store writes v at node x unless an earlier write holds it.
+func (m *machine) store(x int, v msg.Value) {
+	if !m.set[x] {
+		m.val[x], m.set[x] = v, true
 	}
-	var out [][]int
-	for _, prefix := range labels(n, length-1) {
-		for j := 0; j < n; j++ {
-			if !contains(prefix, j) {
-				lab := append(append([]int{}, prefix...), j)
-				out = append(out, lab)
-			}
-		}
-	}
-	return out
 }
 
+// broadcastLevel relays every node σ of the level with i ∉ σ as the pair
+// (σ, val(σ)) — msg.Encode(payload{P: pairs}), written directly. The level
+// is complete when it is relayed: the root holds the proposal, and Step
+// fills a level before relaying it.
 func (m *machine) broadcastLevel(level int) []sim.Outgoing {
-	var pairs []pair
-	for _, lab := range labels(m.cfg.N, level) {
-		if contains(lab, int(m.id)) {
+	const open = `{"P":[`
+	lo, hi := m.first[level], m.first[level+1]
+	// Room for the level's heads and a one-byte value each.
+	size := len(open) + int(m.headAt[hi]-m.headAt[lo]) + (hi-lo)*len(`"0"},`)
+	b := append(slices.Grow(m.buf[:0], size), open...)
+	for x := lo; x < hi; x++ {
+		own := m.down(x, int(m.id))
+		if own < 0 {
 			continue
 		}
-		v, ok := m.val[key(lab)]
-		if !ok {
-			v = m.cfg.Default
+		if len(b) > len(open) {
+			b = append(b, ',')
 		}
-		pairs = append(pairs, pair{L: lab, V: v})
+		b = append(b, m.heads[m.headAt[x]:m.headAt[x+1]]...)
+		b = msg.AppendString(b, string(m.val[x]))
+		b = append(b, '}')
 		// The channel model has no self-messages; deliver our own relay to
 		// ourselves directly (node σ·i).
-		if level+1 <= m.cfg.T+1 {
-			child := append(append([]int{}, lab...), int(m.id))
-			if _, ok := m.val[key(child)]; !ok {
-				m.val[key(child)] = v
+		m.store(own, m.val[x])
+	}
+	if len(b) == len(open) {
+		m.buf = b
+		return nil
+	}
+	m.buf = append(b, "]}"...)
+	body := string(m.buf)
+	if m.out == nil {
+		m.out = make([]sim.Outgoing, 0, m.n-1)
+		for p := proc.ID(0); p < proc.ID(m.n); p++ {
+			if p != m.id {
+				m.out = append(m.out, sim.Outgoing{To: p})
 			}
 		}
 	}
-	if len(pairs) == 0 {
-		return nil
+	for i := range m.out {
+		m.out[i].Payload = body
 	}
-	body := msg.Encode(payload{P: pairs})
-	out := make([]sim.Outgoing, 0, m.cfg.N-1)
-	for p := proc.ID(0); p < proc.ID(m.cfg.N); p++ {
-		if p != m.id {
-			out = append(out, sim.Outgoing{To: p, Payload: body})
-		}
-	}
-	return out
+	return m.out
 }
 
 // Init implements sim.Machine: round 1 broadcasts the root value (own
@@ -176,93 +260,77 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 			if len(pr.L) != round-1 {
 				continue
 			}
-			if !validLabel(pr.L, m.cfg.N) || contains(pr.L, int(rm.Sender)) {
-				continue
+			// (σ, v) from p_j populates node σ·j.
+			x := 0
+			for _, j := range pr.L {
+				x = m.down(x, j)
 			}
-			child := append(append([]int{}, pr.L...), int(rm.Sender))
-			if len(child) > m.cfg.T+1 {
-				continue
-			}
-			k := key(child)
-			if _, ok := m.val[k]; !ok {
-				m.val[k] = pr.V
+			if x = m.down(x, int(rm.Sender)); x >= 0 {
+				m.store(x, pr.V)
 			}
 		}
 	}
-	// Fill missing level-round entries with the default so later rounds
-	// relay a complete level.
-	for _, lab := range labels(m.cfg.N, round) {
-		if len(lab) > m.cfg.T+1 {
-			break
-		}
-		if _, ok := m.val[key(lab)]; !ok {
-			m.val[key(lab)] = m.cfg.Default
-		}
-	}
-
 	if round >= RoundBound(m.cfg.T) {
 		m.decide()
 		return nil
 	}
+	// Fill missing level-round entries with the default so the level is
+	// relayed complete.
+	for x := m.first[round]; x < m.first[round+1]; x++ {
+		m.store(x, m.cfg.Default)
+	}
 	return m.broadcastLevel(round)
 }
 
-func validLabel(lab []int, n int) bool {
-	seen := make(map[int]bool, len(lab))
-	for _, x := range lab {
-		if x < 0 || x >= n || seen[x] {
-			return false
-		}
-		seen[x] = true
-	}
-	return true
-}
-
-// resolve computes newval(σ) bottom-up: leaves keep their stored value;
-// internal nodes take the strict majority of their resolved children, or
-// the default when no strict majority exists.
-func (m *machine) resolve(label []int) msg.Value {
-	if len(label) == m.cfg.T+1 {
-		if v, ok := m.val[key(label)]; ok {
-			return v
-		}
-		return m.cfg.Default
-	}
-	counts := make(map[msg.Value]int)
-	total := 0
-	for j := 0; j < m.cfg.N; j++ {
-		if contains(label, j) {
-			continue
-		}
-		child := append(append([]int{}, label...), j)
-		counts[m.resolve(child)]++
-		total++
-	}
-	var best msg.Value
-	bestCount := -1
-	keys := make([]msg.Value, 0, len(counts))
-	for v := range counts {
-		keys = append(keys, v)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, v := range keys {
-		if counts[v] > bestCount {
-			best, bestCount = v, counts[v]
-		}
-	}
-	if bestCount*2 > total {
-		return best
-	}
-	return m.cfg.Default
-}
-
+// decide resolves the tree bottom-up, in place: leaves keep their stored
+// value (the default where nothing was stored); an inner node takes the
+// strict majority of its resolved children, or the default when there is
+// none. Entry j of the decision is the resolved ⟨j⟩.
 func (m *machine) decide() {
-	vec := make([]msg.Value, m.cfg.N)
-	for j := 0; j < m.cfg.N; j++ {
-		vec[j] = m.resolve([]int{j})
+	for x := m.inner(); x < m.nodes(); x++ {
+		m.store(x, m.cfg.Default)
+	}
+	for x := m.inner() - 1; x >= 1; x-- {
+		m.val[x] = m.majority(m.child[x*m.n : (x+1)*m.n])
+	}
+	vec := make([]msg.Value, m.n)
+	for j := range vec {
+		vec[j] = m.val[m.first[1]+j]
 	}
 	m.decision = msg.EncodeVector(vec)
 	m.decided, m.done = true, true
+}
+
+// majority returns the value more than half of the children hold, or the
+// default: one pass pairs off unequal values, which leaves a strict
+// majority standing when there is one, and a second pass counts it.
+func (m *machine) majority(children []int32) msg.Value {
+	var cand msg.Value
+	lead, total := 0, 0
+	for _, c := range children {
+		if c < 0 {
+			continue
+		}
+		total++
+		switch {
+		case lead == 0:
+			cand, lead = m.val[c], 1
+		case m.val[c] == cand:
+			lead++
+		default:
+			lead--
+		}
+	}
+	count := 0
+	for _, c := range children {
+		if c >= 0 && m.val[c] == cand {
+			count++
+		}
+	}
+	if count*2 > total {
+		return cand
+	}
+	return m.cfg.Default
 }
 
 // Decision implements sim.Machine.

@@ -14,7 +14,6 @@ package floodset
 
 import (
 	"slices"
-	"strings"
 
 	"expensive/internal/msg"
 	"expensive/internal/proc"
@@ -49,33 +48,18 @@ type payload struct {
 var decodePayload = msg.CachedDecoder[payload]()
 
 // encodeW is msg.Encode(payload{W: w}) — the same bytes — written
-// directly when every value is one encoding/json copies verbatim into a
-// string literal: printable ASCII other than the quote, the backslash and
-// the three characters json.Marshal escapes for HTML. Anything else goes
-// through msg.Encode, so the payload format has a single definition.
+// directly, each value through msg.AppendString, which defines the
+// escaping once for every direct encoder.
 func encodeW(w []msg.Value) string {
-	size := len(`{"W":[]}`)
-	for _, v := range w {
-		for i := 0; i < len(v); i++ {
-			if c := v[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-				return msg.Encode(payload{W: w})
-			}
-		}
-		size += len(v) + len(`"",`)
-	}
-	var b strings.Builder
-	b.Grow(size)
-	b.WriteString(`{"W":[`)
+	var stack [64]byte // the usual bodies ({"W":["0","1"]}) never leave it
+	b := append(stack[:0], `{"W":[`...)
 	for i, v := range w {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteByte('"')
-		b.WriteString(string(v))
-		b.WriteByte('"')
+		b = msg.AppendString(b, string(v))
 	}
-	b.WriteString("]}")
-	return b.String()
+	return string(append(b, "]}"...))
 }
 
 type machine struct {

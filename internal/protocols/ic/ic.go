@@ -40,18 +40,21 @@ func RoundBound(t int) int { return dolevstrong.RoundBound(t) }
 // instances, instance j broadcast by process j; the decision is the
 // canonical encoding of the vector of instance decisions.
 func New(cfg Config) sim.Factory {
+	instances := make([]sim.Factory, cfg.N)
+	for j := range instances {
+		instances[j] = dolevstrong.New(dolevstrong.Config{
+			N:       cfg.N,
+			T:       cfg.T,
+			Sender:  proc.ID(j),
+			Scheme:  cfg.Scheme,
+			Tag:     "ic/" + strconv.Itoa(j),
+			Default: cfg.Default,
+		})
+	}
 	return func(id proc.ID, proposal msg.Value) sim.Machine {
-		subs := make([]sim.Machine, cfg.N)
-		for j := 0; j < cfg.N; j++ {
-			bc := dolevstrong.Config{
-				N:       cfg.N,
-				T:       cfg.T,
-				Sender:  proc.ID(j),
-				Scheme:  cfg.Scheme,
-				Tag:     "ic/" + strconv.Itoa(j),
-				Default: cfg.Default,
-			}
-			subs[j] = dolevstrong.New(bc)(id, proposal)
+		subs := make([]sim.Machine, len(instances))
+		for j, instance := range instances {
+			subs[j] = instance(id, proposal)
 		}
 		return mux.New(subs, mux.VectorCombiner)
 	}

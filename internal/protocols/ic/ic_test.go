@@ -1,6 +1,8 @@
 package ic_test
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"expensive/internal/crypto/sig"
@@ -78,5 +80,60 @@ func TestICDecidesWithinBound(t *testing.T) {
 	e := runIC(t, 4, 2, []msg.Value{"a", "b", "c", "d"}, sim.NoFaults{})
 	if e.Rounds > ic.RoundBound(2)+1 {
 		t.Errorf("decided after %d rounds, bound %d", e.Rounds, ic.RoundBound(2))
+	}
+}
+
+// TestFactorySharedAcrossGoroutines runs one factory — its n broadcast
+// instance factories and one signature scheme — from 8 goroutines at once;
+// with -race it is the check that machines share nothing they write.
+func TestFactorySharedAcrossGoroutines(t *testing.T) {
+	proposals := []msg.Value{"a", "b", "c", "d", "e"}
+	factory := ic.New(ic.Config{N: 5, T: 2, Scheme: sig.NewIdeal("ic-test"), Default: "⊥"})
+	cfg := sim.Config{N: 5, T: 2, Proposals: proposals, MaxRounds: ic.RoundBound(2) + 1}
+	want := runIC(t, 5, 2, proposals, sim.NoFaults{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				e, err := sim.Run(cfg, factory, sim.NoFaults{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for id := proc.ID(0); id < 5; id++ {
+					if !slices.Equal(e.Behavior(id).AllSent(), want.Behavior(id).AllSent()) {
+						t.Errorf("process %d sent a different trace than a run of its own factory", id)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestNoBufferSharedBetweenMachines holds a slice one machine returned
+// across the Init and Step of another machine of the same factory (the
+// two-faced adversary does exactly this with its two copies): neither the
+// multiplexer nor the broadcast instances under it may share a buffer
+// between machines.
+func TestNoBufferSharedBetweenMachines(t *testing.T) {
+	factory := ic.New(ic.Config{N: 4, T: 1, Scheme: sig.NewIdeal("ic-test"), Default: "⊥"})
+	a, b, peer := factory(0, "a"), factory(0, "b"), factory(1, "c")
+	held := a.Init()
+	want := slices.Clone(held)
+	b.Init()
+	var inbox []msg.Message
+	for _, o := range peer.Init() {
+		if o.To == 0 {
+			inbox = append(inbox, msg.Message{Sender: 1, Receiver: 0, Round: 1, Payload: o.Payload})
+		}
+	}
+	if out := b.Step(1, inbox); len(out) == 0 {
+		t.Fatal("machine b relayed nothing: the test no longer exercises its buffers")
+	}
+	if !slices.Equal(held, want) {
+		t.Fatalf("machine a's broadcast changed under machine b's calls:\n%q\nwas\n%q", held, want)
 	}
 }

@@ -5,14 +5,16 @@
 // sender/receiver pair per round, so running n parallel Byzantine
 // broadcast instances — as interactive consistency does — requires
 // bundling the per-instance messages into one payload. The multiplexer
-// does exactly that: payloads are canonical JSON maps from instance index
-// to inner payload, and received bundles are demultiplexed back into
+// does exactly that: a payload is the JSON object {"I":{"0":"…","1":"…"}}
+// from instance index to inner payload, keys in the order encoding/json
+// sorts them, and received bundles are demultiplexed back into
 // per-instance synthetic messages.
 package mux
 
 import (
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"expensive/internal/msg"
 	"expensive/internal/proc"
@@ -32,6 +34,25 @@ func VectorCombiner(sub []msg.Value) msg.Value { return msg.EncodeVector(sub) }
 type Machine struct {
 	subs    []sim.Machine
 	combine Combiner
+	// order lists the instances in the order encoding/json writes their
+	// bundle keys: as strings, "10" before "2".
+	order []int
+
+	// Working state, reused from call to call: sim.Machine lets a machine
+	// rewrite the slice it returned, and gives a sub-machine its inbox for
+	// the duration of Step only. inner[i] is instance i's inbox and keys a
+	// bundle's sorted keys; per[i] is what sub-machine i returned in this
+	// call. to lists this call's receivers in ascending order, and the
+	// receiver × instance table is flat: has[r*k+i] says instance i wrote
+	// to receiver to[r], cell[r*k+i] what.
+	inner [][]msg.Message
+	keys  []string
+	per   [][]sim.Outgoing
+	to    []proc.ID
+	cell  []string
+	has   []bool
+	out   []sim.Outgoing
+	buf   []byte
 
 	decided  bool
 	decision msg.Value
@@ -42,12 +63,19 @@ var _ sim.Machine = (*Machine)(nil)
 // New builds a multiplexed machine over subs. The composite decides once
 // every sub-machine has decided, combining their decisions with combine.
 func New(subs []sim.Machine, combine Combiner) *Machine {
-	return &Machine{subs: subs, combine: combine}
+	order := make([]int, len(subs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(strconv.Itoa(a), strconv.Itoa(b)) })
+	return &Machine{
+		subs: subs, combine: combine, order: order,
+		inner: make([][]msg.Message, len(subs)), per: make([][]sim.Outgoing, len(subs)),
+	}
 }
 
 type bundle struct {
-	// I maps instance index (decimal string, for canonical JSON ordering)
-	// to the inner payload.
+	// I maps instance index (a decimal string) to the inner payload.
 	I map[string]string
 }
 
@@ -60,17 +88,27 @@ var decodeBundle = msg.CachedDecoder[bundle]()
 
 // Init implements sim.Machine.
 func (m *Machine) Init() []sim.Outgoing {
-	perInstance := make([][]sim.Outgoing, len(m.subs))
 	for i, s := range m.subs {
-		perInstance[i] = s.Init()
+		m.per[i] = s.Init()
 	}
-	return m.muxOutgoing(perInstance)
+	return m.muxOutgoing()
 }
 
 // Step implements sim.Machine.
 func (m *Machine) Step(round int, received []msg.Message) []sim.Outgoing {
 	// Demultiplex: per instance, per sender, the synthetic inner message.
-	inner := make([][]msg.Message, len(m.subs))
+	inner := m.inner
+	if len(inner) > 0 && cap(inner[0]) == 0 {
+		// First Step: carve the inboxes out of one array, a message per
+		// sender each (a colliding bundle grows its inbox on its own).
+		slab := make([]msg.Message, len(inner)*len(received))
+		for i := range inner {
+			inner[i] = slab[i*len(received) : i*len(received) : (i+1)*len(received)]
+		}
+	}
+	for i := range inner {
+		inner[i] = inner[i][:0]
+	}
 	for _, outerMsg := range received {
 		b, ok := decodeBundle(outerMsg.Payload)
 		if !ok {
@@ -80,11 +118,12 @@ func (m *Machine) Step(round int, received []msg.Message) []sim.Outgoing {
 		// colliding keys in one bundle ("0" and "00" both decode to
 		// instance 0), and map order would then make the inner inbox —
 		// and everything downstream — nondeterministic.
-		keys := make([]string, 0, len(b.I))
+		keys := m.keys[:0]
 		for key := range b.I {
 			keys = append(keys, key)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
+		m.keys = keys
 		for _, key := range keys {
 			idx, err := strconv.Atoi(key)
 			if err != nil || idx < 0 || idx >= len(m.subs) {
@@ -98,13 +137,12 @@ func (m *Machine) Step(round int, received []msg.Message) []sim.Outgoing {
 			})
 		}
 	}
-	perInstance := make([][]sim.Outgoing, len(m.subs))
 	for i, s := range m.subs {
 		msg.Sort(inner[i])
-		perInstance[i] = s.Step(round, inner[i])
+		m.per[i] = s.Step(round, inner[i])
 	}
 	m.refreshDecision()
-	return m.muxOutgoing(perInstance)
+	return m.muxOutgoing()
 }
 
 func (m *Machine) refreshDecision() {
@@ -122,27 +160,68 @@ func (m *Machine) refreshDecision() {
 	m.decided, m.decision = true, m.combine(decisions)
 }
 
-func (m *Machine) muxOutgoing(perInstance [][]sim.Outgoing) []sim.Outgoing {
-	byReceiver := make(map[proc.ID]*bundle)
-	var order []proc.ID
-	for i, outs := range perInstance {
-		key := strconv.Itoa(i)
+// insertBlock opens k zero elements at s[at:at+k].
+func insertBlock[T any](s []T, at, k int) []T {
+	s = slices.Grow(s, k)[:len(s)+k]
+	copy(s[at+k:], s[at:])
+	clear(s[at : at+k])
+	return s
+}
+
+// muxOutgoing bundles what the sub-machines returned in this call (m.per)
+// into one message per receiver, ascending. It has copied every payload
+// out of the sub-machines' slices when it returns, so they are free to
+// rewrite them on their next call.
+func (m *Machine) muxOutgoing() []sim.Outgoing {
+	k := len(m.subs)
+	rows := 0 // a broadcasting instance names every receiver there will be
+	for _, outs := range m.per {
+		rows = max(rows, len(outs))
+	}
+	m.to, m.cell, m.has = slices.Grow(m.to[:0], rows), slices.Grow(m.cell[:0], rows*k), slices.Grow(m.has[:0], rows*k)
+	m.out = slices.Grow(m.out[:0], rows)
+	for i, outs := range m.per {
 		for _, o := range outs {
-			b, ok := byReceiver[o.To]
-			if !ok {
-				b = &bundle{I: make(map[string]string)}
-				byReceiver[o.To] = b
-				order = append(order, o.To)
+			r, found := slices.BinarySearch(m.to, o.To)
+			if !found {
+				m.to = slices.Insert(m.to, r, o.To)
+				m.cell = insertBlock(m.cell, r*k, k)
+				m.has = insertBlock(m.has, r*k, k)
 			}
-			b.I[key] = o.Payload
+			// An instance that names a receiver twice keeps its last word.
+			m.cell[r*k+i], m.has[r*k+i] = o.Payload, true
 		}
 	}
-	proc.SortIDs(order)
-	out := make([]sim.Outgoing, 0, len(order))
-	for _, to := range order {
-		out = append(out, sim.Outgoing{To: to, Payload: msg.Encode(byReceiver[to])})
+	for r, to := range m.to {
+		cell, has := m.cell[r*k:(r+1)*k], m.has[r*k:(r+1)*k]
+		// Honest instances broadcast, so a receiver's row is usually the
+		// previous receiver's: one encoding serves them all.
+		if r > 0 && slices.Equal(has, m.has[(r-1)*k:r*k]) && slices.Equal(cell, m.cell[(r-1)*k:r*k]) {
+			m.out = append(m.out, sim.Outgoing{To: to, Payload: m.out[r-1].Payload})
+			continue
+		}
+		// msg.Encode(bundle{I: …}), written directly.
+		size := len(`{"I":{}}`)
+		for _, p := range cell {
+			size += len(`"10":"",`) + len(p)
+		}
+		b := append(slices.Grow(m.buf[:0], size), `{"I":{`...)
+		for _, i := range m.order {
+			if !has[i] {
+				continue
+			}
+			if len(b) > len(`{"I":{`) {
+				b = append(b, ',')
+			}
+			b = append(b, '"')
+			b = strconv.AppendInt(b, int64(i), 10)
+			b = append(b, `":`...)
+			b = msg.AppendString(b, cell[i])
+		}
+		m.buf = append(b, "}}"...)
+		m.out = append(m.out, sim.Outgoing{To: to, Payload: string(m.buf)})
 	}
-	return out
+	return m.out
 }
 
 // Decision implements sim.Machine.

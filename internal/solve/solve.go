@@ -49,7 +49,7 @@ func Authenticated(p validity.Problem, scheme sig.Scheme) (*Derived, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	verdict := p.Solve()
+	verdict, cc := p.SolveCC()
 	if verdict.Trivial {
 		return trivial(p, verdict), nil
 	}
@@ -57,13 +57,13 @@ func Authenticated(p validity.Problem, scheme sig.Scheme) (*Derived, error) {
 		return nil, fmt.Errorf("%s (n=%d, t=%d): containment condition fails (%v): %w",
 			p.Name, p.N, p.T, verdict.CCWitness, ErrUnsolvable)
 	}
-	gamma, err := gammaFor(p)
+	gamma, err := p.GammaFunc(cc)
 	if err != nil {
 		return nil, err
 	}
 	icf := ic.New(ic.Config{N: p.N, T: p.T, Scheme: scheme, Default: p.Inputs[0]})
 	return &Derived{
-		Factory: reduction.FromIC(icf, gamma),
+		Factory: reduction.FromIC(icf, reduction.Gamma(gamma)),
 		Rounds:  ic.RoundBound(p.T),
 		Mode:    "authenticated-ic",
 		Verdict: verdict,
@@ -78,7 +78,7 @@ func Unauthenticated(p validity.Problem) (*Derived, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	verdict := p.Solve()
+	verdict, cc := p.SolveCC()
 	if verdict.Trivial {
 		return trivial(p, verdict), nil
 	}
@@ -90,26 +90,17 @@ func Unauthenticated(p validity.Problem) (*Derived, error) {
 		return nil, fmt.Errorf("%s: n=%d <= 3t=%d without authentication: %w",
 			p.Name, p.N, 3*p.T, ErrUnsolvable)
 	}
-	gamma, err := gammaFor(p)
+	gamma, err := p.GammaFunc(cc)
 	if err != nil {
 		return nil, err
 	}
 	eigf := eig.New(eig.Config{N: p.N, T: p.T, Default: p.Inputs[0]})
 	return &Derived{
-		Factory: reduction.FromIC(eigf, gamma),
+		Factory: reduction.FromIC(eigf, reduction.Gamma(gamma)),
 		Rounds:  eig.RoundBound(p.T),
 		Mode:    "unauthenticated-eig",
 		Verdict: verdict,
 	}, nil
-}
-
-func gammaFor(p validity.Problem) (reduction.Gamma, error) {
-	cc := p.CheckCC()
-	fn, err := p.GammaFunc(cc)
-	if err != nil {
-		return nil, err
-	}
-	return reduction.Gamma(fn), nil
 }
 
 func trivial(p validity.Problem, verdict validity.Solvability) *Derived {

@@ -160,3 +160,31 @@ func TestCheckRejectsBadInputs(t *testing.T) {
 		t.Error("expected size mismatch error")
 	}
 }
+
+// TestDerivationEnumeratesOnce counts validity-predicate calls: deriving a
+// protocol costs what the Theorem 4 verdict costs — one pass for
+// triviality and one containment-condition enumeration, whose Γ the
+// derivation keeps instead of enumerating again.
+func TestDerivationEnumeratesOnce(t *testing.T) {
+	p := validity.Strong(5, 1)
+	calls := 0
+	admissible := p.Admissible
+	p.Admissible = func(c validity.InputConfig, v msg.Value) bool {
+		calls++
+		return admissible(c, v)
+	}
+	p.Solve()
+	verdict := calls
+	for name, derive := range map[string]func() (*solve.Derived, error){
+		"Authenticated":   func() (*solve.Derived, error) { return solve.Authenticated(p, sig.NewIdeal("solve-once")) },
+		"Unauthenticated": func() (*solve.Derived, error) { return solve.Unauthenticated(p) },
+	} {
+		calls = 0
+		if _, err := derive(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if calls != verdict {
+			t.Errorf("%s calls the validity predicate %d times, the verdict alone %d", name, calls, verdict)
+		}
+	}
+}

@@ -212,19 +212,28 @@ type Solvability struct {
 
 // Solve evaluates the general solvability theorem for p.
 func (p Problem) Solve() Solvability {
+	s, _ := p.SolveCC()
+	return s
+}
+
+// SolveCC is Solve together with the containment-condition result its
+// one enumeration produced — Γ included — for callers that go on to build
+// a protocol from it (GammaFunc). A trivial problem is decided without
+// the enumeration and comes with the zero CCResult.
+func (p Problem) SolveCC() (Solvability, CCResult) {
 	s := Solvability{Problem: p.Name, N: p.N, T: p.T}
 	if v, ok := p.IsTrivial(); ok {
 		// A trivial problem is solvable everywhere: decide v immediately.
 		s.Trivial, s.TrivialValue = true, v
 		s.CC = true
 		s.Authenticated, s.Unauthenticated = true, true
-		return s
+		return s, CCResult{}
 	}
 	cc := p.CheckCC()
 	s.CC, s.CCWitness = cc.Holds, cc.Witness
 	s.Authenticated = cc.Holds
 	s.Unauthenticated = cc.Holds && p.N > 3*p.T
-	return s
+	return s, cc
 }
 
 // GammaFunc materializes Γ as a selector over decided I_n vectors, for use
