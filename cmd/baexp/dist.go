@@ -149,16 +149,17 @@ type jobFlags struct {
 
 // jobDefaults is the one table of per-kind defaults, for the job flags
 // whose default depends on the campaign kind; the rest have one default
-// for every kind, registered in addJobFlags. A kind the table does not
-// know (soak's smr, which reads only -n and -t) takes the hunt column.
-var jobDefaults = []struct{ flag, hunt, fuzz, matrix string }{
-	{"proto", "floodset", "floodset", ""},                         // matrix: empty = every registered protocol
-	{"strategy", "targeted-withhold", "random-send-omission", ""}, // matrix: empty = the full library
-	{"n", "8", "4", "0"},
-	{"t", "2", "3", "0"},
-	{"seeds", "0:64", "0:64", "0:16"},
-	{"keep", "3", "3", "1"},
-	{"shrink", "true", "true", "false"},
+// for every kind, registered in addJobFlags. soak's smr kind reads only
+// -n and -t, and needs a size phase-king accepts (n > 4t, which hunt's
+// 8:2 is not); where its column is empty it takes the hunt column.
+var jobDefaults = []struct{ flag, hunt, fuzz, matrix, smr string }{
+	{"proto", "floodset", "floodset", "", ""},                         // matrix: empty = every registered protocol
+	{"strategy", "targeted-withhold", "random-send-omission", "", ""}, // matrix: empty = the full library
+	{"n", "8", "4", "0", "5"},
+	{"t", "2", "3", "0", "1"},
+	{"seeds", "0:64", "0:64", "0:16", ""},
+	{"keep", "3", "3", "1", ""},
+	{"shrink", "true", "true", "false", ""},
 }
 
 // addJobFlags registers the campaign-shape flags — the one set `hunt`,
@@ -203,6 +204,10 @@ func applyJobDefaults(fs *flag.FlagSet, kind string) {
 			v = d.fuzz
 		case "matrix":
 			v = d.matrix
+		case "smr":
+			if d.smr != "" {
+				v = d.smr
+			}
 		}
 		f := fs.Lookup(d.flag)
 		if err := f.Value.Set(v); err != nil {

@@ -352,15 +352,14 @@ func parseSeedRange(s string) (adversary.SeedRange, error) {
 
 // runCampaign is `baexp hunt`, `fuzz` and `matrix`: the dist.Job the
 // shared job flags describe, run in this process — dist.Serial plus the
-// three settings that belong to this invocation and not to the campaign
-// (-parallel, -corpus, -timing) — and printed by the emit `coord` uses.
+// two settings that belong to this invocation and not to the campaign
+// (-parallel, -corpus) — and printed by the emit `coord` uses.
 // `coord -kind K` with the same flags builds the same Job, which is why
 // the two print the same report.
 func runCampaign(kind string, args []string) error {
 	fs := flag.NewFlagSet(kind, flag.ContinueOnError)
 	parallel := fs.Int("parallel", 0, "probe worker count (matrix: cell worker count; 0 = NumCPU, 1 = serial)")
 	corpusPath := fs.String("corpus", "", "corpus file: loaded if present, saved after the run (fuzz)")
-	timing := fs.Bool("timing", false, "attach the wall-clock timing block (probes_per_sec) to the grid JSON (matrix); nondeterministic, so off by default")
 	jsonOut := fs.Bool("json", false, "emit the deterministic JSON report")
 	verbose := fs.Bool("v", false, "render the first shrunk counterexample's timeline (hunt)")
 	list := fs.Bool("list", false, "list protocols and strategies and exit")
@@ -380,7 +379,7 @@ func runCampaign(kind string, args []string) error {
 	if err != nil {
 		return err
 	}
-	local := dist.Local{Parallelism: *parallel, Timing: *timing}
+	local := dist.Local{Parallelism: *parallel}
 	if local.Corpus, err = loadCorpus(*corpusPath); err != nil {
 		return err
 	}

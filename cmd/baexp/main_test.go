@@ -58,6 +58,7 @@ func TestRunSubcommands(t *testing.T) {
 		// they are exercised by the CI soak-smoke step; the smr kind runs
 		// fully in-process and smokes here.
 		{"soak smr clean", []string{"soak", "-kind", "smr", "-n", "5", "-t", "1", "-duration", "300ms"}},
+		{"soak smr defaults", []string{"soak", "-kind", "smr", "-duration", "300ms"}},
 		{"soak smr storm", []string{"soak", "-kind", "smr", "-n", "5", "-t", "1", "-chaos", "storm", "-chaos-seed", "33", "-duration", "300ms"}},
 		{"run mem", []string{"run", "-proto", "phase-king", "-n", "5", "-t", "1"}},
 		{"run tcp", []string{"run", "-proto", "weak-eig", "-n", "4", "-t", "1", "-transport", "tcp"}},

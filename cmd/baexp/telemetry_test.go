@@ -166,23 +166,3 @@ func TestFuzzCorpusSaveEvent(t *testing.T) {
 		}
 	}
 }
-
-// TestMatrixTimingFlag pins the -timing opt-in: probes_per_sec appears in
-// the grid JSON only when asked for, keeping the default grid diffable.
-func TestMatrixTimingFlag(t *testing.T) {
-	args := []string{"matrix", "-proto", "floodset", "-sizes", "5:1", "-seeds", "0:4", "-json"}
-	plain, _, err := captureRun(t, args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(plain, []byte(`"probes_per_sec"`)) {
-		t.Error("default grid JSON carries the nondeterministic timing block")
-	}
-	timed, _, err := captureRun(t, append(args, "-timing"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(timed, []byte(`"probes_per_sec"`)) {
-		t.Error("-timing grid JSON carries no probes_per_sec")
-	}
-}

@@ -1,9 +1,10 @@
 package adversary
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"expensive/internal/experiments/runner"
@@ -316,47 +317,31 @@ type Histogram struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// NewHistogram builds the deterministic exact-value histogram of values —
-// the statistic campaign and fuzz reports carry for message and round
-// counts.
+// NewHistogram builds the deterministic exact-value histogram of values:
+// what Add builds from them one at a time, in any order.
 func NewHistogram(values []int) Histogram {
-	if len(values) == 0 {
-		return Histogram{}
-	}
-	counts := make(map[int]int)
+	var h Histogram
 	for _, v := range values {
-		counts[v]++
-	}
-	return NewHistogramFromCounts(counts)
-}
-
-// NewHistogramFromCounts builds the histogram of a multiset given as a
-// value → occurrence-count map: exactly what NewHistogram produces over
-// the expanded value slice, without materializing it. This is the form a
-// checkpointable fold carries (a counts map serializes; a growing value
-// slice does not scale to billion-probe campaigns).
-func NewHistogramFromCounts(counts map[int]int) Histogram {
-	values := make([]int, 0, len(counts))
-	for v := range counts {
-		values = append(values, v)
-	}
-	sort.Ints(values)
-	h := Histogram{}
-	for _, v := range values {
-		if counts[v] <= 0 {
-			continue
-		}
-		h.Buckets = append(h.Buckets, Bucket{Value: v, Count: counts[v]})
-	}
-	if len(h.Buckets) == 0 {
-		return Histogram{}
-	}
-	h.Min = h.Buckets[0].Value
-	h.Max = h.Buckets[len(h.Buckets)-1].Value
-	for _, b := range h.Buckets {
-		h.Sum += b.Value * b.Count
+		h.Add(v)
 	}
 	return h
+}
+
+// Add counts one more occurrence of v, in place, keeping the buckets
+// sorted by value — the form a live fold carries, so a report's
+// histograms exist between probes and not only at the end of a run.
+func (h *Histogram) Add(v int) {
+	if len(h.Buckets) == 0 {
+		h.Min, h.Max = v, v
+	}
+	h.Min, h.Max = min(h.Min, v), max(h.Max, v)
+	h.Sum += v
+	i, found := slices.BinarySearchFunc(h.Buckets, v, func(b Bucket, v int) int { return cmp.Compare(b.Value, v) })
+	if found {
+		h.Buckets[i].Count++
+		return
+	}
+	h.Buckets = slices.Insert(h.Buckets, i, Bucket{Value: v, Count: 1})
 }
 
 // Merge returns the histogram of the union multiset — the histogram
@@ -366,9 +351,11 @@ func NewHistogramFromCounts(counts map[int]int) Histogram {
 // per-unit sub-reports into the byte-identical single-process histogram.
 func (h Histogram) Merge(o Histogram) Histogram {
 	if len(h.Buckets) == 0 {
-		return o
+		h, o = o, h
 	}
 	if len(o.Buckets) == 0 {
+		// A copy, never an operand's own buckets: Add writes in place.
+		h.Buckets = slices.Clone(h.Buckets)
 		return h
 	}
 	out := Histogram{
@@ -444,18 +431,10 @@ type CampaignReport struct {
 	Seeds         SeedRange `json:"seeds"`
 	// Probes counts the executed probes (one per seed).
 	Probes int `json:"probes"`
-	// ViolationCount counts every violating seed; Violations records up to
-	// MaxViolations of them in seed order.
-	ViolationCount int          `json:"violation_count"`
-	Violations     []*Violation `json:"violations,omitempty"`
-	// FirstViolationProbe is the 1-based index of the first violating probe
-	// (seed order), 0 when the sweep stayed clean — the probes-to-first-
-	// violation metric the blind-sweep vs adaptive-fuzzing comparison reads.
-	FirstViolationProbe int `json:"first_violation_probe"`
-	// Messages and RoundsHist are exact-value histograms over the probes'
-	// correct-message counts and recorded round counts.
-	Messages   Histogram `json:"messages"`
-	RoundsHist Histogram `json:"rounds"`
+	// Ledger is the fold of the probes: the violations (Violations records
+	// up to MaxViolations of them in seed order, each probe's index being
+	// its seed's 1-based position in Seeds) and the cost histograms.
+	Ledger
 
 	// Timing statistics (excluded from the JSON encoding: they vary run to
 	// run while the report above must not).
@@ -493,9 +472,8 @@ func (c *Campaign) proposalsFor(seed int64, env Env) []msg.Value {
 
 // probeResult is one seed's deterministic outcome.
 type probeResult struct {
-	messages int
-	rounds   int
-	v        *Violation
+	Cost
+	v *Violation
 }
 
 // Run sweeps the seed range on the worker pool and returns the report.
@@ -526,25 +504,9 @@ func (c *Campaign) Run() (*CampaignReport, error) {
 
 	report := c.newReport()
 	report.Probes, report.Workers = len(results), workers
-	messages := make([]int, 0, len(results))
-	rounds := make([]int, 0, len(results))
 	for i, res := range results {
-		messages = append(messages, res.messages)
-		rounds = append(rounds, res.rounds)
-		if res.v == nil {
-			continue
-		}
-		if report.FirstViolationProbe == 0 {
-			report.FirstViolationProbe = i + 1
-		}
-		report.ViolationCount++
-		if c.MaxViolations > 0 && len(report.Violations) >= c.MaxViolations {
-			continue
-		}
-		report.Violations = append(report.Violations, res.v)
+		report.Add(i+1, res.Cost, res.v, c.MaxViolations)
 	}
-	report.Messages = NewHistogram(messages)
-	report.RoundsHist = NewHistogram(rounds)
 
 	if c.Shrink {
 		opts := c.RecheckOptions()
@@ -580,11 +542,8 @@ func (c *Campaign) newReport() *CampaignReport {
 
 // Merge folds the reports of sub-campaigns over consecutive pieces of
 // c.Seeds, in ascending seed order, into the report Run produces over the
-// whole range (before shrinking, which runs once, on the merged report).
-// It works because each sub-campaign records up to the same MaxViolations
-// cap: the global first-K violations are a prefix of the concatenated
-// per-piece first-K lists, a first-violation index shifts by the probes
-// of the pieces before it, and exact-value histograms merge losslessly.
+// whole range (before shrinking, which runs once, on the merged report);
+// each sub-campaign must have recorded under the same MaxViolations.
 // A nil entry is a piece nobody probed; its probes are simply missing.
 func (c *Campaign) Merge(subs []*CampaignReport) *CampaignReport {
 	report := c.newReport()
@@ -592,17 +551,8 @@ func (c *Campaign) Merge(subs []*CampaignReport) *CampaignReport {
 		if sub == nil {
 			continue
 		}
-		if report.FirstViolationProbe == 0 && sub.FirstViolationProbe > 0 {
-			report.FirstViolationProbe = report.Probes + sub.FirstViolationProbe
-		}
-		report.ViolationCount += sub.ViolationCount
-		report.Violations = append(report.Violations, sub.Violations...)
+		report.Ledger.Merge(&sub.Ledger, report.Probes, c.MaxViolations)
 		report.Probes += sub.Probes
-		report.Messages = report.Messages.Merge(sub.Messages)
-		report.RoundsHist = report.RoundsHist.Merge(sub.RoundsHist)
-	}
-	if c.MaxViolations > 0 && len(report.Violations) > c.MaxViolations {
-		report.Violations = report.Violations[:c.MaxViolations]
 	}
 	return report
 }
@@ -631,8 +581,8 @@ func (c *Campaign) probe(seed int64, env Env, co campaignObs) (probeResult, erro
 	if err != nil {
 		return probeResult{}, fmt.Errorf("seed %d: %w", seed, err)
 	}
-	res := probeResult{messages: e.CorrectMessages(), rounds: e.Rounds, v: v}
-	co.messages.Add(int64(res.messages))
+	res := probeResult{Cost: CostOf(e), v: v}
+	co.messages.Add(int64(res.Messages))
 	if v == nil {
 		return res, nil
 	}

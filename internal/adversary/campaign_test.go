@@ -330,22 +330,6 @@ func TestSeedRangeSplitCovers(t *testing.T) {
 	}
 }
 
-// TestHistogramFromCountsMatchesSlices pins the checkpointable counts-map
-// path to the slice path byte for byte.
-func TestHistogramFromCountsMatchesSlices(t *testing.T) {
-	values := []int{5, 3, 5, 9, 3, 3, 0, 12, 5}
-	counts := map[int]int{5: 3, 3: 3, 9: 1, 0: 1, 12: 1}
-	a, b := NewHistogram(values), NewHistogramFromCounts(counts)
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if string(ja) != string(jb) {
-		t.Fatalf("FromCounts = %s, NewHistogram = %s", jb, ja)
-	}
-	if e := NewHistogramFromCounts(map[int]int{7: 0}); len(e.Buckets) != 0 {
-		t.Fatalf("zero-count bucket leaked: %+v", e)
-	}
-}
-
 // TestHistogramMerge checks Merge against NewHistogram over concatenated
 // value slices — the identity the distributed fold relies on.
 func TestHistogramMerge(t *testing.T) {

@@ -124,19 +124,11 @@ type Report struct {
 	CorpusLoaded int `json:"corpus_loaded"`
 	CorpusSize   int `json:"corpus_size"`
 	NewCoverage  int `json:"new_coverage"`
-	// ViolationCount counts every violating probe; Violations records up
-	// to MaxViolations of them in probe order. A violation's Seed field
-	// carries the 1-based global probe index that found it.
-	ViolationCount int                    `json:"violation_count"`
-	Violations     []*adversary.Violation `json:"violations,omitempty"`
-	// FirstViolationProbe is the 1-based index of the first violating
-	// probe, 0 when the run stayed clean — the probes-to-first-violation
-	// metric the blind-sweep comparison reads.
-	FirstViolationProbe int `json:"first_violation_probe"`
-	// Messages and RoundsHist are exact-value histograms over the probes'
-	// correct-message counts and recorded round counts.
-	Messages   adversary.Histogram `json:"messages"`
-	RoundsHist adversary.Histogram `json:"rounds"`
+	// Ledger is the fold of the probes: the violations (Violations records
+	// up to MaxViolations of them in probe order; a violation's Seed field
+	// carries the 1-based global probe index that found it) and the cost
+	// histograms, live after every folded generation.
+	adversary.Ledger
 
 	// Timing statistics (excluded from the JSON encoding: they vary run to
 	// run while the report above must not).
@@ -198,10 +190,9 @@ func (f *Fuzzer) ShrinkOptions() adversary.ShrinkOptions {
 // because distributed workers execute probes remotely and ship outcomes
 // back to the coordinator's fold.
 type Outcome struct {
-	Cov      uint64               `json:"cov"`
-	Messages int                  `json:"messages"`
-	Rounds   int                  `json:"rounds"`
-	V        *adversary.Violation `json:"violation,omitempty"`
+	Cov uint64 `json:"cov"`
+	adversary.Cost
+	V *adversary.Violation `json:"violation,omitempty"`
 	// Cand carries the probe's replayable form: the candidate itself for
 	// mutants, the extracted explicit plan for seed probes (nil when the
 	// seed plan is not replayable — it is then reported but not grown
@@ -287,7 +278,7 @@ func (f *Fuzzer) seedProbe(i int, env adversary.Env, fo fuzzObs) (Outcome, error
 	if err != nil {
 		return Outcome{}, fmt.Errorf("seed probe %d: %w", i, err)
 	}
-	out := Outcome{Cov: coverage(e), Messages: e.CorrectMessages(), Rounds: e.Rounds, V: v}
+	out := Outcome{Cov: coverage(e), Cost: adversary.CostOf(e), V: v}
 	if ep != nil {
 		out.Cand = &Candidate{Plan: *ep, Proposals: proposals, Parent: -1, Op: "seed"}
 	}
@@ -308,5 +299,5 @@ func (f *Fuzzer) mutantProbe(c *Candidate, env adversary.Env, fo fuzzObs) (Outco
 	if err != nil {
 		return Outcome{}, fmt.Errorf("mutant (%s of entry %d): %w", c.Op, c.Parent, err)
 	}
-	return Outcome{Cov: coverage(e), Messages: e.CorrectMessages(), Rounds: e.Rounds, V: v, Cand: c}, nil
+	return Outcome{Cov: coverage(e), Cost: adversary.CostOf(e), V: v, Cand: c}, nil
 }

@@ -30,13 +30,6 @@ type Session struct {
 	report *Report
 	m      mutator
 
-	// msgCounts and roundCounts accumulate the exact-value histogram
-	// multisets as counts rather than slices so snapshots stay small at
-	// billion-probe budgets. NewHistogramFromCounts folds them into the
-	// same histograms NewHistogram builds over the equivalent slices.
-	msgCounts   map[int]int
-	roundCounts map[int]int
-
 	// nextGen is the generation NextGeneration derives next: 0 before the
 	// seeding generation has been issued, g+1 after generation g.
 	nextGen int
@@ -96,8 +89,6 @@ func (f *Fuzzer) newSession() *Session {
 			CorpusLoaded:  f.Corpus.Size(),
 			Workers:       runner.Workers(f.Parallelism),
 		},
-		msgCounts:   make(map[int]int),
-		roundCounts: make(map[int]int),
 	}
 	for _, e := range s.corpus.Entries {
 		s.seen[e.Cov] = true
@@ -152,8 +143,10 @@ func (s *Session) Fold(g *Generation, results []Outcome) {
 	covBefore, violBefore := report.NewCoverage, report.ViolationCount
 	for i, out := range results {
 		probe := report.Probes + i + 1
-		s.msgCounts[out.Messages]++
-		s.roundCounts[out.Rounds]++
+		if out.V != nil {
+			out.V.Seed = int64(probe)
+		}
+		report.Add(probe, out.Cost, out.V, s.f.MaxViolations)
 		if !s.seen[out.Cov] && out.Cand != nil {
 			s.seen[out.Cov] = true
 			report.NewCoverage++
@@ -167,18 +160,6 @@ func (s *Session) Fold(g *Generation, results []Outcome) {
 				Proposals: out.Cand.Proposals,
 			})
 		}
-		if out.V == nil {
-			continue
-		}
-		if report.FirstViolationProbe == 0 {
-			report.FirstViolationProbe = probe
-		}
-		report.ViolationCount++
-		if s.f.MaxViolations > 0 && len(report.Violations) >= s.f.MaxViolations {
-			continue
-		}
-		out.V.Seed = int64(probe)
-		report.Violations = append(report.Violations, out.V)
 	}
 	report.Probes += len(results)
 	report.Generations++
@@ -196,15 +177,12 @@ func (s *Session) Fold(g *Generation, results []Outcome) {
 	}
 }
 
-// Finish seals the report: histograms, final corpus size, shrinking of
-// recorded violations, and the fuzz-end event. The returned report's
-// timing fields are zero — schedulers own wall-clock measurement.
+// Finish seals the report: final corpus size, shrinking of recorded
+// violations, and the fuzz-end event. The returned report's timing fields
+// are zero — schedulers own wall-clock measurement.
 func (s *Session) Finish() (*Report, error) {
 	report := s.report
 	report.CorpusSize = s.corpus.Size()
-	report.Messages = adversary.NewHistogramFromCounts(s.msgCounts)
-	report.RoundsHist = adversary.NewHistogramFromCounts(s.roundCounts)
-
 	if s.f.Shrink {
 		opts := s.f.ShrinkOptions()
 		opts.Obs = obs.From(s.f.Ctx)
@@ -222,26 +200,23 @@ func (s *Session) Finish() (*Report, error) {
 	return report, nil
 }
 
-// SessionState is a session snapshot: everything needed to resume folding
-// where a previous session stopped. It marshals deterministically
-// (encoding/json sorts the count-map keys).
+// SessionState is a session snapshot, everything needed to resume folding
+// where a previous session stopped: the report so far (its ledger
+// included, so the histograms carry on from the probes already folded),
+// the generation counter and the corpus.
 type SessionState struct {
-	Report      *Report     `json:"report"`
-	MsgCounts   map[int]int `json:"msg_counts,omitempty"`
-	RoundCounts map[int]int `json:"round_counts,omitempty"`
-	NextGen     int         `json:"next_gen"`
-	Corpus      *Corpus     `json:"corpus"`
+	Report  *Report `json:"report"`
+	NextGen int     `json:"next_gen"`
+	Corpus  *Corpus `json:"corpus"`
 }
 
 // State snapshots the session between generations. The snapshot shares
 // structure with the live session — marshal it before the next Fold.
 func (s *Session) State() *SessionState {
 	return &SessionState{
-		Report:      s.report,
-		MsgCounts:   s.msgCounts,
-		RoundCounts: s.roundCounts,
-		NextGen:     s.nextGen,
-		Corpus:      s.corpus,
+		Report:  s.report,
+		NextGen: s.nextGen,
+		Corpus:  s.corpus,
 	}
 }
 
@@ -262,12 +237,6 @@ func (f *Fuzzer) ResumeSession(st *SessionState) (*Session, error) {
 	s := f.newSession()
 	s.report = st.Report
 	s.report.Workers = runner.Workers(f.Parallelism)
-	if st.MsgCounts != nil {
-		s.msgCounts = st.MsgCounts
-	}
-	if st.RoundCounts != nil {
-		s.roundCounts = st.RoundCounts
-	}
 	s.nextGen = st.NextGen
 	return s, nil
 }

@@ -10,9 +10,8 @@
 //
 // Wall-clock stats that reports deliberately carry are excluded from
 // encoding with json:"-" — those writes stay clean here because only
-// encoded fields are sinks. The one sanctioned encoded sink is the
-// matrix Grid.Timing block (the -timing opt-in), listed in sanctioned
-// below; everything else needs a //balint:allow obstaint with a reason.
+// encoded fields are sinks. No encoded sink is sanctioned: one that must
+// carry a wall stat needs a //balint:allow obstaint with a reason.
 package obstaint
 
 import (
@@ -31,8 +30,7 @@ var Analyzer = &analysis.Analyzer{
 		"Telemetry is a side channel: counter/gauge/histogram reads and\n" +
 		"stopwatch walls must not reach any JSON-encoded struct field or\n" +
 		"marshal call in report-producing packages. Wall stats a report\n" +
-		"carries must be json:\"-\"; Grid.Timing is the one sanctioned\n" +
-		"encoded timing block.",
+		"carries must be json:\"-\".",
 	Run: run,
 }
 
@@ -67,16 +65,6 @@ var sources = map[string]bool{
 	"(*expensive/internal/obs.Recorder).Uptime":              true,
 	"(*expensive/internal/obs.Recorder).Snapshot":            true,
 	"(*expensive/internal/obs.Sink).Events":                  true,
-}
-
-// sanctioned names the encoded sinks that may carry telemetry-derived
-// values: the whole GridTiming struct (the matrix -timing block exists
-// to hold wall stats, and byte-identity diffs strip it) and the Grid
-// field wiring the block in. Keys are "pkgpath.Type" for a whole struct
-// or "pkgpath.Type.Field" for one field.
-var sanctioned = map[string]bool{
-	"expensive/internal/catalog/matrix.GridTiming":  true,
-	"expensive/internal/catalog/matrix.Grid.Timing": true,
 }
 
 // marshalFuncs are the encoder entry points whose arguments are sinks.
@@ -150,8 +138,7 @@ func checkBody(pass *analysis.Pass, info *types.Info, body ast.Node, res *taint.
 	})
 }
 
-// checkFieldWrite flags lhs when it is an encoded field of a struct and
-// not a sanctioned sink.
+// checkFieldWrite flags lhs when it is an encoded field of a struct.
 func checkFieldWrite(pass *analysis.Pass, info *types.Info, lhs ast.Expr) {
 	sel, ok := analysis.Unparen(lhs).(*ast.SelectorExpr)
 	if !ok {
@@ -169,11 +156,8 @@ func checkFieldWrite(pass *analysis.Pass, info *types.Info, lhs ast.Expr) {
 	if idx < 0 || !taint.EncodedField(st, idx) {
 		return
 	}
-	if isSanctioned(named, sel.Sel.Name) {
-		return
-	}
 	pass.Reportf(lhs.Pos(),
-		"telemetry-derived value written to encoded field %s.%s: tag it json:\"-\" or route it through the sanctioned timing block",
+		"telemetry-derived value written to encoded field %s.%s: tag it json:\"-\"",
 		shortName(named), sel.Sel.Name)
 }
 
@@ -201,13 +185,9 @@ func checkLiteral(pass *analysis.Pass, info *types.Info, lit *ast.CompositeLit, 
 		if !res.Tainted(v) {
 			continue
 		}
-		name := st.Field(idx).Name()
-		if isSanctioned(named, name) {
-			continue
-		}
 		pass.Reportf(v.Pos(),
-			"telemetry-derived value written to encoded field %s.%s: tag it json:\"-\" or route it through the sanctioned timing block",
-			shortName(named), name)
+			"telemetry-derived value written to encoded field %s.%s: tag it json:\"-\"",
+			shortName(named), st.Field(idx).Name())
 	}
 }
 
@@ -236,8 +216,8 @@ func fieldIndex(st *types.Struct, name string) int {
 	return -1
 }
 
-// typeName renders the fully qualified name (sanctioned keys use it);
-// shortName is the last-path-element form used in messages.
+// typeName renders the fully qualified name; shortName is the
+// last-path-element form used in messages.
 func typeName(named *types.Named) string {
 	if named == nil {
 		return "struct"
@@ -254,9 +234,4 @@ func shortName(named *types.Named) string {
 		return full[i+1:]
 	}
 	return full
-}
-
-func isSanctioned(named *types.Named, field string) bool {
-	tn := typeName(named)
-	return sanctioned[tn] || sanctioned[tn+"."+field]
 }

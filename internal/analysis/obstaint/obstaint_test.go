@@ -10,7 +10,6 @@ import (
 
 func TestObstaint(t *testing.T) {
 	analysistest.Run(t, "testdata", []*analysis.Analyzer{obstaint.Analyzer},
-		"expensive/internal/catalog/matrix",
 		"expensive/internal/experiments/flagged",
 		"expensive/internal/experiments/runner",
 		"expensive/internal/obs",

@@ -69,12 +69,6 @@ type Matrix struct {
 	// Cells are the parallel unit — each cell's campaign runs serially —
 	// so the grid is byte-identical at every level.
 	Parallelism int
-	// Timing attaches a wall-clock block (probes_per_sec and friends) to
-	// the grid's JSON encoding. Off by default, and deliberately so: the
-	// block varies run to run, so grids stop being byte-comparable the
-	// moment it is on. Everything else in the encoding stays deterministic
-	// either way.
-	Timing bool
 	// Ctx cancels the sweep; nil means context.Background().
 	Ctx context.Context
 }
@@ -128,25 +122,12 @@ type Grid struct {
 	Probes         int `json:"probes"`
 	SkippedCells   int `json:"skipped_cells"`
 	ViolatingCells int `json:"violating_cells"`
-	// Timing is the opt-in wall-clock block (Matrix.Timing / `baexp matrix
-	// -timing`). Nil — and absent from the encoding — by default, because
-	// its values are intentionally nondeterministic: two runs of the same
-	// matrix produce different timing blocks, so byte-comparing grids
-	// requires leaving it off.
-	Timing *GridTiming `json:"timing,omitempty"`
 
 	// Timing statistics (always carried; excluded from the JSON encoding).
 	Wall         time.Duration `json:"-"`
 	WallMS       float64       `json:"-"`
 	ProbesPerSec float64       `json:"-"`
 	Workers      int           `json:"-"`
-}
-
-// GridTiming is the grid's opt-in wall-clock summary.
-type GridTiming struct {
-	WallMS       float64 `json:"wall_ms"`
-	ProbesPerSec float64 `json:"probes_per_sec"`
-	Workers      int     `json:"workers"`
 }
 
 // Broken reports whether any cell found a violation.
@@ -239,9 +220,6 @@ func (m *Matrix) Run() (*Grid, error) {
 	g := AssembleGrid(protocols, strategies, r.Sizes, r.Seeds, cells)
 	g.Workers = workers
 	g.Wall, g.WallMS, g.ProbesPerSec = sw.WallStats(g.Probes)
-	if r.Timing {
-		g.Timing = &GridTiming{WallMS: g.WallMS, ProbesPerSec: g.ProbesPerSec, Workers: g.Workers}
-	}
 	mo.cellsSkipped.Add(int64(g.SkippedCells))
 	mo.cellsViolating.Add(int64(g.ViolatingCells))
 	if mo.sink != nil {

@@ -13,8 +13,11 @@ import (
 	"expensive/internal/adversary/fuzz"
 )
 
-// checkpointVersion gates checkpoint compatibility.
-const checkpointVersion = 1
+// checkpointVersion gates checkpoint compatibility. Version 1 kept the
+// fuzz histograms as count maps beside the report; since version 2 they
+// live in the report's ledger, so resuming a version-1 file would drop
+// every probe folded before it from the histograms — it is refused.
+const checkpointVersion = 2
 
 // Checkpoint is the coordinator's persisted progress: the job (for
 // identity checking on resume), the completed units of a hunt or matrix

@@ -319,6 +319,44 @@ func TestDistFuzzKillResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointVersionRefused: a fuzz checkpoint of format version 1 kept
+// its histograms outside the report, so resuming one would drop every
+// probe folded before it. A real checkpoint relabelled "version": 1 is
+// refused by loadCheckpoint, and so by a coordinator before it schedules
+// anything; the same bytes under the current version load.
+func TestCheckpointVersionRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "checkpoint.json")
+	c1 := &Coordinator{Job: fuzzJob(), LocalWorkers: 2, WorkerParallelism: 2, CheckpointPath: path, stopAfterUnits: 2}
+	if _, err := c1.Run(); !errors.Is(err, ErrStopped) {
+		t.Fatalf("stop hook: got %v, want ErrStopped", err)
+	}
+	job := fuzzJob()
+	job.normalize()
+	if cp, err := loadCheckpoint(path, job); err != nil || cp == nil || cp.Fuzz == nil {
+		t.Fatalf("checkpoint of the current version not loaded: %v", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := []byte(fmt.Sprintf(`"version": %d`, checkpointVersion))
+	old := bytes.Replace(raw, current, []byte(`"version": 1`), 1)
+	if bytes.Equal(old, raw) {
+		t.Fatalf("saved checkpoint does not carry %s", current)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("has version 1, want %d", checkpointVersion)
+	if _, err := loadCheckpoint(path, job); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("load error %v does not say %q", err, want)
+	}
+	c2 := &Coordinator{Job: fuzzJob(), LocalWorkers: 2, WorkerParallelism: 2, CheckpointPath: path}
+	if _, err := c2.Run(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("coordinator resumed a version-1 checkpoint: %v", err)
+	}
+}
+
 // TestDistReassignsDeadWorkerUnits connects a worker that accepts a unit
 // and then goes silent: the coordinator must declare it dead after the
 // heartbeat timeout, reassign its unit to the healthy worker, and still

@@ -17,9 +17,6 @@ type Local struct {
 	// Corpus seeds a fuzz run with a resumed corpus, like
 	// Coordinator.Corpus.
 	Corpus *fuzz.Corpus
-	// Timing attaches the nondeterministic wall-clock block to a matrix
-	// grid's JSON encoding (matrix.Matrix.Timing).
-	Timing bool
 }
 
 // Serial runs a job single-process through the exact engine construction
@@ -55,7 +52,6 @@ func (l Local) Run(ctx context.Context, job *Job) (*Report, error) {
 		report.Corpus = e.fuzzer.Corpus
 	default:
 		e.matrix.Parallelism = l.Parallelism
-		e.matrix.Timing = l.Timing
 		e.matrix.Ctx = ctx
 		if report.Grid, err = e.matrix.Run(); err == nil {
 			report.Units = len(report.Grid.Cells)

@@ -384,8 +384,12 @@ func soakPlan(slot int, victim bool, seed int64) *chaosnet.Plan {
 // runSoak drives one kill-resume-under-chaos campaign: `workers` worker
 // slots with chaotic coordinator links, the first two slots carrying cut
 // rules that kill them deterministically; each slot respawns its worker
-// (incarnation + 1) until the campaign completes. Returns the report and
-// the number of kills (worker deaths followed by a respawn) observed.
+// (incarnation + 1) until the campaign completes. The clean slots join
+// only once each victim has died once, which makes "at least two kills" a
+// property of the schedule: started together, two clean slots can finish
+// a short campaign before both victims reach their cut. Returns the
+// report and the number of kills (worker deaths followed by a respawn)
+// observed.
 func runSoak(t *testing.T, job *Job, workers int, seed int64) (*Report, int) {
 	t.Helper()
 	c := &Coordinator{
@@ -398,13 +402,21 @@ func runSoak(t *testing.T, job *Job, workers int, seed int64) (*Report, int) {
 		t.Fatal(err)
 	}
 	campaignDone := make(chan struct{})
-	var kills atomic.Int64
+	victimsDied := make(chan struct{})
+	var kills, firstDeaths atomic.Int64
 	var wg sync.WaitGroup
 	for slot := 0; slot < workers; slot++ {
 		slot, victim := slot, slot < 2
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if !victim {
+				select {
+				case <-victimsDied:
+				case <-campaignDone:
+					return
+				}
+			}
 			for incarnation := 0; incarnation < 100; incarnation++ {
 				w := &Worker{
 					Addr:        c.ListenAddr(),
@@ -424,6 +436,9 @@ func runSoak(t *testing.T, job *Job, workers int, seed int64) (*Report, int) {
 				default:
 				}
 				kills.Add(1)
+				if victim && incarnation == 0 && firstDeaths.Add(1) == 2 {
+					close(victimsDied)
+				}
 			}
 			t.Error("soak worker exceeded 100 incarnations — kill loop did not converge")
 			c.Drain() // fail fast rather than hang the coordinator forever

@@ -144,7 +144,7 @@ func RunOne(id string, opts Options) (*Result, error) {
 	return &Result{
 		Table: tab,
 		Wall:  wall,
-		//balint:allow obstaint Result.wall_ms is the runner's deliberate timing block, the always-on analogue of Grid.Timing: the byte-identity contract covers experiment Tables, and Result exists to carry run stats next to one
+		//balint:allow obstaint Result.wall_ms is the runner's deliberate timing block: the byte-identity contract covers experiment Tables, and Result exists to carry run stats next to one
 		WallMS:  float64(wall.Microseconds()) / 1e3,
 		Probes:  sim.Runs() - before,
 		Workers: opts.Workers(),

@@ -95,8 +95,6 @@ func (r *Report) Broken() bool { return r.Violation != nil }
 
 // Options tune the falsifier.
 type Options struct {
-	// Horizon overrides the probe-execution length (default sim.Horizon(roundBound)).
-	Horizon int
 	// DisableMerge skips steps 3-5 (the Lemma 3/4/5 machinery), keeping
 	// only the direct Lemma 2 attempts on isolation probes. This is the
 	// ablation showing the merge argument is load-bearing.
@@ -156,17 +154,13 @@ func Falsify(name string, factory sim.Factory, roundBound, n, t int, opts Option
 	if t < 8 || t >= n {
 		return nil, fmt.Errorf("falsify: need 8 <= t < n (partition groups of t/4), got n=%d t=%d", n, t)
 	}
-	horizon := opts.Horizon
-	if horizon <= 0 {
-		horizon = sim.Horizon(roundBound)
-	}
 	f := &falsifier{
 		name:    name,
 		factory: factory,
 		bound:   roundBound,
 		n:       n,
 		t:       t,
-		horizon: horizon,
+		horizon: sim.Horizon(roundBound),
 		opts:    opts,
 		report: &Report{
 			Protocol:  name,

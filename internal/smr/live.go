@@ -72,12 +72,18 @@ func NewLive(cfg LiveConfig) (*LiveLog, error) {
 		return nil, fmt.Errorf("smr: live log needs a mesh builder")
 	}
 	rec := obs.From(cfg.Ctx)
+	commitHist := rec.Histogram("smr_commit_ns")
+	if commitHist == nil {
+		// LatencyP50P99 is part of the log's own interface, not telemetry:
+		// with no recorder on the context the log keeps the histogram itself.
+		commitHist = &obs.Histogram{}
+	}
 	return &LiveLog{
 		queues:     q,
 		cfg:        cfg,
 		commitsC:   rec.Counter("smr_live_commits"),
 		divergedC:  rec.Counter("smr_live_divergences"),
-		commitHist: rec.Histogram("smr_commit_ns"),
+		commitHist: commitHist,
 	}, nil
 }
 

@@ -89,6 +89,24 @@ func TestLiveLogCommitsCleanMesh(t *testing.T) {
 	}
 }
 
+// TestLiveLogLatencyWithoutRecorder: the liveness monitor is the log's
+// own, not telemetry's — with a nil Ctx (no recorder to borrow a histogram
+// from) LatencyP50P99 still reports the commits it timed.
+func TestLiveLogLatencyWithoutRecorder(t *testing.T) {
+	log, err := NewLive(liveConfig(t, 4, 0, "", 0, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := 0; slot < 3; slot++ {
+		if _, err := log.CommitSlot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p50, p99 := log.LatencyP50P99(); p50 <= 0 || p99 < p50 {
+		t.Errorf("3 slots committed with no recorder: p50=%d p99=%d", p50, p99)
+	}
+}
+
 func TestLiveLogUnderChaosStorm(t *testing.T) {
 	// The SMR soak core: phase-king slots over the storm profile
 	// (drop + delay + partition within a T=1 budget). The online safety

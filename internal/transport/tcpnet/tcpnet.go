@@ -18,28 +18,27 @@ import (
 	"expensive/internal/transport"
 )
 
-// Options hardens a mesh against flaky construction and hung peers. The
-// zero value keeps the historical behavior except for dialing, which
-// always retries a few times (construction races each listener coming up).
-type Options struct {
-	// DialAttempts and DialBackoff configure transport.DialRetry for the
-	// mesh-construction dials (defaults: 3 attempts, 25ms initial backoff).
-	DialAttempts int
-	DialBackoff  time.Duration
-	// RecvTimeout bounds every endpoint Recv: a peer that stalls past it
-	// fails the round with an error instead of blocking forever. 0 means
-	// block indefinitely (the historical behavior).
-	RecvTimeout time.Duration
-}
+const (
+	// dialAttempts bounds transport.DialRetry (at its default backoff) for
+	// the mesh-construction dials, which race each listener coming up.
+	dialAttempts = 3
+	// recvTimeout bounds every endpoint Recv: a peer that stalls past it
+	// fails the round with transport.ErrTimeout instead of wedging the node
+	// forever. Rounds complete in milliseconds; this only has to sit below
+	// any deadline a caller might be running under.
+	recvTimeout = 30 * time.Second
+)
 
 // Mesh is a full TCP mesh over 127.0.0.1.
 type Mesh struct {
 	n      int
-	opts   Options
 	conns  [][]net.Conn // conns[i][j]: i's connection to j (nil on diagonal)
 	inbox  []chan frameOrErr
 	done   chan struct{}   // closed by Close; unblocks pumps wedged on full inboxes
 	epDone []chan struct{} // closed per endpoint by endpoint.Close
+	// recvTimeout is the Recv bound in force: the constant, except in this
+	// package's tests, which cannot wait that long for a stalled peer.
+	recvTimeout time.Duration
 
 	mu       sync.Mutex
 	closed   bool
@@ -52,22 +51,17 @@ type frameOrErr struct {
 	err error
 }
 
-// New builds a connected mesh of n nodes on loopback ports with default
-// options. It returns an error if any listen/dial step fails.
-func New(n int) (*Mesh, error) { return NewWithOptions(n, Options{}) }
-
-// NewWithOptions builds a connected mesh of n nodes on loopback ports.
-func NewWithOptions(n int, o Options) (*Mesh, error) {
-	if o.DialAttempts <= 0 {
-		o.DialAttempts = 3
-	}
+// New builds a connected mesh of n nodes on loopback ports. It returns an
+// error if any listen/dial step fails.
+func New(n int) (*Mesh, error) {
 	m := &Mesh{
-		n: n, opts: o,
-		conns:    make([][]net.Conn, n),
-		inbox:    make([]chan frameOrErr, n),
-		done:     make(chan struct{}),
-		epDone:   make([]chan struct{}, n),
-		epClosed: make([]bool, n),
+		n:           n,
+		conns:       make([][]net.Conn, n),
+		inbox:       make([]chan frameOrErr, n),
+		done:        make(chan struct{}),
+		epDone:      make([]chan struct{}, n),
+		epClosed:    make([]bool, n),
+		recvTimeout: recvTimeout,
 	}
 	for i := range m.conns {
 		m.conns[i] = make([]net.Conn, n)
@@ -125,7 +119,7 @@ func NewWithOptions(n int, o Options) (*Mesh, error) {
 	// Dial peers with higher IDs.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			conn, err := transport.DialRetry("tcp", addrs[j], o.DialAttempts, o.DialBackoff)
+			conn, err := transport.DialRetry("tcp", addrs[j], dialAttempts, 0)
 			if err != nil {
 				m.Close()
 				return nil, fmt.Errorf("tcpnet: dial %d->%d: %w", i, j, err)
@@ -275,16 +269,11 @@ func (e *endpoint) Send(to proc.ID, f transport.Frame) error {
 	return enc.Encode(f)
 }
 
-// Recv implements transport.Endpoint. With Options.RecvTimeout set, a
-// peer that stalls past the deadline fails this round instead of wedging
-// the node forever.
+// Recv implements transport.Endpoint. A peer that stalls past recvTimeout
+// fails this round instead of wedging the node forever.
 func (e *endpoint) Recv() (transport.Frame, error) {
-	var timeout <-chan time.Time
-	if d := e.mesh.opts.RecvTimeout; d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		timeout = timer.C
-	}
+	timer := time.NewTimer(e.mesh.recvTimeout)
+	defer timer.Stop()
 	select {
 	case fe, ok := <-e.mesh.inbox[e.id]:
 		if !ok {
@@ -296,9 +285,9 @@ func (e *endpoint) Recv() (transport.Frame, error) {
 		return fe.f, nil
 	case <-e.mesh.epDone[e.id]:
 		return transport.Frame{}, fmt.Errorf("tcpnet: endpoint %v: %w", e.id, transport.ErrClosed)
-	case <-timeout:
+	case <-timer.C:
 		return transport.Frame{}, fmt.Errorf("tcpnet: node %v: no frame within %v (stalled peer): %w",
-			e.id, e.mesh.opts.RecvTimeout, transport.ErrTimeout)
+			e.id, e.mesh.recvTimeout, transport.ErrTimeout)
 	}
 }
 
