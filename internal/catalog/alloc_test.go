@@ -23,7 +23,7 @@ func TestSubstrateAllocations(t *testing.T) {
 	}{
 		{"eig", 400},
 		{"weak-eig", 500},
-		{"ic", 1500},
+		{"ic", 900},
 		{"dolev-strong", 137}, // no higher than before
 	} {
 		spec, err := catalog.Get(tc.id)

@@ -244,6 +244,40 @@ func CachedDecoder[T any]() func(payload string) (*T, bool) {
 	}
 }
 
+// Slot is a write-once cell that travels with one payload string so that
+// its decoded form is found without looking the string up again: whoever
+// routes the same payload bytes to many receivers (the multiplexer, which
+// caches a bundle body with a slot per inner payload) hands every receiver
+// a pointer to the same Slot, the first one stores what it decoded and the
+// rest load it. A Slot outlives the run that filled it and is read by
+// concurrent runs, and it holds whatever its first writer stored: a reader
+// type-asserts what it loads and, if that is another protocol's decoding
+// of the same bytes, decodes for itself. A Slot must not be copied.
+type Slot struct {
+	v atomic.Pointer[any]
+}
+
+// Load returns the stored value, or nil while nothing has been stored. A
+// nil Slot is always empty.
+func (s *Slot) Load() any {
+	if s == nil {
+		return nil
+	}
+	if p := s.v.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Store keeps v if the slot is empty and is a no-op otherwise, as it is on
+// a nil Slot.
+func (s *Slot) Store(v any) {
+	if s != nil && s.v.Load() == nil {
+		held := v // boxed only on the path that stores
+		s.v.CompareAndSwap(nil, &held)
+	}
+}
+
 // DecodeVector parses a vector encoded by EncodeVector.
 func DecodeVector(v Value) ([]Value, error) {
 	var out []Value

@@ -47,8 +47,16 @@ func Validate(e *sim.Execution) error {
 		}
 	}
 
-	// Index all successfully sent messages by identity.
-	sent := make(map[msg.Key]msg.Message)
+	// Index all successfully sent messages by identity. Composition has
+	// made the keys distinct: one sender per behavior, one round per
+	// fragment, one message per receiver in it.
+	count := 0
+	for _, b := range e.Behaviors {
+		for _, f := range b.Fragments {
+			count += len(f.Sent)
+		}
+	}
+	sent := make(map[msg.Key]msg.Message, count)
 	for _, b := range e.Behaviors {
 		for _, f := range b.Fragments {
 			for _, m := range f.Sent {
@@ -77,19 +85,29 @@ func Validate(e *sim.Execution) error {
 	}
 
 	// Send-validity: every sent message is received or receive-omitted by
-	// its receiver in the same round. Checked in canonical message order
-	// so the witness named by the error is deterministic.
-	sentMsgs := make([]msg.Message, 0, len(sent))
-	for _, m := range sent {
-		sentMsgs = append(sentMsgs, m)
-	}
-	msg.Sort(sentMsgs)
-	for _, m := range sentMsgs {
-		rb := e.Behaviors[m.Receiver]
-		f := rb.Frag(m.Round)
-		if !containsMsg(f.Received, m) && !containsMsg(f.ReceiveOmitted, m) {
-			return fmt.Errorf("send-validity: %v sent but neither received nor receive-omitted", m)
+	// its receiver in the same round. The witness named by the error is the
+	// first lost message in canonical message order, whatever order the
+	// trace lists them in.
+	var lost *msg.Message
+	for _, b := range e.Behaviors {
+		for _, f := range b.Fragments {
+			for i := range f.Sent {
+				m := &f.Sent[i]
+				if lost != nil && lost.Key().Compare(m.Key()) <= 0 {
+					continue
+				}
+				if m.Receiver >= 0 && int(m.Receiver) < e.N { // else nobody in Π holds it
+					rf := e.Behaviors[m.Receiver].Frag(m.Round)
+					if containsMsg(rf.Received, *m) || containsMsg(rf.ReceiveOmitted, *m) {
+						continue
+					}
+				}
+				lost = m
+			}
 		}
+	}
+	if lost != nil {
+		return fmt.Errorf("send-validity: %v sent but neither received nor receive-omitted", *lost)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package omission
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -175,6 +177,33 @@ func TestValidateRejectsMutations(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateNamesTheSmallestLostMessage loses two messages, the larger
+// of which a walk over behaviors meets first: the witness is the smaller in
+// message order (round before sender), not the first one met.
+func TestValidateNamesTheSmallestLostMessage(t *testing.T) {
+	e := runFull(t, msg.Zero)
+	lose := func(sender, receiver proc.ID, round int) msg.Message {
+		f := &e.Behavior(receiver).Fragments[round-1]
+		for i, m := range f.Received {
+			if m.Sender == sender {
+				f.Received = slices.Delete(slices.Clone(f.Received), i, i+1)
+				return m
+			}
+		}
+		t.Fatalf("%s received nothing from %s in round %d", receiver, sender, round)
+		return msg.Message{}
+	}
+	later := lose(0, 1, 2)   // behavior 0: met first
+	smaller := lose(5, 2, 1) // behavior 5, but round 1
+	err := Validate(e)
+	if err == nil {
+		t.Fatal("two lost messages not detected")
+	}
+	if want := fmt.Sprintf("send-validity: %v sent", smaller); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q\ndoes not name the smallest lost message %v (the other is %v)", err, smaller, later)
 	}
 }
 

@@ -204,6 +204,29 @@ func (m *machine) hasExtracted(v msg.Value) bool {
 
 // Step implements sim.Machine.
 func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
+	return m.StepSlots(round, received, nil)
+}
+
+// decodeThrough is decodePayload behind the slot that came with the
+// payload, if one did: the first receiver of a broadcast fills it and the
+// others skip the content-keyed lookup. nil is a payload that does not
+// decode. A slot another protocol filled with its own reading of the same
+// bytes stays as it is.
+func decodeThrough(payload string, slot *msg.Slot) *Payload {
+	if p, ok := slot.Load().(*Payload); ok {
+		return p
+	}
+	p, ok := decodePayload(payload)
+	if !ok {
+		p = nil
+	}
+	slot.Store(p)
+	return p
+}
+
+// StepSlots is Step for a caller that holds a msg.Slot for each received
+// payload (the multiplexer): slots is nil or parallel to received.
+func (m *machine) StepSlots(round int, received []msg.Message, slots []*msg.Slot) []sim.Outgoing {
 	if m.done {
 		return nil
 	}
@@ -214,9 +237,13 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 		data []byte
 	}
 	n := 0
-	for _, rm := range received {
-		p, ok := decodePayload(rm.Payload)
-		if !ok {
+	for i, rm := range received {
+		var slot *msg.Slot
+		if slots != nil {
+			slot = slots[i]
+		}
+		p := decodeThrough(rm.Payload, slot)
+		if p == nil {
 			continue // garbage from a Byzantine peer
 		}
 		for _, it := range p.Items {

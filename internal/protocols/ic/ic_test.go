@@ -1,7 +1,9 @@
 package ic_test
 
 import (
+	"reflect"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -9,7 +11,9 @@ import (
 	"expensive/internal/msg"
 	"expensive/internal/omission"
 	"expensive/internal/proc"
+	"expensive/internal/protocols/dolevstrong"
 	"expensive/internal/protocols/ic"
+	"expensive/internal/protocols/mux"
 	"expensive/internal/sim"
 )
 
@@ -135,5 +139,68 @@ func TestNoBufferSharedBetweenMachines(t *testing.T) {
 	}
 	if !slices.Equal(held, want) {
 		t.Fatalf("machine a's broadcast changed under machine b's calls:\n%q\nwas\n%q", held, want)
+	}
+}
+
+// scribbler is a broadcast instance that hands back its inbox, and the
+// slots that came with it, overwritten the moment it has stepped: what the
+// multiplexer lends for a Step, the next instance finds gone.
+type scribbler struct{ sim.Machine }
+
+type slotStepper interface {
+	StepSlots(round int, received []msg.Message, slots []*msg.Slot) []sim.Outgoing
+}
+
+func scribble(received []msg.Message) {
+	for i := range received {
+		received[i] = msg.Message{Sender: -1, Receiver: -1, Round: -1, Payload: "scribbled"}
+	}
+}
+
+func (s scribbler) Step(round int, received []msg.Message) []sim.Outgoing {
+	defer scribble(received)
+	return s.Machine.Step(round, received)
+}
+
+func (s scribbler) StepSlots(round int, received []msg.Message, slots []*msg.Slot) []sim.Outgoing {
+	defer scribble(received)
+	defer clear(slots)
+	return s.Machine.(slotStepper).StepSlots(round, received, slots)
+}
+
+// TestInboxIsOnlyLent runs interactive consistency over broadcast
+// instances wrapped in scribblers — fault-free and past a silent process —
+// and wants the trace of the unwrapped run: an instance keeps nothing of
+// its inbox past Step, which is what lets the multiplexer lend all n of
+// them the same one.
+func TestInboxIsOnlyLent(t *testing.T) {
+	const n, tf = 5, 2
+	proposals := []msg.Value{"a", "b", "c", "d", "e"}
+	scheme := sig.NewIdeal("ic-test")
+	scribbled := func(id proc.ID, proposal msg.Value) sim.Machine {
+		subs := make([]sim.Machine, n)
+		for j := range subs {
+			subs[j] = scribbler{dolevstrong.New(dolevstrong.Config{
+				N: n, T: tf, Sender: proc.ID(j), Scheme: scheme, Tag: "ic/" + strconv.Itoa(j), Default: "⊥",
+			})(id, proposal)}
+		}
+		return mux.New(subs, mux.VectorCombiner)
+	}
+	cfg := sim.Config{N: n, T: tf, Proposals: proposals, MaxRounds: ic.RoundBound(tf) + 2}
+	for name, plan := range map[string]func() sim.FaultPlan{
+		"fault-free": func() sim.FaultPlan { return sim.NoFaults{} },
+		"silent":     func() sim.FaultPlan { return sim.ByzantinePlan{Machines: map[proc.ID]sim.Machine{2: silent{}}} },
+	} {
+		want, err := sim.Run(cfg, ic.New(ic.Config{N: n, T: tf, Scheme: scheme, Default: "⊥"}), plan())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := sim.Run(cfg, scribbled, plan())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want.Recording != sim.RecordFull || !reflect.DeepEqual(got.Behaviors, want.Behaviors) {
+			t.Errorf("%s: instances that lose their inbox after Step leave a different %s trace", name, want.Recording)
+		}
 	}
 }

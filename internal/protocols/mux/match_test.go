@@ -68,6 +68,26 @@ func (m *scripted) Step(round int, received []msg.Message) []sim.Outgoing {
 	return m.emit()
 }
 
+// StepSlots makes scripted a sub-machine the product multiplexer hands
+// slots (the reference only knows Step): every payload is read from its
+// slot — filled with the payload itself by whichever scripted machine, of
+// any multiplexer in the process, got there first — and what the slots
+// said is what Step folds. A slot that is not the one for its message's
+// payload shows on the wire as a divergence from the reference.
+func (m *scripted) StepSlots(round int, received []msg.Message, slots []*msg.Slot) []sim.Outgoing {
+	read := make([]msg.Message, len(received))
+	for i, rm := range received {
+		p, ok := slots[i].Load().(string)
+		if !ok {
+			p = rm.Payload
+			slots[i].Store(p)
+		}
+		rm.Payload = p
+		read[i] = rm
+	}
+	return m.Step(round, read)
+}
+
 func (m *scripted) Decision() (msg.Value, bool) {
 	if !m.decided {
 		return msg.NoDecision, false

@@ -12,6 +12,8 @@
 package mux
 
 import (
+	"cmp"
+	"encoding/json"
 	"slices"
 	"strconv"
 	"strings"
@@ -29,6 +31,14 @@ type Combiner func(sub []msg.Value) msg.Value
 // combiner for interactive consistency.
 func VectorCombiner(sub []msg.Value) msg.Value { return msg.EncodeVector(sub) }
 
+// slotStepper is the optional method of a sub-machine that can take, with
+// its inbox, a msg.Slot per message (parallel to the inbox): where it would
+// decode received[i].Payload it loads slots[i] and stores there what it
+// decoded, so a payload broadcast to n multiplexers is decoded once.
+type slotStepper interface {
+	StepSlots(round int, received []msg.Message, slots []*msg.Slot) []sim.Outgoing
+}
+
 // Machine multiplexes k sub-machines over the single-message-per-peer
 // channel model.
 type Machine struct {
@@ -40,13 +50,15 @@ type Machine struct {
 
 	// Working state, reused from call to call: sim.Machine lets a machine
 	// rewrite the slice it returned, and gives a sub-machine its inbox for
-	// the duration of Step only. inner[i] is instance i's inbox and keys a
-	// bundle's sorted keys; per[i] is what sub-machine i returned in this
-	// call. to lists this call's receivers in ascending order, and the
+	// the duration of Step only. rest[j] is what is left to deliver of the
+	// j-th received bundle; inbox and slots are the one inbox every
+	// instance is lent in turn; per[i] is what sub-machine i returned in
+	// this call. to lists this call's receivers in ascending order, and the
 	// receiver × instance table is flat: has[r*k+i] says instance i wrote
 	// to receiver to[r], cell[r*k+i] what.
-	inner [][]msg.Message
-	keys  []string
+	rest  [][]route
+	inbox []msg.Message
+	slots []*msg.Slot
 	per   [][]sim.Outgoing
 	to    []proc.ID
 	cell  []string
@@ -68,23 +80,60 @@ func New(subs []sim.Machine, combine Combiner) *Machine {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(a, b int) int { return strings.Compare(strconv.Itoa(a), strconv.Itoa(b)) })
-	return &Machine{
-		subs: subs, combine: combine, order: order,
-		inner: make([][]msg.Message, len(subs)), per: make([][]sim.Outgoing, len(subs)),
+	return &Machine{subs: subs, combine: combine, order: order, per: make([][]sim.Outgoing, len(subs))}
+}
+
+// route is one inner payload of a bundle body with the instance its key
+// names, and the slot every receiver of that body shares for its decoding.
+type route struct {
+	instance int
+	payload  string
+	slot     msg.Slot
+}
+
+// routes is a bundle body {"I":{key:payload,…}} in the form Step consumes:
+// an entry per key that strconv.Atoi reads as a non-negative instance,
+// ordered by instance and, where a Byzantine sender spelt one instance
+// twice ("0" and "00"), by key — the order in which a walk over the sorted
+// keys delivers to each instance, and one that does not depend on map
+// order. Instances no multiplexer has are kept: the body does not know k.
+type routes []route
+
+// UnmarshalJSON accepts what encoding/json accepts for
+// struct{ I map[string]string }.
+func (r *routes) UnmarshalJSON(body []byte) error {
+	var b struct{ I map[string]string }
+	if err := json.Unmarshal(body, &b); err != nil {
+		return err
 	}
+	type addressed struct {
+		instance     int
+		key, payload string
+	}
+	to := make([]addressed, 0, len(b.I))
+	for key, payload := range b.I {
+		if instance, err := strconv.Atoi(key); err == nil && instance >= 0 {
+			to = append(to, addressed{instance, key, payload})
+		}
+	}
+	slices.SortFunc(to, func(a, b addressed) int {
+		if c := cmp.Compare(a.instance, b.instance); c != 0 {
+			return c
+		}
+		return strings.Compare(a.key, b.key)
+	})
+	*r = make(routes, len(to)) // filled in place: a slot is never copied
+	for i, a := range to {
+		(*r)[i].instance, (*r)[i].payload = a.instance, a.payload
+	}
+	return nil
 }
 
-type bundle struct {
-	// I maps instance index (a decimal string) to the inner payload.
-	I map[string]string
-}
-
-// decodeBundle memoizes bundle decoding (msg.CachedDecoder): the demux hot
-// path sees the same bundle bodies over and over across probe sweeps.
-// Decoded bundles are shared and read-only; demux iterates I in sorted
-// key order, so the shared map is never a source of nondeterminism even
-// for adversarial bundles with colliding keys.
-var decodeBundle = msg.CachedDecoder[bundle]()
+// decodeBundle memoizes bundle routing (msg.CachedDecoder): the demux hot
+// path sees the same bundle bodies over and over, n - 1 times within a run
+// and again across probe sweeps. Routed bundles are shared; all but their
+// slots is read-only.
+var decodeBundle = msg.CachedDecoder[routes]()
 
 // Init implements sim.Machine.
 func (m *Machine) Init() []sim.Outgoing {
@@ -97,50 +146,48 @@ func (m *Machine) Init() []sim.Outgoing {
 // Step implements sim.Machine.
 func (m *Machine) Step(round int, received []msg.Message) []sim.Outgoing {
 	// Demultiplex: per instance, per sender, the synthetic inner message.
-	inner := m.inner
-	if len(inner) > 0 && cap(inner[0]) == 0 {
-		// First Step: carve the inboxes out of one array, a message per
-		// sender each (a colliding bundle grows its inbox on its own).
-		slab := make([]msg.Message, len(inner)*len(received))
-		for i := range inner {
-			inner[i] = slab[i*len(received) : i*len(received) : (i+1)*len(received)]
-		}
-	}
-	for i := range inner {
-		inner[i] = inner[i][:0]
-	}
+	// Every routed bundle is in instance order, so one pass over the
+	// instances consumes each bundle from the front. A message per sender
+	// is all an honest instance's inbox holds (a colliding bundle grows it
+	// on its own).
+	inbox, slots := slices.Grow(m.inbox[:0], len(received)), slices.Grow(m.slots[:0], len(received))
+	rest := slices.Grow(m.rest[:0], len(received))
 	for _, outerMsg := range received {
-		b, ok := decodeBundle(outerMsg.Payload)
-		if !ok {
-			continue // malformed bundle from a Byzantine sender: ignore
+		var rs []route // malformed bundle from a Byzantine sender: nothing to deliver
+		if b, ok := decodeBundle(outerMsg.Payload); ok {
+			rs = *b
 		}
-		// Iterate bundle keys in sorted order: a Byzantine sender can put
-		// colliding keys in one bundle ("0" and "00" both decode to
-		// instance 0), and map order would then make the inner inbox —
-		// and everything downstream — nondeterministic.
-		keys := m.keys[:0]
-		for key := range b.I {
-			keys = append(keys, key)
-		}
-		slices.Sort(keys)
-		m.keys = keys
-		for _, key := range keys {
-			idx, err := strconv.Atoi(key)
-			if err != nil || idx < 0 || idx >= len(m.subs) {
-				continue
-			}
-			inner[idx] = append(inner[idx], msg.Message{
-				Sender:   outerMsg.Sender,
-				Receiver: outerMsg.Receiver,
-				Round:    outerMsg.Round,
-				Payload:  b.I[key],
-			})
-		}
+		rest = append(rest, rs)
 	}
 	for i, s := range m.subs {
-		msg.Sort(inner[i])
-		m.per[i] = s.Step(round, inner[i])
+		inbox, slots = inbox[:0], slots[:0]
+		sorted := true
+		for j, outerMsg := range received {
+			rs := rest[j]
+			for ; len(rs) > 0 && rs[0].instance == i; rs = rs[1:] {
+				im := msg.Message{
+					Sender:   outerMsg.Sender,
+					Receiver: outerMsg.Receiver,
+					Round:    outerMsg.Round,
+					Payload:  rs[0].payload,
+				}
+				sorted = sorted && (len(inbox) == 0 || inbox[len(inbox)-1].Key().Compare(im.Key()) < 0)
+				inbox, slots = append(inbox, im), append(slots, &rs[0].slot)
+			}
+			rest[j] = rs
+		}
+		if ss, ok := s.(slotStepper); ok && sorted {
+			m.per[i] = ss.StepSlots(round, inbox, slots)
+			continue
+		}
+		if !sorted {
+			// Two messages under one key, or an outer inbox the engine did
+			// not order: the sort leaves no message beside its slot.
+			msg.Sort(inbox)
+		}
+		m.per[i] = s.Step(round, inbox)
 	}
+	m.rest, m.inbox, m.slots = rest, inbox, slots
 	m.refreshDecision()
 	return m.muxOutgoing()
 }
@@ -149,13 +196,14 @@ func (m *Machine) refreshDecision() {
 	if m.decided {
 		return
 	}
-	decisions := make([]msg.Value, len(m.subs))
-	for i, s := range m.subs {
-		v, ok := s.Decision()
-		if !ok {
+	for _, s := range m.subs {
+		if _, ok := s.Decision(); !ok {
 			return
 		}
-		decisions[i] = v
+	}
+	decisions := make([]msg.Value, len(m.subs))
+	for i, s := range m.subs {
+		decisions[i], _ = s.Decision()
 	}
 	m.decided, m.decision = true, m.combine(decisions)
 }
