@@ -2,6 +2,9 @@ package expensive_test
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,9 +12,30 @@ import (
 	"expensive"
 )
 
+// lookup returns the catalog handle registered under id.
+func lookup(t *testing.T, id string) expensive.Protocol {
+	t.Helper()
+	p, ok := expensive.LookupProtocol(id)
+	if !ok {
+		t.Fatalf("%s not registered", id)
+	}
+	return p
+}
+
+// build is the one route to a cataloged protocol's machines: look the
+// handle up, build it with centrally validated parameters.
+func build(t *testing.T, id string, params expensive.ProtocolParams) (expensive.Factory, int) {
+	t.Helper()
+	factory, rounds, err := lookup(t, id).Build(params)
+	if err != nil {
+		t.Fatalf("build %s: %v", id, err)
+	}
+	return factory, rounds
+}
+
 func TestFacadeWeakConsensusLifecycle(t *testing.T) {
 	n, tf := 5, 1
-	factory, rounds := expensive.NewWeakConsensusPhaseKing(n, tf)
+	factory, rounds := build(t, "weak-phase-king", expensive.DefaultProtocolParams(n, tf))
 	proposals := []expensive.Value{expensive.One, expensive.One, expensive.One, expensive.One, expensive.One}
 	cfg := expensive.RunConfig{N: n, T: tf, Proposals: proposals, MaxRounds: rounds + 1}
 	exec, err := expensive.RunProtocol(cfg, factory, expensive.NoFaults())
@@ -30,7 +54,8 @@ func TestFacadeWeakConsensusLifecycle(t *testing.T) {
 func TestFacadeBroadcastAndIC(t *testing.T) {
 	n, tf := 4, 1
 	scheme := expensive.NewIdealScheme("api-test")
-	bb, rounds := expensive.NewDolevStrongBroadcast(n, tf, 2, scheme, "⊥")
+	params := expensive.ProtocolParams{N: n, T: tf, Sender: 2, Scheme: scheme, Default: "⊥"}
+	bb, rounds := build(t, "dolev-strong", params)
 	cfg := expensive.RunConfig{
 		N: n, T: tf,
 		Proposals: []expensive.Value{"a", "b", "proposal-c", "d"},
@@ -45,7 +70,7 @@ func TestFacadeBroadcastAndIC(t *testing.T) {
 		t.Errorf("broadcast decision %q err %v", d, err)
 	}
 
-	icf, icRounds := expensive.NewInteractiveConsistency(n, tf, scheme, "⊥")
+	icf, icRounds := build(t, "ic", params)
 	cfg.MaxRounds = icRounds + 1
 	exec, err = expensive.RunProtocol(cfg, icf, expensive.NoFaults())
 	if err != nil {
@@ -130,7 +155,7 @@ func TestFacadeSolvability(t *testing.T) {
 
 func TestFacadeAlgorithm1(t *testing.T) {
 	n, tf := 5, 1
-	inner, rounds := expensive.NewPhaseKing(n, tf)
+	inner, rounds := build(t, "phase-king", expensive.DefaultProtocolParams(n, tf))
 	c0 := []expensive.Value{expensive.Zero, expensive.Zero, expensive.Zero, expensive.Zero, expensive.Zero}
 	c1 := []expensive.Value{expensive.One, expensive.One, expensive.One, expensive.One, expensive.One}
 	wrapped, spec, err := expensive.DeriveWeakFromAgreement(inner, n, tf, rounds+2, c0, c1)
@@ -199,11 +224,12 @@ func TestFacadeExperiments(t *testing.T) {
 
 func TestFacadeTransports(t *testing.T) {
 	n, tf := 4, 1
-	factory, rounds := expensive.NewWeakConsensusEIG(n, tf)
+	weig := lookup(t, "weak-eig")
+	params := expensive.DefaultProtocolParams(n, tf)
 	proposals := []expensive.Value{expensive.Zero, expensive.Zero, expensive.Zero, expensive.Zero}
 
 	mem := expensive.NewMemMesh(n, nil)
-	results, err := expensive.RunCluster(mem, n, factory, proposals, rounds)
+	results, err := expensive.RunClusterFor(mem, weig, params, proposals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +242,7 @@ func TestFacadeTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err = expensive.RunCluster(tcp, n, factory, proposals, rounds)
+	results, err = expensive.RunClusterFor(tcp, weig, params, proposals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +277,7 @@ func TestFacadeExternal(t *testing.T) {
 
 func TestFacadeGradecastAndFloodSet(t *testing.T) {
 	n, tf := 7, 2
-	gc, rounds := expensive.NewGradecast(n, tf, 3)
+	gc, rounds := build(t, "gradecast", expensive.ProtocolParams{N: n, T: tf, Sender: 3})
 	proposals := make([]expensive.Value, n)
 	for i := range proposals {
 		proposals[i] = "payload"
@@ -270,7 +296,7 @@ func TestFacadeGradecastAndFloodSet(t *testing.T) {
 		t.Errorf("gradecast output (%d, %q, %v)", grade, v, err)
 	}
 
-	fs, fsRounds := expensive.NewFloodSet(4, 1)
+	fs, fsRounds := build(t, "floodset", expensive.DefaultProtocolParams(4, 1))
 	cfg = expensive.RunConfig{N: 4, T: 1, Proposals: []expensive.Value{"c", "a", "b", "d"}, MaxRounds: fsRounds + 1}
 	exec, err = expensive.RunProtocol(cfg, fs, expensive.NoFaults())
 	if err != nil {
@@ -280,7 +306,7 @@ func TestFacadeGradecastAndFloodSet(t *testing.T) {
 		t.Errorf("floodset decision %q err %v", d, err)
 	}
 
-	es, esRounds := expensive.NewFloodSetEarlyStopping(4, 1)
+	es, esRounds := build(t, "floodset-early", expensive.DefaultProtocolParams(4, 1))
 	cfg.MaxRounds = esRounds + 1
 	exec, err = expensive.RunProtocol(cfg, es, expensive.NoFaults())
 	if err != nil {
@@ -293,10 +319,8 @@ func TestFacadeGradecastAndFloodSet(t *testing.T) {
 
 func TestFacadeReplicatedLog(t *testing.T) {
 	n, tf := 5, 1
-	protocol := func(slot int) (expensive.Factory, int) {
-		return expensive.NewPhaseKing(n, tf)
-	}
-	log, err := expensive.NewReplicatedLog(n, tf, protocol, expensive.Zero)
+	pk := lookup(t, "phase-king")
+	log, err := expensive.NewReplicatedLogFor(pk, expensive.DefaultProtocolParams(n, tf), expensive.Zero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +347,7 @@ func TestFacadeReplicatedLog(t *testing.T) {
 }
 
 func TestFacadeRenderExecution(t *testing.T) {
-	factory, rounds := expensive.NewPhaseKing(5, 1)
+	factory, rounds := build(t, "phase-king", expensive.DefaultProtocolParams(5, 1))
 	proposals := []expensive.Value{"0", "1", "0", "1", "0"}
 	cfg := expensive.RunConfig{N: 5, T: 1, Proposals: proposals, MaxRounds: rounds + 1}
 	exec, err := expensive.RunProtocol(cfg, factory, expensive.NoFaults())
@@ -358,13 +382,20 @@ func TestFacadeAdversaryHunt(t *testing.T) {
 	// The full hunt lifecycle through the facade: campaign, violation,
 	// shrink, independent recheck — the E10 FloodSet split as a one-liner.
 	n, tf := 8, 2
-	factory, rounds := expensive.NewFloodSet(n, tf)
-	campaign := expensive.NewCampaign("floodset", factory, rounds, n, tf,
-		expensive.StrategyTargetedWithhold(), expensive.SeedRange{From: 0, To: 16})
-	campaign.Validity = expensive.CheckWeakValidity
-	campaign.New = func(n, t int) (expensive.Factory, int, error) {
-		f, r := expensive.NewFloodSet(n, t)
-		return f, r, nil
+	fs := lookup(t, "floodset")
+	factory, rounds := build(t, "floodset", expensive.DefaultProtocolParams(n, tf))
+	// The keyed literal is how a protocol outside the catalog is hunted:
+	// every hook NewCampaignFor would have filled is set by hand.
+	campaign := &expensive.Campaign{
+		Target: expensive.AttackTarget{
+			Protocol: "floodset", Factory: factory, Rounds: rounds, N: n, T: tf,
+			Validity: expensive.CheckWeakValidity,
+			New: func(n, t int) (expensive.Factory, int, error) {
+				return fs.Build(expensive.DefaultProtocolParams(n, t))
+			},
+		},
+		Strategy: expensive.StrategyTargetedWithhold(),
+		Seeds:    expensive.SeedRange{From: 0, To: 16},
 	}
 	report, err := campaign.Run()
 	if err != nil {
@@ -426,10 +457,7 @@ func TestFacadeProtocolCatalog(t *testing.T) {
 	if len(protos) < 10 {
 		t.Fatalf("catalog has %d protocols, expected the full library", len(protos))
 	}
-	pk, ok := expensive.LookupProtocol("phase-king")
-	if !ok {
-		t.Fatal("phase-king not registered")
-	}
+	pk := lookup(t, "phase-king")
 	if pk.Model != expensive.Unauthenticated || pk.Condition != "n > 4t" {
 		t.Fatalf("phase-king taxonomy wrong: %q %q", pk.Model, pk.Condition)
 	}
@@ -452,16 +480,23 @@ func TestFacadeProtocolCatalog(t *testing.T) {
 	if factory == nil || rounds != 4 {
 		t.Fatalf("phase-king build: rounds %d, want 4", rounds)
 	}
+	// The other typed failure: structurally invalid parameters.
+	ds, _ := expensive.LookupProtocol("dolev-strong")
+	if _, _, err := ds.Build(expensive.ProtocolParams{N: 4, T: 1, Sender: 9}); !errors.Is(err, expensive.ErrBadParams) {
+		t.Fatalf("dolev-strong without a scheme, sender outside Π: err %v, want ErrBadParams", err)
+	}
+	// Every model of the taxonomy is populated.
+	fs, _ := expensive.LookupProtocol("floodset")
+	if ds.Model != expensive.Authenticated || fs.Model != expensive.CrashOnly {
+		t.Fatalf("models: dolev-strong %q, floodset %q", ds.Model, fs.Model)
+	}
 }
 
 // TestFacadeCampaignFor runs the registry-driven hunt lifecycle: find the
 // E10 FloodSet split through a catalog handle and re-validate it with
 // catalog-derived shrink options.
 func TestFacadeCampaignFor(t *testing.T) {
-	fs, ok := expensive.LookupProtocol("floodset")
-	if !ok {
-		t.Fatal("floodset not registered")
-	}
+	fs := lookup(t, "floodset")
 	params := expensive.DefaultProtocolParams(8, 2)
 	campaign, err := expensive.NewCampaignFor(fs, params,
 		expensive.StrategyTargetedWithhold(), expensive.SeedRange{From: 0, To: 16})
@@ -489,10 +524,7 @@ func TestFacadeCampaignFor(t *testing.T) {
 // surface: build from a catalog handle, run to the FloodSet split,
 // recheck the certificate, persist and reload the corpus.
 func TestFacadeFuzzer(t *testing.T) {
-	fs, ok := expensive.LookupProtocol("floodset")
-	if !ok {
-		t.Fatal("floodset not registered")
-	}
+	fs := lookup(t, "floodset")
 	params := expensive.DefaultProtocolParams(4, 3)
 	fuzzer, err := expensive.NewFuzzerFor(fs, params, expensive.StrategyRandomSendOmission(40), 2048)
 	if err != nil {
@@ -524,10 +556,14 @@ func TestFacadeFuzzer(t *testing.T) {
 		t.Fatalf("corpus round-trip lost entries: %d -> %d", fuzzer.Corpus.Size(), loaded.Size())
 	}
 
-	// The raw constructor mirrors NewCampaign: unchecked, tune-then-run.
-	factory, rounds := expensive.NewFloodSet(4, 3)
-	raw := expensive.NewFuzzer("floodset", factory, rounds, 4, 3, expensive.StrategyRandomSendOmission(40), 64)
-	raw.Validity = expensive.CheckWeakValidity
+	// The keyed literal mirrors the Campaign one: unchecked, tune-then-run.
+	factory, rounds := build(t, "floodset", params)
+	raw := &expensive.Fuzzer{
+		Target: expensive.AttackTarget{Protocol: "floodset", Factory: factory, Rounds: rounds, N: 4, T: 3,
+			Validity: expensive.CheckWeakValidity},
+		Seed:   expensive.StrategyRandomSendOmission(40),
+		Budget: 64,
+	}
 	if _, err := raw.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -582,5 +618,77 @@ func TestFacadeCatalogConsumers(t *testing.T) {
 	d, err := expensive.ClusterDecision(results, expensive.Universe(4))
 	if err != nil || d != expensive.One {
 		t.Fatalf("cluster decision %q err %v", d, err)
+	}
+}
+
+// TestFacadeSurfaceIsUsed holds api.go to its rule: an exported
+// declaration is there because an example or a root test names it, or
+// because another exported declaration's signature does. Anything else is
+// a second name for something internal that nobody reaches — delete it,
+// or write the example that needs it.
+func TestFacadeSurfaceIsUsed(t *testing.T) {
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	examples, _ := filepath.Glob("examples/*/main.go")
+	tests, _ := filepath.Glob("*_test.go")
+	if len(examples) == 0 || len(tests) == 0 {
+		t.Fatal("no examples or root tests found: the test must run in the module root")
+	}
+	for _, path := range append(examples, tests...) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "expensive" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	api, err := parser.ParseFile(fset, "api.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []*ast.Ident
+	declare := func(name *ast.Ident, signature ast.Node) {
+		if !name.IsExported() {
+			return
+		}
+		exported = append(exported, name)
+		if signature != nil {
+			ast.Inspect(signature, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					used[id.Name] = true
+				}
+				return true
+			})
+		}
+	}
+	for _, d := range api.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			declare(d.Name, d.Type)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					declare(spec.Name, nil)
+				case *ast.ValueSpec:
+					for _, name := range spec.Names {
+						declare(name, spec.Type)
+					}
+				}
+			}
+		}
+	}
+	for _, name := range exported {
+		if !used[name.Name] {
+			t.Errorf("%s: %s is named by no example, no root test and no exported signature",
+				fset.Position(name.Pos()), name.Name)
+		}
 	}
 }

@@ -26,13 +26,23 @@
 //     values in the protocol catalog. See Protocols and LookupProtocol.
 //   - Live deployment substrates: an in-memory goroutine mesh and a TCP
 //     loopback mesh running the same machines over real channels. See
-//     NewMemMesh and NewTCPMesh.
+//     NewMemMesh, NewTCPMesh and RunClusterFor.
+//
+// There is one route per capability. A cataloged protocol is
+// LookupProtocol plus p.Build(params), and every consumer takes the
+// handle (NewCampaignFor, NewFuzzerFor, NewReplicatedLogFor,
+// RunClusterFor); a protocol of your own is any Factory, hunted with a
+// keyed Campaign{Target: AttackTarget{...}} literal. A name is exported
+// because an example under examples/ or a root test uses it
+// (TestFacadeSurfaceIsUsed); the distributed coordinator, the chaos and
+// churn harnesses and the flight recorder are driven through cmd/baexp and
+// documented in their own packages.
 //
 // # Where the rest is written down
 //
-// Each subsystem is described once, in README.md, under the section
-// named here; the exported names of this package carry their own doc
-// comments.
+// Each subsystem is described once, in its package's doc comment;
+// README.md names the contract each one keeps, the test that holds it and
+// the commands, under the section named here.
 //
 //   - "The experiment engine": the registry, worker pool and determinism
 //     contract behind RunExperiments, and how to add an experiment.
@@ -47,10 +57,10 @@
 //   - "Distributed campaigns": the Job description every route to an
 //     engine is built from, work units, the wire protocol, checkpoints,
 //     and the one flag table of `baexp hunt|fuzz|matrix|coord|soak`
-//     (NewDistCampaign, NewDistWorker).
+//     (internal/dist).
 //   - "Chaos & soak testing": chaosnet profiles, churn schedules, the SMR
-//     monitors.
-//   - "Observability": the flight recorder (NewTelemetry) as a strict
+//     monitors (internal/transport/chaosnet, internal/dist/churn).
+//   - "Observability": the flight recorder (internal/obs) as a strict
 //     side channel.
 //   - "Performance": recording tiers, the hot path, and the repository's
 //     benchmark (`bash bench/run.sh`, described in bench/README.md).

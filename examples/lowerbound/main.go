@@ -31,7 +31,7 @@ func run() error {
 	factory, rounds := leaderProtocol(n)
 
 	fmt.Printf("falsifying the %d-message leader protocol at n=%d, t=%d (t²/32 = %d)\n\n",
-		n-1, n, t, t*t/32)
+		n-1, n, t, expensive.Floor(t))
 
 	report, err := expensive.FalsifyWeakConsensus("leader", factory, rounds, n, t)
 	if err != nil {

@@ -124,10 +124,10 @@ func (r SeedRange) Split(k int) []SeedRange {
 // decision. A non-nil error is a validity violation. Termination and
 // Agreement are checked by the campaign itself before validity runs.
 //
-// The concrete checks live in package validity (next to the problem
+// The concrete checks live in package validity (validity.WeakCheck,
+// StrongCheck, SenderCheck, AdmissibleCheck — next to the problem
 // formalism they verdict) so that protocol packages can attach their
-// validity property to catalog specs without importing this layer; the
-// names below are kept as the campaign-facing vocabulary.
+// validity property to catalog specs without importing this layer.
 type ValidityFunc = validity.Check
 
 // AgreementFunc optionally replaces the strict equal-decision Agreement
@@ -136,24 +136,6 @@ type ValidityFunc = validity.Check
 // broadcast. When set, the validity property is checked against every
 // correct decision instead of the (then ill-defined) common one.
 type AgreementFunc = validity.Compat
-
-// StrongValidity is the strong consensus property: whenever the correct
-// processes' proposals are unanimous — faulty or not — that value must be
-// the decision (validity.StrongCheck).
-func StrongValidity(proposals []msg.Value, correct proc.Set, decision msg.Value) error {
-	return validity.StrongCheck(proposals, correct, decision)
-}
-
-// WeakValidity is the paper's Weak Validity: vacuous under any fault
-// (validity.WeakCheck).
-func WeakValidity(proposals []msg.Value, correct proc.Set, decision msg.Value) error {
-	return validity.WeakCheck(proposals, correct, decision)
-}
-
-// SenderValidity returns the broadcast validity check: when the designated
-// sender stays correct, the decision must be its proposal
-// (validity.SenderCheck).
-func SenderValidity(sender proc.ID) ValidityFunc { return validity.SenderCheck(sender) }
 
 // Violation is a protocol failure found by a campaign probe, carrying
 // everything needed to replay, shrink, and independently re-check it.

@@ -10,6 +10,7 @@ import (
 	"expensive/internal/protocols/floodset"
 	"expensive/internal/protocols/phaseking"
 	"expensive/internal/sim"
+	"expensive/internal/validity"
 )
 
 // floodsetCampaign is the canonical hunt: the targeted withholding attack
@@ -23,7 +24,7 @@ func floodsetCampaign(parallelism int) *Campaign {
 			Rounds:   floodset.RoundBound(tf),
 			N:        n,
 			T:        tf,
-			Validity: WeakValidity,
+			Validity: validity.WeakCheck,
 			New: func(n, t int) (sim.Factory, int, error) {
 				return floodset.New(floodset.Config{N: n, T: t}), floodset.RoundBound(t), nil
 			},
@@ -157,7 +158,7 @@ func TestCampaignSoundProtocols(t *testing.T) {
 					Rounds:   rounds,
 					N:        n,
 					T:        tf,
-					Validity: StrongValidity,
+					Validity: validity.StrongCheck,
 				},
 				Strategy: s,
 				Seeds:    SeedRange{From: 0, To: 20},

@@ -16,6 +16,7 @@ import (
 	"expensive/internal/proc"
 	"expensive/internal/protocols/floodset"
 	"expensive/internal/sim"
+	"expensive/internal/validity"
 )
 
 // floodsetFuzzer is the canonical hunt target: FloodSet at t = n-1,
@@ -30,7 +31,7 @@ func floodsetFuzzer(n, t, budget, parallelism int) *Fuzzer {
 			Rounds:   floodset.RoundBound(t),
 			N:        n,
 			T:        t,
-			Validity: adversary.WeakValidity,
+			Validity: validity.WeakCheck,
 			New: func(n2, t2 int) (sim.Factory, int, error) {
 				return floodset.New(floodset.Config{N: n2, T: t2}), floodset.RoundBound(t2), nil
 			},

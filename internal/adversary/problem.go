@@ -1,9 +1,6 @@
 package adversary
 
-import (
-	"expensive/internal/msg"
-	"expensive/internal/validity"
-)
+import "expensive/internal/msg"
 
 // DomainProposals returns the seed-deterministic proposal generator that
 // draws every process's input uniformly from the given domain — the
@@ -18,7 +15,3 @@ func DomainProposals(inputs []msg.Value) func(seed int64, env Env) []msg.Value {
 		return out
 	}
 }
-
-// ProblemValidity checks a decision against a problem's validity property
-// (validity.AdmissibleCheck).
-func ProblemValidity(p validity.Problem) ValidityFunc { return validity.AdmissibleCheck(p) }

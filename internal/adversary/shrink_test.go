@@ -7,6 +7,7 @@ import (
 	"expensive/internal/proc"
 	"expensive/internal/protocols/floodset"
 	"expensive/internal/sim"
+	"expensive/internal/validity"
 )
 
 // handmadeFloodSetViolation replays the E10 last-round-reveal attack as an
@@ -39,7 +40,7 @@ func handmadeFloodSetViolation(t *testing.T, n, tf int) (*Violation, ShrinkOptio
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := CheckExecution(e, proposals, WeakValidity, nil)
+	v := CheckExecution(e, proposals, validity.WeakCheck, nil)
 	if v == nil || v.Kind != "agreement" {
 		t.Fatalf("handmade attack did not split FloodSet (violation: %v)", v)
 	}
@@ -56,7 +57,7 @@ func handmadeFloodSetViolation(t *testing.T, n, tf int) (*Violation, ShrinkOptio
 			New: func(n, t int) (sim.Factory, int, error) {
 				return floodset.New(floodset.Config{N: n, T: t}), floodset.RoundBound(t), nil
 			},
-			Validity: WeakValidity,
+			Validity: validity.WeakCheck,
 		},
 	}
 	return v, opts

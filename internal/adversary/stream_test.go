@@ -9,6 +9,7 @@ import (
 	"expensive/internal/msg"
 	"expensive/internal/proc"
 	"expensive/internal/sim"
+	"expensive/internal/validity"
 )
 
 // TestSubSeedKeepsItsValue holds the hand-rolled mixer to its definition,
@@ -138,7 +139,7 @@ func TestCoinProperties(t *testing.T) {
 // proposals, run, check — stays under 100 allocations.
 func TestLeanProbeAllocations(t *testing.T) {
 	env := testEnv(8, 2)
-	c := &Campaign{Target: Target{Factory: env.Factory, Rounds: env.Rounds, N: env.N, T: env.T, Validity: WeakValidity}, Strategy: RandomOmission(40)}
+	c := &Campaign{Target: Target{Factory: env.Factory, Rounds: env.Rounds, N: env.N, T: env.T, Validity: validity.WeakCheck}, Strategy: RandomOmission(40)}
 	seed := int64(0)
 	probe := func() {
 		seed++

@@ -12,6 +12,7 @@ import (
 	"expensive/internal/proc"
 	"expensive/internal/protocols/floodset"
 	"expensive/internal/sim"
+	"expensive/internal/validity"
 )
 
 // deviant wraps an honest machine with one of the two defects the
@@ -80,7 +81,7 @@ func TestReplayRefuses(t *testing.T) {
 		Rounds:   floodset.RoundBound(tf),
 		N:        n,
 		T:        tf,
-		Validity: adversary.WeakValidity,
+		Validity: validity.WeakCheck,
 	}
 	env := honest.Env()
 	hunt := func(target adversary.Target, full bool) (*adversary.CampaignReport, error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"expensive/internal/adversary"
@@ -175,7 +176,20 @@ func (c *Coordinator) Run() (*Report, error) {
 	if err := c.Start(); err != nil {
 		return nil, err
 	}
-	defer c.shutdown()
+	// Local workers are the coordinator's own: whatever way Run returns,
+	// the campaign is shut down, their context cancelled — one still
+	// retrying its dial stops there — and Run waits for them.
+	ctx := c.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	var locals sync.WaitGroup
+	defer func() {
+		c.shutdown()
+		cancel()
+		locals.Wait()
+	}()
 	sw := runner.StartWall()
 
 	var cp *Checkpoint
@@ -201,9 +215,11 @@ func (c *Coordinator) Run() (*Report, error) {
 			Addr:        c.ListenAddr(),
 			Name:        fmt.Sprintf("local-%d", i),
 			Parallelism: c.WorkerParallelism,
-			Ctx:         c.Ctx,
+			Ctx:         ctx,
 		}
+		locals.Add(1)
 		go func() {
+			defer locals.Done()
 			if err := w.Run(); err != nil {
 				c.sched.log("local-worker-error", "error", err.Error())
 			}

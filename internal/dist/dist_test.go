@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -381,6 +382,13 @@ func TestDistReassignsDeadWorkerUnits(t *testing.T) {
 	if _, err := stalled.Recv(5 * time.Second); err != nil { // the job
 		t.Fatal(err)
 	}
+	// The handshake ships the job a moment before it queues the join: wait
+	// for the join, or a fast local worker finishes the campaign first.
+	for deadline := time.Now().Add(5 * time.Second); len(c.sched.events) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled worker's join was never queued")
+		}
+	}
 
 	rep, err := c.Run()
 	if err != nil {
@@ -572,6 +580,35 @@ func TestHandshakeAfterShutdownReleasesWorker(t *testing.T) {
 		}
 		if m.Kind != want {
 			t.Fatalf("got %s, want %s", m.Kind, want)
+		}
+	}
+}
+
+// TestCoordinatorRunReapsLocalWorkers: the local workers are the
+// coordinator's, so none outlives Run — not even when the job ends before
+// a worker's first dial, as on a resume from a checkpoint that is already
+// complete. Run used to return without them; one that found the listener
+// closed sat in the dial's backoff for seconds.
+func TestCoordinatorRunReapsLocalWorkers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "checkpoint.json")
+	if _, err := (&Coordinator{Job: huntJob(), LocalWorkers: 1, CheckpointPath: path}).Run(); err != nil {
+		t.Fatal(err)
+	}
+	stacks := make([]byte, 1<<20)
+	for i := 0; i < 20; i++ {
+		rep, err := (&Coordinator{Job: huntJob(), LocalWorkers: 4, CheckpointPath: path}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Resumed || rep.Units != 0 {
+			t.Fatalf("resume of a complete checkpoint ran %d units (resumed %v)", rep.Units, rep.Resumed)
+		}
+		for _, g := range strings.Split(string(stacks[:runtime.Stack(stacks, true)]), "\n\n") {
+			// Inside Worker.Run, not merely created by Coordinator.Run: a
+			// worker that has returned may still be unwinding its goroutine.
+			if strings.Contains(g, "dist.(*Worker).Run") {
+				t.Fatalf("run %d: a local worker is still running after Coordinator.Run returned:\n%s", i, g)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -101,7 +102,12 @@ func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
 
 // Dial connects to a coordinator with bounded-backoff retry.
 func Dial(addr string, attempts int, backoff time.Duration) (*Conn, error) {
-	c, err := transport.DialRetry("tcp", addr, attempts, backoff)
+	return dial(context.Background(), addr, attempts, backoff)
+}
+
+// dial is Dial under a context: cancelling it ends the retry at once.
+func dial(ctx context.Context, addr string, attempts int, backoff time.Duration) (*Conn, error) {
+	c, err := transport.DialRetry(ctx, "tcp", addr, attempts, backoff)
 	if err != nil {
 		return nil, err
 	}

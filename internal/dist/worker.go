@@ -93,7 +93,11 @@ func (w *Worker) session(name string) error {
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
 	}
-	raw, err := Dial(w.Addr, attempts, backoff)
+	ctx := w.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	raw, err := dial(ctx, w.Addr, attempts, backoff)
 	if err != nil {
 		return err
 	}
@@ -118,10 +122,6 @@ func (w *Worker) session(name string) error {
 	job := m.Job
 	job.normalize()
 
-	ctx := w.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if job.WantEvents {
 		// Forward engine telemetry to the coordinator: a local recorder
 		// whose sink writes each JSONL event line as one wire message.

@@ -18,6 +18,11 @@
 // each to n-1 peers, so correct processes send at most 2n(n-1)+n messages —
 // the classical O(n²) upper bound that brackets the paper's Ω(t²) lower
 // bound from above.
+//
+// Wire format: a relay is the JSON object
+// {"Items":[{"V":…,"C":[{"S":…,"G":…}]}]} — each newly accepted value with
+// its chain of (signer, signature) links, the relayer's own last. The bytes
+// are pinned by the root package's TestWirePinned.
 package dolevstrong
 
 import (

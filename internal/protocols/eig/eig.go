@@ -17,6 +17,10 @@
 // The message size is exponential in t (levels have n·(n-1)···(n-l+1)
 // nodes); this substrate is intended for the small configurations where
 // the solvability experiments run it, exactly like the original algorithm.
+//
+// Wire format: a relay is the JSON object {"P":[{"L":[0,3],"V":"1"}]} —
+// one (label, value) pair per relayed node, in label order. The bytes are
+// pinned by the root package's TestWirePinned.
 package eig
 
 import (

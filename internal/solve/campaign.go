@@ -31,7 +31,7 @@ func HuntCampaign(p validity.Problem, d *Derived, strategy adversary.Strategy, s
 			Rounds:   d.Rounds,
 			N:        p.N,
 			T:        p.T,
-			Validity: adversary.ProblemValidity(p),
+			Validity: validity.AdmissibleCheck(p),
 		},
 		Strategy:  strategy,
 		Seeds:     seeds,

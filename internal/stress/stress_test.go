@@ -18,6 +18,7 @@ import (
 	"expensive/internal/protocols/dolevstrong"
 	"expensive/internal/protocols/phaseking"
 	"expensive/internal/protocols/weak"
+	"expensive/internal/validity"
 )
 
 const fuzzSeeds = 60
@@ -42,7 +43,7 @@ func binaryStrong(proposals []msg.Value, correct proc.Set, decision msg.Value) e
 	if !msg.IsBit(decision) {
 		return fmt.Errorf("non-binary decision %q", decision)
 	}
-	return adversary.StrongValidity(proposals, correct, decision)
+	return validity.StrongCheck(proposals, correct, decision)
 }
 
 func TestPhaseKingUnderRandomByzantine(t *testing.T) {
@@ -116,7 +117,7 @@ func TestWeakEIGUnderRandomByzantine(t *testing.T) {
 			Rounds:   rounds,
 			N:        n,
 			T:        tf,
-			Validity: adversary.WeakValidity,
+			Validity: validity.WeakCheck,
 		},
 		Strategy: adversary.Chaos(),
 		Seeds:    adversary.SeedRange{From: 2000, To: 2000 + fuzzSeeds/2},
@@ -133,7 +134,7 @@ func TestWeakICUnderRandomByzantine(t *testing.T) {
 			Rounds:   rounds,
 			N:        n,
 			T:        tf,
-			Validity: adversary.WeakValidity,
+			Validity: validity.WeakCheck,
 		},
 		Strategy: adversary.Chaos(),
 		Seeds:    adversary.SeedRange{From: 3000, To: 3000 + fuzzSeeds/3},
@@ -150,7 +151,7 @@ func TestDolevStrongUnderRandomByzantine(t *testing.T) {
 			Rounds:   dolevstrong.RoundBound(tf),
 			N:        n,
 			T:        tf,
-			Validity: adversary.SenderValidity(0),
+			Validity: validity.SenderCheck(0),
 		},
 		Strategy: adversary.Chaos(),
 		Seeds:    adversary.SeedRange{From: 4000, To: 4000 + fuzzSeeds},

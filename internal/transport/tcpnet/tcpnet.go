@@ -8,6 +8,7 @@ package tcpnet
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -119,7 +120,7 @@ func New(n int) (*Mesh, error) {
 	// Dial peers with higher IDs.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			conn, err := transport.DialRetry("tcp", addrs[j], dialAttempts, 0)
+			conn, err := transport.DialRetry(context.Background(), "tcp", addrs[j], dialAttempts, 0)
 			if err != nil {
 				m.Close()
 				return nil, fmt.Errorf("tcpnet: dial %d->%d: %w", i, j, err)

@@ -13,6 +13,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -38,12 +39,13 @@ var (
 )
 
 // DialRetry dials with bounded exponential backoff: up to attempts tries,
-// sleeping backoff, 2*backoff, ... (capped at one second) between them.
+// waiting backoff, 2*backoff, ... (capped at one second) between them.
 // It exists because both mesh construction and distributed workers race
 // their peer's listener coming up — a failed first dial should wait for
 // the listener, not kill the run. attempts <= 0 means 1; backoff <= 0
-// defaults to 25ms.
-func DialRetry(network, addr string, attempts int, backoff time.Duration) (net.Conn, error) {
+// defaults to 25ms. Cancelling ctx ends a dial or a wait at once, with an
+// error wrapping ctx.Err().
+func DialRetry(ctx context.Context, network, addr string, attempts int, backoff time.Duration) (net.Conn, error) {
 	if attempts <= 0 {
 		attempts = 1
 	}
@@ -51,9 +53,10 @@ func DialRetry(network, addr string, attempts int, backoff time.Duration) (net.C
 		backoff = 25 * time.Millisecond
 	}
 	const maxBackoff = time.Second
+	var d net.Dialer
 	var lastErr error
 	for i := 0; i < attempts; i++ {
-		conn, err := net.Dial(network, addr)
+		conn, err := d.DialContext(ctx, network, addr)
 		if err == nil {
 			return conn, nil
 		}
@@ -61,7 +64,13 @@ func DialRetry(network, addr string, attempts int, backoff time.Duration) (net.C
 		if i == attempts-1 {
 			break
 		}
-		time.Sleep(backoff)
+		wait := time.NewTimer(backoff)
+		select {
+		case <-ctx.Done():
+			wait.Stop()
+			return nil, fmt.Errorf("transport: dial %s %s: %w", network, addr, ctx.Err())
+		case <-wait.C:
+		}
 		if backoff *= 2; backoff > maxBackoff {
 			backoff = maxBackoff
 		}

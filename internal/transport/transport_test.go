@@ -1,6 +1,8 @@
 package transport_test
 
 import (
+	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -173,7 +175,7 @@ func TestDialRetryLateListener(t *testing.T) {
 		ready <- l2
 	}()
 
-	conn, err := transport.DialRetry("tcp", addr, 10, 20*time.Millisecond)
+	conn, err := transport.DialRetry(context.Background(), "tcp", addr, 10, 20*time.Millisecond)
 	l2 := <-ready
 	if l2 != nil {
 		defer l2.Close()
@@ -192,7 +194,36 @@ func TestDialRetryExhausted(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	l.Close()
-	if _, err := transport.DialRetry("tcp", addr, 2, time.Millisecond); err == nil {
+	if _, err := transport.DialRetry(context.Background(), "tcp", addr, 2, time.Millisecond); err == nil {
 		t.Fatal("DialRetry succeeded against a dead address")
+	}
+}
+
+// TestDialRetryCancelled: cancelling the context ends a retry that is
+// waiting out its backoff against a dead address — at once, not at the
+// end of the wait, and not after the remaining attempts.
+func TestDialRetryCancelled(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+
+	const backoff = 500 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	var cancelled time.Time
+	go func() {
+		time.Sleep(20 * time.Millisecond) // the first dial has been refused; the retry is in its first wait
+		cancelled = time.Now()
+		cancel()
+	}()
+	_, err = transport.DialRetry(ctx, "tcp", addr, 10, backoff)
+	late := time.Since(cancelled)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("DialRetry under a cancelled context: %v, want an error wrapping context.Canceled", err)
+	}
+	if late >= backoff {
+		t.Fatalf("DialRetry returned %v after cancel, want under one %v backoff step", late, backoff)
 	}
 }
