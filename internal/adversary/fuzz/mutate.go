@@ -294,7 +294,8 @@ func (m mutator) crossover(_ *adversary.Stream, p, other *adversary.ExplicitPlan
 	}
 }
 
-// normalize restores the plan invariants the engine enforces and the
+// normalize restores what sim.Run requires of a plan, drops the omissions
+// the engine would never ask about (sim.FaultPlan) and restores the
 // canonical element order the corpus encoding depends on: the corrupted
 // set is sorted, deduplicated and truncated to the fault budget; every
 // omission references in-range processes and rounds and hangs off a

@@ -90,6 +90,37 @@ func TestStrategiesRespectFaultBudget(t *testing.T) {
 	}
 }
 
+// TestStrategiesOmitOnlyForCorrupted asks every strategy's plans about
+// every (round, sender, receiver) and demands they never claim an omission
+// by a process outside Faulty(). The engine no longer asks such questions
+// (sim.FaultPlan), so a strategy that answered true to one would run as a
+// weaker adversary than it meant to be and nothing else would say so.
+func TestStrategiesOmitOnlyForCorrupted(t *testing.T) {
+	env := testEnv(7, 2)
+	for _, s := range allStrategies() {
+		for seed := int64(0); seed < 25; seed++ {
+			plan := s.Build(seed, env)
+			f := plan.Faulty()
+			for r := 1; r <= env.Horizon; r++ {
+				for i := 0; i < env.N; i++ {
+					for j := 0; j < env.N; j++ {
+						if i == j {
+							continue
+						}
+						m := msg.Message{Sender: proc.ID(i), Receiver: proc.ID(j), Round: r, Payload: "x"}
+						if !f.Contains(m.Sender) && plan.SendOmit(m) {
+							t.Fatalf("%s seed %d: send-omits %v, whose sender is outside F=%v", s.Name, seed, m, f)
+						}
+						if !f.Contains(m.Receiver) && plan.ReceiveOmit(m) {
+							t.Fatalf("%s seed %d: receive-omits %v, whose receiver is outside F=%v", s.Name, seed, m, f)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWindowedGatesRounds verifies the round-window combinator: every
 // omission in the trace lands inside the window.
 func TestWindowedGatesRounds(t *testing.T) {

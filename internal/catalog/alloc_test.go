@@ -8,24 +8,32 @@ import (
 	"expensive/internal/sim"
 )
 
-// TestSubstrateAllocations holds the interactive-consistency substrates to
-// allocation counts that repeat exactly, as TestLeanProbeAllocations
-// (internal/adversary) holds FloodSet: one lean fault-free run at n = 8,
-// t = 2, machines built and run to the decision. The reflective
-// implementations read 42 396 (eig), 42 468 (weak-eig), 3 394 (ic) and
-// 139 (dolev-strong). The same runs hold the closed-form message counts
-// (faultFreeMessages) at this size.
+// TestSubstrateAllocations holds the interactive-consistency substrates
+// and phase-king to allocation counts that repeat exactly, as
+// TestLeanProbeAllocations (internal/adversary) holds FloodSet: one lean
+// fault-free run at t = 2 (n = 8; n = 9 where the protocol needs n > 4t),
+// machines built and run to the decision. The reflective implementations
+// read 42 396 (eig), 42 468 (weak-eig), 3 394 (ic) and 139 (dolev-strong);
+// phase-king read 49 while every broadcast made its own slice and every
+// exchange round a map, and reads 27 with one lent slice per machine. The
+// same runs hold the closed-form message counts (faultFreeMessages) at
+// these sizes.
 func TestSubstrateAllocations(t *testing.T) {
-	const n, tf = 8, 2
+	const tf = 2
 	for _, tc := range []struct {
-		id    string
-		below float64
+		id     string
+		n      int
+		below  float64
+		lowest bool // hold the lowest of the 20 runs, not their mean
 	}{
-		{"eig", 400},
-		{"weak-eig", 500},
-		{"ic", 900},
-		{"dolev-strong", 137}, // no higher than before
+		{"eig", 8, 400, false},
+		{"weak-eig", 8, 500, false},
+		{"ic", 8, 900, false},
+		{"dolev-strong", 8, 137, false}, // no higher than before
+		{"phase-king", 9, 40, true},
+		{"weak-phase-king", 9, 40, true},
 	} {
+		n := tc.n
 		spec, err := catalog.Get(tc.id)
 		if err != nil {
 			t.Fatal(err)
@@ -49,8 +57,16 @@ func TestSubstrateAllocations(t *testing.T) {
 			}
 		}
 		// The race detector's sync.Pool drops scratch at random and reads
-		// higher, still under the bounds.
+		// higher, still under the substrates' bounds. Phase-king's bound
+		// sits 13 above its count and a fresh scratch costs about 60, so
+		// under -race its mean reads 29 to 50: those two rows hold the
+		// lowest of 20 single runs, which is 27 either way.
 		allocs := testing.AllocsPerRun(20, run)
+		if tc.lowest {
+			for i := 0; i < 20; i++ {
+				allocs = min(allocs, testing.AllocsPerRun(1, run))
+			}
+		}
 		t.Logf("%s: %.0f allocations per lean fault-free run", tc.id, allocs)
 		if allocs >= tc.below {
 			t.Errorf("%s: lean fault-free run at n=%d t=%d allocates %.0f times, want < %.0f", tc.id, n, tf, allocs, tc.below)

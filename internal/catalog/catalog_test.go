@@ -58,16 +58,20 @@ func smallestSupported(s catalog.Spec) (int, int, bool) {
 
 // faultFreeMessages are the closed forms of what correct processes send in
 // a fault-free run at t >= 1, for the protocols on the
-// interactive-consistency substrates: an EIG level per round, all to all;
-// n bundled Dolev-Strong instances, a round of proposals and a round of
-// relays; one Dolev-Strong instance, the sender's broadcast and everyone
-// else's relay.
+// interactive-consistency substrates and for phase-king: an EIG level per
+// round, all to all; n bundled Dolev-Strong instances, a round of
+// proposals and a round of relays; one Dolev-Strong instance, the sender's
+// broadcast and everyone else's relay; t+1 phases of one all-to-all
+// exchange and one king broadcast.
 var faultFreeMessages = map[string]func(n, t int) int{
 	"eig":          func(n, t int) int { return (t + 1) * n * (n - 1) },
 	"weak-eig":     func(n, t int) int { return (t + 1) * n * (n - 1) },
 	"ic":           func(n, t int) int { return 2 * n * (n - 1) },
 	"weak-ic":      func(n, t int) int { return 2 * n * (n - 1) },
 	"dolev-strong": func(n, t int) int { return (n - 1) + (n-1)*(n-1) },
+
+	"phase-king":      func(n, t int) int { return (t + 1) * (n*n - 1) },
+	"weak-phase-king": func(n, t int) int { return (t + 1) * (n*n - 1) },
 }
 
 // TestEveryProtocolRunsFaultFree is the registry completeness gate: every

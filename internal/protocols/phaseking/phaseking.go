@@ -18,6 +18,12 @@
 // otherwise it adopts the king's value. With t+1 phases at least one king
 // is correct, which establishes agreement; n > 4t makes an established
 // agreement persist.
+//
+// The slice a machine returns from Init or Step is lent, not given: each
+// machine keeps one outgoing slice, built on its first broadcast, and the
+// next Step rewrites its payloads in place (the ownership rule sim.Machine
+// states). A driver routes or copies the messages before it steps the
+// machine again.
 package phaseking
 
 import (
@@ -109,6 +115,11 @@ type machine struct {
 	decided  bool
 	decision msg.Value
 	done     bool
+
+	// out is the one broadcast slice, lent to the driver until the next
+	// Step; body is the payload its entries carry.
+	out  []sim.Outgoing
+	body string
 }
 
 var _ sim.Machine = (*machine)(nil)
@@ -123,13 +134,21 @@ func (m *machine) broadcast(v msg.Value) []sim.Outgoing {
 	default:
 		body = msg.Encode(payload{V: v})
 	}
-	out := make([]sim.Outgoing, 0, m.cfg.N-1)
-	for p := proc.ID(0); p < proc.ID(m.cfg.N); p++ {
-		if p != m.id {
-			out = append(out, sim.Outgoing{To: p, Payload: body})
+	if m.out == nil {
+		m.out = make([]sim.Outgoing, 0, m.cfg.N-1)
+		for p := proc.ID(0); p < proc.ID(m.cfg.N); p++ {
+			if p != m.id {
+				m.out = append(m.out, sim.Outgoing{To: p})
+			}
 		}
 	}
-	return out
+	if body != m.body { // the zero body is no payload: the first broadcast writes
+		for i := range m.out {
+			m.out[i].Payload = body
+		}
+		m.body = body
+	}
+	return m.out
 }
 
 // king returns the king of phase k (1-based): process k-1.
@@ -154,18 +173,29 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 
 	if !second {
 		// End of the exchange round: tally preferences (own included).
-		counts := map[msg.Value]int{m.pref: 1}
+		// The preference and whatever decodeV accepts are bits, so two
+		// counters hold the whole tally.
+		zeros, ones := 0, 0
+		if m.pref == msg.One {
+			ones = 1
+		} else {
+			zeros = 1
+		}
 		for _, rm := range received {
 			v, ok := decodeV(rm.Payload)
 			if !ok {
 				continue
 			}
-			counts[v]++
+			if v == msg.One {
+				ones++
+			} else {
+				zeros++
+			}
 		}
-		if counts[msg.Zero] >= counts[msg.One] {
-			m.maj, m.mult = msg.Zero, counts[msg.Zero]
+		if zeros >= ones {
+			m.maj, m.mult = msg.Zero, zeros
 		} else {
-			m.maj, m.mult = msg.One, counts[msg.One]
+			m.maj, m.mult = msg.One, ones
 		}
 		if king(phase) == m.id {
 			return m.broadcast(m.maj) // king round

@@ -76,3 +76,42 @@ func TestScratchResetAcrossSizes(t *testing.T) {
 		}
 	}
 }
+
+// TestCorruptedMaskIsPerRun runs F = {p0} and then F = ∅ on one scratch, at
+// both tiers, under a plan that would omit every message it is asked
+// about. The second run must ask it nothing and deliver everything: the
+// corrupted mask belongs to the run, not to the pooled scratch.
+func TestCorruptedMaskIsPerRun(t *testing.T) {
+	const n, rounds = 4, 3
+	proposals := []msg.Value{"a", "b", "c", "d"}
+	factory := func(id proc.ID, v msg.Value) Machine { return &shouter{n: n, id: id, say: string(v)} }
+	for _, rec := range []Recording{RecordDecisions, RecordFull} {
+		sc := new(scratch)
+		cfg := Config{N: n, T: 1, Proposals: proposals, MaxRounds: rounds, Recording: rec}
+
+		var sends, recvs []msg.Message
+		e, err := sc.run(cfg, factory, NosyPlan{F: proc.NewSet(0), Sends: &sends, Recvs: &recvs})
+		if err != nil {
+			t.Fatalf("%s F={p0}: %v", rec, err)
+		}
+		// p0's n-1 sends and the n-1 messages addressed to it, every round.
+		if want := rounds * (n - 1); len(sends) != want || len(recvs) != want {
+			t.Fatalf("%s F={p0}: plan asked %d send and %d receive questions, want %d of each", rec, len(sends), len(recvs), want)
+		}
+		if got, want := e.CorrectMessages(), rounds*(n-1)*(n-1); got != want {
+			t.Fatalf("%s F={p0}: %d correct messages, want %d", rec, got, want)
+		}
+
+		sends, recvs = nil, nil
+		e, err = sc.run(cfg, factory, NosyPlan{Sends: &sends, Recvs: &recvs})
+		if err != nil {
+			t.Fatalf("%s F=∅: %v", rec, err)
+		}
+		if asked := len(sends) + len(recvs); asked != 0 {
+			t.Fatalf("%s F=∅ after F={p0} on one scratch: plan asked %d questions, want 0", rec, asked)
+		}
+		if got, want := e.CorrectMessages(), rounds*n*(n-1); got != want {
+			t.Fatalf("%s F=∅ after F={p0} on one scratch: %d messages, want %d", rec, got, want)
+		}
+	}
+}

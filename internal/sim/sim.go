@@ -110,6 +110,13 @@ type Factory func(id proc.ID, proposal msg.Value) Machine
 // run and controls how corrupted processes misbehave. Honest machines of
 // corrupted processes still run under an omission plan (they are "honest
 // but dropped"); a Byzantine plan replaces the machine outright.
+//
+// The engine reads Faulty once, before round 1, and from then on asks the
+// plan only about the processes it corrupted: SendOmit only about messages
+// whose sender is in Faulty(), ReceiveOmit only about messages whose
+// receiver is. A correct process therefore never omits, whatever the plan
+// would have answered — omission validity holds by construction, and a
+// fault-free round costs no adversary call at all.
 type FaultPlan interface {
 	// Faulty returns the corrupted set F, |F| <= t.
 	Faulty() proc.Set
@@ -475,14 +482,18 @@ func (e *Execution) Proposals() []msg.Value {
 // scratch holds the engine's per-run working set. The round loop is the
 // hot path of every probe sweep — falsifier families, hunt campaigns, the
 // protocol × strategy matrix all run it millions of rounds — so the
-// routing tables, the per-round fragment staging area and the
-// duplicate-receiver check are pooled and reused across Run calls.
+// routing tables, the per-round fragment staging area, the corrupted mask
+// and the duplicate-receiver check are pooled and reused across Run calls.
 type scratch struct {
 	inboxes [][]msg.Message
 	frags   []Fragment
 	pending [][]Outgoing
-	seen    []int // generation-stamped duplicate-receiver check
-	gen     int
+	// corrupted[i] reports whether process i is in the running plan's
+	// faulty set. run rewrites all of its first n entries before round 1,
+	// so nothing of an earlier run's plan is left over.
+	corrupted []bool
+	seen      []int // generation-stamped duplicate-receiver check
+	gen       int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -498,6 +509,9 @@ func (s *scratch) grow(n int) {
 	}
 	for len(s.pending) < n {
 		s.pending = append(s.pending, nil)
+	}
+	for len(s.corrupted) < n {
+		s.corrupted = append(s.corrupted, false)
 	}
 	for len(s.seen) < n {
 		s.seen = append(s.seen, 0)
@@ -523,10 +537,11 @@ func (s *scratch) reset(n int) {
 }
 
 // Run executes the protocol under the fault plan and returns the recorded
-// execution. Errors indicate harness misuse (bad config, a machine sending
-// to itself or twice to one peer, an omission plan touching a correct
-// process) — never mere protocol-property violations, which are left in
-// the trace for the checkers to find.
+// execution. Errors indicate harness misuse (bad config, a plan corrupting
+// more than t processes or one outside Π, a machine sending to itself or
+// twice to one peer) — never mere protocol-property violations, which are
+// left in the trace for the checkers to find. A correct process cannot
+// omit (see FaultPlan), so that is not among them.
 func Run(cfg Config, factory Factory, plan FaultPlan) (*Execution, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
@@ -543,7 +558,20 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 	if faulty.Len() > cfg.T {
 		return nil, fmt.Errorf("fault plan corrupts %d > t=%d processes", faulty.Len(), cfg.T)
 	}
-	if !faulty.SubsetOf(proc.Universe(cfg.N)) {
+
+	s.grow(cfg.N)
+	defer s.reset(cfg.N)
+
+	// The corrupted mask, and with it the check that F ⊆ Π: a member the
+	// pass over Π does not meet lies outside it.
+	inside := 0
+	for i := 0; i < cfg.N; i++ {
+		s.corrupted[i] = faulty.Contains(proc.ID(i))
+		if s.corrupted[i] {
+			inside++
+		}
+	}
+	if inside != faulty.Len() {
 		return nil, fmt.Errorf("fault plan corrupts processes outside Π: %v", faulty)
 	}
 
@@ -553,7 +581,7 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 	for i := 0; i < cfg.N; i++ {
 		id := proc.ID(i)
 		if m := plan.Byzantine(id); m != nil {
-			if !faulty.Contains(id) {
+			if !s.corrupted[i] {
 				return nil, fmt.Errorf("byzantine machine supplied for correct process %s", id)
 			}
 			machines[i] = m
@@ -563,9 +591,6 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 		behArr[i] = Behavior{ID: id, Proposal: cfg.Proposals[i]}
 		behaviors[i] = &behArr[i]
 	}
-
-	s.grow(cfg.N)
-	defer s.reset(cfg.N)
 
 	// Outgoing messages for the next round, per process.
 	pending := s.pending
@@ -582,9 +607,9 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 	}
 	var err error
 	if cfg.Recording == RecordDecisions {
-		err = runLean(cfg, e, machines, pending, plan, faulty, s)
+		err = runLean(cfg, e, machines, pending, plan, s)
 	} else {
-		err = runFull(cfg, e, machines, pending, plan, faulty, s)
+		err = runFull(cfg, e, machines, pending, plan, s)
 	}
 	if err != nil {
 		return nil, err
@@ -595,8 +620,8 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 // runFull is the RecordFull round loop: the historical engine, recording
 // the four message slices per process per round. Its output is bit-for-bit
 // identical to the pre-tiered engine.
-func runFull(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing, plan FaultPlan, faulty proc.Set, sc *scratch) error {
-	inboxes, frags, seen := sc.inboxes, sc.frags, sc.seen
+func runFull(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing, plan FaultPlan, sc *scratch) error {
+	inboxes, frags, seen, corrupted := sc.inboxes, sc.frags, sc.seen, sc.corrupted
 
 	for i := 0; i < cfg.N; i++ {
 		e.Behaviors[i].Fragments = make([]Fragment, 0, cfg.MaxRounds)
@@ -624,10 +649,7 @@ func runFull(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing,
 				}
 				seen[out.To] = sc.gen
 				m := msg.Message{Sender: proc.ID(i), Receiver: out.To, Round: r, Payload: out.Payload}
-				if plan.SendOmit(m) {
-					if !faulty.Contains(m.Sender) {
-						return fmt.Errorf("round %d: plan send-omits message of correct %s", r, m.Sender)
-					}
+				if corrupted[i] && plan.SendOmit(m) {
 					frags[i].SendOmitted = append(frags[i].SendOmitted, m)
 					continue
 				}
@@ -640,13 +662,14 @@ func runFull(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing,
 		// phase visits senders in ascending ID order within one round, and
 		// each sender contributes at most one message per inbox, so every
 		// inbox is born sorted by (round, sender, receiver) — no sort
-		// needed here.
+		// needed here. A correct receiver receives its whole inbox.
 		for j := 0; j < cfg.N; j++ {
+			if !corrupted[j] {
+				frags[j].Received = append(frags[j].Received, inboxes[j]...)
+				continue
+			}
 			for _, m := range inboxes[j] {
 				if plan.ReceiveOmit(m) {
-					if !faulty.Contains(m.Receiver) {
-						return fmt.Errorf("round %d: plan receive-omits message of correct %s", r, m.Receiver)
-					}
 					frags[j].ReceiveOmitted = append(frags[j].ReceiveOmitted, m)
 					continue
 				}
@@ -683,10 +706,11 @@ func runFull(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing,
 // and fault-plan consultation order to runFull, but the engine only counts
 // messages instead of retaining them. The only per-run allocations are the
 // output object itself (one flat count array carved into per-behavior
-// slices) — all routing scratch comes from the pool, and receive-omission
-// filtering happens in place inside the pooled inboxes.
-func runLean(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing, plan FaultPlan, faulty proc.Set, sc *scratch) error {
-	inboxes, seen := sc.inboxes, sc.seen
+// slices) — all routing scratch comes from the pool, a correct receiver's
+// inbox goes to Step as the send phase built it, and a corrupted one's is
+// filtered in place.
+func runLean(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing, plan FaultPlan, sc *scratch) error {
+	inboxes, seen, corrupted := sc.inboxes, sc.seen, sc.corrupted
 
 	// One flat backing array for the 4·n per-round count series.
 	counts := make([]int, 4*cfg.N*cfg.MaxRounds)
@@ -730,10 +754,7 @@ func runLean(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing,
 				}
 				seen[out.To] = sc.gen
 				m := msg.Message{Sender: proc.ID(i), Receiver: out.To, Round: r, Payload: out.Payload}
-				if plan.SendOmit(m) {
-					if !faulty.Contains(m.Sender) {
-						return fmt.Errorf("round %d: plan send-omits message of correct %s", r, m.Sender)
-					}
+				if corrupted[i] && plan.SendOmit(m) {
 					l.SendOmitted[r-1]++
 					continue
 				}
@@ -742,16 +763,18 @@ func runLean(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing,
 			}
 		}
 
-		// Receive phase: filter receive-omitted messages out of the inbox
-		// in place (the inbox is not recorded, so it can be compacted).
+		// Receive phase: a correct receiver receives its whole inbox; a
+		// corrupted one's receive-omitted messages are filtered out in
+		// place (the inbox is not recorded, so it can be compacted).
 		for j := 0; j < cfg.N; j++ {
 			l := &leans[j]
+			if !corrupted[j] {
+				l.Received[r-1] = len(inboxes[j])
+				continue
+			}
 			kept := inboxes[j][:0]
 			for _, m := range inboxes[j] {
 				if plan.ReceiveOmit(m) {
-					if !faulty.Contains(m.Receiver) {
-						return fmt.Errorf("round %d: plan receive-omits message of correct %s", r, m.Receiver)
-					}
 					l.ReceiveOmitted[r-1]++
 					continue
 				}

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -170,4 +171,69 @@ func (e mismatchError) Error() string {
 
 func errMismatch(d msg.Value, msgs, rounds int) error {
 	return mismatchError{d: d, msgs: msgs, rounds: rounds}
+}
+
+// TestPlanAskedOnlyAboutCorrupted pins the FaultPlan contract at both
+// tiers: the engine asks SendOmit only about messages a corrupted process
+// sends and ReceiveOmit only about messages one receives, so a plan that
+// would omit everything yields exactly the execution OmissionPlan's own
+// guard on F yields, and that execution is omission-valid.
+func TestPlanAskedOnlyAboutCorrupted(t *testing.T) {
+	n, tf, rounds := 4, 1, 3
+	proposals := []msg.Value{"b", "a", "c", "a"}
+	f := proc.NewSet(0)
+	always := func(msg.Message) bool { return true }
+	guarded := sim.OmissionPlan{F: f, SendFn: always, ReceiveFn: always}
+	fullCfg, leanCfg := tierConfigs(n, tf, rounds, proposals)
+
+	runs := make(map[sim.Recording]*sim.Execution)
+	for _, cfg := range []sim.Config{fullCfg, leanCfg} {
+		var sends, recvs []msg.Message
+		got, err := sim.Run(cfg, floodFactory(n, rounds), sim.NosyPlan{F: f, Sends: &sends, Recvs: &recvs})
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Recording, err)
+		}
+		if len(sends) == 0 || len(recvs) == 0 {
+			t.Fatalf("%s: plan asked %d send and %d receive questions, want some of each",
+				cfg.Recording, len(sends), len(recvs))
+		}
+		for _, m := range sends {
+			if m.Sender != 0 {
+				t.Errorf("%s: SendOmit asked about %v, whose sender is correct", cfg.Recording, m)
+			}
+		}
+		for _, m := range recvs {
+			if m.Receiver != 0 {
+				t.Errorf("%s: ReceiveOmit asked about %v, whose receiver is correct", cfg.Recording, m)
+			}
+		}
+		want, err := sim.Run(cfg, floodFactory(n, rounds), guarded)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Recording, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: execution under the unguarded plan differs from the one under OmissionPlan", cfg.Recording)
+		}
+		runs[cfg.Recording] = got
+	}
+
+	full, lean := runs[sim.RecordFull], runs[sim.RecordDecisions]
+	if err := omission.Validate(full); err != nil {
+		t.Errorf("trace under the unguarded plan is not omission-valid: %v", err)
+	}
+	if lean.Rounds != full.Rounds {
+		t.Fatalf("lean ran %d rounds, full %d", lean.Rounds, full.Rounds)
+	}
+	for i := 0; i < n; i++ {
+		l := lean.Behaviors[i].Lean
+		for r := 1; r <= full.Rounds; r++ {
+			fr := full.Behaviors[i].Frag(r)
+			got := [4]int{l.Sent[r-1], l.SendOmitted[r-1], l.Received[r-1], l.ReceiveOmitted[r-1]}
+			want := [4]int{len(fr.Sent), len(fr.SendOmitted), len(fr.Received), len(fr.ReceiveOmitted)}
+			if got != want {
+				t.Errorf("p%d round %d: lean counts %v, full counts %v (sent, send-omitted, received, receive-omitted)",
+					i, r, got, want)
+			}
+		}
+	}
 }
