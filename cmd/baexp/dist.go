@@ -144,7 +144,7 @@ type jobFlags struct {
 	n, t, units, keep, bias       int
 	budget, genSize, batch        int
 	fuzzSeed                      int64
-	shrink, full, stop            bool
+	shrink, stop                  bool
 }
 
 // jobDefaults is the one table of per-kind defaults, for the job flags
@@ -176,7 +176,6 @@ func addJobFlags(fs *flag.FlagSet, kind string) *jobFlags {
 	fs.StringVar(&f.seeds, "seeds", "", "half-open seed range FROM:TO (hunt; per-cell for matrix)")
 	fs.IntVar(&f.units, "units", 0, "hunt work units to cut the seed range into (0 = default 16)")
 	fs.BoolVar(&f.shrink, "shrink", false, "minimize found violations (coord: once, on the merged report)")
-	fs.BoolVar(&f.full, "full", false, "record full traces and validate every probe (default: lean probes, full replay of violating seeds only; reports are byte-identical either way)")
 	fs.IntVar(&f.keep, "keep", 0, "record at most this many violations (matrix: per cell; hunt/fuzz: 0 = all)")
 	fs.IntVar(&f.bias, "bias", cmatrix.DefaultBias, "omission percentage for the random strategies")
 	fs.IntVar(&f.budget, "budget", 2048, "total candidate probes (fuzz)")
@@ -250,7 +249,7 @@ func buildJob(kind string, f *jobFlags) (*dist.Job, error) {
 		return &dist.Job{Kind: "hunt", Hunt: &dist.HuntJob{
 			Protocol: f.proto, Strategy: f.strategy, Bias: f.bias,
 			N: f.n, T: f.t, Seeds: seeds, Units: f.units,
-			Shrink: f.shrink, MaxViolations: f.keep, RecordFull: f.full,
+			Shrink: f.shrink, MaxViolations: f.keep,
 		}}, nil
 	case "fuzz":
 		return &dist.Job{Kind: "fuzz", Fuzz: &dist.FuzzJob{
@@ -275,7 +274,7 @@ func buildJob(kind string, f *jobFlags) (*dist.Job, error) {
 			Protocols:  splitIDs(f.proto, catalog.IDs()),
 			Strategies: splitIDs(f.strategy, adversary.LibraryIDs()),
 			Sizes:      sizes, Bias: f.bias, Seeds: seeds,
-			MaxViolations: f.keep, Shrink: f.shrink, RecordFull: f.full,
+			MaxViolations: f.keep, Shrink: f.shrink,
 		}}, nil
 	default:
 		return nil, fmt.Errorf("unknown campaign kind %q (hunt|fuzz|matrix)", kind)

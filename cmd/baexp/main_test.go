@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -309,5 +310,71 @@ func TestGoldenText(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("baexp %s no longer prints testdata/%s. Got:\n%s", tc.cmd, tc.file, got)
 		}
+	}
+}
+
+// TestDeterminismSmokes is the determinism contract at the command line,
+// the `cmp` steps CI ran against the built binary: each row is two
+// commands whose stdout — and the corpus file, where the command names one
+// as CORPUS — must be byte-equal, at any parallelism, with telemetry on or
+// off, and through the coordinator or not. scrub removes what states facts
+// of the machine; want are patterns the common output must show, so that
+// two empty reports do not pass.
+func TestDeterminismSmokes(t *testing.T) {
+	const (
+		hunt   = "-proto floodset -n 8 -t 2 -strategy targeted-withhold -seeds 0:48 -json"
+		fuzz   = "-n 4 -t 3 -budget 768 -shrink=false -corpus CORPUS -json"
+		matrix = "-sizes 4:1,5:1 -seeds 0:8 -json"
+	)
+	machine := regexp.MustCompile(`"(wall_ms|workers)": [0-9.]+`)
+	for _, tc := range []struct {
+		name, a, b string
+		scrub      *regexp.Regexp
+		want       []string
+	}{
+		{"hunt parallel", "hunt " + hunt + " -parallel 1", "hunt " + hunt + " -parallel 8", nil, []string{`"kind": "agreement"`, `"shrunk"`}},
+		{"hunt telemetry", "hunt " + hunt + " -parallel 1", "hunt " + hunt + " -parallel 0 -progress -metrics-out METRICS", nil, nil},
+		{"hunt coord", "hunt " + hunt, "coord -kind hunt " + hunt + " -inproc 2", nil, nil},
+		{"fuzz parallel", "fuzz " + fuzz + " -parallel 1", "fuzz " + fuzz + " -parallel 8", nil, []string{`"corpus_size"`}},
+		{"fuzz coord", "fuzz " + fuzz, "coord -kind fuzz " + fuzz + " -inproc 2", nil, nil},
+		{"matrix parallel", "matrix " + matrix + " -parallel 1", "matrix " + matrix + " -parallel 8", nil, []string{`"skipped": true`, `"protocol": "floodset"`, `"violating_cells": [1-9]`}},
+		{"matrix coord", "matrix " + matrix, "coord -kind matrix " + matrix + " -inproc 2", nil, nil},
+		{"exp parallel", "exp -json -parallel 1 E8", "exp -json -parallel 4 E8", machine, []string{`"table"`}},
+		{"falsify parallel", "falsify -proto weak-via-ic -n 24 -t 8 -v -parallel 1", "falsify -proto weak-via-ic -n 24 -t 8 -v -parallel 4", nil, []string{"paid the quadratic price"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			side := func(cmd, tag string) (stdout, corpus []byte) {
+				file := filepath.Join(dir, tag+".corpus.json")
+				cmd = strings.ReplaceAll(cmd, "CORPUS", file)
+				cmd = strings.ReplaceAll(cmd, "METRICS", filepath.Join(dir, tag+".metrics.jsonl"))
+				stdout, _, err := captureRun(t, strings.Fields(cmd))
+				if err != nil {
+					t.Fatalf("baexp %s: %v", cmd, err)
+				}
+				if tc.scrub != nil {
+					stdout = tc.scrub.ReplaceAll(stdout, nil)
+				}
+				if strings.Contains(cmd, file) {
+					if corpus, err = os.ReadFile(file); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return stdout, corpus
+			}
+			outA, corpusA := side(tc.a, "a")
+			outB, corpusB := side(tc.b, "b")
+			if len(outA) == 0 || !bytes.Equal(outA, outB) {
+				t.Errorf("stdout differs:\nbaexp %s\n%s\nbaexp %s\n%s", tc.a, outA, tc.b, outB)
+			}
+			if !bytes.Equal(corpusA, corpusB) {
+				t.Errorf("`baexp %s` and `baexp %s` leave different corpus files", tc.a, tc.b)
+			}
+			for _, want := range tc.want {
+				if !regexp.MustCompile(want).Match(outA) {
+					t.Errorf("baexp %s: output lacks %s", tc.a, want)
+				}
+			}
+		})
 	}
 }

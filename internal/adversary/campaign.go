@@ -182,34 +182,28 @@ func (v *Violation) String() string {
 // is checked against every correct decision.
 func CheckExecution(e *sim.Execution, proposals []msg.Value, validity ValidityFunc, compat AgreementFunc) *Violation {
 	correct := e.Correct()
-	members := correct.Members()
 	if compat == nil {
 		// Strict path: Termination and Agreement interleave in member
 		// order, so the first anomaly in ID order is the verdict (an
 		// agreement split at a low ID is reported even when a higher ID is
 		// also undecided — the historical, determinism-pinned precedence).
-		var common msg.Value
-		var first proc.ID = -1
-		for _, id := range members {
-			d, ok := e.Decision(id)
+		common, first, odd := e.Unanimity(correct)
+		if odd >= 0 {
+			d, ok := e.Decision(odd)
 			if !ok {
 				return &Violation{
 					Kind:     "termination",
-					Witness2: id,
-					Detail:   fmt.Sprintf("correct %s undecided after %d rounds", id, e.Rounds),
+					Witness2: odd,
+					Detail:   fmt.Sprintf("correct %s undecided after %d rounds", odd, e.Rounds),
 				}
 			}
-			if first < 0 {
-				common, first = d, id
-			} else if d != common {
-				return &Violation{
-					Kind:     "agreement",
-					Witness1: first,
-					D1:       common,
-					Witness2: id,
-					D2:       d,
-					Detail:   fmt.Sprintf("correct %s decided %q, correct %s decided %q", first, common, id, d),
-				}
+			return &Violation{
+				Kind:     "agreement",
+				Witness1: first,
+				D1:       common,
+				Witness2: odd,
+				D2:       d,
+				Detail:   fmt.Sprintf("correct %s decided %q, correct %s decided %q", first, common, odd, d),
 			}
 		}
 		if first < 0 {
@@ -229,6 +223,7 @@ func CheckExecution(e *sim.Execution, proposals []msg.Value, validity ValidityFu
 	}
 	// Relational path: the pairwise relation needs every decision, so
 	// Termination is established first.
+	members := correct.Members()
 	decisions := make([]msg.Value, len(members))
 	for i, id := range members {
 		d, ok := e.Decision(id)

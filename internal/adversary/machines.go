@@ -42,7 +42,7 @@ func (s MachineSpec) build(env Env, id proc.ID) sim.Machine {
 			return newTwoFaced(env, id, s.Seed)
 		}
 	}
-	return silentMachine{}
+	return sim.Silent{}
 }
 
 // ByzEntry assigns a replayable machine spec to one corrupted process.
@@ -115,24 +115,6 @@ func Equivocate() Strategy { return byzStrategy("equivocate", KindEquivocate) }
 // opposite proposals and shows every peer a consistent view of one copy —
 // the classical equivocation that is honest to either side in isolation.
 func TwoFaced() Strategy { return byzStrategy("two-faced", KindTwoFaced) }
-
-// silentMachine never sends and never decides (the weakest Byzantine
-// behavior, and the defensive fallback for unbuildable specs).
-type silentMachine struct{}
-
-var _ sim.Machine = silentMachine{}
-
-// Init implements sim.Machine.
-func (silentMachine) Init() []sim.Outgoing { return nil }
-
-// Step implements sim.Machine.
-func (silentMachine) Step(int, []msg.Message) []sim.Outgoing { return nil }
-
-// Decision implements sim.Machine.
-func (silentMachine) Decision() (msg.Value, bool) { return msg.NoDecision, false }
-
-// Quiescent implements sim.Machine.
-func (silentMachine) Quiescent() bool { return true }
 
 // chaosMachine is the randomized Byzantine chatterer (ported from the
 // stress suite): each round it sends a deterministic-pseudo-random payload

@@ -81,11 +81,10 @@ type HuntJob struct {
 	// cuts the same units, which is what keeps reassignment and resume
 	// deterministic.
 	Units int `json:"units,omitempty"`
-	// Shrink, MaxViolations and RecordFull mirror the campaign fields.
-	// Shrinking runs once, coordinator-side, on the merged report.
+	// Shrink and MaxViolations mirror the campaign fields. Shrinking runs
+	// once, coordinator-side, on the merged report.
 	Shrink        bool `json:"shrink,omitempty"`
 	MaxViolations int  `json:"max_violations,omitempty"`
-	RecordFull    bool `json:"record_full,omitempty"`
 }
 
 // FuzzJob distributes one fuzz.Fuzzer. The coordinator owns the corpus
@@ -130,10 +129,9 @@ type MatrixJob struct {
 	Bias       int           `json:"bias,omitempty"`
 	// Seeds is the per-cell seed range.
 	Seeds adversary.SeedRange `json:"seeds"`
-	// MaxViolations, Shrink and RecordFull mirror the matrix fields.
+	// MaxViolations and Shrink mirror the matrix fields.
 	MaxViolations int  `json:"max_violations,omitempty"`
 	Shrink        bool `json:"shrink,omitempty"`
-	RecordFull    bool `json:"record_full,omitempty"`
 }
 
 // normalize fills job defaults in place (idempotent).
@@ -238,7 +236,6 @@ func (j *HuntJob) Campaign() (*adversary.Campaign, error) {
 	}
 	c.Shrink = j.Shrink
 	c.MaxViolations = j.MaxViolations
-	c.RecordFull = j.RecordFull
 	return c, nil
 }
 
@@ -295,7 +292,6 @@ func (j *MatrixJob) Matrix() (*matrix.Matrix, error) {
 		Seeds:         j.Seeds,
 		MaxViolations: j.MaxViolations,
 		Shrink:        j.Shrink,
-		RecordFull:    j.RecordFull,
 	}
 	var err error
 	for i, id := range j.Protocols {

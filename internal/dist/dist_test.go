@@ -84,7 +84,6 @@ func singleHunt(t *testing.T, j *HuntJob) []byte {
 	}
 	c.Shrink = j.Shrink
 	c.MaxViolations = j.MaxViolations
-	c.RecordFull = j.RecordFull
 	rep, err := c.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -307,7 +307,6 @@ func (ex *executor) runCell(u *Unit) (*Result, error) {
 	cell, err := matrix.ProbeCell(m.Protocols[ref.Protocol], m.Strategies[ref.Strategy], m.Sizes[ref.Size], m.Seeds, matrix.CellOptions{
 		MaxViolations: m.MaxViolations,
 		Shrink:        m.Shrink,
-		RecordFull:    m.RecordFull,
 		Parallelism:   ex.parallelism,
 		Ctx:           ex.ctx,
 	})

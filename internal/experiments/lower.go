@@ -222,19 +222,12 @@ type chainedEcho struct {
 	n      int
 	id     proc.ID
 	digest string
+	out    sim.Broadcast
 }
 
 var _ sim.Machine = (*chainedEcho)(nil)
 
-func (m *chainedEcho) broadcast() []sim.Outgoing {
-	out := make([]sim.Outgoing, 0, m.n-1)
-	for p := proc.ID(0); p < proc.ID(m.n); p++ {
-		if p != m.id {
-			out = append(out, sim.Outgoing{To: p, Payload: m.digest})
-		}
-	}
-	return out
-}
+func (m *chainedEcho) broadcast() []sim.Outgoing { return m.out.Send(m.n, m.id, m.digest) }
 
 func (m *chainedEcho) Init() []sim.Outgoing { return m.broadcast() }
 

@@ -34,6 +34,7 @@ import (
 	"context"
 	"fmt"
 
+	"expensive/internal/adversary"
 	"expensive/internal/experiments/runner"
 	"expensive/internal/msg"
 	"expensive/internal/obs"
@@ -195,12 +196,12 @@ func (f *falsifier) logf(format string, args ...any) {
 func (f *falsifier) observe(label string, e *sim.Execution) {
 	f.report.Executions++
 	f.execs.Inc()
-	m := e.CorrectMessages()
-	if m > f.report.MaxCorrectMessages {
-		f.report.MaxCorrectMessages = m
+	c := adversary.CostOf(e)
+	if c.Messages > f.report.MaxCorrectMessages {
+		f.report.MaxCorrectMessages = c.Messages
 	}
 	f.logf("%s: %d rounds recorded, %d messages sent by correct processes (threshold t²/32 = %d)",
-		label, e.Rounds, m, f.report.Threshold)
+		label, c.Rounds, c.Messages, f.report.Threshold)
 }
 
 // probe is a deferred simulation probe: a Promise resolving to the
@@ -243,18 +244,9 @@ func (f *falsifier) ensureFullIsolated(e *sim.Execution, group proc.Set, k int) 
 // Lemma 2 swap candidate, which needs the receive-omission sets). When it
 // returns false, correctDecision and lemma2 provably touch only decisions.
 func (f *falsifier) leanNeedsFull(e *sim.Execution, group proc.Set) bool {
-	var common msg.Value
-	first := true
-	for _, id := range e.Correct().Members() {
-		d, ok := e.Decision(id)
-		if !ok {
-			return true
-		}
-		if first {
-			common, first = d, false
-		} else if d != common {
-			return true
-		}
+	common, _, odd := e.Unanimity(e.Correct())
+	if odd >= 0 {
+		return true
 	}
 	for _, p := range group.Members() {
 		if d, ok := e.Decision(p); !ok || d != common {
@@ -373,34 +365,28 @@ func (f *falsifier) probeIsolated(label string, group proc.Set, k int, pr *probe
 // or produces the execution itself as an agreement/termination
 // certificate.
 func (f *falsifier) correctDecision(e *sim.Execution, label string) (msg.Value, *Violation) {
-	correct := e.Correct()
-	var common msg.Value
-	var first proc.ID = -1
-	for _, id := range correct.Members() {
-		d, ok := e.Decision(id)
-		if !ok {
-			return msg.NoDecision, &Violation{
-				Kind:     "termination",
-				Exec:     e,
-				Witness2: id,
-				Note:     fmt.Sprintf("%s: correct process undecided after %d rounds (bound %d)", label, e.Rounds, f.bound),
-			}
-		}
-		if first < 0 {
-			common, first = d, id
-		} else if d != common {
-			return msg.NoDecision, &Violation{
-				Kind:     "agreement",
-				Exec:     e,
-				Witness1: first,
-				D1:       common,
-				Witness2: id,
-				D2:       d,
-				Note:     label,
-			}
+	common, first, odd := e.Unanimity(e.Correct())
+	if odd < 0 {
+		return common, nil
+	}
+	d, ok := e.Decision(odd)
+	if !ok {
+		return msg.NoDecision, &Violation{
+			Kind:     "termination",
+			Exec:     e,
+			Witness2: odd,
+			Note:     fmt.Sprintf("%s: correct process undecided after %d rounds (bound %d)", label, e.Rounds, f.bound),
 		}
 	}
-	return common, nil
+	return msg.NoDecision, &Violation{
+		Kind:     "agreement",
+		Exec:     e,
+		Witness1: first,
+		D1:       common,
+		Witness2: odd,
+		D2:       d,
+		Note:     label,
+	}
 }
 
 // lemma2 applies the swap argument: find an isolated process p in group Y

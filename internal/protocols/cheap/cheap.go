@@ -26,26 +26,6 @@ func clampBit(v msg.Value) msg.Value {
 	return msg.Zero
 }
 
-// base carries the common decided/quiescent plumbing.
-type base struct {
-	decided  bool
-	decision msg.Value
-	done     bool
-}
-
-func (b *base) Decision() (msg.Value, bool) {
-	if !b.decided {
-		return msg.NoDecision, false
-	}
-	return b.decision, true
-}
-
-func (b *base) Quiescent() bool { return b.done }
-
-func (b *base) decide(v msg.Value) {
-	b.decided, b.decision, b.done = true, v, true
-}
-
 // Silent is the zero-message protocol: every process immediately decides
 // its own proposal. Weak Validity holds (a unanimous fault-free execution
 // decides the common proposal); Agreement is the casualty. Message
@@ -60,7 +40,7 @@ func Silent() sim.Factory {
 const SilentRounds = 1
 
 type silentMachine struct {
-	base
+	sim.DecideOnce
 	proposal msg.Value
 }
 
@@ -70,7 +50,7 @@ func (m *silentMachine) Init() []sim.Outgoing { return nil }
 
 func (m *silentMachine) Step(round int, _ []msg.Message) []sim.Outgoing {
 	if round == 1 {
-		m.decide(m.proposal)
+		m.Decide(m.proposal)
 	}
 	return nil
 }
@@ -91,7 +71,7 @@ func Leader(n int) sim.Factory {
 const LeaderRounds = 1
 
 type leaderMachine struct {
-	base
+	sim.DecideOnce
 	n        int
 	id       proc.ID
 	proposal msg.Value
@@ -103,11 +83,8 @@ func (m *leaderMachine) Init() []sim.Outgoing {
 	if m.id != 0 {
 		return nil
 	}
-	out := make([]sim.Outgoing, 0, m.n-1)
-	for p := proc.ID(1); p < proc.ID(m.n); p++ {
-		out = append(out, sim.Outgoing{To: p, Payload: string(m.proposal)})
-	}
-	return out
+	var all sim.Broadcast // sent once: nothing to keep
+	return all.Send(m.n, m.id, string(m.proposal))
 }
 
 func (m *leaderMachine) Step(round int, received []msg.Message) []sim.Outgoing {
@@ -115,7 +92,7 @@ func (m *leaderMachine) Step(round int, received []msg.Message) []sim.Outgoing {
 		return nil
 	}
 	if m.id == 0 {
-		m.decide(m.proposal)
+		m.Decide(m.proposal)
 		return nil
 	}
 	decision := msg.One // default on detected fault
@@ -124,7 +101,7 @@ func (m *leaderMachine) Step(round int, received []msg.Message) []sim.Outgoing {
 			decision = msg.Value(rm.Payload)
 		}
 	}
-	m.decide(decision)
+	m.Decide(decision)
 	return nil
 }
 
@@ -144,7 +121,7 @@ func Star(n int) sim.Factory {
 const StarRounds = 2
 
 type starMachine struct {
-	base
+	sim.DecideOnce
 	n        int
 	id       proc.ID
 	proposal msg.Value
@@ -177,14 +154,11 @@ func (m *starMachine) Step(round int, received []msg.Message) []sim.Outgoing {
 				m.verdict = msg.One
 			}
 		}
-		out := make([]sim.Outgoing, 0, m.n-1)
-		for p := proc.ID(1); p < proc.ID(m.n); p++ {
-			out = append(out, sim.Outgoing{To: p, Payload: string(m.verdict)})
-		}
-		return out
+		var all sim.Broadcast
+		return all.Send(m.n, m.id, string(m.verdict))
 	case round == 2:
 		if m.id == 0 {
-			m.decide(m.verdict)
+			m.Decide(m.verdict)
 			return nil
 		}
 		decision := msg.One
@@ -193,7 +167,7 @@ func (m *starMachine) Step(round int, received []msg.Message) []sim.Outgoing {
 				decision = msg.Value(rm.Payload)
 			}
 		}
-		m.decide(decision)
+		m.Decide(decision)
 	}
 	return nil
 }
@@ -220,7 +194,7 @@ func Gossip(n, k int) sim.Factory {
 const GossipRounds = 1
 
 type gossipMachine struct {
-	base
+	sim.DecideOnce
 	n, k     int
 	id       proc.ID
 	proposal msg.Value
@@ -229,10 +203,9 @@ type gossipMachine struct {
 var _ sim.Machine = (*gossipMachine)(nil)
 
 func (m *gossipMachine) Init() []sim.Outgoing {
-	out := make([]sim.Outgoing, 0, m.k)
-	for d := 1; d <= m.k; d++ {
-		to := proc.ID((int(m.id) + d) % m.n)
-		out = append(out, sim.Outgoing{To: to, Payload: string(m.proposal)})
+	out := make([]sim.Outgoing, m.k)
+	for d := range out {
+		out[d] = sim.Outgoing{To: proc.ID((int(m.id) + d + 1) % m.n), Payload: string(m.proposal)}
 	}
 	return out
 }
@@ -255,6 +228,6 @@ func (m *gossipMachine) Step(round int, received []msg.Message) []sim.Outgoing {
 	if m.proposal != msg.Zero {
 		decision = msg.One
 	}
-	m.decide(decision)
+	m.Decide(decision)
 	return nil
 }

@@ -93,14 +93,14 @@ func New(cfg Config) sim.Factory {
 }
 
 type machine struct {
+	sim.DecideOnce
+	out sim.Broadcast
+
 	cfg      Config
 	id       proc.ID
 	proposal msg.Value
 
 	extracted []msg.Value
-	decided   bool
-	decision  msg.Value
-	done      bool
 }
 
 var _ sim.Machine = (*machine)(nil)
@@ -146,14 +146,7 @@ func (m *machine) broadcast(b []byte) []sim.Outgoing {
 	if len(b) == len(itemsOpen) {
 		return nil
 	}
-	payload := string(append(b, "]}"...))
-	out := make([]sim.Outgoing, 0, m.cfg.N-1)
-	for p := proc.ID(0); p < proc.ID(m.cfg.N); p++ {
-		if p != m.id {
-			out = append(out, sim.Outgoing{To: p, Payload: payload})
-		}
-	}
-	return out
+	return m.out.Send(m.cfg.N, m.id, string(append(b, "]}"...)))
 }
 
 // Init implements sim.Machine: the sender signs and broadcasts its
@@ -232,7 +225,7 @@ func decodeThrough(payload string, slot *msg.Slot) *Payload {
 // StepSlots is Step for a caller that holds a msg.Slot for each received
 // payload (the multiplexer): slots is nil or parallel to received.
 func (m *machine) StepSlots(round int, received []msg.Message, slots []*msg.Slot) []sim.Outgoing {
-	if m.done {
+	if m.Quiescent() {
 		return nil
 	}
 	// The items accepted in this round, each with the bytes its signatures
@@ -268,11 +261,10 @@ func (m *machine) StepSlots(round int, received []msg.Message, slots []*msg.Slot
 	if round >= RoundBound(m.cfg.T) {
 		// End of round t+1: decide.
 		if len(m.extracted) == 1 {
-			m.decision = m.extracted[0]
+			m.Decide(m.extracted[0])
 		} else {
-			m.decision = m.cfg.Default
+			m.Decide(m.cfg.Default)
 		}
-		m.decided, m.done = true, true
 		return nil
 	}
 
@@ -294,17 +286,6 @@ func (m *machine) StepSlots(round int, received []msg.Message, slots []*msg.Slot
 	}
 	return m.broadcast(b)
 }
-
-// Decision implements sim.Machine.
-func (m *machine) Decision() (msg.Value, bool) {
-	if !m.decided {
-		return msg.NoDecision, false
-	}
-	return m.decision, true
-}
-
-// Quiescent implements sim.Machine.
-func (m *machine) Quiescent() bool { return m.done }
 
 // Validate sanity-checks a config.
 func (c Config) Validate() error {

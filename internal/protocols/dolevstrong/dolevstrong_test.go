@@ -78,18 +78,10 @@ func TestMessageComplexityQuadratic(t *testing.T) {
 	}
 }
 
-// silentMachine is a Byzantine sender that never speaks.
-type silentMachine struct{}
-
-func (silentMachine) Init() []sim.Outgoing                   { return nil }
-func (silentMachine) Step(int, []msg.Message) []sim.Outgoing { return nil }
-func (silentMachine) Decision() (msg.Value, bool)            { return msg.NoDecision, false }
-func (silentMachine) Quiescent() bool                        { return true }
-
 func TestSilentSenderDecidesDefault(t *testing.T) {
 	scheme := sig.NewIdeal("ds-silent")
 	cfg := newCfg(5, 2, scheme)
-	plan := sim.ByzantinePlan{Machines: map[proc.ID]sim.Machine{0: silentMachine{}}}
+	plan := sim.ByzantinePlan{Machines: map[proc.ID]sim.Machine{0: sim.Silent{}}}
 	e := run(t, cfg, uniform(5, "v"), plan)
 	d, err := e.CommonDecision(proc.Range(1, 5))
 	if err != nil {

@@ -147,6 +147,7 @@ func (s *shape) down(x, j int) int {
 }
 
 type machine struct {
+	sim.DecideOnce
 	cfg Config
 	*shape
 	id proc.ID
@@ -156,15 +157,9 @@ type machine struct {
 	val []msg.Value
 	set []bool
 
-	// out is the broadcast, one entry per peer, and buf the body being
-	// written; both are reused from round to round (sim.Machine lets a
-	// machine rewrite the slice it returned).
-	out []sim.Outgoing
+	out sim.Broadcast
+	// buf is the body being written, reused from round to round.
 	buf []byte
-
-	decided  bool
-	decision msg.Value
-	done     bool
 }
 
 var _ sim.Machine = (*machine)(nil)
@@ -229,19 +224,7 @@ func (m *machine) broadcastLevel(level int) []sim.Outgoing {
 		return nil
 	}
 	m.buf = append(b, "]}"...)
-	body := string(m.buf)
-	if m.out == nil {
-		m.out = make([]sim.Outgoing, 0, m.n-1)
-		for p := proc.ID(0); p < proc.ID(m.n); p++ {
-			if p != m.id {
-				m.out = append(m.out, sim.Outgoing{To: p})
-			}
-		}
-	}
-	for i := range m.out {
-		m.out[i].Payload = body
-	}
-	return m.out
+	return m.out.Send(m.n, m.id, string(m.buf))
 }
 
 // Init implements sim.Machine: round 1 broadcasts the root value (own
@@ -252,7 +235,7 @@ func (m *machine) Init() []sim.Outgoing {
 
 // Step implements sim.Machine.
 func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
-	if m.done {
+	if m.Quiescent() {
 		return nil
 	}
 	for _, rm := range received {
@@ -275,7 +258,7 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 		}
 	}
 	if round >= RoundBound(m.cfg.T) {
-		m.decide()
+		m.Decide(m.resolve())
 		return nil
 	}
 	// Fill missing level-round entries with the default so the level is
@@ -286,11 +269,11 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 	return m.broadcastLevel(round)
 }
 
-// decide resolves the tree bottom-up, in place: leaves keep their stored
+// resolve resolves the tree bottom-up, in place: leaves keep their stored
 // value (the default where nothing was stored); an inner node takes the
 // strict majority of its resolved children, or the default when there is
 // none. Entry j of the decision is the resolved ⟨j⟩.
-func (m *machine) decide() {
+func (m *machine) resolve() msg.Value {
 	for x := m.inner(); x < m.nodes(); x++ {
 		m.store(x, m.cfg.Default)
 	}
@@ -301,8 +284,7 @@ func (m *machine) decide() {
 	for j := range vec {
 		vec[j] = m.val[m.first[1]+j]
 	}
-	m.decision = msg.EncodeVector(vec)
-	m.decided, m.done = true, true
+	return msg.EncodeVector(vec)
 }
 
 // majority returns the value more than half of the children hold, or the
@@ -336,14 +318,3 @@ func (m *machine) majority(children []int32) msg.Value {
 	}
 	return m.cfg.Default
 }
-
-// Decision implements sim.Machine.
-func (m *machine) Decision() (msg.Value, bool) {
-	if !m.decided {
-		return msg.NoDecision, false
-	}
-	return m.decision, true
-}
-
-// Quiescent implements sim.Machine.
-func (m *machine) Quiescent() bool { return m.done }

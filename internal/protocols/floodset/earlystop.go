@@ -29,6 +29,8 @@ type earlyMachine struct {
 	machine
 	prevHeard proc.Set
 	hasPrev   bool
+	// done is set at round t+1: an early decider keeps flooding until then.
+	done bool
 }
 
 var _ sim.Machine = (*earlyMachine)(nil)
@@ -47,8 +49,8 @@ func (m *earlyMachine) Step(round int, received []msg.Message) []sim.Outgoing {
 	clean := m.hasPrev && heard.Equal(m.prevHeard)
 	m.prevHeard, m.hasPrev = heard, true
 
-	if !m.decided && (clean || round >= RoundBound(m.cfg.T)) {
-		m.decision, m.decided = m.w[0], true
+	if clean || round >= RoundBound(m.cfg.T) {
+		m.Decide(m.w[0])
 	}
 	if round >= RoundBound(m.cfg.T) {
 		m.done = true
@@ -57,3 +59,6 @@ func (m *earlyMachine) Step(round int, received []msg.Message) []sim.Outgoing {
 	// Keep flooding until round t+1 even when already decided.
 	return m.broadcast()
 }
+
+// Quiescent implements sim.Machine.
+func (m *earlyMachine) Quiescent() bool { return m.done }

@@ -63,24 +63,19 @@ func encodeW(w []msg.Value) string {
 }
 
 type machine struct {
+	sim.DecideOnce
+	out sim.Broadcast
+
 	cfg Config
 	id  proc.ID
 	// w is W, the set of values seen, ascending; it starts as the
 	// proposal and only grows.
 	w []msg.Value
 
-	// out is the broadcast: one entry per peer, built on first use and
-	// returned from every Init/Step (sim.Machine lets a machine reuse the
-	// slice it returns). encoded is the body all entries carry; it is
-	// rewritten only when W grew since the last broadcast (after round 1
-	// it rarely does).
-	out     []sim.Outgoing
+	// encoded is the body of the last broadcast; it is written again only
+	// when W grew since (after round 1 it rarely does).
 	encoded string
 	grew    bool
-
-	decided  bool
-	decision msg.Value
-	done     bool
 }
 
 var _ sim.Machine = (*machine)(nil)
@@ -111,22 +106,10 @@ func (m *machine) absorb(body string) {
 }
 
 func (m *machine) broadcast() []sim.Outgoing {
-	if m.out == nil {
-		m.out = make([]sim.Outgoing, 0, m.cfg.N-1)
-		for p := proc.ID(0); p < proc.ID(m.cfg.N); p++ {
-			if p != m.id {
-				m.out = append(m.out, sim.Outgoing{To: p})
-			}
-		}
-	}
 	if m.grew {
-		m.encoded = encodeW(m.w)
-		m.grew = false
-		for i := range m.out {
-			m.out[i].Payload = m.encoded
-		}
+		m.encoded, m.grew = encodeW(m.w), false
 	}
-	return m.out
+	return m.out.Send(m.cfg.N, m.id, m.encoded)
 }
 
 // Init implements sim.Machine.
@@ -134,30 +117,18 @@ func (m *machine) Init() []sim.Outgoing { return m.broadcast() }
 
 // Step implements sim.Machine.
 func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
-	if m.done {
+	if m.Quiescent() {
 		return nil
 	}
 	for i := range received {
 		m.absorb(received[i].Payload)
 	}
 	if round >= RoundBound(m.cfg.T) {
-		m.decision = m.w[0] // min of W
-		m.decided, m.done = true, true
+		m.Decide(m.w[0]) // min of W
 		return nil
 	}
 	return m.broadcast()
 }
-
-// Decision implements sim.Machine.
-func (m *machine) Decision() (msg.Value, bool) {
-	if !m.decided {
-		return msg.NoDecision, false
-	}
-	return m.decision, true
-}
-
-// Quiescent implements sim.Machine.
-func (m *machine) Quiescent() bool { return m.done }
 
 // LastRoundReveal is the omission attack that defeats FloodSet: the faulty
 // attacker holds a uniquely small value, send-omits everything until the

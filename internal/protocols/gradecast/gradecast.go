@@ -77,6 +77,9 @@ func New(cfg Config) sim.Factory {
 }
 
 type machine struct {
+	sim.DecideOnce
+	out sim.Broadcast
+
 	cfg      Config
 	id       proc.ID
 	proposal msg.Value
@@ -85,22 +88,12 @@ type machine struct {
 	hasValue   bool
 	support    msg.Value
 	hasSupport bool
-
-	decided  bool
-	decision msg.Value
-	done     bool
 }
 
 var _ sim.Machine = (*machine)(nil)
 
-func (m *machine) broadcast(body string) []sim.Outgoing {
-	out := make([]sim.Outgoing, 0, m.cfg.N-1)
-	for p := proc.ID(0); p < proc.ID(m.cfg.N); p++ {
-		if p != m.id {
-			out = append(out, sim.Outgoing{To: p, Payload: body})
-		}
-	}
-	return out
+func (m *machine) broadcast(v msg.Value) []sim.Outgoing {
+	return m.out.Send(m.cfg.N, m.id, string(v))
 }
 
 // Init implements sim.Machine: the sender distributes its value.
@@ -109,7 +102,7 @@ func (m *machine) Init() []sim.Outgoing {
 		return nil
 	}
 	m.fromSender, m.hasValue = m.proposal, true
-	return m.broadcast(string(m.proposal))
+	return m.broadcast(m.proposal)
 }
 
 // tally returns the value with the highest count (ties broken by value
@@ -144,7 +137,7 @@ func votesFrom(received []msg.Message) map[proc.ID]msg.Value {
 
 // Step implements sim.Machine.
 func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
-	if m.done {
+	if m.Quiescent() {
 		return nil
 	}
 	switch round {
@@ -158,7 +151,7 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 		if !m.hasValue {
 			return nil // nothing to echo
 		}
-		return m.broadcast(string(m.fromSender))
+		return m.broadcast(m.fromSender)
 	case 2:
 		// Count echoes (own echo included); support on n-t agreement.
 		votes := votesFrom(received)
@@ -168,7 +161,7 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 		best, count := tally(votes)
 		if count >= m.cfg.N-m.cfg.T {
 			m.support, m.hasSupport = best, true
-			return m.broadcast(string(best))
+			return m.broadcast(best)
 		}
 		return nil
 	default: // round 3: grade
@@ -179,27 +172,15 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 		best, count := tally(votes)
 		switch {
 		case count >= m.cfg.N-m.cfg.T:
-			m.decision = Output(2, best)
+			m.Decide(Output(2, best))
 		case count >= m.cfg.T+1:
-			m.decision = Output(1, best)
+			m.Decide(Output(1, best))
 		default:
-			m.decision = Output(0, "")
+			m.Decide(Output(0, ""))
 		}
-		m.decided, m.done = true, true
 		return nil
 	}
 }
-
-// Decision implements sim.Machine.
-func (m *machine) Decision() (msg.Value, bool) {
-	if !m.decided {
-		return msg.NoDecision, false
-	}
-	return m.decision, true
-}
-
-// Quiescent implements sim.Machine.
-func (m *machine) Quiescent() bool { return m.done }
 
 // CheckProperties verifies G1–G3 on a recorded execution: pass the
 // correct set, whether the sender is correct, and the sender's proposal.

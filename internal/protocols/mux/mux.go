@@ -42,6 +42,8 @@ type slotStepper interface {
 // Machine multiplexes k sub-machines over the single-message-per-peer
 // channel model.
 type Machine struct {
+	sim.DecideOnce // set once every sub-machine has decided
+
 	subs    []sim.Machine
 	combine Combiner
 	// order lists the instances in the order encoding/json writes their
@@ -65,9 +67,6 @@ type Machine struct {
 	has   []bool
 	out   []sim.Outgoing
 	buf   []byte
-
-	decided  bool
-	decision msg.Value
 }
 
 var _ sim.Machine = (*Machine)(nil)
@@ -193,7 +192,7 @@ func (m *Machine) Step(round int, received []msg.Message) []sim.Outgoing {
 }
 
 func (m *Machine) refreshDecision() {
-	if m.decided {
+	if _, ok := m.Decision(); ok {
 		return
 	}
 	for _, s := range m.subs {
@@ -205,7 +204,7 @@ func (m *Machine) refreshDecision() {
 	for i, s := range m.subs {
 		decisions[i], _ = s.Decision()
 	}
-	m.decided, m.decision = true, m.combine(decisions)
+	m.Decide(m.combine(decisions))
 }
 
 // insertBlock opens k zero elements at s[at:at+k].
@@ -272,15 +271,8 @@ func (m *Machine) muxOutgoing() []sim.Outgoing {
 	return m.out
 }
 
-// Decision implements sim.Machine.
-func (m *Machine) Decision() (msg.Value, bool) {
-	if !m.decided {
-		return msg.NoDecision, false
-	}
-	return m.decision, true
-}
-
-// Quiescent implements sim.Machine.
+// Quiescent implements sim.Machine: the composite is quiet when every
+// sub-machine is.
 func (m *Machine) Quiescent() bool {
 	for _, s := range m.subs {
 		if !s.Quiescent() {

@@ -19,11 +19,7 @@
 // is correct, which establishes agreement; n > 4t makes an established
 // agreement persist.
 //
-// The slice a machine returns from Init or Step is lent, not given: each
-// machine keeps one outgoing slice, built on its first broadcast, and the
-// next Step rewrites its payloads in place (the ownership rule sim.Machine
-// states). A driver routes or copies the messages before it steps the
-// machine again.
+// Every broadcast returns the machine's one lent slice (sim.Broadcast).
 package phaseking
 
 import (
@@ -105,21 +101,15 @@ func decodeV(body string) (msg.Value, bool) {
 }
 
 type machine struct {
+	sim.DecideOnce
+	out sim.Broadcast
+
 	cfg  Config
 	id   proc.ID
 	pref msg.Value
 
 	maj  msg.Value
 	mult int
-
-	decided  bool
-	decision msg.Value
-	done     bool
-
-	// out is the one broadcast slice, lent to the driver until the next
-	// Step; body is the payload its entries carry.
-	out  []sim.Outgoing
-	body string
 }
 
 var _ sim.Machine = (*machine)(nil)
@@ -134,21 +124,7 @@ func (m *machine) broadcast(v msg.Value) []sim.Outgoing {
 	default:
 		body = msg.Encode(payload{V: v})
 	}
-	if m.out == nil {
-		m.out = make([]sim.Outgoing, 0, m.cfg.N-1)
-		for p := proc.ID(0); p < proc.ID(m.cfg.N); p++ {
-			if p != m.id {
-				m.out = append(m.out, sim.Outgoing{To: p})
-			}
-		}
-	}
-	if body != m.body { // the zero body is no payload: the first broadcast writes
-		for i := range m.out {
-			m.out[i].Payload = body
-		}
-		m.body = body
-	}
-	return m.out
+	return m.out.Send(m.cfg.N, m.id, body)
 }
 
 // king returns the king of phase k (1-based): process k-1.
@@ -166,7 +142,7 @@ func (m *machine) Init() []sim.Outgoing {
 
 // Step implements sim.Machine.
 func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
-	if m.done {
+	if m.Quiescent() {
 		return nil
 	}
 	phase, second := phaseOf(round)
@@ -223,19 +199,8 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 	}
 
 	if phase >= m.cfg.phases() {
-		m.decision, m.decided, m.done = m.pref, true, true
+		m.Decide(m.pref)
 		return nil
 	}
 	return m.broadcast(m.pref) // next phase's exchange round
 }
-
-// Decision implements sim.Machine.
-func (m *machine) Decision() (msg.Value, bool) {
-	if !m.decided {
-		return msg.NoDecision, false
-	}
-	return m.decision, true
-}
-
-// Quiescent implements sim.Machine.
-func (m *machine) Quiescent() bool { return m.done }

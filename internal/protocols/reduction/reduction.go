@@ -39,11 +39,9 @@ func FromIC(icFactory sim.Factory, gamma Gamma) sim.Factory {
 }
 
 type gammaMachine struct {
+	sim.DecideOnce
 	inner sim.Machine
 	gamma Gamma
-
-	decided  bool
-	decision msg.Value
 }
 
 var _ sim.Machine = (*gammaMachine)(nil)
@@ -52,22 +50,14 @@ func (m *gammaMachine) Init() []sim.Outgoing { return m.inner.Init() }
 
 func (m *gammaMachine) Step(round int, received []msg.Message) []sim.Outgoing {
 	out := m.inner.Step(round, received)
-	if !m.decided {
+	if _, decided := m.Decision(); !decided {
 		if v, ok := m.inner.Decision(); ok {
-			vec, err := msg.DecodeVector(v)
-			if err == nil {
-				m.decided, m.decision = true, m.gamma(vec)
+			if vec, err := msg.DecodeVector(v); err == nil {
+				m.Decide(m.gamma(vec))
 			}
 		}
 	}
 	return out
-}
-
-func (m *gammaMachine) Decision() (msg.Value, bool) {
-	if !m.decided {
-		return msg.NoDecision, false
-	}
-	return m.decision, true
 }
 
 func (m *gammaMachine) Quiescent() bool { return m.inner.Quiescent() }
@@ -98,11 +88,9 @@ func WeakFromAgreement(inner sim.Factory, spec Alg1Spec) sim.Factory {
 }
 
 type alg1Machine struct {
+	sim.DecideOnce
 	inner sim.Machine
 	v0    msg.Value
-
-	decided  bool
-	decision msg.Value
 }
 
 var _ sim.Machine = (*alg1Machine)(nil)
@@ -111,24 +99,14 @@ func (m *alg1Machine) Init() []sim.Outgoing { return m.inner.Init() }
 
 func (m *alg1Machine) Step(round int, received []msg.Message) []sim.Outgoing {
 	out := m.inner.Step(round, received)
-	if !m.decided {
-		if v, ok := m.inner.Decision(); ok {
-			m.decided = true
-			if v == m.v0 {
-				m.decision = msg.Zero
-			} else {
-				m.decision = msg.One
-			}
+	if v, ok := m.inner.Decision(); ok {
+		if v == m.v0 {
+			m.Decide(msg.Zero)
+		} else {
+			m.Decide(msg.One)
 		}
 	}
 	return out
-}
-
-func (m *alg1Machine) Decision() (msg.Value, bool) {
-	if !m.decided {
-		return msg.NoDecision, false
-	}
-	return m.decision, true
 }
 
 func (m *alg1Machine) Quiescent() bool { return m.inner.Quiescent() }

@@ -60,8 +60,8 @@ func TestAlgorithm2StrongConsensusViaIC(t *testing.T) {
 
 	// All correct processes propose 0; two Byzantine processes stay silent.
 	silent := sim.ByzantinePlan{Machines: map[proc.ID]sim.Machine{
-		3: silentMachine{},
-		4: silentMachine{},
+		3: sim.Silent{},
+		4: sim.Silent{},
 	}}
 	e := run(t, factory, n, tf, ic.RoundBound(tf)+2, uniform(n, msg.Zero), silent)
 	d, err := e.CommonDecision(proc.NewSet(0, 1, 2))
@@ -72,13 +72,6 @@ func TestAlgorithm2StrongConsensusViaIC(t *testing.T) {
 		t.Errorf("decided %q, want 0 (Strong Validity: all correct proposed 0)", d)
 	}
 }
-
-type silentMachine struct{}
-
-func (silentMachine) Init() []sim.Outgoing                   { return nil }
-func (silentMachine) Step(int, []msg.Message) []sim.Outgoing { return nil }
-func (silentMachine) Decision() (msg.Value, bool)            { return msg.NoDecision, false }
-func (silentMachine) Quiescent() bool                        { return true }
 
 func TestAlgorithm1ZeroMessageOverhead(t *testing.T) {
 	// Lemma 18: the Algorithm 1 wrapper has *identical* message complexity

@@ -89,11 +89,9 @@ type Outgoing struct {
 // valid for the duration of the call — at the lean recording tier it is
 // backing-store the engine reuses — so machines must copy anything they
 // keep. The ownership rule is the same in the other direction: a slice
-// returned by Init or Step is valid until the next Init or Step call on
-// that machine, which may rewrite it in place (FloodSet builds its
-// broadcast once and only refreshes payloads), so drivers route or copy
-// the messages before stepping the machine again. Decision exposes the
-// decision-bit component of the state; once set it must never change.
+// returned by Init or Step is lent until the next Init or Step call on
+// that machine (see Broadcast). Decision exposes the decision-bit
+// component of the state; once set it must never change (DecideOnce).
 // Quiescent reports that the machine will never send again regardless of
 // future inputs — the engine uses it for sound early termination.
 type Machine interface {
@@ -428,31 +426,51 @@ func (e *Execution) Behavior(id proc.ID) *Behavior { return e.Behaviors[id] }
 // Correct returns Π \ Faulty.
 func (e *Execution) Correct() proc.Set { return e.Faulty.Complement(e.N) }
 
-// Decision returns the final decision of process id.
+// Decision returns the final decision of process id; a process the
+// execution does not have has none.
 func (e *Execution) Decision(id proc.ID) (msg.Value, bool) {
+	if id < 0 || int(id) >= len(e.Behaviors) {
+		return msg.NoDecision, false
+	}
 	return e.Behaviors[id].FinalDecision()
 }
 
-// CommonDecision returns the unique decision of all processes in group, or
-// an error if one of them is undecided or two of them disagree.
-func (e *Execution) CommonDecision(group proc.Set) (msg.Value, error) {
-	var common msg.Value
-	first := true
+// Unanimity is the one scan behind every "do these processes agree?"
+// question. It walks group in ID order and returns its first member, what
+// that member decided, and the first member — odd — that is undecided or
+// decided otherwise. odd is -1 when the whole group decided common, and
+// first is -1 when the group is empty.
+func (e *Execution) Unanimity(group proc.Set) (common msg.Value, first, odd proc.ID) {
+	first = -1
 	for _, id := range group.Members() {
-		v, ok := e.Decision(id)
-		if !ok {
-			return msg.NoDecision, fmt.Errorf("%s is undecided after %d rounds", id, e.Rounds)
+		d, ok := e.Decision(id)
+		if first < 0 {
+			common, first = d, id
 		}
-		if first {
-			common, first = v, false
-		} else if v != common {
-			return msg.NoDecision, fmt.Errorf("%s decided %q, others decided %q", id, v, common)
+		if !ok || d != common {
+			return common, first, id
 		}
 	}
-	if first {
+	return common, first, -1
+}
+
+// CommonDecision returns the unique decision of all processes in group, or
+// an error if one of them is undecided, is not a process of the execution,
+// or two of them disagree.
+func (e *Execution) CommonDecision(group proc.Set) (msg.Value, error) {
+	common, first, odd := e.Unanimity(group)
+	switch {
+	case first < 0:
 		return msg.NoDecision, fmt.Errorf("empty group")
+	case odd < 0:
+		return common, nil
+	case int(odd) >= e.N:
+		return msg.NoDecision, fmt.Errorf("%s is not a process of this execution (n=%d)", odd, e.N)
 	}
-	return common, nil
+	if d, ok := e.Decision(odd); ok {
+		return msg.NoDecision, fmt.Errorf("%s decided %q, others decided %q", odd, d, common)
+	}
+	return msg.NoDecision, fmt.Errorf("%s is undecided after %d rounds", odd, e.Rounds)
 }
 
 // MessagesSentBy counts messages successfully sent by processes in group.

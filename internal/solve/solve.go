@@ -115,8 +115,8 @@ func trivial(p validity.Problem, verdict validity.Solvability) *Derived {
 
 // trivialMachine decides the always-admissible value with zero messages.
 type trivialMachine struct {
-	v       msg.Value
-	decided bool
+	sim.DecideOnce
+	v msg.Value
 }
 
 var _ sim.Machine = (*trivialMachine)(nil)
@@ -125,19 +125,10 @@ func (m *trivialMachine) Init() []sim.Outgoing { return nil }
 
 func (m *trivialMachine) Step(round int, _ []msg.Message) []sim.Outgoing {
 	if round == 1 {
-		m.decided = true
+		m.Decide(m.v)
 	}
 	return nil
 }
-
-func (m *trivialMachine) Decision() (msg.Value, bool) {
-	if !m.decided {
-		return msg.NoDecision, false
-	}
-	return m.v, true
-}
-
-func (m *trivialMachine) Quiescent() bool { return true }
 
 // Check runs the derived protocol on an input configuration under a fault
 // plan and verifies Termination, Agreement and the problem's validity
@@ -165,7 +156,7 @@ func Check(p validity.Problem, d *Derived, c validity.InputConfig, byzantine map
 		if m, ok := byzantine[id]; ok && m != nil {
 			machines[id] = m
 		} else {
-			machines[id] = &silentMachine{}
+			machines[id] = sim.Silent{} // the default Byzantine behavior
 		}
 	}
 	cfg := sim.Config{N: p.N, T: p.T, Proposals: proposals, MaxRounds: sim.Horizon(d.Rounds)}
@@ -182,11 +173,3 @@ func Check(p validity.Problem, d *Derived, c validity.InputConfig, byzantine map
 	}
 	return nil
 }
-
-// silentMachine is the default Byzantine behavior in Check.
-type silentMachine struct{}
-
-func (*silentMachine) Init() []sim.Outgoing                   { return nil }
-func (*silentMachine) Step(int, []msg.Message) []sim.Outgoing { return nil }
-func (*silentMachine) Decision() (msg.Value, bool)            { return msg.NoDecision, false }
-func (*silentMachine) Quiescent() bool                        { return true }

@@ -241,6 +241,9 @@ func CommonDecision(results []NodeResult, group proc.Set) (msg.Value, error) {
 	var common msg.Value
 	first := true
 	for _, id := range group.Members() {
+		if int(id) >= len(results) {
+			return msg.NoDecision, fmt.Errorf("%s is not a node of this cluster (n=%d)", id, len(results))
+		}
 		r := results[id]
 		if !r.Decided {
 			return msg.NoDecision, fmt.Errorf("%s undecided", id)

@@ -26,6 +26,43 @@ func uniform(n int, v msg.Value) []msg.Value {
 	return out
 }
 
+// TestCommonDecision pins the fold of node results; a group member the
+// cluster does not have is an error naming it, not an index panic.
+func TestCommonDecision(t *testing.T) {
+	results := func(decisions ...msg.Value) []transport.NodeResult {
+		out := make([]transport.NodeResult, len(decisions))
+		for i, d := range decisions {
+			out[i] = transport.NodeResult{ID: proc.ID(i), Decision: d, Decided: d != "-"}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		results []transport.NodeResult
+		group   proc.Set
+		want    msg.Value
+		err     string
+	}{
+		{"agree", results("1", "1", "1"), proc.Universe(3), "1", ""},
+		{"subgroup", results("0", "1", "1"), proc.NewSet(1, 2), "1", ""},
+		{"empty", results("1"), proc.Set{}, "", "empty group"},
+		{"undecided", results("1", "-"), proc.Universe(2), "", "p1 undecided"},
+		{"dissent", results("1", "0"), proc.Universe(2), "", `p1 decided "0", others "1"`},
+		{"outside", results("1", "1", "1", "1", "1"), proc.NewSet(9), "", "p9 is not a node of this cluster (n=5)"},
+		{"one past", results("1", "1"), proc.Universe(3), "", "p2 is not a node of this cluster (n=2)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := transport.CommonDecision(tc.results, tc.group)
+			switch {
+			case tc.err == "" && (err != nil || d != tc.want):
+				t.Errorf("CommonDecision = (%q, %v), want %q", d, err, tc.want)
+			case tc.err != "" && (err == nil || err.Error() != tc.err):
+				t.Errorf("CommonDecision error = %v, want %q", err, tc.err)
+			}
+		})
+	}
+}
+
 func TestMemnetPhaseKing(t *testing.T) {
 	n, tf := 5, 1
 	mesh := memnet.New(n, nil)
