@@ -273,20 +273,17 @@ func (f *falsifier) runFull(v msg.Value, pr *probe) (*sim.Execution, error) {
 		return nil, fmt.Errorf("run E_%s: %w", v, err)
 	}
 	f.observe(fmt.Sprintf("E_%s (fully correct, unanimous %s)", v, v), e)
-	if e.Recording != sim.RecordFull {
-		violates := false
-		for i := 0; i < f.n && !violates; i++ {
-			d, ok := e.Decision(proc.ID(i))
-			violates = !ok || d != v
+	for i := 0; i < f.n; i++ {
+		d, ok := e.Decision(proc.ID(i))
+		if ok && d == v {
+			continue
 		}
-		if violates {
+		if e.Recording != sim.RecordFull {
 			if e, err = f.fullFetch(v, sim.RecordFull)(); err != nil {
 				return nil, fmt.Errorf("run E_%s: full replay: %w", v, err)
 			}
+			d, ok = e.Decision(proc.ID(i))
 		}
-	}
-	for i := 0; i < f.n; i++ {
-		d, ok := e.Decision(proc.ID(i))
 		if !ok {
 			f.report.Violation = &Violation{
 				Kind:     "termination",
@@ -579,8 +576,8 @@ func (f *falsifier) run() error {
 
 // mergeAndExtract builds the merged execution and extracts the Lemma 2
 // violation from whichever isolated group disagrees with group A. Merging
-// splices message-level traces, so lean inputs are first upgraded to full
-// ones by deterministic re-runs.
+// checks the merged views against the sources' received messages, so lean
+// inputs are first upgraded to full ones by deterministic re-runs.
 func (f *falsifier) mergeAndExtract(part proc.Partition, eB *sim.Execution, kB int, eC *sim.Execution, kC int) error {
 	var err error
 	if eB, err = f.ensureFullIsolated(eB, part.B, kB); err != nil {

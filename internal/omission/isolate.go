@@ -26,10 +26,13 @@ func Isolation(group proc.Set, fromRound int) sim.OmissionPlan {
 // group in a round >= fromRound.
 func CheckIsolated(e *sim.Execution, group proc.Set, fromRound int) error {
 	for _, id := range group.Members() {
+		b, err := behavior(e, id)
+		if err != nil {
+			return fmt.Errorf("isolation: %w", err)
+		}
 		if !e.Faulty.Contains(id) {
 			return fmt.Errorf("isolation: %s is not faulty", id)
 		}
-		b := e.Behavior(id)
 		//balint:allow leantier Definition 1 checks need full traces; RunIsolatedAt gates this on RecordFull
 		if n := len(b.AllSendOmitted()); n > 0 {
 			return fmt.Errorf("isolation: %s send-omits %d messages", id, n)

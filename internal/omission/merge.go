@@ -23,7 +23,8 @@ func Mergeable(k1, k2 int, propB, propC msg.Value) bool {
 	return d <= 1 && propB == propC
 }
 
-// MergeSpec names the ingredients of the merge procedure (Algorithm 5).
+// MergeSpec names the ingredients of the merge procedure (Algorithm 5): the
+// sources and the rounds from which Lemma 16's execution isolates B and C.
 type MergeSpec struct {
 	Part proc.Partition
 	// EB is the execution in which group B is isolated from round KB.
@@ -48,15 +49,18 @@ func UniformProposal(e *sim.Execution) (msg.Value, error) {
 	return p, nil
 }
 
-// Merge implements Algorithm 5: it constructs the merged execution in
-// which group A runs live machines, group B replays its behavior from
-// spec.EB and group C replays its behavior from spec.EC. Per Lemma 16, the
-// result is a valid execution, indistinguishable from the sources to every
-// process of B and C, with B (resp. C) isolated from KB (resp. KC). All
-// three properties are checked before returning; a failure means the
-// mergeability precondition did not hold and is reported as an error.
+// Merge implements Algorithm 5 as Lemma 16 states its outcome: it runs the
+// protocol for exactly horizon rounds, A and B proposing as in spec.EB and
+// C as in spec.EC, with B isolated from KB and C from KC. It then checks
+// the lemma's three conclusions: the run is a valid execution, B and C are
+// isolated as claimed, and each process of B (C) receives what it received
+// in spec.EB (spec.EC) — so, machines being deterministic, it sends and
+// decides what Algorithm 5 replays. A failed check is returned as an error.
 func Merge(spec MergeSpec, factory sim.Factory, horizon int) (*sim.Execution, error) {
 	part := spec.Part
+	if spec.EB.N != part.N || spec.EC.N != part.N {
+		return nil, fmt.Errorf("merge: sizes differ: partition n=%d, EB n=%d, EC n=%d", part.N, spec.EB.N, spec.EC.N)
+	}
 	if err := part.Validate(); err != nil {
 		return nil, fmt.Errorf("merge: %w", err)
 	}
@@ -82,165 +86,45 @@ func Merge(spec MergeSpec, factory sim.Factory, horizon int) (*sim.Execution, er
 		return nil, fmt.Errorf("merge: executions not mergeable (kB=%d kC=%d propB=%q propC=%q)",
 			spec.KB, spec.KC, propB, propC)
 	}
-	n := spec.EB.N
 	if horizon < spec.EB.Rounds || horizon < spec.EC.Rounds {
 		return nil, fmt.Errorf("merge: horizon %d shorter than sources (%d, %d)",
 			horizon, spec.EB.Rounds, spec.EC.Rounds)
 	}
 
 	// Initial states: A and B take EB's proposals, C takes EC's (lines 4-7).
-	behaviors := make([]*sim.Behavior, n)
-	proposalOf := func(id proc.ID) msg.Value {
-		if part.C.Contains(id) {
-			return spec.EC.Behavior(id).Proposal
-		}
-		return spec.EB.Behavior(id).Proposal
+	proposals := spec.EB.Proposals()
+	for _, id := range part.C.Members() {
+		proposals[id] = spec.EC.Behavior(id).Proposal
 	}
-	for i := 0; i < n; i++ {
-		behaviors[i] = &sim.Behavior{ID: proc.ID(i), Proposal: proposalOf(proc.ID(i))}
+	isoB, isoC := Isolation(part.B, spec.KB), Isolation(part.C, spec.KC)
+	plan := sim.OmissionPlan{
+		F:         part.B.Union(part.C),
+		ReceiveFn: func(m msg.Message) bool { return isoB.ReceiveFn(m) || isoC.ReceiveFn(m) },
 	}
-
-	// Live machines for group A only.
-	machines := make(map[proc.ID]sim.Machine, part.A.Len())
-	pending := make(map[proc.ID][]sim.Outgoing, part.A.Len())
-	for _, id := range part.A.Members() {
-		m := factory(id, proposalOf(id))
-		machines[id] = m
-		pending[id] = m.Init()
-	}
-
-	// sourceFrag returns the recorded fragment of a replayed process. Past
-	// the source's recorded (quiescent) end the process is silent but stays
-	// decided, so its final decision is carried forward.
-	sourceFrag := func(id proc.ID, r int) sim.Fragment {
-		b := spec.EB.Behavior(id)
-		if part.C.Contains(id) {
-			b = spec.EC.Behavior(id)
-		}
-		if r <= len(b.Fragments) {
-			//balint:allow leantier merge inputs are Validate-checked full traces (Lemma 16 precondition)
-			return b.Frag(r)
-		}
-		f := sim.Fragment{Round: r}
-		if v, ok := b.FinalDecision(); ok {
-			f.Decided, f.Decision = true, v
-		}
-		return f
-	}
-
-	for r := 1; r <= horizon; r++ {
-		frags := make([]sim.Fragment, n)
-		inboxes := make([][]msg.Message, n)
-		for i := range frags {
-			frags[i] = sim.Fragment{Round: r}
-		}
-
-		route := func(m msg.Message) {
-			inboxes[m.Receiver] = append(inboxes[m.Receiver], m)
-		}
-
-		// Send phase: A live, B/C replayed (line 19 vs. recorded behaviors).
-		for _, id := range part.A.Members() {
-			seen := make(map[proc.ID]bool, len(pending[id]))
-			for _, out := range pending[id] {
-				if out.To == id || out.To < 0 || int(out.To) >= n || seen[out.To] {
-					return nil, fmt.Errorf("merge: round %d: live %s emitted invalid message set", r, id)
-				}
-				seen[out.To] = true
-				m := msg.Message{Sender: id, Receiver: out.To, Round: r, Payload: out.Payload}
-				frags[id].Sent = append(frags[id].Sent, m)
-				route(m)
-			}
-		}
-		for _, id := range append(part.B.Members(), part.C.Members()...) {
-			sf := sourceFrag(id, r)
-			if len(sf.SendOmitted) > 0 {
-				return nil, fmt.Errorf("merge: replayed %s send-omits in source execution (round %d)", id, r)
-			}
-			for _, m := range sf.Sent {
-				frags[id].Sent = append(frags[id].Sent, m)
-				route(m)
-			}
-		}
-
-		// Receive phase.
-		for j := 0; j < n; j++ {
-			id := proc.ID(j)
-			msg.Sort(inboxes[j])
-			switch {
-			case part.A.Contains(id):
-				frags[j].Received = inboxes[j]
-			default:
-				// Replayed process: it receives exactly what it received in
-				// its source execution; everything else addressed to it is
-				// receive-omitted (line 18). The containment assertion is the
-				// construction-validity argument of Lemma 16.
-				recorded := sourceFrag(id, r).Received
-				have := msg.SetOf(inboxes[j])
-				for _, m := range recorded {
-					got, ok := have[m.Key()]
-					if !ok || got != m {
-						return nil, fmt.Errorf("merge: round %d: %s received %v in its source execution "+
-							"but that message is not sent in the merged execution (mergeability violated)",
-							r, id, m)
-					}
-				}
-				recordedSet := msg.SetOf(recorded)
-				for _, m := range inboxes[j] {
-					if _, ok := recordedSet[m.Key()]; ok {
-						frags[j].Received = append(frags[j].Received, m)
-					} else {
-						frags[j].ReceiveOmitted = append(frags[j].ReceiveOmitted, m)
-					}
-				}
-			}
-		}
-
-		// Compute phase: step A live, copy decisions for B/C from sources.
-		for _, id := range part.A.Members() {
-			received := append([]msg.Message{}, frags[id].Received...)
-			msg.Sort(received)
-			pending[id] = machines[id].Step(r, received)
-			if v, ok := machines[id].Decision(); ok {
-				frags[id].Decided, frags[id].Decision = true, v
-			}
-		}
-		for _, id := range append(part.B.Members(), part.C.Members()...) {
-			sf := sourceFrag(id, r)
-			frags[id].Decided, frags[id].Decision = sf.Decided, sf.Decision
-		}
-		for i := 0; i < n; i++ {
-			behaviors[i].Fragments = append(behaviors[i].Fragments, frags[i])
-		}
-	}
-
-	out := &sim.Execution{
-		N:         n,
-		T:         spec.EB.T,
-		Faulty:    part.B.Union(part.C),
-		Behaviors: behaviors,
-		Rounds:    horizon,
+	cfg := sim.Config{N: part.N, T: spec.EB.T, Proposals: proposals, MaxRounds: horizon, DisableEarlyStop: true}
+	out, err := sim.Run(cfg, factory, plan)
+	if err != nil {
+		return nil, fmt.Errorf("merge: %w", err)
 	}
 
 	// Lemma 16's three conclusions, checked.
-	//balint:allow leantier the merged output is a constructed full trace by definition
+	//balint:allow leantier the merged run is recorded at sim.RecordFull, cfg's zero Recording
 	if err := Validate(out); err != nil {
 		return nil, fmt.Errorf("merge: result is not a valid execution: %w", err)
 	}
-	if err := CheckIsolated(out, part.B, spec.KB); err != nil {
-		return nil, fmt.Errorf("merge: %w", err)
-	}
-	if err := CheckIsolated(out, part.C, spec.KC); err != nil {
-		return nil, fmt.Errorf("merge: %w", err)
-	}
-	for _, id := range part.B.Members() {
-		if err := Indistinguishable(out, spec.EB, id); err != nil {
-			return nil, fmt.Errorf("merge: B not indistinguishable from source: %w", err)
+	for _, g := range [2]struct {
+		name string
+		set  proc.Set
+		k    int
+		src  *sim.Execution
+	}{{"B", part.B, spec.KB, spec.EB}, {"C", part.C, spec.KC, spec.EC}} {
+		if err := CheckIsolated(out, g.set, g.k); err != nil {
+			return nil, fmt.Errorf("merge: %w", err)
 		}
-	}
-	for _, id := range part.C.Members() {
-		if err := Indistinguishable(out, spec.EC, id); err != nil {
-			return nil, fmt.Errorf("merge: C not indistinguishable from source: %w", err)
+		for _, id := range g.set.Members() {
+			if err := Indistinguishable(out, g.src, id); err != nil {
+				return nil, fmt.Errorf("merge: %s not indistinguishable from source: %w", g.name, err)
+			}
 		}
 	}
 	return out, nil

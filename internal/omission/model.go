@@ -5,9 +5,10 @@
 // (Algorithm 5).
 //
 // Everything operates on sim.Execution traces. The paper proves its
-// constructed objects are executions; this package *checks* them instead —
-// every construction is re-validated against the five guarantees of
-// Appendix A.1.6, turning each proof obligation into a runtime assertion.
+// constructed objects are executions; this package *checks* them instead,
+// against the five guarantees of Appendix A.1.6 and each lemma's claims.
+// Merge runs the execution Lemma 16 says Algorithm 5 builds — B and C
+// isolated, on the engine — and checks the lemma's three conclusions on it.
 package omission
 
 import (
@@ -184,6 +185,14 @@ func validateBehavior(b *sim.Behavior) error {
 	return nil
 }
 
+// behavior returns e's behavior of id, or an error if e has no process id.
+func behavior(e *sim.Execution, id proc.ID) (*sim.Behavior, error) {
+	if id < 0 || int(id) >= len(e.Behaviors) {
+		return nil, fmt.Errorf("%s is not a process of this execution (n=%d)", id, e.N)
+	}
+	return e.Behaviors[id], nil
+}
+
 func containsMsg(ms []msg.Message, m msg.Message) bool {
 	for _, x := range ms {
 		if x == m {
@@ -198,7 +207,14 @@ func containsMsg(ms []msg.Message, m msg.Message) bool {
 // messages in every round (§3). On distinguishability it returns a
 // descriptive error locating the first difference.
 func Indistinguishable(e1, e2 *sim.Execution, id proc.ID) error {
-	b1, b2 := e1.Behavior(id), e2.Behavior(id)
+	b1, err := behavior(e1, id)
+	if err != nil {
+		return err
+	}
+	b2, err := behavior(e2, id)
+	if err != nil {
+		return err
+	}
 	if b1.Proposal != b2.Proposal {
 		return fmt.Errorf("%s proposes %q vs %q", id, b1.Proposal, b2.Proposal)
 	}

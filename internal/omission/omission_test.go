@@ -530,3 +530,50 @@ func TestCertify(t *testing.T) {
 		t.Errorf("another protocol's trace: got %v, want a conformance refusal", err)
 	}
 }
+
+// TestProcessIndexesChecked: every entry point that looks a process up in
+// an execution refuses one the execution does not have, naming it and n,
+// instead of indexing past the behaviors.
+func TestProcessIndexesChecked(t *testing.T) {
+	part, err := proc.NewPartition(tn, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := echoFactory(tn, 3)
+	isolated := func(n int, group proc.Set, k int) *sim.Execution {
+		e, err := RunIsolated(n, tt, echoFactory(n, 3), msg.Zero, group, k, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e8, e9 := runFull(t, msg.Zero), isolated(tn+1, part.C, 3)
+	overclaimed := runFull(t, msg.Zero)
+	overclaimed.Faulty = proc.NewSet(8)
+	for _, tc := range []struct {
+		name string
+		call func() error
+		want string
+	}{
+		{"merge across sizes", func() error {
+			_, err := Merge(MergeSpec{Part: part, EB: isolated(tn, part.B, 2), KB: 2, EC: e9, KC: 3}, factory, 8)
+			return err
+		}, "merge: sizes differ: partition n=8, EB n=8, EC n=9"},
+		{"swap past n", func() error { _, err := SwapOmission(e8, 8); return err }, "swap_omission: p8 is not a process of this execution (n=8)"},
+		{"swap below 0", func() error { _, err := SwapOmission(e8, -1); return err }, "swap_omission: p-1 is not a process of this execution (n=8)"},
+		{"indistinguishable, first execution smaller", func() error { return Indistinguishable(e8, e9, 8) }, "p8 is not a process of this execution (n=8)"},
+		{"indistinguishable, second execution smaller", func() error { return Indistinguishable(e9, e8, 8) }, "p8 is not a process of this execution (n=8)"},
+		{"isolation of a group past n", func() error { return CheckIsolated(overclaimed, proc.NewSet(8), 1) }, "isolation: p8 is not a process of this execution (n=8)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if err := tc.call(); err == nil || err.Error() != tc.want {
+				t.Errorf("got %v, want %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -23,15 +23,19 @@ func SwapOmission(e *sim.Execution, pi proc.ID) (*sim.Execution, error) {
 	if e.Recording != sim.RecordFull {
 		return nil, fmt.Errorf("swap_omission: requires a full trace, got recording level %q — re-run the configuration at sim.RecordFull", e.Recording)
 	}
+	b, err := behavior(e, pi)
+	if err != nil {
+		return nil, fmt.Errorf("swap_omission: %w", err)
+	}
 	//balint:allow leantier guarded: SwapOmission rejects non-full recordings above
-	if n := len(e.Behavior(pi).AllSendOmitted()); n > 0 {
+	if n := len(b.AllSendOmitted()); n > 0 {
 		return nil, fmt.Errorf("swap_omission: %s commits %d send-omission faults", pi, n)
 	}
 
 	// M: all messages receive-omitted by pi, keyed by identity (line 2).
 	swapped := make(map[msg.Key]bool)
 	//balint:allow leantier guarded: SwapOmission rejects non-full recordings above
-	for _, m := range e.Behavior(pi).AllReceiveOmitted() {
+	for _, m := range b.AllReceiveOmitted() {
 		swapped[m.Key()] = true
 	}
 

@@ -208,8 +208,9 @@ type Config struct {
 	// when every machine is quiescent.
 	MaxRounds int
 	// DisableEarlyStop forces the engine to run exactly MaxRounds even when
-	// all machines are quiescent. The lower-bound machinery uses it so all
-	// probe executions share one horizon.
+	// all machines are quiescent. omission.Merge uses it: its execution
+	// lasts exactly the horizon it is given, and the falsifier logs that
+	// round count.
 	DisableEarlyStop bool
 	// Recording selects the trace tier. The zero value, RecordFull, is the
 	// historical full Appendix A.1.6 trace.
@@ -415,7 +416,7 @@ type Execution struct {
 	// quiescent (so the recorded prefix determines the infinite execution).
 	Quiesced bool
 	// Recording is the tier the execution was recorded at. Constructed
-	// executions (swap, merge) carry full traces and inherit the zero
+	// executions (swap_omission's) carry full traces and inherit the zero
 	// value, RecordFull.
 	Recording Recording
 }
