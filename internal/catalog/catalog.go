@@ -109,11 +109,11 @@ type Spec struct {
 	NeedsScheme, NeedsSender, NeedsDefault bool
 	// Rounds is the decision-round bound at (n, t).
 	Rounds func(n, t int) int
-	// New is the raw builder. It does not re-check the resilience
-	// condition — that is the legacy-lenient path behind the api.New*
-	// shims, which historically constructed protocols at any (n, t).
-	// Errors are reserved for constructions that are genuinely impossible
-	// (e.g. an Algorithm 2 derivation refused by Theorem 4).
+	// New is the raw builder. Build calls it only after Validate has
+	// checked p, so it does not re-check the resilience condition or the
+	// Needs* fields. Errors are reserved for constructions that are
+	// genuinely impossible (e.g. an Algorithm 2 derivation refused by
+	// Theorem 4).
 	New func(p Params) (sim.Factory, error)
 	// Decode optionally renders a decision value human-readable (IC
 	// vectors, gradecast (grade, value) pairs).

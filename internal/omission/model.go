@@ -22,7 +22,16 @@ import (
 // Validate checks the five guarantees an Appendix A.1.6 execution must
 // satisfy: Faulty processes, Composition, Send-validity, Receive-validity
 // and Omission-validity. It returns a descriptive error naming the first
-// violated guarantee.
+// violated guarantee. Precedence is fixed, whatever order the trace lists
+// its messages in: every composition error comes first; then the first
+// receive-validity or omission-validity error in (behavior, round) order,
+// receive-validity first within a fragment; then send-validity, naming the
+// smallest lost message in Key.Compare order.
+//
+// Cost: O(messages + n²) time and three allocations — Π for the faulty
+// set's range check, 2n composition stamps shared by every behavior, and
+// the n×n sender×receiver table the other three guarantees are checked
+// against in one pass over the rounds.
 func Validate(e *sim.Execution) error {
 	if e.Recording != sim.RecordFull {
 		return fmt.Errorf("validate: requires a full trace, got recording level %q — re-run the configuration at sim.RecordFull", e.Recording)
@@ -39,78 +48,89 @@ func Validate(e *sim.Execution) error {
 	}
 
 	// Composition: every behavior is well-formed.
+	n, rounds := e.N, 0
+	c := composition{seen: make([]uint32, 2*n)}
 	for i, b := range e.Behaviors {
 		if b.ID != proc.ID(i) {
 			return fmt.Errorf("composition: behavior %d has ID %s", i, b.ID)
 		}
-		if err := validateBehavior(b); err != nil {
+		if err := c.check(b); err != nil {
 			return fmt.Errorf("composition: %s: %w", b.ID, err)
 		}
+		rounds = max(rounds, len(b.Fragments))
 	}
 
-	// Index all successfully sent messages by identity. Composition has
-	// made the keys distinct: one sender per behavior, one round per
-	// fragment, one message per receiver in it.
-	count := 0
-	for _, b := range e.Behaviors {
-		for _, f := range b.Fragments {
-			count += len(f.Sent)
-		}
-	}
-	sent := make(map[msg.Key]msg.Message, count)
-	for _, b := range e.Behaviors {
-		for _, f := range b.Fragments {
-			for _, m := range f.Sent {
-				sent[m.Key()] = m
+	// Composition has put every sender and receiver in Π and made each
+	// (sender, receiver) pair unique within a round, so slot[s*n+r] holds
+	// the one message s sent r in the round at hand. Receiving it clears
+	// the slot. An entry left from an earlier round never matches a
+	// message of this one: their rounds differ.
+	slot := make([]*msg.Message, n*n)
+	var failed error // the first receive- or omission-validity failure ...
+	failedAt := n    // ... and its behavior: later ones need no checking
+	var lost *msg.Message
+	for r := 1; r <= rounds; r++ {
+		for _, b := range e.Behaviors {
+			if r <= len(b.Fragments) {
+				for i, m := range b.Fragments[r-1].Sent {
+					slot[int(m.Sender)*n+int(m.Receiver)] = &b.Fragments[r-1].Sent[i]
+				}
 			}
 		}
-	}
-
-	for _, b := range e.Behaviors {
-		for _, f := range b.Fragments {
+		for id := 0; id < failedAt; id++ {
+			b := e.Behaviors[id]
+			if r > len(b.Fragments) {
+				continue
+			}
+			f := &b.Fragments[r-1]
 			// Receive-validity: everything received or receive-omitted was
 			// successfully sent in the same round with the same payload.
-			for _, in := range [2][]msg.Message{f.Received, f.ReceiveOmitted} {
-				for _, m := range in {
-					got, ok := sent[m.Key()]
-					if !ok || got != m {
-						return fmt.Errorf("receive-validity: %s holds %v which was never sent", b.ID, m)
-					}
-				}
+			if m, ok := receive(f, slot, n); !ok {
+				failed, failedAt = fmt.Errorf("receive-validity: %s holds %v which was never sent", b.ID, m), id
+			} else if (len(f.SendOmitted) > 0 || len(f.ReceiveOmitted) > 0) && !e.Faulty.Contains(b.ID) {
+				// Omission-validity: omissions only at faulty processes.
+				failed, failedAt = fmt.Errorf("omission-validity: correct %s commits omission faults in round %d", b.ID, f.Round), id
 			}
-			// Omission-validity: omissions only at faulty processes.
-			if (len(f.SendOmitted) > 0 || len(f.ReceiveOmitted) > 0) && !e.Faulty.Contains(b.ID) {
-				return fmt.Errorf("omission-validity: correct %s commits omission faults in round %d", b.ID, f.Round)
+		}
+		// Send-validity: every sent message is received or receive-omitted
+		// by its receiver in the same round, so its slot is clear. Rounds
+		// come first in message order: the earliest round with a loss holds
+		// the witness, and within it the first sender with a loss.
+		for id := 0; lost == nil && id < n; id++ {
+			b := e.Behaviors[id]
+			if r > len(b.Fragments) {
+				continue
+			}
+			for i, m := range b.Fragments[r-1].Sent {
+				if slot[int(m.Sender)*n+int(m.Receiver)] != nil && (lost == nil || m.Key().Compare(lost.Key()) < 0) {
+					lost = &b.Fragments[r-1].Sent[i]
+				}
 			}
 		}
 	}
-
-	// Send-validity: every sent message is received or receive-omitted by
-	// its receiver in the same round. The witness named by the error is the
-	// first lost message in canonical message order, whatever order the
-	// trace lists them in.
-	var lost *msg.Message
-	for _, b := range e.Behaviors {
-		for _, f := range b.Fragments {
-			for i := range f.Sent {
-				m := &f.Sent[i]
-				if lost != nil && lost.Key().Compare(m.Key()) <= 0 {
-					continue
-				}
-				if m.Receiver >= 0 && int(m.Receiver) < e.N { // else nobody in Π holds it
-					rf := e.Behaviors[m.Receiver].Frag(m.Round)
-					if containsMsg(rf.Received, *m) || containsMsg(rf.ReceiveOmitted, *m) {
-						continue
-					}
-				}
-				lost = m
-			}
-		}
+	if failed != nil {
+		return failed
 	}
 	if lost != nil {
 		return fmt.Errorf("send-validity: %v sent but neither received nor receive-omitted", *lost)
 	}
 	return nil
+}
+
+// receive clears the slot of each message f received or receive-omitted,
+// and returns the first one whose slot does not hold it: a message never
+// sent.
+func receive(f *sim.Fragment, slot []*msg.Message, n int) (msg.Message, bool) {
+	for _, in := range [2][]msg.Message{f.Received, f.ReceiveOmitted} {
+		for _, m := range in {
+			k := int(m.Sender)*n + int(m.Receiver)
+			if s := slot[k]; s == nil || *s != m {
+				return m, false
+			}
+			slot[k] = nil
+		}
+	}
+	return msg.Message{}, true
 }
 
 // Certify is the standard a trace is held to before anything is read off
@@ -129,15 +149,27 @@ func Certify(e *sim.Execution, factory sim.Factory, skip proc.Set) error {
 	return nil
 }
 
-func validateBehavior(b *sim.Behavior) error {
+// composition checks behaviors against the fragment conditions (3)-(10)
+// of Appendix A.1.4 and behavior condition (6). seen holds 2n stamps —
+// receivers in the first half, senders in the second — shared by every
+// fragment of every behavior: a process is marked in the fragment at hand
+// when its stamp is that fragment's generation.
+type composition struct {
+	seen []uint32
+	gen  uint32
+}
+
+func (c *composition) check(b *sim.Behavior) error {
+	n := len(c.seen) / 2
 	decided := false
 	var decision msg.Value
-	for idx, f := range b.Fragments {
+	for idx := range b.Fragments {
+		f := &b.Fragments[idx]
 		if f.Round != idx+1 {
 			return fmt.Errorf("fragment %d has round %d", idx, f.Round)
 		}
-		// Fragment conditions (3)-(10) of Appendix A.1.4.
-		receivers := make(map[proc.ID]bool)
+		c.gen++
+		receivers, senders := c.seen[:n], c.seen[n:]
 		for _, out := range [2][]msg.Message{f.Sent, f.SendOmitted} {
 			for _, m := range out {
 				if m.Round != f.Round {
@@ -149,13 +181,15 @@ func validateBehavior(b *sim.Behavior) error {
 				if m.Receiver == b.ID {
 					return fmt.Errorf("round %d: self-message %v", f.Round, m)
 				}
-				if receivers[m.Receiver] {
+				if m.Receiver < 0 || int(m.Receiver) >= n {
+					return fmt.Errorf("round %d: outgoing %v has receiver outside Π (n=%d)", f.Round, m, n)
+				}
+				if receivers[m.Receiver] == c.gen {
 					return fmt.Errorf("round %d: two messages to %s", f.Round, m.Receiver)
 				}
-				receivers[m.Receiver] = true
+				receivers[m.Receiver] = c.gen
 			}
 		}
-		senders := make(map[proc.ID]bool)
 		for _, in := range [2][]msg.Message{f.Received, f.ReceiveOmitted} {
 			for _, m := range in {
 				if m.Round != f.Round {
@@ -167,10 +201,13 @@ func validateBehavior(b *sim.Behavior) error {
 				if m.Sender == b.ID {
 					return fmt.Errorf("round %d: self-message %v", f.Round, m)
 				}
-				if senders[m.Sender] {
+				if m.Sender < 0 || int(m.Sender) >= n {
+					return fmt.Errorf("round %d: incoming %v has sender outside Π (n=%d)", f.Round, m, n)
+				}
+				if senders[m.Sender] == c.gen {
 					return fmt.Errorf("round %d: two messages from %s", f.Round, m.Sender)
 				}
-				senders[m.Sender] = true
+				senders[m.Sender] = c.gen
 			}
 		}
 		// Behavior condition (6): decisions are stable.
@@ -191,15 +228,6 @@ func behavior(e *sim.Execution, id proc.ID) (*sim.Behavior, error) {
 		return nil, fmt.Errorf("%s is not a process of this execution (n=%d)", id, e.N)
 	}
 	return e.Behaviors[id], nil
-}
-
-func containsMsg(ms []msg.Message, m msg.Message) bool {
-	for _, x := range ms {
-		if x == m {
-			return true
-		}
-	}
-	return false
 }
 
 // Indistinguishable reports whether executions e1 and e2 are

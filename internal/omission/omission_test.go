@@ -9,6 +9,7 @@ import (
 	"expensive/internal/msg"
 	"expensive/internal/proc"
 	"expensive/internal/protocols/cheap"
+	"expensive/internal/protocols/phaseking"
 	"expensive/internal/sim"
 )
 
@@ -204,6 +205,67 @@ func TestValidateNamesTheSmallestLostMessage(t *testing.T) {
 	}
 	if want := fmt.Sprintf("send-validity: %v sent", smaller); !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q\ndoes not name the smallest lost message %v (the other is %v)", err, smaller, later)
+	}
+}
+
+// TestValidateRejectsEndpointsOutsidePi: the fragment conditions of
+// Appendix A.1.4 range over Π, so a message to or from a process outside
+// it is a composition error in each of a faulty process's four lists —
+// including SendOmitted, where no other guarantee would notice it.
+func TestValidateRejectsEndpointsOutsidePi(t *testing.T) {
+	lists := []struct {
+		name     string
+		list     func(f *sim.Fragment) *[]msg.Message
+		outgoing bool
+	}{
+		{"Sent", func(f *sim.Fragment) *[]msg.Message { return &f.Sent }, true},
+		{"SendOmitted", func(f *sim.Fragment) *[]msg.Message { return &f.SendOmitted }, true},
+		{"Received", func(f *sim.Fragment) *[]msg.Message { return &f.Received }, false},
+		{"ReceiveOmitted", func(f *sim.Fragment) *[]msg.Message { return &f.ReceiveOmitted }, false},
+	}
+	for _, l := range lists {
+		for _, other := range []proc.ID{-1, tn, 99} {
+			t.Run(fmt.Sprintf("%s/%s", l.name, other), func(t *testing.T) {
+				e := runFull(t, msg.Zero)
+				e.Faulty = proc.NewSet(0)
+				m := msg.Message{Sender: other, Receiver: 0, Round: 1, Payload: "x"}
+				want := fmt.Sprintf("composition: p0: round 1: incoming %v has sender outside Π (n=%d)", m, tn)
+				if l.outgoing {
+					m.Sender, m.Receiver = 0, other
+					want = fmt.Sprintf("composition: p0: round 1: outgoing %v has receiver outside Π (n=%d)", m, tn)
+				}
+				list := l.list(&e.Behavior(0).Fragments[0])
+				*list = append(slices.Clone(*list), m)
+				if err := Validate(e); err == nil || err.Error() != want {
+					t.Errorf("got %v, want %q", err, want)
+				}
+			})
+		}
+	}
+}
+
+// TestValidateAllocations holds Validate to a constant handful of
+// allocations — Π for the faulty set's range check, the composition stamps
+// and the sender×receiver table — on fault-free phase-king traces of two
+// sizes: no per-message or per-fragment map creeps back in.
+func TestValidateAllocations(t *testing.T) {
+	for _, n := range []int{16, 64} {
+		tf := (n - 1) / 4
+		props := make([]msg.Value, n)
+		for i := range props {
+			props[i] = msg.Bit(i % 2)
+		}
+		cfg := sim.Config{N: n, T: tf, Proposals: props, MaxRounds: sim.Horizon(phaseking.RoundBound(tf))}
+		e, err := sim.Run(cfg, phaseking.New(phaseking.Config{N: n, T: tf}), sim.NoFaults{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Validate(e); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = Validate(e) }); allocs > 4 {
+			t.Errorf("n=%d: Validate allocates %.0f times, want at most 4", n, allocs)
+		}
 	}
 }
 
