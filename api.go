@@ -270,7 +270,8 @@ func NewInputConfig(n int, assign map[ProcessID]Value) (InputConfig, error) {
 type Alg1Spec = reduction.Alg1Spec
 
 // DeriveWeakFromAgreement computes v'_0 (by running P's fully-correct
-// execution on c0) and returns the zero-message Algorithm 1 wrapper.
+// execution on c0) and returns the zero-message Algorithm 1 wrapper. It
+// refuses a c1 whose fully-correct execution decides v'_0 as well.
 func DeriveWeakFromAgreement(inner Factory, n, t, horizon int, c0, c1 []Value) (Factory, Alg1Spec, error) {
 	spec, err := reduction.DeriveAlg1(inner, n, t, horizon, c0, c1)
 	if err != nil {

@@ -52,6 +52,7 @@ func TestRunSubcommands(t *testing.T) {
 		{"hunt pprof", []string{"hunt", "-proto", "floodset", "-seeds", "0:8", "-pprof", "127.0.0.1:0"}},
 		{"falsify leader", []string{"falsify", "-proto", "leader", "-n", "24", "-t", "8"}},
 		{"falsify verbose", []string{"falsify", "-proto", "silent", "-n", "24", "-t", "8", "-v"}},
+		{"falsify catalog ID", []string{"falsify", "-proto", "dolev-strong", "-n", "9", "-t", "8"}},
 		{"solve strong frontier", []string{"solve", "-problem", "strong", "-n", "5", "-t", "2"}},
 		{"solve unsolvable", []string{"solve", "-problem", "strong", "-n", "4", "-t", "2"}},
 		{"solve unauth", []string{"solve", "-problem", "weak", "-n", "4", "-t", "1", "-auth=false"}},
@@ -84,6 +85,8 @@ func TestRunErrors(t *testing.T) {
 		{"unknown subcommand", []string{"bogus"}, "unknown subcommand"},
 		{"unknown experiment", []string{"exp", "E99"}, "unknown experiment"},
 		{"unknown protocol", []string{"falsify", "-proto", "nope"}, "unknown protocol"},
+		{"falsify lists catalog IDs", []string{"falsify", "-proto", "nope"}, "dolev-strong"},
+		{"falsify trivial lift", []string{"falsify", "-proto", "external", "-n", "9", "-t", "8"}, "both decide"},
 		{"hunt unknown protocol", []string{"hunt", "-proto", "nope"}, "unknown protocol"},
 		{"hunt unknown strategy", []string{"hunt", "-strategy", "nope"}, "unknown strategy"},
 		{"hunt bad seed range", []string{"hunt", "-seeds", "junk"}, "seed range"},
@@ -341,6 +344,7 @@ func TestDeterminismSmokes(t *testing.T) {
 		{"matrix coord", "matrix " + matrix, "coord -kind matrix " + matrix + " -inproc 2", nil, nil},
 		{"exp parallel", "exp -json -parallel 1 E8", "exp -json -parallel 4 E8", machine, []string{`"table"`}},
 		{"falsify parallel", "falsify -proto weak-via-ic -n 24 -t 8 -v -parallel 1", "falsify -proto weak-via-ic -n 24 -t 8 -v -parallel 4", nil, []string{"paid the quadratic price"}},
+		{"falsify lifted", "falsify -proto dolev-strong -n 9 -t 8 -v -parallel 1", "falsify -proto dolev-strong -n 9 -t 8 -v -parallel 4", nil, []string{"paid the quadratic price"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -15,7 +15,8 @@
 //     packaged as a falsifier: hand it any weak consensus protocol and it
 //     either constructs a machine-checked counterexample execution or
 //     certifies that the protocol paid the quadratic price. See
-//     FalsifyWeakConsensus.
+//     FalsifyWeakConsensus; `baexp falsify -proto` takes the same route
+//     for any catalog ID, lifted to weak consensus by Algorithm 1.
 //   - The validity-property formalism of §4/§5 with exact finite-domain
 //     checkers for triviality and the containment condition, and automatic
 //     protocol derivation (Algorithm 2 over interactive consistency) for

@@ -10,12 +10,20 @@ import (
 	"fmt"
 
 	"expensive/internal/experiments/runner"
+	"expensive/internal/sim"
 )
 
 // Table is a rendered experiment result: structured rows plus notes. It
 // lives in the runner package (the engine needs it without importing the
 // experiments themselves); this alias keeps the historical name.
 type Table = runner.Table
+
+// leanRun runs cfg at the lean tier: the experiments that call it read
+// only decisions, decision rounds and message counts.
+func leanRun(cfg sim.Config, factory sim.Factory, plan sim.FaultPlan) (*sim.Execution, error) {
+	cfg.Recording = sim.RecordDecisions
+	return sim.Run(cfg, factory, plan)
+}
 
 func yesNo(b bool) string {
 	if b {

@@ -2,12 +2,16 @@ package experiments_test
 
 import (
 	"encoding/json"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
 
+	"expensive/internal/catalog"
 	"expensive/internal/experiments"
 	"expensive/internal/experiments/runner"
+	"expensive/internal/lowerbound"
+	"expensive/internal/protocols/reduction"
 )
 
 func TestAllExperimentsRun(t *testing.T) {
@@ -79,6 +83,60 @@ func TestParallelDeterminism(t *testing.T) {
 			}
 			if string(sj) != string(pj) {
 				t.Errorf("JSON encodings differ between -parallel 1 and -parallel %d", workers)
+			}
+		})
+	}
+}
+
+// TestTheorem3OverTheRegistry hands every registered spec to the
+// lower-bound route at t = 8 and the smallest n its resilience condition
+// admits, lifted through Algorithm 1 at (0, 1). A protocol that is not
+// crash-only must survive with probe executions at or above t²/32; a
+// crash-only one may break, but only with a certificate that rechecks,
+// which the route enforces.
+func TestTheorem3OverTheRegistry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the falsifier on every registered protocol")
+	}
+	const tf = 8
+	for _, spec := range catalog.Protocols() {
+		spec := spec
+		t.Run(spec.ID, func(t *testing.T) {
+			switch {
+			case spec.Agreement != nil:
+				t.Skip("its compatibility relation is not Agreement, which the falsifier checks")
+			case spec.ID == "eig" || spec.ID == "weak-eig":
+				t.Skip("the EIG tree is ~n⁹ nodes per process at t = 8")
+			case strings.HasPrefix(spec.ID, "derived-"):
+				t.Skip("derived protocols stop at n ≤ 6")
+			case spec.ID == "external":
+				t.Skip("needs signed transactions as proposals; E8 lifts it")
+			}
+			n := tf + 1
+			for !spec.SupportedAt(n, tf) {
+				n++
+			}
+			c, err := experiments.Falsifiable(spec.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := c.Run(n, tf, lowerbound.Options{Parallelism: 1})
+			var trivial *reduction.TrivialLiftError
+			if errors.As(err, &trivial) {
+				t.Skipf("the route refuses the lift: %v", err)
+			}
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			switch {
+			case spec.Model == catalog.CrashOnly && rep.Broken():
+				t.Logf("n=%d: crash-only, broken with a rechecked certificate: %s", n, rep.Violation)
+			case rep.Broken():
+				t.Fatalf("n=%d: falsified: %s", n, rep.Violation)
+			case rep.MaxCorrectMessages < lowerbound.Floor(tf):
+				t.Fatalf("n=%d: survived with at most %d messages, below t²/32 = %d", n, rep.MaxCorrectMessages, lowerbound.Floor(tf))
+			default:
+				t.Logf("n=%d: survived, max %d messages ≥ t²/32 = %d", n, rep.MaxCorrectMessages, lowerbound.Floor(tf))
 			}
 		})
 	}

@@ -77,9 +77,7 @@ func E12(n, t int) (*Table, error) {
 }
 
 func latencyOf(factory sim.Factory, n, t, bound int, proposals []msg.Value, plan sim.FaultPlan, correct proc.Set) (int, error) {
-	// Decision rounds are part of the lean record — no full trace needed.
-	cfg := sim.Config{N: n, T: t, Proposals: proposals, MaxRounds: bound + 1, Recording: sim.RecordDecisions}
-	e, err := sim.Run(cfg, factory, plan)
+	e, err := leanRun(sim.Config{N: n, T: t, Proposals: proposals, MaxRounds: bound + 1}, factory, plan)
 	if err != nil {
 		return 0, err
 	}

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"crypto/sha256"
 	"encoding/hex"
 
+	"expensive/internal/catalog"
+	_ "expensive/internal/catalog/all" // Falsifiable accepts any catalog ID
 	"expensive/internal/crypto/sig"
 	"expensive/internal/experiments/runner"
 	"expensive/internal/lowerbound"
@@ -13,80 +16,97 @@ import (
 	"expensive/internal/omission"
 	"expensive/internal/proc"
 	"expensive/internal/protocols/cheap"
-	"expensive/internal/protocols/ic"
-	"expensive/internal/protocols/phaseking"
-	"expensive/internal/protocols/weak"
 	"expensive/internal/sim"
 )
 
-// Candidates returns the weak consensus protocol catalogue the
-// lower-bound experiments sweep: the sub-quadratic strawmen (which must be
-// falsified) and the sound quadratic constructions (which must exceed the
-// budget). Sound entries may require larger n for their resilience bound.
-func Candidates() []lowerbound.Candidate {
+// e1Rows returns E1's protocols: the sub-quadratic strawmen, which must be
+// falsified, and two sound weak consensus specs from the catalog, which
+// must exceed the budget (weak-via-ic keeps its own signature scheme).
+func e1Rows() []lowerbound.Candidate {
+	cheapRow := func(name, complexity string, rounds int, f func(n int) sim.Factory) lowerbound.Candidate {
+		return lowerbound.Candidate{Name: name, Complexity: complexity,
+			Build: func(n, _ int) (sim.Factory, int, error) { return f(n), rounds, nil }}
+	}
+	spec := func(id string) catalog.Spec { s, _ := catalog.Lookup(id); return s } // linked by catalog/all
 	return []lowerbound.Candidate{
+		cheapRow("silent", "0 msgs", cheap.SilentRounds, func(int) sim.Factory { return cheap.Silent() }),
+		cheapRow("leader", "n-1 msgs", cheap.LeaderRounds, cheap.Leader),
+		cheapRow("star", "2(n-1) msgs", cheap.StarRounds, cheap.Star),
+		cheapRow("gossip-k3", "3n msgs", cheap.GossipRounds, func(n int) sim.Factory { return cheap.Gossip(n, 3) }),
 		{
-			Name: "silent", Sound: false, Complexity: "0 msgs",
-			Rounds: func(int, int) int { return cheap.SilentRounds },
-			New:    func(n, t int) (sim.Factory, error) { return cheap.Silent(), nil },
-		},
-		{
-			Name: "leader", Sound: false, Complexity: "n-1 msgs",
-			Rounds: func(int, int) int { return cheap.LeaderRounds },
-			New:    func(n, t int) (sim.Factory, error) { return cheap.Leader(n), nil },
-		},
-		{
-			Name: "star", Sound: false, Complexity: "2(n-1) msgs",
-			Rounds: func(int, int) int { return cheap.StarRounds },
-			New:    func(n, t int) (sim.Factory, error) { return cheap.Star(n), nil },
-		},
-		{
-			Name: "gossip-k3", Sound: false, Complexity: "3n msgs",
-			Rounds: func(int, int) int { return cheap.GossipRounds },
-			New:    func(n, t int) (sim.Factory, error) { return cheap.Gossip(n, 3), nil },
-		},
-		{
-			// The round bounds of the sound constructions are closed-form
-			// (phaseking.RoundBound, ic.RoundBound) — Rounds must not rebuild
-			// and discard a whole protocol stack to learn them.
 			Name: "phase-king", Sound: true, Complexity: "Θ(n²·t) msgs, n > 4t",
-			Rounds: func(n, t int) int { return phaseking.RoundBound(t) },
-			New: func(n, t int) (sim.Factory, error) {
-				if n <= 4*t {
-					return nil, fmt.Errorf("phase-king needs n > 4t")
-				}
-				f, _ := weak.ViaPhaseKing(n, t)
-				return f, nil
-			},
+			Build: spec("weak-phase-king").Rebuilder(catalog.Params{}),
 		},
 		{
 			Name: "weak-via-ic", Sound: true, Complexity: "Θ(n³) msgs (n×Dolev-Strong), any t < n",
-			Rounds: func(n, t int) int { return ic.RoundBound(t) },
-			New: func(n, t int) (sim.Factory, error) {
-				f, _ := weak.ViaIC(n, t, sig.NewIdeal("e1-ic"))
-				return f, nil
-			},
+			Build: spec("weak-ic").Rebuilder(catalog.Params{Scheme: sig.NewIdeal("e1-ic")}),
 		},
 	}
 }
 
-// E1Params fixes the (n, t) grid of the falsifier sweep. Cheap protocols
-// run at (cheapN, cheapT); sound ones at their resilience-compatible size.
-type E1Params struct {
-	CheapN, CheapT int
-	SoundN, SoundT int
+// Falsifiable resolves a protocol name for the falsifier: E1's rows first,
+// then any catalog ID, built at catalog.DefaultParams and lifted through
+// Algorithm 1 at (0, 1).
+func Falsifiable(name string) (lowerbound.Candidate, error) {
+	rows := e1Rows()
+	if i := slices.IndexFunc(rows, func(c lowerbound.Candidate) bool { return c.Name == name }); i >= 0 {
+		return rows[i], nil
+	}
+	s, ok := catalog.Lookup(name)
+	if !ok {
+		return lowerbound.Candidate{}, fmt.Errorf("unknown protocol %q (have %v)", name, FalsifierNames())
+	}
+	return lowerbound.Candidate{
+		Name: s.ID, Complexity: s.Title,
+		Build: s.Rebuilder(catalog.DefaultParams(0, 0)),
+		Lift:  lowerbound.Lift{V0: msg.Zero, V1: msg.One},
+	}, nil
 }
 
-// DefaultE1 is the configuration used by the recorded experiment.
-func DefaultE1() E1Params {
-	return E1Params{CheapN: 40, CheapT: 16, SoundN: 70, SoundT: 16}
+// FalsifierNames lists what Falsifiable accepts: E1's rows, then the
+// catalog IDs they do not shadow. The one shadowed ID, phase-king, runs
+// the same machines as E1's phase-king row (weak-phase-king).
+func FalsifierNames() []string {
+	var names []string
+	for _, c := range e1Rows() {
+		names = append(names, c.Name)
+	}
+	for _, id := range catalog.IDs() {
+		if !slices.Contains(names, id) {
+			names = append(names, id)
+		}
+	}
+	return names
 }
 
-// E1 runs the Theorem 2 falsifier across the protocol catalogue. The
-// per-candidate sweeps are independent, so they fan out across the worker
-// pool; each candidate's falsifier additionally parallelizes its own
-// probe family. Rows land in catalogue order regardless of parallelism.
-func E1(p E1Params, opts runner.Options) (*Table, error) {
+// falsifyRows runs each candidate through the lower-bound route at the
+// (n, t) size picks, across the worker pool, and holds it to Sound: a sound
+// protocol survives with probes at or above t²/32, a cheap one breaks (its
+// certificate rechecked by the route). render makes each row, in order.
+func falsifyRows(cands []lowerbound.Candidate, opts runner.Options, size func(lowerbound.Candidate) (int, int),
+	render func(lowerbound.Candidate, *lowerbound.Report) []string) ([][]string, error) {
+	return runner.Map(opts.Context(), opts.Workers(), len(cands), func(i int) ([]string, error) {
+		c := cands[i]
+		n, t := size(c)
+		rep, err := c.Run(n, t, lowerbound.Options{Parallelism: opts.Parallelism, Ctx: opts.Context()})
+		switch {
+		case err != nil:
+			return nil, err
+		case c.Sound && rep.Broken():
+			return nil, fmt.Errorf("%s: sound protocol falsified: %s", c.Name, rep.Violation)
+		case !c.Sound && !rep.Broken():
+			return nil, fmt.Errorf("%s: cheap protocol survived the falsifier", c.Name)
+		case c.Sound && rep.MaxCorrectMessages < rep.Threshold:
+			return nil, fmt.Errorf("%s: survived with at most %d messages, below t²/32 = %d", c.Name, rep.MaxCorrectMessages, rep.Threshold)
+		}
+		return render(c, rep), nil
+	})
+}
+
+// E1 runs the Theorem 2 falsifier across its rows: the cheap ones at
+// (cheapN, cheapT), the sound ones at their resilience-compatible
+// (soundN, soundT).
+func E1(cheapN, cheapT, soundN, soundT int, opts runner.Options) (*Table, error) {
 	tab := &Table{
 		ID:    "E1",
 		Title: "Theorem 2 / Lemma 1 — the Ω(t²) falsifier vs. weak consensus protocols",
@@ -95,44 +115,25 @@ func E1(p E1Params, opts runner.Options) (*Table, error) {
 			"max msgs observed", "verdict", "certificate",
 		},
 	}
-	cands := Candidates()
-	rows, err := runner.Map(opts.Context(), opts.Workers(), len(cands), func(i int) ([]string, error) {
-		c := cands[i]
-		n, t := p.CheapN, p.CheapT
+	var err error
+	tab.Rows, err = falsifyRows(e1Rows(), opts, func(c lowerbound.Candidate) (int, int) {
 		if c.Sound {
-			n, t = p.SoundN, p.SoundT
+			return soundN, soundT
 		}
-		factory, err := c.New(n, t)
-		if err != nil {
-			return []string{c.Name, c.Complexity, itoa(n), itoa(t), "-", "-", "skipped: " + err.Error(), "-"}, nil
-		}
-		rounds := c.Rounds(n, t)
-		rep, err := lowerbound.Falsify(c.Name, factory, rounds, n, t,
-			lowerbound.Options{Parallelism: opts.Parallelism, Ctx: opts.Context()})
-		if err != nil {
-			return nil, fmt.Errorf("E1 %s: %w", c.Name, err)
-		}
+		return cheapN, cheapT
+	}, func(c lowerbound.Candidate, rep *lowerbound.Report) []string {
 		verdict, cert := "budget respected (sound)", "-"
 		if rep.Broken() {
-			verdict = rep.Violation.Kind + " violated"
-			if err := lowerbound.CheckViolation(rep.Violation, factory, rounds); err != nil {
-				return nil, fmt.Errorf("E1 %s: certificate failed recheck: %w", c.Name, err)
-			}
-			cert = "machine-checked"
-		}
-		if c.Sound == rep.Broken() {
-			return nil, fmt.Errorf("E1 %s: soundness expectation violated (sound=%v broken=%v)",
-				c.Name, c.Sound, rep.Broken())
+			verdict, cert = rep.Violation.Kind+" violated", "machine-checked"
 		}
 		return []string{
-			c.Name, c.Complexity, itoa(n), itoa(t), itoa(rep.Threshold),
+			c.Name, c.Complexity, itoa(rep.N), itoa(rep.T), itoa(rep.Threshold),
 			itoa(rep.MaxCorrectMessages), verdict, cert,
-		}, nil
+		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("E1 %w", err)
 	}
-	tab.Rows = rows
 	tab.Notes = append(tab.Notes,
 		"every sub-quadratic protocol is falsified with a concrete, independently re-validated execution",
 		"every sound protocol's probe executions exceed the t²/32 budget, as Theorem 2 requires",

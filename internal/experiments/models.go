@@ -7,7 +7,6 @@ import (
 	"expensive/internal/lowerbound"
 	"expensive/internal/msg"
 	"expensive/internal/proc"
-	"expensive/internal/protocols/cheap"
 	"expensive/internal/protocols/dolevstrong"
 	"expensive/internal/protocols/floodset"
 	"expensive/internal/protocols/phaseking"
@@ -51,9 +50,7 @@ func E10(n, t int) (*Table, error) {
 	}
 	tolerates := map[string]string{"floodset": "crash", "phase-king": "byzantine (n > 4t)"}
 	for _, tr := range trials {
-		// Each trial reads only the correct group's common decision — lean tier.
-		cfg := sim.Config{N: n, T: t, Proposals: proposals, MaxRounds: sim.Horizon(tr.rounds), Recording: sim.RecordDecisions}
-		e, err := sim.Run(cfg, tr.factory, tr.plan)
+		e, err := leanRun(sim.Config{N: n, T: t, Proposals: proposals, MaxRounds: sim.Horizon(tr.rounds)}, tr.factory, tr.plan)
 		if err != nil {
 			return nil, fmt.Errorf("E10 %s/%s: %w", tr.protocol, tr.model, err)
 		}
@@ -150,12 +147,12 @@ func E11() (*Table, error) {
 
 	// 1. Falsifier without merge cannot break Silent (Lemma 3 load-bearing).
 	n, t := 40, 16
-	repAblated, err := lowerbound.Falsify("silent", cheap.Silent(), cheap.SilentRounds, n, t,
-		lowerbound.Options{DisableMerge: true})
+	silent, _ := Falsifiable("silent") // an E1 row
+	repAblated, err := silent.Run(n, t, lowerbound.Options{DisableMerge: true})
 	if err != nil {
 		return nil, err
 	}
-	repFull, err := lowerbound.Falsify("silent", cheap.Silent(), cheap.SilentRounds, n, t, lowerbound.Options{})
+	repFull, err := silent.Run(n, t, lowerbound.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +170,7 @@ func E11() (*Table, error) {
 	for i, noRelay := range []bool{true, false} {
 		cfg := dolevstrong.Config{N: 7, T: 2, Sender: 0, Scheme: scheme, Tag: "bb", Default: "⊥", UnsafeNoRelay: noRelay}
 		adv := sim.ByzantinePlan{Machines: map[proc.ID]sim.Machine{0: &dsEquivocator{cfg: cfg, signer: scheme}}}
-		e, err := sim.Run(sim.Config{N: 7, T: 2, Proposals: msg.Uniform(7, "x"), MaxRounds: dolevstrong.RoundBound(2) + 1, Recording: sim.RecordDecisions},
+		e, err := leanRun(sim.Config{N: 7, T: 2, Proposals: msg.Uniform(7, "x"), MaxRounds: dolevstrong.RoundBound(2) + 1},
 			dolevstrong.New(cfg), adv)
 		if err != nil {
 			return nil, err
@@ -196,7 +193,7 @@ func E11() (*Table, error) {
 		cfg := phaseking.Config{N: 5, T: 1, PhasesOverride: phases}
 		adv := sim.ByzantinePlan{Machines: map[proc.ID]sim.Machine{0: &splitKing{n: 5, t: 1, id: 0}}}
 		proposals := []msg.Value{"0", "0", "0", "1", "1"}
-		e, err := sim.Run(sim.Config{N: 5, T: 1, Proposals: proposals, MaxRounds: 2*phases + 2, Recording: sim.RecordDecisions},
+		e, err := leanRun(sim.Config{N: 5, T: 1, Proposals: proposals, MaxRounds: 2*phases + 2},
 			phaseking.New(cfg), adv)
 		if err != nil {
 			return nil, err
@@ -227,7 +224,7 @@ func E11() (*Table, error) {
 	badSpec.C1 = zeros // the ablation: c1 no longer contains a config excluding v0
 	for i, spec := range []reduction.Alg1Spec{badSpec, goodSpec} {
 		wrapped := reduction.WeakFromAgreement(pk, spec)
-		e, err := sim.Run(sim.Config{N: 5, T: 1, Proposals: ones, MaxRounds: sim.Horizon(phaseking.RoundBound(1)), Recording: sim.RecordDecisions},
+		e, err := leanRun(sim.Config{N: 5, T: 1, Proposals: ones, MaxRounds: sim.Horizon(phaseking.RoundBound(1))},
 			wrapped, sim.NoFaults{})
 		if err != nil {
 			return nil, err

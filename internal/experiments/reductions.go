@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
+	"expensive/internal/catalog"
 	"expensive/internal/crypto/sig"
 	"expensive/internal/experiments/runner"
 	"expensive/internal/lowerbound"
@@ -16,10 +18,18 @@ import (
 	"expensive/internal/sim"
 )
 
+// blocks signs the two client transactions, block-0 and block-1, that E5
+// and E8 propose to the external-validity protocols under the scheme key.
+func blocks(key string) (sig.Scheme, *external.Authority, lowerbound.Lift, error) {
+	scheme := sig.NewIdeal(key)
+	auth := external.NewAuthority(scheme)
+	tx0, err0 := auth.NewTx(external.ClientBase, "block-0")
+	tx1, err1 := auth.NewTx(external.ClientBase+1, "block-1")
+	return scheme, auth, lowerbound.Lift{V0: tx0, V1: tx1}, errors.Join(err0, err1)
+}
+
 func countRun(factory sim.Factory, n, t, rounds int, proposals []msg.Value) (int, msg.Value, error) {
-	// Callers read the common decision and the message count only — lean tier.
-	cfg := sim.Config{N: n, T: t, Proposals: proposals, MaxRounds: sim.Horizon(rounds), Recording: sim.RecordDecisions}
-	e, err := sim.Run(cfg, factory, sim.NoFaults{})
+	e, err := leanRun(sim.Config{N: n, T: t, Proposals: proposals, MaxRounds: sim.Horizon(rounds)}, factory, sim.NoFaults{})
 	if err != nil {
 		return 0, msg.NoDecision, err
 	}
@@ -34,13 +44,7 @@ func countRun(factory sim.Factory, n, t, rounds int, proposals []msg.Value) (int
 // four different agreement problems has exactly the message complexity of
 // the underlying protocol (Theorem 3's mechanism).
 func E5(n, t int) (*Table, error) {
-	scheme := sig.NewIdeal("e5")
-	auth := external.NewAuthority(scheme)
-	tx0, err := auth.NewTx(external.ClientBase, "block-0")
-	if err != nil {
-		return nil, err
-	}
-	tx1, err := auth.NewTx(external.ClientBase+1, "block-1")
+	scheme, auth, txs, err := blocks("e5")
 	if err != nil {
 		return nil, err
 	}
@@ -49,16 +53,16 @@ func E5(n, t int) (*Table, error) {
 		name    string
 		factory sim.Factory
 		rounds  int
-		c0, c1  []msg.Value
+		lift    lowerbound.Lift
 	}
+	binary := lowerbound.Lift{V0: msg.Zero, V1: msg.One}
 	var cases []underlying
 	if n > 4*t {
 		cases = append(cases, underlying{
 			name:    "strong consensus (phase-king)",
 			factory: phaseking.New(phaseking.Config{N: n, T: t}),
 			rounds:  phaseking.RoundBound(t),
-			c0:      msg.Uniform(n, msg.Zero),
-			c1:      msg.Uniform(n, msg.One),
+			lift:    binary,
 		})
 	}
 	if n > 3*t {
@@ -66,8 +70,7 @@ func E5(n, t int) (*Table, error) {
 			name:    "interactive consistency (EIG)",
 			factory: eig.New(eig.Config{N: n, T: t, Default: msg.One}),
 			rounds:  eig.RoundBound(t),
-			c0:      msg.Uniform(n, msg.Zero),
-			c1:      msg.Uniform(n, msg.One),
+			lift:    binary,
 		})
 	}
 	cases = append(cases,
@@ -75,15 +78,13 @@ func E5(n, t int) (*Table, error) {
 			name:    "interactive consistency (n × Dolev-Strong)",
 			factory: ic.New(ic.Config{N: n, T: t, Scheme: scheme, Default: msg.One}),
 			rounds:  ic.RoundBound(t),
-			c0:      msg.Uniform(n, msg.Zero),
-			c1:      msg.Uniform(n, msg.One),
+			lift:    binary,
 		},
 		underlying{
 			name:    "external validity (IC + first-valid)",
-			factory: external.New(external.Config{N: n, T: t, Scheme: scheme, Authority: auth, Fallback: tx0}),
+			factory: external.New(external.Config{N: n, T: t, Scheme: scheme, Authority: auth, Fallback: txs.V0}),
 			rounds:  external.RoundBound(t),
-			c0:      msg.Uniform(n, tx0),
-			c1:      msg.Uniform(n, tx1),
+			lift:    txs,
 		},
 	)
 
@@ -96,36 +97,31 @@ func E5(n, t int) (*Table, error) {
 		},
 	}
 	for _, u := range cases {
-		spec, err := reduction.DeriveAlg1(u.factory, n, t, sim.Horizon(u.rounds), u.c0, u.c1)
+		configs := [2][]msg.Value{msg.Uniform(n, u.lift.V0), msg.Uniform(n, u.lift.V1)}
+		spec, err := reduction.DeriveAlg1(u.factory, n, t, sim.Horizon(u.rounds), configs[0], configs[1])
 		if err != nil {
 			return nil, fmt.Errorf("E5 %s: %w", u.name, err)
 		}
 		wrapped := reduction.WeakFromAgreement(u.factory, spec)
-
-		m0, _, err := countRun(u.factory, n, t, u.rounds, u.c0)
-		if err != nil {
-			return nil, fmt.Errorf("E5 %s: %w", u.name, err)
+		row, overhead := []string{u.name}, "0 msgs"
+		for b, c := range configs {
+			m, _, err := countRun(u.factory, n, t, u.rounds, c)
+			if err != nil {
+				return nil, fmt.Errorf("E5 %s: %w", u.name, err)
+			}
+			w, d, err := countRun(wrapped, n, t, u.rounds, msg.Uniform(n, msg.Bit(b)))
+			if err != nil {
+				return nil, fmt.Errorf("E5 %s: %w", u.name, err)
+			}
+			if d != msg.Bit(b) {
+				return nil, fmt.Errorf("E5 %s: weak validity broken (proposing %s decided %q)", u.name, msg.Bit(b), d)
+			}
+			if w != m {
+				overhead = "NONZERO (bug)"
+			}
+			row = append(row, itoa(m), itoa(w))
 		}
-		w0, d0, err := countRun(wrapped, n, t, u.rounds, msg.Uniform(n, msg.Zero))
-		if err != nil {
-			return nil, fmt.Errorf("E5 %s: %w", u.name, err)
-		}
-		m1, _, err := countRun(u.factory, n, t, u.rounds, u.c1)
-		if err != nil {
-			return nil, fmt.Errorf("E5 %s: %w", u.name, err)
-		}
-		w1, d1, err := countRun(wrapped, n, t, u.rounds, msg.Uniform(n, msg.One))
-		if err != nil {
-			return nil, fmt.Errorf("E5 %s: %w", u.name, err)
-		}
-		if d0 != msg.Zero || d1 != msg.One {
-			return nil, fmt.Errorf("E5 %s: weak validity broken (decided %q/%q)", u.name, d0, d1)
-		}
-		overhead := "0 msgs"
-		if w0 != m0 || w1 != m1 {
-			overhead = "NONZERO (bug)"
-		}
-		tab.Rows = append(tab.Rows, []string{u.name, itoa(m0), itoa(w0), itoa(m1), itoa(w1), overhead})
+		tab.Rows = append(tab.Rows, append(row, overhead))
 	}
 	tab.Notes = append(tab.Notes,
 		"identical columns demonstrate the reduction exchanges no extra message — the Ω(t²) bound transfers verbatim",
@@ -135,19 +131,25 @@ func E5(n, t int) (*Table, error) {
 
 // E8 runs the Corollary 1 pipeline: the sub-quadratic external-validity
 // protocol is lifted to weak consensus by Algorithm 1 and falsified; the
-// sound IC-based construction survives with quadratic traffic. The two
-// lift-and-falsify pipelines are independent and fan out across the
-// worker pool.
+// registered sound construction, lifted the same way, survives with
+// quadratic traffic.
 func E8(n, t int, opts runner.Options) (*Table, error) {
-	scheme := sig.NewIdeal("e8")
-	auth := external.NewAuthority(scheme)
-	tx0, err := auth.NewTx(external.ClientBase, "block-0")
+	scheme, auth, txs, err := blocks("e8")
 	if err != nil {
 		return nil, err
 	}
-	tx1, err := auth.NewTx(external.ClientBase+1, "block-1")
-	if err != nil {
-		return nil, err
+	sound, _ := catalog.Lookup("external") // linked by catalog/all
+	cands := []lowerbound.Candidate{
+		{
+			Name: "leader-announce (cheap)", Complexity: "n-1 msgs", Lift: txs,
+			Build: func(n, _ int) (sim.Factory, int, error) {
+				return external.CheapLeader(n, auth, txs.V0), external.CheapLeaderRounds, nil
+			},
+		},
+		{
+			Name: "IC + first-valid (sound)", Sound: true, Complexity: "Θ(n³) msgs", Lift: txs,
+			Build: sound.Rebuilder(catalog.Params{Scheme: scheme, Default: txs.V0}),
+		},
 	}
 
 	tab := &Table{
@@ -155,60 +157,17 @@ func E8(n, t int, opts runner.Options) (*Table, error) {
 		Title:  fmt.Sprintf("Corollary 1 — External Validity agreement is quadratic too (n=%d t=%d)", n, t),
 		Header: []string{"protocol", "complexity", "lifted via Alg. 1", "falsifier verdict", "max msgs", "t²/32"},
 	}
-
-	lopts := lowerbound.Options{Parallelism: opts.Parallelism, Ctx: opts.Context()}
-	pipelines := []func() ([]string, error){
-		// Cheap external protocol: must be falsified, certificate re-checked.
-		func() ([]string, error) {
-			cheapInner := external.CheapLeader(n, auth, tx0)
-			spec, err := reduction.DeriveAlg1(cheapInner, n, t, external.CheapLeaderRounds+1, msg.Uniform(n, tx0), msg.Uniform(n, tx1))
-			if err != nil {
-				return nil, err
-			}
-			lifted := reduction.WeakFromAgreement(cheapInner, spec)
-			rep, err := lowerbound.Falsify("cheap-external", lifted, external.CheapLeaderRounds, n, t, lopts)
-			if err != nil {
-				return nil, err
-			}
-			verdict := "survived (unexpected)"
+	tab.Rows, err = falsifyRows(cands, opts, func(lowerbound.Candidate) (int, int) { return n, t },
+		func(c lowerbound.Candidate, rep *lowerbound.Report) []string {
+			verdict := "budget respected (sound)"
 			if rep.Broken() {
-				if err := lowerbound.CheckViolation(rep.Violation, lifted, external.CheapLeaderRounds); err != nil {
-					return nil, fmt.Errorf("E8 certificate recheck: %w", err)
-				}
 				verdict = rep.Violation.Kind + " violated (machine-checked)"
 			}
-			return []string{
-				"leader-announce (cheap)", "n-1 msgs", "yes", verdict, itoa(rep.MaxCorrectMessages), itoa(rep.Threshold),
-			}, nil
-		},
-		// Sound external protocol: must respect the budget.
-		func() ([]string, error) {
-			soundInner := external.New(external.Config{N: n, T: t, Scheme: scheme, Authority: auth, Fallback: tx0})
-			soundSpec, err := reduction.DeriveAlg1(soundInner, n, t, sim.Horizon(external.RoundBound(t)), msg.Uniform(n, tx0), msg.Uniform(n, tx1))
-			if err != nil {
-				return nil, err
-			}
-			liftedSound := reduction.WeakFromAgreement(soundInner, soundSpec)
-			repSound, err := lowerbound.Falsify("sound-external", liftedSound, external.RoundBound(t), n, t, lopts)
-			if err != nil {
-				return nil, err
-			}
-			verdictSound := "budget respected (sound)"
-			if repSound.Broken() {
-				verdictSound = "falsified (unexpected)"
-			}
-			return []string{
-				"IC + first-valid (sound)", "Θ(n³) msgs", "yes", verdictSound, itoa(repSound.MaxCorrectMessages), itoa(repSound.Threshold),
-			}, nil
-		},
-	}
-	rows, err := runner.Map(opts.Context(), opts.Workers(), len(pipelines), func(i int) ([]string, error) {
-		return pipelines[i]()
-	})
+			return []string{c.Name, c.Complexity, "yes", verdict, itoa(rep.MaxCorrectMessages), itoa(rep.Threshold)}
+		})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("E8 %w", err)
 	}
-	tab.Rows = rows
 	tab.Notes = append(tab.Notes,
 		"both protocols have two fully-correct executions deciding different transactions, so Corollary 1 applies",
 	)

@@ -13,7 +13,7 @@ func init() {
 		ID:     "E1",
 		Title:  "Theorem 2 / Lemma 1 — the Ω(t²) falsifier vs. weak consensus protocols",
 		Params: "cheap n=40 t=16; sound n=70 t=16",
-		Run:    func(o runner.Options) (*Table, error) { return E1(DefaultE1(), o) },
+		Run:    func(o runner.Options) (*Table, error) { return E1(40, 16, 70, 16, o) },
 	})
 	runner.Register(runner.Experiment{
 		ID:     "E2",

@@ -88,9 +88,7 @@ func E9(sizes []int, opts runner.Options) (*Table, error) {
 }
 
 func scalingRow(name string, factory sim.Factory, n, t, bound int) ([]string, error) {
-	// The row reads decisions and message counts only — lean tier.
-	cfg := sim.Config{N: n, T: t, Proposals: msg.Uniform(n, msg.Zero), MaxRounds: sim.Horizon(bound), Recording: sim.RecordDecisions}
-	e, err := sim.Run(cfg, factory, sim.NoFaults{})
+	e, err := leanRun(sim.Config{N: n, T: t, Proposals: msg.Uniform(n, msg.Zero), MaxRounds: sim.Horizon(bound)}, factory, sim.NoFaults{})
 	if err != nil {
 		return nil, fmt.Errorf("E9 %s n=%d: %w", name, n, err)
 	}

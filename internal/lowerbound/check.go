@@ -3,8 +3,10 @@ package lowerbound
 import (
 	"fmt"
 
+	"expensive/internal/msg"
 	"expensive/internal/omission"
 	"expensive/internal/proc"
+	"expensive/internal/protocols/reduction"
 	"expensive/internal/sim"
 )
 
@@ -78,9 +80,13 @@ func CheckViolation(v *Violation, factory sim.Factory, roundBound int) error {
 	return nil
 }
 
-// Candidate is a weak consensus protocol registered with the experiment
-// harness: a constructor plus its decision-round bound and the shape of
-// its message complexity for display.
+// Lift is the pair of uniform fully-correct proposals (V0, V1) Algorithm 1
+// feeds an agreement protocol for weak proposals 0 and 1. The zero Lift
+// means the protocol already solves weak consensus and is falsified as is.
+type Lift struct{ V0, V1 msg.Value }
+
+// Candidate is a protocol handed to the lower bound: how to build and lift
+// it, and what the falsifier is expected to find.
 type Candidate struct {
 	Name string
 	// Sound records whether the protocol is believed correct (the falsifier
@@ -88,13 +94,42 @@ type Candidate struct {
 	Sound bool
 	// Complexity describes the protocol's message complexity for tables.
 	Complexity string
-	// Rounds returns the decision-round bound for (n, t).
-	Rounds func(n, t int) int
-	// New builds the factory for (n, t).
-	New func(n, t int) (sim.Factory, error)
+	// Build returns the honest-machine factory and the decision-round bound
+	// at (n, t); catalog.Spec.Rebuilder returns one.
+	Build func(n, t int) (sim.Factory, int, error)
+	// Lift, when set, runs the protocol through Algorithm 1 first.
+	Lift Lift
 }
 
-// ExpectedMessages returns a human-readable note for reports.
+// String renders the candidate for reports: its name and complexity.
 func (c Candidate) String() string {
 	return fmt.Sprintf("%s (%s)", c.Name, c.Complexity)
+}
+
+// Run is the one route from a protocol to Theorems 2 and 3: build c at
+// (n, t), lift it through Algorithm 1 when c.Lift is set (Lemma 18: no
+// extra message), run Falsify, and recheck any certificate with
+// CheckViolation. A broken protocol is a report, not an error.
+func (c Candidate) Run(n, t int, opts Options) (*Report, error) {
+	factory, rounds, err := c.Build(n, t)
+	if err != nil {
+		return nil, err
+	}
+	if c.Lift != (Lift{}) {
+		spec, err := reduction.DeriveAlg1(factory, n, t, sim.Horizon(rounds), msg.Uniform(n, c.Lift.V0), msg.Uniform(n, c.Lift.V1))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.Name, err)
+		}
+		factory = reduction.WeakFromAgreement(factory, spec)
+	}
+	rep, err := Falsify(c.Name, factory, rounds, n, t, opts)
+	if err != nil {
+		return nil, err
+	}
+	if rep.Broken() {
+		if err := CheckViolation(rep.Violation, factory, rounds); err != nil {
+			return nil, fmt.Errorf("%s: certificate failed independent recheck: %w", c.Name, err)
+		}
+	}
+	return rep, nil
 }

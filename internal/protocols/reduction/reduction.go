@@ -111,24 +111,41 @@ func (m *alg1Machine) Step(round int, received []msg.Message) []sim.Outgoing {
 
 func (m *alg1Machine) Quiescent() bool { return m.inner.Quiescent() }
 
+// TrivialLiftError is DeriveAlg1's refusal when P's fully-correct
+// executions E0 (on c0) and E1 (on c1) both decide Decision. Lemma 18 needs
+// E1 to decide something other than v'_0; otherwise the lift breaks Weak
+// Validity because of the choice of (c0, c1), not because of P.
+type TrivialLiftError struct{ Decision msg.Value }
+
+// Error implements error.
+func (e *TrivialLiftError) Error() string {
+	return fmt.Sprintf("derive alg1: E0 (on c0) and E1 (on c1) both decide %q; Lemma 18 needs E1 to decide something else", e.Decision)
+}
+
 // DeriveAlg1 computes V0 for Algorithm 1 by running P's fully-correct
 // execution E0 on configuration c0 (Table 2: v'_0 is well-defined because
 // P satisfies Termination and Agreement and fully-correct executions are
-// determined by the proposals).
+// determined by the proposals). It also runs E1 on c1 and refuses with a
+// *TrivialLiftError when E1 decides v'_0 too.
 func DeriveAlg1(inner sim.Factory, n, t, horizon int, c0, c1 []msg.Value) (Alg1Spec, error) {
 	if len(c0) != n || len(c1) != n {
 		return Alg1Spec{}, fmt.Errorf("derive alg1: configurations must assign all %d processes", n)
 	}
-	cfg := sim.Config{N: n, T: t, Proposals: append([]msg.Value{}, c0...), MaxRounds: horizon}
-	exec, err := sim.Run(cfg, inner, sim.NoFaults{})
-	if err != nil {
-		return Alg1Spec{}, fmt.Errorf("derive alg1: run E0: %w", err)
+	var v [2]msg.Value
+	for i, c := range [][]msg.Value{c0, c1} {
+		cfg := sim.Config{N: n, T: t, Proposals: append([]msg.Value{}, c...), MaxRounds: horizon, Recording: sim.RecordDecisions}
+		exec, err := sim.Run(cfg, inner, sim.NoFaults{})
+		if err != nil {
+			return Alg1Spec{}, fmt.Errorf("derive alg1: run E%d: %w", i, err)
+		}
+		if v[i], err = exec.CommonDecision(proc.Universe(n)); err != nil {
+			return Alg1Spec{}, fmt.Errorf("derive alg1: E%d has no common decision: %w", i, err)
+		}
 	}
-	v0, err := exec.CommonDecision(proc.Universe(n))
-	if err != nil {
-		return Alg1Spec{}, fmt.Errorf("derive alg1: E0 has no common decision: %w", err)
+	if v[1] == v[0] {
+		return Alg1Spec{}, &TrivialLiftError{Decision: v[0]}
 	}
-	return Alg1Spec{C0: append([]msg.Value{}, c0...), C1: append([]msg.Value{}, c1...), V0: v0}, nil
+	return Alg1Spec{C0: append([]msg.Value{}, c0...), C1: append([]msg.Value{}, c1...), V0: v[0]}, nil
 }
 
 // Closed-form Γ selectors for the standard validity properties, usable at

@@ -1,6 +1,7 @@
 package reduction_test
 
 import (
+	"errors"
 	"testing"
 
 	"expensive/internal/crypto/sig"
@@ -132,6 +133,32 @@ func TestDeriveAlg1Errors(t *testing.T) {
 	inner := phaseking.New(phaseking.Config{N: 5, T: 1})
 	if _, err := reduction.DeriveAlg1(inner, 5, 1, 6, uniform(4, msg.Zero), uniform(5, msg.One)); err == nil {
 		t.Error("expected length error")
+	}
+}
+
+// constant decides "same" on its first step whatever it is proposed: an
+// agreement protocol whose every fully-correct execution decides one value.
+type constant struct{ sim.DecideOnce }
+
+func (m *constant) Init() []sim.Outgoing { return nil }
+
+func (m *constant) Step(int, []msg.Message) []sim.Outgoing {
+	m.Decide("same")
+	return nil
+}
+
+// TestDeriveAlg1RefusesTrivialLift holds DeriveAlg1 to Lemma 18's
+// hypothesis: when c1's fault-free run decides v'_0 too, the lift would
+// break Weak Validity on its own, so DeriveAlg1 refuses it.
+func TestDeriveAlg1RefusesTrivialLift(t *testing.T) {
+	factory := func(proc.ID, msg.Value) sim.Machine { return &constant{} }
+	_, err := reduction.DeriveAlg1(factory, 5, 1, 4, uniform(5, msg.Zero), uniform(5, msg.One))
+	var trivial *reduction.TrivialLiftError
+	if !errors.As(err, &trivial) {
+		t.Fatalf("DeriveAlg1 on a constant protocol: got %v, want a *TrivialLiftError", err)
+	}
+	if trivial.Decision != "same" {
+		t.Errorf("refusal names decision %q, want \"same\"", trivial.Decision)
 	}
 }
 
