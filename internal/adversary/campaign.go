@@ -377,11 +377,10 @@ type Campaign struct {
 	// MaxViolations caps the violations recorded in the report (0 = all).
 	// Probes beyond the cap are still counted in ViolationCount.
 	MaxViolations int
-	// RecordFull holds every seed to Target.Evidence (the pre-tiered
-	// behavior). By default the campaign probes through Target.Probe — an
-	// allocation-free engine loop recording only decisions and message
-	// counts — and only the violating seeds pay for the evidence. Reports
-	// are byte-identical at both settings.
+	// RecordFull holds every seed to Target.Evidence. By default the
+	// campaign probes through Target.Probe — the engine loop recording
+	// only decisions and message counts — and only the violating seeds pay
+	// for the evidence. Reports are byte-identical at both settings.
 	RecordFull bool
 	// Parallelism is the probe worker count; <= 0 means NumCPU, 1 serial.
 	Parallelism int

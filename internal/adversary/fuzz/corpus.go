@@ -117,18 +117,8 @@ func coverage(e *sim.Execution) uint64 {
 	}
 	word(uint64(e.Rounds))
 	for _, b := range e.Behaviors {
-		rounds := b.RoundsRecorded()
-		for r := 1; r <= rounds; r++ {
-			var sent, somit, recv, romit int
-			if b.Lean != nil {
-				sent, somit = b.Lean.Sent[r-1], b.Lean.SendOmitted[r-1]
-				recv, romit = b.Lean.Received[r-1], b.Lean.ReceiveOmitted[r-1]
-			} else {
-				//balint:allow leantier full-trace branch: lean traces take the b.Lean fast path above
-				f := b.Frag(r)
-				sent, somit = len(f.Sent), len(f.SendOmitted)
-				recv, romit = len(f.Received), len(f.ReceiveOmitted)
-			}
+		for r := 1; r <= b.RoundsRecorded(); r++ {
+			sent, somit, recv, romit := b.Counts(r)
 			word(uint64(sent)<<48 | uint64(somit)<<32 | uint64(recv)<<16 | uint64(romit))
 		}
 		if d, ok := b.FinalDecision(); ok {

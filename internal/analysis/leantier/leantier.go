@@ -33,7 +33,8 @@ var Analyzer = &analysis.Analyzer{
 
 // sinks are the full-trace-only APIs. Behavior.Frag and the All* slices
 // are empty on lean traces; Conforms and Validate reject them outright.
-// MessagesSentBy is deliberately absent: it has a lean-safe count path.
+// Behavior.Counts and Execution.CorrectMessages are deliberately absent:
+// they read message counts, which both tiers record.
 var sinks = map[string]bool{
 	"expensive/internal/sim.Conforms":                      true,
 	"expensive/internal/omission.Validate":                 true,

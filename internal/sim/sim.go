@@ -3,15 +3,16 @@
 // rounds, a static adversary that corrupts up to t processes before the
 // run, and per-round trace recording.
 //
-// Recording is tiered. At RecordFull (the default) the engine produces an
-// Execution — the exact object Appendix A.1.6 defines: a faulty set plus
-// one Behavior per process, where a Behavior is a sequence of Fragments
-// (state, sent, send-omitted, received, receive-omitted per round).
-// Everything downstream — the omission-model validator, swap_omission,
-// merge, and the lower-bound falsifier — operates on these traces. At
-// RecordDecisions the engine records only what the probe loops actually
-// read — per-process decisions and per-round message counts — and runs an
-// allocation-free round loop whose scratch buffers are pooled across Run
+// One round loop runs every execution; the recording tier only decides
+// what it keeps. At RecordFull (the default) it keeps the Execution
+// Appendix A.1.6 defines: a faulty set plus one Behavior per process,
+// where a Behavior is a sequence of Fragments (state, sent, send-omitted,
+// received, receive-omitted per round). Everything downstream — the
+// omission-model validator, swap_omission, merge, and the lower-bound
+// falsifier — operates on these traces. At RecordDecisions it keeps a
+// projection of the same execution — per-process decisions and per-round
+// message counts, which Behavior.Counts reads at either tier — and
+// allocates nothing per message; the routing scratch is pooled across Run
 // calls. Probe sweeps (hunt campaigns, the protocol × strategy matrix, the
 // falsifier families) probe lean and deterministically re-run the rare
 // violating configuration at RecordFull to reconstruct the full evidence
@@ -50,9 +51,7 @@ type Recording int
 
 const (
 	// RecordFull records the complete Appendix A.1.6 trace: four message
-	// slices per process per round. This is the zero value and the
-	// historical behavior — output is bit-for-bit identical to the
-	// pre-tiered engine.
+	// slices per process per round. This is the zero value.
 	RecordFull Recording = iota
 	// RecordDecisions is the lean tier: per-process decisions plus
 	// per-round sent/omitted/received counts, no message slices. APIs that
@@ -86,9 +85,8 @@ type Outgoing struct {
 // Init returns the messages sent in round 1 (they depend only on the
 // initial state). Step consumes the messages received in round r and
 // returns the messages to send in round r+1; the received slice is only
-// valid for the duration of the call — at the lean recording tier it is
-// backing-store the engine reuses — so machines must copy anything they
-// keep. The ownership rule is the same in the other direction: a slice
+// valid for the duration of the call — it is backing store the engine
+// reuses — so machines must copy anything they keep. The ownership rule is the same in the other direction: a slice
 // returned by Init or Step is lent until the next Init or Step call on
 // that machine (see Broadcast). Decision exposes the decision-bit
 // component of the state; once set it must never change (DecideOnce).
@@ -212,8 +210,8 @@ type Config struct {
 	// lasts exactly the horizon it is given, and the falsifier logs that
 	// round count.
 	DisableEarlyStop bool
-	// Recording selects the trace tier. The zero value, RecordFull, is the
-	// historical full Appendix A.1.6 trace.
+	// Recording selects what the round loop keeps of the execution. The
+	// zero value, RecordFull, keeps the whole Appendix A.1.6 trace.
 	Recording Recording
 }
 
@@ -335,69 +333,51 @@ func (b *Behavior) DecisionRound() int {
 	return 0
 }
 
-// sentCount returns the number of messages the process successfully sent,
-// at either tier.
-func (b *Behavior) sentCount() int {
-	total := 0
-	if b.Lean != nil {
-		for _, c := range b.Lean.Sent {
-			total += c
-		}
-		return total
+// Counts returns how many messages the process sent, send-omitted,
+// received and receive-omitted in round r (1-based), at either tier. A
+// round outside the recorded prefix counts zero throughout.
+func (b *Behavior) Counts(r int) (sent, sendOmitted, received, receiveOmitted int) {
+	if r < 1 || r > b.RoundsRecorded() {
+		return 0, 0, 0, 0
 	}
-	for i := range b.Fragments {
-		total += len(b.Fragments[i].Sent)
+	if l := b.Lean; l != nil {
+		return l.Sent[r-1], l.SendOmitted[r-1], l.Received[r-1], l.ReceiveOmitted[r-1]
 	}
-	return total
+	f := &b.Fragments[r-1]
+	return len(f.Sent), len(f.SendOmitted), len(f.Received), len(f.ReceiveOmitted)
 }
 
 // AllSent returns every message the process (successfully) sent. Lean
 // behaviors record no message identities and return nil.
 func (b *Behavior) AllSent() []msg.Message {
-	total := 0
-	for i := range b.Fragments {
-		total += len(b.Fragments[i].Sent)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]msg.Message, 0, total)
-	for _, f := range b.Fragments {
-		out = append(out, f.Sent...)
-	}
-	return out
+	return b.collect(func(f *Fragment) []msg.Message { return f.Sent })
 }
 
 // AllSendOmitted returns every message the process send-omitted. Lean
 // behaviors record no message identities and return nil.
 func (b *Behavior) AllSendOmitted() []msg.Message {
-	total := 0
-	for i := range b.Fragments {
-		total += len(b.Fragments[i].SendOmitted)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]msg.Message, 0, total)
-	for _, f := range b.Fragments {
-		out = append(out, f.SendOmitted...)
-	}
-	return out
+	return b.collect(func(f *Fragment) []msg.Message { return f.SendOmitted })
 }
 
 // AllReceiveOmitted returns every message the process receive-omitted.
 // Lean behaviors record no message identities and return nil.
 func (b *Behavior) AllReceiveOmitted() []msg.Message {
+	return b.collect(func(f *Fragment) []msg.Message { return f.ReceiveOmitted })
+}
+
+// collect concatenates one message list over every fragment, in round
+// order; nil when the lists are all empty.
+func (b *Behavior) collect(list func(*Fragment) []msg.Message) []msg.Message {
 	total := 0
 	for i := range b.Fragments {
-		total += len(b.Fragments[i].ReceiveOmitted)
+		total += len(list(&b.Fragments[i]))
 	}
 	if total == 0 {
 		return nil
 	}
 	out := make([]msg.Message, 0, total)
-	for _, f := range b.Fragments {
-		out = append(out, f.ReceiveOmitted...)
+	for i := range b.Fragments {
+		out = append(out, list(&b.Fragments[i])...)
 	}
 	return out
 }
@@ -474,20 +454,22 @@ func (e *Execution) CommonDecision(group proc.Set) (msg.Value, error) {
 	return msg.NoDecision, fmt.Errorf("%s is undecided after %d rounds", odd, e.Rounds)
 }
 
-// MessagesSentBy counts messages successfully sent by processes in group.
-// On lean traces it reads the recorded per-round counts — no message
-// slices are needed.
-func (e *Execution) MessagesSentBy(group proc.Set) int {
+// CorrectMessages is the paper's message complexity of the execution: the
+// number of messages sent by correct processes. It reads Counts, so it
+// works at both recording tiers.
+func (e *Execution) CorrectMessages() int {
 	total := 0
-	for _, id := range group.Members() {
-		total += e.Behaviors[id].sentCount()
+	for i, b := range e.Behaviors {
+		if e.Faulty.Contains(proc.ID(i)) {
+			continue
+		}
+		for r := 1; r <= b.RoundsRecorded(); r++ {
+			sent, _, _, _ := b.Counts(r)
+			total += sent
+		}
 	}
 	return total
 }
-
-// CorrectMessages is the paper's message complexity of the execution: the
-// number of messages sent by correct processes.
-func (e *Execution) CorrectMessages() int { return e.MessagesSentBy(e.Correct()) }
 
 // Proposals returns the proposal vector of the execution.
 func (e *Execution) Proposals() []msg.Value {
@@ -501,11 +483,10 @@ func (e *Execution) Proposals() []msg.Value {
 // scratch holds the engine's per-run working set. The round loop is the
 // hot path of every probe sweep — falsifier families, hunt campaigns, the
 // protocol × strategy matrix all run it millions of rounds — so the
-// routing tables, the per-round fragment staging area, the corrupted mask
-// and the duplicate-receiver check are pooled and reused across Run calls.
+// routing tables, the corrupted mask and the duplicate-receiver check are
+// pooled and reused across Run calls.
 type scratch struct {
 	inboxes [][]msg.Message
-	frags   []Fragment
 	pending [][]Outgoing
 	// corrupted[i] reports whether process i is in the running plan's
 	// faulty set. run rewrites all of its first n entries before round 1,
@@ -523,9 +504,6 @@ func (s *scratch) grow(n int) {
 	for len(s.inboxes) < n {
 		s.inboxes = append(s.inboxes, nil)
 	}
-	for len(s.frags) < n {
-		s.frags = append(s.frags, Fragment{})
-	}
 	for len(s.pending) < n {
 		s.pending = append(s.pending, nil)
 	}
@@ -538,16 +516,14 @@ func (s *scratch) grow(n int) {
 }
 
 // reset drops the references a finished run over n processes left in the
-// scratch — fragment slices, machine-owned pending slices, message payload
-// strings in the inboxes — so pooled scratch never pins a finished
-// execution in memory. It touches only what such a run can have written:
-// the first n entries of each table and, per inbox, the first n slots (a
-// round delivers at most one message per sender). Whatever lies beyond
-// was cleared when the larger run that grew it was reset, and sweeping it
-// again would make every small run pay for the largest one the pool has
-// seen.
+// scratch — machine-owned pending slices, message payload strings in the
+// inboxes — so pooled scratch never pins a finished execution in memory.
+// It touches only what such a run can have written: the first n entries
+// of each table and, per inbox, the first n slots (a round delivers at
+// most one message per sender). Whatever lies beyond was cleared when the
+// larger run that grew it was reset, and sweeping it again would make
+// every small run pay for the largest one the pool has seen.
 func (s *scratch) reset(n int) {
-	clear(s.frags[:n])
 	clear(s.pending[:n])
 	for i, inbox := range s.inboxes[:n] {
 		clear(inbox[:min(n, cap(inbox))])
@@ -624,55 +600,82 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 		Behaviors: behaviors,
 		Recording: cfg.Recording,
 	}
-	var err error
-	if cfg.Recording == RecordDecisions {
-		err = runLean(cfg, e, machines, pending, plan, s)
+
+	// The record each process's rounds are written into: its own fragment
+	// list at RecordFull, a slice of one flat array holding the 4·n
+	// per-round count series at RecordDecisions.
+	full := cfg.Recording == RecordFull
+	var leans []LeanBehavior
+	if full {
+		for i := range behArr {
+			behArr[i].Fragments = make([]Fragment, 0, cfg.MaxRounds)
+		}
 	} else {
-		err = runFull(cfg, e, machines, pending, plan, s)
+		h := cfg.MaxRounds
+		counts := make([]int, 4*cfg.N*h)
+		leans = make([]LeanBehavior, cfg.N)
+		for i := range leans {
+			c := counts[4*i*h : 4*(i+1)*h]
+			leans[i] = LeanBehavior{
+				Sent:           c[:0:h],
+				SendOmitted:    c[h : h : 2*h],
+				Received:       c[2*h : 2*h : 3*h],
+				ReceiveOmitted: c[3*h : 3*h],
+			}
+			behArr[i].Lean = &leans[i]
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// runFull is the RecordFull round loop: the historical engine, recording
-// the four message slices per process per round. Its output is bit-for-bit
-// identical to the pre-tiered engine.
-func runFull(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing, plan FaultPlan, sc *scratch) error {
-	inboxes, frags, seen, corrupted := sc.inboxes, sc.frags, sc.seen, sc.corrupted
-
-	for i := 0; i < cfg.N; i++ {
-		e.Behaviors[i].Fragments = make([]Fragment, 0, cfg.MaxRounds)
+	// at picks process i's round-r record, once per process and phase
+	// rather than once per message: exactly one of the two is non-nil.
+	at := func(i, r int) (*Fragment, *LeanBehavior) {
+		if full {
+			return &behArr[i].Fragments[r-1], nil
+		}
+		return nil, &leans[i]
 	}
 
+	inboxes, seen, corrupted := s.inboxes, s.seen, s.corrupted
 	for r := 1; r <= cfg.MaxRounds; r++ {
 		e.Rounds = r
 		for i := 0; i < cfg.N; i++ {
 			inboxes[i] = inboxes[i][:0]
-			frags[i] = Fragment{Round: r}
+			if full {
+				behArr[i].Fragments = append(behArr[i].Fragments, Fragment{Round: r})
+			} else {
+				l := &leans[i]
+				l.Sent, l.SendOmitted, l.Received, l.ReceiveOmitted = l.Sent[:r], l.SendOmitted[:r], l.Received[:r], l.ReceiveOmitted[:r]
+			}
 		}
 
 		// Send phase.
 		for i := 0; i < cfg.N; i++ {
-			sc.gen++
+			s.gen++
+			f, l := at(i, r)
 			for _, out := range pending[i] {
 				if out.To == proc.ID(i) {
-					return fmt.Errorf("round %d: %s sent to itself", r, proc.ID(i))
+					return nil, fmt.Errorf("round %d: %s sent to itself", r, proc.ID(i))
 				}
 				if out.To < 0 || int(out.To) >= cfg.N {
-					return fmt.Errorf("round %d: %s sent to unknown process %d", r, proc.ID(i), out.To)
+					return nil, fmt.Errorf("round %d: %s sent to unknown process %d", r, proc.ID(i), out.To)
 				}
-				if seen[out.To] == sc.gen {
-					return fmt.Errorf("round %d: %s sent twice to %s", r, proc.ID(i), out.To)
+				if seen[out.To] == s.gen {
+					return nil, fmt.Errorf("round %d: %s sent twice to %s", r, proc.ID(i), out.To)
 				}
-				seen[out.To] = sc.gen
+				seen[out.To] = s.gen
 				m := msg.Message{Sender: proc.ID(i), Receiver: out.To, Round: r, Payload: out.Payload}
 				if corrupted[i] && plan.SendOmit(m) {
-					frags[i].SendOmitted = append(frags[i].SendOmitted, m)
+					if f != nil {
+						f.SendOmitted = append(f.SendOmitted, m)
+					} else {
+						l.SendOmitted[r-1]++
+					}
 					continue
 				}
-				frags[i].Sent = append(frags[i].Sent, m)
+				if f != nil {
+					f.Sent = append(f.Sent, m)
+				} else {
+					l.Sent[r-1]++
+				}
 				inboxes[out.To] = append(inboxes[out.To], m)
 			}
 		}
@@ -681,18 +684,28 @@ func runFull(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing,
 		// phase visits senders in ascending ID order within one round, and
 		// each sender contributes at most one message per inbox, so every
 		// inbox is born sorted by (round, sender, receiver) — no sort
-		// needed here. A correct receiver receives its whole inbox.
+		// needed here. A correct receiver receives its whole inbox; a
+		// corrupted one's receive-omitted messages are filtered out in
+		// place, and what is left is what Step sees.
 		for j := 0; j < cfg.N; j++ {
-			if !corrupted[j] {
-				frags[j].Received = append(frags[j].Received, inboxes[j]...)
-				continue
-			}
-			for _, m := range inboxes[j] {
-				if plan.ReceiveOmit(m) {
-					frags[j].ReceiveOmitted = append(frags[j].ReceiveOmitted, m)
-					continue
+			f, l := at(j, r)
+			if corrupted[j] {
+				kept := inboxes[j][:0]
+				for _, m := range inboxes[j] {
+					if !plan.ReceiveOmit(m) {
+						kept = append(kept, m)
+					} else if f != nil {
+						f.ReceiveOmitted = append(f.ReceiveOmitted, m)
+					} else {
+						l.ReceiveOmitted[r-1]++
+					}
 				}
-				frags[j].Received = append(frags[j].Received, m)
+				inboxes[j] = kept
+			}
+			if f != nil {
+				f.Received = append(f.Received, inboxes[j]...)
+			} else {
+				l.Received[r-1] = len(inboxes[j])
 			}
 		}
 
@@ -702,126 +715,24 @@ func runFull(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing,
 		// in a later (silent) round.
 		allQuiet := true
 		for i := 0; i < cfg.N; i++ {
-			pending[i] = machines[i].Step(r, frags[i].Received)
-			v, decided := machines[i].Decision()
-			if decided {
-				frags[i].Decided, frags[i].Decision = true, v
-			}
-			e.Behaviors[i].Fragments = append(e.Behaviors[i].Fragments, frags[i])
-			if len(pending[i]) > 0 || !machines[i].Quiescent() || !decided {
-				allQuiet = false
-			}
-		}
-
-		if allQuiet && !cfg.DisableEarlyStop {
-			e.Quiesced = true
-			break
-		}
-	}
-	return nil
-}
-
-// runLean is the RecordDecisions round loop: identical machine schedule
-// and fault-plan consultation order to runFull, but the engine only counts
-// messages instead of retaining them. The only per-run allocations are the
-// output object itself (one flat count array carved into per-behavior
-// slices) — all routing scratch comes from the pool, a correct receiver's
-// inbox goes to Step as the send phase built it, and a corrupted one's is
-// filtered in place.
-func runLean(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing, plan FaultPlan, sc *scratch) error {
-	inboxes, seen, corrupted := sc.inboxes, sc.seen, sc.corrupted
-
-	// One flat backing array for the 4·n per-round count series.
-	counts := make([]int, 4*cfg.N*cfg.MaxRounds)
-	leans := make([]LeanBehavior, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		off := 4 * i * cfg.MaxRounds
-		leans[i] = LeanBehavior{
-			Sent:           counts[off : off : off+cfg.MaxRounds],
-			SendOmitted:    counts[off+cfg.MaxRounds : off+cfg.MaxRounds : off+2*cfg.MaxRounds],
-			Received:       counts[off+2*cfg.MaxRounds : off+2*cfg.MaxRounds : off+3*cfg.MaxRounds],
-			ReceiveOmitted: counts[off+3*cfg.MaxRounds : off+3*cfg.MaxRounds : off+4*cfg.MaxRounds],
-		}
-		e.Behaviors[i].Lean = &leans[i]
-	}
-
-	for r := 1; r <= cfg.MaxRounds; r++ {
-		e.Rounds = r
-		for i := 0; i < cfg.N; i++ {
-			inboxes[i] = inboxes[i][:0]
-			l := &leans[i]
-			l.Sent = append(l.Sent, 0)
-			l.SendOmitted = append(l.SendOmitted, 0)
-			l.Received = append(l.Received, 0)
-			l.ReceiveOmitted = append(l.ReceiveOmitted, 0)
-		}
-
-		// Send phase: same validation and plan-consultation order as
-		// runFull, counting instead of recording.
-		for i := 0; i < cfg.N; i++ {
-			sc.gen++
-			l := &leans[i]
-			for _, out := range pending[i] {
-				if out.To == proc.ID(i) {
-					return fmt.Errorf("round %d: %s sent to itself", r, proc.ID(i))
-				}
-				if out.To < 0 || int(out.To) >= cfg.N {
-					return fmt.Errorf("round %d: %s sent to unknown process %d", r, proc.ID(i), out.To)
-				}
-				if seen[out.To] == sc.gen {
-					return fmt.Errorf("round %d: %s sent twice to %s", r, proc.ID(i), out.To)
-				}
-				seen[out.To] = sc.gen
-				m := msg.Message{Sender: proc.ID(i), Receiver: out.To, Round: r, Payload: out.Payload}
-				if corrupted[i] && plan.SendOmit(m) {
-					l.SendOmitted[r-1]++
-					continue
-				}
-				l.Sent[r-1]++
-				inboxes[out.To] = append(inboxes[out.To], m)
-			}
-		}
-
-		// Receive phase: a correct receiver receives its whole inbox; a
-		// corrupted one's receive-omitted messages are filtered out in
-		// place (the inbox is not recorded, so it can be compacted).
-		for j := 0; j < cfg.N; j++ {
-			l := &leans[j]
-			if !corrupted[j] {
-				l.Received[r-1] = len(inboxes[j])
-				continue
-			}
-			kept := inboxes[j][:0]
-			for _, m := range inboxes[j] {
-				if plan.ReceiveOmit(m) {
-					l.ReceiveOmitted[r-1]++
-					continue
-				}
-				kept = append(kept, m)
-			}
-			inboxes[j] = kept
-			l.Received[r-1] = len(kept)
-		}
-
-		// Compute phase: identical early-stop rule to runFull.
-		allQuiet := true
-		for i := 0; i < cfg.N; i++ {
 			pending[i] = machines[i].Step(r, inboxes[i])
 			v, decided := machines[i].Decision()
-			l := &leans[i]
-			if decided {
-				// DecidedRound mirrors full-tier DecisionRound(): the first
-				// round ever decided, even if a (buggy) machine un-decides
-				// later — so it is stamped once and never reset.
-				if l.DecidedRound == 0 {
+			if f, l := at(i, r); f != nil {
+				if decided {
+					f.Decided, f.Decision = true, v
+				}
+			} else {
+				// The lean record mirrors the full one's readers: DecisionRound
+				// is the first round ever decided, FinalDecision the last
+				// round's state — so a (buggy) machine that un-decides is
+				// undecided here too, with its DecidedRound kept.
+				if decided && l.DecidedRound == 0 {
 					l.DecidedRound = r
 				}
-				l.Decided, l.Decision = true, v
-			} else {
-				// Mirror full-tier FinalDecision semantics: it reads the last
-				// round's state, so a machine that un-decides is recorded as
-				// undecided here too.
-				l.Decided, l.Decision = false, msg.NoDecision
+				if !decided {
+					v = msg.NoDecision
+				}
+				l.Decided, l.Decision = decided, v
 			}
 			if len(pending[i]) > 0 || !machines[i].Quiescent() || !decided {
 				allQuiet = false
@@ -833,7 +744,7 @@ func runLean(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing,
 			break
 		}
 	}
-	return nil
+	return e, nil
 }
 
 // Conforms re-runs the honest machine of every process not in skip against

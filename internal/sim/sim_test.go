@@ -162,15 +162,23 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestStructuralMisbehaviorRejected holds both tiers to the same error, byte
+// for byte, for each structural misuse.
 func TestStructuralMisbehaviorRejected(t *testing.T) {
-	for _, mode := range []string{"self", "dup", "range"} {
+	for mode, want := range map[string]string{
+		"self":  "round 1: p0 sent to itself",
+		"dup":   "round 1: p0 sent twice to p1",
+		"range": "round 1: p0 sent to unknown process 99",
+	} {
 		t.Run(mode, func(t *testing.T) {
 			factory := func(id proc.ID, _ msg.Value) sim.Machine {
 				return &badMachine{mode: mode, id: id}
 			}
-			cfg := sim.Config{N: 3, T: 0, Proposals: proposals("0", "0", "0"), MaxRounds: 2}
-			if _, err := sim.Run(cfg, factory, sim.NoFaults{}); err == nil {
-				t.Errorf("mode %s: expected engine error", mode)
+			for _, rec := range []sim.Recording{sim.RecordFull, sim.RecordDecisions} {
+				cfg := sim.Config{N: 3, T: 0, Proposals: proposals("0", "0", "0"), MaxRounds: 2, Recording: rec}
+				if _, err := sim.Run(cfg, factory, sim.NoFaults{}); err == nil || err.Error() != want {
+					t.Errorf("mode %s at %s: got error %v, want %q", mode, rec, err, want)
+				}
 			}
 		})
 	}
@@ -231,13 +239,15 @@ func TestByzantinePlan(t *testing.T) {
 }
 
 func TestDisableEarlyStop(t *testing.T) {
-	cfg := sim.Config{N: 3, T: 0, Proposals: proposals("1", "2", "3"), MaxRounds: 6, DisableEarlyStop: true}
-	e, err := sim.Run(cfg, floodFactory(3, 2), sim.NoFaults{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Rounds != 6 || e.Quiesced {
-		t.Errorf("Rounds = %d Quiesced = %v, want 6/false", e.Rounds, e.Quiesced)
+	for _, rec := range []sim.Recording{sim.RecordFull, sim.RecordDecisions} {
+		cfg := sim.Config{N: 3, T: 0, Proposals: proposals("1", "2", "3"), MaxRounds: 6, DisableEarlyStop: true, Recording: rec}
+		e, err := sim.Run(cfg, floodFactory(3, 2), sim.NoFaults{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Rounds != 6 || e.Quiesced {
+			t.Errorf("%s: Rounds = %d Quiesced = %v, want 6/false", rec, e.Rounds, e.Quiesced)
+		}
 	}
 }
 
