@@ -1,8 +1,10 @@
 package experiments_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -40,6 +42,39 @@ func TestAllExperimentsRun(t *testing.T) {
 func TestUnknownExperiment(t *testing.T) {
 	if _, err := experiments.Run("E99"); err == nil {
 		t.Error("expected error for unknown experiment")
+	}
+}
+
+// TestTablesPinned pins the tables of the experiments that regenerate in
+// milliseconds (all but E1, E6 and E8), run serially, one compact JSON
+// line each, against testdata/tables.jsonl. A change that moves a table
+// on purpose replaces the file with the lines the failure prints and
+// states why.
+func TestTablesPinned(t *testing.T) {
+	var got bytes.Buffer
+	for _, id := range []string{"E2", "E3", "E4", "E5", "E7", "E9", "E10", "E11", "E12"} {
+		tab, err := experiments.RunWith(id, runner.Options{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		line, err := json.Marshal(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Write(append(line, '\n'))
+	}
+	want, err := os.ReadFile("testdata/tables.jsonl")
+	if err != nil {
+		t.Fatalf("%v\ncontent for a deliberate pin:\n%s", err, got.Bytes())
+	}
+	gotLines, wantLines := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := range gotLines {
+		if i >= len(wantLines) || !bytes.Equal(gotLines[i], wantLines[i]) {
+			t.Errorf("line %d moved:\n got %s", i+1, gotLines[i])
+		}
+	}
+	if t.Failed() || len(gotLines) != len(wantLines) {
+		t.Fatalf("testdata/tables.jsonl no longer matches; content for a deliberate pin:\n%s", got.Bytes())
 	}
 }
 
