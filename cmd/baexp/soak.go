@@ -21,11 +21,11 @@ import (
 	"strings"
 	"time"
 
+	"expensive/internal/catalog"
 	"expensive/internal/dist"
 	"expensive/internal/dist/churn"
 	"expensive/internal/obs"
 	"expensive/internal/proc"
-	"expensive/internal/protocols/phaseking"
 	"expensive/internal/sim"
 	"expensive/internal/smr"
 	"expensive/internal/transport"
@@ -187,8 +187,10 @@ func soakBytes(rep *dist.Report) (report, corpus []byte) {
 // liveness monitor (commit counter + latency histogram) are the verdict:
 // any divergence, or a slot that cannot commit, fails the soak.
 func soakSMR(ctx context.Context, n, t int, profile string, seed int64, horizon time.Duration) error {
-	if n <= 4*t {
-		return fmt.Errorf("smr soak runs phase-king: need n > 4t, got n=%d t=%d (try -n 5 -t 1)", n, t)
+	pk, _ := catalog.Lookup("phase-king")
+	factory, rounds, err := pk.Build(catalog.Params{N: n, T: t})
+	if err != nil {
+		return fmt.Errorf("smr soak runs %w (try -n 5 -t 1)", err)
 	}
 	var plans func(slot int) *chaosnet.Plan
 	if profile != "" {
@@ -198,12 +200,10 @@ func soakSMR(ctx context.Context, n, t int, profile string, seed int64, horizon 
 		}
 	}
 	cfg := smr.LiveConfig{
-		N:    n,
-		T:    t,
-		NoOp: "0",
-		Protocol: func(slot int) (sim.Factory, int) {
-			return phaseking.New(phaseking.Config{N: n, T: t}), phaseking.RoundBound(t)
-		},
+		N:        n,
+		T:        t,
+		NoOp:     "0",
+		Protocol: func(int) (sim.Factory, int) { return factory, rounds },
 		Mesh: func(slot int) ([]transport.Endpoint, func() error, error) {
 			mesh := memnet.New(n, nil)
 			eps := mesh.Endpoints()

@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// argument as runnable experiments E1–E12 (see DESIGN.md §4 for the
-// mapping). Each experiment is registered by ID with its default
-// parameters in the runner registry (see register.go); cmd/baexp runs
-// them through the parallel engine and EXPERIMENTS.md records the
-// outputs; the benchmark's paper-tables workload times each one.
+// argument as runnable experiments E1–E12. Each experiment is registered
+// by ID, with a title naming the result it reproduces and its default
+// parameters, in the runner registry (see register.go, and README.md,
+// "The experiment engine"); cmd/baexp runs them through the parallel
+// engine, testdata/tables.jsonl pins the cheap ones' tables, and the
+// benchmark's paper-tables workload times each one.
 package experiments
 
 import (

@@ -78,6 +78,21 @@ func TestTablesPinned(t *testing.T) {
 	}
 }
 
+// TestE5LeavesOutRefusedProblems checks that E5 drops a problem whose
+// catalog spec refuses (n, t) instead of building it outside its
+// resilience condition: phase-king needs n > 4t, EIG n > 3t.
+func TestE5LeavesOutRefusedProblems(t *testing.T) {
+	for _, tc := range []struct{ n, rows int }{{6, 4}, {4, 3}, {3, 2}} {
+		tab, err := experiments.E5(tc.n, 1)
+		if err != nil {
+			t.Fatalf("n=%d: %v", tc.n, err)
+		}
+		if len(tab.Rows) != tc.rows {
+			t.Errorf("n=%d t=1: %d rows, want %d:\n%s", tc.n, len(tab.Rows), tc.rows, tab.Render())
+		}
+	}
+}
+
 // TestParallelDeterminism asserts the engine's core contract: a
 // registered experiment run with Parallelism 1 (fully serial) and with
 // NumCPU workers produces byte-identical Table output — both the

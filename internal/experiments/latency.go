@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
+	"expensive/internal/catalog"
 	"expensive/internal/crypto/sig"
 	"expensive/internal/msg"
 	"expensive/internal/proc"
-	"expensive/internal/protocols/dolevstrong"
-	"expensive/internal/protocols/floodset"
 	"expensive/internal/sim"
 )
 
@@ -18,7 +18,13 @@ import (
 // can be cheap. The crash schedule is the adversarial cascade: one crash
 // per round with empty delivery.
 func E12(n, t int) (*Table, error) {
-	scheme := sig.NewIdeal("e12")
+	params := catalog.Params{N: n, T: t, Scheme: sig.NewIdeal("e12"), Default: catalog.Bottom}
+	earlyFS, rounds, err1 := spec("floodset-early").Build(params)
+	plainFS, _, err2 := spec("floodset").Build(params)
+	ds, dsRounds, err3 := spec("dolev-strong").Build(params)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return nil, fmt.Errorf("E12 %w", err)
+	}
 	tab := &Table{
 		ID:    "E12",
 		Title: fmt.Sprintf("Good-case latency — early stopping adapts to actual faults f (n=%d t=%d)", n, t),
@@ -38,13 +44,11 @@ func E12(n, t int) (*Table, error) {
 		}
 		correct := proc.Range(proc.ID(f), proc.ID(n))
 
-		early, err := latencyOf(floodset.NewEarlyStopping(floodset.Config{N: n, T: t}),
-			n, t, floodset.RoundBound(t), proposals, sim.Crash(specs), correct)
+		early, err := latencyOf(earlyFS, n, t, rounds, proposals, sim.Crash(specs), correct)
 		if err != nil {
 			return nil, fmt.Errorf("E12 early f=%d: %w", f, err)
 		}
-		plain, err := latencyOf(floodset.New(floodset.Config{N: n, T: t}),
-			n, t, floodset.RoundBound(t), proposals, sim.Crash(specs), correct)
+		plain, err := latencyOf(plainFS, n, t, rounds, proposals, sim.Crash(specs), correct)
 		if err != nil {
 			return nil, fmt.Errorf("E12 plain f=%d: %w", f, err)
 		}
@@ -55,9 +59,7 @@ func E12(n, t int) (*Table, error) {
 			dsSpecs[proc.ID(n-1-i)] = sim.CrashSpec{Round: i + 1}
 		}
 		dsCorrect := proc.Range(0, proc.ID(n-f))
-		ds, err := latencyOf(dolevstrong.New(dolevstrong.Config{
-			N: n, T: t, Sender: 0, Scheme: scheme, Tag: "e12", Default: "⊥",
-		}), n, t, dolevstrong.RoundBound(t), proposals, sim.Crash(dsSpecs), dsCorrect)
+		dsLatency, err := latencyOf(ds, n, t, dsRounds, proposals, sim.Crash(dsSpecs), dsCorrect)
 		if err != nil {
 			return nil, fmt.Errorf("E12 ds f=%d: %w", f, err)
 		}
@@ -66,7 +68,7 @@ func E12(n, t int) (*Table, error) {
 			return nil, fmt.Errorf("E12: early stopping took %d > f+2 = %d rounds", early, f+2)
 		}
 		tab.Rows = append(tab.Rows, []string{
-			itoa(f), itoa(early), itoa(f + 2), itoa(plain), itoa(ds), itoa(t + 1),
+			itoa(f), itoa(early), itoa(f + 2), itoa(plain), itoa(dsLatency), itoa(t + 1),
 		})
 	}
 	tab.Notes = append(tab.Notes,

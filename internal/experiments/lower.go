@@ -19,6 +19,10 @@ import (
 	"expensive/internal/sim"
 )
 
+// spec returns the catalog spec registered under id; every ID the
+// experiments name is linked by catalog/all.
+func spec(id string) catalog.Spec { s, _ := catalog.Lookup(id); return s }
+
 // e1Rows returns E1's protocols: the sub-quadratic strawmen, which must be
 // falsified, and two sound weak consensus specs from the catalog, which
 // must exceed the budget (weak-via-ic keeps its own signature scheme).
@@ -27,7 +31,6 @@ func e1Rows() []lowerbound.Candidate {
 		return lowerbound.Candidate{Name: name, Complexity: complexity,
 			Build: func(n, _ int) (sim.Factory, int, error) { return f(n), rounds, nil }}
 	}
-	spec := func(id string) catalog.Spec { s, _ := catalog.Lookup(id); return s } // linked by catalog/all
 	return []lowerbound.Candidate{
 		cheapRow("silent", "0 msgs", cheap.SilentRounds, func(int) sim.Factory { return cheap.Silent() }),
 		cheapRow("leader", "n-1 msgs", cheap.LeaderRounds, cheap.Leader),

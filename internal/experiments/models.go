@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"expensive/internal/catalog"
 	"expensive/internal/crypto/sig"
 	"expensive/internal/lowerbound"
 	"expensive/internal/msg"
@@ -24,24 +25,22 @@ func E10(n, t int) (*Table, error) {
 	proposals[0] = msg.Zero
 	correct := proc.Range(1, proc.ID(n))
 
-	type trial struct {
-		protocol string
-		factory  sim.Factory
-		rounds   int
-		model    string
-		plan     sim.FaultPlan
-		group    proc.Set
-	}
-	fsFactory := floodset.New(floodset.Config{N: n, T: t})
-	pkFactory := phaseking.New(phaseking.Config{N: n, T: t})
 	crashPlan := sim.Crash(map[proc.ID]sim.CrashSpec{
 		0: {Round: 1, DeliverTo: proc.NewSet(1)},
 	})
-	trials := []trial{
-		{"floodset", fsFactory, floodset.RoundBound(t), "no faults", sim.NoFaults{}, proc.Universe(n)},
-		{"floodset", fsFactory, floodset.RoundBound(t), "crash (partial delivery)", crashPlan, correct},
-		{"floodset", fsFactory, floodset.RoundBound(t), "omission (last-round reveal)", floodset.LastRoundReveal(0, 1, t), correct},
-		{"phase-king", pkFactory, phaseking.RoundBound(t), "omission (last-round reveal)", floodset.LastRoundReveal(0, 1, t), correct},
+	reveal := floodset.LastRoundReveal(0, 1, t)
+	trials := []struct {
+		protocol string
+		t        int
+		model    string
+		plan     sim.FaultPlan
+		group    proc.Set
+	}{
+		{"floodset", t, "no faults", sim.NoFaults{}, proc.Universe(n)},
+		{"floodset", t, "crash (partial delivery)", crashPlan, correct},
+		{"floodset", t, "omission (last-round reveal)", reveal, correct},
+		// At the largest t its n > 4t admits; the attack corrupts one process.
+		{"phase-king", (n - 1) / 4, "omission (last-round reveal)", reveal, correct},
 	}
 	tab := &Table{
 		ID:     "E10",
@@ -50,7 +49,11 @@ func E10(n, t int) (*Table, error) {
 	}
 	tolerates := map[string]string{"floodset": "crash", "phase-king": "byzantine (n > 4t)"}
 	for _, tr := range trials {
-		e, err := leanRun(sim.Config{N: n, T: t, Proposals: proposals, MaxRounds: sim.Horizon(tr.rounds)}, tr.factory, tr.plan)
+		factory, rounds, err := spec(tr.protocol).Build(catalog.Params{N: n, T: tr.t})
+		if err != nil {
+			return nil, fmt.Errorf("E10 %w", err)
+		}
+		e, err := leanRun(sim.Config{N: n, T: tr.t, Proposals: proposals, MaxRounds: sim.Horizon(rounds)}, factory, tr.plan)
 		if err != nil {
 			return nil, fmt.Errorf("E10 %s/%s: %w", tr.protocol, tr.model, err)
 		}
@@ -135,9 +138,10 @@ func (m *splitKing) Step(round int, _ []msg.Message) []sim.Outgoing {
 func (m *splitKing) Decision() (msg.Value, bool) { return msg.NoDecision, false }
 func (m *splitKing) Quiescent() bool             { return false }
 
-// E11 runs the ablations DESIGN.md calls out: remove one load-bearing
-// mechanism from each construction and watch the corresponding guarantee
-// fail; restore it and watch it hold.
+// E11 runs the ablations its registered title names ("each design choice
+// is load-bearing", register.go): remove one load-bearing mechanism from
+// each construction and watch the corresponding guarantee fail; restore it
+// and watch it hold.
 func E11() (*Table, error) {
 	tab := &Table{
 		ID:     "E11",
@@ -213,18 +217,21 @@ func E11() (*Table, error) {
 
 	// 4. Algorithm 1 with c1 = c0: both weak proposals map to the same
 	// execution of P, so proposing 1 decides 0 — Weak Validity breaks.
-	pk := phaseking.New(phaseking.Config{N: 5, T: 1})
+	pk, rounds, err := spec("phase-king").Build(catalog.Params{N: 5, T: 1})
+	if err != nil {
+		return nil, err
+	}
 	zeros := []msg.Value{"0", "0", "0", "0", "0"}
 	ones := []msg.Value{"1", "1", "1", "1", "1"}
-	goodSpec, err := reduction.DeriveAlg1(pk, 5, 1, sim.Horizon(phaseking.RoundBound(1)), zeros, ones)
+	goodSpec, err := reduction.DeriveAlg1(pk, 5, 1, sim.Horizon(rounds), zeros, ones)
 	if err != nil {
 		return nil, err
 	}
 	badSpec := goodSpec
 	badSpec.C1 = zeros // the ablation: c1 no longer contains a config excluding v0
-	for i, spec := range []reduction.Alg1Spec{badSpec, goodSpec} {
-		wrapped := reduction.WeakFromAgreement(pk, spec)
-		e, err := leanRun(sim.Config{N: 5, T: 1, Proposals: ones, MaxRounds: sim.Horizon(phaseking.RoundBound(1))},
+	for i, alg1 := range []reduction.Alg1Spec{badSpec, goodSpec} {
+		wrapped := reduction.WeakFromAgreement(pk, alg1)
+		e, err := leanRun(sim.Config{N: 5, T: 1, Proposals: ones, MaxRounds: sim.Horizon(rounds)},
 			wrapped, sim.NoFaults{})
 		if err != nil {
 			return nil, err

@@ -10,11 +10,7 @@ import (
 	"expensive/internal/lowerbound"
 	"expensive/internal/msg"
 	"expensive/internal/proc"
-	"expensive/internal/protocols/eig"
 	"expensive/internal/protocols/external"
-	"expensive/internal/protocols/ic"
-	"expensive/internal/protocols/phaseking"
-	"expensive/internal/protocols/reduction"
 	"expensive/internal/sim"
 )
 
@@ -42,51 +38,22 @@ func countRun(factory sim.Factory, n, t, rounds int, proposals []msg.Value) (int
 
 // E5 measures Algorithm 1's zero-message overhead: weak consensus built on
 // four different agreement problems has exactly the message complexity of
-// the underlying protocol (Theorem 3's mechanism).
+// the underlying protocol (Theorem 3's mechanism). A problem whose
+// resilience condition refuses (n, t) is left out.
 func E5(n, t int) (*Table, error) {
-	scheme, auth, txs, err := blocks("e5")
+	scheme, _, txs, err := blocks("e5")
 	if err != nil {
 		return nil, err
 	}
-
-	type underlying struct {
-		name    string
-		factory sim.Factory
-		rounds  int
-		lift    lowerbound.Lift
-	}
+	params := catalog.Params{Scheme: scheme, Default: msg.One}
 	binary := lowerbound.Lift{V0: msg.Zero, V1: msg.One}
-	var cases []underlying
-	if n > 4*t {
-		cases = append(cases, underlying{
-			name:    "strong consensus (phase-king)",
-			factory: phaseking.New(phaseking.Config{N: n, T: t}),
-			rounds:  phaseking.RoundBound(t),
-			lift:    binary,
-		})
+	cases := []lowerbound.Candidate{
+		{Name: "strong consensus (phase-king)", Build: spec("phase-king").Rebuilder(params), Lift: binary},
+		{Name: "interactive consistency (EIG)", Build: spec("eig").Rebuilder(params), Lift: binary},
+		{Name: "interactive consistency (n × Dolev-Strong)", Build: spec("ic").Rebuilder(params), Lift: binary},
+		{Name: "external validity (IC + first-valid)", Lift: txs,
+			Build: spec("external").Rebuilder(catalog.Params{Scheme: scheme, Default: txs.V0})},
 	}
-	if n > 3*t {
-		cases = append(cases, underlying{
-			name:    "interactive consistency (EIG)",
-			factory: eig.New(eig.Config{N: n, T: t, Default: msg.One}),
-			rounds:  eig.RoundBound(t),
-			lift:    binary,
-		})
-	}
-	cases = append(cases,
-		underlying{
-			name:    "interactive consistency (n × Dolev-Strong)",
-			factory: ic.New(ic.Config{N: n, T: t, Scheme: scheme, Default: msg.One}),
-			rounds:  ic.RoundBound(t),
-			lift:    binary,
-		},
-		underlying{
-			name:    "external validity (IC + first-valid)",
-			factory: external.New(external.Config{N: n, T: t, Scheme: scheme, Authority: auth, Fallback: txs.V0}),
-			rounds:  external.RoundBound(t),
-			lift:    txs,
-		},
-	)
 
 	tab := &Table{
 		ID:    "E5",
@@ -96,25 +63,26 @@ func E5(n, t int) (*Table, error) {
 			"msgs P (c1)", "msgs weak-from-P (propose 1)", "overhead",
 		},
 	}
-	for _, u := range cases {
-		configs := [2][]msg.Value{msg.Uniform(n, u.lift.V0), msg.Uniform(n, u.lift.V1)}
-		spec, err := reduction.DeriveAlg1(u.factory, n, t, sim.Horizon(u.rounds), configs[0], configs[1])
-		if err != nil {
-			return nil, fmt.Errorf("E5 %s: %w", u.name, err)
+	for _, c := range cases {
+		inner, weak, rounds, err := c.Lifted(n, t)
+		if errors.Is(err, catalog.ErrUnsupported) {
+			continue
 		}
-		wrapped := reduction.WeakFromAgreement(u.factory, spec)
-		row, overhead := []string{u.name}, "0 msgs"
-		for b, c := range configs {
-			m, _, err := countRun(u.factory, n, t, u.rounds, c)
+		if err != nil {
+			return nil, fmt.Errorf("E5 %w", err)
+		}
+		row, overhead := []string{c.Name}, "0 msgs"
+		for b, v := range []msg.Value{c.Lift.V0, c.Lift.V1} {
+			m, _, err := countRun(inner, n, t, rounds, msg.Uniform(n, v))
 			if err != nil {
-				return nil, fmt.Errorf("E5 %s: %w", u.name, err)
+				return nil, fmt.Errorf("E5 %s: %w", c.Name, err)
 			}
-			w, d, err := countRun(wrapped, n, t, u.rounds, msg.Uniform(n, msg.Bit(b)))
+			w, d, err := countRun(weak, n, t, rounds, msg.Uniform(n, msg.Bit(b)))
 			if err != nil {
-				return nil, fmt.Errorf("E5 %s: %w", u.name, err)
+				return nil, fmt.Errorf("E5 %s: %w", c.Name, err)
 			}
 			if d != msg.Bit(b) {
-				return nil, fmt.Errorf("E5 %s: weak validity broken (proposing %s decided %q)", u.name, msg.Bit(b), d)
+				return nil, fmt.Errorf("E5 %s: weak validity broken (proposing %s decided %q)", c.Name, msg.Bit(b), d)
 			}
 			if w != m {
 				overhead = "NONZERO (bug)"
@@ -138,7 +106,6 @@ func E8(n, t int, opts runner.Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sound, _ := catalog.Lookup("external") // linked by catalog/all
 	cands := []lowerbound.Candidate{
 		{
 			Name: "leader-announce (cheap)", Complexity: "n-1 msgs", Lift: txs,
@@ -148,7 +115,7 @@ func E8(n, t int, opts runner.Options) (*Table, error) {
 		},
 		{
 			Name: "IC + first-valid (sound)", Sound: true, Complexity: "Θ(n³) msgs", Lift: txs,
-			Build: sound.Rebuilder(catalog.Params{Scheme: scheme, Default: txs.V0}),
+			Build: spec("external").Rebuilder(catalog.Params{Scheme: scheme, Default: txs.V0}),
 		},
 	}
 

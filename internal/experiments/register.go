@@ -7,7 +7,7 @@ import (
 // init registers E1–E12 with their recorded default parameters. The
 // registry replaces the old hand-written switch: every experiment is a
 // uniformly addressable, concurrently executable unit, and adding a new
-// one is a single Register call (see README.md, "Adding an experiment").
+// one is a single Register call (see README.md, "The experiment engine").
 func init() {
 	runner.Register(runner.Experiment{
 		ID:     "E1",

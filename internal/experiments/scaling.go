@@ -3,15 +3,12 @@ package experiments
 import (
 	"fmt"
 
+	"expensive/internal/catalog"
 	"expensive/internal/crypto/sig"
 	"expensive/internal/experiments/runner"
 	"expensive/internal/lowerbound"
 	"expensive/internal/msg"
 	"expensive/internal/proc"
-	"expensive/internal/protocols/dolevstrong"
-	"expensive/internal/protocols/eig"
-	"expensive/internal/protocols/ic"
-	"expensive/internal/protocols/phaseking"
 	"expensive/internal/sim"
 )
 
@@ -21,7 +18,6 @@ import (
 // independent fault-free run fanned out across the worker pool; rows land
 // in grid order.
 func E9(sizes []int, opts runner.Options) (*Table, error) {
-	scheme := sig.NewIdeal("e9")
 	tab := &Table{
 		ID:    "E9",
 		Title: "Upper bounds — message/round scaling of the matching protocols vs. the t²/32 floor",
@@ -31,10 +27,8 @@ func E9(sizes []int, opts runner.Options) (*Table, error) {
 		},
 	}
 	type point struct {
-		name    string
-		factory sim.Factory
-		n, t    int
-		bound   int
+		name, id string
+		n, t     int
 	}
 	var grid []point
 	for _, n := range sizes {
@@ -42,39 +36,24 @@ func E9(sizes []int, opts runner.Options) (*Table, error) {
 		if t < 1 {
 			t = 1
 		}
-
-		// Dolev-Strong Byzantine broadcast, t < n.
-		tBB := n / 2
-		grid = append(grid, point{
-			name: "dolev-strong BB", n: n, t: tBB, bound: dolevstrong.RoundBound(tBB),
-			factory: dolevstrong.New(dolevstrong.Config{N: n, T: tBB, Sender: 0, Scheme: scheme, Tag: "bb", Default: "⊥"}),
-		})
-
-		// Authenticated IC (n parallel broadcasts).
-		grid = append(grid, point{
-			name: "interactive consistency (auth)", n: n, t: t, bound: ic.RoundBound(t),
-			factory: ic.New(ic.Config{N: n, T: t, Scheme: scheme, Default: msg.One}),
-		})
-
+		// Dolev-Strong Byzantine broadcast, t < n; authenticated IC (n
+		// parallel broadcasts).
+		grid = append(grid,
+			point{"dolev-strong BB", "dolev-strong", n, n / 2},
+			point{"interactive consistency (auth)", "ic", n, t})
 		// Phase-King strong consensus, n > 4t.
 		if tPK := (n - 1) / 4; tPK >= 1 {
-			grid = append(grid, point{
-				name: "phase-king", n: n, t: tPK, bound: phaseking.RoundBound(tPK),
-				factory: phaseking.New(phaseking.Config{N: n, T: tPK}),
-			})
+			grid = append(grid, point{"phase-king", "phase-king", n, tPK})
 		}
-
 		// EIG only at small n (message size is exponential in t).
 		if n <= 8 {
-			grid = append(grid, point{
-				name: "interactive consistency (EIG)", n: n, t: t, bound: eig.RoundBound(t),
-				factory: eig.New(eig.Config{N: n, T: t, Default: msg.One}),
-			})
+			grid = append(grid, point{"interactive consistency (EIG)", "eig", n, t})
 		}
 	}
+	params := catalog.Params{Scheme: sig.NewIdeal("e9"), Default: msg.One}
 	rows, err := runner.Map(opts.Context(), opts.Workers(), len(grid), func(i int) ([]string, error) {
 		p := grid[i]
-		return scalingRow(p.name, p.factory, p.n, p.t, p.bound)
+		return scalingRow(p.name, spec(p.id).Rebuilder(params), p.n, p.t)
 	})
 	if err != nil {
 		return nil, err
@@ -87,7 +66,11 @@ func E9(sizes []int, opts runner.Options) (*Table, error) {
 	return tab, nil
 }
 
-func scalingRow(name string, factory sim.Factory, n, t, bound int) ([]string, error) {
+func scalingRow(name string, build func(n, t int) (sim.Factory, int, error), n, t int) ([]string, error) {
+	factory, bound, err := build(n, t)
+	if err != nil {
+		return nil, fmt.Errorf("E9 %w", err)
+	}
 	e, err := leanRun(sim.Config{N: n, T: t, Proposals: msg.Uniform(n, msg.Zero), MaxRounds: sim.Horizon(bound)}, factory, sim.NoFaults{})
 	if err != nil {
 		return nil, fmt.Errorf("E9 %s n=%d: %w", name, n, err)

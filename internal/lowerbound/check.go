@@ -106,21 +106,29 @@ func (c Candidate) String() string {
 	return fmt.Sprintf("%s (%s)", c.Name, c.Complexity)
 }
 
-// Run is the one route from a protocol to Theorems 2 and 3: build c at
-// (n, t), lift it through Algorithm 1 when c.Lift is set (Lemma 18: no
-// extra message), run Falsify, and recheck any certificate with
-// CheckViolation. A broken protocol is a report, not an error.
+// Lifted builds c at (n, t) and lifts it through Algorithm 1 when c.Lift
+// is set (Lemma 18: no extra message). inner is the protocol as built,
+// weak the weak consensus protocol on top of it (inner itself when Lift
+// is zero), and rounds the decision-round bound both share.
+func (c Candidate) Lifted(n, t int) (inner, weak sim.Factory, rounds int, err error) {
+	inner, rounds, err = c.Build(n, t)
+	if err != nil || c.Lift == (Lift{}) {
+		return inner, inner, rounds, err
+	}
+	spec, err := reduction.DeriveAlg1(inner, n, t, sim.Horizon(rounds), msg.Uniform(n, c.Lift.V0), msg.Uniform(n, c.Lift.V1))
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("%s: %w", c.Name, err)
+	}
+	return inner, reduction.WeakFromAgreement(inner, spec), rounds, nil
+}
+
+// Run is the one route from a protocol to Theorems 2 and 3: build and
+// lift c at (n, t) with Lifted, run Falsify, and recheck any certificate
+// with CheckViolation. A broken protocol is a report, not an error.
 func (c Candidate) Run(n, t int, opts Options) (*Report, error) {
-	factory, rounds, err := c.Build(n, t)
+	_, factory, rounds, err := c.Lifted(n, t)
 	if err != nil {
 		return nil, err
-	}
-	if c.Lift != (Lift{}) {
-		spec, err := reduction.DeriveAlg1(factory, n, t, sim.Horizon(rounds), msg.Uniform(n, c.Lift.V0), msg.Uniform(n, c.Lift.V1))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.Name, err)
-		}
-		factory = reduction.WeakFromAgreement(factory, spec)
 	}
 	rep, err := Falsify(c.Name, factory, rounds, n, t, opts)
 	if err != nil {

@@ -1,12 +1,16 @@
 package lowerbound
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"expensive/internal/msg"
 	"expensive/internal/proc"
 	"expensive/internal/protocols/cheap"
+	"expensive/internal/protocols/phaseking"
+	"expensive/internal/protocols/reduction"
+	"expensive/internal/sim"
 )
 
 // genuineViolation produces a verified certificate to tamper with.
@@ -151,5 +155,48 @@ func TestCandidateString(t *testing.T) {
 	c := Candidate{Name: "x", Complexity: "O(1)"}
 	if got := c.String(); got != "x (O(1))" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestCandidateLifted checks Algorithm 1's one home: the lifted protocol
+// decides the weak proposal and sends exactly the messages of the
+// protocol under it (Lemma 18), and a lift whose two configurations
+// decide alike is refused under the candidate's name.
+func TestCandidateLifted(t *testing.T) {
+	const n, tf = 5, 1
+	c := Candidate{
+		Name: "pk",
+		Build: func(n, t int) (sim.Factory, int, error) {
+			return phaseking.New(phaseking.Config{N: n, T: t}), phaseking.RoundBound(t), nil
+		},
+		Lift: Lift{V0: msg.Zero, V1: msg.One},
+	}
+	run := func(f sim.Factory, rounds int, v msg.Value) (msg.Value, int) {
+		e, err := sim.Run(sim.Config{N: n, T: tf, Proposals: msg.Uniform(n, v), MaxRounds: sim.Horizon(rounds)}, f, sim.NoFaults{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := e.CommonDecision(proc.Universe(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, e.CorrectMessages()
+	}
+	inner, weak, rounds, err := c.Lifted(n, tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []msg.Value{msg.Zero, msg.One} {
+		d, w := run(weak, rounds, b)
+		_, m := run(inner, rounds, b)
+		if d != b || w != m {
+			t.Errorf("proposing %s: lifted decided %s with %d messages, inner sent %d", b, d, w, m)
+		}
+	}
+
+	c.Lift = Lift{V0: msg.Zero, V1: msg.Zero}
+	var trivial *reduction.TrivialLiftError
+	if _, _, _, err := c.Lifted(n, tf); !errors.As(err, &trivial) || !strings.HasPrefix(err.Error(), "pk: ") {
+		t.Errorf("trivial lift: err = %v, want a *TrivialLiftError prefixed with the name", err)
 	}
 }
