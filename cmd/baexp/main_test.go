@@ -120,6 +120,12 @@ func TestRunErrors(t *testing.T) {
 		{"coord resilience", []string{"coord", "-kind", "hunt", "-proto", "phase-king", "-n", "4", "-t", "1", "-inproc", "1"}, "n > 4t"},
 		{"soak resilience", []string{"soak", "-kind", "fuzz", "-proto", "phase-king", "-n", "4", "-t", "1", "-duration", "5s"}, "n > 4t"},
 		{"worker unknown chaos", []string{"worker", "-coord", "127.0.0.1:1", "-chaos", "bogus"}, "unknown chaos profile"},
+		// Chaos the soaked link cannot inject used to run clean and still
+		// print SOAK PASS "under churn + chaos".
+		{"soak wire corrupt", []string{"soak", "-chaos", "corrupt", "-duration", "5s"}, `profile "corrupt" uses corrupt`},
+		{"soak wire dup-reorder", []string{"soak", "-kind", "fuzz", "-chaos", "dup-reorder", "-duration", "5s"}, `profile "dup-reorder" uses duplicate`},
+		{"soak smr cut", []string{"soak", "-kind", "smr", "-chaos", "cut", "-duration", "5s"}, `profile "cut" uses cut`},
+		{"worker wire corrupt", []string{"worker", "-coord", "127.0.0.1:1", "-chaos", "corrupt"}, `profile "corrupt" uses corrupt`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

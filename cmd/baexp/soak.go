@@ -52,8 +52,23 @@ func runSoak(args []string) error {
 		return err
 	}
 	if *chaosProfile != "" {
-		if _, ok := chaosnet.ByID(*chaosProfile); !ok {
+		p, ok := chaosnet.ByID(*chaosProfile)
+		if !ok {
 			return fmt.Errorf("unknown chaos profile %q (have %s)", *chaosProfile, strings.Join(chaosnet.IDs(), ", "))
+		}
+		// A profile whose faults the soaked link cannot inject would run
+		// clean and still print SOAK PASS: a worker's coordinator link
+		// cannot duplicate, reorder or corrupt, and a mesh node has no
+		// reconnect path to cut.
+		refused, link := []chaosnet.Kind{chaosnet.Duplicate, chaosnet.Reorder, chaosnet.Corrupt}, "a worker's coordinator link"
+		if *kind == "smr" {
+			refused, link = []chaosnet.Kind{chaosnet.Cut}, "the replicated log's mesh"
+		}
+		plan := p.Build(*chaosSeed, chaosnet.Env{})
+		for _, k := range refused {
+			if plan.Uses(k) {
+				return fmt.Errorf("soak -kind %s: chaos profile %q uses %s, which %s cannot inject", *kind, p.ID, k, link)
+			}
 		}
 	}
 	tel, err := tf.open()

@@ -55,6 +55,12 @@ func newChaosConn(inner *Conn, plan *chaosnet.Plan, node proc.ID) *chaosConn {
 	return &chaosConn{inner: inner, plan: plan, node: node}
 }
 
+// wireRefused lists the chaos kinds chaosConn cannot apply: it drops,
+// delays and cuts whole messages (a Partition window is a drop), and has no
+// frame to resend, hold back or checksum. Worker.Run refuses a plan that
+// uses one, which would otherwise run clean under the plan's name.
+var wireRefused = []chaosnet.Kind{chaosnet.Duplicate, chaosnet.Reorder, chaosnet.Corrupt}
+
 // immune reports whether a message kind is exempt from fault injection.
 func immune(k MsgKind) bool {
 	switch k {

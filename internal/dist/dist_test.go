@@ -19,6 +19,7 @@ import (
 	"expensive/internal/catalog"
 	_ "expensive/internal/catalog/all" // register every protocol
 	"expensive/internal/catalog/matrix"
+	"expensive/internal/transport/chaosnet"
 )
 
 // huntJob is the canonical distributed hunt: FloodSet at t = n-1 under
@@ -579,6 +580,25 @@ func TestHandshakeAfterShutdownReleasesWorker(t *testing.T) {
 		}
 		if m.Kind != want {
 			t.Fatalf("got %s, want %s", m.Kind, want)
+		}
+	}
+}
+
+// TestWorkerRefusesChaosItCannotInject: the coordinator link drops, delays,
+// partitions and cuts whole messages; a plan that duplicates, reorders or
+// corrupts is refused before the dial instead of running clean under its
+// name. Every other profile gets as far as the dial (which fails here: no
+// coordinator listens).
+func TestWorkerRefusesChaosItCannotInject(t *testing.T) {
+	refused := map[string]bool{"dup-reorder": true, "corrupt": true}
+	for _, p := range chaosnet.Library() {
+		w := &Worker{Addr: "127.0.0.1:1", DialAttempts: 1, DialBackoff: time.Millisecond, Chaos: p.Build(1, chaosnet.Env{})}
+		err := w.Run()
+		if err == nil {
+			t.Fatalf("%s: worker ran without a coordinator", p.ID)
+		}
+		if got := strings.Contains(err.Error(), fmt.Sprintf("chaos profile %q", p.ID)); got != refused[p.ID] {
+			t.Errorf("%s: refused=%v, want %v: %v", p.ID, got, refused[p.ID], err)
 		}
 	}
 }

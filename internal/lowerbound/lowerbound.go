@@ -6,7 +6,10 @@
 // with a claimed decision-round bound), Falsify replays the paper's
 // construction:
 //
-//  1. Probe the fully-correct executions E_0 and E_1 (Weak Validity).
+//  1. Probe the fully-correct executions E_0 and E_1. They are the
+//     isolation executions E_∅(1)_0 and E_∅(1)_1, judged like every other
+//     probe by the campaign verdict (adversary.CheckExecution) with Weak
+//     Validity, which binds only here, where nobody is faulty.
 //  2. Probe E_B(1)_0 and E_C(1)_1 and learn the "default bit" d that group
 //     A decides whenever faults appear at round 1 (Lemma 3).
 //  3. Interpolate: scan E_B(k)_v for v = 1-d until group A's decision
@@ -41,6 +44,7 @@ import (
 	"expensive/internal/omission"
 	"expensive/internal/proc"
 	"expensive/internal/sim"
+	"expensive/internal/validity"
 )
 
 // Violation is a machine-checkable counterexample to weak consensus.
@@ -104,7 +108,7 @@ type Options struct {
 	// fully-correct pair E_0/E_1, the default-bit pair E_B(1)_0/E_C(1)_1,
 	// and the Lemma 4 interpolation family E_B(k)_v — across a worker
 	// pool. <= 0 means runtime.NumCPU(); 1 forces the fully serial path.
-	// Each probe is still a single-threaded sim.Run (the determinism
+	// Each probe is still one single-threaded engine run (the determinism
 	// contract); probe *analysis* stays sequential in construction order,
 	// so the report is byte-identical at every parallelism level. Parallel
 	// runs may merely compute speculative probes the serial path would
@@ -208,18 +212,8 @@ func (f *falsifier) observe(label string, e *sim.Execution) {
 // execution, computed on the worker pool (or inline when serial).
 type probe = runner.Promise[*sim.Execution]
 
-// fullFetch builds the compute step of the fully-correct execution with
-// unanimous proposal v at the given recording tier. Fetches are pure —
-// safe to run concurrently.
-func (f *falsifier) fullFetch(v msg.Value, rec sim.Recording) func() (*sim.Execution, error) {
-	return func() (*sim.Execution, error) {
-		cfg := sim.Config{N: f.n, T: f.t, Proposals: msg.Uniform(f.n, v), MaxRounds: f.horizon, Recording: rec}
-		return sim.Run(cfg, f.factory, sim.NoFaults{})
-	}
-}
-
 // isolatedFetch builds the compute step of E_group(k)_v at the given
-// recording tier.
+// recording tier. Fetches are pure — safe to run concurrently.
 func (f *falsifier) isolatedFetch(group proc.Set, k int, v msg.Value, rec sim.Recording) func() (*sim.Execution, error) {
 	return func() (*sim.Execution, error) {
 		return omission.RunIsolatedAt(f.n, f.t, f.factory, v, group, k, f.horizon, rec)
@@ -238,14 +232,14 @@ func (f *falsifier) ensureFullIsolated(e *sim.Execution, group proc.Set, k int) 
 }
 
 // leanNeedsFull reports whether analyzing the lean isolated probe e can
-// require message identities: a correct process undecided or disagreeing
-// (the violation certificate must be a full trace), or an isolated group
-// member whose decision differs from the correct processes' common one (a
-// Lemma 2 swap candidate, which needs the receive-omission sets). When it
-// returns false, correctDecision and lemma2 provably touch only decisions.
+// require message identities: a violated verdict (the certificate must be
+// a full trace), or an isolated group member whose decision differs from
+// the correct processes' common one (a Lemma 2 swap candidate, which needs
+// the receive-omission sets). When it returns false, correctDecision and
+// lemma2 provably touch only decisions.
 func (f *falsifier) leanNeedsFull(e *sim.Execution, group proc.Set) bool {
-	common, _, odd := e.Unanimity(e.Correct())
-	if odd >= 0 {
+	common, viol := f.correctDecision(e, "")
+	if viol != nil {
 		return true
 	}
 	for _, p := range group.Members() {
@@ -261,50 +255,6 @@ func (f *falsifier) leanNeedsFull(e *sim.Execution, group proc.Set) bool {
 func (f *falsifier) inlineProbe(fetch func() (*sim.Execution, error)) *probe {
 	ps, _ := runner.Prefetch(f.opts.context(), 1, 1, func(int) (*sim.Execution, error) { return fetch() })
 	return ps[0]
-}
-
-// runFull consumes the fully-correct execution with unanimous proposal v
-// and checks Weak Validity and Termination on it. Probes arrive lean; a
-// probe that is about to become a certificate is deterministically re-run
-// at sim.RecordFull first, so every Violation.Exec is a full trace.
-func (f *falsifier) runFull(v msg.Value, pr *probe) (*sim.Execution, error) {
-	e, err := pr.Wait()
-	if err != nil {
-		return nil, fmt.Errorf("run E_%s: %w", v, err)
-	}
-	f.observe(fmt.Sprintf("E_%s (fully correct, unanimous %s)", v, v), e)
-	for i := 0; i < f.n; i++ {
-		d, ok := e.Decision(proc.ID(i))
-		if ok && d == v {
-			continue
-		}
-		if e.Recording != sim.RecordFull {
-			if e, err = f.fullFetch(v, sim.RecordFull)(); err != nil {
-				return nil, fmt.Errorf("run E_%s: full replay: %w", v, err)
-			}
-			d, ok = e.Decision(proc.ID(i))
-		}
-		if !ok {
-			f.report.Violation = &Violation{
-				Kind:     "termination",
-				Exec:     e,
-				Witness2: proc.ID(i),
-				Note:     fmt.Sprintf("fully-correct unanimous-%s execution, horizon %d >= bound %d", v, f.horizon, f.bound),
-			}
-			return nil, nil
-		}
-		if d != v {
-			f.report.Violation = &Violation{
-				Kind:     "weak-validity",
-				Exec:     e,
-				Witness2: proc.ID(i),
-				D2:       d,
-				Note:     fmt.Sprintf("all processes are correct and propose %s", v),
-			}
-			return nil, nil
-		}
-	}
-	return e, nil
 }
 
 // decisionRound returns the first round by which every process of e has
@@ -359,31 +309,23 @@ func (f *falsifier) probeIsolated(label string, group proc.Set, k int, pr *probe
 }
 
 // correctDecision extracts the common decision of the correct processes,
-// or produces the execution itself as an agreement/termination
-// certificate.
+// or produces the execution itself as a certificate. The verdict is the
+// campaign's, adversary.CheckExecution with Weak Validity, which is
+// vacuous on every probe but the fully-correct E_0 and E_1.
 func (f *falsifier) correctDecision(e *sim.Execution, label string) (msg.Value, *Violation) {
-	common, first, odd := e.Unanimity(e.Correct())
-	if odd < 0 {
+	v := adversary.CheckExecution(e, e.Proposals(), validity.WeakCheck, nil)
+	if v == nil {
+		common, _, _ := e.Unanimity(e.Correct())
 		return common, nil
 	}
-	d, ok := e.Decision(odd)
-	if !ok {
-		return msg.NoDecision, &Violation{
-			Kind:     "termination",
-			Exec:     e,
-			Witness2: odd,
-			Note:     fmt.Sprintf("%s: correct process undecided after %d rounds (bound %d)", label, e.Rounds, f.bound),
-		}
+	viol := &Violation{Kind: v.Kind, Exec: e, Witness1: v.Witness1, D1: v.D1, Witness2: v.Witness2, D2: v.D2, Note: label}
+	switch v.Kind {
+	case "termination":
+		viol.Note = fmt.Sprintf("%s: correct process undecided after %d rounds (bound %d)", label, e.Rounds, f.bound)
+	case "validity":
+		viol.Kind = "weak-validity"
 	}
-	return msg.NoDecision, &Violation{
-		Kind:     "agreement",
-		Exec:     e,
-		Witness1: first,
-		D1:       common,
-		Witness2: odd,
-		D2:       d,
-		Note:     label,
-	}
+	return msg.NoDecision, viol
 }
 
 // lemma2 applies the swap argument: find an isolated process p in group Y
@@ -458,12 +400,13 @@ func (f *falsifier) run() error {
 	workers := runner.Workers(f.opts.Parallelism)
 
 	// Wave 1: the four probes of Steps 1-2 have no mutual dependencies.
+	// E_0 and E_1 are E_∅(1)_0 and E_∅(1)_1: nobody is isolated.
 	// All probe waves run at the lean tier; consumers upgrade to full
 	// traces (deterministic re-runs) only when a certificate, a Lemma 2
 	// candidate, or a merge input demands message identities.
 	wave1 := []func() (*sim.Execution, error){
-		f.fullFetch(msg.Zero, sim.RecordDecisions),
-		f.fullFetch(msg.One, sim.RecordDecisions),
+		f.isolatedFetch(proc.Set{}, 1, msg.Zero, sim.RecordDecisions),
+		f.isolatedFetch(proc.Set{}, 1, msg.One, sim.RecordDecisions),
 		f.isolatedFetch(part.B, 1, msg.Zero, sim.RecordDecisions),
 		f.isolatedFetch(part.C, 1, msg.One, sim.RecordDecisions),
 	}
@@ -472,12 +415,13 @@ func (f *falsifier) run() error {
 	})
 	defer cancel1()
 
-	// Step 1: Weak Validity on the fully-correct executions.
-	e0, err := f.runFull(msg.Zero, p1[0])
+	// Step 1: Termination, Agreement and Weak Validity on the fully-correct
+	// executions.
+	e0, _, err := f.probeIsolated("E_0 (fully correct, unanimous 0)", proc.Set{}, 1, p1[0])
 	if err != nil || f.report.Violation != nil {
 		return err
 	}
-	e1, err := f.runFull(msg.One, p1[1])
+	e1, _, err := f.probeIsolated("E_1 (fully correct, unanimous 1)", proc.Set{}, 1, p1[1])
 	if err != nil || f.report.Violation != nil {
 		return err
 	}
@@ -536,12 +480,11 @@ func (f *falsifier) run() error {
 		// A does not decide the default under round-1 isolation of B in the
 		// all-v family, yet decides d in E_C(1)_1: Lemma 3 pair (k=1, k=1).
 		f.logf("A decides %q in E_B(1)_%s but %q in E_C(1)_1: merging the round-1 pair", prevDecision, v, d)
-		eCpair := eC1
-		return f.mergeAndExtract(part, prev, 1, eCpair, 1)
+		return f.mergeAndExtract(part, prev, 1, eC1, 1)
 	}
 
 	critical := -1
-	var eBR, eBR1 *sim.Execution
+	var eBR1 *sim.Execution
 	for k := 2; k <= rMax+1; k++ {
 		cur, curDecision, err := f.probeIsolated(fmt.Sprintf("E_B(%d)_%s", k, v), part.B, k, pB[k-1])
 		if err != nil || f.report.Violation != nil {
@@ -549,18 +492,16 @@ func (f *falsifier) run() error {
 		}
 		if curDecision != prevDecision {
 			critical = k - 1
-			eBR, eBR1 = prev, cur
+			eBR1 = cur
 			f.logf("critical round R=%d: A decides %q in E_B(%d)_%s and %q in E_B(%d)_%s (Lemma 4)",
 				critical, prevDecision, critical, v, curDecision, k, v)
 			break
 		}
-		prev, prevDecision = cur, curDecision
 	}
 	if critical < 0 {
 		return fmt.Errorf("falsify %s: no critical round found up to %d although E_%s decides %q at isolation-free horizon — "+
 			"this contradicts Lemma 4; engine or protocol nondeterminism suspected", f.name, rMax+1, v, v)
 	}
-	_ = eBR
 
 	// Step 4: run E_C(R)_v and merge with E_B(R+1)_v (Lemma 5). This probe
 	// depends on the critical round, so it cannot be prefetched.

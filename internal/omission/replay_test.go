@@ -2,6 +2,7 @@ package omission_test
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -118,4 +119,64 @@ func replays(b, src *sim.Behavior, h int) error {
 		}
 	}
 	return nil
+}
+
+// TestIsolatingNobodyIsFaultFree pins the identity the falsifier's step 1
+// rests on: E_∅(1)_v, the isolation execution with an empty group, is the
+// fully-correct run with unanimous proposal v. Both tiers must agree on
+// rounds, decisions, per-round counts and correct messages, and at
+// RecordFull on every fragment.
+func TestIsolatingNobodyIsFaultFree(t *testing.T) {
+	for _, c := range []struct {
+		id    string
+		n, tf int
+	}{{"floodset", 8, 3}, {"phase-king", 9, 2}} {
+		spec, ok := catalog.Lookup(c.id)
+		if !ok {
+			t.Fatalf("%s is not registered", c.id)
+		}
+		f, rounds, err := spec.Build(catalog.DefaultParams(c.n, c.tf))
+		if err != nil {
+			t.Fatalf("%s: %v", c.id, err)
+		}
+		h := sim.Horizon(rounds)
+		for _, rec := range []sim.Recording{sim.RecordDecisions, sim.RecordFull} {
+			for _, v := range []msg.Value{msg.Zero, msg.One} {
+				name := fmt.Sprintf("%s/rec=%d/v=%s", c.id, rec, v)
+				iso, err := omission.RunIsolatedAt(c.n, c.tf, f, v, proc.Set{}, 1, h, rec)
+				if err != nil {
+					t.Fatalf("%s: isolated: %v", name, err)
+				}
+				cfg := sim.Config{N: c.n, T: c.tf, Proposals: msg.Uniform(c.n, v), MaxRounds: h, Recording: rec}
+				free, err := sim.Run(cfg, f, sim.NoFaults{})
+				if err != nil {
+					t.Fatalf("%s: fault-free: %v", name, err)
+				}
+				if iso.Rounds != free.Rounds || iso.CorrectMessages() != free.CorrectMessages() {
+					t.Fatalf("%s: isolated ran %d rounds, %d correct messages; fault-free %d, %d",
+						name, iso.Rounds, iso.CorrectMessages(), free.Rounds, free.CorrectMessages())
+				}
+				for i := 0; i < c.n; i++ {
+					id := proc.ID(i)
+					di, oki := iso.Decision(id)
+					df, okf := free.Decision(id)
+					if di != df || oki != okf {
+						t.Fatalf("%s: %s decides (%q, %v) isolated, (%q, %v) fault-free", name, id, di, oki, df, okf)
+					}
+					bi, bf := iso.Behavior(id), free.Behavior(id)
+					for r := 1; r <= iso.Rounds; r++ {
+						var ci, cf [4]int
+						ci[0], ci[1], ci[2], ci[3] = bi.Counts(r)
+						cf[0], cf[1], cf[2], cf[3] = bf.Counts(r)
+						if ci != cf {
+							t.Fatalf("%s: %s round %d counts %v isolated, %v fault-free", name, id, r, ci, cf)
+						}
+					}
+					if rec == sim.RecordFull && !reflect.DeepEqual(bi.Fragments, bf.Fragments) {
+						t.Fatalf("%s: %s fragments differ", name, id)
+					}
+				}
+			}
+		}
+	}
 }

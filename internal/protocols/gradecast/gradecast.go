@@ -181,44 +181,3 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 		return nil
 	}
 }
-
-// CheckProperties verifies G1–G3 on a recorded execution: pass the
-// correct set, whether the sender is correct, and the sender's proposal.
-func CheckProperties(decisions map[proc.ID]msg.Value, correct proc.Set, senderCorrect bool, senderValue msg.Value) error {
-	type graded struct {
-		grade int
-		v     msg.Value
-	}
-	outs := make(map[proc.ID]graded, correct.Len())
-	for _, id := range correct.Members() {
-		d, ok := decisions[id]
-		if !ok {
-			return fmt.Errorf("gradecast: correct %s has no output", id)
-		}
-		g, v, err := Parse(d)
-		if err != nil {
-			return err
-		}
-		outs[id] = graded{grade: g, v: v}
-	}
-	// G1.
-	if senderCorrect {
-		for id, o := range outs {
-			if o.grade != 2 || o.v != senderValue {
-				return fmt.Errorf("gradecast G1: correct sender, but %s output grade %d value %q", id, o.grade, o.v)
-			}
-		}
-	}
-	// G2 and G3.
-	for id1, o1 := range outs {
-		for id2, o2 := range outs {
-			if o1.grade == 2 && o2.grade < 1 {
-				return fmt.Errorf("gradecast G2: %s has grade 2 but %s has grade 0", id1, id2)
-			}
-			if o1.grade >= 1 && o2.grade >= 1 && o1.v != o2.v {
-				return fmt.Errorf("gradecast G3: %s outputs %q, %s outputs %q", id1, o1.v, id2, o2.v)
-			}
-		}
-	}
-	return nil
-}

@@ -3,6 +3,8 @@ package gradecast_test
 import (
 	"testing"
 
+	"expensive/internal/adversary"
+	"expensive/internal/catalog"
 	"expensive/internal/msg"
 	"expensive/internal/omission"
 	"expensive/internal/proc"
@@ -10,7 +12,7 @@ import (
 	"expensive/internal/sim"
 )
 
-func runGC(t *testing.T, cfg gradecast.Config, proposals []msg.Value, plan sim.FaultPlan) map[proc.ID]msg.Value {
+func runGC(t *testing.T, cfg gradecast.Config, proposals []msg.Value, plan sim.FaultPlan) *sim.Execution {
 	t.Helper()
 	sc := sim.Config{N: cfg.N, T: cfg.T, Proposals: proposals, MaxRounds: gradecast.RoundBound() + 1}
 	e, err := sim.Run(sc, gradecast.New(cfg), plan)
@@ -20,13 +22,28 @@ func runGC(t *testing.T, cfg gradecast.Config, proposals []msg.Value, plan sim.F
 	if err := omission.Validate(e); err != nil {
 		t.Fatalf("trace invalid: %v", err)
 	}
-	out := make(map[proc.ID]msg.Value, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		if d, ok := e.Decision(proc.ID(i)); ok {
-			out[proc.ID(i)] = d
-		}
+	return e
+}
+
+// spec is the catalog entry campaigns judge gradecast by: G1 is its
+// validity property, G2/G3 its Compat agreement relation.
+func spec(t *testing.T) catalog.Spec {
+	t.Helper()
+	s, ok := catalog.Lookup("gradecast")
+	if !ok {
+		t.Fatal("gradecast is not registered")
 	}
-	return out
+	return s
+}
+
+// checkG1G3 judges a run by the campaign verdict under the catalog spec.
+func checkG1G3(t *testing.T, cfg gradecast.Config, e *sim.Execution) {
+	t.Helper()
+	s := spec(t)
+	g1 := s.ValidityFor(catalog.Params{N: cfg.N, T: cfg.T, Sender: cfg.Sender})
+	if v := adversary.CheckExecution(e, e.Proposals(), g1, s.Agreement); v != nil {
+		t.Fatalf("gradecast %s violation: %s", v.Kind, v.Detail)
+	}
 }
 
 func uniform(n int, v msg.Value) []msg.Value {
@@ -39,10 +56,7 @@ func uniform(n int, v msg.Value) []msg.Value {
 
 func TestCorrectSenderGradeTwo(t *testing.T) {
 	cfg := gradecast.Config{N: 7, T: 2, Sender: 3}
-	decisions := runGC(t, cfg, uniform(7, "payload"), sim.NoFaults{})
-	if err := gradecast.CheckProperties(decisions, proc.Universe(7), true, "payload"); err != nil {
-		t.Fatal(err)
-	}
+	checkG1G3(t, cfg, runGC(t, cfg, uniform(7, "payload"), sim.NoFaults{}))
 }
 
 // splitDealer sends "L" to low ids and "R" to high ids, then behaves
@@ -69,19 +83,16 @@ func TestEquivocatingDealerConsistency(t *testing.T) {
 	// processes with positive grades may disagree.
 	cfg := gradecast.Config{N: 7, T: 2, Sender: 0}
 	plan := sim.ByzantinePlan{Machines: map[proc.ID]sim.Machine{0: &splitDealer{n: 7}}}
-	decisions := runGC(t, cfg, uniform(7, "ignored"), plan)
-	correct := proc.Range(1, 7)
-	if err := gradecast.CheckProperties(decisions, correct, false, ""); err != nil {
-		t.Fatal(err)
-	}
+	checkG1G3(t, cfg, runGC(t, cfg, uniform(7, "ignored"), plan))
 }
 
 func TestSilentDealerGradeZero(t *testing.T) {
 	cfg := gradecast.Config{N: 4, T: 1, Sender: 0}
 	plan := sim.ByzantinePlan{Machines: map[proc.ID]sim.Machine{0: silent{}}}
-	decisions := runGC(t, cfg, uniform(4, "x"), plan)
+	e := runGC(t, cfg, uniform(4, "x"), plan)
 	for _, id := range []proc.ID{1, 2, 3} {
-		g, _, err := gradecast.Parse(decisions[id])
+		d, _ := e.Decision(id)
+		g, _, err := gradecast.Parse(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,10 +141,55 @@ func TestLyingEchoersCannotOverrideCorrectDealer(t *testing.T) {
 		5: &echoLiar{n: 7, id: 5},
 		6: &echoLiar{n: 7, id: 6},
 	}}
-	decisions := runGC(t, cfg, uniform(7, "truth"), plan)
-	correct := proc.NewSet(0, 1, 2, 3, 4)
-	if err := gradecast.CheckProperties(decisions, correct, true, "truth"); err != nil {
-		t.Fatal(err)
+	checkG1G3(t, cfg, runGC(t, cfg, uniform(7, "truth"), plan))
+}
+
+// TestOracleRejects pins the rejecting side of the one definition
+// campaigns and the tests above judge gradecast by: the spec's G1 check
+// and Compat (G2/G3).
+func TestOracleRejects(t *testing.T) {
+	out := gradecast.Output
+	compat := []struct {
+		a, b msg.Value
+		ok   bool
+	}{
+		{out(2, "x"), out(0, "x"), false}, // G2: grade gap of 2
+		{out(0, "x"), out(2, "x"), false},
+		{out(1, "x"), out(1, "y"), false}, // G3: grade >= 1, values differ
+		{out(2, "x"), out(1, "y"), false},
+		{"junk", out(1, "x"), false},
+		{out(2, "x"), out(1, "x"), true}, // neighbouring grades
+		{out(1, "x"), out(0, "y"), true},
+		{out(0, "x"), out(0, "y"), true},
+		{out(2, "x"), out(2, "x"), true},
+	}
+	for _, c := range compat {
+		if err := gradecast.Compat(c.a, c.b); (err == nil) != c.ok {
+			t.Errorf("Compat(%q, %q) = %v, want ok=%v", c.a, c.b, err, c.ok)
+		}
+	}
+
+	g1 := spec(t).ValidityFor(catalog.Params{N: 4, T: 1, Sender: 0})
+	proposals := uniform(4, "v")
+	all, senderFaulty := proc.Universe(4), proc.Range(1, 4)
+	cases := []struct {
+		correct  proc.Set
+		decision msg.Value
+		ok       bool
+	}{
+		{all, out(2, "v"), true},
+		{all, out(1, "v"), false}, // correct sender, grade < 2
+		{all, out(0, "v"), false},
+		{all, out(2, "w"), false}, // correct sender, wrong value
+		{all, "junk", false},
+		{senderFaulty, out(0, ""), true}, // G1 binds only a correct sender
+		{senderFaulty, out(2, "w"), true},
+		{senderFaulty, "junk", true},
+	}
+	for _, c := range cases {
+		if err := g1(proposals, c.correct, c.decision); (err == nil) != c.ok {
+			t.Errorf("G1(correct=%v, %q) = %v, want ok=%v", c.correct, c.decision, err, c.ok)
+		}
 	}
 }
 

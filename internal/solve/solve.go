@@ -15,6 +15,7 @@ package solve
 import (
 	"fmt"
 
+	"expensive/internal/adversary"
 	"expensive/internal/crypto/sig"
 	"expensive/internal/msg"
 	"expensive/internal/proc"
@@ -132,7 +133,8 @@ func (m *trivialMachine) Step(round int, _ []msg.Message) []sim.Outgoing {
 
 // Check runs the derived protocol on an input configuration under a fault
 // plan and verifies Termination, Agreement and the problem's validity
-// property on the outcome. It is the library's acceptance test for derived
+// property on the outcome, through the campaign verdict
+// adversary.CheckExecution. It is the library's acceptance test for derived
 // protocols and the engine behind the solvability experiment (E6).
 func Check(p validity.Problem, d *Derived, c validity.InputConfig, byzantine map[proc.ID]sim.Machine) error {
 	if c.N() != p.N {
@@ -164,12 +166,8 @@ func Check(p validity.Problem, d *Derived, c validity.InputConfig, byzantine map
 	if err != nil {
 		return fmt.Errorf("run derived protocol: %w", err)
 	}
-	decision, err := exec.CommonDecision(correct)
-	if err != nil {
-		return fmt.Errorf("termination/agreement: %w", err)
-	}
-	if !p.Admissible(c, decision) {
-		return fmt.Errorf("decided %q, which is not admissible under %v (validity violated)", decision, c)
+	if v := adversary.CheckExecution(exec, proposals, validity.AdmissibleCheck(p), nil); v != nil {
+		return fmt.Errorf("%s violated: %s", v.Kind, v.Detail)
 	}
 	return nil
 }

@@ -133,6 +133,22 @@ func NewPlan(name string, seed int64, env Env, rules ...Rule) *Plan {
 // Name reports the plan's profile name.
 func (p *Plan) Name() string { return p.name }
 
+// Uses reports whether any rule of the plan injects kind k. A link that
+// cannot apply some kind (a mesh cannot Cut; a dist coordinator link cannot
+// Duplicate, Reorder or Corrupt) refuses a plan that uses it instead of
+// running it silently clean.
+func (p *Plan) Uses(k Kind) bool {
+	if p == nil {
+		return false
+	}
+	for _, r := range p.rules {
+		if r.Kind == k {
+			return true
+		}
+	}
+	return false
+}
+
 // Budget reports the fault-budget set the plan is restricted to (empty
 // when the plan is unrestricted infrastructure chaos, Env.T == 0).
 func (p *Plan) Budget() proc.Set { return p.budget }

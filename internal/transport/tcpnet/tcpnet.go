@@ -101,18 +101,20 @@ func New(n int) (*Mesh, error) {
 		acceptWG.Add(1)
 		go func(node int, l net.Listener) {
 			defer acceptWG.Done()
+			wired := make([]bool, node)
 			for k := 0; k < expected; k++ {
 				conn, err := l.Accept()
 				if err != nil {
 					acceptCh <- accepted{node: node, err: err}
 					return
 				}
-				var hello struct{ From int }
-				if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&hello); err != nil {
-					acceptCh <- accepted{node: node, err: fmt.Errorf("hello: %w", err)}
+				from, err := readHello(conn, wired)
+				if err != nil {
+					_ = conn.Close()
+					acceptCh <- accepted{node: node, err: err}
 					return
 				}
-				acceptCh <- accepted{node: node, from: hello.From, conn: conn}
+				acceptCh <- accepted{node: node, from: from, conn: conn}
 			}
 		}(i, listeners[i])
 	}
@@ -135,12 +137,17 @@ func New(n int) (*Mesh, error) {
 
 	acceptWG.Wait()
 	close(acceptCh)
+	var acceptErr error
 	for a := range acceptCh {
-		if a.err != nil {
-			m.Close()
-			return nil, fmt.Errorf("tcpnet: accept at node %d: %w", a.node, a.err)
+		if a.err == nil {
+			m.conns[a.node][a.from] = a.conn // wired, so Close reaches it
+		} else if acceptErr == nil {
+			acceptErr = fmt.Errorf("tcpnet: accept at node %d: %w", a.node, a.err)
 		}
-		m.conns[a.node][a.from] = a.conn
+	}
+	if acceptErr != nil {
+		m.Close()
+		return nil, acceptErr
 	}
 
 	// Reader pumps: one goroutine per connection endpoint.
@@ -154,6 +161,27 @@ func New(n int) (*Mesh, error) {
 		}
 	}
 	return m, nil
+}
+
+// readHello reads the hello a peer opens its connection with and returns
+// the peer's ID. A listener accepts only from lower IDs, each once, so
+// wired has one slot per such peer: a hello outside [0, len(wired)) or
+// naming a peer already wired is refused rather than indexing past the
+// mesh or replacing a live connection.
+func readHello(conn net.Conn, wired []bool) (int, error) {
+	var hello struct{ From int }
+	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&hello); err != nil {
+		return 0, fmt.Errorf("hello: %w", err)
+	}
+	switch from := hello.From; {
+	case from < 0 || from >= len(wired):
+		return 0, fmt.Errorf("hello: peer %d outside [0, %d)", from, len(wired))
+	case wired[from]:
+		return 0, fmt.Errorf("hello: peer %d already connected", from)
+	default:
+		wired[from] = true
+		return from, nil
+	}
 }
 
 // pump reads frames from owner's connection to peer and delivers them to

@@ -3,6 +3,7 @@ package tcpnet
 import (
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -62,6 +63,40 @@ func TestBadPeerRejected(t *testing.T) {
 	}
 	if err := eps[0].Send(7, transport.Frame{}); err == nil {
 		t.Error("expected unknown-peer rejection")
+	}
+}
+
+// TestForgedHelloRefused drives the accept step with hellos a stray
+// connection could send to node 3's listener, which accepts from peers 0,
+// 1 and 2 once each. A peer ID outside that range used to index past the
+// mesh (a panic), and a repeat used to replace a live connection.
+func TestForgedHelloRefused(t *testing.T) {
+	wired := make([]bool, 3)
+	for _, c := range []struct {
+		hello string
+		ok    bool
+	}{
+		{`{"From":1}`, true},
+		{`{"From":1}`, false}, // repeat
+		{`{"From":3}`, false}, // self
+		{`{"From":7}`, false}, // a higher ID, or outside the mesh
+		{`{"From":-1}`, false},
+		{`junk`, false},
+		{`{"From":0}`, true},
+	} {
+		local, remote := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_, _ = remote.Write([]byte(c.hello + "\n"))
+		}()
+		from, err := readHello(local, wired)
+		_ = local.Close()
+		_ = remote.Close()
+		<-done
+		if (err == nil) != c.ok {
+			t.Errorf("hello %s: from=%d err=%v, want ok=%v", c.hello, from, err, c.ok)
+		}
 	}
 }
 
