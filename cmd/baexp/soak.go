@@ -57,18 +57,16 @@ func runSoak(args []string) error {
 			return fmt.Errorf("unknown chaos profile %q (have %s)", *chaosProfile, strings.Join(chaosnet.IDs(), ", "))
 		}
 		// A profile whose faults the soaked link cannot inject would run
-		// clean and still print SOAK PASS: a worker's coordinator link
-		// cannot duplicate, reorder or corrupt, and a mesh node has no
-		// reconnect path to cut.
-		refused, link := []chaosnet.Kind{chaosnet.Duplicate, chaosnet.Reorder, chaosnet.Corrupt}, "a worker's coordinator link"
-		if *kind == "smr" {
-			refused, link = []chaosnet.Kind{chaosnet.Cut}, "the replicated log's mesh"
-		}
+		// clean and still print SOAK PASS: a mesh node has no reconnect
+		// path to cut, and dist.RefuseChaos names what a worker's
+		// coordinator link cannot inject.
 		plan := p.Build(*chaosSeed, chaosnet.Env{})
-		for _, k := range refused {
-			if plan.Uses(k) {
-				return fmt.Errorf("soak -kind %s: chaos profile %q uses %s, which %s cannot inject", *kind, p.ID, k, link)
+		if *kind == "smr" {
+			if plan.Uses(chaosnet.Cut) {
+				return fmt.Errorf("soak -kind smr: chaos profile %q uses %s, which the replicated log's mesh cannot inject", p.ID, chaosnet.Cut)
 			}
+		} else if err := dist.RefuseChaos(plan); err != nil {
+			return fmt.Errorf("soak -kind %s: %w", *kind, err)
 		}
 	}
 	tel, err := tf.open()

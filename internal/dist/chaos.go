@@ -55,11 +55,20 @@ func newChaosConn(inner *Conn, plan *chaosnet.Plan, node proc.ID) *chaosConn {
 	return &chaosConn{inner: inner, plan: plan, node: node}
 }
 
-// wireRefused lists the chaos kinds chaosConn cannot apply: it drops,
-// delays and cuts whole messages (a Partition window is a drop), and has no
-// frame to resend, hold back or checksum. Worker.Run refuses a plan that
-// uses one, which would otherwise run clean under the plan's name.
-var wireRefused = []chaosnet.Kind{chaosnet.Duplicate, chaosnet.Reorder, chaosnet.Corrupt}
+// RefuseChaos returns an error naming the profile and the kind if plan
+// uses a chaos kind a worker's coordinator link cannot apply: chaosConn
+// drops, delays and cuts whole messages (a Partition window is a drop),
+// and has no frame to resend, hold back or checksum. Such a plan would
+// otherwise run clean under its name. A nil plan is a clean link.
+func RefuseChaos(plan *chaosnet.Plan) error {
+	for _, k := range []chaosnet.Kind{chaosnet.Duplicate, chaosnet.Reorder, chaosnet.Corrupt} {
+		if plan.Uses(k) {
+			return fmt.Errorf("chaos profile %q uses %s, which a worker's coordinator link cannot inject (it drops, delays, partitions and cuts)",
+				plan.Name(), k)
+		}
+	}
+	return nil
+}
 
 // immune reports whether a message kind is exempt from fault injection.
 func immune(k MsgKind) bool {
@@ -70,24 +79,36 @@ func immune(k MsgKind) bool {
 	return false
 }
 
-func (c *chaosConn) Send(m *Message) error {
-	if immune(m.Kind) {
-		return c.inner.Send(m)
+// fault claims the next sequence number of one direction (up: worker to
+// coordinator) and applies the plan's verdict on it: a Cut closes the link
+// and is returned as ErrClosed, a Delay sleeps, and drop reports the
+// message lost in flight — recovery is the coordinator's job (unit
+// deadline, dedup, reassignment).
+func (c *chaosConn) fault(up bool) (drop bool, err error) {
+	from, to, seq, link := c.node, CoordinatorChaosNode, &c.sendSeq, "uplink"
+	if !up {
+		from, to, seq, link = CoordinatorChaosNode, c.node, &c.recvSeq, "downlink"
 	}
 	c.mu.Lock()
-	seq := c.sendSeq
-	c.sendSeq++
+	n := *seq
+	*seq++
 	c.mu.Unlock()
-	f := c.plan.Faults(c.node, CoordinatorChaosNode, seq)
+	f := c.plan.Faults(from, to, n)
 	if f.Cut {
 		_ = c.inner.Close()
-		return fmt.Errorf("dist: chaos cut uplink at seq %d: %w", seq, transport.ErrClosed)
+		return false, fmt.Errorf("dist: chaos cut %s at seq %d: %w", link, n, transport.ErrClosed)
 	}
 	if f.Delay > 0 {
 		time.Sleep(f.Delay)
 	}
-	if f.Drop {
-		return nil // swallowed by the wire; recovery is the coordinator's job
+	return f.Drop, nil
+}
+
+func (c *chaosConn) Send(m *Message) error {
+	if !immune(m.Kind) {
+		if drop, err := c.fault(true); drop || err != nil {
+			return err
+		}
 	}
 	return c.inner.Send(m)
 }
@@ -95,28 +116,16 @@ func (c *chaosConn) Send(m *Message) error {
 func (c *chaosConn) Recv(timeout time.Duration) (*Message, error) {
 	for {
 		m, err := c.inner.Recv(timeout)
+		if err != nil || immune(m.Kind) {
+			return m, err
+		}
+		drop, err := c.fault(false)
 		if err != nil {
 			return nil, err
 		}
-		if immune(m.Kind) {
+		if !drop {
 			return m, nil
 		}
-		c.mu.Lock()
-		seq := c.recvSeq
-		c.recvSeq++
-		c.mu.Unlock()
-		f := c.plan.Faults(CoordinatorChaosNode, c.node, seq)
-		if f.Cut {
-			_ = c.inner.Close()
-			return nil, fmt.Errorf("dist: chaos cut downlink at seq %d: %w", seq, transport.ErrClosed)
-		}
-		if f.Delay > 0 {
-			time.Sleep(f.Delay)
-		}
-		if f.Drop {
-			continue // lost in flight; the unit deadline or dedup recovers it
-		}
-		return m, nil
 	}
 }
 

@@ -19,8 +19,9 @@
 // uses, and matrix cells assemble through matrix.AssembleGrid. Where a
 // probe lands therefore never changes a byte of what comes back.
 //
-// Transport is a length-prefixed JSON wire protocol over TCP (wire.go),
-// with worker liveness tracked by heartbeats: a worker that stalls past
+// The wire is one Message per transport frame over TCP (wire.go; the
+// framing is transport.WriteFrame/ReadFrame, shared with tcpnet), with
+// worker liveness tracked by heartbeats: a worker that stalls past
 // the heartbeat timeout is declared dead and its in-flight unit is
 // reassigned. The coordinator periodically persists completed-unit state
 // (plus the merged fuzz session) to a JSON checkpoint, and a restarted

@@ -2,13 +2,9 @@ package dist
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -22,11 +18,6 @@ import (
 // mixed binaries fails at hello instead of folding units drawn from two
 // random streams into one report. Bump it with every StreamVersion bump.
 const ProtocolVersion = 3
-
-// maxFrame bounds one wire frame (64 MiB) — far above any real message,
-// low enough that a corrupt length prefix cannot allocate the machine
-// away.
-const maxFrame = 64 << 20
 
 // maxHello bounds the one frame the coordinator reads from a dialer it
 // knows nothing about: a hello is a version and a name, so a stranger
@@ -85,10 +76,8 @@ type Message struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-// Conn frames messages over a TCP connection: a 4-byte big-endian length
-// prefix followed by the JSON body, written in a single Write (tcpnet's
-// framing discipline, with an explicit prefix instead of newlines so
-// bodies may contain anything). Sends are serialized by a mutex —
+// Conn carries messages over a TCP connection, one transport frame
+// (transport.WriteFrame/ReadFrame) each. Sends are serialized by a mutex —
 // heartbeats and results share one connection — while Recv is
 // single-reader by construction.
 type Conn struct {
@@ -114,84 +103,35 @@ func dial(ctx context.Context, addr string, attempts int, backoff time.Duration)
 	return NewConn(c), nil
 }
 
-// Send marshals and writes one framed message.
+// Send writes one framed message.
 func (c *Conn) Send(m *Message) error {
-	body, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("dist: marshal %s: %w", m.Kind, err)
-	}
-	if len(body) > maxFrame {
-		return fmt.Errorf("dist: %s frame %d bytes exceeds %d", m.Kind, len(body), maxFrame)
-	}
-	frame := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(frame, uint32(len(body)))
-	copy(frame[4:], body)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if _, err := c.c.Write(frame); err != nil {
-		return fmt.Errorf("dist: write %s: %w", m.Kind, classify(err))
+	if err := transport.WriteFrame(c.c, m); err != nil {
+		return fmt.Errorf("dist: send %s: %w", m.Kind, err)
 	}
 	return nil
-}
-
-// classify folds raw socket errors into the transport sentinels, so the
-// scheduler's dead-worker detector and the worker's reconnect loop can
-// decide with errors.Is instead of string matching: a blown read deadline
-// is transport.ErrTimeout (the peer stalled), a vanished connection is
-// transport.ErrClosed (the peer is gone, or we were told to go).
-func classify(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, os.ErrDeadlineExceeded):
-		return fmt.Errorf("%w (%v)", transport.ErrTimeout, err)
-	case errors.Is(err, net.ErrClosed), errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
-		return fmt.Errorf("%w (%v)", transport.ErrClosed, err)
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return fmt.Errorf("%w (%v)", transport.ErrTimeout, err)
-	}
-	var oe *net.OpError
-	if errors.As(err, &oe) {
-		return fmt.Errorf("%w (%v)", transport.ErrClosed, err)
-	}
-	return err
 }
 
 // Recv reads one framed message. A positive timeout arms a read deadline
 // covering the whole frame — the coordinator's dead-worker detector and
 // the worker's handshake guard; 0 blocks indefinitely.
 func (c *Conn) Recv(timeout time.Duration) (*Message, error) {
-	return c.recv(maxFrame, timeout)
+	return c.recv(transport.MaxFrame, timeout)
 }
 
 // recv is Recv with the caller's bound on the announced frame length.
 func (c *Conn) recv(limit int, timeout time.Duration) (*Message, error) {
+	var deadline time.Time
 	if timeout > 0 {
-		if err := c.c.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, fmt.Errorf("dist: arm read deadline: %w", err)
-		}
-	} else {
-		if err := c.c.SetReadDeadline(time.Time{}); err != nil {
-			return nil, fmt.Errorf("dist: clear read deadline: %w", err)
-		}
+		deadline = time.Now().Add(timeout)
 	}
-	var prefix [4]byte
-	if _, err := io.ReadFull(c.c, prefix[:]); err != nil {
-		return nil, fmt.Errorf("dist: read frame length: %w", classify(err))
-	}
-	n := binary.BigEndian.Uint32(prefix[:])
-	if n == 0 || n > uint32(limit) {
-		return nil, fmt.Errorf("dist: frame length %d outside (0, %d]", n, limit)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(c.c, body); err != nil {
-		return nil, fmt.Errorf("dist: read frame body: %w", classify(err))
+	if err := c.c.SetReadDeadline(deadline); err != nil {
+		return nil, fmt.Errorf("dist: set read deadline: %w", err)
 	}
 	var m Message
-	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, fmt.Errorf("dist: decode frame: %w", err)
+	if err := transport.ReadFrame(c.c, limit, &m); err != nil {
+		return nil, fmt.Errorf("dist: recv: %w", err)
 	}
 	return &m, nil
 }

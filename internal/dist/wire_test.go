@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"expensive/internal/transport"
 )
 
 // pipeConns returns both ends of an in-memory connection wrapped as wire
@@ -56,8 +58,8 @@ func TestWireRecvTimeout(t *testing.T) {
 	_ = a
 }
 
-// TestWireOversizeFrame: a peer announcing a frame beyond maxFrame is
-// rejected before any allocation of that size.
+// TestWireOversizeFrame: a peer announcing a frame beyond
+// transport.MaxFrame is rejected before any allocation of that size.
 func TestWireOversizeFrame(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -65,7 +67,7 @@ func TestWireOversizeFrame(t *testing.T) {
 	defer conn.Close()
 
 	var prefix [4]byte
-	binary.BigEndian.PutUint32(prefix[:], uint32(maxFrame+1))
+	binary.BigEndian.PutUint32(prefix[:], uint32(transport.MaxFrame+1))
 	go a.Write(prefix[:])
 	_, err := conn.Recv(time.Second)
 	if err == nil || !strings.Contains(err.Error(), "frame") {

@@ -46,7 +46,7 @@ type Worker struct {
 	// coordinator link — the soak harness's wire-level churn. Control
 	// messages (hello, job, done) are immune; units, results, heartbeats
 	// and events are fair game. Nil means a clean link. Run refuses a plan
-	// that uses Duplicate, Reorder or Corrupt, which the link cannot apply.
+	// the link cannot apply (RefuseChaos).
 	Chaos *chaosnet.Plan
 	// ChaosNode is this worker's identity in the chaos plan's link space
 	// (the coordinator is node 63); only meaningful with Chaos set.
@@ -64,11 +64,8 @@ var errFatal = errors.New("dist: worker error is not retryable")
 // is spent. Each session dials fresh, handshakes, and works the unit
 // loop; a dropped connection burns one reconnect and starts over.
 func (w *Worker) Run() error {
-	for _, k := range wireRefused {
-		if w.Chaos.Uses(k) {
-			return fmt.Errorf("dist: chaos profile %q uses %s, which a coordinator link cannot inject (it drops, delays, partitions and cuts)",
-				w.Chaos.Name(), k)
-		}
+	if err := RefuseChaos(w.Chaos); err != nil {
+		return fmt.Errorf("dist: %w", err)
 	}
 	name := w.Name
 	if name == "" {

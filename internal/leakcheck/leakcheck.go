@@ -48,8 +48,8 @@ func settle(window time.Duration) []string {
 }
 
 // stray returns the stack, `created by` line included, of every
-// goroutine but the caller's and testing's; the dump leaves the
-// runtime's own out.
+// goroutine but the caller's, testing's and os/signal's; the dump leaves
+// the runtime's own out.
 func stray() []string {
 	var dump bytes.Buffer
 	pprof.Lookup("goroutine").WriteTo(&dump, 2) // debug=2: the runtime.Stack(all) text, untruncated
@@ -57,7 +57,9 @@ func stray() []string {
 	// One blank-line-separated record per goroutine, the caller's first.
 	for _, g := range strings.Split(strings.TrimSpace(dump.String()), "\n\n")[1:] {
 		// testing's: main parked in (*T).Run, test functions under tRunner.
-		if !strings.Contains(g, "\ntesting.") {
+		// os/signal's: the receive loop the process's first signal.Notify
+		// starts (under -fuzz, the fuzzing engine's) and nothing stops.
+		if !strings.Contains(g, "\ntesting.") && !strings.Contains(g, "\nos/signal.loop()") {
 			out = append(out, g)
 		}
 	}

@@ -1,6 +1,8 @@
 package leakcheck
 
 import (
+	"os"
+	"os/signal"
 	"strings"
 	"testing"
 	"time"
@@ -53,5 +55,17 @@ func TestSettleWaitsForExit(t *testing.T) {
 	time.AfterFunc(50*time.Millisecond, func() { close(release) })
 	if left := settle(2 * time.Second); len(left) != 0 {
 		t.Errorf("goroutine that exited inside the window reported:\n%s", strings.Join(left, "\n\n"))
+	}
+}
+
+// TestSignalLoopNotReported: the receive loop signal.Notify starts lives
+// as long as the process, whoever asked for it (under -fuzz, the fuzzing
+// engine), so it is no test's leak.
+func TestSignalLoopNotReported(t *testing.T) {
+	c := make(chan os.Signal, 1)
+	signal.Notify(c, os.Interrupt)
+	signal.Stop(c)
+	if left := settle(50 * time.Millisecond); len(left) != 0 {
+		t.Errorf("signal loop reported:\n%s", strings.Join(left, "\n\n"))
 	}
 }

@@ -1,7 +1,9 @@
 // Package tcpnet is the socket mesh: every process listens on a loopback
 // TCP port and dials every higher-numbered peer, yielding one reliable
-// FIFO connection per unordered pair. Frames travel as newline-delimited
-// JSON. This substrate demonstrates that every protocol in the library —
+// FIFO connection per unordered pair. A connection opens with the
+// dialer's ID as a hello, then carries transport.Frame values; both travel
+// as transport.WriteFrame frames, read under an explicit size bound. This
+// substrate demonstrates that every protocol in the library —
 // built against the abstract synchronous model — runs unmodified over a
 // real network stack.
 package tcpnet
@@ -9,7 +11,6 @@ package tcpnet
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -23,11 +24,15 @@ const (
 	// dialAttempts bounds transport.DialRetry (at its default backoff) for
 	// the mesh-construction dials, which race each listener coming up.
 	dialAttempts = 3
-	// recvTimeout bounds every endpoint Recv: a peer that stalls past it
-	// fails the round with transport.ErrTimeout instead of wedging the node
-	// forever. Rounds complete in milliseconds; this only has to sit below
-	// any deadline a caller might be running under.
+	// recvTimeout bounds every endpoint Recv and every hello: a peer that
+	// stalls past it fails the round (or New) with transport.ErrTimeout
+	// instead of wedging the node forever. Rounds complete in
+	// milliseconds; this only has to sit below any deadline a caller might
+	// be running under.
 	recvTimeout = 30 * time.Second
+	// maxHello bounds the hello frame, a dialer's decimal ID: a stray
+	// connection announcing more is refused before anything is allocated.
+	maxHello = 32
 )
 
 // Mesh is a full TCP mesh over 127.0.0.1.
@@ -37,8 +42,9 @@ type Mesh struct {
 	inbox  []chan frameOrErr
 	done   chan struct{}   // closed by Close; unblocks pumps wedged on full inboxes
 	epDone []chan struct{} // closed per endpoint by endpoint.Close
-	// recvTimeout is the Recv bound in force: the constant, except in this
-	// package's tests, which cannot wait that long for a stalled peer.
+	// recvTimeout is the Recv and hello bound in force: the constant,
+	// except in this package's tests, which cannot wait that long for a
+	// stalled peer.
 	recvTimeout time.Duration
 
 	mu       sync.Mutex
@@ -87,7 +93,7 @@ func New(n int) (*Mesh, error) {
 		}
 	}()
 
-	// Accept loop per listener: peers identify themselves with a hello line.
+	// Accept loop per listener: peers identify themselves with a hello.
 	type accepted struct {
 		node int
 		from int
@@ -108,7 +114,7 @@ func New(n int) (*Mesh, error) {
 					acceptCh <- accepted{node: node, err: err}
 					return
 				}
-				from, err := readHello(conn, wired)
+				from, err := readHello(conn, wired, m.recvTimeout)
 				if err != nil {
 					_ = conn.Close()
 					acceptCh <- accepted{node: node, err: err}
@@ -127,7 +133,7 @@ func New(n int) (*Mesh, error) {
 				m.Close()
 				return nil, fmt.Errorf("tcpnet: dial %d->%d: %w", i, j, err)
 			}
-			if err := json.NewEncoder(conn).Encode(struct{ From int }{From: i}); err != nil {
+			if err := transport.WriteFrame(conn, i); err != nil {
 				m.Close()
 				return nil, fmt.Errorf("tcpnet: hello %d->%d: %w", i, j, err)
 			}
@@ -164,16 +170,23 @@ func New(n int) (*Mesh, error) {
 }
 
 // readHello reads the hello a peer opens its connection with and returns
-// the peer's ID. A listener accepts only from lower IDs, each once, so
-// wired has one slot per such peer: a hello outside [0, len(wired)) or
-// naming a peer already wired is refused rather than indexing past the
-// mesh or replacing a live connection.
-func readHello(conn net.Conn, wired []bool) (int, error) {
-	var hello struct{ From int }
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&hello); err != nil {
+// the peer's ID. The hello must arrive within timeout and fit maxHello. A
+// listener accepts only from lower IDs, each once, so wired has one slot
+// per such peer: a hello outside [0, len(wired)) or naming a peer already
+// wired is refused rather than indexing past the mesh or replacing a live
+// connection.
+func readHello(conn net.Conn, wired []bool, timeout time.Duration) (int, error) {
+	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+		return 0, fmt.Errorf("hello: set read deadline: %w", err)
+	}
+	var from int
+	if err := transport.ReadFrame(conn, maxHello, &from); err != nil {
 		return 0, fmt.Errorf("hello: %w", err)
 	}
-	switch from := hello.From; {
+	if err := conn.SetReadDeadline(time.Time{}); err != nil {
+		return 0, fmt.Errorf("hello: clear read deadline: %w", err)
+	}
+	switch {
 	case from < 0 || from >= len(wired):
 		return 0, fmt.Errorf("hello: peer %d outside [0, %d)", from, len(wired))
 	case wired[from]:
@@ -192,10 +205,10 @@ func readHello(conn net.Conn, wired []bool) (int, error) {
 // undisturbed.
 func (m *Mesh) pump(owner, peer int, conn net.Conn) {
 	defer m.readers.Done()
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	r := bufio.NewReader(conn)
 	for {
 		var f transport.Frame
-		if err := dec.Decode(&f); err != nil {
+		if err := transport.ReadFrame(r, transport.MaxFrame, &f); err != nil {
 			m.mu.Lock()
 			quiet := m.closed || m.epClosed[owner] || m.epClosed[peer]
 			m.mu.Unlock()
@@ -264,8 +277,7 @@ type endpoint struct {
 	mesh *Mesh
 	id   proc.ID
 
-	mu       sync.Mutex
-	encoders map[proc.ID]*json.Encoder
+	mu sync.Mutex // serializes this endpoint's frames
 }
 
 var _ transport.Endpoint = (*endpoint)(nil)
@@ -287,15 +299,7 @@ func (e *endpoint) Send(to proc.ID, f transport.Frame) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.encoders == nil {
-		e.encoders = make(map[proc.ID]*json.Encoder)
-	}
-	enc, ok := e.encoders[to]
-	if !ok {
-		enc = json.NewEncoder(conn)
-		e.encoders[to] = enc
-	}
-	return enc.Encode(f)
+	return transport.WriteFrame(conn, f)
 }
 
 // Recv implements transport.Endpoint. A peer that stalls past recvTimeout

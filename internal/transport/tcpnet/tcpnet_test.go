@@ -1,9 +1,11 @@
 package tcpnet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,35 +71,67 @@ func TestBadPeerRejected(t *testing.T) {
 // TestForgedHelloRefused drives the accept step with hellos a stray
 // connection could send to node 3's listener, which accepts from peers 0,
 // 1 and 2 once each. A peer ID outside that range used to index past the
-// mesh (a panic), and a repeat used to replace a live connection.
+// mesh (a panic), a repeat used to replace a live connection, and a hello
+// is bounded in size and in time: a prefix announcing more than maxHello
+// is refused unread, and a peer that never sends one is a timeout.
 func TestForgedHelloRefused(t *testing.T) {
 	wired := make([]bool, 3)
 	for _, c := range []struct {
 		hello string
 		ok    bool
 	}{
-		{`{"From":1}`, true},
-		{`{"From":1}`, false}, // repeat
-		{`{"From":3}`, false}, // self
-		{`{"From":7}`, false}, // a higher ID, or outside the mesh
-		{`{"From":-1}`, false},
+		{`1`, true},
+		{`1`, false}, // repeat
+		{`3`, false}, // self
+		{`7`, false}, // a higher ID, or outside the mesh
+		{`-1`, false},
 		{`junk`, false},
-		{`{"From":0}`, true},
+		{`0`, true},
 	} {
-		local, remote := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			_, _ = remote.Write([]byte(c.hello + "\n"))
-		}()
-		from, err := readHello(local, wired)
-		_ = local.Close()
-		_ = remote.Close()
-		<-done
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(c.hello)))
+		from, err := helloFrom(t, wired, append(frame, c.hello...), time.Second)
 		if (err == nil) != c.ok {
 			t.Errorf("hello %s: from=%d err=%v, want ok=%v", c.hello, from, err, c.ok)
 		}
 	}
+
+	oversize := binary.BigEndian.AppendUint32(nil, maxHello+1)
+	if from, err := helloFrom(t, make([]bool, 3), oversize, time.Second); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Errorf("hello announcing %d bytes: from=%d err=%v, want a refused length", maxHello+1, from, err)
+	}
+
+	silent := make(chan error, 1)
+	go func() {
+		_, err := helloFrom(t, make([]bool, 3), nil, 50*time.Millisecond)
+		silent <- err
+	}()
+	select {
+	case err := <-silent:
+		if !errors.Is(err, transport.ErrTimeout) {
+			t.Errorf("silent peer: err=%v, want transport.ErrTimeout", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a silent peer held readHello past 2s at a 50ms timeout")
+	}
+}
+
+// helloFrom feeds the bytes a peer sends into readHello over an in-memory
+// connection and returns its verdict.
+func helloFrom(t *testing.T, wired []bool, sent []byte, timeout time.Duration) (int, error) {
+	t.Helper()
+	local, remote := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if len(sent) > 0 {
+			_, _ = remote.Write(sent)
+		}
+	}()
+	from, err := readHello(local, wired, timeout)
+	_ = local.Close()
+	_ = remote.Close()
+	<-done
+	return from, err
 }
 
 func TestCleanShutdown(t *testing.T) {
