@@ -316,7 +316,7 @@ func runWorker(args []string) error {
 	attempts := fs.Int("retries", 10, "dial attempts before giving up")
 	backoff := fs.Duration("backoff", 100*time.Millisecond, "initial dial retry backoff (doubles, capped)")
 	reconnect := fs.Int("reconnect", 0, "times a lost coordinator link is re-dialed and the session resumed (0 = exit on first loss)")
-	chaosProfile := fs.String("chaos", "", "chaosnet profile ID injected on the coordinator link ("+strings.Join(chaosnet.IDs(), "|")+"; empty = clean wire)")
+	chaosProfile := fs.String("chaos", "", "chaosnet profile ID injected on the coordinator link ("+acceptedChaos(dist.RefuseChaos)+"; empty = clean wire)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the -chaos plan (same seed = same faults)")
 	chaosNode := fs.Int("chaos-node", 1, "this worker's process ID in the chaos plan's link space (coordinator is 63)")
 	if err := fs.Parse(args); err != nil {

@@ -7,10 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"expensive/internal/adversary"
+	"expensive/internal/dist"
+	"expensive/internal/transport/chaosnet"
 )
 
 func TestRunSubcommands(t *testing.T) {
@@ -137,6 +140,27 @@ func TestRunErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestSoakHelpListsAcceptedChaos: the -chaos help of soak (per kind) and
+// of worker names the profiles that run — not the ones TestRunErrors shows
+// refused.
+func TestSoakHelpListsAcceptedChaos(t *testing.T) {
+	for _, c := range []struct {
+		link    string
+		refuse  func(*chaosnet.Plan) error
+		refused []string
+	}{
+		{"coordinator link", dist.RefuseChaos, []string{"dup-reorder", "corrupt"}},
+		{"mesh", refuseMeshChaos, []string{"cut"}},
+	} {
+		listed := strings.Split(acceptedChaos(c.refuse), "|")
+		for _, id := range chaosnet.IDs() {
+			if slices.Contains(listed, id) == slices.Contains(c.refused, id) {
+				t.Errorf("%s: help lists %s, refused %s", c.link, listed, c.refused)
+			}
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ func runSoak(args []string) error {
 	kind := fs.String("kind", "hunt", "what to soak: hunt|fuzz|matrix (dist campaign vs serial oracle; unset job flags take the kind's defaults, as in baexp coord) or smr (replicated log)")
 	workers := fs.Int("workers", 2, "worker processes (dist kinds)")
 	churnSpec := fs.String("churn", "", `kill schedule "AFTER:SLOT,..." (e.g. "400ms:0,900ms:1"); killed workers respawn`)
-	chaosProfile := fs.String("chaos", "", "chaosnet profile on every worker link ("+strings.Join(chaosnet.IDs(), "|")+"; empty = clean wire)")
+	chaosProfile := fs.String("chaos", "", "chaosnet profile on every soaked link (hunt, fuzz, matrix: "+acceptedChaos(dist.RefuseChaos)+"; smr: "+acceptedChaos(refuseMeshChaos)+"; empty = clean wire)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "base chaos seed; worker slot i uses seed+i")
 	duration := fs.Duration("duration", 30*time.Second, "deadline for dist kinds (overrun = FAIL); slot-commit horizon for smr")
 	hb := fs.Duration("hb", 2*time.Second, "heartbeat timeout before a silent worker is declared dead")
@@ -57,15 +57,12 @@ func runSoak(args []string) error {
 			return fmt.Errorf("unknown chaos profile %q (have %s)", *chaosProfile, strings.Join(chaosnet.IDs(), ", "))
 		}
 		// A profile whose faults the soaked link cannot inject would run
-		// clean and still print SOAK PASS: a mesh node has no reconnect
-		// path to cut, and dist.RefuseChaos names what a worker's
-		// coordinator link cannot inject.
-		plan := p.Build(*chaosSeed, chaosnet.Env{})
+		// clean and still print SOAK PASS.
+		refuse := dist.RefuseChaos
 		if *kind == "smr" {
-			if plan.Uses(chaosnet.Cut) {
-				return fmt.Errorf("soak -kind smr: chaos profile %q uses %s, which the replicated log's mesh cannot inject", p.ID, chaosnet.Cut)
-			}
-		} else if err := dist.RefuseChaos(plan); err != nil {
+			refuse = refuseMeshChaos
+		}
+		if err := refuse(p.Build(*chaosSeed, chaosnet.Env{})); err != nil {
 			return fmt.Errorf("soak -kind %s: %w", *kind, err)
 		}
 	}
@@ -192,6 +189,26 @@ func soakBytes(rep *dist.Report) (report, corpus []byte) {
 	report, _ = json.Marshal(inner(rep))
 	corpus, _ = json.Marshal(rep.Corpus)
 	return report, corpus
+}
+
+// refuseMeshChaos is dist.RefuseChaos for the replicated log's mesh: a
+// mesh node has no reconnect path to cut.
+func refuseMeshChaos(plan *chaosnet.Plan) error {
+	if plan.Uses(chaosnet.Cut) {
+		return fmt.Errorf("chaos profile %q uses %s, which the replicated log's mesh cannot inject", plan.Name(), chaosnet.Cut)
+	}
+	return nil
+}
+
+// acceptedChaos lists, for a flag's help, the profiles refuse lets run.
+func acceptedChaos(refuse func(*chaosnet.Plan) error) string {
+	var ids []string
+	for _, p := range chaosnet.Library() {
+		if refuse(p.Build(0, chaosnet.Env{})) == nil {
+			ids = append(ids, p.ID)
+		}
+	}
+	return strings.Join(ids, "|")
 }
 
 // soakSMR soaks the replicated log: phase-king slots over a fresh

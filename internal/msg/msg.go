@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"expensive/internal/proc"
 )
@@ -208,9 +209,41 @@ func EncodeVector(vec []Value) Value {
 // payloads ever reaches the cap, after which misses decode uncached.
 const decodeCacheCap = 1 << 14
 
+// Each CachedDecoder puts identitySlots entries in front of its memo, for
+// payloads of at least identityMin bytes: below that, hashing the string
+// costs less than the miss it would save.
+const (
+	identitySlots = 256
+	identityMin   = 1 << 10
+)
+
+// identityWays returns the two entries a payload's data pointer may sit in.
+// Large bodies sit at multiples of their size class or of a page, so the
+// pointer's low bits carry little: a multiplicative (Fibonacci) hash mixes
+// every bit into the top sixteen, eight per way. Two ways, not one: a
+// broadcast round's n bodies are live together, and direct-mapped about
+// n²/512 pairs of them would share an entry and evict each other at every
+// receiver (at n = 70, 1,213 misses per run instead of 70).
+func identityWays(p *byte) (int, int) {
+	h := uint64(uintptr(unsafe.Pointer(p))) * 0x9e3779b97f4a7c15
+	return int(h >> 56), int(h >> 48 & 0xff)
+}
+
 // CachedDecoder returns a process-wide memoizing decoder for payloads of
 // type T. Probe sweeps decode the same small universe of payload strings
 // millions of times; the memo turns those repeats into a map lookup.
+//
+// A large payload is usually one string handed to many receivers (a
+// multiplexer's bundle goes to n - 1 of them), and a map lookup hashes and
+// compares all of it every time. So a first level keyed by identity comes
+// before the map: identitySlots entries, each holding a payload string of
+// at least identityMin bytes with its verdict, in one of two entries
+// chosen by the string's data pointer (a miss evicts the older of the
+// two). A hit needs the same pointer and the same length. That is sound
+// because the entry holds the string itself: its memory cannot be freed
+// and reused for other bytes while the entry stands, so same pointer and
+// length means same bytes. A shorter payload pays one length compare. The
+// level keeps at most identitySlots payloads alive per decoder.
 //
 // The returned value is shared between all callers that present the same
 // payload string: treat it as immutable. ok=false marks a payload that
@@ -221,24 +254,49 @@ func CachedDecoder[T any]() func(payload string) (*T, bool) {
 		val *T
 		ok  bool
 	}
+	type identity struct {
+		payload string
+		stamp   int64 // a miss evicts the older of its two ways
+		entry
+	}
 	var (
-		cache sync.Map // string -> entry
-		size  atomic.Int64
+		cache  sync.Map // string -> entry
+		size   atomic.Int64
+		seen   [identitySlots]atomic.Pointer[identity]
+		stored atomic.Int64
 	)
 	return func(payload string) (*T, bool) {
-		if e, hit := cache.Load(payload); hit {
-			en := e.(entry)
-			return en.val, en.ok
-		}
-		v := new(T)
-		en := entry{}
-		if err := Decode(payload, v); err == nil {
-			en = entry{val: v, ok: true}
-		}
-		if size.Load() < decodeCacheCap {
-			if _, loaded := cache.LoadOrStore(payload, en); !loaded {
-				size.Add(1)
+		large := len(payload) >= identityMin
+		var a, b int
+		if large {
+			p := unsafe.StringData(payload)
+			a, b = identityWays(p)
+			for _, way := range [2]int{a, b} {
+				if id := seen[way].Load(); id != nil && unsafe.StringData(id.payload) == p && len(id.payload) == len(payload) {
+					return id.val, id.ok
+				}
 			}
+		}
+		var en entry
+		if e, hit := cache.Load(payload); hit {
+			en = e.(entry)
+		} else {
+			if v := new(T); Decode(payload, v) == nil {
+				en = entry{val: v, ok: true}
+			}
+			if size.Load() < decodeCacheCap {
+				if _, loaded := cache.LoadOrStore(payload, en); !loaded {
+					size.Add(1)
+				}
+			}
+		}
+		if large {
+			if x := seen[a].Load(); x != nil {
+				if y := seen[b].Load(); y == nil || y.stamp < x.stamp {
+					a = b
+				}
+			}
+			seen[a].Store(&identity{payload, stored.Add(1), en})
 		}
 		return en.val, en.ok
 	}

@@ -180,3 +180,73 @@ func FuzzMuxMatchesReference(f *testing.F) {
 		matchReference(t, int(k%13), 2+int(n%6), seed, extra)
 	})
 }
+
+// said is a sub-machine that says the same thing at every call.
+type said []sim.Outgoing
+
+func (s said) Init() []sim.Outgoing                   { return s }
+func (s said) Step(int, []msg.Message) []sim.Outgoing { return s }
+func (said) Decision() (msg.Value, bool)              { return msg.NoDecision, false }
+func (said) Quiescent() bool                          { return false }
+
+// TestUniformBroadcastMatchesReference holds the one-bundle path — every
+// instance that speaks names the same strictly ascending receivers with one
+// payload each — and each way out of it to the reference, byte for byte.
+func TestUniformBroadcastMatchesReference(t *testing.T) {
+	const n, k = 5, 12 // "10" and "11" sort before "2"
+	receivers := func(to ...proc.ID) func(int, []sim.Outgoing) []sim.Outgoing {
+		return func(_ int, out []sim.Outgoing) []sim.Outgoing {
+			p := out[0].Payload
+			out = out[:0]
+			for _, r := range to {
+				out = append(out, sim.Outgoing{To: r, Payload: p})
+			}
+			return out
+		}
+	}
+	onlyThird := func(edit func([]sim.Outgoing) []sim.Outgoing) func(int, []sim.Outgoing) []sim.Outgoing {
+		return func(i int, out []sim.Outgoing) []sim.Outgoing {
+			if i != 3 {
+				return out
+			}
+			return edit(out)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		edit func(instance int, broadcast []sim.Outgoing) []sim.Outgoing
+	}{
+		{"all broadcast", nil},
+		{"one silent", onlyThird(func([]sim.Outgoing) []sim.Outgoing { return nil })},
+		{"one missing a receiver", onlyThird(func(out []sim.Outgoing) []sim.Outgoing { return slices.Delete(out, 1, 2) })},
+		{"one receiver given a different payload", onlyThird(func(out []sim.Outgoing) []sim.Outgoing {
+			out[2].Payload += "'"
+			return out
+		})},
+		{"descending", receivers(4, 3, 2, 1)},
+		{"a receiver named twice", receivers(1, 2, 2, 3, 4)},
+		{"out-of-range receivers", receivers(-1, 1, 2, 3, 4, n+2)},
+	} {
+		subs := func() []sim.Machine {
+			out := make([]sim.Machine, k)
+			for i := range out {
+				var b []sim.Outgoing
+				for p := proc.ID(1); p < n; p++ {
+					b = append(b, sim.Outgoing{To: p, Payload: fmt.Sprintf("%s#%d", hostilePayloads[i%len(hostilePayloads)], i)})
+				}
+				if c.edit != nil {
+					b = c.edit(i, b)
+				}
+				out[i] = said(b)
+			}
+			return out
+		}
+		ref, got := refNew(subs(), mux.VectorCombiner), mux.New(subs(), mux.VectorCombiner)
+		if want, have := ref.Init(), got.Init(); !slices.Equal(want, have) {
+			t.Errorf("%s: Init sends\n%q\nreference sends\n%q", c.name, have, want)
+		}
+		if want, have := ref.Step(1, nil), got.Step(1, nil); !slices.Equal(want, have) {
+			t.Errorf("%s: Step sends\n%q\nreference sends\n%q", c.name, have, want)
+		}
+	}
+}

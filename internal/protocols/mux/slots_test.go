@@ -1,6 +1,7 @@
 package mux_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -83,12 +84,18 @@ func TestSlotsAreNotSharedAcrossProtocols(t *testing.T) {
 	}
 }
 
+// broadcasts numbers the bodies TestBroadcastDecodedOnce builds: a body
+// stays in the process-wide bundle cache with its slots filled, so a second
+// invocation in the same process (-count=2) needs bytes of its own.
+var broadcasts atomic.Int64
+
 // TestBroadcastDecodedOnce gives one bundle body to n receivers, as a
 // broadcast does: each inner payload is decoded by the first receiver's
 // instance and read from its slot by the other n - 1.
 func TestBroadcastDecodedOnce(t *testing.T) {
 	const n, k = 6, 3
-	body := `{"I":{"0":"decoded once","1":"by the first","2":"receiver"}}`
+	payloads := []string{fmt.Sprintf("decoded once (%d)", broadcasts.Add(1)), "by the first", "receiver"}
+	body := msg.Encode(map[string]any{"I": map[string]string{"0": payloads[0], "1": payloads[1], "2": payloads[2]}})
 	var decodes atomic.Int64
 	for r := 0; r < n; r++ {
 		subs := make([]sim.Machine, k)
@@ -97,7 +104,7 @@ func TestBroadcastDecodedOnce(t *testing.T) {
 		}
 		mux.New(subs, mux.VectorCombiner).Step(1, []msg.Message{{Sender: n, Receiver: 0, Round: 1, Payload: body}})
 		for i, s := range subs {
-			if got, want := s.(*reader[shouted]).read, []shouted{shout([]string{"decoded once", "by the first", "receiver"}[i])}; !slices.Equal(got, want) {
+			if got, want := s.(*reader[shouted]).read, []shouted{shout(payloads[i])}; !slices.Equal(got, want) {
 				t.Fatalf("receiver %d, instance %d read %v, want %v", r, i, got, want)
 			}
 		}
