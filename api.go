@@ -331,8 +331,12 @@ func StrategyUnion(a, b AttackStrategy) AttackStrategy { return adversary.Union(
 // CheckWeakValidity is the paper's Weak Validity (vacuous under faults),
 // in the shape of AttackTarget.Validity.
 func CheckWeakValidity(proposals []Value, correct ProcessSet, decision Value) error {
-	return validity.WeakCheck(proposals, correct, decision)
+	return weakValidity(proposals, correct, decision)
 }
+
+// weakValidity is validity.Weak's runtime form. The check takes n from
+// the run and Weak's predicate reads no t, so one value serves every size.
+var weakValidity = validity.AdmissibleCheck(validity.Weak(0, 0))
 
 // Shrink minimizes a campaign violation into a 1-minimal explicit fault
 // plan, re-validating every candidate against the execution guarantees

@@ -119,24 +119,6 @@ func (r SeedRange) Split(k int) []SeedRange {
 	return out
 }
 
-// ValidityFunc checks the validity property of one probe outcome: the
-// proposal vector, the correct set, and the correct processes' common
-// decision. A non-nil error is a validity violation. Termination and
-// Agreement are checked by the campaign itself before validity runs.
-//
-// The concrete checks live in package validity (validity.WeakCheck,
-// StrongCheck, SenderCheck, AdmissibleCheck — next to the problem
-// formalism they verdict) so that protocol packages can attach their
-// validity property to catalog specs without importing this layer.
-type ValidityFunc = validity.Check
-
-// AgreementFunc optionally replaces the strict equal-decision Agreement
-// check with a pairwise compatibility relation (validity.Compat) for
-// protocols whose correct outputs legitimately differ, like graded
-// broadcast. When set, the validity property is checked against every
-// correct decision instead of the (then ill-defined) common one.
-type AgreementFunc = validity.Compat
-
 // Violation is a protocol failure found by a campaign probe, carrying
 // everything needed to replay, shrink, and independently re-check it.
 type Violation struct {
@@ -180,7 +162,7 @@ func (v *Violation) String() string {
 // validity is checked once against the common decision. With a compat
 // relation, Agreement is the relation over all correct pairs and validity
 // is checked against every correct decision.
-func CheckExecution(e *sim.Execution, proposals []msg.Value, validity ValidityFunc, compat AgreementFunc) *Violation {
+func CheckExecution(e *sim.Execution, proposals []msg.Value, check validity.Check, compat validity.Compat) *Violation {
 	correct := e.Correct()
 	if compat == nil {
 		// Strict path: Termination and Agreement interleave in member
@@ -209,8 +191,8 @@ func CheckExecution(e *sim.Execution, proposals []msg.Value, validity ValidityFu
 		if first < 0 {
 			return nil // no correct processes to violate anything
 		}
-		if validity != nil {
-			if err := validity(proposals, correct, common); err != nil {
+		if check != nil {
+			if err := check(proposals, correct, common); err != nil {
 				return &Violation{
 					Kind:     "validity",
 					Witness2: first,
@@ -251,9 +233,9 @@ func CheckExecution(e *sim.Execution, proposals []msg.Value, validity ValidityFu
 			}
 		}
 	}
-	if validity != nil {
+	if check != nil {
 		for i, id := range members {
-			if err := validity(proposals, correct, decisions[i]); err != nil {
+			if err := check(proposals, correct, decisions[i]); err != nil {
 				return &Violation{
 					Kind:     "validity",
 					Witness2: id,

@@ -24,7 +24,7 @@ func floodsetCampaign(parallelism int) *Campaign {
 			Rounds:   floodset.RoundBound(tf),
 			N:        n,
 			T:        tf,
-			Validity: validity.WeakCheck,
+			Validity: validity.AdmissibleCheck(validity.Weak(n, tf)),
 			New: func(n, t int) (sim.Factory, int, error) {
 				return floodset.New(floodset.Config{N: n, T: t}), floodset.RoundBound(t), nil
 			},
@@ -158,7 +158,7 @@ func TestCampaignSoundProtocols(t *testing.T) {
 					Rounds:   rounds,
 					N:        n,
 					T:        tf,
-					Validity: validity.StrongCheck,
+					Validity: validity.AdmissibleCheck(validity.Strong(n, tf)),
 				},
 				Strategy: s,
 				Seeds:    SeedRange{From: 0, To: 20},

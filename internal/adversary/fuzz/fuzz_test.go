@@ -31,7 +31,7 @@ func floodsetFuzzer(n, t, budget, parallelism int) *Fuzzer {
 			Rounds:   floodset.RoundBound(t),
 			N:        n,
 			T:        t,
-			Validity: validity.WeakCheck,
+			Validity: validity.AdmissibleCheck(validity.Weak(n, t)),
 			New: func(n2, t2 int) (sim.Factory, int, error) {
 				return floodset.New(floodset.Config{N: n2, T: t2}), floodset.RoundBound(t2), nil
 			},

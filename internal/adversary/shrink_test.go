@@ -40,7 +40,7 @@ func handmadeFloodSetViolation(t *testing.T, n, tf int) (*Violation, ShrinkOptio
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := CheckExecution(e, proposals, validity.WeakCheck, nil)
+	v := CheckExecution(e, proposals, validity.AdmissibleCheck(validity.Weak(n, tf)), nil)
 	if v == nil || v.Kind != "agreement" {
 		t.Fatalf("handmade attack did not split FloodSet (violation: %v)", v)
 	}
@@ -57,7 +57,7 @@ func handmadeFloodSetViolation(t *testing.T, n, tf int) (*Violation, ShrinkOptio
 			New: func(n, t int) (sim.Factory, int, error) {
 				return floodset.New(floodset.Config{N: n, T: t}), floodset.RoundBound(t), nil
 			},
-			Validity: validity.WeakCheck,
+			Validity: validity.AdmissibleCheck(validity.Weak(n, tf)),
 		},
 	}
 	return v, opts

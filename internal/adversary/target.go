@@ -6,6 +6,7 @@ import (
 	"expensive/internal/msg"
 	"expensive/internal/omission"
 	"expensive/internal/sim"
+	"expensive/internal/validity"
 )
 
 // Target is the protocol under test: what a Campaign, a fuzz.Fuzzer and
@@ -23,11 +24,12 @@ type Target struct {
 	// Horizon overrides the probe execution length (default sim.Horizon(Rounds)).
 	Horizon int
 	// Validity is the optional validity property checked after Termination
-	// and Agreement.
-	Validity ValidityFunc
+	// and Agreement. The shrinker keeps it when it reduces n, so it must
+	// judge a run at the run's own size, as validity.AdmissibleCheck does.
+	Validity validity.Check
 	// Agreement optionally replaces strict equal-decision Agreement with a
 	// pairwise compatibility relation (graded broadcast).
-	Agreement AgreementFunc
+	Agreement validity.Compat
 	// New optionally rebuilds the protocol at a different system size,
 	// enabling the shrinker to reduce n. Returning an error refuses a size.
 	New func(n, t int) (sim.Factory, int, error)

@@ -81,7 +81,7 @@ func TestReplayRefuses(t *testing.T) {
 		Rounds:   floodset.RoundBound(tf),
 		N:        n,
 		T:        tf,
-		Validity: validity.WeakCheck,
+		Validity: validity.AdmissibleCheck(validity.Weak(n, tf)),
 	}
 	env := honest.Env()
 	hunt := func(target adversary.Target, full bool) (*adversary.CampaignReport, error) {

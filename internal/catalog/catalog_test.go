@@ -2,6 +2,7 @@ package catalog_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"expensive/internal/msg"
 	"expensive/internal/proc"
 	"expensive/internal/sim"
+	"expensive/internal/validity"
 )
 
 // expectedIDs is the registry tripwire: adding a protocol package without
@@ -260,6 +262,81 @@ func TestRebuilderRefusesUnsupportedSizes(t *testing.T) {
 	}
 	if _, _, err := rebuild(5, 1); err != nil {
 		t.Fatalf("rebuild at supported size: %v", err)
+	}
+}
+
+// TestValidityHookJudgesShrunkRuns pins the other half of the shrinker
+// contract: the shrinker keeps a target's validity hook when it rebuilds
+// the protocol at a smaller n, so the hook built at (n, t) must judge a
+// run at n-1 exactly as the hook built at (n-1, t) does. Every spec with a
+// hook must accept a fault-free run at n-1; for binary-decision specs, the
+// flipped decision of a unanimous fault-free run must be rejected by both.
+func TestValidityHookJudgesShrunkRuns(t *testing.T) {
+	const tf = 1
+	for _, spec := range catalog.Protocols() {
+		if spec.Validity == nil {
+			continue
+		}
+		spec := spec
+		t.Run(spec.ID, func(t *testing.T) {
+			n := 0
+			for m := 5; m <= 9 && n == 0; m++ {
+				if spec.SupportedAt(m, tf) {
+					if _, _, err := spec.Rebuilder(catalog.DefaultParams(m, tf))(m-1, tf); err == nil {
+						n = m
+					}
+				}
+			}
+			if n == 0 {
+				t.Fatalf("no n in 5..9 with n and n-1 supported at t=%d — condition %q", tf, spec.Condition)
+			}
+			small := n - 1
+			factory, rounds, err := spec.Rebuilder(catalog.DefaultParams(n, tf))(small, tf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hooks := []struct {
+				name  string
+				check validity.Check
+			}{
+				{fmt.Sprintf("hook at n=%d", n), spec.ValidityFor(catalog.DefaultParams(n, tf))},
+				{fmt.Sprintf("hook at n=%d", small), spec.ValidityFor(catalog.DefaultParams(small, tf))},
+			}
+			all := proc.Universe(small)
+			for _, unanimous := range []bool{false, true} {
+				proposals := make([]msg.Value, small)
+				for i := range proposals {
+					proposals[i] = msg.Zero
+					if !unanimous {
+						proposals[i] = msg.Bit(i % 2)
+					}
+				}
+				e, err := sim.Run(sim.Config{N: small, T: tf, Proposals: proposals, MaxRounds: rounds + 1}, factory, sim.NoFaults{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < small; i++ {
+					d, ok := e.Decision(proc.ID(i))
+					if !ok {
+						t.Fatalf("process %d undecided after %d rounds at n=%d", i, e.Rounds, small)
+					}
+					for _, h := range hooks {
+						if err := h.check(proposals, all, d); err != nil {
+							t.Errorf("%s rejects fault-free decision %q on %v: %v", h.name, d, proposals, err)
+						}
+					}
+				}
+				d, _ := e.Decision(0)
+				if !unanimous || !msg.IsBit(d) {
+					continue
+				}
+				for _, h := range hooks {
+					if h.check(proposals, all, msg.FlipBit(d)) == nil {
+						t.Errorf("%s accepts %q on unanimous fault-free proposals %v", h.name, msg.FlipBit(d), proposals)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -137,6 +137,8 @@ type falsifier struct {
 	horizon int
 	opts    Options
 	report  *Report
+	// weak is Weak Validity at (n, t), the verdict of correctDecision.
+	weak validity.Check
 
 	// Telemetry handles, nil when no recorder rides on opts.Ctx. Strictly
 	// a side channel: the report (executions, log, violation) depends only
@@ -167,6 +169,7 @@ func Falsify(name string, factory sim.Factory, roundBound, n, t int, opts Option
 		t:       t,
 		horizon: sim.Horizon(roundBound),
 		opts:    opts,
+		weak:    validity.AdmissibleCheck(validity.Weak(n, t)),
 		report: &Report{
 			Protocol:  name,
 			N:         n,
@@ -313,7 +316,7 @@ func (f *falsifier) probeIsolated(label string, group proc.Set, k int, pr *probe
 // campaign's, adversary.CheckExecution with Weak Validity, which is
 // vacuous on every probe but the fully-correct E_0 and E_1.
 func (f *falsifier) correctDecision(e *sim.Execution, label string) (msg.Value, *Violation) {
-	v := adversary.CheckExecution(e, e.Proposals(), validity.WeakCheck, nil)
+	v := adversary.CheckExecution(e, e.Proposals(), f.weak, nil)
 	if v == nil {
 		common, _, _ := e.Unanimity(e.Correct())
 		return common, nil

@@ -22,7 +22,7 @@ func init() {
 			return New(Config{N: p.N, T: p.T, Sender: p.Sender, Scheme: p.Scheme, Tag: "bb", Default: p.Default}), nil
 		},
 		Validity: func(p catalog.Params) validity.Check {
-			return validity.SenderCheck(p.Sender)
+			return validity.AdmissibleCheck(validity.Broadcast(p.N, p.T, p.Sender))
 		},
 	})
 }

@@ -12,7 +12,7 @@ import (
 // sweeps want them: they are the negative control of the failure-model
 // hierarchy.
 func init() {
-	weakValidity := func(catalog.Params) validity.Check { return validity.WeakCheck }
+	weakValidity := func(p catalog.Params) validity.Check { return validity.AdmissibleCheck(validity.Weak(p.N, p.T)) }
 	catalog.Register(catalog.Spec{
 		ID:        "floodset",
 		Title:     "FloodSet crash-model consensus (min of seen values)",

@@ -19,6 +19,6 @@ func init() {
 		New: func(p catalog.Params) (sim.Factory, error) {
 			return New(Config{N: p.N, T: p.T}), nil
 		},
-		Validity: func(catalog.Params) validity.Check { return validity.StrongCheck },
+		Validity: func(p catalog.Params) validity.Check { return validity.AdmissibleCheck(validity.Strong(p.N, p.T)) },
 	})
 }

@@ -13,7 +13,7 @@ import (
 // per substrate of the paper's landscape. All of them pay the Theorem 2
 // quadratic price — that is experiment E1's point.
 func init() {
-	weakValidity := func(catalog.Params) validity.Check { return validity.WeakCheck }
+	weakValidity := func(p catalog.Params) validity.Check { return validity.AdmissibleCheck(validity.Weak(p.N, p.T)) }
 	catalog.Register(catalog.Spec{
 		ID:          "weak-ic",
 		Title:       "weak consensus via authenticated IC + Γ_weak (Algorithm 2)",

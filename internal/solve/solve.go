@@ -47,28 +47,9 @@ var ErrUnsolvable = fmt.Errorf("problem is unsolvable (Theorem 4)")
 // t < n. It fails with ErrUnsolvable iff p is non-trivial and violates the
 // containment condition.
 func Authenticated(p validity.Problem, scheme sig.Scheme) (*Derived, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	verdict, cc := p.SolveCC()
-	if verdict.Trivial {
-		return trivial(p, verdict), nil
-	}
-	if !verdict.CC {
-		return nil, fmt.Errorf("%s (n=%d, t=%d): containment condition fails (%v): %w",
-			p.Name, p.N, p.T, verdict.CCWitness, ErrUnsolvable)
-	}
-	gamma, err := p.GammaFunc(cc)
-	if err != nil {
-		return nil, err
-	}
-	icf := ic.New(ic.Config{N: p.N, T: p.T, Scheme: scheme, Default: p.Inputs[0]})
-	return &Derived{
-		Factory: reduction.FromIC(icf, reduction.Gamma(gamma)),
-		Rounds:  ic.RoundBound(p.T),
-		Mode:    "authenticated-ic",
-		Verdict: verdict,
-	}, nil
+	return derive(p, nil, func() (sim.Factory, int, string) {
+		return ic.New(ic.Config{N: p.N, T: p.T, Scheme: scheme, Default: p.Inputs[0]}), ic.RoundBound(p.T), "authenticated-ic"
+	})
 }
 
 // Unauthenticated derives a signature-free protocol for p, requiring
@@ -76,6 +57,21 @@ func Authenticated(p validity.Problem, scheme sig.Scheme) (*Derived, error) {
 // fails or n <= 3t (Lemma 10: below that resilience only trivial problems
 // are unauthenticated-solvable).
 func Unauthenticated(p validity.Problem) (*Derived, error) {
+	var refusal error
+	if p.N <= 3*p.T {
+		refusal = fmt.Errorf("%s: n=%d <= 3t=%d without authentication: %w",
+			p.Name, p.N, 3*p.T, ErrUnsolvable)
+	}
+	return derive(p, refusal, func() (sim.Factory, int, string) {
+		return eig.New(eig.Config{N: p.N, T: p.T, Default: p.Inputs[0]}), eig.RoundBound(p.T), "unauthenticated-eig"
+	})
+}
+
+// derive is the Algorithm 2 derivation both substrates share: validate p,
+// solve a trivial p with zero communication, refuse a p that fails CC,
+// then the substrate's own refusal (nil when it has none), and finally
+// run the substrate — factory, round bound and mode — under p's Γ.
+func derive(p validity.Problem, refusal error, substrate func() (sim.Factory, int, string)) (*Derived, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -87,19 +83,18 @@ func Unauthenticated(p validity.Problem) (*Derived, error) {
 		return nil, fmt.Errorf("%s (n=%d, t=%d): containment condition fails (%v): %w",
 			p.Name, p.N, p.T, verdict.CCWitness, ErrUnsolvable)
 	}
-	if p.N <= 3*p.T {
-		return nil, fmt.Errorf("%s: n=%d <= 3t=%d without authentication: %w",
-			p.Name, p.N, 3*p.T, ErrUnsolvable)
+	if refusal != nil {
+		return nil, refusal
 	}
 	gamma, err := p.GammaFunc(cc)
 	if err != nil {
 		return nil, err
 	}
-	eigf := eig.New(eig.Config{N: p.N, T: p.T, Default: p.Inputs[0]})
+	factory, rounds, mode := substrate()
 	return &Derived{
-		Factory: reduction.FromIC(eigf, reduction.Gamma(gamma)),
-		Rounds:  eig.RoundBound(p.T),
-		Mode:    "unauthenticated-eig",
+		Factory: reduction.FromIC(factory, reduction.Gamma(gamma)),
+		Rounds:  rounds,
+		Mode:    mode,
 		Verdict: verdict,
 	}, nil
 }

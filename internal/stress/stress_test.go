@@ -43,8 +43,12 @@ func binaryStrong(proposals []msg.Value, correct proc.Set, decision msg.Value) e
 	if !msg.IsBit(decision) {
 		return fmt.Errorf("non-binary decision %q", decision)
 	}
-	return validity.StrongCheck(proposals, correct, decision)
+	return strongValidity(proposals, correct, decision)
 }
+
+// strongValidity is Strong Validity at phase-king's (9, 2), the size of
+// every binaryStrong campaign below.
+var strongValidity = validity.AdmissibleCheck(validity.Strong(9, 2))
 
 func TestPhaseKingUnderRandomByzantine(t *testing.T) {
 	n, tf := 9, 2
@@ -117,7 +121,7 @@ func TestWeakEIGUnderRandomByzantine(t *testing.T) {
 			Rounds:   rounds,
 			N:        n,
 			T:        tf,
-			Validity: validity.WeakCheck,
+			Validity: validity.AdmissibleCheck(validity.Weak(n, tf)),
 		},
 		Strategy: adversary.Chaos(),
 		Seeds:    adversary.SeedRange{From: 2000, To: 2000 + fuzzSeeds/2},
@@ -134,7 +138,7 @@ func TestWeakICUnderRandomByzantine(t *testing.T) {
 			Rounds:   rounds,
 			N:        n,
 			T:        tf,
-			Validity: validity.WeakCheck,
+			Validity: validity.AdmissibleCheck(validity.Weak(n, tf)),
 		},
 		Strategy: adversary.Chaos(),
 		Seeds:    adversary.SeedRange{From: 3000, To: 3000 + fuzzSeeds/3},
@@ -151,7 +155,7 @@ func TestDolevStrongUnderRandomByzantine(t *testing.T) {
 			Rounds:   dolevstrong.RoundBound(tf),
 			N:        n,
 			T:        tf,
-			Validity: validity.SenderCheck(0),
+			Validity: validity.AdmissibleCheck(validity.Broadcast(n, tf, 0)),
 		},
 		Strategy: adversary.Chaos(),
 		Seeds:    adversary.SeedRange{From: 4000, To: 4000 + fuzzSeeds},

@@ -13,9 +13,14 @@ import (
 // Agreement are checked by the caller (the campaign engine) before a
 // Check runs.
 //
-// The concrete checks below are the runtime counterparts of the
-// admissibility predicates in this package: problems state validity over
-// input configurations; checks verdict one recorded execution.
+// A problem states its validity property once, as an admissibility
+// predicate over input configurations; AdmissibleCheck is that property's
+// runtime form, which verdicts one recorded execution. Weak, Strong and
+// Sender validity are checked only that way. The exceptions are the
+// properties whose admissibility table is impractical or does not exist:
+// VectorCheck (interactive consistency, whose Problem lists all 2^n
+// output vectors), and graded broadcast's G1 and external validity (in
+// their protocol packages), neither of which has a finite output domain.
 type Check func(proposals []msg.Value, correct proc.Set, decision msg.Value) error
 
 // Compat is a pairwise decision-compatibility relation replacing strict
@@ -25,53 +30,11 @@ type Check func(proposals []msg.Value, correct proc.Set, decision msg.Value) err
 // a non-nil error means the two correct decisions conflict.
 type Compat func(a, b msg.Value) error
 
-// StrongCheck is the strong consensus property: whenever the correct
-// processes' proposals are unanimous — faulty or not — that value must be
-// the decision. Use it only against protocols that claim strong validity
-// (Phase-King); minimum-style protocols like FloodSet legitimately adopt
-// a faulty process's value.
-func StrongCheck(proposals []msg.Value, correct proc.Set, decision msg.Value) error {
-	members := correct.Members()
-	if len(members) == 0 {
-		return nil
-	}
-	u := proposals[members[0]]
-	for _, id := range members[1:] {
-		if proposals[id] != u {
-			return nil
-		}
-	}
-	if decision != u {
-		return fmt.Errorf("correct processes unanimously proposed %q but decided %q", u, decision)
-	}
-	return nil
-}
-
-// WeakCheck is the paper's Weak Validity: in a *fully correct* execution
-// with unanimous proposals, the decision must be that value. With any
-// fault present it imposes nothing.
-func WeakCheck(proposals []msg.Value, correct proc.Set, decision msg.Value) error {
-	if correct.Len() != len(proposals) {
-		return nil // a process is faulty; Weak Validity is vacuous
-	}
-	return StrongCheck(proposals, correct, decision)
-}
-
-// SenderCheck returns the broadcast validity property: when the
-// designated sender stays correct, the decision must be its proposal.
-func SenderCheck(sender proc.ID) Check {
-	return func(proposals []msg.Value, correct proc.Set, decision msg.Value) error {
-		if correct.Contains(sender) && decision != proposals[sender] {
-			return fmt.Errorf("correct sender %s proposed %q but the correct processes decided %q",
-				sender, proposals[sender], decision)
-		}
-		return nil
-	}
-}
-
 // VectorCheck is interactive consistency's IC-Validity: the decision is
 // an encoded n-vector whose entry for every correct process must be that
-// process's actual proposal.
+// process's actual proposal. It stays a hand-written check rather than
+// AdmissibleCheck(Interactive(n, t)), because building that Problem lists
+// IC's 2^n output vectors for every target it is attached to.
 func VectorCheck(proposals []msg.Value, correct proc.Set, decision msg.Value) error {
 	vec, err := msg.DecodeVector(decision)
 	if err != nil {
@@ -88,22 +51,25 @@ func VectorCheck(proposals []msg.Value, correct proc.Set, decision msg.Value) er
 	return nil
 }
 
-// AdmissibleCheck checks a decision against a problem's own validity
-// property: it rebuilds the input configuration of the correct processes
-// and requires the decision to be admissible under it.
+// AdmissibleCheck is the runtime form of a problem's validity property:
+// it views the recorded run as the input configuration of its correct
+// processes and requires the decision to be admissible under it. The
+// view's n is the run's own size (len(proposals)), not p.N, so a hook
+// built at (n, t) judges a run the shrinker has reduced to fewer
+// processes by the same rule a hook built at the smaller size would.
 func AdmissibleCheck(p Problem) Check {
 	return func(proposals []msg.Value, correct proc.Set, decision msg.Value) error {
-		assign := make(map[proc.ID]msg.Value, correct.Len())
-		for _, id := range correct.Members() {
-			assign[id] = proposals[id]
-		}
-		c, err := NewConfig(p.N, assign)
-		if err != nil {
-			return fmt.Errorf("rebuild input configuration: %w", err)
-		}
+		c := observed(proposals, correct)
 		if !p.Admissible(c, decision) {
 			return fmt.Errorf("decided %q, which is not admissible under %v", decision, c)
 		}
 		return nil
 	}
+}
+
+// observed is the input configuration a run exhibits: the proposals of
+// its correct processes over Π = {0..len(proposals)-1}. It shares the
+// proposals slice without copying; no InputConfig method writes vals.
+func observed(proposals []msg.Value, correct proc.Set) InputConfig {
+	return InputConfig{n: len(proposals), present: correct, vals: proposals}
 }
