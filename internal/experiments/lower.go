@@ -245,10 +245,8 @@ func (m *chainedEcho) Quiescent() bool { return false }
 // E3 reproduces Figure 2 / Lemmas 3-5 on a cheap protocol: the decisions
 // of A, B and C in the critical executions and their merge.
 func E3(n, t int, opts runner.Options) (*Table, error) {
-	factory := cheap.Star(n)
-	rounds := cheap.StarRounds
-	rep, err := lowerbound.Falsify("star", factory, rounds, n, t,
-		lowerbound.Options{Parallelism: opts.Parallelism, Ctx: opts.Context()})
+	star, _ := Falsifiable("star") // an E1 row
+	rep, err := star.Run(n, t, lowerbound.Options{Parallelism: opts.Parallelism, Ctx: opts.Context()})
 	if err != nil {
 		return nil, err
 	}

@@ -121,14 +121,6 @@ type Options struct {
 	Ctx context.Context
 }
 
-// context resolves the effective context of the run.
-func (o Options) context() context.Context {
-	if o.Ctx == nil {
-		return context.Background()
-	}
-	return o.Ctx
-}
-
 type falsifier struct {
 	name    string
 	factory sim.Factory
@@ -211,53 +203,47 @@ func (f *falsifier) observe(label string, e *sim.Execution) {
 		label, c.Rounds, c.Messages, f.report.Threshold)
 }
 
-// probe is a deferred simulation probe: a Promise resolving to the
-// execution, computed on the worker pool (or inline when serial).
-type probe = runner.Promise[*sim.Execution]
-
-// isolatedFetch builds the compute step of E_group(k)_v at the given
-// recording tier. Fetches are pure — safe to run concurrently.
-func (f *falsifier) isolatedFetch(group proc.Set, k int, v msg.Value, rec sim.Recording) func() (*sim.Execution, error) {
-	return func() (*sim.Execution, error) {
-		return omission.RunIsolatedAt(f.n, f.t, f.factory, v, group, k, f.horizon, rec)
-	}
+// isolated is one execution E_group(k)_v of Table 1. Every probe runs it
+// lean (decisions and counts only); trace holds its full trace once a
+// certificate, a Lemma 2 candidate or a merge has asked for it.
+type isolated struct {
+	group proc.Set
+	k     int
+	v     msg.Value
+	lean  *runner.Promise[*sim.Execution]
+	trace *sim.Execution
 }
 
-// ensureFullIsolated upgrades a lean isolated probe to a full trace by
-// re-running the same deterministic configuration at sim.RecordFull —
-// which also runs the Appendix A.1.6 and Definition 1 validation the lean
-// probe skipped. Executions that already carry full traces pass through.
-func (f *falsifier) ensureFullIsolated(e *sim.Execution, group proc.Set, k int) (*sim.Execution, error) {
-	if e.Recording == sim.RecordFull {
-		return e, nil
-	}
-	return f.isolatedFetch(group, k, e.Behaviors[0].Proposal, sim.RecordFull)()
-}
-
-// leanNeedsFull reports whether analyzing the lean isolated probe e can
-// require message identities: a violated verdict (the certificate must be
-// a full trace), or an isolated group member whose decision differs from
-// the correct processes' common one (a Lemma 2 swap candidate, which needs
-// the receive-omission sets). When it returns false, correctDecision and
-// lemma2 provably touch only decisions.
-func (f *falsifier) leanNeedsFull(e *sim.Execution, group proc.Set) bool {
-	common, viol := f.correctDecision(e, "")
-	if viol != nil {
-		return true
-	}
-	for _, p := range group.Members() {
-		if d, ok := e.Decision(p); !ok || d != common {
-			return true
+// prefetch schedules the lean runs of xs on the worker pool (inline on
+// first Wait when serial) and returns the cancel function that joins it.
+func (f *falsifier) prefetch(xs ...*isolated) context.CancelFunc {
+	ps, cancel := runner.Prefetch(f.opts.Ctx, runner.Workers(f.opts.Parallelism), len(xs), func(i int) (*sim.Execution, error) {
+		x := xs[i]
+		cfg := sim.Config{N: f.n, T: f.t, Proposals: msg.Uniform(f.n, x.v), MaxRounds: f.horizon, Recording: sim.RecordDecisions}
+		e, err := sim.Run(cfg, f.factory, omission.Isolation(x.group, x.k))
+		if err != nil {
+			return nil, fmt.Errorf("run isolated %v from round %d: %w", x.group, x.k, err)
 		}
+		return e, nil
+	})
+	for i, x := range xs {
+		x.lean = ps[i]
 	}
-	return false
+	return cancel
 }
 
-// inlineProbe wraps a single fetch as a lazily evaluated probe (no
-// speculation, computed on first Wait).
-func (f *falsifier) inlineProbe(fetch func() (*sim.Execution, error)) *probe {
-	ps, _ := runner.Prefetch(f.opts.context(), 1, 1, func(int) (*sim.Execution, error) { return fetch() })
-	return ps[0]
+// full returns x's full trace, re-running the same deterministic
+// configuration through omission.RunIsolated — which also checks Appendix
+// A.1.6 and Definition 1 — the first time it is asked for.
+func (f *falsifier) full(x *isolated) (*sim.Execution, error) {
+	if x.trace == nil {
+		e, err := omission.RunIsolated(f.n, f.t, f.factory, x.v, x.group, x.k, f.horizon)
+		if err != nil {
+			return nil, err
+		}
+		x.trace = e
+	}
+	return x.trace, nil
 }
 
 // decisionRound returns the first round by which every process of e has
@@ -279,36 +265,41 @@ func decisionRound(e *sim.Execution) int {
 
 // probeIsolated consumes E_G(k)_v, checks the correct processes agree,
 // tries the direct Lemma 2 argument on the isolated group, and returns
-// the execution plus the correct processes' common decision. A nil
-// execution with nil error means a violation was recorded.
+// the correct processes' common decision. A violation is recorded in the
+// report with a nil error.
 //
-// Probes arrive lean (decisions and counts only). When every correct
-// process and every isolated member decide one common value — the
-// overwhelmingly common case for the protocols the construction grinds
-// through — the analysis below provably never touches a message, and the
-// lean trace suffices. Otherwise the probe is deterministically re-run at
-// sim.RecordFull first (k is the isolation round, needed for the re-run).
-func (f *falsifier) probeIsolated(label string, group proc.Set, k int, pr *probe) (*sim.Execution, msg.Value, error) {
-	e, err := pr.Wait()
+// The verdict and Lemma 2's decisions are read off the lean run. When
+// every correct process and every isolated member decide one common value
+// — the overwhelmingly common case for the protocols the construction
+// grinds through — nothing more is needed; a certificate or a Lemma 2
+// candidate fetches the full trace first.
+func (f *falsifier) probeIsolated(label string, x *isolated) (msg.Value, error) {
+	e, err := x.lean.Wait()
 	if err != nil {
-		return nil, msg.NoDecision, fmt.Errorf("probe %s: %w", label, err)
+		return msg.NoDecision, fmt.Errorf("probe %s: %w", label, err)
 	}
 	f.observe(label, e)
-	if e.Recording != sim.RecordFull && f.leanNeedsFull(e, group) {
-		if e, err = f.ensureFullIsolated(e, group, k); err != nil {
-			return nil, msg.NoDecision, fmt.Errorf("probe %s: full replay: %w", label, err)
+	trace := func() (*sim.Execution, error) {
+		full, err := f.full(x)
+		if err != nil {
+			return nil, fmt.Errorf("probe %s: full replay: %w", label, err)
 		}
+		return full, nil
 	}
 	bX, viol := f.correctDecision(e, label)
+	if viol == nil {
+		viol, err = f.lemma2(e, trace, x.group, bX, label)
+	} else {
+		viol.Exec, err = trace()
+	}
+	if err != nil {
+		return msg.NoDecision, err
+	}
 	if viol != nil {
 		f.report.Violation = viol
-		return nil, msg.NoDecision, nil
+		return msg.NoDecision, nil
 	}
-	if viol := f.lemma2(e, group, bX, label); viol != nil {
-		f.report.Violation = viol
-		return nil, msg.NoDecision, nil
-	}
-	return e, bX, nil
+	return bX, nil
 }
 
 // correctDecision extracts the common decision of the correct processes,
@@ -336,21 +327,27 @@ func (f *falsifier) correctDecision(e *sim.Execution, label string) (msg.Value, 
 // decision differs from bX (or is absent); swap its receive-omissions into
 // send-omissions. If the resulting execution has at most t faults it is a
 // certificate. Returns nil if no candidate qualifies (the Lemma 2
-// conclusion holds — the protocol paid enough messages here).
-func (f *falsifier) lemma2(e *sim.Execution, group proc.Set, bX msg.Value, label string) *Violation {
+// conclusion holds — the protocol paid enough messages here). Decisions
+// are read off e; trace supplies e's full trace, asked for only once a
+// candidate needs its messages.
+func (f *falsifier) lemma2(e *sim.Execution, trace func() (*sim.Execution, error), group proc.Set, bX msg.Value, label string) (*Violation, error) {
 	correct := e.Correct()
 	for _, p := range group.Members() {
 		d, decided := e.Decision(p)
 		if decided && d == bX {
 			continue
 		}
-		mxp := len(omission.MessagesFromTo(e, correct, p))
+		full, err := trace()
+		if err != nil {
+			return nil, err
+		}
+		mxp := len(omission.MessagesFromTo(full, correct, p))
 		if 2*mxp >= f.t {
 			f.logf("%s: %s disagrees (decided=%v %q) but receive-omits %d >= t/2 messages from correct senders — swap inapplicable",
 				label, p, decided, d, mxp)
 			continue
 		}
-		swapped, err := omission.SwapOmission(e, p)
+		swapped, err := omission.SwapOmission(full, p)
 		if err != nil {
 			f.logf("%s: swap_omission(%s) inapplicable: %v", label, p, err)
 			continue
@@ -384,9 +381,9 @@ func (f *falsifier) lemma2(e *sim.Execution, group proc.Set, bX msg.Value, label
 			Witness2: p,
 			D2:       d,
 			Note:     note,
-		}
+		}, nil
 	}
-	return nil
+	return nil, nil
 }
 
 // run drives the full construction. Probe executions are *computed* on
@@ -400,41 +397,29 @@ func (f *falsifier) run() error {
 	}
 	f.logf("partition: |A|=%d |B|=%d |C|=%d (t/4 = %d)", part.A.Len(), part.B.Len(), part.C.Len(), f.t/4)
 
-	workers := runner.Workers(f.opts.Parallelism)
-
 	// Wave 1: the four probes of Steps 1-2 have no mutual dependencies.
 	// E_0 and E_1 are E_∅(1)_0 and E_∅(1)_1: nobody is isolated.
-	// All probe waves run at the lean tier; consumers upgrade to full
-	// traces (deterministic re-runs) only when a certificate, a Lemma 2
-	// candidate, or a merge input demands message identities.
-	wave1 := []func() (*sim.Execution, error){
-		f.isolatedFetch(proc.Set{}, 1, msg.Zero, sim.RecordDecisions),
-		f.isolatedFetch(proc.Set{}, 1, msg.One, sim.RecordDecisions),
-		f.isolatedFetch(part.B, 1, msg.Zero, sim.RecordDecisions),
-		f.isolatedFetch(part.C, 1, msg.One, sim.RecordDecisions),
-	}
-	p1, cancel1 := runner.Prefetch(f.opts.context(), workers, len(wave1), func(i int) (*sim.Execution, error) {
-		return wave1[i]()
-	})
-	defer cancel1()
+	e0 := &isolated{group: proc.Set{}, k: 1, v: msg.Zero}
+	e1 := &isolated{group: proc.Set{}, k: 1, v: msg.One}
+	eB1 := &isolated{group: part.B, k: 1, v: msg.Zero}
+	eC1 := &isolated{group: part.C, k: 1, v: msg.One}
+	defer f.prefetch(e0, e1, eB1, eC1)()
 
 	// Step 1: Termination, Agreement and Weak Validity on the fully-correct
 	// executions.
-	e0, _, err := f.probeIsolated("E_0 (fully correct, unanimous 0)", proc.Set{}, 1, p1[0])
-	if err != nil || f.report.Violation != nil {
+	if _, err := f.probeIsolated("E_0 (fully correct, unanimous 0)", e0); err != nil || f.report.Violation != nil {
 		return err
 	}
-	e1, _, err := f.probeIsolated("E_1 (fully correct, unanimous 1)", proc.Set{}, 1, p1[1])
-	if err != nil || f.report.Violation != nil {
+	if _, err := f.probeIsolated("E_1 (fully correct, unanimous 1)", e1); err != nil || f.report.Violation != nil {
 		return err
 	}
 
 	// Step 2: the default bit (Lemma 3 on E_B(1)_0 and E_C(1)_1).
-	eB1, dB, err := f.probeIsolated("E_B(1)_0", part.B, 1, p1[2])
+	dB, err := f.probeIsolated("E_B(1)_0", eB1)
 	if err != nil || f.report.Violation != nil {
 		return err
 	}
-	eC1, dC, err := f.probeIsolated("E_C(1)_1", part.C, 1, p1[3])
+	dC, err := f.probeIsolated("E_C(1)_1", eC1)
 	if err != nil || f.report.Violation != nil {
 		return err
 	}
@@ -448,7 +433,7 @@ func (f *falsifier) run() error {
 	if dB != dC {
 		// Lemma 3 is already violated: merge the round-1 pair directly.
 		f.logf("default bits differ: merging E_B(1)_0 and E_C(1)_1 (Definition 2, k1=k2=1)")
-		return f.mergeAndExtract(part, eB1, 1, eC1, 1)
+		return f.mergeAndExtract(part, eB1, eC1)
 	}
 	d := dB
 	if !msg.IsBit(d) {
@@ -467,15 +452,17 @@ func (f *falsifier) run() error {
 	if v == msg.One {
 		eV = e1
 	}
-	rMax := decisionRound(eV)
+	lean, _ := eV.lean.Wait() // resolved by Step 1
+	rMax := decisionRound(lean)
 	f.logf("all processes decide by round %d in E_%s", rMax, v)
 
-	pB, cancelB := runner.Prefetch(f.opts.context(), workers, rMax+1, func(i int) (*sim.Execution, error) {
-		return f.isolatedFetch(part.B, i+1, v, sim.RecordDecisions)()
-	})
-	defer cancelB()
+	eB := make([]*isolated, rMax+1) // eB[i] is E_B(i+1)_v
+	for i := range eB {
+		eB[i] = &isolated{group: part.B, k: i + 1, v: v}
+	}
+	defer f.prefetch(eB...)()
 
-	prev, prevDecision, err := f.probeIsolated(fmt.Sprintf("E_B(1)_%s", v), part.B, 1, pB[0])
+	prevDecision, err := f.probeIsolated(fmt.Sprintf("E_B(1)_%s", v), eB[0])
 	if err != nil || f.report.Violation != nil {
 		return err
 	}
@@ -483,19 +470,17 @@ func (f *falsifier) run() error {
 		// A does not decide the default under round-1 isolation of B in the
 		// all-v family, yet decides d in E_C(1)_1: Lemma 3 pair (k=1, k=1).
 		f.logf("A decides %q in E_B(1)_%s but %q in E_C(1)_1: merging the round-1 pair", prevDecision, v, d)
-		return f.mergeAndExtract(part, prev, 1, eC1, 1)
+		return f.mergeAndExtract(part, eB[0], eC1)
 	}
 
 	critical := -1
-	var eBR1 *sim.Execution
 	for k := 2; k <= rMax+1; k++ {
-		cur, curDecision, err := f.probeIsolated(fmt.Sprintf("E_B(%d)_%s", k, v), part.B, k, pB[k-1])
+		curDecision, err := f.probeIsolated(fmt.Sprintf("E_B(%d)_%s", k, v), eB[k-1])
 		if err != nil || f.report.Violation != nil {
 			return err
 		}
 		if curDecision != prevDecision {
 			critical = k - 1
-			eBR1 = cur
 			f.logf("critical round R=%d: A decides %q in E_B(%d)_%s and %q in E_B(%d)_%s (Lemma 4)",
 				critical, prevDecision, critical, v, curDecision, k, v)
 			break
@@ -507,34 +492,37 @@ func (f *falsifier) run() error {
 	}
 
 	// Step 4: run E_C(R)_v and merge with E_B(R+1)_v (Lemma 5). This probe
-	// depends on the critical round, so it cannot be prefetched.
-	eCR, dCR, err := f.probeIsolated(fmt.Sprintf("E_C(%d)_%s", critical, v), part.C, critical,
-		f.inlineProbe(f.isolatedFetch(part.C, critical, v, sim.RecordDecisions)))
+	// depends on the critical round, so it is scheduled alone once R is
+	// known.
+	eCR := &isolated{group: part.C, k: critical, v: v}
+	defer f.prefetch(eCR)()
+	dCR, err := f.probeIsolated(fmt.Sprintf("E_C(%d)_%s", critical, v), eCR)
 	if err != nil || f.report.Violation != nil {
 		return err
 	}
 	f.logf("A decides %q in E_C(%d)_%s", dCR, critical, v)
 	f.logf("merging E_B(%d)_%s with E_C(%d)_%s (Definition 2: |k1-k2|=1, equal proposals)", critical+1, v, critical, v)
-	return f.mergeAndExtract(part, eBR1, critical+1, eCR, critical)
+	return f.mergeAndExtract(part, eB[critical], eCR)
 }
 
-// mergeAndExtract builds the merged execution and extracts the Lemma 2
-// violation from whichever isolated group disagrees with group A. Merging
-// checks the merged views against the sources' received messages, so lean
-// inputs are first upgraded to full ones by deterministic re-runs.
-func (f *falsifier) mergeAndExtract(part proc.Partition, eB *sim.Execution, kB int, eC *sim.Execution, kC int) error {
-	var err error
-	if eB, err = f.ensureFullIsolated(eB, part.B, kB); err != nil {
-		return fmt.Errorf("falsify %s: upgrade E_B(%d): %w", f.name, kB, err)
+// mergeAndExtract builds the merged execution of xB and xC and extracts
+// the Lemma 2 violation from whichever isolated group disagrees with
+// group A. Merging checks the merged views against the sources' received
+// messages, so it takes both full traces.
+func (f *falsifier) mergeAndExtract(part proc.Partition, xB, xC *isolated) error {
+	eB, err := f.full(xB)
+	if err != nil {
+		return fmt.Errorf("falsify %s: upgrade E_B(%d): %w", f.name, xB.k, err)
 	}
-	if eC, err = f.ensureFullIsolated(eC, part.C, kC); err != nil {
-		return fmt.Errorf("falsify %s: upgrade E_C(%d): %w", f.name, kC, err)
+	eC, err := f.full(xC)
+	if err != nil {
+		return fmt.Errorf("falsify %s: upgrade E_C(%d): %w", f.name, xC.k, err)
 	}
-	merged, err := omission.Merge(omission.MergeSpec{Part: part, EB: eB, KB: kB, EC: eC, KC: kC}, f.factory, f.horizon)
+	merged, err := omission.Merge(omission.MergeSpec{Part: part, EB: eB, KB: xB.k, EC: eC, KC: xC.k}, f.factory, f.horizon)
 	if err != nil {
 		return fmt.Errorf("falsify %s: merge: %w", f.name, err)
 	}
-	f.observe(fmt.Sprintf("merged E_B(%d),C(%d)", kB, kC), merged)
+	f.observe(fmt.Sprintf("merged E_B(%d),C(%d)", xB.k, xC.k), merged)
 
 	bA, viol := f.correctDecision(merged, "merged execution")
 	if viol != nil {
@@ -542,11 +530,12 @@ func (f *falsifier) mergeAndExtract(part proc.Partition, eB *sim.Execution, kB i
 		return nil
 	}
 	f.logf("group A decides %q in the merged execution", bA)
+	trace := func() (*sim.Execution, error) { return merged, nil } // cannot fail
 	for _, group := range []struct {
 		name string
 		set  proc.Set
 	}{{"B", part.B}, {"C", part.C}} {
-		if viol := f.lemma2(merged, group.set, bA, "merged/"+group.name); viol != nil {
+		if viol, _ := f.lemma2(merged, trace, group.set, bA, "merged/"+group.name); viol != nil {
 			f.report.Violation = viol
 			return nil
 		}

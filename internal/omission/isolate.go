@@ -33,7 +33,7 @@ func CheckIsolated(e *sim.Execution, group proc.Set, fromRound int) error {
 		if !e.Faulty.Contains(id) {
 			return fmt.Errorf("isolation: %s is not faulty", id)
 		}
-		//balint:allow leantier Definition 1 checks need full traces; RunIsolatedAt gates this on RecordFull
+		//balint:allow leantier Definition 1 checks need full traces; RunIsolated records at RecordFull
 		if n := len(b.AllSendOmitted()); n > 0 {
 			return fmt.Errorf("isolation: %s send-omits %d messages", id, n)
 		}
@@ -59,26 +59,14 @@ func CheckIsolated(e *sim.Execution, group proc.Set, fromRound int) error {
 
 // RunIsolated runs factory with every process proposing prop and the given
 // group isolated from round fromRound — the executions E_G(k)_b of
-// Table 1. The returned execution is validated against Appendix A.1.6.
+// Table 1. The returned execution is a full trace, validated against
+// Appendix A.1.6 and Definition 1.
 func RunIsolated(n, t int, factory sim.Factory, prop msg.Value, group proc.Set, fromRound, horizon int) (*sim.Execution, error) {
-	return RunIsolatedAt(n, t, factory, prop, group, fromRound, horizon, sim.RecordFull)
-}
-
-// RunIsolatedAt is RunIsolated at an explicit recording tier. Lean
-// executions skip the Appendix A.1.6 and Definition 1 validation (both
-// need message identities); callers that probe lean re-run the same
-// deterministic configuration at sim.RecordFull — where the checks do
-// run — before using the trace as evidence.
-func RunIsolatedAt(n, t int, factory sim.Factory, prop msg.Value, group proc.Set, fromRound, horizon int, rec sim.Recording) (*sim.Execution, error) {
-	cfg := sim.Config{N: n, T: t, Proposals: msg.Uniform(n, prop), MaxRounds: horizon, Recording: rec}
+	cfg := sim.Config{N: n, T: t, Proposals: msg.Uniform(n, prop), MaxRounds: horizon}
 	exec, err := sim.Run(cfg, factory, Isolation(group, fromRound))
 	if err != nil {
 		return nil, fmt.Errorf("run isolated %v from round %d: %w", group, fromRound, err)
 	}
-	if rec != sim.RecordFull {
-		return exec, nil
-	}
-	//balint:allow leantier guarded: non-full recordings returned early above
 	if err := Validate(exec); err != nil {
 		return nil, fmt.Errorf("isolated execution invalid: %w", err)
 	}

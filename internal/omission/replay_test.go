@@ -143,11 +143,11 @@ func TestIsolatingNobodyIsFaultFree(t *testing.T) {
 		for _, rec := range []sim.Recording{sim.RecordDecisions, sim.RecordFull} {
 			for _, v := range []msg.Value{msg.Zero, msg.One} {
 				name := fmt.Sprintf("%s/rec=%d/v=%s", c.id, rec, v)
-				iso, err := omission.RunIsolatedAt(c.n, c.tf, f, v, proc.Set{}, 1, h, rec)
+				cfg := sim.Config{N: c.n, T: c.tf, Proposals: msg.Uniform(c.n, v), MaxRounds: h, Recording: rec}
+				iso, err := sim.Run(cfg, f, omission.Isolation(proc.Set{}, 1))
 				if err != nil {
 					t.Fatalf("%s: isolated: %v", name, err)
 				}
-				cfg := sim.Config{N: c.n, T: c.tf, Proposals: msg.Uniform(c.n, v), MaxRounds: h, Recording: rec}
 				free, err := sim.Run(cfg, f, sim.NoFaults{})
 				if err != nil {
 					t.Fatalf("%s: fault-free: %v", name, err)

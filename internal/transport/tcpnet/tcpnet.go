@@ -198,7 +198,9 @@ func readHello(conn net.Conn, wired []bool, timeout time.Duration) (int, error) 
 }
 
 // pump reads frames from owner's connection to peer and delivers them to
-// owner's inbox. A decode failure is a real error only while both ends of
+// owner's inbox, stamped as sent by peer to owner: the link, not the
+// frame, names the sender, as on an authenticated channel, so a peer
+// cannot pass its frame off as another's. A decode failure is a real error only while both ends of
 // the link are still open: once the mesh or either endpoint has been
 // closed, the broken read is the teardown itself and the pump exits
 // silently, so siblings of a closed endpoint keep exchanging frames
@@ -220,6 +222,7 @@ func (m *Mesh) pump(owner, peer int, conn net.Conn) {
 			}
 			return
 		}
+		f.From, f.To = peer, owner
 		// The delivery must not wedge the pump forever: if the owner stops
 		// draining (it errored out, closed its endpoint, or the mesh is
 		// being torn down), Close still has to be able to join this

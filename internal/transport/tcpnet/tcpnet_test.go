@@ -53,6 +53,35 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestForgedSenderAttributedToLink writes frames on node 0's link to node
+// 1 that claim another sender or receiver. Node 1 must see them as sent
+// by 0 to 1: a frame naming node 2 as its sender would otherwise pre-empt
+// node 2's real frame for the round, since transport.RunNode keeps the
+// first frame per (round, sender).
+func TestForgedSenderAttributedToLink(t *testing.T) {
+	mesh, err := New(3)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer mesh.Close()
+	eps := mesh.Endpoints()
+	for _, forged := range []transport.Frame{
+		{From: 2, To: 1, Round: 1, Has: true, Payload: "claims 2"},
+		{From: 2, To: 0, Round: 1, Has: true, Payload: "claims 2 to 0"},
+	} {
+		if err := eps[0].Send(1, forged); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		got, err := eps[1].Recv()
+		if err != nil {
+			t.Fatalf("Recv: %v", err)
+		}
+		if got.From != 0 || got.To != 1 || got.Payload != forged.Payload {
+			t.Errorf("frame %+v written on 0's link to 1 arrived as %+v, want From 0 To 1", forged, got)
+		}
+	}
+}
+
 func TestBadPeerRejected(t *testing.T) {
 	mesh, err := New(2)
 	if err != nil {

@@ -120,7 +120,9 @@ func RunNode(ep Endpoint, n int, id proc.ID, machine sim.Machine, rounds int) No
 	// link may duplicate or reorder frames. Keeping exactly one frame per
 	// (round, sender) and dropping stale rounds makes the bulk-synchronous
 	// step immune to both — the round barrier itself provides the dedup
-	// point, so no sequence numbers are needed on the wire.
+	// point, so no sequence numbers are needed on the wire. Frames past
+	// the last round are dropped too, so a peer cannot make the buffer
+	// grow without bound.
 	future := make(map[int]map[int]Frame)
 
 	for r := 1; r <= rounds; r++ {
@@ -154,8 +156,8 @@ func RunNode(ep Endpoint, n int, id proc.ID, machine sim.Machine, rounds int) No
 				res.Err = fmt.Errorf("%s round %d: recv: %w", id, r, err)
 				return res
 			}
-			if f.Round < r || f.From == int(id) || f.From < 0 || f.From >= n {
-				continue // stale duplicate of a completed round, or nonsense
+			if f.Round < r || f.Round > rounds || f.From == int(id) || f.From < 0 || f.From >= n {
+				continue // stale duplicate of a completed round, past the horizon, or nonsense
 			}
 			if f.Round == r {
 				if _, dup := frames[f.From]; !dup {

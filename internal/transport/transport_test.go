@@ -26,6 +26,46 @@ func uniform(n int, v msg.Value) []msg.Value {
 	return out
 }
 
+// scripted is an Endpoint whose Recv replays a fixed list of frames and
+// whose Send discards.
+type scripted struct {
+	frames []transport.Frame
+	next   int
+}
+
+func (e *scripted) Send(proc.ID, transport.Frame) error { return nil }
+
+func (e *scripted) Recv() (transport.Frame, error) {
+	f := e.frames[e.next]
+	e.next++
+	return f, nil
+}
+
+func (e *scripted) Close() error { return nil }
+
+// TestRunNodeDropsFramesPastHorizon feeds a one-round node frames for
+// many distinct rounds beyond its last before the frame it waits for. The
+// node must drop them, not buffer one map per round: its allocations may
+// not grow with their number.
+func TestRunNodeDropsFramesPastHorizon(t *testing.T) {
+	allocs := func(far int) float64 {
+		ep := &scripted{}
+		for i := 0; i < far; i++ {
+			ep.frames = append(ep.frames, transport.Frame{From: 1, To: 0, Round: 2 + i, Has: true, Payload: "x"})
+		}
+		ep.frames = append(ep.frames, transport.Frame{From: 1, To: 0, Round: 1})
+		return testing.AllocsPerRun(10, func() {
+			ep.next = 0
+			if res := transport.RunNode(ep, 2, 0, cheap.Silent()(0, msg.Zero), 1); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		})
+	}
+	if none, many := allocs(0), allocs(256); many > none {
+		t.Errorf("RunNode allocates %.0f times with 256 frames past its horizon, %.0f with none", many, none)
+	}
+}
+
 // TestCommonDecision pins the fold of node results; a group member the
 // cluster does not have is an error naming it, not an index panic.
 func TestCommonDecision(t *testing.T) {
