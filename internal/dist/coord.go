@@ -261,26 +261,33 @@ func (c *Coordinator) save(cp *Checkpoint) error {
 }
 
 // collect runs a campaign whose units are all known up front (hunt,
-// matrix): units the checkpoint already holds are kept, the rest are
-// scheduled, and every completed one is checkpointed. It returns the
-// results by unit ID; a quarantined unit's slot stays nil.
+// matrix): units the checkpoint already holds are kept, once they are
+// found to be the units they claim, the rest are scheduled, and every
+// completed one is checkpointed. It returns the results by unit ID; a
+// quarantined unit's slot stays nil.
 func (c *Coordinator) collect(units []*Unit, cp *Checkpoint, report *Report) ([]*Result, error) {
 	results := make([]*Result, len(units))
 	var pending []*Unit
 	for _, u := range units {
-		if r := cp.Units[u.ID]; r != nil {
-			results[u.ID] = r
-		} else {
+		r := cp.Units[u.ID]
+		if r == nil {
 			pending = append(pending, u)
+			continue
 		}
+		if r.Unit != u.ID {
+			return nil, fmt.Errorf("dist: checkpoint: unit %d holds another unit's result", u.ID)
+		}
+		if err := u.fits(r); err != nil {
+			return nil, fmt.Errorf("dist: checkpoint: %w", err)
+		}
+		results[u.ID] = r
 	}
 	every := c.CheckpointEvery
 	if every <= 0 {
 		every = 1
 	}
 	completed := 0
-	err := c.sched.execute(pending, func(r *Result) error {
-		results[r.Unit] = r
+	slots, err := c.sched.execute(pending, func(r *Result) error {
 		cp.Units[r.Unit] = r
 		completed++
 		report.Units++
@@ -300,6 +307,9 @@ func (c *Coordinator) collect(units []*Unit, cp *Checkpoint, report *Report) ([]
 	if err != nil {
 		return nil, err
 	}
+	for i, r := range slots {
+		results[pending[i].ID] = r
+	}
 	return results, c.save(cp)
 }
 
@@ -314,10 +324,15 @@ func (c *Coordinator) runHunt(cp *Checkpoint, report *Report) error {
 		return err
 	}
 	camp.Ctx = c.Ctx
-	merged, err := mergeHunt(camp, results, c.sched.quarantineSet())
-	if err != nil {
-		return err
+	// A quarantined unit degrades the report: its probes are missing, and
+	// Report.Quarantined says so.
+	subs := make([]*adversary.CampaignReport, len(results))
+	for i, r := range results {
+		if r != nil {
+			subs[i] = r.Hunt
+		}
 	}
+	merged := camp.Merge(subs)
 	if camp.Shrink {
 		opts := camp.RecheckOptions()
 		opts.Obs = obs.From(c.Ctx)
@@ -337,13 +352,9 @@ func (c *Coordinator) runMatrix(cp *Checkpoint, report *Report) error {
 		return err
 	}
 	cells := make([]matrix.Cell, len(results))
-	quarantined := c.sched.quarantineSet()
 	for i, r := range results {
-		if r == nil || r.Cell == nil {
-			if quarantined[i] {
-				return fmt.Errorf("dist: matrix cell unit %d quarantined after repeated failures; the grid cannot be assembled without it", i)
-			}
-			return fmt.Errorf("dist: missing cell result for unit %d", i)
+		if r == nil {
+			return fmt.Errorf("dist: matrix cell unit %d quarantined after repeated failures; the grid cannot be assembled without it", i)
 		}
 		cells[i] = *r.Cell
 	}
@@ -378,29 +389,19 @@ func (c *Coordinator) runFuzz(cp *Checkpoint, report *Report) error {
 	gens := 0
 	for g := s.NextGeneration(); g != nil; g = s.NextGeneration() {
 		units := batchUnits(g, j.Batch, &nextID)
-		firstID := units[0].ID
-		outs := make([]fuzz.Outcome, g.Count)
-		filled := make([]bool, len(units))
-		err := c.sched.execute(units, func(r *Result) error {
-			// execute hands over only results of these units, each with its
-			// batch's Count outcomes (Unit.fits).
-			i := r.Unit - firstID
-			b := units[i].Batch
-			copy(outs[b.Start:b.Start+b.Count], r.Fuzz)
-			filled[i] = true
-			report.Units++
-			return nil
-		})
+		slots, err := c.sched.execute(units, nil)
 		if err != nil {
 			return err
 		}
-		for i, ok := range filled {
-			if !ok {
-				if c.sched.quarantineSet()[units[i].ID] {
-					return fmt.Errorf("dist: fuzz unit %d quarantined after repeated failures; the generation fold cannot proceed without it", units[i].ID)
-				}
-				return fmt.Errorf("dist: fuzz unit %d never completed", units[i].ID)
+		// The batches cut the generation in order, and each result carries
+		// its batch's Count outcomes (Unit.fits).
+		outs := make([]fuzz.Outcome, 0, g.Count)
+		for i, r := range slots {
+			if r == nil {
+				return fmt.Errorf("dist: fuzz unit %d quarantined after repeated failures; the generation fold cannot proceed without it", units[i].ID)
 			}
+			outs = append(outs, r.Fuzz...)
+			report.Units++
 		}
 		if !g.Seed {
 			// Reattach the coordinator-derived candidates the workers

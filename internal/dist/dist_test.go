@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -355,6 +356,56 @@ func TestCheckpointVersionRefused(t *testing.T) {
 	c2 := &Coordinator{Job: fuzzJob(), LocalWorkers: 2, WorkerParallelism: 2, CheckpointPath: path}
 	if _, err := c2.Run(); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("coordinator resumed a version-1 checkpoint: %v", err)
+	}
+}
+
+// TestCheckpointSpliceRefused: a checkpoint's units map is keyed by unit
+// ID, and each entry carries the ID of the unit it answers. A checkpoint
+// with two entries swapped used to resume, folding each result into the
+// other unit's place; it must be refused, naming the unit, before any unit
+// is scheduled.
+func TestCheckpointSpliceRefused(t *testing.T) {
+	for _, job := range []func() *Job{huntJob, matrixJob} {
+		kind := job().Kind
+		path := filepath.Join(t.TempDir(), "checkpoint.json")
+		c1 := &Coordinator{Job: job(), LocalWorkers: 2, WorkerParallelism: 2, CheckpointPath: path, stopAfterUnits: 3}
+		if _, err := c1.Run(); !errors.Is(err, ErrStopped) {
+			t.Fatalf("%s: stop hook: got %v, want ErrStopped", kind, err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		var units map[int]json.RawMessage
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(doc["units"], &units); err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]int, 0, len(units))
+		for id := range units {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		if len(ids) < 2 {
+			t.Fatalf("%s: checkpoint holds %d units, want at least 2", kind, len(ids))
+		}
+		a, b := ids[0], ids[1]
+		units[a], units[b] = units[b], units[a]
+		doc["units"], _ = json.Marshal(units)
+		spliced, _ := json.Marshal(doc)
+		if err := os.WriteFile(path, spliced, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		c2 := &Coordinator{Job: job(), LocalWorkers: 2, WorkerParallelism: 2, CheckpointPath: path}
+		_, err = c2.Run()
+		want := fmt.Sprintf("unit %d holds another unit's result", a)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: resume of a spliced checkpoint: got %v, want %q", kind, err, want)
+		}
 	}
 }
 

@@ -235,28 +235,31 @@ func (s *scheduler) reader(w *remoteWorker) {
 	}
 }
 
-// execute distributes units over the worker population and invokes
-// onResult once per completed unit, in completion order. It returns when
-// every unit has a result or is quarantined, the context is cancelled,
-// drain finishes, or onResult errs. Workers may join at any time; lost
-// units requeue at the front of the queue through requeue, which charges
-// the retry budget. Duplicate results (a slow worker racing its own
-// death sentence or a straggle reassignment) are dropped — first result
-// wins, and since results are deterministic, which copy wins is
-// unobservable. Result IDs and payloads arrive off the wire: a result for
-// a unit this call never issued (a stray ID, a late duplicate from an
-// earlier call) is logged and dropped, and one whose payload does not fit
-// its unit costs the unit a retry, like a reported failure.
-func (s *scheduler) execute(pending []*Unit, onResult func(*Result) error) error {
+// execute distributes units over the worker population and returns one
+// slot per pending unit, in pending order: the unit's result, or nil when
+// it was quarantined. onResult, when set, sees each result as it arrives,
+// in completion order. It returns when every unit has a result or is
+// quarantined, the context is cancelled, drain finishes, or onResult
+// errs. Workers may join at any time; lost units requeue at the front of
+// the queue through requeue, which charges the retry budget. Duplicate
+// results (a slow worker racing its own death sentence or a straggle
+// reassignment) are dropped — first result wins, and since results are
+// deterministic, which copy wins is unobservable. Result IDs and payloads
+// arrive off the wire: a result for a unit this call never issued (a
+// stray ID, a late duplicate from an earlier call) is logged and dropped,
+// and one whose payload does not fit its unit costs the unit a retry,
+// like a reported failure.
+func (s *scheduler) execute(pending []*Unit, onResult func(*Result) error) ([]*Result, error) {
 	if len(pending) == 0 {
-		return nil
+		return nil, nil
 	}
 	queue := make([]*Unit, len(pending))
 	copy(queue, pending)
-	issued := make(map[int]*Unit, len(pending))
-	for _, u := range pending {
-		issued[u.ID] = u
+	slot := make(map[int]int, len(pending))
+	for i, u := range pending {
+		slot[u.ID] = i
 	}
+	slots := make([]*Result, len(pending))
 	done := make(map[int]bool, len(pending))
 	outstanding := len(pending)
 
@@ -273,7 +276,7 @@ func (s *scheduler) execute(pending []*Unit, onResult func(*Result) error) error
 
 	for outstanding > 0 {
 		if s.draining && s.inFlight() == 0 {
-			return ErrDrained
+			return nil, ErrDrained
 		}
 		if !s.draining {
 			// Hand queued units to idle live workers.
@@ -301,11 +304,12 @@ func (s *scheduler) execute(pending []*Unit, onResult func(*Result) error) error
 				s.workers = append(s.workers, ev.w)
 				s.log("worker-join", "worker", ev.w.name, "id", ev.w.id)
 			case ev.result != nil:
-				u := issued[ev.result.Unit]
-				if u == nil {
+				i, ok := slot[ev.result.Unit]
+				if !ok {
 					s.log("result-stray", "worker", ev.w.name, "unit", ev.result.Unit)
 					continue
 				}
+				u := pending[i]
 				held := ev.w.release(u.ID) != nil
 				if done[u.ID] {
 					continue // duplicate, or late result for a quarantined unit
@@ -319,8 +323,11 @@ func (s *scheduler) execute(pending []*Unit, onResult func(*Result) error) error
 				}
 				done[u.ID] = true
 				outstanding--
-				if err := onResult(ev.result); err != nil {
-					return err
+				slots[i] = ev.result
+				if onResult != nil {
+					if err := onResult(ev.result); err != nil {
+						return nil, err
+					}
 				}
 			case ev.failed != nil:
 				// Unit-level failure: the worker stays alive and idle; only
@@ -341,10 +348,10 @@ func (s *scheduler) execute(pending []*Unit, onResult func(*Result) error) error
 			drainCh = nil
 			s.log("drain-requested", "in_flight", s.inFlight(), "queued", len(queue))
 		case <-s.ctx.Done():
-			return s.ctx.Err()
+			return nil, s.ctx.Err()
 		}
 	}
-	return nil
+	return slots, nil
 }
 
 // idleFor returns a live idle worker for a unit, preferring one that is
@@ -419,16 +426,6 @@ func (s *scheduler) requeue(u *Unit, queue []*Unit, outstanding int, done map[in
 	s.reassigned++
 	s.log("unit-reassigned", "unit", u.ID, "attempt", s.attempts[u.ID], "cause", cause.Error())
 	return append([]*Unit{u}, queue...), outstanding
-}
-
-// quarantineSet returns the quarantined unit IDs as a membership map for
-// the merge paths. Safe only after execute returns.
-func (s *scheduler) quarantineSet() map[int]bool {
-	set := make(map[int]bool, len(s.quarantined))
-	for _, id := range s.quarantined {
-		set[id] = true
-	}
-	return set
 }
 
 // drop declares a worker dead and requeues its in-flight unit.

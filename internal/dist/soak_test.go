@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,6 +147,103 @@ func TestDistQuarantineAfterRetryBudget(t *testing.T) {
 	_ = json.NewEncoder(&enc).Encode(rep)
 	if !bytes.Contains(enc.Bytes(), []byte(`"quarantined":[0,1]`)) {
 		t.Errorf("report JSON does not surface the quarantine: %s", enc.String())
+	}
+}
+
+// TestDistQuarantineFailsMatrixAndFuzz: a quarantined hunt unit degrades
+// the report, but a grid cell or a fuzz batch cannot be left out — the
+// grid and the generation fold need every one. A worker that fails every
+// unit must make Run fail with the quarantine's error, not hang or
+// assemble a report without the unit.
+func TestDistQuarantineFailsMatrixAndFuzz(t *testing.T) {
+	for _, tc := range []struct {
+		job  func() *Job
+		want string
+	}{
+		{matrixJob, "the grid cannot be assembled without it"},
+		{fuzzJob, "the generation fold cannot proceed without it"},
+	} {
+		job := tc.job()
+		c := &Coordinator{Job: job, RetryBudget: 1, HeartbeatTimeout: 5 * time.Second}
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		conn, _ := joinFake(t, c, "poisoned")
+		go func() {
+			for {
+				m, err := conn.Recv(10 * time.Second)
+				if err != nil || m.Kind == MsgDone {
+					return
+				}
+				if m.Kind == MsgUnit {
+					_ = conn.Send(&Message{Kind: MsgUnitFailed, Failed: &UnitFailed{Unit: m.Unit.ID, Error: "synthetic unit failure"}})
+				}
+			}
+		}()
+
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Run()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: got %v, want an error saying %q", job.Kind, err, tc.want)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: campaign hung on a poisoned worker — quarantine did not fire", job.Kind)
+		}
+	}
+}
+
+// TestDistShortHuntResultRetried: a hunt result must cover its unit's
+// seeds. A worker answering its first unit with a one-probe report used
+// to have it merged — the report counted one probe for the whole unit;
+// the result must cost the unit a retry, and the report must equal
+// Serial's.
+func TestDistShortHuntResultRetried(t *testing.T) {
+	want := serialHuntJSON(t, huntJob())
+	c := &Coordinator{Job: huntJob(), LocalWorkers: 1, WorkerParallelism: 2}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn, job := joinFake(t, c, "short")
+	job.normalize()
+	ex, err := newExecutor(job, context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		short := true
+		for {
+			m, err := conn.Recv(30 * time.Second)
+			if err != nil || m.Kind != MsgUnit {
+				return
+			}
+			res := &Result{Unit: m.Unit.ID, Probes: 1, Hunt: &adversary.CampaignReport{Probes: 1}}
+			if !short {
+				if res, err = ex.run(m.Unit); err != nil {
+					return
+				}
+			}
+			short = false
+			if conn.Send(&Message{Kind: MsgResult, Result: res}) != nil {
+				return
+			}
+		}
+	}()
+
+	rep, err := c.Run()
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	if rep.Reassigned < 1 {
+		t.Errorf("the short result cost no retry (reassigned=%d)", rep.Reassigned)
+	}
+	got, _ := json.Marshal(rep.Hunt)
+	if !bytes.Equal(got, want) {
+		t.Errorf("report diverged after a short result\ngot:  %s\nwant: %s", got, want)
 	}
 }
 

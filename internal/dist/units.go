@@ -54,10 +54,11 @@ type Result struct {
 }
 
 // fits reports a result whose payload is not its unit's: the wrong kind,
-// or a fuzz batch of the wrong length.
+// a hunt report that did not probe every seed of the unit's range, or a
+// fuzz batch of the wrong length.
 func (u *Unit) fits(r *Result) error {
 	switch {
-	case u.Seeds != nil && r.Hunt == nil,
+	case u.Seeds != nil && (r.Hunt == nil || r.Hunt.Probes != u.Seeds.Count()),
 		u.Cell != nil && r.Cell == nil,
 		u.Batch != nil && len(r.Fuzz) != u.Batch.Count:
 		return fmt.Errorf("dist: result does not carry the payload of unit %d", u.ID)
@@ -104,21 +105,4 @@ func batchUnits(g *fuzz.Generation, size int, nextID *int) []*Unit {
 		*nextID++
 	}
 	return units
-}
-
-// mergeHunt hands the per-unit sub-reports (unit order = ascending seed
-// order) to Campaign.Merge. What it decides itself is what a missing
-// result means: a unit quarantined after exhausting its retry budget
-// degrades the report — its probes are simply missing, and
-// Report.Quarantined says so — while any other gap fails the campaign.
-func mergeHunt(c *adversary.Campaign, results []*Result, quarantined map[int]bool) (*adversary.CampaignReport, error) {
-	subs := make([]*adversary.CampaignReport, len(results))
-	for i, r := range results {
-		if r != nil && r.Hunt != nil {
-			subs[i] = r.Hunt
-		} else if !quarantined[i] {
-			return nil, fmt.Errorf("dist: merge: missing hunt result for unit %d", i)
-		}
-	}
-	return c.Merge(subs), nil
 }
