@@ -15,9 +15,12 @@ import (
 // machines built and run to the decision. The reflective implementations
 // read 42 396 (eig), 42 468 (weak-eig), 3 394 (ic) and 139 (dolev-strong);
 // phase-king read 49 while every broadcast made its own slice and every
-// exchange round a map, and reads 27 with one lent slice per machine. The
-// same runs hold the closed-form message counts (faultFreeMessages) at
-// these sizes.
+// exchange round a map, and reads 27 with one lent slice per machine; ic
+// read 670 while each of its n² Dolev-Strong instances was an allocation
+// and made a slice of its own, and reads 542 with one slice per
+// multiplexer and one allocation for a process's n instances. The same
+// runs hold the closed-form message counts (faultFreeMessages) at these
+// sizes.
 func TestSubstrateAllocations(t *testing.T) {
 	const tf = 2
 	for _, tc := range []struct {
@@ -28,7 +31,7 @@ func TestSubstrateAllocations(t *testing.T) {
 	}{
 		{"eig", 8, 400, false},
 		{"weak-eig", 8, 500, false},
-		{"ic", 8, 900, false},
+		{"ic", 8, 620, true},
 		{"dolev-strong", 8, 137, false}, // no higher than before
 		{"phase-king", 9, 40, true},
 		{"weak-phase-king", 9, 40, true},
@@ -60,7 +63,8 @@ func TestSubstrateAllocations(t *testing.T) {
 		// higher, still under the substrates' bounds. Phase-king's bound
 		// sits 13 above its count and a fresh scratch costs about 60, so
 		// under -race its mean reads 29 to 50: those two rows hold the
-		// lowest of 20 single runs, which is 27 either way.
+		// lowest of 20 single runs, which is 27 either way. ic's row does
+		// too: its lowest reads 582 to 585 under -race.
 		allocs := testing.AllocsPerRun(20, run)
 		if tc.lowest {
 			for i := 0; i < 20; i++ {

@@ -85,16 +85,25 @@ func SignedData(tag string, v msg.Value) []byte {
 	return []byte(tag + "\x00" + string(v))
 }
 
-// New returns the honest-machine factory for one broadcast instance.
+// New returns the honest-machine factory for one broadcast instance: an
+// Instance that sends its bodies through its own sim.Broadcast.
 func New(cfg Config) sim.Factory {
 	return func(id proc.ID, proposal msg.Value) sim.Machine {
-		return &machine{cfg: cfg, id: id, proposal: proposal}
+		return &machine{Instance: cfg.Instance(id, proposal)}
 	}
 }
 
-type machine struct {
+// Instance returns process id's side of the broadcast instance, for a
+// caller that addresses its bodies itself (the multiplexer).
+func (cfg Config) Instance(id proc.ID, proposal msg.Value) Instance {
+	return Instance{cfg: cfg, id: id, proposal: proposal}
+}
+
+// Instance is one process's side of a broadcast instance. InitBody and
+// StepBody return the one body the process sends to every peer, or
+// ok = false for silence.
+type Instance struct {
 	sim.DecideOnce
-	out sim.Broadcast
 
 	cfg      Config
 	id       proc.ID
@@ -103,7 +112,28 @@ type machine struct {
 	extracted []msg.Value
 }
 
+// machine is an Instance that addresses its bodies itself.
+type machine struct {
+	Instance
+	out sim.Broadcast
+}
+
 var _ sim.Machine = (*machine)(nil)
+
+// Init implements sim.Machine.
+func (m *machine) Init() []sim.Outgoing { return m.send(m.InitBody()) }
+
+// Step implements sim.Machine.
+func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
+	return m.send(m.StepBody(round, received, nil))
+}
+
+func (m *machine) send(body string, ok bool) []sim.Outgoing {
+	if !ok {
+		return nil
+	}
+	return m.out.Send(m.cfg.N, m.id, body)
+}
 
 // itemsOpen starts msg.Encode(Payload{Items: …}), which the machine
 // writes directly: items through appendItem, then "]}".
@@ -140,35 +170,34 @@ func openBody(round int) []byte {
 	return append(make([]byte, 0, 128*(round+1)), itemsOpen...)
 }
 
-// broadcast closes the body of items in b and sends it to every peer;
-// no items, no messages.
-func (m *machine) broadcast(b []byte) []sim.Outgoing {
+// closeBody closes the body of items in b; no items, no body.
+func closeBody(b []byte) (string, bool) {
 	if len(b) == len(itemsOpen) {
-		return nil
+		return "", false
 	}
-	return m.out.Send(m.cfg.N, m.id, string(append(b, "]}"...)))
+	return string(append(b, "]}"...)), true
 }
 
-// Init implements sim.Machine: the sender signs and broadcasts its
-// proposal in round 1.
-func (m *machine) Init() []sim.Outgoing {
+// InitBody is Init's body: the sender signs and broadcasts its proposal
+// in round 1.
+func (m *Instance) InitBody() (string, bool) {
 	if m.id != m.cfg.Sender {
-		return nil
+		return "", false
 	}
 	m.extracted = append(m.extracted, m.proposal)
 	s, err := m.cfg.Scheme.Sign(m.id, SignedData(m.cfg.Tag, m.proposal))
 	if err != nil {
 		// An honest machine can always sign for itself; failing to means the
 		// harness wired a wrong scheme. Stay silent; the run will surface it.
-		return nil
+		return "", false
 	}
-	return m.broadcast(appendItem(openBody(0), m.proposal, nil, Link{S: int(m.id), G: s}))
+	return closeBody(appendItem(openBody(0), m.proposal, nil, Link{S: int(m.id), G: s}))
 }
 
 // validChain checks that item carries round-many valid signatures over
 // data, from distinct processes other than this one, beginning with the
 // sender.
-func (m *machine) validChain(it Item, round int, data []byte) bool {
+func (m *Instance) validChain(it Item, round int, data []byte) bool {
 	if len(it.C) != round {
 		return false
 	}
@@ -191,18 +220,13 @@ func (m *machine) validChain(it Item, round int, data []byte) bool {
 	return true
 }
 
-func (m *machine) hasExtracted(v msg.Value) bool {
+func (m *Instance) hasExtracted(v msg.Value) bool {
 	for _, x := range m.extracted {
 		if x == v {
 			return true
 		}
 	}
 	return false
-}
-
-// Step implements sim.Machine.
-func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
-	return m.StepSlots(round, received, nil)
 }
 
 // decodeThrough is decodePayload behind the slot that came with the
@@ -222,11 +246,12 @@ func decodeThrough(payload string, slot *msg.Slot) *Payload {
 	return p
 }
 
-// StepSlots is Step for a caller that holds a msg.Slot for each received
-// payload (the multiplexer): slots is nil or parallel to received.
-func (m *machine) StepSlots(round int, received []msg.Message, slots []*msg.Slot) []sim.Outgoing {
+// StepBody is Step's body. A caller that holds a msg.Slot for each
+// received payload (the multiplexer) passes them parallel to received, and
+// every payload is read through its slot; slots may be nil.
+func (m *Instance) StepBody(round int, received []msg.Message, slots []*msg.Slot) (string, bool) {
 	if m.Quiescent() {
-		return nil
+		return "", false
 	}
 	// The items accepted in this round, each with the bytes its signatures
 	// cover. A process extracts two values at most, ever.
@@ -265,13 +290,13 @@ func (m *machine) StepSlots(round int, received []msg.Message, slots []*msg.Slot
 		} else {
 			m.Decide(m.cfg.Default)
 		}
-		return nil
+		return "", false
 	}
 
 	// Forward newly accepted values in round+1, in value order, with our
 	// signature appended.
 	if m.cfg.UnsafeNoRelay || n == 0 {
-		return nil
+		return "", false
 	}
 	if n == 2 && accepted[1].V < accepted[0].V {
 		accepted[0], accepted[1] = accepted[1], accepted[0]
@@ -284,7 +309,7 @@ func (m *machine) StepSlots(round int, received []msg.Message, slots []*msg.Slot
 		}
 		b = appendItem(b, a.V, a.C, Link{S: int(m.id), G: s})
 	}
-	return m.broadcast(b)
+	return closeBody(b)
 }
 
 // Validate sanity-checks a config.

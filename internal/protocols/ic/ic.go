@@ -40,22 +40,24 @@ func RoundBound(t int) int { return dolevstrong.RoundBound(t) }
 // instances, instance j broadcast by process j; the decision is the
 // canonical encoding of the vector of instance decisions.
 func New(cfg Config) sim.Factory {
-	instances := make([]sim.Factory, cfg.N)
+	instances := make([]dolevstrong.Config, cfg.N)
 	for j := range instances {
-		instances[j] = dolevstrong.New(dolevstrong.Config{
+		instances[j] = dolevstrong.Config{
 			N:       cfg.N,
 			T:       cfg.T,
 			Sender:  proc.ID(j),
 			Scheme:  cfg.Scheme,
 			Tag:     "ic/" + strconv.Itoa(j),
 			Default: cfg.Default,
-		})
+		}
 	}
 	return func(id proc.ID, proposal msg.Value) sim.Machine {
-		subs := make([]sim.Machine, len(instances))
+		// One allocation holds the process's n instances.
+		subs, states := make([]mux.Broadcaster, len(instances)), make([]dolevstrong.Instance, len(instances))
 		for j, instance := range instances {
-			subs[j] = instance(id, proposal)
+			states[j] = instance.Instance(id, proposal)
+			subs[j] = &states[j]
 		}
-		return mux.New(subs, mux.VectorCombiner)
+		return mux.New(cfg.N, id, subs, mux.VectorCombiner)
 	}
 }

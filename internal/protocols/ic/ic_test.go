@@ -144,28 +144,17 @@ func TestNoBufferSharedBetweenMachines(t *testing.T) {
 
 // scribbler is a broadcast instance that hands back its inbox, and the
 // slots that came with it, overwritten the moment it has stepped: what the
-// multiplexer lends for a Step, the next instance finds gone.
-type scribbler struct{ sim.Machine }
+// multiplexer lends for a StepBody, the next instance finds gone.
+type scribbler struct{ mux.Broadcaster }
 
-type slotStepper interface {
-	StepSlots(round int, received []msg.Message, slots []*msg.Slot) []sim.Outgoing
-}
-
-func scribble(received []msg.Message) {
-	for i := range received {
-		received[i] = msg.Message{Sender: -1, Receiver: -1, Round: -1, Payload: "scribbled"}
-	}
-}
-
-func (s scribbler) Step(round int, received []msg.Message) []sim.Outgoing {
-	defer scribble(received)
-	return s.Machine.Step(round, received)
-}
-
-func (s scribbler) StepSlots(round int, received []msg.Message, slots []*msg.Slot) []sim.Outgoing {
-	defer scribble(received)
+func (s scribbler) StepBody(round int, received []msg.Message, slots []*msg.Slot) (string, bool) {
+	defer func() {
+		for i := range received {
+			received[i] = msg.Message{Sender: -1, Receiver: -1, Round: -1, Payload: "scribbled"}
+		}
+	}()
 	defer clear(slots)
-	return s.Machine.(slotStepper).StepSlots(round, received, slots)
+	return s.Broadcaster.StepBody(round, received, slots)
 }
 
 // TestInboxIsOnlyLent runs interactive consistency over broadcast
@@ -178,13 +167,14 @@ func TestInboxIsOnlyLent(t *testing.T) {
 	proposals := []msg.Value{"a", "b", "c", "d", "e"}
 	scheme := sig.NewIdeal("ic-test")
 	scribbled := func(id proc.ID, proposal msg.Value) sim.Machine {
-		subs := make([]sim.Machine, n)
+		subs := make([]mux.Broadcaster, n)
 		for j := range subs {
-			subs[j] = scribbler{dolevstrong.New(dolevstrong.Config{
+			instance := dolevstrong.Config{
 				N: n, T: tf, Sender: proc.ID(j), Scheme: scheme, Tag: "ic/" + strconv.Itoa(j), Default: "⊥",
-			})(id, proposal)}
+			}.Instance(id, proposal)
+			subs[j] = scribbler{&instance}
 		}
-		return mux.New(subs, mux.VectorCombiner)
+		return mux.New(n, id, subs, mux.VectorCombiner)
 	}
 	cfg := sim.Config{N: n, T: tf, Proposals: proposals, MaxRounds: ic.RoundBound(tf) + 2}
 	for name, plan := range map[string]func() sim.FaultPlan{

@@ -21,19 +21,17 @@ var hostilePayloads = []string{
 	`"`, `\`, "⊥", "<&>", "\n", "\xff",
 }
 
-// scripted is a deterministic sub-machine that says hostile things — to
-// receivers in any order, twice to one, outside 0..n-1 — and folds every
-// message it is given into what it says next and into its decision, so two
-// multiplexers that hand their instances different inboxes diverge on the
-// wire.
+// scripted is a deterministic broadcaster that says hostile things — the
+// empty body among them — and folds every message it is given into what it
+// says next and into its decision, so two multiplexers that hand their
+// instances different inboxes diverge on the wire.
 type scripted struct {
 	r       *rand.Rand
-	n       int
 	heard   []string
 	decided bool
 }
 
-func (m *scripted) emit() []sim.Outgoing {
+func (m *scripted) emit() (string, bool) {
 	tail := fmt.Sprintf("#%d", len(strings.Join(m.heard, "|")))
 	if len(m.heard) > 0 {
 		tail += m.heard[len(m.heard)-1]
@@ -41,51 +39,30 @@ func (m *scripted) emit() []sim.Outgoing {
 	if m.r.Intn(3) == 0 {
 		tail = "" // bare payloads, the empty one among them
 	}
-	var out []sim.Outgoing
-	switch m.r.Intn(5) {
-	case 0: // silent
-	case 1, 2: // an honest broadcast
-		body := hostilePayloads[m.r.Intn(len(hostilePayloads))] + tail
-		for p := 1; p < m.n; p++ {
-			out = append(out, sim.Outgoing{To: proc.ID(p), Payload: body})
-		}
-	default:
-		for i := m.r.Intn(2 * m.n); i > 0; i-- {
-			to := proc.ID(m.r.Intn(m.n+3) - 1)
-			out = append(out, sim.Outgoing{To: to, Payload: hostilePayloads[m.r.Intn(len(hostilePayloads))] + tail})
-		}
+	if m.r.Intn(3) == 0 {
+		return "", false
 	}
-	return out
+	return hostilePayloads[m.r.Intn(len(hostilePayloads))] + tail, true
 }
 
-func (m *scripted) Init() []sim.Outgoing { return m.emit() }
+func (m *scripted) InitBody() (string, bool) { return m.emit() }
 
-func (m *scripted) Step(round int, received []msg.Message) []sim.Outgoing {
-	for _, rm := range received {
-		m.heard = append(m.heard, fmt.Sprintf("%d:%d:%d:%s", rm.Round, rm.Sender, rm.Receiver, rm.Payload))
-	}
-	m.decided = round >= 3
-	return m.emit()
-}
-
-// StepSlots makes scripted a sub-machine the product multiplexer hands
-// slots (the reference only knows Step): every payload is read from its
-// slot — filled with the payload itself by whichever scripted machine, of
-// any multiplexer in the process, got there first — and what the slots
-// said is what Step folds. A slot that is not the one for its message's
-// payload shows on the wire as a divergence from the reference.
-func (m *scripted) StepSlots(round int, received []msg.Message, slots []*msg.Slot) []sim.Outgoing {
-	read := make([]msg.Message, len(received))
+// StepBody reads every payload from its slot — filled with the payload
+// itself by whichever scripted machine, of any multiplexer in the process,
+// got there first — and folds what the slots said. A slot that is not the
+// one for its message's payload shows on the wire as a divergence from the
+// reference, which hands its instances empty slots.
+func (m *scripted) StepBody(round int, received []msg.Message, slots []*msg.Slot) (string, bool) {
 	for i, rm := range received {
 		p, ok := slots[i].Load().(string)
 		if !ok {
 			p = rm.Payload
 			slots[i].Store(p)
 		}
-		rm.Payload = p
-		read[i] = rm
+		m.heard = append(m.heard, fmt.Sprintf("%d:%d:%d:%s", rm.Round, rm.Sender, rm.Receiver, p))
 	}
-	return m.Step(round, read)
+	m.decided = round >= 3
+	return m.emit()
 }
 
 func (m *scripted) Decision() (msg.Value, bool) {
@@ -136,14 +113,14 @@ func hostileInbox(r *rand.Rand, k, n, round int, extra string) []msg.Message {
 // receivers, payloads, decisions and quiescence after every call.
 func matchReference(t *testing.T, k, n int, seed int64, extra string) {
 	t.Helper()
-	subs := func() []sim.Machine {
-		out := make([]sim.Machine, k)
+	subs := func() []mux.Broadcaster {
+		out := make([]mux.Broadcaster, k)
 		for i := range out {
-			out[i] = &scripted{r: rand.New(rand.NewSource(seed*64 + int64(i))), n: n}
+			out[i] = &scripted{r: rand.New(rand.NewSource(seed*64 + int64(i)))}
 		}
 		return out
 	}
-	ref, got := refNew(subs(), mux.VectorCombiner), mux.New(subs(), mux.VectorCombiner)
+	ref, got := refOver(n, subs()), mux.New(n, 0, subs(), mux.VectorCombiner)
 	compare := func(round int, want, have []sim.Outgoing) {
 		t.Helper()
 		if !slices.Equal(want, have) {
@@ -181,67 +158,52 @@ func FuzzMuxMatchesReference(f *testing.F) {
 	})
 }
 
-// said is a sub-machine that says the same thing at every call.
-type said []sim.Outgoing
+// said is a broadcaster that says the same thing at every call.
+type said struct {
+	body string
+	ok   bool
+}
 
-func (s said) Init() []sim.Outgoing                   { return s }
-func (s said) Step(int, []msg.Message) []sim.Outgoing { return s }
-func (said) Decision() (msg.Value, bool)              { return msg.NoDecision, false }
-func (said) Quiescent() bool                          { return false }
+func (s said) InitBody() (string, bool)                                { return s.body, s.ok }
+func (s said) StepBody(int, []msg.Message, []*msg.Slot) (string, bool) { return s.body, s.ok }
+func (said) Decision() (msg.Value, bool)                               { return msg.NoDecision, false }
+func (said) Quiescent() bool                                           { return false }
 
-// TestUniformBroadcastMatchesReference holds the one-bundle path — every
-// instance that speaks names the same strictly ascending receivers with one
-// payload each — and each way out of it to the reference, byte for byte.
+// TestUniformBroadcastMatchesReference holds the one bundle the multiplexer
+// broadcasts to the reference, byte for byte, with every instance speaking,
+// one silent, one saying the empty body (an empty inner payload, not
+// silence) and none speaking.
 func TestUniformBroadcastMatchesReference(t *testing.T) {
 	const n, k = 5, 12 // "10" and "11" sort before "2"
-	receivers := func(to ...proc.ID) func(int, []sim.Outgoing) []sim.Outgoing {
-		return func(_ int, out []sim.Outgoing) []sim.Outgoing {
-			p := out[0].Payload
-			out = out[:0]
-			for _, r := range to {
-				out = append(out, sim.Outgoing{To: r, Payload: p})
+	onlyThird := func(third said) func(int, said) said {
+		return func(i int, s said) said {
+			if i == 3 {
+				return third
 			}
-			return out
-		}
-	}
-	onlyThird := func(edit func([]sim.Outgoing) []sim.Outgoing) func(int, []sim.Outgoing) []sim.Outgoing {
-		return func(i int, out []sim.Outgoing) []sim.Outgoing {
-			if i != 3 {
-				return out
-			}
-			return edit(out)
+			return s
 		}
 	}
 	for _, c := range []struct {
 		name string
-		edit func(instance int, broadcast []sim.Outgoing) []sim.Outgoing
+		edit func(instance int, s said) said
 	}{
 		{"all broadcast", nil},
-		{"one silent", onlyThird(func([]sim.Outgoing) []sim.Outgoing { return nil })},
-		{"one missing a receiver", onlyThird(func(out []sim.Outgoing) []sim.Outgoing { return slices.Delete(out, 1, 2) })},
-		{"one receiver given a different payload", onlyThird(func(out []sim.Outgoing) []sim.Outgoing {
-			out[2].Payload += "'"
-			return out
-		})},
-		{"descending", receivers(4, 3, 2, 1)},
-		{"a receiver named twice", receivers(1, 2, 2, 3, 4)},
-		{"out-of-range receivers", receivers(-1, 1, 2, 3, 4, n+2)},
+		{"one silent", onlyThird(said{})},
+		{"one says the empty body", onlyThird(said{ok: true})},
+		{"all silent", func(int, said) said { return said{} }},
 	} {
-		subs := func() []sim.Machine {
-			out := make([]sim.Machine, k)
+		subs := func() []mux.Broadcaster {
+			out := make([]mux.Broadcaster, k)
 			for i := range out {
-				var b []sim.Outgoing
-				for p := proc.ID(1); p < n; p++ {
-					b = append(b, sim.Outgoing{To: p, Payload: fmt.Sprintf("%s#%d", hostilePayloads[i%len(hostilePayloads)], i)})
-				}
+				s := said{body: fmt.Sprintf("%s#%d", hostilePayloads[i%len(hostilePayloads)], i), ok: true}
 				if c.edit != nil {
-					b = c.edit(i, b)
+					s = c.edit(i, s)
 				}
-				out[i] = said(b)
+				out[i] = s
 			}
 			return out
 		}
-		ref, got := refNew(subs(), mux.VectorCombiner), mux.New(subs(), mux.VectorCombiner)
+		ref, got := refOver(n, subs()), mux.New(n, 0, subs(), mux.VectorCombiner)
 		if want, have := ref.Init(), got.Init(); !slices.Equal(want, have) {
 			t.Errorf("%s: Init sends\n%q\nreference sends\n%q", c.name, have, want)
 		}
@@ -249,4 +211,35 @@ func TestUniformBroadcastMatchesReference(t *testing.T) {
 			t.Errorf("%s: Step sends\n%q\nreference sends\n%q", c.name, have, want)
 		}
 	}
+}
+
+// broadcasting is the sim.Machine the reference drives a Broadcaster as:
+// its body to every process but process 0, whose multiplexer it is, and no
+// slot ever filled.
+type broadcasting struct {
+	mux.Broadcaster
+	n   int
+	out sim.Broadcast
+}
+
+func (b *broadcasting) Init() []sim.Outgoing { return b.send(b.InitBody()) }
+
+func (b *broadcasting) Step(round int, received []msg.Message) []sim.Outgoing {
+	return b.send(b.StepBody(round, received, make([]*msg.Slot, len(received))))
+}
+
+func (b *broadcasting) send(body string, ok bool) []sim.Outgoing {
+	if !ok {
+		return nil
+	}
+	return b.out.Send(b.n, 0, body)
+}
+
+// refOver is process 0's reference multiplexer, of n processes, over subs.
+func refOver(n int, subs []mux.Broadcaster) *Machine {
+	machines := make([]sim.Machine, len(subs))
+	for i, s := range subs {
+		machines[i] = &broadcasting{Broadcaster: s, n: n}
+	}
+	return refNew(machines, mux.VectorCombiner)
 }

@@ -10,17 +10,15 @@
 // sorts them, and received bundles are demultiplexed back into
 // per-instance synthetic messages.
 //
-// Both directions are built for the common round, in which every instance
-// that speaks broadcasts one payload. Sending, the multiplexer then writes
-// one bundle and hands the same string to every receiver; anything else —
-// an instance that skips a receiver, tells two receivers different things
-// or names them out of order — goes through a receiver × instance table.
-// Receiving, the n - 1 receivers of that one string find its routing by
-// identity: msg.CachedDecoder keeps, for bodies of 1 KiB and more, up to
-// 256 recently routed strings by their data pointer, and a hit needs the
-// same pointer and length. An entry holds its string, so no other bytes
-// can take its address while it stands; only the first receiver hashes
-// the body (about 17 KB at n = 70).
+// Every instance is a Broadcaster: in each call it hands the multiplexer
+// one body for every process but its own, or nothing. Sending, the
+// multiplexer writes the bodies of the instances that spoke into one
+// bundle and broadcasts that one string. Receiving, the n - 1 receivers of
+// it find its routing by identity: msg.CachedDecoder keeps, for bodies of
+// 1 KiB and more, up to 256 recently routed strings by their data pointer,
+// and a hit needs the same pointer and length. An entry holds its string,
+// so no other bytes can take its address while it stands; only the first
+// receiver hashes the body (about 17 KB at n = 70).
 package mux
 
 import (
@@ -43,12 +41,19 @@ type Combiner func(sub []msg.Value) msg.Value
 // combiner for interactive consistency.
 func VectorCombiner(sub []msg.Value) msg.Value { return msg.EncodeVector(sub) }
 
-// slotStepper is the optional method of a sub-machine that can take, with
-// its inbox, a msg.Slot per message (parallel to the inbox): where it would
-// decode received[i].Payload it loads slots[i] and stores there what it
-// decoded, so a payload broadcast to n multiplexers is decoded once.
-type slotStepper interface {
-	StepSlots(round int, received []msg.Message, slots []*msg.Slot) []sim.Outgoing
+// Broadcaster is a sub-machine. Each call returns the one body it sends
+// to every process but the multiplexer's own, or ok = false for silence.
+//
+// StepBody is sim.Machine's Step with a msg.Slot for each received
+// message, parallel to received: where the instance would decode
+// received[i].Payload it loads slots[i] and stores there what it decoded,
+// so a payload broadcast to n multiplexers is decoded once. A nil slot is
+// always empty. The inbox and its slots are lent for the call only.
+type Broadcaster interface {
+	InitBody() (body string, ok bool)
+	StepBody(round int, received []msg.Message, slots []*msg.Slot) (body string, ok bool)
+	Decision() (msg.Value, bool)
+	Quiescent() bool
 }
 
 // Machine multiplexes k sub-machines over the single-message-per-peer
@@ -56,43 +61,42 @@ type slotStepper interface {
 type Machine struct {
 	sim.DecideOnce // set once every sub-machine has decided
 
-	subs    []sim.Machine
+	n       int
+	self    proc.ID
+	subs    []Broadcaster
 	combine Combiner
 	// order lists the instances in the order encoding/json writes their
 	// bundle keys: as strings, "10" before "2".
 	order []int
 
 	// Working state, reused from call to call: sim.Machine lets a machine
-	// rewrite the slice it returned, and gives a sub-machine its inbox for
-	// the duration of Step only. rest[j] is what is left to deliver of the
-	// j-th received bundle; inbox and slots are the one inbox every
-	// instance is lent in turn; per[i] is what sub-machine i returned in
-	// this call. to lists this call's receivers in ascending order, and the
-	// receiver × instance table is flat: has[r*k+i] says instance i wrote
-	// to receiver to[r], cell[r*k+i] what. When every receiver's row is the
-	// same, cell and has hold that one row.
+	// rewrite the slice it returned, and a sub-machine holds its inbox for
+	// the duration of StepBody only. rest[j] is what is left to deliver of
+	// the j-th received bundle; inbox and slots are the one inbox every
+	// instance is lent in turn; body[i] is what instance i said in this
+	// call, if said[i].
 	rest  [][]route
 	inbox []msg.Message
 	slots []*msg.Slot
-	per   [][]sim.Outgoing
-	to    []proc.ID
-	cell  []string
-	has   []bool
-	out   []sim.Outgoing
+	body  []string
+	said  []bool
+	out   sim.Broadcast
 	buf   []byte
 }
 
 var _ sim.Machine = (*Machine)(nil)
 
-// New builds a multiplexed machine over subs. The composite decides once
-// every sub-machine has decided, combining their decisions with combine.
-func New(subs []sim.Machine, combine Combiner) *Machine {
+// New builds process self's multiplexed machine, of n processes, over subs.
+// The composite decides once every sub-machine has decided, combining
+// their decisions with combine.
+func New(n int, self proc.ID, subs []Broadcaster, combine Combiner) *Machine {
 	order := make([]int, len(subs))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(a, b int) int { return strings.Compare(strconv.Itoa(a), strconv.Itoa(b)) })
-	return &Machine{subs: subs, combine: combine, order: order, per: make([][]sim.Outgoing, len(subs))}
+	return &Machine{n: n, self: self, subs: subs, combine: combine, order: order,
+		body: make([]string, len(subs)), said: make([]bool, len(subs))}
 }
 
 // route is one inner payload of a bundle body with the instance its key
@@ -150,7 +154,7 @@ var decodeBundle = msg.CachedDecoder[routes]()
 // Init implements sim.Machine.
 func (m *Machine) Init() []sim.Outgoing {
 	for i, s := range m.subs {
-		m.per[i] = s.Init()
+		m.body[i], m.said[i] = s.InitBody()
 	}
 	return m.muxOutgoing()
 }
@@ -188,16 +192,14 @@ func (m *Machine) Step(round int, received []msg.Message) []sim.Outgoing {
 			}
 			rest[j] = rs
 		}
-		if ss, ok := s.(slotStepper); ok && sorted {
-			m.per[i] = ss.StepSlots(round, inbox, slots)
-			continue
-		}
 		if !sorted {
 			// Two messages under one key, or an outer inbox the engine did
-			// not order: the sort leaves no message beside its slot.
+			// not order: the sort parts messages from their slots, so the
+			// instance gets nil ones.
 			msg.Sort(inbox)
+			clear(slots)
 		}
-		m.per[i] = s.Step(round, inbox)
+		m.body[i], m.said[i] = s.StepBody(round, inbox, slots)
 	}
 	m.rest, m.inbox, m.slots = rest, inbox, slots
 	m.refreshDecision()
@@ -220,104 +222,25 @@ func (m *Machine) refreshDecision() {
 	m.Decide(m.combine(decisions))
 }
 
-// insertBlock opens k zero elements at s[at:at+k].
-func insertBlock[T any](s []T, at, k int) []T {
-	s = slices.Grow(s, k)[:len(s)+k]
-	copy(s[at+k:], s[at:])
-	clear(s[at : at+k])
-	return s
-}
-
-// muxOutgoing bundles what the sub-machines returned in this call (m.per)
-// into one message per receiver, ascending. It has copied every payload
-// out of the sub-machines' slices when it returns, so they are free to
-// rewrite them on their next call.
+// muxOutgoing broadcasts what the sub-machines said in this call as one
+// bundle; none spoke, no messages.
 func (m *Machine) muxOutgoing() []sim.Outgoing {
-	k := len(m.subs)
-	m.out = m.out[:0]
-	if to, ok := m.uniform(); ok {
-		// Every receiver's row is the same: one bundle, no table.
-		if len(to) == 0 {
-			return m.out
-		}
-		m.cell, m.has = slices.Grow(m.cell[:0], k)[:k], slices.Grow(m.has[:0], k)[:k]
-		for i, outs := range m.per {
-			m.cell[i], m.has[i] = "", len(outs) > 0
-			if m.has[i] {
-				m.cell[i] = outs[0].Payload
-			}
-		}
-		body := m.bundle(m.cell, m.has)
-		m.out = slices.Grow(m.out, len(to))
-		for _, o := range to {
-			m.out = append(m.out, sim.Outgoing{To: o.To, Payload: body})
-		}
-		return m.out
+	if !slices.Contains(m.said, true) {
+		return nil
 	}
-	rows := 0 // a broadcasting instance names every receiver there will be
-	for _, outs := range m.per {
-		rows = max(rows, len(outs))
-	}
-	m.to, m.cell, m.has = slices.Grow(m.to[:0], rows), slices.Grow(m.cell[:0], rows*k), slices.Grow(m.has[:0], rows*k)
-	m.out = slices.Grow(m.out, rows)
-	for i, outs := range m.per {
-		for _, o := range outs {
-			r, found := slices.BinarySearch(m.to, o.To)
-			if !found {
-				m.to = slices.Insert(m.to, r, o.To)
-				m.cell = insertBlock(m.cell, r*k, k)
-				m.has = insertBlock(m.has, r*k, k)
-			}
-			// An instance that names a receiver twice keeps its last word.
-			m.cell[r*k+i], m.has[r*k+i] = o.Payload, true
-		}
-	}
-	for r, to := range m.to {
-		m.out = append(m.out, sim.Outgoing{To: to, Payload: m.bundle(m.cell[r*k:(r+1)*k], m.has[r*k:(r+1)*k])})
-	}
-	return m.out
+	return m.out.Send(m.n, m.self, m.bundle())
 }
 
-// uniform reports whether every instance that spoke in this call (m.per)
-// named the same strictly ascending receivers with one payload each — an
-// honest broadcast in every instance — and returns the receivers of one of
-// them. Then every receiver's row of the receiver × instance table is the
-// same and muxOutgoing builds none.
-func (m *Machine) uniform() ([]sim.Outgoing, bool) {
-	var to []sim.Outgoing
-	for _, outs := range m.per {
-		if len(outs) == 0 {
-			continue
-		}
-		if to == nil {
-			for j := 1; j < len(outs); j++ {
-				if outs[j].To <= outs[j-1].To {
-					return nil, false
-				}
-			}
-			to = outs
-		} else if len(outs) != len(to) {
-			return nil, false
-		}
-		for j, o := range outs {
-			if o.To != to[j].To || o.Payload != outs[0].Payload {
-				return nil, false
-			}
-		}
-	}
-	return to, true
-}
-
-// bundle is msg.Encode(bundle{I: …}) of one receiver's row, written
-// directly: has[i] says instance i speaks to the receiver, cell[i] what.
-func (m *Machine) bundle(cell []string, has []bool) string {
+// bundle is msg.Encode(bundle{I: …}) of what the sub-machines said in this
+// call, written directly.
+func (m *Machine) bundle() string {
 	size := len(`{"I":{}}`)
-	for _, p := range cell {
+	for _, p := range m.body {
 		size += len(`"10":"",`) + len(p)
 	}
 	b := append(slices.Grow(m.buf[:0], size), `{"I":{`...)
 	for _, i := range m.order {
-		if !has[i] {
+		if !m.said[i] {
 			continue
 		}
 		if len(b) > len(`{"I":{`) {
@@ -326,7 +249,7 @@ func (m *Machine) bundle(cell []string, has []bool) string {
 		b = append(b, '"')
 		b = strconv.AppendInt(b, int64(i), 10)
 		b = append(b, `":`...)
-		b = msg.AppendString(b, cell[i])
+		b = msg.AppendString(b, m.body[i])
 	}
 	m.buf = append(b, "}}"...)
 	return string(m.buf)

@@ -11,10 +11,8 @@ import (
 )
 
 // pingMachine broadcasts its tagged proposal in round 1 and decides the
-// sorted concatenation of everything it saw after round 2.
+// concatenation of everything it saw in round 1.
 type pingMachine struct {
-	n        int
-	id       proc.ID
 	tag      string
 	proposal msg.Value
 	seen     []string
@@ -22,23 +20,9 @@ type pingMachine struct {
 	decision msg.Value
 }
 
-func pingFactory(n int, tag string) sim.Factory {
-	return func(id proc.ID, proposal msg.Value) sim.Machine {
-		return &pingMachine{n: n, id: id, tag: tag, proposal: proposal}
-	}
-}
+func (m *pingMachine) InitBody() (string, bool) { return m.tag + ":" + string(m.proposal), true }
 
-func (m *pingMachine) Init() []sim.Outgoing {
-	var out []sim.Outgoing
-	for p := proc.ID(0); p < proc.ID(m.n); p++ {
-		if p != m.id {
-			out = append(out, sim.Outgoing{To: p, Payload: m.tag + ":" + string(m.proposal)})
-		}
-	}
-	return out
-}
-
-func (m *pingMachine) Step(round int, received []msg.Message) []sim.Outgoing {
+func (m *pingMachine) StepBody(round int, received []msg.Message, _ []*msg.Slot) (string, bool) {
 	for _, rm := range received {
 		m.seen = append(m.seen, rm.Payload)
 	}
@@ -46,7 +30,7 @@ func (m *pingMachine) Step(round int, received []msg.Message) []sim.Outgoing {
 		m.decided = true
 		m.decision = msg.Value(strings.Join(m.seen, "|"))
 	}
-	return nil
+	return "", false
 }
 
 func (m *pingMachine) Decision() (msg.Value, bool) {
@@ -60,11 +44,11 @@ func (m *pingMachine) Quiescent() bool { return m.decided }
 
 func muxFactory(n int) sim.Factory {
 	return func(id proc.ID, proposal msg.Value) sim.Machine {
-		subs := []sim.Machine{
-			pingFactory(n, "a")(id, proposal),
-			pingFactory(n, "b")(id, proposal),
+		subs := []mux.Broadcaster{
+			&pingMachine{tag: "a", proposal: proposal},
+			&pingMachine{tag: "b", proposal: proposal},
 		}
-		return mux.New(subs, mux.VectorCombiner)
+		return mux.New(n, id, subs, mux.VectorCombiner)
 	}
 }
 

@@ -11,25 +11,21 @@ import (
 	"expensive/internal/msg"
 	"expensive/internal/proc"
 	"expensive/internal/protocols/mux"
-	"expensive/internal/sim"
 )
 
-// reader is a sub-machine of a protocol whose decoded payload is a T: it
-// reads every payload through its slot the way a product sub-machine does
-// (load, type-check, decode and store on a miss) and keeps what it read.
+// reader is a silent broadcaster of a protocol whose decoded payload is a
+// T: it reads every payload through its slot the way a product instance
+// does (load, type-check, decode and store on a miss) and keeps what it
+// read.
 type reader[T any] struct {
 	decode  func(string) T
 	decodes *atomic.Int64
 	read    []T
 }
 
-func (m *reader[T]) Init() []sim.Outgoing { return nil }
+func (m *reader[T]) InitBody() (string, bool) { return "", false }
 
-func (m *reader[T]) Step(round int, received []msg.Message) []sim.Outgoing {
-	return m.StepSlots(round, received, make([]*msg.Slot, len(received)))
-}
-
-func (m *reader[T]) StepSlots(_ int, received []msg.Message, slots []*msg.Slot) []sim.Outgoing {
+func (m *reader[T]) StepBody(_ int, received []msg.Message, slots []*msg.Slot) (string, bool) {
 	for i, rm := range received {
 		v, ok := slots[i].Load().(T)
 		if !ok {
@@ -39,7 +35,7 @@ func (m *reader[T]) StepSlots(_ int, received []msg.Message, slots []*msg.Slot) 
 		}
 		m.read = append(m.read, v)
 	}
-	return nil
+	return "", false
 }
 
 func (m *reader[T]) Decision() (msg.Value, bool) { return msg.NoDecision, false }
@@ -68,8 +64,8 @@ func TestSlotsAreNotSharedAcrossProtocols(t *testing.T) {
 	var decodes atomic.Int64
 	a := []*reader[shouted]{{decode: shout, decodes: &decodes}, {decode: shout, decodes: &decodes}}
 	b := []*reader[counted]{{decode: count, decodes: &decodes}, {decode: count, decodes: &decodes}}
-	mux.New([]sim.Machine{a[0], a[1]}, mux.VectorCombiner).Step(1, inbox())
-	mux.New([]sim.Machine{b[0], b[1]}, mux.VectorCombiner).Step(1, inbox())
+	mux.New(3, 0, []mux.Broadcaster{a[0], a[1]}, mux.VectorCombiner).Step(1, inbox())
+	mux.New(3, 0, []mux.Broadcaster{b[0], b[1]}, mux.VectorCombiner).Step(1, inbox())
 	if want := []shouted{{"ACROSS PROTOCOLS"}}; !slices.Equal(a[0].read, want) {
 		t.Errorf("first protocol, instance 0 read %v, want %v", a[0].read, want)
 	}
@@ -98,11 +94,11 @@ func TestBroadcastDecodedOnce(t *testing.T) {
 	body := msg.Encode(map[string]any{"I": map[string]string{"0": payloads[0], "1": payloads[1], "2": payloads[2]}})
 	var decodes atomic.Int64
 	for r := 0; r < n; r++ {
-		subs := make([]sim.Machine, k)
+		subs := make([]mux.Broadcaster, k)
 		for i := range subs {
 			subs[i] = &reader[shouted]{decode: shout, decodes: &decodes}
 		}
-		mux.New(subs, mux.VectorCombiner).Step(1, []msg.Message{{Sender: n, Receiver: 0, Round: 1, Payload: body}})
+		mux.New(n+1, 0, subs, mux.VectorCombiner).Step(1, []msg.Message{{Sender: n, Receiver: 0, Round: 1, Payload: body}})
 		for i, s := range subs {
 			if got, want := s.(*reader[shouted]).read, []shouted{shout(payloads[i])}; !slices.Equal(got, want) {
 				t.Fatalf("receiver %d, instance %d read %v, want %v", r, i, got, want)
@@ -117,8 +113,8 @@ func TestBroadcastDecodedOnce(t *testing.T) {
 // TestUnorderedInboxMatchesReference hands the reference and the product an
 // outer inbox the engine would never build — senders out of order, one of
 // them twice — which the harness in match_test.go cannot: the instances'
-// inboxes are then not in message order and take the sorted path, where no
-// slot follows its message.
+// inboxes are then not in message order and take the sorted path, where
+// every slot is nil.
 func TestUnorderedInboxMatchesReference(t *testing.T) {
 	const round = 3 // scripted machines decide what they heard
 	inbox := []msg.Message{
@@ -127,10 +123,10 @@ func TestUnorderedInboxMatchesReference(t *testing.T) {
 		{Sender: 2, Receiver: 0, Round: round, Payload: `{"I":{"1":"b"}}`},
 		{Sender: 1, Receiver: 0, Round: round, Payload: `{"I":{"0":"a again","1":"a1"}}`},
 	}
-	subs := func() []sim.Machine {
-		return []sim.Machine{
-			&scripted{r: rand.New(rand.NewSource(1)), n: 4},
-			&scripted{r: rand.New(rand.NewSource(2)), n: 4},
+	subs := func() []mux.Broadcaster {
+		return []mux.Broadcaster{
+			&scripted{r: rand.New(rand.NewSource(1))},
+			&scripted{r: rand.New(rand.NewSource(2))},
 		}
 	}
 	// An earlier receiver of the same bodies, in order, has filled the slots.
@@ -138,8 +134,8 @@ func TestUnorderedInboxMatchesReference(t *testing.T) {
 	for i := range ordered {
 		ordered[i].Sender = proc.ID(i + 1)
 	}
-	mux.New(subs(), mux.VectorCombiner).Step(round, ordered)
-	ref, got := refNew(subs(), mux.VectorCombiner), mux.New(subs(), mux.VectorCombiner)
+	mux.New(5, 0, subs(), mux.VectorCombiner).Step(round, ordered)
+	ref, got := refOver(4, subs()), mux.New(4, 0, subs(), mux.VectorCombiner)
 	if want, have := ref.Step(round, slices.Clone(inbox)), got.Step(round, inbox); !slices.Equal(want, have) {
 		t.Errorf("sends\n%q\nreference sends\n%q", have, want)
 	}

@@ -42,8 +42,8 @@ func (d *DecideOnce) Quiescent() bool { return d.decided }
 // the machine that returned it, which may rewrite it in place; whoever
 // drives a machine routes or copies the messages before stepping that
 // machine again, and never writes to them. The rule holds for every slice
-// a Machine returns (the multiplexer reuses its bundle slice the same
-// way); it is spelt out here, where nearly every machine meets it.
+// a Machine returns; it is spelt out here, where nearly every machine —
+// the multiplexer among them — meets it.
 type Broadcast struct {
 	out []Outgoing
 }
