@@ -5,10 +5,12 @@
 //
 // Two interchangeable schemes are provided:
 //
-//   - Ideal: an idealized signature oracle backed by per-process HMAC-SHA256
-//     keys derived from a master seed. It models the paper's idealized
-//     authenticated setting exactly and is extremely fast, which matters for
-//     the benchmark sweeps.
+//   - Ideal: an idealized signature oracle backed by per-identity
+//     HMAC-SHA256 keys derived from a master seed. It models the paper's
+//     idealized authenticated setting exactly and is fast where the
+//     benchmark sweeps need it: each identity's HMAC pads are derived once,
+//     and a signature it has already produced is read back from a capped
+//     per-scheme cache without allocating.
 //   - Ed25519: real public-key signatures from crypto/ed25519 with
 //     deterministic key generation, demonstrating that every authenticated
 //     protocol in this library runs unchanged on a production scheme.
@@ -21,13 +23,11 @@ package sig
 
 import (
 	"crypto/ed25519"
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"expensive/internal/proc"
 )
@@ -47,27 +47,65 @@ type Scheme interface {
 	Name() string
 }
 
-// Ideal is the idealized HMAC-backed signature oracle. Each process id has
-// an independent secret key derived from the master seed; a signature is
-// valid iff it was produced with that key over exactly that data.
+// Ideal is the idealized HMAC-backed signature oracle. Each process id —
+// a member of Π or an identity outside it, such as a blockchain client —
+// has an independent secret key derived from the master seed; a signature
+// is HMAC-SHA256 under that key, hex-encoded, and is valid iff it was
+// produced with that key over exactly that data.
 //
-// The oracle memoizes derived keys and signatures: authenticated probe
-// sweeps sign the same small universe of (id, data) pairs millions of
-// times, and HMAC construction dominated their machine cost. Signatures
-// are deterministic, so cached and fresh results are identical. The cache
-// is concurrency-safe (one scheme instance is shared across a campaign's
-// workers) and capped — an adversary signing unbounded distinct data past
-// the cap simply stops populating it.
+// The oracle keeps one record per identity: the key's inner and outer
+// HMAC pads, derived the first time the identity signs or verifies, and
+// the signatures that identity has produced. Authenticated probe sweeps
+// sign the same small universe of (id, data) pairs over and over, so a
+// repeat is one map lookup under a read lock and allocates nothing; a new
+// pair hashes the pads and the data with SHA-256 directly, under the
+// write lock. Signatures are deterministic, so cached and fresh results
+// are identical. The cache is safe for concurrent use (a campaign's
+// workers share one scheme) and capped at sigCacheCap signatures over all
+// identities: an adversary signing unbounded distinct data past the cap
+// is answered correctly but stops populating it.
+//
+// No scheme is process-global: catalog.DefaultParams makes a fresh one
+// per call, so each matrix cell fills a cache of its own, which neither
+// outlives the cell nor couples cells that run in parallel.
 type Ideal struct {
-	seed []byte
-	keys sync.Map // proc.ID -> []byte
-	sigs sync.Map // sigCacheKey -> Signature
-	nsig atomic.Int64
+	master pads
+	mu     sync.RWMutex
+	ids    map[proc.ID]*identity
+	nsig   int // cached signatures over all identities
 }
 
-type sigCacheKey struct {
-	id   proc.ID
-	data string
+// identity is one signer's record in an Ideal.
+type identity struct {
+	key  pads
+	sigs map[string]Signature
+}
+
+// pads are an HMAC-SHA256 key's inner and outer blocks: the key, at most
+// one SHA-256 block long, zero-filled to a block and XORed with 0x36 and
+// with 0x5c.
+type pads struct {
+	inner, outer [sha256.BlockSize]byte
+}
+
+func newPads(key []byte) pads {
+	var p pads
+	for i := range p.inner {
+		var k byte
+		if i < len(key) {
+			k = key[i]
+		}
+		p.inner[i], p.outer[i] = k^0x36, k^0x5c
+	}
+	return p
+}
+
+// mac is HMAC-SHA256 under p over data: SHA-256 of the outer pad and
+// SHA-256 of the inner pad and data. Short data is hashed from the stack.
+func (p *pads) mac(data []byte) [sha256.Size]byte {
+	var buf [4 * sha256.BlockSize]byte
+	inner := sha256.Sum256(append(append(buf[:0], p.inner[:]...), data...))
+	return sha256.Sum256(append(append(buf[:0], p.outer[:]...), inner[:]...))
 }
 
 const sigCacheCap = 1 << 15
@@ -78,47 +116,60 @@ var _ Scheme = (*Ideal)(nil)
 // the same seed accept each other's signatures, which is how all processes
 // of one system share a PKI.
 func NewIdeal(seed string) *Ideal {
-	sum := sha256.Sum256([]byte("ideal-master|" + seed))
-	return &Ideal{seed: sum[:]}
-}
-
-func (s *Ideal) key(id proc.ID) []byte {
-	if k, ok := s.keys.Load(id); ok {
-		return k.([]byte)
-	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(int64(id)))
-	mac := hmac.New(sha256.New, s.seed)
-	mac.Write([]byte("key|"))
-	mac.Write(buf[:])
-	k, _ := s.keys.LoadOrStore(id, mac.Sum(nil))
-	return k.([]byte)
+	master := sha256.Sum256([]byte("ideal-master|" + seed))
+	return &Ideal{master: newPads(master[:]), ids: make(map[proc.ID]*identity)}
 }
 
 // Sign implements Scheme.
 func (s *Ideal) Sign(id proc.ID, data []byte) (Signature, error) {
-	ck := sigCacheKey{id: id, data: string(data)}
-	if v, ok := s.sigs.Load(ck); ok {
-		return v.(Signature), nil
+	var out Signature
+	ok := false
+	s.mu.RLock()
+	if rec := s.ids[id]; rec != nil {
+		out, ok = rec.sigs[string(data)]
 	}
-	mac := hmac.New(sha256.New, s.key(id))
-	mac.Write(data)
-	out := Signature(hex.EncodeToString(mac.Sum(nil)))
-	if s.nsig.Load() < sigCacheCap {
-		if _, loaded := s.sigs.LoadOrStore(ck, out); !loaded {
-			s.nsig.Add(1)
-		}
+	s.mu.RUnlock()
+	if ok {
+		return out, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec := s.ids[id]
+	if rec == nil {
+		// id's key is the master key's HMAC over "key|" and id as eight
+		// big-endian bytes.
+		msg := [12]byte{'k', 'e', 'y', '|'}
+		binary.BigEndian.PutUint64(msg[4:], uint64(int64(id)))
+		key := s.master.mac(msg[:])
+		rec = &identity{key: newPads(key[:]), sigs: make(map[string]Signature)}
+		s.ids[id] = rec
+	}
+	if out, ok := rec.sigs[string(data)]; ok {
+		return out, nil
+	}
+	sum := rec.key.mac(data)
+	var hexed [2 * sha256.Size]byte
+	hex.Encode(hexed[:], sum[:])
+	out = Signature(hexed[:])
+	if s.nsig < sigCacheCap {
+		rec.sigs[string(data)] = out
+		s.nsig++
 	}
 	return out, nil
 }
 
-// Verify implements Scheme.
+// Verify implements Scheme, comparing in time that depends only on the
+// signature's length.
 func (s *Ideal) Verify(id proc.ID, data []byte, sig Signature) bool {
 	want, err := s.Sign(id, data)
-	if err != nil {
+	if err != nil || len(want) != len(sig) {
 		return false
 	}
-	return hmac.Equal([]byte(want), []byte(sig))
+	var diff byte
+	for i := 0; i < len(want); i++ {
+		diff |= want[i] ^ sig[i]
+	}
+	return diff == 0
 }
 
 // Name implements Scheme.

@@ -1,6 +1,13 @@
 package sig
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -116,6 +123,128 @@ func TestUnforgeabilityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceSign is the Ideal signature computed with crypto/hmac from its
+// definition: the master key is SHA-256 of the seed, id's key is the
+// master key's HMAC over "key|" and id as eight big-endian bytes, and the
+// signature is id's key's HMAC over data, hex-encoded.
+func referenceSign(seed string, id proc.ID, data []byte) Signature {
+	master := sha256.Sum256([]byte("ideal-master|" + seed))
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], uint64(int64(id)))
+	km := hmac.New(sha256.New, master[:])
+	km.Write([]byte("key|"))
+	km.Write(buf[:])
+	mac := hmac.New(sha256.New, km.Sum(nil))
+	mac.Write(data)
+	return Signature(hex.EncodeToString(mac.Sum(nil)))
+}
+
+func TestIdealMatchesHMAC(t *testing.T) {
+	s := NewIdeal("hmac-seed")
+	inputs := [][]byte{
+		nil,
+		{},
+		[]byte("m"),
+		[]byte(strings.Repeat("a", 63)),
+		[]byte(strings.Repeat("b", 64)),
+		[]byte(strings.Repeat("c", 65)),
+		[]byte(strings.Repeat("d", 300)),
+	}
+	// Members of Π, blockchain clients outside it, and a negative id.
+	for _, id := range []proc.ID{0, 1, 7, 1000, 1 << 40, -1} {
+		for _, data := range inputs {
+			want := referenceSign("hmac-seed", id, data)
+			// The first Sign computes the signature, the second reads it
+			// back from the cache.
+			for pass := 0; pass < 2; pass++ {
+				got, err := s.Sign(id, data)
+				if err != nil {
+					t.Fatalf("Sign(%v, %d bytes): %v", id, len(data), err)
+				}
+				if got != want {
+					t.Fatalf("Sign(%v, %d bytes) pass %d = %s, crypto/hmac gives %s", id, len(data), pass, got, want)
+				}
+			}
+			if !s.Verify(id, data, want) {
+				t.Errorf("Verify(%v, %d bytes) rejects the crypto/hmac signature", id, len(data))
+			}
+		}
+	}
+}
+
+// TestIdealCacheCap signs past sigCacheCap: every signature stays
+// correct, and the cache stops at the cap, summed over identities.
+func TestIdealCacheCap(t *testing.T) {
+	s := NewIdeal("cap-seed")
+	const ids = 3
+	total := sigCacheCap + 500
+	for i := 0; i < total; i++ {
+		id, data := proc.ID(i%ids), []byte(fmt.Sprintf("datum-%d", i))
+		got, _ := s.Sign(id, data)
+		if i >= sigCacheCap && got != referenceSign("cap-seed", id, data) {
+			t.Fatalf("signature %d past the cache cap differs from crypto/hmac's", i)
+		}
+		if !s.Verify(id, data, got) {
+			t.Fatalf("signature %d rejected", i)
+		}
+	}
+	cached := 0
+	for _, rec := range s.ids {
+		cached += len(rec.sigs)
+	}
+	if cached != sigCacheCap || s.nsig != sigCacheCap {
+		t.Errorf("cache holds %d signatures (counted %d) after %d distinct signs, want the cap %d", cached, s.nsig, total, sigCacheCap)
+	}
+}
+
+// TestIdealConcurrentSignVerify has goroutines sign and verify
+// overlapping (id, data) pairs on one scheme, as a campaign's workers do;
+// run it under -race.
+func TestIdealConcurrentSignVerify(t *testing.T) {
+	s := NewIdeal("race-seed")
+	const workers, pairs = 8, 64
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 4*pairs; i++ {
+				k := (i + w*7) % pairs
+				id, data := proc.ID(k%5), []byte(fmt.Sprintf("pair-%d", k))
+				got, err := s.Sign(id, data)
+				if err != nil || got != referenceSign("race-seed", id, data) {
+					errs <- fmt.Errorf("worker %d: Sign(%v, %q) = %s, %v", w, id, data, got, err)
+					return
+				}
+				if !s.Verify(id, data, got) || s.Verify(id+1, data, got) {
+					errs <- fmt.Errorf("worker %d: Verify wrong for (%v, %q)", w, id, data)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestIdealHitAllocations pins a cache hit, the common case of an
+// authenticated sweep, to no allocation, for Sign and for Verify.
+func TestIdealHitAllocations(t *testing.T) {
+	s := NewIdeal("alloc-seed")
+	data := []byte("a signed relay chain, long enough to be a real payload")
+	g, _ := s.Sign(2, data)
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = s.Sign(2, data) }); allocs != 0 {
+		t.Errorf("cache-hit Sign allocates %.1f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.Verify(2, data, g) }); allocs != 0 {
+		t.Errorf("cache-hit Verify allocates %.1f times, want 0", allocs)
 	}
 }
 

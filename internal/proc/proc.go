@@ -259,18 +259,30 @@ func (p Partition) Validate() error {
 // order is deterministic (binary counting over the sorted members). It is
 // intended for the small n used by the validity checkers; the caller is
 // responsible for keeping |s| small.
+//
+// Each non-empty subset is one allocation, its own; the empty one is the
+// zero Set.
 func (s Set) Subsets(fn func(Set) bool) {
-	ms := s.Members()
-	if len(ms) > 20 {
+	if s.Len() > 20 {
 		// Guard against accidental exponential blow-up.
 		panic("proc: Subsets called on a set with more than 20 members")
+	}
+	var buf [20]ID
+	ms := buf[:0]
+	for wi, w := range s.words {
+		for ; w != 0; w &= w - 1 {
+			ms = append(ms, ID(wi*wordBits+bits.TrailingZeros64(w)))
+		}
 	}
 	total := 1 << len(ms)
 	for mask := 0; mask < total; mask++ {
 		var sub Set
-		for i, id := range ms {
-			if mask&(1<<i) != 0 {
-				sub = sub.Add(id)
+		if mask != 0 {
+			sub.words = make([]uint64, len(s.words))
+			for i, id := range ms {
+				if mask&(1<<i) != 0 {
+					sub.words[int(id)/wordBits] |= 1 << uint(int(id)%wordBits)
+				}
 			}
 		}
 		if !fn(sub) {

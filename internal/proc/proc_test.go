@@ -189,6 +189,35 @@ func TestSubsets(t *testing.T) {
 	if count != 3 {
 		t.Errorf("early stop after %d, want 3", count)
 	}
+	// Binary counting over the sorted members, across a word boundary.
+	ms := []ID{3, 64, 70}
+	mask := 0
+	NewSet(ms...).Subsets(func(s Set) bool {
+		var want Set
+		for i, id := range ms {
+			if mask&(1<<i) != 0 {
+				want = want.Add(id)
+			}
+		}
+		if !s.Equal(want) || s.Len() != want.Len() {
+			t.Errorf("subset %d = %v, want %v", mask, s, want)
+		}
+		mask++
+		return true
+	})
+}
+
+// TestSubsetsAllocations pins Subsets to one allocation per non-empty
+// subset: the subset's own words.
+func TestSubsetsAllocations(t *testing.T) {
+	s := NewSet(0, 2, 5, 9, 66)
+	allocs := testing.AllocsPerRun(20, func() {
+		s.Subsets(func(Set) bool { return true })
+	})
+	nonEmpty := 1<<s.Len() - 1
+	if want := float64(nonEmpty); allocs != want {
+		t.Errorf("Subsets of a %d-member set allocates %.0f times, want %.0f", s.Len(), allocs, want)
+	}
 }
 
 func TestSortIDs(t *testing.T) {

@@ -243,3 +243,32 @@ func refOver(n int, subs []mux.Broadcaster) *Machine {
 	}
 	return refNew(machines, mux.VectorCombiner)
 }
+
+// TestRelayBundleGrowsOnce holds a fresh multiplexer's first bundle to one
+// buffer, sized before it is written: its bodies are relay chains whose
+// quotes and backslashes the bundle escapes, every tenth instance is
+// silent and keys run to three digits. Init must allocate no more than
+// for a bundle of one-letter bodies (the broadcast slice, the buffer and
+// the string; the race detector adds one to both).
+func TestRelayBundleGrowsOnce(t *testing.T) {
+	const n, k, runs = 4, 120, 20
+	initAllocs := func(body string) float64 {
+		subs := make([]mux.Broadcaster, k)
+		for i := range subs {
+			subs[i] = said{body: body, ok: i%10 != 0}
+		}
+		fresh := make([]*mux.Machine, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range fresh {
+			fresh[i] = mux.New(n, 0, subs, mux.VectorCombiner)
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			fresh[next].Init()
+			next++
+		})
+	}
+	relay := `{"v":"1","chain":[{"id":"p0","sig":"9f2c"},{"id":"p3","sig":"a\\b"}]}`
+	if got, want := initAllocs(relay), initAllocs("x"); got != want {
+		t.Errorf("a fresh multiplexer's relay bundle costs %.0f allocations, a bundle of one-letter bodies %.0f", got, want)
+	}
+}

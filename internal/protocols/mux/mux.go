@@ -232,11 +232,19 @@ func (m *Machine) muxOutgoing() []sim.Outgoing {
 }
 
 // bundle is msg.Encode(bundle{I: …}) of what the sub-machines said in this
-// call, written directly.
+// call, written directly into a buffer sized for it up front: each body
+// that was said, with a backslash before each of its quotes and
+// backslashes, under its key.
 func (m *Machine) bundle() string {
 	size := len(`{"I":{}}`)
-	for _, p := range m.body {
-		size += len(`"10":"",`) + len(p)
+	for i, p := range m.body {
+		if !m.said[i] {
+			continue
+		}
+		size += len(`,"0":""`) + len(p) + strings.Count(p, `"`) + strings.Count(p, `\`)
+		for d := i; d >= 10; d /= 10 {
+			size++
+		}
 	}
 	b := append(slices.Grow(m.buf[:0], size), `{"I":{`...)
 	for _, i := range m.order {

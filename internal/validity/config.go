@@ -13,6 +13,7 @@ package validity
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"expensive/internal/msg"
@@ -104,11 +105,18 @@ func (c InputConfig) Contains(c2 InputConfig) bool {
 	return true
 }
 
-// Key is a canonical string identity usable as a map key.
+// Key is a canonical string identity usable as a map key: "id=value;"
+// for every process of π(c) in increasing order.
 func (c InputConfig) Key() string {
 	var b strings.Builder
-	for _, id := range c.present.Members() {
-		fmt.Fprintf(&b, "%d=%s;", int(id), c.vals[id])
+	b.Grow(len(`0=0;`) * len(c.vals)) // all of Π, one-digit ids, one-byte values
+	for id, v := range c.vals {
+		if c.present.Contains(proc.ID(id)) {
+			b.WriteString(strconv.Itoa(id))
+			b.WriteByte('=')
+			b.WriteString(string(v))
+			b.WriteByte(';')
+		}
 	}
 	return b.String()
 }
@@ -124,13 +132,13 @@ func (c InputConfig) String() string {
 
 // Unanimous returns the common proposal when all present processes agree.
 func (c InputConfig) Unanimous() (msg.Value, bool) {
-	members := c.present.Members()
-	if len(members) == 0 {
+	first := c.present.Min()
+	if first < 0 {
 		return msg.NoDecision, false
 	}
-	v := c.vals[members[0]]
-	for _, id := range members[1:] {
-		if c.vals[id] != v {
+	v := c.vals[first]
+	for id, u := range c.vals {
+		if u != v && c.present.Contains(proc.ID(id)) {
 			return msg.NoDecision, false
 		}
 	}

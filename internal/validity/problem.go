@@ -2,6 +2,7 @@ package validity
 
 import (
 	"fmt"
+	"math/bits"
 
 	"expensive/internal/msg"
 	"expensive/internal/proc"
@@ -37,32 +38,65 @@ func (p Problem) Validate() error {
 }
 
 // Configs enumerates I: every assignment of proposals from Inputs to every
-// subset of Π of size at least n-t. Deterministic order.
+// subset of Π of size at least n-t. Deterministic order: by π(c) as a
+// bitmask, then by the assignment read as a number in base |Inputs| whose
+// least significant digit is π(c)'s lowest process.
 func (p Problem) Configs() []InputConfig {
-	var out []InputConfig
-	proc.Universe(p.N).Subsets(func(s proc.Set) bool {
-		if s.Len() < p.N-p.T {
-			return true
+	configs, _ := p.configs()
+	return configs
+}
+
+// configs is Configs together with, for each bitmask m over Π, the index
+// of the first configuration with π(c) = m (-1 for an m too small to be
+// π of a configuration in I). The configurations share one backing array
+// of proposals, and those of one π(c) share its proc.Set; no InputConfig
+// method writes either.
+func (p Problem) configs() ([]InputConfig, []int) {
+	if p.N > 20 {
+		// Guard against accidental exponential blow-up.
+		panic(fmt.Sprintf("validity: enumerating I at n=%d", p.N))
+	}
+	k := len(p.Inputs)
+	first := make([]int, 1<<p.N)
+	total := 0
+	for m := range first {
+		first[m] = -1
+		if size := bits.OnesCount(uint(m)); size >= p.N-p.T {
+			first[m] = total
+			total += pow(k, size)
 		}
-		members := s.Members()
-		total := 1
-		for range members {
-			total *= len(p.Inputs)
+	}
+	out := make([]InputConfig, 0, total)
+	vals := make([]msg.Value, total*p.N)
+	members := make([]proc.ID, 0, p.N)
+	for m, at := range first {
+		if at < 0 {
+			continue
 		}
-		for idx := 0; idx < total; idx++ {
-			assign := make(map[proc.ID]msg.Value, len(members))
+		members = members[:0]
+		for q := uint(m); q != 0; q &= q - 1 {
+			members = append(members, proc.ID(bits.TrailingZeros(q)))
+		}
+		present := proc.NewSet(members...)
+		for idx, size := 0, pow(k, len(members)); idx < size; idx++ {
+			row := vals[:p.N:p.N]
+			vals = vals[p.N:]
 			x := idx
 			for _, id := range members {
-				assign[id] = p.Inputs[x%len(p.Inputs)]
-				x /= len(p.Inputs)
+				row[id] = p.Inputs[x%k]
+				x /= k
 			}
-			c, err := NewConfig(p.N, assign)
-			if err == nil {
-				out = append(out, c)
-			}
+			out = append(out, InputConfig{n: p.N, present: present, vals: row})
 		}
-		return true
-	})
+	}
+	return out, first
+}
+
+func pow(k, e int) int {
+	out := 1
+	for ; e > 0; e-- {
+		out *= k
+	}
 	return out
 }
 
@@ -88,24 +122,96 @@ func (p Problem) AdmissibleSet(c InputConfig) []msg.Value {
 	return out
 }
 
+// admissibility is I enumerated once, with val(c) of every configuration
+// as a bitset over Outputs: bit j of row r is set iff Outputs[j] ∈
+// val(configs[r]). Each (c, v) is put to the predicate exactly once; only
+// a failed containment condition's witness asks again.
+type admissibility struct {
+	p       Problem
+	configs []InputConfig
+	first   []int    // as returned by Problem.configs
+	words   int      // bitset words per row
+	rows    []uint64 // row r is rows[r*words : (r+1)*words]
+}
+
+func (p Problem) admissibility() *admissibility {
+	configs, first := p.configs()
+	a := &admissibility{p: p, configs: configs, first: first, words: (len(p.Outputs) + 63) / 64}
+	a.rows = make([]uint64, len(configs)*a.words)
+	for r, c := range configs {
+		row := a.row(r)
+		for j, v := range p.Outputs {
+			if p.Admissible(c, v) {
+				row[j/64] |= 1 << (j % 64)
+			}
+		}
+	}
+	return a
+}
+
+func (a *admissibility) row(r int) []uint64 { return a.rows[r*a.words : (r+1)*a.words] }
+
+// all returns a bitset of every output.
+func (a *admissibility) all() []uint64 {
+	acc := make([]uint64, a.words)
+	for j := range a.p.Outputs {
+		acc[j/64] |= 1 << (j % 64)
+	}
+	return acc
+}
+
+// lowest returns the output of acc's lowest set bit, the first admissible
+// value in Outputs order.
+func (a *admissibility) lowest(acc []uint64) (msg.Value, bool) {
+	for w, x := range acc {
+		if x != 0 {
+			return a.p.Outputs[w*64+bits.TrailingZeros64(x)], true
+		}
+	}
+	return msg.NoDecision, false
+}
+
+// containment appends the row of every configuration in Cnt(c) ∩ I to
+// rows, in ContainmentSet order, for the c with π(c) = m whose process id
+// proposes Inputs[digit[id]].
+func (a *admissibility) containment(rows []int, m int, digit []int) []int {
+	k := len(a.p.Inputs)
+	// The sub-masks of m in increasing order.
+	for s := 0; ; s = (s - m) & m {
+		if at := a.first[s]; at >= 0 {
+			code, w := 0, 1
+			for q := uint(s); q != 0; q &= q - 1 {
+				code += digit[bits.TrailingZeros(q)] * w
+				w *= k
+			}
+			rows = append(rows, at+code)
+		}
+		if s == m {
+			return rows
+		}
+	}
+}
+
 // IsTrivial reports whether the problem is trivial: some value is
 // admissible under every input configuration (§4.1). It returns the
 // always-admissible witness when one exists.
 func (p Problem) IsTrivial() (msg.Value, bool) {
-	configs := p.Configs()
-	for _, v := range p.Outputs {
-		ok := true
-		for _, c := range configs {
-			if !p.Admissible(c, v) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return v, true
-		}
+	return p.admissibility().trivial()
+}
+
+func (a *admissibility) trivial() (msg.Value, bool) {
+	acc := a.all()
+	for r := range a.configs {
+		a.and(acc, r)
 	}
-	return msg.NoDecision, false
+	return a.lowest(acc)
+}
+
+// and narrows acc to the values row r admits.
+func (a *admissibility) and(acc []uint64, r int) {
+	for w, x := range a.row(r) {
+		acc[w] &= x
+	}
 }
 
 // CCWitness explains a containment-condition failure: a configuration c
@@ -143,28 +249,41 @@ type CCResult struct {
 // CheckCC decides the containment condition (Definition 3) by exact
 // enumeration and synthesizes Γ when it holds.
 func (p Problem) CheckCC() CCResult {
-	gamma := make(map[string]msg.Value)
-	for _, c := range p.Configs() {
-		cnt := c.ContainmentSet(p.N - p.T)
-		var pick msg.Value
-		found := false
-		for _, v := range p.Outputs {
-			ok := true
-			for _, sub := range cnt {
-				if !p.Admissible(sub, v) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				pick, found = v, true
-				break
-			}
+	return p.admissibility().checkCC()
+}
+
+// checkCC ANDs, for every configuration c, the rows of its containment
+// set; Γ(c) is the first value left in Outputs order.
+func (a *admissibility) checkCC() CCResult {
+	p := a.p
+	k := len(p.Inputs)
+	gamma := make(map[string]msg.Value, len(a.configs))
+	digit := make([]int, p.N)
+	var cnt []int
+	acc := make([]uint64, a.words)
+	all := a.all()
+	for m, at := range a.first {
+		if at < 0 {
+			continue
 		}
-		if !found {
-			return CCResult{Holds: false, Witness: p.ccWitness(c, cnt)}
+		for idx, size := 0, pow(k, bits.OnesCount(uint(m))); idx < size; idx++ {
+			x := idx
+			for q := uint(m); q != 0; q &= q - 1 {
+				digit[bits.TrailingZeros(q)] = x % k
+				x /= k
+			}
+			cnt = a.containment(cnt[:0], m, digit)
+			copy(acc, all)
+			for _, r := range cnt {
+				a.and(acc, r)
+			}
+			c := a.configs[at+idx]
+			pick, ok := a.lowest(acc)
+			if !ok {
+				return CCResult{Holds: false, Witness: p.ccWitness(c, c.ContainmentSet(p.N-p.T))}
+			}
+			gamma[c.Key()] = pick
 		}
-		gamma[c.Key()] = pick
 	}
 	return CCResult{Holds: true, Gamma: gamma}
 }
@@ -216,20 +335,22 @@ func (p Problem) Solve() Solvability {
 	return s
 }
 
-// SolveCC is Solve together with the containment-condition result its
-// one enumeration produced — Γ included — for callers that go on to build
-// a protocol from it (GammaFunc). A trivial problem is decided without
-// the enumeration and comes with the zero CCResult.
+// SolveCC is Solve together with the containment-condition result — Γ
+// included — for callers that go on to build a protocol from it
+// (GammaFunc). Triviality and CC are read off one admissibility table; a
+// trivial problem is decided without the CC pass and comes with the zero
+// CCResult.
 func (p Problem) SolveCC() (Solvability, CCResult) {
 	s := Solvability{Problem: p.Name, N: p.N, T: p.T}
-	if v, ok := p.IsTrivial(); ok {
+	a := p.admissibility()
+	if v, ok := a.trivial(); ok {
 		// A trivial problem is solvable everywhere: decide v immediately.
 		s.Trivial, s.TrivialValue = true, v
 		s.CC = true
 		s.Authenticated, s.Unauthenticated = true, true
 		return s, CCResult{}
 	}
-	cc := p.CheckCC()
+	cc := a.checkCC()
 	s.CC, s.CCWitness = cc.Holds, cc.Witness
 	s.Authenticated = cc.Holds
 	s.Unauthenticated = cc.Holds && p.N > 3*p.T
@@ -253,6 +374,7 @@ func (p Problem) GammaFunc(cc CCResult) (func(vec []msg.Value) msg.Value, error)
 		inDomain[v] = true
 	}
 	clampTo := p.Inputs[0]
+	all := proc.Universe(p.N)
 	return func(vec []msg.Value) msg.Value {
 		clamped := make([]msg.Value, p.N)
 		for i := 0; i < p.N; i++ {
@@ -262,7 +384,7 @@ func (p Problem) GammaFunc(cc CCResult) (func(vec []msg.Value) msg.Value, error)
 				clamped[i] = clampTo
 			}
 		}
-		v, ok := cc.Gamma[FullConfig(clamped).Key()]
+		v, ok := cc.Gamma[InputConfig{n: p.N, present: all, vals: clamped}.Key()]
 		if !ok {
 			// Unreachable when cc covers I; stay total and deterministic.
 			return clampTo

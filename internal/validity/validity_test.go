@@ -269,6 +269,13 @@ func TestConfigsEnumeration(t *testing.T) {
 	if len(full) != 8 {
 		t.Errorf("|I_n| = %d, want 8", len(full))
 	}
+	// Key is "id=value;" over π(c) in increasing order (Γ's map keys).
+	if got, want := configs[0].Key(), "0=0;1=0;"; got != want {
+		t.Errorf("first config key %q, want %q", got, want)
+	}
+	if got, want := mustConfig(t, 12, map[proc.ID]msg.Value{11: "⊥", 0: "1", 3: ""}).Key(), "0=1;3=;11=⊥;"; got != want {
+		t.Errorf("key %q, want %q", got, want)
+	}
 	seen := make(map[string]bool)
 	for _, c := range configs {
 		if seen[c.Key()] {
