@@ -336,8 +336,28 @@ func (s *Slot) Store(v any) {
 	}
 }
 
-// DecodeVector parses a vector encoded by EncodeVector.
+// vectors memoizes the I_n vectors DecodeVector and SharedVector parse.
+var vectors = CachedDecoder[[]Value]()
+
+// SharedVector parses a vector encoded by EncodeVector without copying it:
+// the vector is the memo's, shared by every caller that presents the same
+// encoding, and must not be written. ok is false when v is not a vector.
+func SharedVector(v Value) ([]Value, bool) {
+	vec, ok := vectors(string(v))
+	if !ok {
+		return nil, false
+	}
+	return *vec, true
+}
+
+// DecodeVector parses a vector encoded by EncodeVector into a vector the
+// caller owns: a copy of SharedVector's, exactly what json.Unmarshal into
+// a []Value gives. An encoding the memo refuses is decoded again for the
+// error's text.
 func DecodeVector(v Value) ([]Value, error) {
+	if vec, ok := SharedVector(v); ok {
+		return slices.Clone(vec), nil
+	}
 	var out []Value
 	if err := Decode(string(v), &out); err != nil {
 		return nil, fmt.Errorf("vector: %w", err)

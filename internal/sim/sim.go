@@ -9,14 +9,16 @@
 // where a Behavior is a sequence of Fragments (state, sent, send-omitted,
 // received, receive-omitted per round). Everything downstream — the
 // omission-model validator, swap_omission, merge, and the lower-bound
-// falsifier — operates on these traces. At RecordDecisions it keeps a
-// projection of the same execution — per-process decisions and per-round
-// message counts, which Behavior.Counts reads at either tier — and
-// allocates nothing per message; the routing scratch is pooled across Run
-// calls. Probe sweeps (hunt campaigns, the protocol × strategy matrix, the
-// falsifier families) probe lean and deterministically re-run the rare
-// violating configuration at RecordFull to reconstruct the full evidence
-// object.
+// falsifier — operates on these traces. A full run allocates its
+// fragments as one array and each round's Sent and Received lists as one
+// arena (see Fragment for what that asks of readers). At RecordDecisions
+// it keeps a projection of the same execution — per-process decisions and
+// per-round message counts, which Behavior.Counts reads at either tier —
+// and allocates nothing per message; the routing scratch is pooled across
+// Run calls. Probe sweeps (hunt campaigns, the protocol × strategy
+// matrix, the falsifier families) probe lean and deterministically re-run
+// the rare violating configuration at RecordFull to reconstruct the full
+// evidence object.
 //
 // Determinism contract: a Machine's outputs may depend only on its inputs
 // (proposal, round number, received messages). The engine delivers received
@@ -51,7 +53,8 @@ type Recording int
 
 const (
 	// RecordFull records the complete Appendix A.1.6 trace: four message
-	// slices per process per round. This is the zero value.
+	// slices per process per round, the Sent and Received ones of a round
+	// carved from one arena (see Fragment). This is the zero value.
 	RecordFull Recording = iota
 	// RecordDecisions is the lean tier: per-process decisions plus
 	// per-round sent/omitted/received counts, no message slices. APIs that
@@ -245,6 +248,11 @@ func (c Config) validate() error {
 // messages it sent, send-omitted, received and receive-omitted in the
 // round, plus the decision component of its state at the start of the
 // next round.
+//
+// In a trace Run recorded, an empty list is nil and every list is
+// read-only. The Sent and Received lists of all processes in one round are
+// windows on one arena, each capped at its length, so an append copies
+// the list instead of writing into the next one.
 type Fragment struct {
 	Round          int
 	Sent           []msg.Message
@@ -605,13 +613,14 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 	// list at RecordFull, a slice of one flat array holding the 4·n
 	// per-round count series at RecordDecisions.
 	full := cfg.Recording == RecordFull
+	h := cfg.MaxRounds
 	var leans []LeanBehavior
 	if full {
+		frags := make([]Fragment, cfg.N*h)
 		for i := range behArr {
-			behArr[i].Fragments = make([]Fragment, 0, cfg.MaxRounds)
+			behArr[i].Fragments = frags[i*h : i*h : (i+1)*h]
 		}
 	} else {
-		h := cfg.MaxRounds
 		counts := make([]int, 4*cfg.N*h)
 		leans = make([]LeanBehavior, cfg.N)
 		for i := range leans {
@@ -637,6 +646,19 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 	inboxes, seen, corrupted := s.inboxes, s.seen, s.corrupted
 	for r := 1; r <= cfg.MaxRounds; r++ {
 		e.Rounds = r
+		// The round's arena at RecordFull. Every message of the round is
+		// sent at most once and received at most once, so twice the send
+		// phase's total holds every Sent and Received list: each is
+		// appended into the arena's spare capacity, which never runs out,
+		// and carved off it.
+		var arena []msg.Message
+		if full {
+			total := 0
+			for i := 0; i < cfg.N; i++ {
+				total += len(pending[i])
+			}
+			arena = make([]msg.Message, 0, 2*total)
+		}
 		for i := 0; i < cfg.N; i++ {
 			inboxes[i] = inboxes[i][:0]
 			if full {
@@ -651,6 +673,9 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 		for i := 0; i < cfg.N; i++ {
 			s.gen++
 			f, l := at(i, r)
+			if f != nil {
+				f.Sent = arena[len(arena):]
+			}
 			for _, out := range pending[i] {
 				if out.To == proc.ID(i) {
 					return nil, fmt.Errorf("round %d: %s sent to itself", r, proc.ID(i))
@@ -678,6 +703,9 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 				}
 				inboxes[out.To] = append(inboxes[out.To], m)
 			}
+			if f != nil {
+				arena, f.Sent = carve(arena, len(f.Sent))
+			}
 		}
 
 		// Receive phase. Inboxes are already in delivery order: the send
@@ -703,7 +731,8 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 				inboxes[j] = kept
 			}
 			if f != nil {
-				f.Received = append(f.Received, inboxes[j]...)
+				f.Received = append(arena[len(arena):], inboxes[j]...)
+				arena, f.Received = carve(arena, len(f.Received))
 			} else {
 				l.Received[r-1] = len(inboxes[j])
 			}
@@ -745,6 +774,18 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 		}
 	}
 	return e, nil
+}
+
+// carve extends arena over the k messages just appended past its length
+// and returns them as a list capped at its length, so that appending to
+// the list copies it instead of writing over the next one; nil when k is 0.
+func carve(arena []msg.Message, k int) ([]msg.Message, []msg.Message) {
+	start := len(arena)
+	arena = arena[:start+k]
+	if k == 0 {
+		return arena, nil
+	}
+	return arena, arena[start : start+k : start+k]
 }
 
 // Conforms re-runs the honest machine of every process not in skip against

@@ -3,6 +3,7 @@ package validity_test
 import (
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"expensive/internal/msg"
@@ -112,4 +113,50 @@ func FuzzCheckCCMatchesReference(f *testing.F) {
 			t.Fatalf("%s n=%d t=%d: SolveCC disagrees with the reference checker", p.Name, p.N, p.T)
 		}
 	})
+}
+
+// TestInteractiveMatchesReference asks Interactive(4, 1)'s predicate and
+// the decoding one it replaced (reference_test.go) about every (c, v) of
+// the problem and about values off its Outputs: an entry outside V_I
+// ("⊥", "2") at each slot, other spacing, the wrong length, null,
+// non-string entries and garbage. Configurations of another n are asked
+// too.
+func TestInteractiveMatchesReference(t *testing.T) {
+	const n = 4
+	p := validity.Interactive(n, 1)
+	ref := refInteractive(n)
+	values := append([]msg.Value{}, p.Outputs...)
+	for _, v := range p.Outputs {
+		vec, err := msg.DecodeVector(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range vec {
+			for _, foreign := range []msg.Value{"⊥", "2"} {
+				odd := append([]msg.Value{}, vec...)
+				odd[i] = foreign
+				values = append(values, msg.EncodeVector(odd))
+			}
+		}
+		values = append(values,
+			msg.Value(strings.ReplaceAll(string(v), ",", " , ")),
+			msg.EncodeVector(vec[:n-1]),
+			msg.EncodeVector(append(vec, msg.Zero)))
+	}
+	values = append(values, "null", "[]", "", "garbage", `["0","1","0"`, `[0,1,0,1]`, `["0",null,"1","0"]`, `{"0":"1"}`)
+	configs := append(p.Configs(), validity.Weak(n-1, 1).Configs()...)
+	configs = append(configs, validity.Weak(n+1, 1).Configs()...)
+	admitted := 0
+	for _, c := range configs {
+		for _, v := range values {
+			got, want := p.Admissible(c, v), ref(c, v)
+			if got != want {
+				t.Fatalf("Interactive(%d,1) admits %s under %v: %v, reference %v", n, v, c, got, want)
+			}
+			if got {
+				admitted++
+			}
+		}
+	}
+	t.Logf("%d configurations × %d values, %d admitted", len(configs), len(values), admitted)
 }

@@ -358,13 +358,12 @@ func (p Problem) SolveCC() (Solvability, CCResult) {
 }
 
 // GammaFunc materializes Γ as a selector over decided I_n vectors, for use
-// with Algorithm 2 (reduction.FromIC). Vector entries outside V_I —
-// possible for faulty processes' slots filled with a broadcast default —
-// are clamped to Inputs[0], which is sound because IC-Validity guarantees
-// the entries of correct processes are genuine proposals and Γ(vec) is
-// admissible for every contained configuration either way (vec ⊒ c is
-// preserved under clamping faulty-only entries... the clamped vector still
-// contains the real input configuration c).
+// with Algorithm 2 (reduction.FromIC). An entry outside V_I — a faulty
+// process's slot filled with a broadcast default — is clamped to
+// Inputs[0]. That is sound: IC-Validity makes every correct process's
+// entry its genuine proposal, so only faulty entries are clamped, the
+// clamped vector still contains the real input configuration c, and Γ of
+// it is admissible under every configuration it contains, c among them.
 func (p Problem) GammaFunc(cc CCResult) (func(vec []msg.Value) msg.Value, error) {
 	if !cc.Holds {
 		return nil, fmt.Errorf("problem %s: containment condition fails; no Γ exists", p.Name)

@@ -10,7 +10,21 @@ import (
 // configuration's containment set is materialised and every admissible
 // value is asked of the predicate again for every configuration it is
 // checked under. FuzzCheckCCMatchesReference holds the admissibility
-// table to it.
+// table to it. It also keeps Interactive's decoding predicate, which
+// TestInteractiveMatchesReference holds the in-place one to.
+
+// refInteractive is the predicate Interactive(n, t) had before it read the
+// vector memo in place: decode a copy, build the full configuration, and
+// ask whether it contains c.
+func refInteractive(n int) func(c validity.InputConfig, v msg.Value) bool {
+	return func(c validity.InputConfig, v msg.Value) bool {
+		vec, err := msg.DecodeVector(v)
+		if err != nil || len(vec) != n {
+			return false
+		}
+		return validity.FullConfig(vec).Contains(c)
+	}
+}
 
 // refIsTrivial is the reference Problem.IsTrivial.
 func refIsTrivial(p validity.Problem) (msg.Value, bool) {

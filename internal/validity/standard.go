@@ -98,6 +98,12 @@ func CorrectSource(n, t int) Problem {
 // decide full I_n vectors whose correct entries match the actual
 // proposals — IC-Validity(c) = {c' ∈ I_n | c' ⊒ c}. The universal
 // substrate of Lemma 9.
+//
+// Its predicate admits v under c iff v encodes a vector of n entries (any
+// n strings, not only the 2^n Outputs) that equals c's proposal at every
+// process of π(c). It reads msg.SharedVector's memoized vector in place,
+// so Theorem 4's table asks it 2^n times per configuration without
+// decoding or copying.
 func Interactive(n, t int) Problem {
 	inputs := BinaryInputs()
 	var outputs []msg.Value
@@ -121,11 +127,17 @@ func Interactive(n, t int) Problem {
 		Inputs:  inputs,
 		Outputs: outputs,
 		Admissible: func(c InputConfig, v msg.Value) bool {
-			vec, err := msg.DecodeVector(v)
-			if err != nil || len(vec) != n {
+			vec, ok := msg.SharedVector(v)
+			if !ok || len(vec) != n || c.n != n {
 				return false
 			}
-			return FullConfig(vec).Contains(c)
+			// π(c) ⊆ Π by construction, so ranging over c.vals visits all of it.
+			for id, u := range c.vals {
+				if c.present.Contains(proc.ID(id)) && u != vec[id] {
+					return false
+				}
+			}
+			return true
 		},
 	}
 }
