@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// checkAppendString holds AppendString to json.Marshal on s, after a
-// prefix that must survive (the fallback path truncates what it wrote).
+// checkAppendString holds AppendString, of s and of its bytes, to
+// json.Marshal on s, after a prefix that must survive (the fallback path
+// truncates what it wrote).
 func checkAppendString(t *testing.T, s string) {
 	t.Helper()
 	want, err := json.Marshal(s)
@@ -16,6 +17,9 @@ func checkAppendString(t *testing.T, s string) {
 	const prefix = `{"V":`
 	if got := string(AppendString([]byte(prefix), s)); got != prefix+string(want) {
 		t.Errorf("AppendString(%q) = %s, want %s%s", s, got, prefix, want)
+	}
+	if got := string(AppendString([]byte(prefix), []byte(s))); got != prefix+string(want) {
+		t.Errorf("AppendString([]byte(%q)) = %s, want %s%s", s, got, prefix, want)
 	}
 }
 

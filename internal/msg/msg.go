@@ -166,15 +166,16 @@ func Encode(v any) string {
 // backslash get a backslash, and a string holding anything else — control
 // bytes, non-ASCII, invalid UTF-8, or the three characters json.Marshal
 // escapes for HTML — is handed to json.Marshal whole, so the format keeps
-// a single definition.
-func AppendString(b []byte, s string) []byte {
+// a single definition. s may be a string or the bytes of one, so a body
+// written into a reused buffer is escaped without first becoming a string.
+func AppendString[S string | []byte](b []byte, s S) []byte {
 	base := len(b)
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
 		case c < 0x20 || c > 0x7e || c == '<' || c == '>' || c == '&':
-			quoted, err := json.Marshal(s)
+			quoted, err := json.Marshal(string(s))
 			if err != nil {
 				// json.Marshal cannot fail on a string.
 				panic(fmt.Sprintf("msg: encode string: %v", err))

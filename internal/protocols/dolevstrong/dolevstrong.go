@@ -82,7 +82,14 @@ var decodePayload = msg.CachedDecoder[Payload]()
 
 // SignedData is the byte string each chain signature covers.
 func SignedData(tag string, v msg.Value) []byte {
-	return []byte(tag + "\x00" + string(v))
+	return appendSignedData(make([]byte, 0, len(tag)+1+len(v)), tag, v)
+}
+
+// appendSignedData appends SignedData(tag, v) to b.
+func appendSignedData(b []byte, tag string, v msg.Value) []byte {
+	b = append(b, tag...)
+	b = append(b, 0)
+	return append(b, v...)
 }
 
 // New returns the honest-machine factory for one broadcast instance: an
@@ -94,14 +101,18 @@ func New(cfg Config) sim.Factory {
 }
 
 // Instance returns process id's side of the broadcast instance, for a
-// caller that addresses its bodies itself (the multiplexer).
+// caller that addresses its bodies itself (the multiplexer) and lends the
+// buffers they are appended to.
 func (cfg Config) Instance(id proc.ID, proposal msg.Value) Instance {
 	return Instance{cfg: cfg, id: id, proposal: proposal}
 }
 
 // Instance is one process's side of a broadcast instance. InitBody and
-// StepBody return the one body the process sends to every peer, or
-// ok = false for silence.
+// StepBody append the one body the process sends to every peer to dst and
+// return it, or return dst unchanged and ok = false for silence. dst is
+// lent for the call: the Instance keeps nothing of it, and it writes the
+// bytes it signs and verifies into dst's spare capacity, past its length,
+// where the body then overwrites them.
 type Instance struct {
 	sim.DecideOnce
 
@@ -109,10 +120,15 @@ type Instance struct {
 	id       proc.ID
 	proposal msg.Value
 
-	extracted []msg.Value
+	// extracted[:nx] are the values accepted so far: two at most, ever.
+	extracted [2]msg.Value
+	nx        int
 }
 
-// machine is an Instance that addresses its bodies itself.
+// machine is an Instance that addresses its bodies itself. It lends no
+// buffer, so each body it sends costs one, which openBody sizes, and one
+// string; a call that checks a chain adds a small one for the bytes the
+// chain covers.
 type machine struct {
 	Instance
 	out sim.Broadcast
@@ -121,18 +137,18 @@ type machine struct {
 var _ sim.Machine = (*machine)(nil)
 
 // Init implements sim.Machine.
-func (m *machine) Init() []sim.Outgoing { return m.send(m.InitBody()) }
+func (m *machine) Init() []sim.Outgoing { return m.send(m.InitBody(nil)) }
 
 // Step implements sim.Machine.
 func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
-	return m.send(m.StepBody(round, received, nil))
+	return m.send(m.StepBody(round, received, nil, nil))
 }
 
-func (m *machine) send(body string, ok bool) []sim.Outgoing {
+func (m *machine) send(body []byte, ok bool) []sim.Outgoing {
 	if !ok {
 		return nil
 	}
-	return m.out.Send(m.cfg.N, m.id, body)
+	return m.out.Send(m.cfg.N, m.id, string(body))
 }
 
 // itemsOpen starts msg.Encode(Payload{Items: …}), which the machine
@@ -140,9 +156,9 @@ func (m *machine) send(body string, ok bool) []sim.Outgoing {
 const itemsOpen = `{"Items":[`
 
 // appendItem appends Item{V: v, C: chain·own} as encoding/json writes it,
-// after a comma unless it is the body's first item.
-func appendItem(b []byte, v msg.Value, chain []Link, own Link) []byte {
-	if len(b) > len(itemsOpen) {
+// after a comma unless b ends at open, the end of its body's itemsOpen.
+func appendItem(b []byte, open int, v msg.Value, chain []Link, own Link) []byte {
+	if len(b) > open {
 		b = append(b, ',')
 	}
 	b = append(b, `{"V":`...)
@@ -164,34 +180,43 @@ func appendLink(b []byte, l Link) []byte {
 	return append(b, '}')
 }
 
-// openBody starts a body with room for one item of the round: a chain of
-// round+1 links, about 100 bytes each under HMAC signatures.
-func openBody(round int) []byte {
-	return append(make([]byte, 0, 128*(round+1)), itemsOpen...)
+// openBody starts a body at the end of dst and returns it with the
+// position its items start at. dst grows, if it must, to room for one item
+// of the round — a chain of round+1 links, about 100 bytes each under HMAC
+// signatures — so a buffer reused from call to call stops growing, and a
+// nil one becomes a single allocation.
+func openBody(dst []byte, round int) ([]byte, int) {
+	if room := 128 * (round + 1); cap(dst)-len(dst) < room {
+		dst = append(make([]byte, 0, len(dst)+room), dst...)
+	}
+	b := append(dst, itemsOpen...)
+	return b, len(b)
 }
 
-// closeBody closes the body of items in b; no items, no body.
-func closeBody(b []byte) (string, bool) {
-	if len(b) == len(itemsOpen) {
-		return "", false
+// closeBody closes the body of items that b holds after open; no items, no
+// body: b is cut back to where openBody found it.
+func closeBody(b []byte, open int) ([]byte, bool) {
+	if len(b) == open {
+		return b[:open-len(itemsOpen)], false
 	}
-	return string(append(b, "]}"...)), true
+	return append(b, "]}"...), true
 }
 
 // InitBody is Init's body: the sender signs and broadcasts its proposal
 // in round 1.
-func (m *Instance) InitBody() (string, bool) {
+func (m *Instance) InitBody(dst []byte) ([]byte, bool) {
 	if m.id != m.cfg.Sender {
-		return "", false
+		return dst, false
 	}
-	m.extracted = append(m.extracted, m.proposal)
-	s, err := m.cfg.Scheme.Sign(m.id, SignedData(m.cfg.Tag, m.proposal))
+	m.extracted[0], m.nx = m.proposal, 1
+	s, err := m.cfg.Scheme.Sign(m.id, appendSignedData(dst[len(dst):], m.cfg.Tag, m.proposal))
 	if err != nil {
 		// An honest machine can always sign for itself; failing to means the
 		// harness wired a wrong scheme. Stay silent; the run will surface it.
-		return "", false
+		return dst, false
 	}
-	return closeBody(appendItem(openBody(0), m.proposal, nil, Link{S: int(m.id), G: s}))
+	b, open := openBody(dst, 0)
+	return closeBody(appendItem(b, open, m.proposal, nil, Link{S: int(m.id), G: s}), open)
 }
 
 // validChain checks that item carries round-many valid signatures over
@@ -221,7 +246,7 @@ func (m *Instance) validChain(it Item, round int, data []byte) bool {
 }
 
 func (m *Instance) hasExtracted(v msg.Value) bool {
-	for _, x := range m.extracted {
+	for _, x := range m.extracted[:m.nx] {
 		if x == v {
 			return true
 		}
@@ -246,20 +271,26 @@ func decodeThrough(payload string, slot *msg.Slot) *Payload {
 	return p
 }
 
-// StepBody is Step's body. A caller that holds a msg.Slot for each
-// received payload (the multiplexer) passes them parallel to received, and
-// every payload is read through its slot; slots may be nil.
-func (m *Instance) StepBody(round int, received []msg.Message, slots []*msg.Slot) (string, bool) {
+// StepBody is Step's body, appended to dst. A caller that holds a
+// msg.Slot for each received payload (the multiplexer) passes them
+// parallel to received, and every payload is read through its slot; slots
+// may be nil.
+func (m *Instance) StepBody(round int, received []msg.Message, slots []*msg.Slot, dst []byte) ([]byte, bool) {
 	if m.Quiescent() {
-		return "", false
+		return dst, false
 	}
-	// The items accepted in this round, each with the bytes its signatures
-	// cover. A process extracts two values at most, ever.
+	// Newly accepted values are forwarded in round+1 with our signature
+	// appended; at the end of round t+1 the process decides instead.
+	relay := round < RoundBound(m.cfg.T) && !m.cfg.UnsafeNoRelay
+	// The items accepted in this round, each with our signature if it is
+	// forwarded. A process extracts two values at most, ever.
 	var accepted [2]struct {
 		Item
-		data []byte
+		own    sig.Signature
+		signed bool
 	}
 	n := 0
+	data := dst[len(dst):] // each candidate's SignedData, past dst's length
 	for i, rm := range received {
 		var slot *msg.Slot
 		if slots != nil {
@@ -270,46 +301,48 @@ func (m *Instance) StepBody(round int, received []msg.Message, slots []*msg.Slot
 			continue // garbage from a Byzantine peer
 		}
 		for _, it := range p.Items {
-			if len(m.extracted) >= 2 || m.hasExtracted(it.V) {
+			if m.nx >= 2 || m.hasExtracted(it.V) {
 				continue
 			}
-			data := SignedData(m.cfg.Tag, it.V)
+			data = appendSignedData(data[:0], m.cfg.Tag, it.V)
 			if !m.validChain(it, round, data) {
 				continue
 			}
-			m.extracted = append(m.extracted, it.V)
-			accepted[n].Item, accepted[n].data = it, data
+			m.extracted[m.nx] = it.V
+			m.nx++
+			accepted[n].Item = it
+			if relay {
+				s, err := m.cfg.Scheme.Sign(m.id, data)
+				accepted[n].own, accepted[n].signed = s, err == nil
+			}
 			n++
 		}
 	}
 
 	if round >= RoundBound(m.cfg.T) {
 		// End of round t+1: decide.
-		if len(m.extracted) == 1 {
+		if m.nx == 1 {
 			m.Decide(m.extracted[0])
 		} else {
 			m.Decide(m.cfg.Default)
 		}
-		return "", false
+		return dst, false
 	}
 
-	// Forward newly accepted values in round+1, in value order, with our
-	// signature appended.
-	if m.cfg.UnsafeNoRelay || n == 0 {
-		return "", false
+	// Forward newly accepted values, in value order.
+	if !relay || n == 0 {
+		return dst, false
 	}
 	if n == 2 && accepted[1].V < accepted[0].V {
 		accepted[0], accepted[1] = accepted[1], accepted[0]
 	}
-	b := openBody(round)
+	b, open := openBody(dst, round)
 	for _, a := range accepted[:n] {
-		s, err := m.cfg.Scheme.Sign(m.id, a.data)
-		if err != nil {
-			continue
+		if a.signed {
+			b = appendItem(b, open, a.V, a.C, Link{S: int(m.id), G: a.own})
 		}
-		b = appendItem(b, a.V, a.C, Link{S: int(m.id), G: s})
 	}
-	return closeBody(b)
+	return closeBody(b, open)
 }
 
 // Validate sanity-checks a config.

@@ -1,8 +1,10 @@
 package dolevstrong_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"expensive/internal/crypto/sig"
@@ -158,4 +160,62 @@ func FuzzDolevStrongMatchesReference(f *testing.F) {
 		n = 2 + n%6
 		matchReference(t, int(n), int(tf%n), proc.ID(sender%n), proc.ID(id%n), false, seed, extra)
 	})
+}
+
+// TestInstanceAppendsToDst drives an Instance as the multiplexer does —
+// every call appends to a buffer that already holds other bytes — beside
+// the reference machine, over the inboxes TestDolevStrongMatchesReference
+// draws. The bytes dst held stay as they were, the bytes appended after
+// them are the reference's body, and silence hands back dst at its own
+// length. Half the seeds lend a dst with no spare capacity, half one whose
+// spare capacity holds junk.
+func TestInstanceAppendsToDst(t *testing.T) {
+	const prefix = `{"I":{"0":"held",` // what a bundle holds before the body
+	for _, size := range [][2]int{{2, 1}, {4, 2}, {5, 3}, {8, 2}} {
+		n, tf := size[0], size[1]
+		for seed := int64(0); seed < 60; seed++ {
+			sender, id := proc.ID(seed%int64(n)), proc.ID((seed/7)%int64(n))
+			scheme := sig.NewIdeal("match")
+			cfg := dolevstrong.Config{N: n, T: tf, Sender: sender, Scheme: scheme, Tag: "ic/3", Default: "⊥"}
+			proposal := hostileValues[uint64(seed)%uint64(len(hostileValues))]
+			ref, inst := refNew(cfg)(id, proposal), cfg.Instance(id, proposal)
+			spare := 0
+			if seed%2 == 1 {
+				spare = 4096
+			}
+			call := func(round int, want []sim.Outgoing, body func(dst []byte) ([]byte, bool)) {
+				t.Helper()
+				dst := make([]byte, len(prefix)+spare)
+				copy(dst, prefix)
+				for i := len(prefix); i < len(dst); i++ {
+					dst[i] = '#' // junk in the spare capacity
+				}
+				dst = dst[:len(prefix)]
+				got, ok := body(dst)
+				where := fmt.Sprintf("n=%d t=%d sender=%d id=%d seed=%d round %d", n, tf, sender, id, seed, round)
+				switch {
+				case string(dst) != prefix:
+					t.Fatalf("%s: dst's bytes became %q", where, dst)
+				case !strings.HasPrefix(string(got), prefix):
+					t.Fatalf("%s: returned %q, which does not start with dst's bytes", where, got)
+				case !ok && len(got) != len(dst):
+					t.Fatalf("%s: silence returned %d bytes, dst held %d", where, len(got), len(dst))
+				case !ok && len(want) > 0:
+					t.Fatalf("%s: silent; the reference sends %q", where, want[0].Payload)
+				case ok && len(want) == 0:
+					t.Fatalf("%s: appended %q; the reference is silent", where, got[len(prefix):])
+				case ok && string(got[len(prefix):]) != want[0].Payload:
+					t.Fatalf("%s: appended\n%q\nthe reference sends\n%q", where, got[len(prefix):], want[0].Payload)
+				}
+			}
+			call(0, ref.Init(), inst.InitBody)
+			r := rand.New(rand.NewSource(seed))
+			for round := 1; round <= tf+2; round++ {
+				inbox := hostileInbox(r, cfg, scheme, round, id, "")
+				call(round, ref.Step(round, slices.Clone(inbox)), func(dst []byte) ([]byte, bool) {
+					return inst.StepBody(round, inbox, nil, dst)
+				})
+			}
+		}
+	}
 }

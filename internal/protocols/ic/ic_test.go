@@ -147,14 +147,14 @@ func TestNoBufferSharedBetweenMachines(t *testing.T) {
 // multiplexer lends for a StepBody, the next instance finds gone.
 type scribbler struct{ mux.Broadcaster }
 
-func (s scribbler) StepBody(round int, received []msg.Message, slots []*msg.Slot) (string, bool) {
+func (s scribbler) StepBody(round int, received []msg.Message, slots []*msg.Slot, dst []byte) ([]byte, bool) {
 	defer func() {
 		for i := range received {
 			received[i] = msg.Message{Sender: -1, Receiver: -1, Round: -1, Payload: "scribbled"}
 		}
 	}()
 	defer clear(slots)
-	return s.Broadcaster.StepBody(round, received, slots)
+	return s.Broadcaster.StepBody(round, received, slots, dst)
 }
 
 // TestInboxIsOnlyLent runs interactive consistency over broadcast

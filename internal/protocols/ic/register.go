@@ -30,10 +30,12 @@ func init() {
 }
 
 // DecodeDecision renders an IC decision vector human-readable:
-// "[v0 v1 ... vn-1]".
+// "[v0 v1 ... vn-1]". It reads msg.SharedVector's memoized vector; only a
+// decision that is not a vector is decoded again, for the error's text.
 func DecodeDecision(v msg.Value) (string, error) {
-	vec, err := msg.DecodeVector(v)
-	if err != nil {
+	vec, ok := msg.SharedVector(v)
+	if !ok {
+		_, err := msg.DecodeVector(v)
 		return "", fmt.Errorf("not an IC vector: %w", err)
 	}
 	parts := make([]string, len(vec))

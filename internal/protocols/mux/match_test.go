@@ -31,7 +31,7 @@ type scripted struct {
 	decided bool
 }
 
-func (m *scripted) emit() (string, bool) {
+func (m *scripted) emit(dst []byte) ([]byte, bool) {
 	tail := fmt.Sprintf("#%d", len(strings.Join(m.heard, "|")))
 	if len(m.heard) > 0 {
 		tail += m.heard[len(m.heard)-1]
@@ -40,19 +40,19 @@ func (m *scripted) emit() (string, bool) {
 		tail = "" // bare payloads, the empty one among them
 	}
 	if m.r.Intn(3) == 0 {
-		return "", false
+		return dst, false
 	}
-	return hostilePayloads[m.r.Intn(len(hostilePayloads))] + tail, true
+	return append(dst, hostilePayloads[m.r.Intn(len(hostilePayloads))]+tail...), true
 }
 
-func (m *scripted) InitBody() (string, bool) { return m.emit() }
+func (m *scripted) InitBody(dst []byte) ([]byte, bool) { return m.emit(dst) }
 
 // StepBody reads every payload from its slot — filled with the payload
 // itself by whichever scripted machine, of any multiplexer in the process,
 // got there first — and folds what the slots said. A slot that is not the
 // one for its message's payload shows on the wire as a divergence from the
 // reference, which hands its instances empty slots.
-func (m *scripted) StepBody(round int, received []msg.Message, slots []*msg.Slot) (string, bool) {
+func (m *scripted) StepBody(round int, received []msg.Message, slots []*msg.Slot, dst []byte) ([]byte, bool) {
 	for i, rm := range received {
 		p, ok := slots[i].Load().(string)
 		if !ok {
@@ -62,7 +62,7 @@ func (m *scripted) StepBody(round int, received []msg.Message, slots []*msg.Slot
 		m.heard = append(m.heard, fmt.Sprintf("%d:%d:%d:%s", rm.Round, rm.Sender, rm.Receiver, p))
 	}
 	m.decided = round >= 3
-	return m.emit()
+	return m.emit(dst)
 }
 
 func (m *scripted) Decision() (msg.Value, bool) {
@@ -164,10 +164,19 @@ type said struct {
 	ok   bool
 }
 
-func (s said) InitBody() (string, bool)                                { return s.body, s.ok }
-func (s said) StepBody(int, []msg.Message, []*msg.Slot) (string, bool) { return s.body, s.ok }
-func (said) Decision() (msg.Value, bool)                               { return msg.NoDecision, false }
-func (said) Quiescent() bool                                           { return false }
+func (s said) InitBody(dst []byte) ([]byte, bool) { return s.say(dst) }
+func (s said) StepBody(_ int, _ []msg.Message, _ []*msg.Slot, dst []byte) ([]byte, bool) {
+	return s.say(dst)
+}
+func (said) Decision() (msg.Value, bool) { return msg.NoDecision, false }
+func (said) Quiescent() bool             { return false }
+
+func (s said) say(dst []byte) ([]byte, bool) {
+	if !s.ok {
+		return dst, false
+	}
+	return append(dst, s.body...), true
+}
 
 // TestUniformBroadcastMatchesReference holds the one bundle the multiplexer
 // broadcasts to the reference, byte for byte, with every instance speaking,
@@ -222,17 +231,17 @@ type broadcasting struct {
 	out sim.Broadcast
 }
 
-func (b *broadcasting) Init() []sim.Outgoing { return b.send(b.InitBody()) }
+func (b *broadcasting) Init() []sim.Outgoing { return b.send(b.InitBody(nil)) }
 
 func (b *broadcasting) Step(round int, received []msg.Message) []sim.Outgoing {
-	return b.send(b.StepBody(round, received, make([]*msg.Slot, len(received))))
+	return b.send(b.StepBody(round, received, make([]*msg.Slot, len(received)), nil))
 }
 
-func (b *broadcasting) send(body string, ok bool) []sim.Outgoing {
+func (b *broadcasting) send(body []byte, ok bool) []sim.Outgoing {
 	if !ok {
 		return nil
 	}
-	return b.out.Send(b.n, 0, body)
+	return b.out.Send(b.n, 0, string(body))
 }
 
 // refOver is process 0's reference multiplexer, of n processes, over subs.
@@ -244,12 +253,13 @@ func refOver(n int, subs []mux.Broadcaster) *Machine {
 	return refNew(machines, mux.VectorCombiner)
 }
 
-// TestRelayBundleGrowsOnce holds a fresh multiplexer's first bundle to one
-// buffer, sized before it is written: its bodies are relay chains whose
-// quotes and backslashes the bundle escapes, every tenth instance is
-// silent and keys run to three digits. Init must allocate no more than
-// for a bundle of one-letter bodies (the broadcast slice, the buffer and
-// the string; the race detector adds one to both).
+// TestRelayBundleGrowsOnce holds a fresh multiplexer's first bundle to the
+// buffers an earlier one grew: its bodies are relay chains whose quotes
+// and backslashes the bundle escapes, every tenth instance is silent and
+// keys run to three digits. Init must allocate no more than for a bundle
+// of one-letter bodies: the broadcast slice and the string, the bundle and
+// body buffers coming from the free list, where the warm-up call left
+// them (a sync.Pool would lose a quarter of them under -race).
 func TestRelayBundleGrowsOnce(t *testing.T) {
 	const n, k, runs = 4, 120, 20
 	initAllocs := func(body string) float64 {

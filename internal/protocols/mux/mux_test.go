@@ -20,9 +20,11 @@ type pingMachine struct {
 	decision msg.Value
 }
 
-func (m *pingMachine) InitBody() (string, bool) { return m.tag + ":" + string(m.proposal), true }
+func (m *pingMachine) InitBody(dst []byte) ([]byte, bool) {
+	return append(dst, m.tag+":"+string(m.proposal)...), true
+}
 
-func (m *pingMachine) StepBody(round int, received []msg.Message, _ []*msg.Slot) (string, bool) {
+func (m *pingMachine) StepBody(round int, received []msg.Message, _ []*msg.Slot, dst []byte) ([]byte, bool) {
 	for _, rm := range received {
 		m.seen = append(m.seen, rm.Payload)
 	}
@@ -30,7 +32,7 @@ func (m *pingMachine) StepBody(round int, received []msg.Message, _ []*msg.Slot)
 		m.decided = true
 		m.decision = msg.Value(strings.Join(m.seen, "|"))
 	}
-	return "", false
+	return dst, false
 }
 
 func (m *pingMachine) Decision() (msg.Value, bool) {

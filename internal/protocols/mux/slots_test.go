@@ -23,9 +23,9 @@ type reader[T any] struct {
 	read    []T
 }
 
-func (m *reader[T]) InitBody() (string, bool) { return "", false }
+func (m *reader[T]) InitBody(dst []byte) ([]byte, bool) { return dst, false }
 
-func (m *reader[T]) StepBody(_ int, received []msg.Message, slots []*msg.Slot) (string, bool) {
+func (m *reader[T]) StepBody(_ int, received []msg.Message, slots []*msg.Slot, dst []byte) ([]byte, bool) {
 	for i, rm := range received {
 		v, ok := slots[i].Load().(T)
 		if !ok {
@@ -35,7 +35,7 @@ func (m *reader[T]) StepBody(_ int, received []msg.Message, slots []*msg.Slot) (
 		}
 		m.read = append(m.read, v)
 	}
-	return "", false
+	return dst, false
 }
 
 func (m *reader[T]) Decision() (msg.Value, bool) { return msg.NoDecision, false }

@@ -34,17 +34,20 @@ type Compat func(a, b msg.Value) error
 // an encoded n-vector whose entry for every correct process must be that
 // process's actual proposal. It stays a hand-written check rather than
 // AdmissibleCheck(Interactive(n, t)), because building that Problem lists
-// IC's 2^n output vectors for every target it is attached to.
+// IC's 2^n output vectors for every target it is attached to. It reads
+// msg.SharedVector's memoized vector in place; only a decision that is not
+// a vector is decoded again, for the error's text.
 func VectorCheck(proposals []msg.Value, correct proc.Set, decision msg.Value) error {
-	vec, err := msg.DecodeVector(decision)
-	if err != nil {
+	vec, ok := msg.SharedVector(decision)
+	if !ok {
+		_, err := msg.DecodeVector(decision)
 		return fmt.Errorf("decision %q is not an IC vector: %w", decision, err)
 	}
 	if len(vec) != len(proposals) {
 		return fmt.Errorf("decided vector has %d entries, want %d", len(vec), len(proposals))
 	}
-	for _, id := range correct.Members() {
-		if vec[id] != proposals[id] {
+	for i := range vec {
+		if id := proc.ID(i); correct.Contains(id) && vec[id] != proposals[id] {
 			return fmt.Errorf("correct %s proposed %q but the decided vector carries %q", id, proposals[id], vec[id])
 		}
 	}
