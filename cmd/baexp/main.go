@@ -305,7 +305,7 @@ func runFalsify(args []string) error {
 			part, _ := proc.NewPartition(*n, *t)
 			groups := map[string]proc.Set{"A": part.A, "B": part.B, "C": part.C}
 			fmt.Println("\ncounterexample execution timeline:")
-			fmt.Print(viz.Timeline(rep.Violation.Exec, viz.Options{MaxRounds: 12, Groups: groups}))
+			fmt.Print(viz.Timeline(rep.Violation.Exec.Execution, viz.Options{MaxRounds: 12, Groups: groups}))
 		}
 	} else {
 		fmt.Println("VERDICT: no violation — the protocol paid the quadratic price (Theorem 2 satisfied)")
@@ -534,7 +534,7 @@ func renderVerdicts(vs []*adversary.Violation, opts adversary.ShrinkOptions, tim
 			env := target.Env()
 			if e, _, rerr := target.Replay(env, sh.Plan.Plan(env), sh.Proposals); rerr == nil {
 				fmt.Println("\nminimal counterexample timeline:")
-				fmt.Print(viz.Timeline(e, viz.Options{MaxRounds: 12}))
+				fmt.Print(viz.Timeline(e.Execution, viz.Options{MaxRounds: 12}))
 			}
 		}
 	}

@@ -532,7 +532,10 @@ func (c *Campaign) probe(seed int64, env Env, co campaignObs) (probeResult, erro
 	var v *Violation
 	var err error
 	if c.RecordFull {
-		e, _, v, err = c.Target.Evidence(env, c.Strategy.Build(seed, env), proposals)
+		var tr *sim.Trace
+		if tr, _, v, err = c.Target.Evidence(env, c.Strategy.Build(seed, env), proposals); err == nil {
+			e = tr.Execution
+		}
 	} else {
 		e, v, err = c.Target.Probe(env, func() sim.FaultPlan { return c.Strategy.Build(seed, env) }, proposals)
 	}

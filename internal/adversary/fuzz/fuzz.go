@@ -278,7 +278,7 @@ func (f *Fuzzer) seedProbe(i int, env adversary.Env, fo fuzzObs) (Outcome, error
 	if err != nil {
 		return Outcome{}, fmt.Errorf("seed probe %d: %w", i, err)
 	}
-	out := Outcome{Cov: coverage(e), Cost: adversary.CostOf(e), V: v}
+	out := Outcome{Cov: coverage(e.Execution), Cost: adversary.CostOf(e.Execution), V: v}
 	if ep != nil {
 		out.Cand = &Candidate{Plan: *ep, Proposals: proposals, Parent: -1, Op: "seed"}
 	}

@@ -166,10 +166,13 @@ func (p *explicitFaultPlan) Specs() []ByzEntry { return p.specs }
 // the omitted message identities recorded in the trace, plus the machine
 // specs of the plan's Byzantine processes. Replaying the result
 // reproduces e exactly — the omission decisions on messages never
-// attempted cannot matter, and the machines are deterministic. It fails
-// when the plan replaced machines it cannot describe (a plan built
-// outside this package's strategy library).
+// attempted cannot matter, and the machines are deterministic. It refuses
+// a lean execution, and fails when the plan replaced machines it cannot
+// describe (a plan built outside this package's strategy library).
 func Extract(e *sim.Execution, plan sim.FaultPlan) (*ExplicitPlan, error) {
+	if _, err := e.Trace(); err != nil {
+		return nil, fmt.Errorf("extract: %w", err)
+	}
 	out := &ExplicitPlan{Faulty: e.Faulty.Members()}
 	for _, b := range e.Behaviors {
 		for _, f := range b.Fragments {

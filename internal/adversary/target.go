@@ -65,17 +65,20 @@ func (t *Target) Env() Env {
 // error is a harness failure: an engine or protocol-determinism bug,
 // never a protocol-property violation. The plan must be freshly built:
 // Byzantine machines are stateful.
-func (t *Target) Replay(env Env, plan sim.FaultPlan, proposals []msg.Value) (*sim.Execution, *Violation, error) {
+func (t *Target) Replay(env Env, plan sim.FaultPlan, proposals []msg.Value) (*sim.Trace, *Violation, error) {
 	cfg := sim.Config{N: env.N, T: env.T, Proposals: proposals, MaxRounds: env.Horizon, Recording: sim.RecordFull}
-	e, err := sim.Run(cfg, env.Factory, plan)
+	run, err := sim.Run(cfg, env.Factory, plan)
 	if err != nil {
 		return nil, nil, err
 	}
-	//balint:allow leantier the run above records at sim.RecordFull
+	e, err := run.Trace()
+	if err != nil {
+		return nil, nil, err
+	}
 	if err := omission.Certify(e, env.Factory, ByzantineSkip(plan, e.Faulty)); err != nil {
 		return nil, nil, err
 	}
-	v := CheckExecution(e, proposals, t.Validity, t.Agreement)
+	v := CheckExecution(run, proposals, t.Validity, t.Agreement)
 	if v != nil {
 		v.Proposals = proposals
 	}
@@ -86,12 +89,12 @@ func (t *Target) Replay(env Env, plan sim.FaultPlan, proposals []msg.Value) (*si
 // replaying, mutating and shrinking; the plan is also attached to the
 // violation. Foreign Byzantine machines are the only non-replayable case:
 // the plan is then nil and the violation is reported without one.
-func (t *Target) Evidence(env Env, plan sim.FaultPlan, proposals []msg.Value) (*sim.Execution, *ExplicitPlan, *Violation, error) {
+func (t *Target) Evidence(env Env, plan sim.FaultPlan, proposals []msg.Value) (*sim.Trace, *ExplicitPlan, *Violation, error) {
 	e, v, err := t.Replay(env, plan, proposals)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ep, _ := Extract(e, plan)
+	ep, _ := Extract(e.Execution, plan)
 	if v != nil {
 		v.Plan = ep
 	}

@@ -1,15 +1,9 @@
 // Package leantier implements the balint analyzer that flags uses of
 // full-trace-only APIs from code reachable from lean (RecordDecisions)
-// probe loops. The lean tier records only decisions and message counts;
-// APIs that reconstruct full message traces (sim.Conforms,
-// omission.Validate, Behavior.AllSent/...) return errors or empty data
-// on lean executions. PR 4's runtime rejections catch such calls only
-// after a probe has already burned; this analyzer catches them at build
-// time.
-//
-// Call sites that are dynamically guarded — checked against the
-// recording tier before touching the full-trace API — are annotated
-// with //balint:allow leantier and a reason naming the guard.
+// probe loops, which record only decisions and message counts. Most such
+// APIs take a *sim.Trace, which a lean execution cannot become; the sinks
+// below are the rest, which refuse a lean execution or read it as empty
+// only at run time, after a probe has burned.
 package leantier
 
 import (
@@ -31,14 +25,13 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// sinks are the full-trace-only APIs. Behavior.Frag and the All* slices
-// are empty on lean traces; Conforms and Validate reject them outright.
-// Behavior.Counts and Execution.CorrectMessages are deliberately absent:
-// they read message counts, which both tiers record.
+// sinks are the full-trace-only APIs that take no *sim.Trace. Behavior.Frag
+// and the All* slices are empty on lean traces; Conforms and Validate
+// reject them outright. Behavior.Counts and Execution.CorrectMessages are
+// absent: they read message counts, which both tiers record.
 var sinks = map[string]bool{
 	"expensive/internal/sim.Conforms":                      true,
 	"expensive/internal/omission.Validate":                 true,
-	"expensive/internal/omission.Certify":                  true,
 	"(*expensive/internal/sim.Behavior).AllSent":           true,
 	"(*expensive/internal/sim.Behavior).AllSendOmitted":    true,
 	"(*expensive/internal/sim.Behavior).AllReceiveOmitted": true,

@@ -165,7 +165,7 @@ func TestOutgoingIsOnlyLentCatalogWide(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return merged
+				return merged.Execution
 			}
 			same("Merge", merge(big), merge(given(big)))
 		})

@@ -283,9 +283,9 @@ func E4(n, t int) (*Table, error) {
 		name string
 		err  error
 	}{
-		{"result satisfies Appendix A guarantees", omission.Validate(swapped)},
+		{"result satisfies Appendix A guarantees", omission.Validate(swapped.Execution)},
 		{"indistinguishable to the victim", omission.Indistinguishable(e, swapped, victim)},
-		{"trace conforms to honest machines", sim.Conforms(swapped, factory, proc.Set{})},
+		{"trace conforms to honest machines", swapped.Conforms(factory, proc.Set{})},
 	}
 	tab := &Table{
 		ID:     "E4",

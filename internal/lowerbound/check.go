@@ -63,7 +63,7 @@ func CheckViolation(v *Violation, factory sim.Factory, roundBound int) error {
 		if !e.Faulty.Empty() {
 			return fmt.Errorf("check: weak-validity violation requires a fully correct execution")
 		}
-		u, err := omission.UniformProposal(e)
+		u, err := omission.UniformProposal(e.Execution)
 		if err != nil {
 			return fmt.Errorf("check: weak-validity violation requires unanimous proposals: %w", err)
 		}

@@ -52,7 +52,7 @@ type Violation struct {
 	// Kind is "agreement", "termination" or "weak-validity".
 	Kind string
 	// Exec is the certified execution.
-	Exec *sim.Execution
+	Exec *sim.Trace
 	// Witness1 is a correct process with decision D1.
 	Witness1 proc.ID
 	D1       msg.Value
@@ -211,7 +211,7 @@ type isolated struct {
 	k     int
 	v     msg.Value
 	lean  *runner.Promise[*sim.Execution]
-	trace *sim.Execution
+	trace *sim.Trace
 }
 
 // prefetch schedules the lean runs of xs on the worker pool (inline on
@@ -235,15 +235,13 @@ func (f *falsifier) prefetch(xs ...*isolated) context.CancelFunc {
 // full returns x's full trace, re-running the same deterministic
 // configuration through omission.RunIsolated — which also checks Appendix
 // A.1.6 and Definition 1 — the first time it is asked for.
-func (f *falsifier) full(x *isolated) (*sim.Execution, error) {
-	if x.trace == nil {
-		e, err := omission.RunIsolated(f.n, f.t, f.factory, x.v, x.group, x.k, f.horizon)
-		if err != nil {
-			return nil, err
-		}
-		x.trace = e
+func (f *falsifier) full(x *isolated) (*sim.Trace, error) {
+	if x.trace != nil {
+		return x.trace, nil
 	}
-	return x.trace, nil
+	var err error
+	x.trace, err = omission.RunIsolated(f.n, f.t, f.factory, x.v, x.group, x.k, f.horizon)
+	return x.trace, err
 }
 
 // decisionRound returns the first round by which every process of e has
@@ -279,21 +277,14 @@ func (f *falsifier) probeIsolated(label string, x *isolated) (msg.Value, error) 
 		return msg.NoDecision, fmt.Errorf("probe %s: %w", label, err)
 	}
 	f.observe(label, e)
-	trace := func() (*sim.Execution, error) {
-		full, err := f.full(x)
-		if err != nil {
-			return nil, fmt.Errorf("probe %s: full replay: %w", label, err)
-		}
-		return full, nil
-	}
 	bX, viol := f.correctDecision(e, label)
 	if viol == nil {
-		viol, err = f.lemma2(e, trace, x.group, bX, label)
+		viol, err = f.lemma2(e, x, bX, label)
 	} else {
-		viol.Exec, err = trace()
+		viol.Exec, err = f.full(x)
 	}
 	if err != nil {
-		return msg.NoDecision, err
+		return msg.NoDecision, fmt.Errorf("probe %s: full replay: %w", label, err)
 	}
 	if viol != nil {
 		f.report.Violation = viol
@@ -303,8 +294,8 @@ func (f *falsifier) probeIsolated(label string, x *isolated) (msg.Value, error) 
 }
 
 // correctDecision extracts the common decision of the correct processes,
-// or produces the execution itself as a certificate. The verdict is the
-// campaign's, adversary.CheckExecution with Weak Validity, which is
+// or a violation to which the caller attaches e's full trace. The verdict
+// is the campaign's, adversary.CheckExecution with Weak Validity, which is
 // vacuous on every probe but the fully-correct E_0 and E_1.
 func (f *falsifier) correctDecision(e *sim.Execution, label string) (msg.Value, *Violation) {
 	v := adversary.CheckExecution(e, e.Proposals(), f.weak, nil)
@@ -312,7 +303,7 @@ func (f *falsifier) correctDecision(e *sim.Execution, label string) (msg.Value, 
 		common, _, _ := e.Unanimity(e.Correct())
 		return common, nil
 	}
-	viol := &Violation{Kind: v.Kind, Exec: e, Witness1: v.Witness1, D1: v.D1, Witness2: v.Witness2, D2: v.D2, Note: label}
+	viol := &Violation{Kind: v.Kind, Witness1: v.Witness1, D1: v.D1, Witness2: v.Witness2, D2: v.D2, Note: label}
 	switch v.Kind {
 	case "termination":
 		viol.Note = fmt.Sprintf("%s: correct process undecided after %d rounds (bound %d)", label, e.Rounds, f.bound)
@@ -322,22 +313,22 @@ func (f *falsifier) correctDecision(e *sim.Execution, label string) (msg.Value, 
 	return msg.NoDecision, viol
 }
 
-// lemma2 applies the swap argument: find an isolated process p in group Y
-// with fewer than t/2 receive-omitted messages from correct senders whose
-// decision differs from bX (or is absent); swap its receive-omissions into
-// send-omissions. If the resulting execution has at most t faults it is a
-// certificate. Returns nil if no candidate qualifies (the Lemma 2
+// lemma2 applies the swap argument: find an isolated process p in x's
+// group with fewer than t/2 receive-omitted messages from correct senders
+// whose decision differs from bX (or is absent); swap its receive-omissions
+// into send-omissions. If the resulting execution has at most t faults it
+// is a certificate. Returns nil if no candidate qualifies (the Lemma 2
 // conclusion holds — the protocol paid enough messages here). Decisions
-// are read off e; trace supplies e's full trace, asked for only once a
-// candidate needs its messages.
-func (f *falsifier) lemma2(e *sim.Execution, trace func() (*sim.Execution, error), group proc.Set, bX msg.Value, label string) (*Violation, error) {
+// are read off e, x's run; its full trace is fetched only once a
+// candidate needs its messages, and only that fetch can fail.
+func (f *falsifier) lemma2(e *sim.Execution, x *isolated, bX msg.Value, label string) (*Violation, error) {
 	correct := e.Correct()
-	for _, p := range group.Members() {
+	for _, p := range x.group.Members() {
 		d, decided := e.Decision(p)
 		if decided && d == bX {
 			continue
 		}
-		full, err := trace()
+		full, err := f.full(x)
 		if err != nil {
 			return nil, err
 		}
@@ -522,20 +513,20 @@ func (f *falsifier) mergeAndExtract(part proc.Partition, xB, xC *isolated) error
 	if err != nil {
 		return fmt.Errorf("falsify %s: merge: %w", f.name, err)
 	}
-	f.observe(fmt.Sprintf("merged E_B(%d),C(%d)", xB.k, xC.k), merged)
+	f.observe(fmt.Sprintf("merged E_B(%d),C(%d)", xB.k, xC.k), merged.Execution)
 
-	bA, viol := f.correctDecision(merged, "merged execution")
+	bA, viol := f.correctDecision(merged.Execution, "merged execution")
 	if viol != nil {
+		viol.Exec = merged
 		f.report.Violation = viol
 		return nil
 	}
 	f.logf("group A decides %q in the merged execution", bA)
-	trace := func() (*sim.Execution, error) { return merged, nil } // cannot fail
-	for _, group := range []struct {
+	for _, g := range []struct { // each x holds its trace, so lemma2 cannot fail
 		name string
-		set  proc.Set
-	}{{"B", part.B}, {"C", part.C}} {
-		if viol, _ := f.lemma2(merged, trace, group.set, bA, "merged/"+group.name); viol != nil {
+		x    *isolated
+	}{{"B", &isolated{group: part.B, trace: merged}}, {"C", &isolated{group: part.C, trace: merged}}} {
+		if viol, _ := f.lemma2(merged.Execution, g.x, bA, "merged/"+g.name); viol != nil {
 			f.report.Violation = viol
 			return nil
 		}

@@ -24,7 +24,7 @@ func Isolation(group proc.Set, fromRound int) sim.OmissionPlan {
 // fromRound exactly as Definition 1 demands: members are faulty, never
 // send-omit, and receive-omit a message iff it comes from outside the
 // group in a round >= fromRound.
-func CheckIsolated(e *sim.Execution, group proc.Set, fromRound int) error {
+func CheckIsolated(e *sim.Trace, group proc.Set, fromRound int) error {
 	for _, id := range group.Members() {
 		b, err := behavior(e, id)
 		if err != nil {
@@ -33,7 +33,6 @@ func CheckIsolated(e *sim.Execution, group proc.Set, fromRound int) error {
 		if !e.Faulty.Contains(id) {
 			return fmt.Errorf("isolation: %s is not faulty", id)
 		}
-		//balint:allow leantier Definition 1 checks need full traces; RunIsolated records at RecordFull
 		if n := len(b.AllSendOmitted()); n > 0 {
 			return fmt.Errorf("isolation: %s send-omits %d messages", id, n)
 		}
@@ -59,15 +58,19 @@ func CheckIsolated(e *sim.Execution, group proc.Set, fromRound int) error {
 
 // RunIsolated runs factory with every process proposing prop and the given
 // group isolated from round fromRound — the executions E_G(k)_b of
-// Table 1. The returned execution is a full trace, validated against
-// Appendix A.1.6 and Definition 1.
-func RunIsolated(n, t int, factory sim.Factory, prop msg.Value, group proc.Set, fromRound, horizon int) (*sim.Execution, error) {
+// Table 1, recorded at sim.RecordFull and validated against Appendix
+// A.1.6 and Definition 1.
+func RunIsolated(n, t int, factory sim.Factory, prop msg.Value, group proc.Set, fromRound, horizon int) (*sim.Trace, error) {
 	cfg := sim.Config{N: n, T: t, Proposals: msg.Uniform(n, prop), MaxRounds: horizon}
-	exec, err := sim.Run(cfg, factory, Isolation(group, fromRound))
+	run, err := sim.Run(cfg, factory, Isolation(group, fromRound))
 	if err != nil {
 		return nil, fmt.Errorf("run isolated %v from round %d: %w", group, fromRound, err)
 	}
-	if err := Validate(exec); err != nil {
+	exec, err := run.Trace()
+	if err != nil {
+		return nil, err
+	}
+	if err := validate(exec); err != nil {
 		return nil, fmt.Errorf("isolated execution invalid: %w", err)
 	}
 	if err := CheckIsolated(exec, group, fromRound); err != nil {

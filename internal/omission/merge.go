@@ -28,10 +28,10 @@ func Mergeable(k1, k2 int, propB, propC msg.Value) bool {
 type MergeSpec struct {
 	Part proc.Partition
 	// EB is the execution in which group B is isolated from round KB.
-	EB *sim.Execution
+	EB *sim.Trace
 	KB int
 	// EC is the execution in which group C is isolated from round KC.
-	EC *sim.Execution
+	EC *sim.Trace
 	KC int
 }
 
@@ -56,7 +56,7 @@ func UniformProposal(e *sim.Execution) (msg.Value, error) {
 // isolated as claimed, and each process of B (C) receives what it received
 // in spec.EB (spec.EC) — so, machines being deterministic, it sends and
 // decides what Algorithm 5 replays. A failed check is returned as an error.
-func Merge(spec MergeSpec, factory sim.Factory, horizon int) (*sim.Execution, error) {
+func Merge(spec MergeSpec, factory sim.Factory, horizon int) (*sim.Trace, error) {
 	part := spec.Part
 	if spec.EB.N != part.N || spec.EC.N != part.N {
 		return nil, fmt.Errorf("merge: sizes differ: partition n=%d, EB n=%d, EC n=%d", part.N, spec.EB.N, spec.EC.N)
@@ -64,21 +64,17 @@ func Merge(spec MergeSpec, factory sim.Factory, horizon int) (*sim.Execution, er
 	if err := part.Validate(); err != nil {
 		return nil, fmt.Errorf("merge: %w", err)
 	}
-	if spec.EB.Recording != sim.RecordFull || spec.EC.Recording != sim.RecordFull {
-		return nil, fmt.Errorf("merge: requires full traces, got EB=%q EC=%q — re-run the configurations at sim.RecordFull",
-			spec.EB.Recording, spec.EC.Recording)
-	}
 	if !spec.EB.Faulty.Equal(part.B) {
 		return nil, fmt.Errorf("merge: EB faulty set %v != B %v", spec.EB.Faulty, part.B)
 	}
 	if !spec.EC.Faulty.Equal(part.C) {
 		return nil, fmt.Errorf("merge: EC faulty set %v != C %v", spec.EC.Faulty, part.C)
 	}
-	propB, err := UniformProposal(spec.EB)
+	propB, err := UniformProposal(spec.EB.Execution)
 	if err != nil {
 		return nil, fmt.Errorf("merge: EB: %w", err)
 	}
-	propC, err := UniformProposal(spec.EC)
+	propC, err := UniformProposal(spec.EC.Execution)
 	if err != nil {
 		return nil, fmt.Errorf("merge: EC: %w", err)
 	}
@@ -102,21 +98,24 @@ func Merge(spec MergeSpec, factory sim.Factory, horizon int) (*sim.Execution, er
 		ReceiveFn: func(m msg.Message) bool { return isoB.ReceiveFn(m) || isoC.ReceiveFn(m) },
 	}
 	cfg := sim.Config{N: part.N, T: spec.EB.T, Proposals: proposals, MaxRounds: horizon, DisableEarlyStop: true}
-	out, err := sim.Run(cfg, factory, plan)
+	run, err := sim.Run(cfg, factory, plan)
+	if err != nil {
+		return nil, fmt.Errorf("merge: %w", err)
+	}
+	out, err := run.Trace()
 	if err != nil {
 		return nil, fmt.Errorf("merge: %w", err)
 	}
 
 	// Lemma 16's three conclusions, checked.
-	//balint:allow leantier the merged run is recorded at sim.RecordFull, cfg's zero Recording
-	if err := Validate(out); err != nil {
+	if err := validate(out); err != nil {
 		return nil, fmt.Errorf("merge: result is not a valid execution: %w", err)
 	}
 	for _, g := range [2]struct {
 		name string
 		set  proc.Set
 		k    int
-		src  *sim.Execution
+		src  *sim.Trace
 	}{{"B", part.B, spec.KB, spec.EB}, {"C", part.C, spec.KC, spec.EC}} {
 		if err := CheckIsolated(out, g.set, g.k); err != nil {
 			return nil, fmt.Errorf("merge: %w", err)

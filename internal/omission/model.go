@@ -4,7 +4,7 @@
 // swap_omission procedure (Algorithm 4) and the merge procedure
 // (Algorithm 5).
 //
-// Everything operates on sim.Execution traces. The paper proves its
+// Everything operates on full traces, *sim.Trace. The paper proves its
 // constructed objects are executions; this package *checks* them instead,
 // against the five guarantees of Appendix A.1.6 and each lemma's claims.
 // Merge runs the execution Lemma 16 says Algorithm 5 builds — B and C
@@ -31,11 +31,16 @@ import (
 // Cost: O(messages + n²) time and three allocations — Π for the faulty
 // set's range check, 2n composition stamps shared by every behavior, and
 // the n×n sender×receiver table the other three guarantees are checked
-// against in one pass over the rounds.
+// against in one pass over the rounds. A lean execution is refused.
 func Validate(e *sim.Execution) error {
-	if e.Recording != sim.RecordFull {
-		return fmt.Errorf("validate: requires a full trace, got recording level %q — re-run the configuration at sim.RecordFull", e.Recording)
+	t, err := e.Trace()
+	if err != nil {
+		return fmt.Errorf("validate: %w", err)
 	}
+	return validate(t)
+}
+
+func validate(e *sim.Trace) error {
 	// Faulty processes: F is a set of at most t processes within Π.
 	if e.Faulty.Len() > e.T {
 		return fmt.Errorf("faulty-processes: |F|=%d exceeds t=%d", e.Faulty.Len(), e.T)
@@ -139,11 +144,11 @@ func receive(f *sim.Fragment, slot []*msg.Message, n int) (msg.Message, bool) {
 // outside skip re-executed against its recorded inputs (skip holds the
 // processes whose machines a Byzantine plan replaced). A refusal is a
 // harness failure or a forged trace, never a protocol-property violation.
-func Certify(e *sim.Execution, factory sim.Factory, skip proc.Set) error {
-	if err := Validate(e); err != nil {
+func Certify(e *sim.Trace, factory sim.Factory, skip proc.Set) error {
+	if err := validate(e); err != nil {
 		return fmt.Errorf("invalid trace: %w", err)
 	}
-	if err := sim.Conforms(e, factory, skip); err != nil {
+	if err := e.Conforms(factory, skip); err != nil {
 		return fmt.Errorf("conformance: %w", err)
 	}
 	return nil
@@ -223,7 +228,7 @@ func (c *composition) check(b *sim.Behavior) error {
 }
 
 // behavior returns e's behavior of id, or an error if e has no process id.
-func behavior(e *sim.Execution, id proc.ID) (*sim.Behavior, error) {
+func behavior(e *sim.Trace, id proc.ID) (*sim.Behavior, error) {
 	if id < 0 || int(id) >= len(e.Behaviors) {
 		return nil, fmt.Errorf("%s is not a process of this execution (n=%d)", id, e.N)
 	}
@@ -234,7 +239,7 @@ func behavior(e *sim.Execution, id proc.ID) (*sim.Behavior, error) {
 // indistinguishable to process id: same proposal and identical received
 // messages in every round (§3). On distinguishability it returns a
 // descriptive error locating the first difference.
-func Indistinguishable(e1, e2 *sim.Execution, id proc.ID) error {
+func Indistinguishable(e1, e2 *sim.Trace, id proc.ID) error {
 	b1, err := behavior(e1, id)
 	if err != nil {
 		return err
@@ -248,7 +253,6 @@ func Indistinguishable(e1, e2 *sim.Execution, id proc.ID) error {
 	}
 	rounds := max(len(b1.Fragments), len(b2.Fragments))
 	for r := 1; r <= rounds; r++ {
-		//balint:allow leantier §3 indistinguishability compares full received views; lowerbound drivers record full
 		r1, r2 := b1.Frag(r).Received, b2.Frag(r).Received
 		if !msg.SameSet(r1, r2) {
 			return fmt.Errorf("%s receives different messages in round %d (%d vs %d msgs)",
@@ -260,9 +264,8 @@ func Indistinguishable(e1, e2 *sim.Execution, id proc.ID) error {
 
 // MessagesFromTo returns the messages receive-omitted by p whose sender
 // lies in from — the paper's M_{X→p} sets used by Lemma 2.
-func MessagesFromTo(e *sim.Execution, from proc.Set, p proc.ID) []msg.Message {
+func MessagesFromTo(e *sim.Trace, from proc.Set, p proc.ID) []msg.Message {
 	var out []msg.Message
-	//balint:allow leantier Lemma 2 message sets exist only in full traces; callers construct them at RecordFull
 	for _, m := range e.Behavior(p).AllReceiveOmitted() {
 		if from.Contains(m.Sender) {
 			out = append(out, m)

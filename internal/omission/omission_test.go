@@ -100,6 +100,16 @@ func runFull(t *testing.T, prop msg.Value) *sim.Execution {
 	return e
 }
 
+// trace is e as a full trace, failing the test on a lean execution.
+func trace(t *testing.T, e *sim.Execution) *sim.Trace {
+	t.Helper()
+	tr, err := e.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestValidateFullCorrectExecution(t *testing.T) {
 	e := runFull(t, msg.Zero)
 	if err := Validate(e); err != nil {
@@ -323,7 +333,7 @@ func TestIndistinguishablePrefix(t *testing.T) {
 	// Figure 1: E0 and E_G(k) are indistinguishable to everyone through
 	// round k-1 and to G's complement... — here we check process views.
 	group := proc.NewSet(6, 7)
-	e0 := runFull(t, msg.Zero)
+	e0 := trace(t, runFull(t, msg.Zero))
 	eIso, err := RunIsolated(tn, tt, echoFactory(tn, 3), msg.Zero, group, 3, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +386,7 @@ func TestSwapOmissionLemma15(t *testing.T) {
 		t.Fatalf("SwapOmission: %v", err)
 	}
 	// (1) Valid execution with at most t faults.
-	if err := Validate(swapped); err != nil {
+	if err := Validate(swapped.Execution); err != nil {
 		t.Errorf("swapped execution invalid: %v", err)
 	}
 	// (2) Indistinguishable to every process.
@@ -392,7 +402,7 @@ func TestSwapOmissionLemma15(t *testing.T) {
 		t.Errorf("faulty after swap = %v, want {p0,p7}", swapped.Faulty)
 	}
 	// The trace still conforms to the protocol.
-	if err := sim.Conforms(swapped, factory, proc.Set{}); err != nil {
+	if err := swapped.Conforms(factory, proc.Set{}); err != nil {
 		t.Errorf("Conforms: %v", err)
 	}
 	// Decisions are preserved verbatim — so correct p6 (decided 1, never saw
@@ -423,7 +433,7 @@ func TestSwapOmissionRequiresNoSendOmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SwapOmission(e, 0); err == nil {
+	if _, err := SwapOmission(trace(t, e), 0); err == nil {
 		t.Error("expected error: p0 commits send-omission faults")
 	}
 }
@@ -471,7 +481,7 @@ func TestMergeLemma16(t *testing.T) {
 	if !merged.Faulty.Equal(part.B.Union(part.C)) {
 		t.Errorf("faulty = %v", merged.Faulty)
 	}
-	if err := sim.Conforms(merged, echoFactory(tn, 3), proc.Set{}); err != nil {
+	if err := merged.Conforms(echoFactory(tn, 3), proc.Set{}); err != nil {
 		t.Errorf("merged trace does not conform: %v", err)
 	}
 	// Isolation is receive-side only: B and C keep broadcasting their
@@ -580,7 +590,7 @@ func TestCertify(t *testing.T) {
 	} {
 		e := runFull(t, msg.Zero)
 		tc.mut(e)
-		err := Certify(e, factory, tc.skip)
+		err := Certify(trace(t, e), factory, tc.skip)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: refused: %v", tc.name, err)
@@ -588,7 +598,7 @@ func TestCertify(t *testing.T) {
 			t.Errorf("%s: got %v, want a %q refusal", tc.name, err, tc.want)
 		}
 	}
-	if err := Certify(runFull(t, msg.Zero), echoFactory(tn, 2), proc.Set{}); err == nil || !strings.Contains(err.Error(), "conformance: ") {
+	if err := Certify(trace(t, runFull(t, msg.Zero)), echoFactory(tn, 2), proc.Set{}); err == nil || !strings.Contains(err.Error(), "conformance: ") {
 		t.Errorf("another protocol's trace: got %v, want a conformance refusal", err)
 	}
 }
@@ -602,15 +612,15 @@ func TestProcessIndexesChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	factory := echoFactory(tn, 3)
-	isolated := func(n int, group proc.Set, k int) *sim.Execution {
+	isolated := func(n int, group proc.Set, k int) *sim.Trace {
 		e, err := RunIsolated(n, tt, echoFactory(n, 3), msg.Zero, group, k, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
-	e8, e9 := runFull(t, msg.Zero), isolated(tn+1, part.C, 3)
-	overclaimed := runFull(t, msg.Zero)
+	e8, e9 := trace(t, runFull(t, msg.Zero)), isolated(tn+1, part.C, 3)
+	overclaimed := trace(t, runFull(t, msg.Zero))
 	overclaimed.Faulty = proc.NewSet(8)
 	for _, tc := range []struct {
 		name string

@@ -60,7 +60,7 @@ func pseudo(seed int64, m msg.Message) bool {
 // receive-omitted anything changes nothing except (possibly) shrinking the
 // faulty set to the processes that actually misbehave.
 func TestSwapIdentityWithoutOmissions(t *testing.T) {
-	e := runFull(t, msg.Zero)
+	e := trace(t, runFull(t, msg.Zero))
 	e.Faulty = proc.NewSet(3) // nominally corrupted, but committed no fault
 	swapped, err := SwapOmission(e, 3)
 	if err != nil {

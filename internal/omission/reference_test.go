@@ -18,7 +18,7 @@ import (
 // holds Validate to it, verdict and error text alike.
 
 func refValidate(e *sim.Execution) error {
-	if e.Recording != sim.RecordFull {
+	if _, err := e.Trace(); err != nil {
 		return fmt.Errorf("validate: requires a full trace, got recording level %q — re-run the configuration at sim.RecordFull", e.Recording)
 	}
 	if e.Faulty.Len() > e.T {

@@ -57,8 +57,8 @@ func TestMergeReplaysSources(t *testing.T) {
 		h := sim.Horizon(tg.rounds)
 		for _, prop := range []msg.Value{msg.Zero, msg.One} {
 			// eB[k] is E_B(k)_prop, eC[k] is E_C(k)_prop; index 0 is unused.
-			eB := make([]*sim.Execution, h+1)
-			eC := make([]*sim.Execution, h+1)
+			eB := make([]*sim.Trace, h+1)
+			eC := make([]*sim.Trace, h+1)
 			for k := 1; k <= h; k++ {
 				if eB[k], err = omission.RunIsolated(n, tf, tg.factory, prop, part.B, k, h); err != nil {
 					t.Fatalf("%s: E_B(%d)_%s: %v", tg.id, k, prop, err)
@@ -79,12 +79,12 @@ func TestMergeReplaysSources(t *testing.T) {
 					if merged.Rounds != h {
 						t.Errorf("%s kB=%d kC=%d: %d rounds, want the horizon %d", name, kB, kC, merged.Rounds, h)
 					}
-					if err := sim.Conforms(merged, tg.factory, proc.Set{}); err != nil {
+					if err := merged.Conforms(tg.factory, proc.Set{}); err != nil {
 						t.Errorf("%s kB=%d kC=%d: Conforms: %v", name, kB, kC, err)
 					}
 					for _, g := range []struct {
 						set proc.Set
-						src *sim.Execution
+						src *sim.Trace
 					}{{part.B, eB[kB]}, {part.C, eC[kC]}} {
 						for _, id := range g.set.Members() {
 							if err := replays(merged.Behavior(id), g.src.Behavior(id), h); err != nil {
@@ -172,7 +172,7 @@ func TestIsolatingNobodyIsFaultFree(t *testing.T) {
 							t.Fatalf("%s: %s round %d counts %v isolated, %v fault-free", name, id, r, ci, cf)
 						}
 					}
-					if rec == sim.RecordFull && !reflect.DeepEqual(bi.Fragments, bf.Fragments) {
+					if !reflect.DeepEqual(bi.Fragments, bf.Fragments) { // nil on both at the lean tier
 						t.Fatalf("%s: %s fragments differ", name, id)
 					}
 				}

@@ -19,22 +19,17 @@ import (
 // correct in e'. The caller is responsible for checking |F'| <= t (Lemma
 // 15's precondition); this function only performs the transformation and
 // structural checks.
-func SwapOmission(e *sim.Execution, pi proc.ID) (*sim.Execution, error) {
-	if e.Recording != sim.RecordFull {
-		return nil, fmt.Errorf("swap_omission: requires a full trace, got recording level %q — re-run the configuration at sim.RecordFull", e.Recording)
-	}
+func SwapOmission(e *sim.Trace, pi proc.ID) (*sim.Trace, error) {
 	b, err := behavior(e, pi)
 	if err != nil {
 		return nil, fmt.Errorf("swap_omission: %w", err)
 	}
-	//balint:allow leantier guarded: SwapOmission rejects non-full recordings above
 	if n := len(b.AllSendOmitted()); n > 0 {
 		return nil, fmt.Errorf("swap_omission: %s commits %d send-omission faults", pi, n)
 	}
 
 	// M: all messages receive-omitted by pi, keyed by identity (line 2).
 	swapped := make(map[msg.Key]bool)
-	//balint:allow leantier guarded: SwapOmission rejects non-full recordings above
 	for _, m := range b.AllReceiveOmitted() {
 		swapped[m.Key()] = true
 	}
@@ -44,7 +39,6 @@ func SwapOmission(e *sim.Execution, pi proc.ID) (*sim.Execution, error) {
 	for z := 0; z < e.N; z++ {
 		src := e.Behaviors[z]
 		nb := &sim.Behavior{ID: src.ID, Proposal: src.Proposal}
-		faultyZ := false
 		for _, f := range src.Fragments {
 			nf := sim.Fragment{
 				Round:    f.Round,
@@ -60,22 +54,17 @@ func SwapOmission(e *sim.Execution, pi proc.ID) (*sim.Execution, error) {
 					nf.Sent = append(nf.Sent, m)
 				}
 			}
-			for _, m := range f.SendOmitted {
-				nf.SendOmitted = append(nf.SendOmitted, m)
-			}
+			nf.SendOmitted = append(nf.SendOmitted, f.SendOmitted...)
 			// Drop M from receive-omissions (only pi holds them).
 			for _, m := range f.ReceiveOmitted {
 				if !swapped[m.Key()] {
 					nf.ReceiveOmitted = append(nf.ReceiveOmitted, m)
 				}
 			}
-			if len(nf.SendOmitted) > 0 || len(nf.ReceiveOmitted) > 0 {
-				faultyZ = true
+			if (len(nf.SendOmitted) > 0 || len(nf.ReceiveOmitted) > 0) && !newFaulty.Contains(proc.ID(z)) {
+				newFaulty = newFaulty.Add(proc.ID(z))
 			}
 			nb.Fragments = append(nb.Fragments, nf)
-		}
-		if faultyZ {
-			newFaulty = newFaulty.Add(proc.ID(z))
 		}
 		newBehaviors[z] = nb
 	}
@@ -91,5 +80,5 @@ func SwapOmission(e *sim.Execution, pi proc.ID) (*sim.Execution, error) {
 	if out.Faulty.Contains(pi) {
 		return nil, fmt.Errorf("swap_omission: %s still faulty after swap", pi)
 	}
-	return out, nil
+	return out.Trace()
 }

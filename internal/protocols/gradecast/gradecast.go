@@ -109,7 +109,6 @@ func (m *machine) Init() []sim.Outgoing {
 // order) and its count, over senders' single votes.
 func tally(votes map[proc.ID]msg.Value) (msg.Value, int) {
 	counts := make(map[msg.Value]int, len(votes))
-	//balint:allow maporder commutative count fold; winners are read back in sorted key order below
 	for _, v := range votes {
 		counts[v]++
 	}

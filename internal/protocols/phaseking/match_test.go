@@ -218,7 +218,7 @@ func TestOutgoingIsOnlyLent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return merged
+			return merged.Execution
 		}
 		same(t, "merged execution", merge(New(big)), merge(refNew(big)))
 	})

@@ -17,8 +17,8 @@
 // and allocates nothing per message; the routing scratch is pooled across
 // Run calls. Probe sweeps (hunt campaigns, the protocol × strategy
 // matrix, the falsifier families) probe lean and deterministically re-run
-// the rare violating configuration at RecordFull to reconstruct the full
-// evidence object.
+// the rare violating configuration at RecordFull for its Trace, the only
+// execution type the evidence APIs take.
 //
 // Determinism contract: a Machine's outputs may depend only on its inputs
 // (proposal, round number, received messages). The engine delivers received
@@ -58,8 +58,8 @@ const (
 	RecordFull Recording = iota
 	// RecordDecisions is the lean tier: per-process decisions plus
 	// per-round sent/omitted/received counts, no message slices. APIs that
-	// need the messages themselves (Conforms, omission.Validate, swap,
-	// merge, shrinking) reject lean executions; callers re-run the same
+	// need the messages themselves take a *Trace, which Execution.Trace
+	// refuses to make of a lean execution; callers re-run the same
 	// deterministic configuration at RecordFull when they need evidence.
 	RecordDecisions
 )
@@ -355,26 +355,24 @@ func (b *Behavior) Counts(r int) (sent, sendOmitted, received, receiveOmitted in
 	return len(f.Sent), len(f.SendOmitted), len(f.Received), len(f.ReceiveOmitted)
 }
 
-// AllSent returns every message the process (successfully) sent. Lean
-// behaviors record no message identities and return nil.
+// AllSent returns every message the process (successfully) sent.
 func (b *Behavior) AllSent() []msg.Message {
 	return b.collect(func(f *Fragment) []msg.Message { return f.Sent })
 }
 
-// AllSendOmitted returns every message the process send-omitted. Lean
-// behaviors record no message identities and return nil.
+// AllSendOmitted returns every message the process send-omitted.
 func (b *Behavior) AllSendOmitted() []msg.Message {
 	return b.collect(func(f *Fragment) []msg.Message { return f.SendOmitted })
 }
 
 // AllReceiveOmitted returns every message the process receive-omitted.
-// Lean behaviors record no message identities and return nil.
 func (b *Behavior) AllReceiveOmitted() []msg.Message {
 	return b.collect(func(f *Fragment) []msg.Message { return f.ReceiveOmitted })
 }
 
 // collect concatenates one message list over every fragment, in round
-// order; nil when the lists are all empty.
+// order; nil when the lists are all empty, as on a lean behavior, which
+// records no message identities.
 func (b *Behavior) collect(list func(*Fragment) []msg.Message) []msg.Message {
 	total := 0
 	for i := range b.Fragments {
@@ -407,6 +405,18 @@ type Execution struct {
 	// executions (swap_omission's) carry full traces and inherit the zero
 	// value, RecordFull.
 	Recording Recording
+}
+
+// Trace is an execution recorded at RecordFull, so its fragments hold
+// their messages; Execution.Trace is the one way to get one.
+type Trace struct{ *Execution }
+
+// Trace returns e as a full trace: the one check of an execution's tier.
+func (e *Execution) Trace() (*Trace, error) {
+	if e.Recording != RecordFull {
+		return nil, fmt.Errorf("requires a full trace, got recording level %q — re-run the configuration at sim.RecordFull", e.Recording)
+	}
+	return &Trace{e}, nil
 }
 
 // Behavior returns the behavior of process id.
@@ -788,18 +798,22 @@ func carve(arena []msg.Message, k int) ([]msg.Message, []msg.Message) {
 	return arena, arena[start : start+k : start+k]
 }
 
+// Conforms is Trace.Conforms on e, refusing a lean execution.
+func Conforms(e *Execution, factory Factory, skip proc.Set) error {
+	t, err := e.Trace()
+	if err != nil {
+		return fmt.Errorf("conforms: %w", err)
+	}
+	return t.Conforms(factory, skip)
+}
+
 // Conforms re-runs the honest machine of every process not in skip against
 // the received messages recorded in e and verifies that the recorded send
 // behavior (sent ∪ send-omitted) matches the machine's output exactly, and
 // that recorded decisions match the machine's decisions. This is the
 // independent validity check for constructed executions: it proves the
-// trace is genuinely generated by the protocol's state machines. It
-// requires a full trace: lean executions carry no message identities to
-// replay against.
-func Conforms(e *Execution, factory Factory, skip proc.Set) error {
-	if e.Recording != RecordFull {
-		return fmt.Errorf("conforms: requires a full trace, got recording level %q — re-run the configuration at RecordFull", e.Recording)
-	}
+// trace is genuinely generated by the protocol's state machines.
+func (e *Trace) Conforms(factory Factory, skip proc.Set) error {
 	// Scratch reused across processes and rounds: Conforms runs once per
 	// campaign probe at the full tier, and rebuilding three slices per
 	// process per round dominated its allocation profile.
@@ -814,7 +828,7 @@ func Conforms(e *Execution, factory Factory, skip proc.Set) error {
 		machine := factory(id, b.Proposal)
 		out := machine.Init()
 		for r := 1; r <= len(b.Fragments); r++ {
-			f := b.Frag(r)
+			f := &b.Fragments[r-1]
 			outgoing = append(outgoing[:0], f.Sent...)
 			outgoing = append(outgoing, f.SendOmitted...)
 			if err := sameOutgoing(id, r, out, outgoing, byTo); err != nil {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"expensive/internal/adversary"
 	"expensive/internal/msg"
 	"expensive/internal/omission"
 	"expensive/internal/proc"
@@ -195,7 +196,8 @@ func FuzzTiersAgree(f *testing.F) {
 
 // TestLeanRejectsFullTraceAPIs verifies that the message-level APIs refuse
 // lean executions with a descriptive error instead of silently treating
-// absent slices as empty traces.
+// absent slices as empty traces: Trace, which every *sim.Trace API needs,
+// and the three that still take a *sim.Execution.
 func TestLeanRejectsFullTraceAPIs(t *testing.T) {
 	n, rounds := 4, 3
 	proposals := []msg.Value{"a", "b", "a", "b"}
@@ -210,6 +212,12 @@ func TestLeanRejectsFullTraceAPIs(t *testing.T) {
 	}
 	if err := omission.Validate(lean); err == nil || !strings.Contains(err.Error(), "full trace") {
 		t.Fatalf("Validate on lean trace: got %v, want full-trace error", err)
+	}
+	if ep, err := adversary.Extract(lean, sim.NoFaults{}); err == nil || !strings.Contains(err.Error(), "full trace") {
+		t.Fatalf("Extract on lean trace: got plan %+v, error %v, want full-trace error", ep, err)
+	}
+	if tr, err := lean.Trace(); err == nil || !strings.Contains(err.Error(), "full trace") {
+		t.Fatalf("Trace of a lean execution: got %v, error %v, want full-trace error", tr, err)
 	}
 	if got := lean.Behavior(0).AllSent(); got != nil {
 		t.Fatalf("AllSent on lean trace: got %d messages, want nil", len(got))

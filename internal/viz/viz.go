@@ -122,7 +122,7 @@ func trim(v msg.Value) string {
 // Diff renders, round by round, where two executions diverge from the
 // perspective of each process's received messages — the
 // indistinguishability structure the proofs argue about.
-func Diff(e1, e2 *sim.Execution) string {
+func Diff(e1, e2 *sim.Trace) string {
 	var b strings.Builder
 	rounds := max(e1.Rounds, e2.Rounds)
 	fmt.Fprintf(&b, "per-process received-view divergence (first differing round, '-' = identical):\n")

@@ -17,7 +17,7 @@ func TestTimelineRendersGlyphsAndGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := viz.Timeline(e, viz.Options{Groups: map[string]proc.Set{"B": group}})
+	out := viz.Timeline(e.Execution, viz.Options{Groups: map[string]proc.Set{"B": group}})
 	for _, want := range []string{"p0", "p7", "legend", "(faulty)", "B |", "=0", "=1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline missing %q:\n%s", want, out)
@@ -34,8 +34,8 @@ func TestTimelineTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := viz.Timeline(e, viz.Options{})
-	short := viz.Timeline(e, viz.Options{MaxRounds: 1})
+	full := viz.Timeline(e.Execution, viz.Options{})
+	short := viz.Timeline(e.Execution, viz.Options{MaxRounds: 1})
 	if len(short) >= len(full) {
 		t.Error("truncated timeline not shorter")
 	}
@@ -83,9 +83,9 @@ func TestTimelineGroupsDeterministic(t *testing.T) {
 		}
 		return groups
 	}
-	first := viz.Timeline(e, viz.Options{Groups: mk("A", "B", "widest-label")})
+	first := viz.Timeline(e.Execution, viz.Options{Groups: mk("A", "B", "widest-label")})
 	for i := 0; i < 20; i++ {
-		again := viz.Timeline(e, viz.Options{Groups: mk("widest-label", "B", "A")})
+		again := viz.Timeline(e.Execution, viz.Options{Groups: mk("widest-label", "B", "A")})
 		if again != first {
 			t.Fatalf("timeline depends on Groups map construction order:\n%s\nvs\n%s", first, again)
 		}
