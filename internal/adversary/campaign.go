@@ -32,9 +32,6 @@ type campaignObs struct {
 
 func campaignObsFrom(ctx context.Context) campaignObs {
 	rec := obs.From(ctx)
-	if rec == nil {
-		return campaignObs{}
-	}
 	return campaignObs{
 		probes:     rec.Counter("campaign_probes"),
 		violations: rec.Counter("campaign_violations"),

@@ -49,9 +49,6 @@ type fuzzObs struct {
 
 func fuzzObsFrom(ctx context.Context) fuzzObs {
 	rec := obs.From(ctx)
-	if rec == nil {
-		return fuzzObs{}
-	}
 	return fuzzObs{
 		probes:      rec.Counter("fuzz_probes"),
 		violations:  rec.Counter("fuzz_violations"),

@@ -170,9 +170,14 @@ func (p *explicitFaultPlan) Specs() []ByzEntry { return p.specs }
 // a lean execution, and fails when the plan replaced machines it cannot
 // describe (a plan built outside this package's strategy library).
 func Extract(e *sim.Execution, plan sim.FaultPlan) (*ExplicitPlan, error) {
-	if _, err := e.Trace(); err != nil {
+	t, err := e.Trace()
+	if err != nil {
 		return nil, fmt.Errorf("extract: %w", err)
 	}
+	return extract(t, plan)
+}
+
+func extract(e *sim.Trace, plan sim.FaultPlan) (*ExplicitPlan, error) {
 	out := &ExplicitPlan{Faulty: e.Faulty.Members()}
 	for _, b := range e.Behaviors {
 		for _, f := range b.Fragments {

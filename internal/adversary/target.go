@@ -94,7 +94,7 @@ func (t *Target) Evidence(env Env, plan sim.FaultPlan, proposals []msg.Value) (*
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ep, _ := Extract(e.Execution, plan)
+	ep, _ := extract(e, plan)
 	if v != nil {
 		v.Plan = ep
 	}

@@ -91,9 +91,9 @@ type Program struct {
 	// Packages in import-path order.
 	Packages []*Package
 	byPath   map[string]*Package
-	// Cache holds per-program computations shared across the per-package
-	// passes of one analyzer (call graphs, reachability sets). Keyed by
-	// analyzer-chosen strings; not for cross-analyzer communication.
+	// Cache holds per-program computations shared across per-package
+	// passes (the call graph with its reachability sets, taint engines),
+	// keyed by the package that builds them.
 	Cache map[string]any
 }
 

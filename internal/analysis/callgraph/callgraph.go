@@ -1,6 +1,9 @@
 // Package callgraph builds the static over-approximate call graph the
-// balint reachability analyzers (maporder, leantier) share. It is a
-// class-hierarchy-style analysis over one whole-program type universe:
+// balint analyzers share, and is their index of the module's functions:
+// Funcs lists a package's function bodies, and ReachableFrom answers the
+// reachability question a rule asks (maporder, leantier) once per
+// program. It is a class-hierarchy-style analysis over one whole-program
+// type universe:
 //
 //   - direct calls and method calls add call edges;
 //   - any other use of a function — a method value, assignment into a
@@ -55,6 +58,10 @@ type Graph struct {
 	prog  *analysis.Program
 	nodes map[*types.Func]*Node
 	inits map[*analysis.Package]*Node
+	// funcs lists each package's nodes with a body, in source order.
+	funcs map[*analysis.Package][]*Node
+	// reach holds ReachableFrom's answers by key.
+	reach map[string]map[*Node]bool
 	// impls maps each interface method in the program to the concrete
 	// methods that may stand behind it.
 	impls map[*types.Func][]*types.Func
@@ -87,6 +94,32 @@ func (g *Graph) InitNode(pkg *analysis.Package) *Node { return g.inits[pkg] }
 // use this to widen through interface calls the same way edge does.
 func (g *Graph) Implementations(fn *types.Func) []*types.Func { return g.impls[fn] }
 
+// Funcs returns the nodes of pkg's declared functions and methods that
+// have a body, in source order: the functions an analyzer checks.
+func (g *Graph) Funcs(pkg *analysis.Package) []*Node { return g.funcs[pkg] }
+
+// ReachableFrom returns Reachable(roots, stop), where the roots are the
+// program's functions with a body for which isRoot holds. The answer is
+// computed once per key: a later call with the same key returns it
+// without calling isRoot or stop, so the per-package passes of one
+// analyzer share one traversal.
+func (g *Graph) ReachableFrom(key string, isRoot, stop func(*Node) bool) map[*Node]bool {
+	if reach, ok := g.reach[key]; ok {
+		return reach
+	}
+	var roots []*Node
+	for _, pkg := range g.prog.Packages {
+		for _, n := range g.funcs[pkg] {
+			if isRoot(n) {
+				roots = append(roots, n)
+			}
+		}
+	}
+	reach := g.Reachable(roots, stop)
+	g.reach[key] = reach
+	return reach
+}
+
 // Reachable walks the graph from roots and returns every node reachable
 // from them, roots included. stop, if non-nil, prunes traversal: a node
 // for which stop returns true is included but its callees are not
@@ -118,6 +151,8 @@ func build(prog *analysis.Program) *Graph {
 		prog:  prog,
 		nodes: map[*types.Func]*Node{},
 		inits: map[*analysis.Package]*Node{},
+		funcs: map[*analysis.Package][]*Node{},
+		reach: map[string]map[*Node]bool{},
 	}
 
 	// Pass 1: a node per declared function/method, plus one init node per
@@ -143,43 +178,41 @@ func build(prog *analysis.Program) *Graph {
 				if fn == nil {
 					continue
 				}
-				g.nodes[fn] = &Node{Func: fn, Pkg: pkg, Decl: fd}
+				node := &Node{Func: fn, Pkg: pkg, Decl: fd}
+				g.nodes[fn] = node
+				if fd.Body != nil {
+					g.funcs[pkg] = append(g.funcs[pkg], node)
+				}
 			}
 		}
 	}
 	g.impls = implementations(g, concrete)
 
 	// Pass 2: edges. Function literals contribute to the node of the
-	// function (or init context) whose declaration encloses them.
+	// function (or init context) whose declaration encloses them; init
+	// funcs fold into the init node as its callees.
 	for _, pkg := range prog.Packages {
+		initNode := g.inits[pkg]
+		for _, node := range g.funcs[pkg] {
+			g.addEdges(node, pkg, node.Decl.Body)
+			if node.Decl.Recv == nil && node.Func.Name() == "init" {
+				initNode.Callees = append(initNode.Callees, node)
+			}
+		}
+		// Package-level var initializers run at init time.
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					fn, _ := pkg.Info.Defs[d.Name].(*types.Func)
-					if node := g.nodes[fn]; node != nil && d.Body != nil {
-						g.addEdges(node, pkg, d.Body)
-					}
-				case *ast.GenDecl:
-					// Package-level var initializers run at init time.
-					for _, spec := range d.Specs {
-						if vs, ok := spec.(*ast.ValueSpec); ok {
-							for _, v := range vs.Values {
-								g.addEdges(g.inits[pkg], pkg, v)
-							}
+				d, ok := decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range d.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok {
+						for _, v := range vs.Values {
+							g.addEdges(initNode, pkg, v)
 						}
 					}
 				}
-			}
-		}
-	}
-
-	// init funcs fold into the init node: merge their callees.
-	for _, pkg := range prog.Packages {
-		initNode := g.inits[pkg]
-		for fn, node := range g.nodes {
-			if fn.Name() == "init" && fn.Pkg() == pkg.Types && fn.Type().(*types.Signature).Recv() == nil {
-				initNode.Callees = append(initNode.Callees, node)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package callgraph_test
 
 import (
+	"fmt"
 	"go/types"
 	"testing"
 
@@ -107,6 +108,61 @@ func TestReachable(t *testing.T) {
 	}
 	if pruned[helper] {
 		t.Error("helper lies behind the stop node and must be pruned")
+	}
+}
+
+// TestReachableFrom checks the cached form of Reachable: its roots are
+// the functions isRoot picks, stop prunes as in Reachable, and a second
+// call under the same key returns the first answer without consulting
+// its predicates.
+func TestReachableFrom(t *testing.T) {
+	g, pkg := loadCG(t)
+	use := g.Node(funcOf(t, pkg, "Use"))
+	run := g.Node(methodOf(t, pkg, "Impl", "Run"))
+	helper := g.Node(funcOf(t, pkg, "helper"))
+	isolated := g.Node(funcOf(t, pkg, "Isolated"))
+	isUse := func(n *callgraph.Node) bool { return n == use }
+
+	reach := g.ReachableFrom("use", isUse, nil)
+	if !reach[use] || !reach[helper] || reach[isolated] {
+		t.Errorf("from Use: use %v, helper %v, isolated %v; want true, true, false",
+			reach[use], reach[helper], reach[isolated])
+	}
+	if len(reach) != len(g.Reachable([]*callgraph.Node{use}, nil)) {
+		t.Error("ReachableFrom disagrees with Reachable from the same root")
+	}
+
+	pruned := g.ReachableFrom("use-stop-run", isUse, func(n *callgraph.Node) bool { return n == run })
+	if !pruned[run] || pruned[helper] {
+		t.Errorf("stopped at (Impl).Run: run %v, helper %v; want true, false", pruned[run], pruned[helper])
+	}
+
+	calls := 0
+	count := func(*callgraph.Node) bool { calls++; return true }
+	again := g.ReachableFrom("use", count, count)
+	if calls != 0 || len(again) != len(reach) || again[isolated] {
+		t.Errorf("second call under key %q recomputed (%d predicate calls, %d nodes, want 0 and %d)",
+			"use", calls, len(again), len(reach))
+	}
+	if everything := g.ReachableFrom("all", count, nil); !everything[isolated] || calls == 0 {
+		t.Error("a new key must compute from its own roots")
+	}
+}
+
+// TestFuncs checks the per-package function index: every declared
+// function and method with a body, in source order.
+func TestFuncs(t *testing.T) {
+	g, pkg := loadCG(t)
+	var got []string
+	for _, n := range g.Funcs(pkg) {
+		if n.Pkg != pkg || n.Decl == nil || n.Decl.Body == nil {
+			t.Errorf("%s: index entry without its package or body", n.Name())
+		}
+		got = append(got, n.Name())
+	}
+	want := []string{"cg.target", "cg.helper", "cg.spawned", "(cg.T).Method", "(cg.Impl).Run", "cg.Use", "cg.Isolated"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Funcs = %v, want %v", got, want)
 	}
 }
 

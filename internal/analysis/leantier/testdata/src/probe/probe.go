@@ -3,6 +3,7 @@
 package probe
 
 import (
+	"expensive/internal/adversary"
 	"expensive/internal/omission"
 	"expensive/internal/sim"
 )
@@ -19,8 +20,11 @@ func LeanProbe() error {
 	return helper(e)
 }
 
-// helper is reachable from LeanProbe, so its sink call is flagged too.
+// helper is reachable from LeanProbe, so its sink calls are flagged too.
 func helper(e *sim.Execution) error {
+	if _, err := adversary.Extract(e, nil); err != nil { // want "needs the full message trace"
+		return err
+	}
 	return sim.Conforms(e) // want "needs the full message trace"
 }
 

@@ -58,65 +58,27 @@ var sorters = map[string]bool{
 	"expensive/internal/proc.NewSet": true,
 }
 
-const reachKey = "maporder.reachable"
-
 func run(pass *analysis.Pass) error {
 	g := callgraph.Of(pass.Program)
-	reach, ok := pass.Program.Cache[reachKey].(map[*callgraph.Node]bool)
-	if !ok {
-		reach = reachable(pass.Program, g)
-		pass.Program.Cache[reachKey] = reach
-	}
-
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-			if fn == nil || !reach[g.Node(fn)] {
-				continue
-			}
-			checkFunc(pass, fd)
+	reach := g.ReachableFrom("maporder", callsEncoder, nil)
+	for _, n := range g.Funcs(pass.Pkg) {
+		if reach[n] {
+			checkFunc(pass, n.Decl)
 		}
 	}
 	return nil
 }
 
-// reachable computes the functions reachable from any module function
-// that calls a JSON encoder, roots included.
-func reachable(prog *analysis.Program, g *callgraph.Graph) map[*callgraph.Node]bool {
-	var roots []*callgraph.Node
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if !callsEncoder(pkg, fd.Body) {
-					continue
-				}
-				if fn, _ := pkg.Info.Defs[fd.Name].(*types.Func); fn != nil {
-					if n := g.Node(fn); n != nil {
-						roots = append(roots, n)
-					}
-				}
-			}
-		}
-	}
-	return g.Reachable(roots, nil)
-}
-
-func callsEncoder(pkg *analysis.Package, body ast.Node) bool {
+// callsEncoder reports whether n calls a JSON encoder: the roots of the
+// report paths.
+func callsEncoder(n *callgraph.Node) bool {
 	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
+	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+		call, ok := x.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if fn := analysis.FuncObject(pkg.Info, call.Fun); fn != nil && encoders[fn.FullName()] {
+		if fn := analysis.FuncObject(n.Pkg.Info, call.Fun); fn != nil && encoders[fn.FullName()] {
 			found = true
 		}
 		return !found

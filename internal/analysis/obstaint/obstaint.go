@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"expensive/internal/analysis"
+	"expensive/internal/analysis/callgraph"
 	"expensive/internal/analysis/taint"
 )
 
@@ -88,16 +89,8 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	eng := taint.For(pass.Program, "obstaint", taint.Config{Sources: sources})
-	info := pass.Pkg.Info
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			res := eng.Function(pass.Pkg, fd)
-			checkBody(pass, info, fd.Body, res)
-		}
+	for _, n := range callgraph.Of(pass.Program).Funcs(pass.Pkg) {
+		checkBody(pass, pass.Pkg.Info, n.Decl.Body, eng.Function(pass.Pkg, n.Decl))
 	}
 	return nil
 }

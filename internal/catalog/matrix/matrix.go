@@ -243,9 +243,6 @@ type matrixObs struct {
 
 func matrixObsFrom(ctx context.Context) matrixObs {
 	rec := obs.From(ctx)
-	if rec == nil {
-		return matrixObs{}
-	}
 	return matrixObs{
 		cells:          rec.Counter("matrix_cells"),
 		cellsSkipped:   rec.Counter("matrix_cells_skipped"),

@@ -24,9 +24,6 @@ type poolObs struct {
 
 func poolObsFrom(ctx context.Context) poolObs {
 	rec := obs.From(ctx)
-	if rec == nil {
-		return poolObs{}
-	}
 	return poolObs{
 		jobs:  rec.Counter("runner_jobs"),
 		depth: rec.Gauge("runner_queue_depth"),

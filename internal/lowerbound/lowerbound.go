@@ -169,10 +169,8 @@ func Falsify(name string, factory sim.Factory, roundBound, n, t int, opts Option
 			Threshold: Floor(t),
 		},
 	}
-	if rec := obs.From(opts.Ctx); rec != nil {
-		f.execs = rec.Counter("falsify_executions")
-		f.sink = rec.Sink()
-	}
+	rec := obs.From(opts.Ctx)
+	f.execs, f.sink = rec.Counter("falsify_executions"), rec.Sink()
 	if f.sink != nil {
 		f.sink.Emit("falsify-start", "protocol", name, "n", n, "t", t, "round_bound", roundBound)
 	}

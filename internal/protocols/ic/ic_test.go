@@ -174,7 +174,7 @@ func TestInboxIsOnlyLent(t *testing.T) {
 			}.Instance(id, proposal)
 			subs[j] = scribbler{&instance}
 		}
-		return mux.New(n, id, subs, mux.VectorCombiner)
+		return mux.New(n, id, subs)
 	}
 	cfg := sim.Config{N: n, T: tf, Proposals: proposals, MaxRounds: ic.RoundBound(tf) + 2}
 	for name, plan := range map[string]func() sim.FaultPlan{

@@ -120,7 +120,7 @@ func matchReference(t *testing.T, k, n int, seed int64, extra string) {
 		}
 		return out
 	}
-	ref, got := refOver(n, subs()), mux.New(n, 0, subs(), mux.VectorCombiner)
+	ref, got := refOver(n, subs()), mux.New(n, 0, subs())
 	compare := func(round int, want, have []sim.Outgoing) {
 		t.Helper()
 		if !slices.Equal(want, have) {
@@ -212,7 +212,7 @@ func TestUniformBroadcastMatchesReference(t *testing.T) {
 			}
 			return out
 		}
-		ref, got := refOver(n, subs()), mux.New(n, 0, subs(), mux.VectorCombiner)
+		ref, got := refOver(n, subs()), mux.New(n, 0, subs())
 		if want, have := ref.Init(), got.Init(); !slices.Equal(want, have) {
 			t.Errorf("%s: Init sends\n%q\nreference sends\n%q", c.name, have, want)
 		}
@@ -250,7 +250,7 @@ func refOver(n int, subs []mux.Broadcaster) *Machine {
 	for i, s := range subs {
 		machines[i] = &broadcasting{Broadcaster: s, n: n}
 	}
-	return refNew(machines, mux.VectorCombiner)
+	return refNew(machines)
 }
 
 // TestRelayBundleGrowsOnce holds a fresh multiplexer's first bundle to the
@@ -269,7 +269,7 @@ func TestRelayBundleGrowsOnce(t *testing.T) {
 		}
 		fresh := make([]*mux.Machine, runs+1) // AllocsPerRun calls once more to warm up
 		for i := range fresh {
-			fresh[i] = mux.New(n, 0, subs, mux.VectorCombiner)
+			fresh[i] = mux.New(n, 0, subs)
 		}
 		next := 0
 		return testing.AllocsPerRun(runs, func() {

@@ -41,14 +41,6 @@ import (
 	"expensive/internal/sim"
 )
 
-// Combiner folds the decisions of all sub-machines (in instance order)
-// into the composite decision.
-type Combiner func(sub []msg.Value) msg.Value
-
-// VectorCombiner encodes the sub-decisions as an I_n vector — the natural
-// combiner for interactive consistency.
-func VectorCombiner(sub []msg.Value) msg.Value { return msg.EncodeVector(sub) }
-
 // Broadcaster is a sub-machine. Each call appends the one body it sends
 // to every process but the multiplexer's own to dst and returns it, or
 // returns dst unchanged with ok = false for silence. dst is lent for the
@@ -73,10 +65,9 @@ type Broadcaster interface {
 type Machine struct {
 	sim.DecideOnce // set once every sub-machine has decided
 
-	n       int
-	self    proc.ID
-	subs    []Broadcaster
-	combine Combiner
+	n    int
+	self proc.ID
+	subs []Broadcaster
 	// order lists the instances in the order encoding/json writes their
 	// bundle keys: as strings, "10" before "2". Every call steps the
 	// instances in it, so each body goes into the bundle as it is said.
@@ -96,15 +87,16 @@ type Machine struct {
 var _ sim.Machine = (*Machine)(nil)
 
 // New builds process self's multiplexed machine, of n processes, over subs.
-// The composite decides once every sub-machine has decided, combining
-// their decisions with combine.
-func New(n int, self proc.ID, subs []Broadcaster, combine Combiner) *Machine {
+// The composite decides once every sub-machine has decided: its decision
+// is the I_n vector of their decisions, in instance order
+// (msg.EncodeVector).
+func New(n int, self proc.ID, subs []Broadcaster) *Machine {
 	order := make([]int, len(subs))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(a, b int) int { return strings.Compare(strconv.Itoa(a), strconv.Itoa(b)) })
-	return &Machine{n: n, self: self, subs: subs, combine: combine, order: order}
+	return &Machine{n: n, self: self, subs: subs, order: order}
 }
 
 // route is one inner payload of a bundle body with the instance its key
@@ -254,7 +246,7 @@ func (m *Machine) refreshDecision() {
 	for i, s := range m.subs {
 		decisions[i], _ = s.Decision()
 	}
-	m.Decide(m.combine(decisions))
+	m.Decide(msg.EncodeVector(decisions))
 }
 
 // bundleOpen starts msg.Encode(bundle{I: …}), which the multiplexer

@@ -50,7 +50,7 @@ func muxFactory(n int) sim.Factory {
 			&pingMachine{tag: "a", proposal: proposal},
 			&pingMachine{tag: "b", proposal: proposal},
 		}
-		return mux.New(n, id, subs, mux.VectorCombiner)
+		return mux.New(n, id, subs)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"expensive/internal/msg"
 	"expensive/internal/proc"
-	"expensive/internal/protocols/mux"
 	"expensive/internal/sim"
 )
 
@@ -18,8 +17,7 @@ import (
 // Machine multiplexes k sub-machines over the single-message-per-peer
 // channel model.
 type Machine struct {
-	subs    []sim.Machine
-	combine mux.Combiner
+	subs []sim.Machine
 
 	decided  bool
 	decision msg.Value
@@ -28,8 +26,8 @@ type Machine struct {
 var _ sim.Machine = (*Machine)(nil)
 
 // refNew builds the reference multiplexed machine over subs.
-func refNew(subs []sim.Machine, combine mux.Combiner) *Machine {
-	return &Machine{subs: subs, combine: combine}
+func refNew(subs []sim.Machine) *Machine {
+	return &Machine{subs: subs}
 }
 
 type bundle struct {
@@ -106,7 +104,7 @@ func (m *Machine) refreshDecision() {
 		}
 		decisions[i] = v
 	}
-	m.decided, m.decision = true, m.combine(decisions)
+	m.decided, m.decision = true, msg.EncodeVector(decisions)
 }
 
 func (m *Machine) muxOutgoing(perInstance [][]sim.Outgoing) []sim.Outgoing {

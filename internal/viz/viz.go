@@ -36,7 +36,9 @@ type Options struct {
 	Groups map[string]proc.Set
 }
 
-// Timeline renders the execution.
+// Timeline renders the execution. It reads message counts and the
+// decision, which both recording tiers keep, so a lean execution draws
+// as its full trace does.
 func Timeline(e *sim.Execution, opts Options) string {
 	rounds := e.Rounds
 	if opts.MaxRounds > 0 && opts.MaxRounds < rounds {
@@ -77,13 +79,12 @@ func Timeline(e *sim.Execution, opts Options) string {
 		}
 		fmt.Fprintf(&b, "%*s %*s |", idWidth, id.String(), groupWidth, label)
 		beh := e.Behavior(id)
-		decidedShown := false
+		decided := beh.DecisionRound()
+		v, ok := beh.FinalDecision()
 		for r := 1; r <= rounds; r++ {
-			f := beh.Frag(r)
-			cell := glyph(f)
-			if f.Decided && !decidedShown {
-				decidedShown = true
-				cell += "=" + trim(f.Decision)
+			cell := glyph(beh.Counts(r))
+			if ok && r == decided {
+				cell += "=" + trim(v)
 			}
 			fmt.Fprintf(&b, "%3s", cell)
 		}
@@ -95,8 +96,8 @@ func Timeline(e *sim.Execution, opts Options) string {
 	return b.String()
 }
 
-func glyph(f sim.Fragment) string {
-	so, ro := len(f.SendOmitted) > 0, len(f.ReceiveOmitted) > 0
+func glyph(sent, sendOmitted, _, receiveOmitted int) string {
+	so, ro := sendOmitted > 0, receiveOmitted > 0
 	switch {
 	case so && ro:
 		return "*"
@@ -104,7 +105,7 @@ func glyph(f sim.Fragment) string {
 		return "x"
 	case ro:
 		return "r"
-	case len(f.Sent) > 0:
+	case sent > 0:
 		return "s"
 	default:
 		return "."

@@ -8,6 +8,7 @@ import (
 	"expensive/internal/omission"
 	"expensive/internal/proc"
 	"expensive/internal/protocols/cheap"
+	"expensive/internal/sim"
 	"expensive/internal/viz"
 )
 
@@ -26,6 +27,31 @@ func TestTimelineRendersGlyphsAndGroups(t *testing.T) {
 	// The isolated processes receive-omit the leader's message in round 1.
 	if !strings.Contains(out, "r") {
 		t.Errorf("no receive-omission glyph:\n%s", out)
+	}
+}
+
+// TestTimelineSameAtBothTiers renders one execution recorded at each tier:
+// a lean execution keeps the counts and decisions a timeline draws, so its
+// rendering must be the full trace's, byte for byte.
+func TestTimelineSameAtBothTiers(t *testing.T) {
+	group := proc.NewSet(6, 7)
+	opts := viz.Options{Groups: map[string]proc.Set{"B": group}}
+	render := func(rec sim.Recording) string {
+		cfg := sim.Config{N: 8, T: 4, Proposals: msg.Uniform(8, msg.Zero), MaxRounds: 3, Recording: rec}
+		e, err := sim.Run(cfg, cheap.Leader(8), omission.Isolation(group, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return viz.Timeline(e, opts)
+	}
+	full, lean := render(sim.RecordFull), render(sim.RecordDecisions)
+	if lean != full {
+		t.Errorf("lean timeline differs from the full one:\nfull:\n%s\nlean:\n%s", full, lean)
+	}
+	for _, want := range []string{"|s=0", "|r=1"} {
+		if !strings.Contains(lean, want) {
+			t.Errorf("lean timeline missing %q:\n%s", want, lean)
+		}
 	}
 }
 
