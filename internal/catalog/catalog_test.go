@@ -60,11 +60,12 @@ func smallestSupported(s catalog.Spec) (int, int, bool) {
 
 // faultFreeMessages are the closed forms of what correct processes send in
 // a fault-free run at t >= 1, for the protocols on the
-// interactive-consistency substrates and for phase-king: an EIG level per
-// round, all to all; n bundled Dolev-Strong instances, a round of
-// proposals and a round of relays; one Dolev-Strong instance, the sender's
-// broadcast and everyone else's relay; t+1 phases of one all-to-all
-// exchange and one king broadcast.
+// interactive-consistency substrates, for phase-king and for FloodSet: an
+// EIG level per round, all to all; n bundled Dolev-Strong instances, a
+// round of proposals and a round of relays; one Dolev-Strong instance, the
+// sender's broadcast and everyone else's relay; t+1 phases of one
+// all-to-all exchange and one king broadcast; t+1 all-to-all floods of W
+// (the early-stopping variant decides sooner but floods until t+1).
 var faultFreeMessages = map[string]func(n, t int) int{
 	"eig":          func(n, t int) int { return (t + 1) * n * (n - 1) },
 	"weak-eig":     func(n, t int) int { return (t + 1) * n * (n - 1) },
@@ -74,6 +75,9 @@ var faultFreeMessages = map[string]func(n, t int) int{
 
 	"phase-king":      func(n, t int) int { return (t + 1) * (n*n - 1) },
 	"weak-phase-king": func(n, t int) int { return (t + 1) * (n*n - 1) },
+
+	"floodset":       func(n, t int) int { return (t + 1) * n * (n - 1) },
+	"floodset-early": func(n, t int) int { return (t + 1) * n * (n - 1) },
 }
 
 // TestEveryProtocolRunsFaultFree is the registry completeness gate: every

@@ -168,6 +168,47 @@ func TestMatrixSurfacesBadParams(t *testing.T) {
 	}
 }
 
+// TestProbeCellSkipsOnlyResilienceRefusals reaches ProbeCell's refusal
+// branch, past the SupportedAt check, through a Params hook that builds
+// at another size. Phase-king supports the cell's (9, 2), but the hook
+// asks for (8, 2), which its n > 4t condition refuses as ErrUnsupported:
+// the cell is skipped and its Reason is that refusal. A hook that leaves
+// out the signature scheme Dolev-Strong needs is refused as ErrBadParams,
+// which ProbeCell returns as an error, not as a skipped cell.
+func TestProbeCellSkipsOnlyResilienceRefusals(t *testing.T) {
+	strat, _ := adversary.FromLibrary("chaos", 0)
+	named := adversary.Named{ID: "chaos", Strategy: strat}
+	seeds := adversary.SeedRange{From: 0, To: 1}
+
+	pk, _ := catalog.Lookup("phase-king")
+	size := matrix.Size{N: 9, T: 2}
+	if !pk.SupportedAt(size.N, size.T) {
+		t.Fatalf("phase-king refuses %+v: the hook would not be reached", size)
+	}
+	smaller := func(n, t int) catalog.Params { return catalog.DefaultParams(n-1, t) }
+	_, _, refusal := pk.Build(smaller(size.N, size.T))
+	if !errors.Is(refusal, catalog.ErrUnsupported) {
+		t.Fatalf("phase-king at (8, 2): %v, want ErrUnsupported", refusal)
+	}
+	cell, err := matrix.ProbeCell(pk, named, size, seeds, matrix.CellOptions{Params: smaller})
+	if err != nil {
+		t.Fatalf("a resilience refusal failed the cell: %v", err)
+	}
+	if !cell.Skipped || cell.Reason != refusal.Error() || cell.Probes != 0 {
+		t.Errorf("cell %+v, want skipped with reason %q and no probes", cell, refusal)
+	}
+
+	ds, _ := catalog.Lookup("dolev-strong")
+	noScheme := func(n, t int) catalog.Params { return catalog.Params{N: n, T: t, Default: catalog.Bottom} }
+	cell, err = matrix.ProbeCell(ds, named, matrix.Size{N: 4, T: 1}, seeds, matrix.CellOptions{Params: noScheme})
+	if !errors.Is(err, catalog.ErrBadParams) {
+		t.Fatalf("err %v, want ErrBadParams returned", err)
+	}
+	if cell.Skipped {
+		t.Errorf("a bad Params hook was recorded as a skipped cell: %+v", cell)
+	}
+}
+
 // TestCampaignFor wires a catalog handle into a campaign: the FloodSet
 // hunt finds the E10 split, the shrinker reduces it, and the certificate
 // survives the catalog-derived recheck.

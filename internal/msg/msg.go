@@ -200,9 +200,39 @@ func Decode(payload string, out any) error {
 }
 
 // EncodeVector canonically encodes a vector of n values (the I_n elements
-// decided by interactive consistency).
+// decided by interactive consistency): json.Marshal's bytes, so a nil
+// vector is null, written as EncodeVectorFunc writes them.
 func EncodeVector(vec []Value) Value {
-	return Value(Encode(vec))
+	if vec == nil {
+		return "null"
+	}
+	return EncodeVectorFunc(len(vec), func(i int) Value { return vec[i] })
+}
+
+// EncodeVectorFunc is EncodeVector of the n-value vector whose i-th value
+// is at(i), for a caller that holds the values elsewhere than in a
+// []Value: "[", each value through AppendString, "]". at is called twice
+// per index, once to size the buffer. The string is the one allocation of
+// a vector that fits 128 bytes; a longer one first sizes a buffer for its
+// unescaped bytes.
+func EncodeVectorFunc(n int, at func(i int) Value) Value {
+	size := 1 // the brackets and n-1 commas; each value adds its quotes
+	for i := 0; i < n; i++ {
+		size += len(at(i)) + 3
+	}
+	var stack [128]byte // vectors of up to 31 bits never leave it
+	b := stack[:0]
+	if size > len(stack) {
+		b = make([]byte, 0, size)
+	}
+	b = append(b, '[')
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = AppendString(b, string(at(i)))
+	}
+	return Value(append(b, ']'))
 }
 
 // decodeCacheCap bounds each CachedDecoder's memo. Honest payload

@@ -3,6 +3,7 @@ package msg
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -44,6 +45,49 @@ func FuzzDecodeVectorMatchesJSON(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) { checkDecodeVector(t, s) })
+}
+
+// FuzzEncodeVectorMatchesJSON holds EncodeVector and EncodeVectorFunc to
+// json.Marshal of the []Value: s split at sep is the vector, and null
+// stands for the nil one, which both encoders must write as null.
+func FuzzEncodeVectorMatchesJSON(f *testing.F) {
+	for _, s := range []string{
+		"0,1,1,0", "", "⊥", `a"b,c\d`, "<,>,&", "\x00,\n,\x1f,\x7f", "é, ,日本", "\xff\xfe",
+		string(EncodeVector(Uniform(8, One))),
+	} {
+		f.Add(s, byte(','), false)
+	}
+	f.Add("", byte(0), true)
+	f.Fuzz(func(t *testing.T, s string, sep byte, null bool) {
+		var vec []Value
+		if !null {
+			vec = []Value{}
+			for _, v := range strings.Split(s, string(sep)) {
+				vec = append(vec, Value(v))
+			}
+		}
+		want, err := json.Marshal(vec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := EncodeVector(vec); string(got) != string(want) {
+			t.Fatalf("EncodeVector(%q) = %s, json.Marshal gives %s", vec, got, want)
+		}
+		if vec != nil {
+			if got := EncodeVectorFunc(len(vec), func(i int) Value { return vec[i] }); string(got) != string(want) {
+				t.Fatalf("EncodeVectorFunc over %q = %s, json.Marshal gives %s", vec, got, want)
+			}
+		}
+	})
+}
+
+// TestEncodeVectorAllocations: an n = 8 bit vector costs EncodeVector the
+// string it returns; through json.Marshal it cost three.
+func TestEncodeVectorAllocations(t *testing.T) {
+	vec := []Value{Zero, One, One, Zero, One, Zero, Zero, One}
+	if got := testing.AllocsPerRun(100, func() { EncodeVector(vec) }); got > 1 {
+		t.Errorf("EncodeVector allocates %.0f times at n = 8, want ≤ 1", got)
+	}
 }
 
 // TestDecodeVectorAllocations: a vector the memo holds costs DecodeVector

@@ -157,9 +157,22 @@ func (s Set) Diff(o Set) Set {
 }
 
 // Complement returns Π \ s where Π = {0, ..., n-1}. This is the paper's
-// notation Ḡ for a group G.
+// notation Ḡ for a group G. It is Universe(n).Diff(s) in one allocation.
 func (s Set) Complement(n int) Set {
-	return Universe(n).Diff(s)
+	if n <= 0 {
+		return Set{words: []uint64{}}
+	}
+	w := make([]uint64, (n-1)/wordBits+1)
+	for i := range w {
+		w[i] = ^uint64(0)
+	}
+	if r := n % wordBits; r != 0 {
+		w[len(w)-1] = 1<<uint(r) - 1
+	}
+	for i := 0; i < len(w) && i < len(s.words); i++ {
+		w[i] &^= s.words[i]
+	}
+	return Set{words: w}
 }
 
 // Equal reports whether s and o contain the same IDs.
@@ -197,6 +210,27 @@ func (s Set) Members() []ID {
 	return out
 }
 
+// Next returns the smallest ID in s greater than id, or -1 if there is
+// none: for id := s.Min(); id >= 0; id = s.Next(id) walks s in increasing
+// order without building Members.
+func (s Set) Next(id ID) ID {
+	from := max(int(id)+1, 0)
+	wi := from / wordBits
+	if wi >= len(s.words) {
+		return -1
+	}
+	w := s.words[wi] &^ (1<<uint(from%wordBits) - 1)
+	for {
+		if w != 0 {
+			return ID(wi*wordBits + bits.TrailingZeros64(w))
+		}
+		if wi++; wi >= len(s.words) {
+			return -1
+		}
+		w = s.words[wi]
+	}
+}
+
 // String renders the set as "{p0,p3,p7}".
 func (s Set) String() string {
 	ms := s.Members()
@@ -208,14 +242,7 @@ func (s Set) String() string {
 }
 
 // Min returns the smallest ID in s, or -1 if s is empty.
-func (s Set) Min() ID {
-	for wi, w := range s.words {
-		if w != 0 {
-			return ID(wi*wordBits + bits.TrailingZeros64(w))
-		}
-	}
-	return -1
-}
+func (s Set) Min() ID { return s.Next(-1) }
 
 // Partition is a three-way partition (A, B, C) of Π as used throughout §3
 // of the paper: |B| = |C| = t/4 and A holds the remaining n - t/2 processes.

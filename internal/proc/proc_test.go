@@ -3,6 +3,7 @@ package proc
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -68,6 +69,51 @@ func TestComplement(t *testing.T) {
 	want := []ID{0, 2, 4}
 	if got := g.Complement(5).Members(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Complement = %v, want %v", got, want)
+	}
+}
+
+// TestComplementMatchesDiff holds Complement to its definition,
+// Universe(n).Diff(s), word for word, at sizes on both sides of a word
+// boundary and for sets reaching past n, and to one allocation.
+func TestComplementMatchesDiff(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 5, 63, 64, 65, 127, 128, 130} {
+		for _, s := range []Set{{}, Universe(n), randomSet(r, n), randomSet(r, n+70)} {
+			if got, want := s.Complement(n), Universe(n).Diff(s); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v.Complement(%d) = %#v, want %#v", s, n, got, want)
+			}
+		}
+	}
+	s := NewSet(1, 3)
+	if got := testing.AllocsPerRun(100, func() { s.Complement(80) }); got > 1 {
+		t.Errorf("Complement allocates %.0f times, want 1", got)
+	}
+}
+
+// TestNextWalksMembers: Min then Next visits exactly Members, in order,
+// from any starting ID.
+func TestNextWalksMembers(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 200; i++ {
+		s := randomSet(r, 1+r.Intn(200))
+		var walked []ID
+		for id := s.Min(); id >= 0; id = s.Next(id) {
+			walked = append(walked, id)
+		}
+		if want := s.Members(); !slices.Equal(walked, want) {
+			t.Fatalf("walk of %v = %v, want %v", s, walked, want)
+		}
+		from := ID(r.Intn(220) - 10)
+		want := ID(-1)
+		for _, id := range s.Members() {
+			if id > from {
+				want = id
+				break
+			}
+		}
+		if got := s.Next(from); got != want {
+			t.Fatalf("%v.Next(%d) = %d, want %d", s, from, got, want)
+		}
 	}
 }
 

@@ -21,7 +21,9 @@ import (
 // with good-case adaptivity on orthogonal metrics.
 func NewEarlyStopping(cfg Config) sim.Factory {
 	return func(id proc.ID, proposal msg.Value) sim.Machine {
-		return &earlyMachine{machine: newMachine(cfg, id, proposal)}
+		m := new(earlyMachine)
+		m.init(cfg, id, proposal)
+		return m
 	}
 }
 

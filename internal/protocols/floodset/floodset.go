@@ -32,8 +32,9 @@ func RoundBound(t int) int { return t + 1 }
 // New returns the honest-machine factory.
 func New(cfg Config) sim.Factory {
 	return func(id proc.ID, proposal msg.Value) sim.Machine {
-		m := newMachine(cfg, id, proposal)
-		return &m
+		m := new(machine)
+		m.init(cfg, id, proposal)
+		return m
 	}
 }
 
@@ -47,11 +48,30 @@ type payload struct {
 // decode is a repeat. Decoded sets are shared and read-only.
 var decodePayload = msg.CachedDecoder[payload]()
 
-// encodeW is msg.Encode(payload{W: w}) — the same bytes — written
-// directly, each value through msg.AppendString, which defines the
-// escaping once for every direct encoder.
+// The three bit sets are all the honest machines ever send on binary
+// proposals: encoding them once keeps every probe's broadcasts free of
+// string building, as phase-king's bodyZero and bodyOne do. Bytes are
+// identical to msg.Encode output.
+var (
+	bodyZero = msg.Encode(payload{W: []msg.Value{msg.Zero}})
+	bodyOne  = msg.Encode(payload{W: []msg.Value{msg.One}})
+	bodyBits = msg.Encode(payload{W: []msg.Value{msg.Zero, msg.One}})
+)
+
+// encodeW is msg.Encode(payload{W: w}) — the same bytes. A bit set is one
+// of the three constant bodies; any other set is written directly, each
+// value through msg.AppendString, which defines the escaping once for
+// every direct encoder.
 func encodeW(w []msg.Value) string {
-	var stack [64]byte // the usual bodies ({"W":["0","1"]}) never leave it
+	switch {
+	case len(w) == 1 && w[0] == msg.Zero:
+		return bodyZero
+	case len(w) == 1 && w[0] == msg.One:
+		return bodyOne
+	case len(w) == 2 && w[0] == msg.Zero && w[1] == msg.One:
+		return bodyBits
+	}
+	var stack [64]byte // small sets never leave it
 	b := append(stack[:0], `{"W":[`...)
 	for i, v := range w {
 		if i > 0 {
@@ -69,8 +89,10 @@ type machine struct {
 	cfg Config
 	id  proc.ID
 	// w is W, the set of values seen, ascending; it starts as the
-	// proposal and only grows.
-	w []msg.Value
+	// proposal and only grows. Its first two values live in wbuf, so a
+	// machine on binary proposals is one allocation.
+	w    []msg.Value
+	wbuf [2]msg.Value
 
 	// encoded is the body of the last broadcast; it is written again only
 	// when W grew since (after round 1 it rarely does).
@@ -80,10 +102,12 @@ type machine struct {
 
 var _ sim.Machine = (*machine)(nil)
 
-func newMachine(cfg Config, id proc.ID, proposal msg.Value) machine {
-	w := make([]msg.Value, 1, 2) // room for the other bit
-	w[0] = proposal
-	return machine{cfg: cfg, id: id, w: w, grew: true}
+// init sets up a machine in place: w points into m's own wbuf, so a
+// machine must not be copied once set up.
+func (m *machine) init(cfg Config, id proc.ID, proposal msg.Value) {
+	m.cfg, m.id, m.grew = cfg, id, true
+	m.wbuf[0] = proposal
+	m.w = m.wbuf[:1]
 }
 
 // absorb merges a received body's values into W. A body equal to the

@@ -242,11 +242,10 @@ func (m *Machine) refreshDecision() {
 			return
 		}
 	}
-	decisions := make([]msg.Value, len(m.subs))
-	for i, s := range m.subs {
-		decisions[i], _ = s.Decision()
-	}
-	m.Decide(msg.EncodeVector(decisions))
+	m.Decide(msg.EncodeVectorFunc(len(m.subs), func(i int) msg.Value {
+		d, _ := m.subs[i].Decision()
+		return d
+	}))
 }
 
 // bundleOpen starts msg.Encode(bundle{I: …}), which the multiplexer

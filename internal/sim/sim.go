@@ -441,7 +441,7 @@ func (e *Execution) Decision(id proc.ID) (msg.Value, bool) {
 // first is -1 when the group is empty.
 func (e *Execution) Unanimity(group proc.Set) (common msg.Value, first, odd proc.ID) {
 	first = -1
-	for _, id := range group.Members() {
+	for id := group.Min(); id >= 0; id = group.Next(id) {
 		d, ok := e.Decision(id)
 		if first < 0 {
 			common, first = d, id
