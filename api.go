@@ -84,7 +84,8 @@ type (
 	// Replay).
 	AttackTarget = adversary.Target
 	// Campaign is a seeded adversarial hunt: one strategy versus one
-	// protocol over a range of seeds, every probe fully checked. Build one
+	// protocol over a range of seeds, every probe checked lean and every
+	// violating one replayed as full evidence (AttackTarget.Probe). Build one
 	// for a cataloged protocol with NewCampaignFor; hunt any other with a
 	// keyed Campaign{Target: AttackTarget{...}} literal.
 	Campaign = adversary.Campaign

@@ -338,7 +338,7 @@ func (h Histogram) Merge(o Histogram) Histogram {
 }
 
 // Campaign is a seeded adversarial hunt: one strategy versus one protocol
-// over a range of seeds, every probe fully checked.
+// over a range of seeds, every probe checked through Target.Probe.
 type Campaign struct {
 	// Target is the protocol under attack (Factory, Rounds, N and T are
 	// required).
@@ -356,11 +356,6 @@ type Campaign struct {
 	// MaxViolations caps the violations recorded in the report (0 = all).
 	// Probes beyond the cap are still counted in ViolationCount.
 	MaxViolations int
-	// RecordFull holds every seed to Target.Evidence. By default the
-	// campaign probes through Target.Probe — the engine loop recording
-	// only decisions and message counts — and only the violating seeds pay
-	// for the evidence. Reports are byte-identical at both settings.
-	RecordFull bool
 	// Parallelism is the probe worker count; <= 0 means NumCPU, 1 serial.
 	Parallelism int
 	// Ctx cancels the sweep; nil means context.Background().
@@ -516,8 +511,8 @@ func (c *Campaign) Merge(subs []*CampaignReport) *CampaignReport {
 // (or further shrinking) violations this campaign found: its own target.
 func (c *Campaign) RecheckOptions() ShrinkOptions { return ShrinkOptions{Target: c.Target} }
 
-// probe executes one seed: through Target.Probe at the default lean tier,
-// through Target.Evidence on every seed with RecordFull set.
+// probe executes one seed through Target.Probe: a lean run, and the
+// evidence replay only when that run violates.
 func (c *Campaign) probe(seed int64, env Env, co campaignObs) (probeResult, error) {
 	t := co.probeNS.StartTimer()
 	defer func() {
@@ -525,17 +520,7 @@ func (c *Campaign) probe(seed int64, env Env, co campaignObs) (probeResult, erro
 		co.probes.Inc()
 	}()
 	proposals := c.proposalsFor(seed, env)
-	var e *sim.Execution
-	var v *Violation
-	var err error
-	if c.RecordFull {
-		var tr *sim.Trace
-		if tr, _, v, err = c.Target.Evidence(env, c.Strategy.Build(seed, env), proposals); err == nil {
-			e = tr.Execution
-		}
-	} else {
-		e, v, err = c.Target.Probe(env, func() sim.FaultPlan { return c.Strategy.Build(seed, env) }, proposals)
-	}
+	e, v, err := c.Target.Probe(env, func() sim.FaultPlan { return c.Strategy.Build(seed, env) }, proposals)
 	if err != nil {
 		return probeResult{}, fmt.Errorf("seed %d: %w", seed, err)
 	}
@@ -546,9 +531,7 @@ func (c *Campaign) probe(seed int64, env Env, co campaignObs) (probeResult, erro
 	}
 	v.Seed = seed
 	co.violations.Inc()
-	if !c.RecordFull {
-		co.replays.Inc()
-	}
+	co.replays.Inc()
 	if co.sink != nil {
 		co.sink.Emit("violation-found",
 			"protocol", c.Protocol, "strategy", c.Strategy.Name,

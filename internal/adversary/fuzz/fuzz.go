@@ -71,10 +71,9 @@ type Fuzzer struct {
 	Seed adversary.Strategy
 	// Budget is the total number of candidate probes (required, positive).
 	Budget int
-	// SeedProbes sizes generation 0 (default 32); GenSize sizes every
-	// mutation generation (default 64). Both are scheduling-independent.
-	SeedProbes int
-	GenSize    int
+	// GenSize sizes every mutation generation (default 64); it is
+	// scheduling-independent.
+	GenSize int
 	// FuzzSeed is the master seed every deterministic choice derives from.
 	FuzzSeed int64
 	// Shrink minimizes every recorded violation after the run.
@@ -160,15 +159,11 @@ func (f *Fuzzer) validate() error {
 	return nil
 }
 
-// seedCount is the size of generation 0: SeedProbes (default 32), capped
-// by the budget.
-func (f *Fuzzer) seedCount() int {
-	n := 32
-	if f.SeedProbes > 0 {
-		n = f.SeedProbes
-	}
-	return min(n, f.Budget)
-}
+// seedGenSize is the size of generation 0 when the budget allows it.
+const seedGenSize = 32
+
+// seedCount is the size of generation 0: seedGenSize, capped by the budget.
+func (f *Fuzzer) seedCount() int { return min(seedGenSize, f.Budget) }
 
 func (f *Fuzzer) genSize() int {
 	if f.GenSize > 0 {

@@ -53,11 +53,12 @@ func TestCampaignTelemetryNeverTouchesTheReport(t *testing.T) {
 	if probes != 64 {
 		t.Errorf("campaign_probes = %d, want 64 (2 runs × 32 seeds)", probes)
 	}
-	if v := rec.Counter("campaign_violations").Value(); v == 0 {
+	violations := rec.Counter("campaign_violations").Value()
+	if violations == 0 {
 		t.Error("campaign_violations = 0 despite a broken protocol")
 	}
-	if r := rec.Counter("campaign_replays").Value(); r == 0 {
-		t.Error("campaign_replays = 0: violating lean probes must replay at full")
+	if r := rec.Counter("campaign_replays").Value(); r != violations {
+		t.Errorf("campaign_replays = %d, want %d: every violating probe, and only those, replays at full", r, violations)
 	}
 	if s := rec.Counter("shrink_steps").Value(); s == 0 {
 		t.Error("shrink_steps = 0 despite Shrink being on")

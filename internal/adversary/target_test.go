@@ -71,8 +71,8 @@ func fickle(honest sim.Factory, from int) sim.Factory {
 
 // TestReplayRefuses pins the evidence standard on its failing path: what
 // Target.Replay holds a trace to, and that each of the five routes to it
-// — campaign probes at both tiers, fuzz seed and mutant probes, the
-// shrinker, Recheck — hands its refusal back instead of a verdict.
+// — campaign probes, fuzz seed and mutant probes, the shrinker, Recheck —
+// hands its refusal back instead of a verdict.
 func TestReplayRefuses(t *testing.T) {
 	const n, tf = 8, 2
 	honest := adversary.Target{
@@ -84,12 +84,12 @@ func TestReplayRefuses(t *testing.T) {
 		Validity: validity.AdmissibleCheck(validity.Weak(n, tf)),
 	}
 	env := honest.Env()
-	hunt := func(target adversary.Target, full bool) (*adversary.CampaignReport, error) {
+	hunt := func(target adversary.Target) (*adversary.CampaignReport, error) {
 		c := &adversary.Campaign{Target: target, Strategy: adversary.TargetedWithhold(),
-			Seeds: adversary.SeedRange{From: 0, To: 32}, MaxViolations: 1, RecordFull: full, Parallelism: 1}
+			Seeds: adversary.SeedRange{From: 0, To: 32}, MaxViolations: 1, Parallelism: 1}
 		return c.Run()
 	}
-	rep, err := hunt(honest, false)
+	rep, err := hunt(honest)
 	if err != nil || !rep.Broken() {
 		t.Fatalf("the honest hunt must find the FloodSet split: %v", err)
 	}
@@ -139,10 +139,8 @@ func TestReplayRefuses(t *testing.T) {
 			t.Errorf("%s: got %v, want a %q error", route, err, want)
 		}
 	}
-	_, err = hunt(forgetful, false)
-	refused("Campaign.Run, lean tier", "conformance", err)
-	_, err = hunt(forgetful, true)
-	refused("Campaign.Run, RecordFull", "conformance", err)
+	_, err = hunt(forgetful)
+	refused("Campaign.Run", "conformance", err)
 
 	fuzzer := func(target adversary.Target, budget int, corpus *fuzz.Corpus) *fuzz.Fuzzer {
 		return &fuzz.Fuzzer{Target: target, Seed: adversary.TargetedWithhold(), Budget: budget, Corpus: corpus, Parallelism: 1}

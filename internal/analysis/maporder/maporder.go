@@ -1,8 +1,15 @@
 // Package maporder implements the balint analyzer that flags `range`
-// over map types in functions reachable from JSON-encoding, report-fold
-// or corpus-save call paths. Go randomizes map iteration order, so one
-// unsorted range in a fold silently breaks the byte-identical
-// serial-vs-parallel report diffs the CI determinism gates rely on.
+// over map types in functions reachable from a function that calls a
+// JSON encoder (json.Marshal, json.MarshalIndent, Encoder.Encode). Go
+// randomizes map iteration order, so one unsorted range on such a path
+// silently breaks the byte-identical serial-vs-parallel report diffs the
+// CI determinism gates rely on.
+//
+// That call tree is its whole scope. Code that builds the encoded data
+// without being called below an encoder is not reached: a report fold
+// such as adversary.Histogram.Merge runs under Ledger.Merge and
+// Campaign.Merge, whose results are encoded elsewhere. Folds like it are
+// guarded by tests; adversary's TestHistogramMerge guards Histogram.Merge.
 //
 // A map range is clean when it only collects keys or values into slices
 // that are sorted later in the same statement list (the repo's canonical

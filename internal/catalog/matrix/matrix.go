@@ -60,11 +60,6 @@ type Matrix struct {
 	// breadth instrument; re-hunt one cell with `baexp hunt -shrink` for
 	// depth.
 	Shrink bool
-	// RecordFull forces every cell's campaign to record full traces and
-	// validate every probe (adversary.Campaign.RecordFull). Off by
-	// default: cells probe at the lean sim.RecordDecisions tier and replay
-	// only violating seeds at full — grids are byte-identical either way.
-	RecordFull bool
 	// Parallelism is the cell worker count; <= 0 means NumCPU, 1 serial.
 	// Cells are the parallel unit — each cell's campaign runs serially —
 	// so the grid is byte-identical at every level.
@@ -197,7 +192,6 @@ func (m *Matrix) Run() (*Grid, error) {
 		Params:        r.Params,
 		MaxViolations: r.MaxViolations,
 		Shrink:        r.Shrink,
-		RecordFull:    r.RecordFull,
 		Parallelism:   1, // cells are the parallel unit; see Matrix.Parallelism
 		Ctx:           r.Ctx,
 	}
@@ -264,16 +258,15 @@ func CellIndex(i, nStrategies, nSizes int) (pi, si, zi int) {
 }
 
 // CellOptions configures a single cell probe (ProbeCell). The zero value
-// is usable: default params, one recorded violation, lean tier, serial.
+// is usable: default params, one recorded violation, no shrinking, serial.
 type CellOptions struct {
 	// Params builds the cell construction parameters at (n, t); nil means
 	// catalog.DefaultParams.
 	Params func(n, t int) catalog.Params
 	// MaxViolations caps the violations recorded (<= 0 = 1).
 	MaxViolations int
-	// Shrink and RecordFull mirror the Matrix fields.
-	Shrink     bool
-	RecordFull bool
+	// Shrink mirrors the Matrix field.
+	Shrink bool
 	// Parallelism is the campaign parallelism inside the cell. Matrix.Run
 	// passes 1 (cells are its parallel unit); distributed workers probing
 	// one cell at a time may fan the cell's seeds out instead.
@@ -314,7 +307,6 @@ func ProbeCell(spec catalog.Spec, strat adversary.Named, size Size, seeds advers
 		return cell, fmt.Errorf("matrix cell %s × %s n=%d t=%d: %w", spec.ID, strat.ID, size.N, size.T, err)
 	}
 	c.Shrink = o.Shrink
-	c.RecordFull = o.RecordFull
 	c.MaxViolations = o.MaxViolations
 	if c.MaxViolations <= 0 {
 		c.MaxViolations = 1

@@ -20,12 +20,56 @@ func supportedSize(s catalog.Spec) (int, int, bool) {
 	return 0, 0, false
 }
 
+// reference is what a campaign's report must be by the evidence
+// standard: every seed held to Target.Evidence — the full Appendix A.1.6
+// trace, certified — and folded with Ledger.Add in seed order. Proposals
+// resolve as in Campaign.Run: the campaign's override, when set, stands
+// in for the strategy's own generator. Shrinking is not modelled.
+func reference(t *testing.T, c *adversary.Campaign) *adversary.CampaignReport {
+	t.Helper()
+	strat := c.Strategy
+	if c.Proposals != nil {
+		strat.Proposals = c.Proposals
+	}
+	env := c.Env()
+	rep := c.Merge(nil) // the report header, no probes folded
+	for i := 0; i < c.Seeds.Count(); i++ {
+		seed := c.Seeds.From + int64(i)
+		tr, _, v, err := c.Evidence(env, c.Strategy.Build(seed, env), strat.ProposalsFor(seed, env))
+		if err != nil {
+			t.Fatalf("reference, seed %d: %v", seed, err)
+		}
+		if v != nil {
+			v.Seed = seed
+		}
+		rep.Add(i+1, adversary.CostOf(tr.Execution), v, c.MaxViolations)
+		rep.Probes++
+	}
+	return rep
+}
+
+// sameJSON fails the test unless got and want encode to the same bytes.
+func sameJSON(t *testing.T, what string, got, want any) {
+	t.Helper()
+	gj, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wj, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gj) != string(wj) {
+		t.Fatalf("%s differs from the full-evidence reference:\ngot:       %s\nreference: %s", what, gj, wj)
+	}
+}
+
 // TestCampaignTierEquivalence sweeps every registered protocol under a
-// seeded strategy sample at both recording tiers and asserts the
-// CampaignReports are byte-identical: same decisions, round counts and
-// message-complexity histograms, and — for the protocols the strategies
-// break — violation replay reproducing the exact evidence (plan, witnesses,
-// details) the full tier records.
+// seeded strategy sample and asserts each lean CampaignReport is
+// byte-identical to the reference that holds every seed to the full
+// evidence: same decisions, round counts and message-complexity
+// histograms, and — for the protocols the strategies break — violation
+// replay reproducing the exact evidence (plan, witnesses, details).
 func TestCampaignTierEquivalence(t *testing.T) {
 	strategies := []adversary.Named{
 		{ID: "targeted-withhold", Strategy: adversary.TargetedWithhold()},
@@ -41,32 +85,17 @@ func TestCampaignTierEquivalence(t *testing.T) {
 		}
 		for _, strat := range strategies {
 			t.Run(spec.ID+"/"+strat.ID, func(t *testing.T) {
-				run := func(recordFull bool) *adversary.CampaignReport {
-					c, err := matrix.CampaignFor(spec, catalog.DefaultParams(n, tf), strat.Strategy,
-						adversary.SeedRange{From: 0, To: 12})
-					if err != nil {
-						t.Fatalf("campaign: %v", err)
-					}
-					c.RecordFull = recordFull
-					c.Parallelism = 1
-					rep, err := c.Run()
-					if err != nil {
-						t.Fatalf("run (full=%v): %v", recordFull, err)
-					}
-					return rep
-				}
-				full, lean := run(true), run(false)
-				fj, err := json.Marshal(full)
+				c, err := matrix.CampaignFor(spec, catalog.DefaultParams(n, tf), strat.Strategy,
+					adversary.SeedRange{From: 0, To: 12})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("campaign: %v", err)
 				}
-				lj, err := json.Marshal(lean)
+				c.Parallelism = 1
+				lean, err := c.Run()
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("run: %v", err)
 				}
-				if string(fj) != string(lj) {
-					t.Fatalf("reports differ between tiers:\nfull: %s\nlean: %s", fj, lj)
-				}
+				sameJSON(t, "campaign report", lean, reference(t, c))
 				if lean.Broken() {
 					sawViolation = true
 					for _, v := range lean.Violations {
@@ -83,32 +112,44 @@ func TestCampaignTierEquivalence(t *testing.T) {
 	}
 }
 
-// TestMatrixTierEquivalence runs the canonical small matrix with and
-// without forced full recording and asserts byte-identical grids.
+// TestMatrixTierEquivalence runs the canonical small matrix and asserts
+// its grid is byte-identical to one assembled from reference campaigns,
+// cell by cell in Grid.Cells order.
 func TestMatrixTierEquivalence(t *testing.T) {
-	lean := smallMatrix(1)
-	g1, err := lean.Run()
+	m := smallMatrix(1)
+	g, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullM := smallMatrix(1)
-	fullM.RecordFull = true
-	g2, err := fullM.Run()
-	if err != nil {
-		t.Fatal(err)
+	if !g.Broken() {
+		t.Fatal("expected the small matrix to find the FloodSet split")
 	}
-	j1, err := json.Marshal(g1)
-	if err != nil {
-		t.Fatal(err)
+	var protocols, strategies []string
+	var cells []matrix.Cell
+	for _, strat := range m.Strategies {
+		strategies = append(strategies, strat.ID)
 	}
-	j2, err := json.Marshal(g2)
-	if err != nil {
-		t.Fatal(err)
+	for _, spec := range m.Protocols {
+		protocols = append(protocols, spec.ID)
+		for _, strat := range m.Strategies {
+			for _, size := range m.Sizes {
+				cell := matrix.Cell{Protocol: spec.ID, Strategy: strat.ID, N: size.N, T: size.T}
+				if !spec.SupportedAt(size.N, size.T) {
+					cell.Skipped, cell.Reason = true, "requires "+spec.Condition
+					cells = append(cells, cell)
+					continue
+				}
+				c, err := matrix.CampaignFor(spec, catalog.DefaultParams(size.N, size.T), strat.Strategy, m.Seeds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.MaxViolations = 1 // the matrix default
+				rep := reference(t, c)
+				cell.Probes, cell.ViolationCount, cell.FirstViolationProbe = rep.Probes, rep.ViolationCount, rep.FirstViolationProbe
+				cell.Violations, cell.Messages, cell.Rounds = rep.Violations, rep.Messages, rep.RoundsHist
+				cells = append(cells, cell)
+			}
+		}
 	}
-	if string(j1) != string(j2) {
-		t.Fatalf("grids differ between tiers:\nlean: %s\nfull: %s", j1, j2)
-	}
-	if !g1.Broken() {
-		t.Fatal("expected the small matrix to find the FloodSet split at both tiers")
-	}
+	sameJSON(t, "grid", g, matrix.AssembleGrid(protocols, strategies, m.Sizes, m.Seeds, cells))
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -92,9 +93,16 @@ func loadCheckpoint(path string, job *Job) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: read checkpoint: %w", err)
 	}
+	// A key this binary does not know is refused, not dropped: a job
+	// setting it would otherwise resume under the default it replaced.
 	var cp Checkpoint
-	if err := json.Unmarshal(body, &cp); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cp); err != nil {
 		return nil, fmt.Errorf("dist: decode checkpoint %s: %w", path, err)
+	}
+	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("dist: decode checkpoint %s: data after the checkpoint", path)
 	}
 	if cp.Version != checkpointVersion {
 		return nil, fmt.Errorf("dist: checkpoint %s has version %d, want %d", path, cp.Version, checkpointVersion)

@@ -99,13 +99,11 @@ type FuzzJob struct {
 	Bias         int    `json:"bias,omitempty"`
 	N            int    `json:"n"`
 	T            int    `json:"t"`
-	// Budget, SeedProbes, GenSize, FuzzSeed and Horizon mirror the
-	// fuzzer fields (zero = the fuzzer's own defaults).
-	Budget     int   `json:"budget"`
-	SeedProbes int   `json:"seed_probes,omitempty"`
-	GenSize    int   `json:"gen_size,omitempty"`
-	FuzzSeed   int64 `json:"fuzz_seed,omitempty"`
-	Horizon    int   `json:"horizon,omitempty"`
+	// Budget, GenSize and FuzzSeed are the fuzzer's fields of the same
+	// names (zero = the fuzzer's own defaults).
+	Budget   int   `json:"budget"`
+	GenSize  int   `json:"gen_size,omitempty"`
+	FuzzSeed int64 `json:"fuzz_seed,omitempty"`
 	// Batch is the probes-per-unit shipped to workers (default 16).
 	Batch int `json:"batch,omitempty"`
 	// Shrink, MaxViolations and StopOnViolation mirror the fuzzer
@@ -244,8 +242,8 @@ func (j *HuntJob) Campaign() (*adversary.Campaign, error) {
 // field of the job applied; the only route from a FuzzJob to a
 // fuzz.Fuzzer. An empty SeedStrategy keeps the fuzzer's default seeding.
 func (j *FuzzJob) Fuzzer() (*fuzz.Fuzzer, error) {
-	if err := nonNegative("fuzz", []string{"seed probes", "generation size", "batch", "horizon", "max violations"},
-		j.SeedProbes, j.GenSize, j.Batch, j.Horizon, j.MaxViolations); err != nil {
+	if err := nonNegative("fuzz", []string{"generation size", "batch", "max violations"},
+		j.GenSize, j.Batch, j.MaxViolations); err != nil {
 		return nil, err
 	}
 	if j.Budget <= 0 {
@@ -265,10 +263,8 @@ func (j *FuzzJob) Fuzzer() (*fuzz.Fuzzer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	f.SeedProbes = j.SeedProbes
 	f.GenSize = j.GenSize
 	f.FuzzSeed = j.FuzzSeed
-	f.Horizon = j.Horizon
 	f.Shrink = j.Shrink
 	f.MaxViolations = j.MaxViolations
 	f.StopOnViolation = j.StopOnViolation

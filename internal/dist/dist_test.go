@@ -113,10 +113,8 @@ func singleFuzz(t *testing.T, j *FuzzJob) ([]byte, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SeedProbes = j.SeedProbes
 	f.GenSize = j.GenSize
 	f.FuzzSeed = j.FuzzSeed
-	f.Horizon = j.Horizon
 	f.Shrink = j.Shrink
 	f.MaxViolations = j.MaxViolations
 	f.StopOnViolation = j.StopOnViolation
@@ -359,6 +357,51 @@ func TestCheckpointVersionRefused(t *testing.T) {
 	}
 }
 
+// TestCheckpointUnknownFieldRefused: a checkpoint whose job sets a key
+// this binary does not know — here seed_probes, a fuzz setting that no
+// longer exists — would resume under the default it replaced. It must be
+// refused by loadCheckpoint, and so by a coordinator, before anything is
+// scheduled.
+func TestCheckpointUnknownFieldRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "checkpoint.json")
+	c1 := &Coordinator{Job: fuzzJob(), LocalWorkers: 2, WorkerParallelism: 2, CheckpointPath: path, stopAfterUnits: 2}
+	if _, err := c1.Run(); !errors.Is(err, ErrStopped) {
+		t.Fatalf("stop hook: got %v, want ErrStopped", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc, job, fz map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc["job"], &job); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(job["fuzz"], &fz); err != nil {
+		t.Fatal(err)
+	}
+	fz["seed_probes"] = json.RawMessage("5")
+	job["fuzz"], _ = json.Marshal(fz)
+	doc["job"], _ = json.Marshal(job)
+	edited, _ := json.Marshal(doc)
+	if err := os.WriteFile(path, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	const want = `unknown field "seed_probes"`
+	j := fuzzJob()
+	j.normalize()
+	if _, err := loadCheckpoint(path, j); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("load error %v does not say %s", err, want)
+	}
+	c2 := &Coordinator{Job: fuzzJob(), LocalWorkers: 2, WorkerParallelism: 2, CheckpointPath: path}
+	if _, err := c2.Run(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("coordinator resumed a checkpoint with an unknown job key: %v", err)
+	}
+}
+
 // TestCheckpointSpliceRefused: a checkpoint's units map is keyed by unit
 // ID, and each entry carries the ID of the unit it answers. A checkpoint
 // with two entries swapped used to resume, folding each result into the
@@ -488,10 +531,8 @@ func TestDistJobValidation(t *testing.T) {
 	}{
 		{huntJob, "hunt job: units must be >= 0, got -3", func(j *Job) { j.Hunt.Units = -3 }},
 		{huntJob, "hunt job: max violations must be >= 0, got -1", func(j *Job) { j.Hunt.MaxViolations = -1 }},
-		{fuzzJob, "fuzz job: seed probes must be >= 0, got -2", func(j *Job) { j.Fuzz.SeedProbes = -2 }},
 		{fuzzJob, "fuzz job: generation size must be >= 0, got -5", func(j *Job) { j.Fuzz.GenSize = -5 }},
 		{fuzzJob, "fuzz job: batch must be >= 0, got -1", func(j *Job) { j.Fuzz.Batch = -1 }},
-		{fuzzJob, "fuzz job: horizon must be >= 0, got -4", func(j *Job) { j.Fuzz.Horizon = -4 }},
 		{fuzzJob, "fuzz job: max violations must be >= 0, got -1", func(j *Job) { j.Fuzz.MaxViolations = -1 }},
 		{matrixJob, "matrix job: max violations must be >= 0, got -1", func(j *Job) { j.Matrix.MaxViolations = -1 }},
 	} {
