@@ -216,8 +216,12 @@ func (m *equivocator) Quiescent() bool { return false }
 // side of the split observes a perfectly protocol-conformant process.
 type twoFaced struct {
 	id   proc.ID
+	n    int
 	a, b sim.Machine
 	seed int64
+	// each holds one copy's output expanded per peer (sim.Expand) while
+	// route picks from it; out is the slice route lends.
+	each, out []sim.Outgoing
 }
 
 var _ sim.Machine = (*twoFaced)(nil)
@@ -225,6 +229,7 @@ var _ sim.Machine = (*twoFaced)(nil)
 func newTwoFaced(env Env, id proc.ID, seed int64) *twoFaced {
 	return &twoFaced{
 		id:   id,
+		n:    env.N,
 		a:    env.Factory(id, msg.Zero),
 		b:    env.Factory(id, msg.One),
 		seed: seed,
@@ -237,17 +242,20 @@ func (m *twoFaced) sideA(p proc.ID) bool {
 }
 
 func (m *twoFaced) route(outA, outB []sim.Outgoing) []sim.Outgoing {
-	var out []sim.Outgoing
-	for _, o := range outA {
+	out := m.out[:0]
+	m.each = sim.Expand(m.each[:0], outA, m.n, m.id)
+	for _, o := range m.each {
 		if m.sideA(o.To) {
 			out = append(out, o)
 		}
 	}
-	for _, o := range outB {
+	m.each = sim.Expand(m.each[:0], outB, m.n, m.id)
+	for _, o := range m.each {
 		if !m.sideA(o.To) {
 			out = append(out, o)
 		}
 	}
+	m.out = out
 	return out
 }
 

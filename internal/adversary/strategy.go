@@ -121,12 +121,36 @@ func RandomOmission(biasPct int) Strategy {
 		r := NewStream(seed, name)
 		f := randomFaulty(&r, env.N, env.T)
 		sendSeed, recvSeed := r.Int63(), r.Int63()
-		return sim.OmissionPlan{
-			F:         f,
-			SendFn:    func(m msg.Message) bool { return coin(sendSeed, m, biasPct) },
-			ReceiveFn: func(m msg.Message) bool { return coin(recvSeed, m, biasPct) },
-		}
+		return coinOmission{f: f, sendSeed: sendSeed, recvSeed: recvSeed, biasPct: biasPct}
 	}}
+}
+
+// coinOmission is RandomOmission's plan: sim.OmissionPlan with its two
+// predicates written as methods, so that building one is one allocation,
+// not three. It omits a message of a corrupted sender or receiver when
+// that side's coin comes up.
+type coinOmission struct {
+	f                  proc.Set
+	sendSeed, recvSeed int64
+	biasPct            int
+}
+
+var _ sim.FaultPlan = coinOmission{}
+
+// Faulty implements sim.FaultPlan.
+func (p coinOmission) Faulty() proc.Set { return p.f }
+
+// Byzantine implements sim.FaultPlan.
+func (coinOmission) Byzantine(proc.ID) sim.Machine { return nil }
+
+// SendOmit implements sim.FaultPlan.
+func (p coinOmission) SendOmit(m msg.Message) bool {
+	return p.f.Contains(m.Sender) && coin(p.sendSeed, m, p.biasPct)
+}
+
+// ReceiveOmit implements sim.FaultPlan.
+func (p coinOmission) ReceiveOmit(m msg.Message) bool {
+	return p.f.Contains(m.Receiver) && coin(p.recvSeed, m, p.biasPct)
 }
 
 // SilentCrash crashes a random subset of at most t processes at random

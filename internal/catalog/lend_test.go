@@ -174,7 +174,8 @@ func TestOutgoingIsOnlyLentCatalogWide(t *testing.T) {
 
 // lentMachines runs the protocol by hand, holding every slice a machine
 // returned, and checks after each step what the step may not have touched.
-// p0's messages are withheld until the last round.
+// It routes what each machine sent expanded per peer (sim.Expand). p0's
+// messages are withheld until the last round.
 func lentMachines(t *testing.T, factory sim.Factory, n, rounds int, proposals []msg.Value) {
 	t.Helper()
 	machines := make([]sim.Machine, n)
@@ -189,7 +190,7 @@ func lentMachines(t *testing.T, factory sim.Factory, n, rounds int, proposals []
 	for round := 1; round <= rounds; round++ {
 		inboxes := make([][]msg.Message, n)
 		for from, out := range was {
-			for _, o := range out {
+			for _, o := range sim.Expand(nil, out, n, proc.ID(from)) {
 				if from != 0 || round == rounds {
 					inboxes[o.To] = append(inboxes[o.To], msg.Message{Sender: proc.ID(from), Receiver: o.To, Round: round, Payload: o.Payload})
 				}

@@ -152,7 +152,7 @@ func E1(cheapN, cheapT, soundN, soundT int, opts runner.Options) (*Table, error)
 // messages as in the fault-free execution E0: the isolated group diverges
 // at round R+1 (Figure 1's red band) and the rest at round R+2 (blue).
 func E2(n, t, isolateAt int) (*Table, error) {
-	factory := chainedEchoFactory(n)
+	factory := chainedEchoFactory()
 	part, err := proc.NewPartition(n, t)
 	if err != nil {
 		return nil, err
@@ -206,22 +206,20 @@ func E2(n, t, isolateAt int) (*Table, error) {
 // chainedEchoFactory builds the Figure 1 demonstration machine: each round
 // it broadcasts a digest chaining everything it has received so far, so a
 // single dropped message changes all of its future sends.
-func chainedEchoFactory(n int) sim.Factory {
-	return func(id proc.ID, proposal msg.Value) sim.Machine {
-		return &chainedEcho{n: n, id: id, digest: string(proposal)}
+func chainedEchoFactory() sim.Factory {
+	return func(_ proc.ID, proposal msg.Value) sim.Machine {
+		return &chainedEcho{digest: string(proposal)}
 	}
 }
 
 type chainedEcho struct {
-	n      int
-	id     proc.ID
 	digest string
 	out    sim.Broadcast
 }
 
 var _ sim.Machine = (*chainedEcho)(nil)
 
-func (m *chainedEcho) broadcast() []sim.Outgoing { return m.out.Send(m.n, m.id, m.digest) }
+func (m *chainedEcho) broadcast() []sim.Outgoing { return m.out.Send(m.digest) }
 
 func (m *chainedEcho) Init() []sim.Outgoing { return m.broadcast() }
 

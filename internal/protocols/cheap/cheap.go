@@ -63,7 +63,7 @@ func (m *silentMachine) Step(round int, _ []msg.Message) []sim.Outgoing {
 // n-1. Decision round: 1.
 func Leader(n int) sim.Factory {
 	return func(id proc.ID, proposal msg.Value) sim.Machine {
-		return &leaderMachine{n: n, id: id, proposal: clampBit(proposal)}
+		return &leaderMachine{id: id, proposal: clampBit(proposal)}
 	}
 }
 
@@ -72,7 +72,6 @@ const LeaderRounds = 1
 
 type leaderMachine struct {
 	sim.DecideOnce
-	n        int
 	id       proc.ID
 	proposal msg.Value
 }
@@ -84,7 +83,7 @@ func (m *leaderMachine) Init() []sim.Outgoing {
 		return nil
 	}
 	var all sim.Broadcast // sent once: nothing to keep
-	return all.Send(m.n, m.id, string(m.proposal))
+	return all.Send(string(m.proposal))
 }
 
 func (m *leaderMachine) Step(round int, received []msg.Message) []sim.Outgoing {
@@ -155,7 +154,7 @@ func (m *starMachine) Step(round int, received []msg.Message) []sim.Outgoing {
 			}
 		}
 		var all sim.Broadcast
-		return all.Send(m.n, m.id, string(m.verdict))
+		return all.Send(string(m.verdict))
 	case round == 2:
 		if m.id == 0 {
 			m.Decide(m.verdict)

@@ -148,7 +148,7 @@ func (m *machine) send(body []byte, ok bool) []sim.Outgoing {
 	if !ok {
 		return nil
 	}
-	return m.out.Send(m.cfg.N, m.id, string(body))
+	return m.out.Send(string(body))
 }
 
 // itemsOpen starts msg.Encode(Payload{Items: …}), which the machine

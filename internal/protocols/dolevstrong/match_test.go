@@ -117,7 +117,7 @@ func hostileInbox(r *rand.Rand, cfg dolevstrong.Config, scheme sig.Scheme, round
 // matchReference drives the reference machine and the product machine of
 // one process through Init and rounds 1..t+2 on identical hostile inboxes
 // and requires identical receivers, payloads, decisions and quiescence
-// after every call.
+// after every call, the product's Everyone entry expanded per peer.
 func matchReference(t *testing.T, n, tf int, sender, id proc.ID, noRelay bool, seed int64, extra string) {
 	t.Helper()
 	scheme := sig.NewIdeal("match")
@@ -126,7 +126,7 @@ func matchReference(t *testing.T, n, tf int, sender, id proc.ID, noRelay bool, s
 	ref, got := refNew(cfg)(id, proposal), dolevstrong.New(cfg)(id, proposal)
 	compare := func(round int, want, have []sim.Outgoing) {
 		t.Helper()
-		if !slices.Equal(want, have) {
+		if have = sim.Expand(nil, have, n, id); !slices.Equal(want, have) {
 			t.Fatalf("n=%d t=%d sender=%d id=%d seed=%d round %d: sends\n%q\nreference sends\n%q", n, tf, sender, id, seed, round, have, want)
 		}
 		wd, wok := ref.Decision()

@@ -224,7 +224,7 @@ func (m *machine) broadcastLevel(level int) []sim.Outgoing {
 		return nil
 	}
 	m.buf = append(b, "]}"...)
-	return m.out.Send(m.n, m.id, string(m.buf))
+	return m.out.Send(string(m.buf))
 }
 
 // Init implements sim.Machine: round 1 broadcasts the root value (own

@@ -86,7 +86,7 @@ func hostileInbox(r *rand.Rand, n, round int, id proc.ID, extra string) []msg.Me
 // matchReference drives the reference machine and the product machine of
 // one process through Init and rounds 1..t+2 on identical hostile inboxes
 // and requires identical receivers, payloads, decisions and quiescence
-// after every call.
+// after every call, the product's Everyone entry expanded per peer.
 func matchReference(t *testing.T, n, tf int, id proc.ID, def msg.Value, seed int64, extra string) {
 	t.Helper()
 	cfg := eig.Config{N: n, T: tf, Default: def}
@@ -94,7 +94,7 @@ func matchReference(t *testing.T, n, tf int, id proc.ID, def msg.Value, seed int
 	ref, got := refNew(cfg)(id, proposal), eig.New(cfg)(id, proposal)
 	compare := func(round int, want, have []sim.Outgoing) {
 		t.Helper()
-		if !slices.Equal(want, have) {
+		if have = sim.Expand(nil, have, n, id); !slices.Equal(want, have) {
 			t.Fatalf("n=%d t=%d id=%d seed=%d round %d: sends\n%v\nreference sends\n%v", n, tf, id, seed, round, have, want)
 		}
 		wd, wok := ref.Decision()

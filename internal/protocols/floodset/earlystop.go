@@ -20,9 +20,9 @@ import (
 // (Dolev-Strong's fixed t+1 rounds; the paper's Ω(t²) messages) coexist
 // with good-case adaptivity on orthogonal metrics.
 func NewEarlyStopping(cfg Config) sim.Factory {
-	return func(id proc.ID, proposal msg.Value) sim.Machine {
+	return func(_ proc.ID, proposal msg.Value) sim.Machine {
 		m := new(earlyMachine)
-		m.init(cfg, id, proposal)
+		m.init(cfg, proposal)
 		return m
 	}
 }

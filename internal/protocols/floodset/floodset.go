@@ -33,7 +33,7 @@ func RoundBound(t int) int { return t + 1 }
 func New(cfg Config) sim.Factory {
 	return func(id proc.ID, proposal msg.Value) sim.Machine {
 		m := new(machine)
-		m.init(cfg, id, proposal)
+		m.init(cfg, proposal)
 		return m
 	}
 }
@@ -87,7 +87,6 @@ type machine struct {
 	out sim.Broadcast
 
 	cfg Config
-	id  proc.ID
 	// w is W, the set of values seen, ascending; it starts as the
 	// proposal and only grows. Its first two values live in wbuf, so a
 	// machine on binary proposals is one allocation.
@@ -104,8 +103,8 @@ var _ sim.Machine = (*machine)(nil)
 
 // init sets up a machine in place: w points into m's own wbuf, so a
 // machine must not be copied once set up.
-func (m *machine) init(cfg Config, id proc.ID, proposal msg.Value) {
-	m.cfg, m.id, m.grew = cfg, id, true
+func (m *machine) init(cfg Config, proposal msg.Value) {
+	m.cfg, m.grew = cfg, true
 	m.wbuf[0] = proposal
 	m.w = m.wbuf[:1]
 }
@@ -133,7 +132,7 @@ func (m *machine) broadcast() []sim.Outgoing {
 	if m.grew {
 		m.encoded, m.grew = encodeW(m.w), false
 	}
-	return m.out.Send(m.cfg.N, m.id, m.encoded)
+	return m.out.Send(m.encoded)
 }
 
 // Init implements sim.Machine.

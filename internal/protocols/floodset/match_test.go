@@ -62,7 +62,8 @@ func hostileInbox(r *rand.Rand, n, round int, id proc.ID, own, extra string) []m
 // one process through Init and every round up to two past the decision
 // round on identical hostile inboxes, and requires identical outgoing
 // messages, decisions and quiescence after every call. The product's
-// slice is compared before the next Step, which is all it is lent for.
+// slice is compared, its Everyone entry expanded per peer, before the next
+// Step, which is all it is lent for.
 func matchReference(t *testing.T, cfg Config, early bool, id proc.ID, seed int64, extra string) {
 	t.Helper()
 	proposal := []msg.Value{msg.Zero, msg.One, "2", "", "<é>"}[uint64(seed)%5]
@@ -73,8 +74,8 @@ func matchReference(t *testing.T, cfg Config, early bool, id proc.ID, seed int64
 	own := ""
 	compare := func(round int, want, have []sim.Outgoing) {
 		t.Helper()
-		if (want == nil) != (have == nil) || !slices.Equal(want, have) {
-			t.Fatalf("%+v early=%t id=%d seed=%d round %d: sends\n%q\nreference sends\n%q", cfg, early, id, seed, round, have, want)
+		if expanded := sim.Expand(nil, have, cfg.N, id); (want == nil) != (have == nil) || !slices.Equal(want, expanded) {
+			t.Fatalf("%+v early=%t id=%d seed=%d round %d: sends\n%q\nreference sends\n%q", cfg, early, id, seed, round, expanded, want)
 		}
 		wd, wok := ref.Decision()
 		hd, hok := got.Decision()

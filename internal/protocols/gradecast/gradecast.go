@@ -93,7 +93,7 @@ type machine struct {
 var _ sim.Machine = (*machine)(nil)
 
 func (m *machine) broadcast(v msg.Value) []sim.Outgoing {
-	return m.out.Send(m.cfg.N, m.id, string(v))
+	return m.out.Send(string(v))
 }
 
 // Init implements sim.Machine: the sender distributes its value.

@@ -58,6 +58,6 @@ func New(cfg Config) sim.Factory {
 			states[j] = instance.Instance(id, proposal)
 			subs[j] = &states[j]
 		}
-		return mux.New(cfg.N, id, subs)
+		return mux.New(subs)
 	}
 }

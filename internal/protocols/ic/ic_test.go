@@ -129,7 +129,7 @@ func TestNoBufferSharedBetweenMachines(t *testing.T) {
 	want := slices.Clone(held)
 	b.Init()
 	var inbox []msg.Message
-	for _, o := range peer.Init() {
+	for _, o := range sim.Expand(nil, peer.Init(), 4, 1) {
 		if o.To == 0 {
 			inbox = append(inbox, msg.Message{Sender: 1, Receiver: 0, Round: 1, Payload: o.Payload})
 		}
@@ -174,7 +174,7 @@ func TestInboxIsOnlyLent(t *testing.T) {
 			}.Instance(id, proposal)
 			subs[j] = scribbler{&instance}
 		}
-		return mux.New(n, id, subs)
+		return mux.New(subs)
 	}
 	cfg := sim.Config{N: n, T: tf, Proposals: proposals, MaxRounds: ic.RoundBound(tf) + 2}
 	for name, plan := range map[string]func() sim.FaultPlan{

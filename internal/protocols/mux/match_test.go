@@ -110,7 +110,8 @@ func hostileInbox(r *rand.Rand, k, n, round int, extra string) []msg.Message {
 // matchReference drives the reference multiplexer and the product
 // multiplexer, over identically scripted sub-machines, through Init and
 // four rounds of identical hostile bundles, and requires identical
-// receivers, payloads, decisions and quiescence after every call.
+// receivers, payloads, decisions and quiescence after every call. The
+// product's Everyone entry is compared expanded per peer (sim.Expand).
 func matchReference(t *testing.T, k, n int, seed int64, extra string) {
 	t.Helper()
 	subs := func() []mux.Broadcaster {
@@ -120,10 +121,10 @@ func matchReference(t *testing.T, k, n int, seed int64, extra string) {
 		}
 		return out
 	}
-	ref, got := refOver(n, subs()), mux.New(n, 0, subs())
+	ref, got := refOver(n, subs()), mux.New(subs())
 	compare := func(round int, want, have []sim.Outgoing) {
 		t.Helper()
-		if !slices.Equal(want, have) {
+		if have = sim.Expand(nil, have, n, 0); !slices.Equal(want, have) {
 			t.Fatalf("k=%d n=%d seed=%d round %d: sends\n%q\nreference sends\n%q", k, n, seed, round, have, want)
 		}
 		wd, wok := ref.Decision()
@@ -181,7 +182,7 @@ func (s said) say(dst []byte) ([]byte, bool) {
 // TestUniformBroadcastMatchesReference holds the one bundle the multiplexer
 // broadcasts to the reference, byte for byte, with every instance speaking,
 // one silent, one saying the empty body (an empty inner payload, not
-// silence) and none speaking.
+// silence) and none speaking, expanded per peer.
 func TestUniformBroadcastMatchesReference(t *testing.T) {
 	const n, k = 5, 12 // "10" and "11" sort before "2"
 	onlyThird := func(third said) func(int, said) said {
@@ -212,23 +213,22 @@ func TestUniformBroadcastMatchesReference(t *testing.T) {
 			}
 			return out
 		}
-		ref, got := refOver(n, subs()), mux.New(n, 0, subs())
-		if want, have := ref.Init(), got.Init(); !slices.Equal(want, have) {
+		ref, got := refOver(n, subs()), mux.New(subs())
+		if want, have := ref.Init(), sim.Expand(nil, got.Init(), n, 0); !slices.Equal(want, have) {
 			t.Errorf("%s: Init sends\n%q\nreference sends\n%q", c.name, have, want)
 		}
-		if want, have := ref.Step(1, nil), got.Step(1, nil); !slices.Equal(want, have) {
+		if want, have := ref.Step(1, nil), sim.Expand(nil, got.Step(1, nil), n, 0); !slices.Equal(want, have) {
 			t.Errorf("%s: Step sends\n%q\nreference sends\n%q", c.name, have, want)
 		}
 	}
 }
 
 // broadcasting is the sim.Machine the reference drives a Broadcaster as:
-// its body to every process but process 0, whose multiplexer it is, and no
-// slot ever filled.
+// its body to every process but process 0, whose multiplexer it is, one
+// entry per peer, and no slot ever filled.
 type broadcasting struct {
 	mux.Broadcaster
-	n   int
-	out sim.Broadcast
+	n int
 }
 
 func (b *broadcasting) Init() []sim.Outgoing { return b.send(b.InitBody(nil)) }
@@ -241,7 +241,11 @@ func (b *broadcasting) send(body []byte, ok bool) []sim.Outgoing {
 	if !ok {
 		return nil
 	}
-	return b.out.Send(b.n, 0, string(body))
+	out := make([]sim.Outgoing, 0, b.n-1)
+	for p := proc.ID(1); p < proc.ID(b.n); p++ {
+		out = append(out, sim.Outgoing{To: p, Payload: string(body)})
+	}
+	return out
 }
 
 // refOver is process 0's reference multiplexer, of n processes, over subs.
@@ -257,9 +261,10 @@ func refOver(n int, subs []mux.Broadcaster) *Machine {
 // buffers an earlier one grew: its bodies are relay chains whose quotes
 // and backslashes the bundle escapes, every tenth instance is silent and
 // keys run to three digits. Init must allocate no more than for a bundle
-// of one-letter bodies: the broadcast slice and the string, the bundle and
-// body buffers coming from the free list, where the warm-up call left
-// them (a sync.Pool would lose a quarter of them under -race).
+// of one-letter bodies: the string alone, the broadcast entry living in
+// the machine and the bundle and body buffers coming from the free list,
+// where the warm-up call left them (a sync.Pool would lose a quarter of
+// them under -race).
 func TestRelayBundleGrowsOnce(t *testing.T) {
 	const n, k, runs = 4, 120, 20
 	initAllocs := func(body string) float64 {
@@ -269,7 +274,7 @@ func TestRelayBundleGrowsOnce(t *testing.T) {
 		}
 		fresh := make([]*mux.Machine, runs+1) // AllocsPerRun calls once more to warm up
 		for i := range fresh {
-			fresh[i] = mux.New(n, 0, subs)
+			fresh[i] = mux.New(subs)
 		}
 		next := 0
 		return testing.AllocsPerRun(runs, func() {

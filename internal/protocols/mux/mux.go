@@ -37,7 +37,6 @@ import (
 	"sync"
 
 	"expensive/internal/msg"
-	"expensive/internal/proc"
 	"expensive/internal/sim"
 )
 
@@ -65,12 +64,12 @@ type Broadcaster interface {
 type Machine struct {
 	sim.DecideOnce // set once every sub-machine has decided
 
-	n    int
-	self proc.ID
 	subs []Broadcaster
 	// order lists the instances in the order encoding/json writes their
 	// bundle keys: as strings, "10" before "2". Every call steps the
 	// instances in it, so each body goes into the bundle as it is said.
+	// It depends on k alone and is shared, read-only, by every
+	// multiplexer of k instances (keyOrder).
 	order []int
 
 	// Working state, reused from call to call: sim.Machine lets a machine
@@ -86,17 +85,31 @@ type Machine struct {
 
 var _ sim.Machine = (*Machine)(nil)
 
-// New builds process self's multiplexed machine, of n processes, over subs.
-// The composite decides once every sub-machine has decided: its decision
-// is the I_n vector of their decisions, in instance order
-// (msg.EncodeVector).
-func New(n int, self proc.ID, subs []Broadcaster) *Machine {
-	order := make([]int, len(subs))
+// New builds a process's multiplexed machine over subs, each of which
+// broadcasts to every process but the machine's own. The composite decides
+// once every sub-machine has decided: its decision is the I_n vector of
+// their decisions, in instance order (msg.EncodeVector).
+func New(subs []Broadcaster) *Machine {
+	return &Machine{subs: subs, order: keyOrder(len(subs))}
+}
+
+// orders maps k to keyOrder(k), made once per k: every interactive
+// consistency machine at one n multiplexes the same k.
+var orders sync.Map
+
+// keyOrder returns 0 … k-1 in the order encoding/json sorts them as map
+// keys, as decimal strings. The slice is shared: callers never write it.
+func keyOrder(k int) []int {
+	if order, ok := orders.Load(k); ok {
+		return order.([]int)
+	}
+	order := make([]int, k)
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(a, b int) int { return strings.Compare(strconv.Itoa(a), strconv.Itoa(b)) })
-	return &Machine{n: n, self: self, subs: subs, order: order}
+	shared, _ := orders.LoadOrStore(k, order)
+	return shared.([]int)
 }
 
 // route is one inner payload of a bundle body with the instance its key
@@ -275,7 +288,7 @@ func (m *Machine) broadcast(bufs buffers, b []byte) []sim.Outgoing {
 	var out []sim.Outgoing
 	if len(b) > len(bundleOpen) {
 		b = append(b, "}}"...)
-		out = m.out.Send(m.n, m.self, string(b))
+		out = m.out.Send(string(b))
 	}
 	bufs.bundle = b
 	spare.release(bufs)

@@ -64,8 +64,8 @@ func TestSlotsAreNotSharedAcrossProtocols(t *testing.T) {
 	var decodes atomic.Int64
 	a := []*reader[shouted]{{decode: shout, decodes: &decodes}, {decode: shout, decodes: &decodes}}
 	b := []*reader[counted]{{decode: count, decodes: &decodes}, {decode: count, decodes: &decodes}}
-	mux.New(3, 0, []mux.Broadcaster{a[0], a[1]}).Step(1, inbox())
-	mux.New(3, 0, []mux.Broadcaster{b[0], b[1]}).Step(1, inbox())
+	mux.New([]mux.Broadcaster{a[0], a[1]}).Step(1, inbox())
+	mux.New([]mux.Broadcaster{b[0], b[1]}).Step(1, inbox())
 	if want := []shouted{{"ACROSS PROTOCOLS"}}; !slices.Equal(a[0].read, want) {
 		t.Errorf("first protocol, instance 0 read %v, want %v", a[0].read, want)
 	}
@@ -98,7 +98,7 @@ func TestBroadcastDecodedOnce(t *testing.T) {
 		for i := range subs {
 			subs[i] = &reader[shouted]{decode: shout, decodes: &decodes}
 		}
-		mux.New(n+1, 0, subs).Step(1, []msg.Message{{Sender: n, Receiver: 0, Round: 1, Payload: body}})
+		mux.New(subs).Step(1, []msg.Message{{Sender: n, Receiver: 0, Round: 1, Payload: body}})
 		for i, s := range subs {
 			if got, want := s.(*reader[shouted]).read, []shouted{shout(payloads[i])}; !slices.Equal(got, want) {
 				t.Fatalf("receiver %d, instance %d read %v, want %v", r, i, got, want)
@@ -134,8 +134,8 @@ func TestUnorderedInboxMatchesReference(t *testing.T) {
 	for i := range ordered {
 		ordered[i].Sender = proc.ID(i + 1)
 	}
-	mux.New(5, 0, subs()).Step(round, ordered)
-	ref, got := refOver(4, subs()), mux.New(4, 0, subs())
+	mux.New(subs()).Step(round, ordered)
+	ref, got := refOver(4, subs()), mux.New(subs())
 	if want, have := ref.Step(round, slices.Clone(inbox)), got.Step(round, inbox); !slices.Equal(want, have) {
 		t.Errorf("sends\n%q\nreference sends\n%q", have, want)
 	}

@@ -62,15 +62,16 @@ func hostileInbox(r *rand.Rand, n, round int, id proc.ID, extra string) []msg.Me
 // one process through Init and every round up to two past the decision on
 // identical hostile inboxes and requires identical outgoing messages,
 // decisions and quiescence after every call. The product's slice is
-// compared before the next Step, which is all it is lent for.
+// compared, its Everyone entry expanded per peer, before the next Step,
+// which is all it is lent for.
 func matchReference(t *testing.T, cfg Config, id proc.ID, seed int64, extra string) {
 	t.Helper()
 	proposal := []msg.Value{msg.Zero, msg.One, "2", ""}[uint64(seed)%4]
 	ref, got := refNew(cfg)(id, proposal), New(cfg)(id, proposal)
 	compare := func(round int, want, have []sim.Outgoing) {
 		t.Helper()
-		if (want == nil) != (have == nil) || !slices.Equal(want, have) {
-			t.Fatalf("%+v id=%d seed=%d round %d: sends\n%q\nreference sends\n%q", cfg, id, seed, round, have, want)
+		if expanded := sim.Expand(nil, have, cfg.N, id); (want == nil) != (have == nil) || !slices.Equal(want, expanded) {
+			t.Fatalf("%+v id=%d seed=%d round %d: sends\n%q\nreference sends\n%q", cfg, id, seed, round, expanded, want)
 		}
 		wd, wok := ref.Decision()
 		hd, hok := got.Decision()

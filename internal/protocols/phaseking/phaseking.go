@@ -19,7 +19,8 @@
 // is correct, which establishes agreement; n > 4t makes an established
 // agreement persist.
 //
-// Every broadcast returns the machine's one lent slice (sim.Broadcast).
+// Every broadcast returns the machine's one lent entry, addressed to
+// sim.Everyone (sim.Broadcast).
 package phaseking
 
 import (
@@ -124,7 +125,7 @@ func (m *machine) broadcast(v msg.Value) []sim.Outgoing {
 	default:
 		body = msg.Encode(payload{V: v})
 	}
-	return m.out.Send(m.cfg.N, m.id, body)
+	return m.out.Send(body)
 }
 
 // king returns the king of phase k (1-based): process k-1.

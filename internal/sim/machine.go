@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"expensive/internal/msg"
-	"expensive/internal/proc"
-)
+import "expensive/internal/msg"
 
 // DecideOnce is the decision component of a process's state (Appendix
 // A.1.3): unset, or set to a value for good. Machines embed it by value
@@ -34,9 +31,9 @@ func (d *DecideOnce) Decision() (msg.Value, bool) {
 // decides.
 func (d *DecideOnce) Quiescent() bool { return d.decided }
 
-// Broadcast is a machine's one outgoing slice: an entry per peer, made by
-// the first Send and returned by every later one with only the payloads
-// rewritten.
+// Broadcast is a machine's one outgoing entry, addressed to Everyone:
+// every Send rewrites its payload and returns it, so a machine that tells
+// all its peers the same thing allocates nothing to say it.
 //
 // The slice is lent, not given. It is valid until the next Init or Step of
 // the machine that returned it, which may rewrite it in place; whoever
@@ -45,27 +42,14 @@ func (d *DecideOnce) Quiescent() bool { return d.decided }
 // a Machine returns; it is spelt out here, where nearly every machine —
 // the multiplexer among them — meets it.
 type Broadcast struct {
-	out []Outgoing
+	out [1]Outgoing
 }
 
-// Send returns body addressed to every process of Π = {p_0 … p_{n-1}}
-// except self, in ID order. n and self must not change between calls.
-func (b *Broadcast) Send(n int, self proc.ID, body string) []Outgoing {
-	if b.out == nil {
-		b.out = make([]Outgoing, 0, n-1)
-		for p := proc.ID(0); p < proc.ID(n); p++ {
-			if p != self {
-				b.out = append(b.out, Outgoing{To: p})
-			}
-		}
-	}
-	// Every entry carries the last body sent; a fresh slice, the empty one.
-	if len(b.out) > 0 && b.out[0].Payload != body {
-		for i := range b.out {
-			b.out[i].Payload = body
-		}
-	}
-	return b.out
+// Send returns body addressed to Everyone: one message to every process of
+// Π but the sender, once the engine or Expand reads it.
+func (b *Broadcast) Send(body string) []Outgoing {
+	b.out[0] = Outgoing{To: Everyone, Payload: body}
+	return b.out[:]
 }
 
 // Silent is the machine that never sends and never decides: the weakest

@@ -31,24 +31,32 @@ func TestDecideOnce(t *testing.T) {
 }
 
 // TestBroadcastLendsOneSlice pins sim.Broadcast: every Send returns the
-// same entries, all peers but self in ID order, carrying the latest body.
+// same one entry, allocating nothing, and expanded it is every peer but
+// self in ID order, carrying the latest body.
 func TestBroadcastLendsOneSlice(t *testing.T) {
 	var b sim.Broadcast
-	first := b.Send(4, 2, "a")
+	first := b.Send("a")
 	want := []sim.Outgoing{{To: 0, Payload: "a"}, {To: 1, Payload: "a"}, {To: 3, Payload: "a"}}
-	if !reflect.DeepEqual(first, want) {
-		t.Fatalf("first Send: %v, want %v", first, want)
+	if got := sim.Expand(nil, first, 4, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("first Send expands to %v, want %v", got, want)
 	}
 	for _, body := range []string{"a", "b", "", "b"} {
-		again := b.Send(4, 2, body)
+		again := b.Send(body)
 		if &again[0] != &first[0] || len(again) != len(first) {
 			t.Fatalf("Send(%q) returned another slice", body)
 		}
-		for i, o := range again {
+		got := sim.Expand(nil, again, 4, 2)
+		if len(got) != len(want) {
+			t.Fatalf("Send(%q) expands to %v", body, got)
+		}
+		for i, o := range got {
 			if o.To != want[i].To || o.Payload != body {
-				t.Fatalf("Send(%q): entry %d is %v", body, i, o)
+				t.Fatalf("Send(%q): entry %d expands to %v", body, i, o)
 			}
 		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.Send("c") }); allocs != 0 {
+		t.Errorf("Send allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -31,7 +31,8 @@ func (m *shouter) Quiescent() bool             { return false }
 
 // TestScratchResetAcrossSizes runs n = 64 and then n = 4 on one scratch, at
 // both tiers, and checks that nothing of either run survives the reset: no
-// payload string anywhere in any inbox's backing array, no pending slice. reset clears only what a run of its size can have
+// payload string anywhere in any inbox's backing array, no machine and no
+// pending slice. reset clears only what a run of its size can have
 // written, so this is the property that bound must keep.
 func TestScratchResetAcrossSizes(t *testing.T) {
 	for _, rec := range []Recording{RecordDecisions, RecordFull} {
@@ -66,6 +67,11 @@ func TestScratchResetAcrossSizes(t *testing.T) {
 			for i := range sc.pending {
 				if sc.pending[i] != nil {
 					t.Fatalf("%s after n=%d: pending %d still holds a machine's slice", rec, n, i)
+				}
+			}
+			for i, m := range sc.machines {
+				if m != nil {
+					t.Fatalf("%s after n=%d: scratch still holds machine %d", rec, n, i)
 				}
 			}
 		}

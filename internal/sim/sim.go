@@ -20,6 +20,15 @@
 // the rare violating configuration at RecordFull for its Trace, the only
 // execution type the evidence APIs take.
 //
+// A machine that tells every other process the same thing returns one
+// Outgoing entry addressed to Everyone; Broadcast keeps that entry inside
+// the machine, so saying it allocates nothing. The send phase expands the
+// entry into its n − 1 messages, each through the same checks, fault-plan
+// questions and records as a message addressed to one peer, so counts,
+// traces and the message complexity count every peer. Every other reader
+// of a machine's output (Conforms, the adversary's two-faced machine,
+// transport.RunNode) expands it with Expand.
+//
 // Determinism contract: a Machine's outputs may depend only on its inputs
 // (proposal, round number, received messages). The engine delivers received
 // messages sorted by sender before every Step, so identical views yield
@@ -33,6 +42,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -77,10 +87,61 @@ func (r Recording) String() string {
 }
 
 // Outgoing is a message a machine asks the engine to send in the next
-// round. The engine stamps sender and round.
+// round. The engine stamps sender and round. To is a process of Π, or
+// Everyone: one entry then stands for n − 1 messages with one payload.
 type Outgoing struct {
 	To      proc.ID
 	Payload string
+}
+
+// Everyone is the address of an Outgoing entry meant for every process of
+// Π but its sender (sim.Broadcast's one entry). It lies outside Π and
+// away from -1, which means "no process" elsewhere, so a stray -1 is still
+// refused as an unknown receiver.
+const Everyone proc.ID = math.MinInt
+
+// receivers is the processes an entry addressed to to covers among n, as
+// count consecutive IDs from first: all of Π for Everyone, whose sender
+// the caller skips, and to alone otherwise, whatever its value. It is the
+// one definition of whom Everyone reaches, shared by the engine's send
+// phase and Expand.
+func receivers(to proc.ID, n int) (first proc.ID, count int) {
+	if to == Everyone {
+		return 0, n
+	}
+	return to, 1
+}
+
+// Expand appends to dst the messages a machine of process self among n
+// addresses with out, one entry per receiver: an entry to Everyone becomes
+// an entry for every process of Π = {p_0 … p_{n-1}} but self, in ID
+// order, and any other entry is appended as it is. Every reader of a
+// Machine's output outside the engine goes through it; the engine expands
+// the same way inside its send phase, with its checks.
+func Expand(dst, out []Outgoing, n int, self proc.ID) []Outgoing {
+	for _, o := range out {
+		first, count := receivers(o.To, n)
+		for k := 0; k < count; k++ {
+			if p := first + proc.ID(k); p != self || o.To != Everyone {
+				dst = append(dst, Outgoing{To: p, Payload: o.Payload})
+			}
+		}
+	}
+	return dst
+}
+
+// messages is how many messages out stands for among n, the length of its
+// expansion: n − 1 for an entry to Everyone, one for any other.
+func messages(out []Outgoing, n int) int {
+	total := 0
+	for _, o := range out {
+		if o.To == Everyone {
+			total += n - 1
+		} else {
+			total++
+		}
+	}
+	return total
 }
 
 // Machine is the deterministic per-process state machine of Appendix A.1.3.
@@ -89,12 +150,17 @@ type Outgoing struct {
 // initial state). Step consumes the messages received in round r and
 // returns the messages to send in round r+1; the received slice is only
 // valid for the duration of the call — it is backing store the engine
-// reuses — so machines must copy anything they keep. The ownership rule is the same in the other direction: a slice
-// returned by Init or Step is lent until the next Init or Step call on
-// that machine (see Broadcast). Decision exposes the decision-bit
-// component of the state; once set it must never change (DecideOnce).
-// Quiescent reports that the machine will never send again regardless of
-// future inputs — the engine uses it for sound early termination.
+// reuses — so machines must copy anything they keep. The ownership rule is
+// the same in the other direction: a slice returned by Init or Step is
+// lent until the next Init or Step call on that machine (see Broadcast).
+// An entry of it may be addressed to Everyone, so whoever reads the slice
+// other than the engine reads it through Expand, never through To alone;
+// the engine refuses a slice that, expanded, sends to its own machine, to
+// a process outside Π, or twice to one peer. Decision exposes the
+// decision-bit component of the state; once set it must never change
+// (DecideOnce). Quiescent reports that the machine will never send again
+// regardless of future inputs — the engine uses it for sound early
+// termination.
 type Machine interface {
 	Init() []Outgoing
 	Step(round int, received []msg.Message) []Outgoing
@@ -504,8 +570,9 @@ func (e *Execution) Proposals() []msg.Value {
 // routing tables, the corrupted mask and the duplicate-receiver check are
 // pooled and reused across Run calls.
 type scratch struct {
-	inboxes [][]msg.Message
-	pending [][]Outgoing
+	machines []Machine
+	inboxes  [][]msg.Message
+	pending  [][]Outgoing
 	// corrupted[i] reports whether process i is in the running plan's
 	// faulty set. run rewrites all of its first n entries before round 1,
 	// so nothing of an earlier run's plan is left over.
@@ -519,6 +586,9 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // grow readies the scratch for a run with n processes. Slices keep their
 // backing arrays across runs; entries are reset lazily per round.
 func (s *scratch) grow(n int) {
+	for len(s.machines) < n {
+		s.machines = append(s.machines, nil)
+	}
 	for len(s.inboxes) < n {
 		s.inboxes = append(s.inboxes, nil)
 	}
@@ -534,14 +604,16 @@ func (s *scratch) grow(n int) {
 }
 
 // reset drops the references a finished run over n processes left in the
-// scratch — machine-owned pending slices, message payload strings in the
-// inboxes — so pooled scratch never pins a finished execution in memory.
+// scratch — its machines and their pending slices, message payload strings
+// in the inboxes — so pooled scratch never pins a finished execution in
+// memory.
 // It touches only what such a run can have written: the first n entries
 // of each table and, per inbox, the first n slots (a round delivers at
 // most one message per sender). Whatever lies beyond was cleared when the
 // larger run that grew it was reset, and sweeping it again would make
 // every small run pay for the largest one the pool has seen.
 func (s *scratch) reset(n int) {
+	clear(s.machines[:n])
 	clear(s.pending[:n])
 	for i, inbox := range s.inboxes[:n] {
 		clear(inbox[:min(n, cap(inbox))])
@@ -588,7 +660,7 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 		return nil, fmt.Errorf("fault plan corrupts processes outside Π: %v", faulty)
 	}
 
-	machines := make([]Machine, cfg.N)
+	machines := s.machines[:cfg.N]
 	behArr := make([]Behavior, cfg.N)
 	behaviors := make([]*Behavior, cfg.N)
 	for i := 0; i < cfg.N; i++ {
@@ -665,7 +737,7 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 		if full {
 			total := 0
 			for i := 0; i < cfg.N; i++ {
-				total += len(pending[i])
+				total += messages(pending[i], cfg.N)
 			}
 			arena = make([]msg.Message, 0, 2*total)
 		}
@@ -686,32 +758,42 @@ func (s *scratch) run(cfg Config, factory Factory, plan FaultPlan) (*Execution, 
 			if f != nil {
 				f.Sent = arena[len(arena):]
 			}
+			// Each entry is expanded into its messages here, in place of
+			// Expand: an entry to Everyone skips the sender, and every
+			// message, expanded or not, passes the same three checks.
 			for _, out := range pending[i] {
-				if out.To == proc.ID(i) {
-					return nil, fmt.Errorf("round %d: %s sent to itself", r, proc.ID(i))
-				}
-				if out.To < 0 || int(out.To) >= cfg.N {
-					return nil, fmt.Errorf("round %d: %s sent to unknown process %d", r, proc.ID(i), out.To)
-				}
-				if seen[out.To] == s.gen {
-					return nil, fmt.Errorf("round %d: %s sent twice to %s", r, proc.ID(i), out.To)
-				}
-				seen[out.To] = s.gen
-				m := msg.Message{Sender: proc.ID(i), Receiver: out.To, Round: r, Payload: out.Payload}
-				if corrupted[i] && plan.SendOmit(m) {
-					if f != nil {
-						f.SendOmitted = append(f.SendOmitted, m)
-					} else {
-						l.SendOmitted[r-1]++
+				first, count := receivers(out.To, cfg.N)
+				for k := 0; k < count; k++ {
+					to := first + proc.ID(k)
+					if to == proc.ID(i) {
+						if out.To == Everyone {
+							continue
+						}
+						return nil, fmt.Errorf("round %d: %s sent to itself", r, proc.ID(i))
 					}
-					continue
+					if to < 0 || int(to) >= cfg.N {
+						return nil, fmt.Errorf("round %d: %s sent to unknown process %d", r, proc.ID(i), to)
+					}
+					if seen[to] == s.gen {
+						return nil, fmt.Errorf("round %d: %s sent twice to %s", r, proc.ID(i), to)
+					}
+					seen[to] = s.gen
+					m := msg.Message{Sender: proc.ID(i), Receiver: to, Round: r, Payload: out.Payload}
+					if corrupted[i] && plan.SendOmit(m) {
+						if f != nil {
+							f.SendOmitted = append(f.SendOmitted, m)
+						} else {
+							l.SendOmitted[r-1]++
+						}
+						continue
+					}
+					if f != nil {
+						f.Sent = append(f.Sent, m)
+					} else {
+						l.Sent[r-1]++
+					}
+					inboxes[to] = append(inboxes[to], m)
 				}
-				if f != nil {
-					f.Sent = append(f.Sent, m)
-				} else {
-					l.Sent[r-1]++
-				}
-				inboxes[out.To] = append(inboxes[out.To], m)
 			}
 			if f != nil {
 				arena, f.Sent = carve(arena, len(f.Sent))
@@ -818,6 +900,7 @@ func (e *Trace) Conforms(factory Factory, skip proc.Set) error {
 	// campaign probe at the full tier, and rebuilding three slices per
 	// process per round dominated its allocation profile.
 	var outgoing, received []msg.Message
+	var expanded []Outgoing
 	byTo := make(map[proc.ID]string)
 	for i := 0; i < e.N; i++ {
 		id := proc.ID(i)
@@ -831,7 +914,8 @@ func (e *Trace) Conforms(factory Factory, skip proc.Set) error {
 			f := &b.Fragments[r-1]
 			outgoing = append(outgoing[:0], f.Sent...)
 			outgoing = append(outgoing, f.SendOmitted...)
-			if err := sameOutgoing(id, r, out, outgoing, byTo); err != nil {
+			expanded = Expand(expanded[:0], out, e.N, id)
+			if err := sameOutgoing(id, r, expanded, outgoing, byTo); err != nil {
 				return err
 			}
 			received = append(received[:0], f.Received...)
@@ -847,8 +931,9 @@ func (e *Trace) Conforms(factory Factory, skip proc.Set) error {
 	return nil
 }
 
-// sameOutgoing checks the machine's emitted messages against the trace's
-// recorded ones. byTo is caller-provided scratch, cleared on entry.
+// sameOutgoing checks the machine's emitted messages, expanded one entry
+// per receiver, against the trace's recorded ones. byTo is caller-provided
+// scratch, cleared on entry.
 func sameOutgoing(id proc.ID, round int, out []Outgoing, recorded []msg.Message, byTo map[proc.ID]string) error {
 	if len(out) != len(recorded) {
 		return fmt.Errorf("%s round %d: machine emits %d messages, trace records %d",

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,17 +69,27 @@ type badMachine struct {
 }
 
 func (m *badMachine) Init() []sim.Outgoing {
+	to := proc.ID(0)
+	if m.id == 0 {
+		to = 1
+	}
 	switch m.mode {
 	case "self":
 		return []sim.Outgoing{{To: m.id, Payload: "x"}}
 	case "dup":
-		to := proc.ID(0)
-		if m.id == 0 {
-			to = 1
-		}
 		return []sim.Outgoing{{To: to, Payload: "a"}, {To: to, Payload: "b"}}
 	case "range":
 		return []sim.Outgoing{{To: 99, Payload: "x"}}
+	case "no process":
+		return []sim.Outgoing{{To: -1, Payload: "x"}}
+	case "last id":
+		return []sim.Outgoing{{To: math.MaxInt, Payload: "x"}}
+	case "everyone and direct":
+		return []sim.Outgoing{{To: sim.Everyone, Payload: "a"}, {To: to, Payload: "b"}}
+	case "direct and everyone":
+		return []sim.Outgoing{{To: to, Payload: "b"}, {To: sim.Everyone, Payload: "a"}}
+	case "everyone twice":
+		return []sim.Outgoing{{To: sim.Everyone, Payload: "a"}, {To: sim.Everyone, Payload: "a"}}
 	}
 	return nil
 }
@@ -163,12 +174,19 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestStructuralMisbehaviorRejected holds both tiers to the same error, byte
-// for byte, for each structural misuse.
+// for byte, for each structural misuse. An entry to Everyone is n - 1
+// messages to the checks: with a direct entry, or a second one, beside it
+// it sends twice to a peer; and -1 is a process outside Π, not Everyone.
 func TestStructuralMisbehaviorRejected(t *testing.T) {
 	for mode, want := range map[string]string{
-		"self":  "round 1: p0 sent to itself",
-		"dup":   "round 1: p0 sent twice to p1",
-		"range": "round 1: p0 sent to unknown process 99",
+		"self":                "round 1: p0 sent to itself",
+		"dup":                 "round 1: p0 sent twice to p1",
+		"range":               "round 1: p0 sent to unknown process 99",
+		"no process":          "round 1: p0 sent to unknown process -1",
+		"last id":             "round 1: p0 sent to unknown process 9223372036854775807",
+		"everyone and direct": "round 1: p0 sent twice to p1",
+		"direct and everyone": "round 1: p0 sent twice to p1",
+		"everyone twice":      "round 1: p0 sent twice to p1",
 	} {
 		t.Run(mode, func(t *testing.T) {
 			factory := func(id proc.ID, _ msg.Value) sim.Machine {

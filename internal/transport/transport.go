@@ -125,9 +125,14 @@ func RunNode(ep Endpoint, n int, id proc.ID, machine sim.Machine, rounds int) No
 	// grow without bound.
 	future := make(map[int]map[int]Frame)
 
+	// sends is the round's out expanded per peer (sim.Expand), reused from
+	// round to round; a node of up to 17 processes expands it on the stack.
+	var stack [16]sim.Outgoing
+	sends := stack[:0]
 	for r := 1; r <= rounds; r++ {
-		payloads := make(map[proc.ID]string, len(out))
-		for _, o := range out {
+		sends = sim.Expand(sends[:0], out, n, id)
+		payloads := make(map[proc.ID]string, len(sends))
+		for _, o := range sends {
 			payloads[o.To] = o.Payload
 		}
 		for p := proc.ID(0); p < proc.ID(n); p++ {

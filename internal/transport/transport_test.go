@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"expensive/internal/protocols/cheap"
 	"expensive/internal/protocols/phaseking"
 	"expensive/internal/protocols/weak"
+	"expensive/internal/sim"
 	"expensive/internal/transport"
 	"expensive/internal/transport/memnet"
 	"expensive/internal/transport/tcpnet"
@@ -63,6 +65,56 @@ func TestRunNodeDropsFramesPastHorizon(t *testing.T) {
 	}
 	if none, many := allocs(0), allocs(256); many > none {
 		t.Errorf("RunNode allocates %.0f times with 256 frames past its horizon, %.0f with none", many, none)
+	}
+}
+
+// namer says its name to sim.Everyone in round 1 and keeps what it hears.
+type namer struct {
+	id    proc.ID
+	out   sim.Broadcast
+	heard []msg.Message
+}
+
+func (m *namer) Init() []sim.Outgoing { return m.out.Send(m.id.String()) }
+
+func (m *namer) Step(_ int, received []msg.Message) []sim.Outgoing {
+	m.heard = append(m.heard, received...)
+	return nil
+}
+
+func (m *namer) Decision() (msg.Value, bool) { return msg.NoDecision, false }
+func (m *namer) Quiescent() bool             { return true }
+
+// TestRunNodeDeliversEveryone runs one round over memnet in which every
+// node says its name to sim.Everyone: RunNode must deliver it to all n - 1
+// peers and not to the node itself, so every node hears each other node
+// once and counts n - 1 sends.
+func TestRunNodeDeliversEveryone(t *testing.T) {
+	const n = 5
+	machines := make([]*namer, n)
+	factory := func(id proc.ID, _ msg.Value) sim.Machine {
+		machines[id] = &namer{id: id}
+		return machines[id]
+	}
+	eps := memnet.New(n, nil).Endpoints()
+	defer eps[0].Close() // closing one endpoint closes the mesh
+	res, err := transport.Cluster{N: n, Endpoints: eps, Factory: factory, Proposals: uniform(n, msg.Zero), Rounds: 1}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, m := range machines {
+		var want []msg.Message
+		for p := proc.ID(0); p < n; p++ {
+			if p != proc.ID(id) {
+				want = append(want, msg.Message{Sender: p, Receiver: proc.ID(id), Round: 1, Payload: p.String()})
+			}
+		}
+		if !reflect.DeepEqual(m.heard, want) {
+			t.Errorf("p%d heard %v, want %v", id, m.heard, want)
+		}
+		if res[id].Err != nil || res[id].Sent != n-1 {
+			t.Errorf("p%d: %d sends, error %v; want %d and none", id, res[id].Sent, res[id].Err, n-1)
+		}
 	}
 }
 
