@@ -43,10 +43,11 @@
 //   - Shrink (plan.go, shrink.go) — minimizes a found violation in the
 //     delta-debugging style: the fault plan exercised by the violating
 //     trace is first materialized as an ExplicitPlan (exact omitted
-//     message identities plus replayable Byzantine machine specs), then
-//     greedily reduced — fewer corrupted processes, fewer omitted
-//     messages, and, when the protocol is available at smaller sizes, a
-//     smaller n — every candidate through Target.Replay. Recheck
+//     message identities plus, per Byzantine process, the MachineSpec its
+//     machine carries and is rebuilt from), then greedily reduced — fewer
+//     corrupted processes, fewer omitted messages, and, when the protocol
+//     is available at smaller sizes, a smaller n — every candidate
+//     through Target.Replay. Recheck
 //     independently re-validates the final certificate from scratch,
 //     CheckViolation-style.
 //

@@ -155,6 +155,11 @@ func (f *Fuzzer) validate() error {
 		if err := adversary.CheckStreamVersion("corpus", f.Corpus.StreamVersion); err != nil {
 			return fmt.Errorf("fuzz: %w", err)
 		}
+		for i, e := range f.Corpus.Entries {
+			if e == nil {
+				return fmt.Errorf("fuzz: corpus entry %d is null", i)
+			}
+		}
 	}
 	return nil
 }

@@ -234,6 +234,10 @@ func TestFuzzerValidation(t *testing.T) {
 		func(f *Fuzzer) { f.T = 0 },
 		func(f *Fuzzer) { f.Budget = 0 },
 		func(f *Fuzzer) { f.Seed = adversary.Strategy{} }, // no strategy, no corpus
+		func(f *Fuzzer) { // a corpus entry that decoded from JSON null
+			f.Corpus = NewCorpus("floodset", 4, 3)
+			f.Corpus.Entries = []*Entry{nil}
+		},
 	}
 	for i, breakIt := range cases {
 		f := floodsetFuzzer(4, 3, 64, 1)

@@ -2,7 +2,6 @@ package adversary
 
 import (
 	"fmt"
-	"sort"
 
 	"expensive/internal/msg"
 	"expensive/internal/proc"
@@ -27,10 +26,12 @@ const (
 )
 
 // build constructs a fresh machine from the spec. Machines are stateful,
-// so every run must build its own. Unknown kinds degrade to silence —
-// specs are produced only by this package, so that is a defensive default,
-// not an expected path. Two-faced machines need env.Factory; without one
-// they degrade to silence too.
+// so every run must build its own. Every machine it returns carries s
+// (the specced interface), which is how Extract describes a plan's
+// Byzantine processes. Unknown kinds degrade to silence — specs are
+// produced only by this package, so that is a defensive default, not an
+// expected path. Two-faced machines need env.Factory; without one they
+// degrade to silence too.
 func (s MachineSpec) build(env Env, id proc.ID) sim.Machine {
 	switch s.Kind {
 	case KindChaos:
@@ -42,45 +43,30 @@ func (s MachineSpec) build(env Env, id proc.ID) sim.Machine {
 			return newTwoFaced(env, id, s.Seed)
 		}
 	}
-	return sim.Silent{}
+	return silent{s: s}
 }
+
+// specced is a machine that knows the spec it was built from. Every
+// machine build makes implements it; a machine made any other way (a
+// hand-written one, or sim.Silent itself) has no replayable spec.
+type specced interface {
+	spec() MachineSpec
+}
+
+// silent is sim.Silent carrying the spec it was built from: the machine
+// of an unknown kind, or of a two-faced spec with no factory to run.
+type silent struct {
+	sim.Silent
+	s MachineSpec
+}
+
+func (m silent) spec() MachineSpec { return m.s }
 
 // ByzEntry assigns a replayable machine spec to one corrupted process.
 type ByzEntry struct {
 	ID   proc.ID     `json:"id"`
 	Spec MachineSpec `json:"machine"`
 }
-
-// sortEntries orders entries by process ID, in place, and returns them.
-func sortEntries(es []ByzEntry) []ByzEntry {
-	sort.Slice(es, func(i, j int) bool { return es[i].ID < es[j].ID })
-	return es
-}
-
-// speccedPlan is the hook through which Extract learns how to rebuild a
-// plan's Byzantine machines. All plans produced by this package's
-// Byzantine strategies implement it; combinator plans delegate.
-type speccedPlan interface {
-	Specs() []ByzEntry
-}
-
-// specsOf returns the plan's machine specs, or nil when the plan carries
-// none (pure omission plans) or is not replayable (foreign plans).
-func specsOf(plan sim.FaultPlan) []ByzEntry {
-	if sp, ok := plan.(speccedPlan); ok {
-		return sp.Specs()
-	}
-	return nil
-}
-
-// byzPlan couples a ByzantinePlan with the specs that rebuild it.
-type byzPlan struct {
-	sim.ByzantinePlan
-	specs []ByzEntry
-}
-
-// Specs implements the replayable-machines hook.
-func (p byzPlan) Specs() []ByzEntry { return p.specs }
 
 // byzStrategy corrupts a random subset of at most t processes and replaces
 // each with a freshly seeded machine of the given kind.
@@ -89,13 +75,10 @@ func byzStrategy(name, kind string) Strategy {
 		r := NewStream(seed, name)
 		f := randomFaulty(&r, env.N, env.T)
 		machines := make(map[proc.ID]sim.Machine, f.Len())
-		entries := make([]ByzEntry, 0, f.Len())
 		for _, id := range f.Members() {
-			spec := MachineSpec{Kind: kind, Seed: r.Int63()}
-			machines[id] = spec.build(env, id)
-			entries = append(entries, ByzEntry{ID: id, Spec: spec})
+			machines[id] = MachineSpec{Kind: kind, Seed: r.Int63()}.build(env, id)
 		}
-		return byzPlan{ByzantinePlan: sim.ByzantinePlan{Machines: machines}, specs: entries}
+		return sim.ByzantinePlan{Machines: machines}
 	}}
 }
 
@@ -164,6 +147,8 @@ func (m *chaosMachine) Decision() (msg.Value, bool) { return msg.NoDecision, fal
 // Quiescent implements sim.Machine.
 func (m *chaosMachine) Quiescent() bool { return false }
 
+func (m *chaosMachine) spec() MachineSpec { return MachineSpec{Kind: KindChaos, Seed: m.seed} }
+
 // equivocator tells a fixed pseudo-random half of Π "0" and the rest "1",
 // every round. The split is per-execution, not per-round: each peer sees a
 // consistent story, which is what makes equivocation hard to detect
@@ -209,6 +194,8 @@ func (m *equivocator) Decision() (msg.Value, bool) { return msg.NoDecision, fals
 
 // Quiescent implements sim.Machine.
 func (m *equivocator) Quiescent() bool { return false }
+
+func (m *equivocator) spec() MachineSpec { return MachineSpec{Kind: KindEquivocate, Seed: m.seed} }
 
 // twoFaced runs two honest copies of the protocol machine with opposite
 // proposals, feeds both the full received view, and routes each peer the
@@ -274,6 +261,8 @@ func (m *twoFaced) Decision() (msg.Value, bool) { return msg.NoDecision, false }
 
 // Quiescent implements sim.Machine.
 func (m *twoFaced) Quiescent() bool { return m.a.Quiescent() && m.b.Quiescent() }
+
+func (m *twoFaced) spec() MachineSpec { return MachineSpec{Kind: KindTwoFaced, Seed: m.seed} }
 
 // String renders a spec for diagnostics.
 func (s MachineSpec) String() string { return fmt.Sprintf("%s(seed=%d)", s.Kind, s.Seed) }

@@ -122,7 +122,6 @@ func (p *ExplicitPlan) Plan(env Env) sim.FaultPlan {
 		send:     make(map[msg.Key]bool, len(p.SendOmit)),
 		recv:     make(map[msg.Key]bool, len(p.ReceiveOmit)),
 		machines: make(map[proc.ID]sim.Machine, len(p.Byzantine)),
-		specs:    append([]ByzEntry(nil), p.Byzantine...),
 	}
 	for _, k := range p.SendOmit {
 		fp.send[k] = true
@@ -142,7 +141,6 @@ type explicitFaultPlan struct {
 	send     map[msg.Key]bool
 	recv     map[msg.Key]bool
 	machines map[proc.ID]sim.Machine
-	specs    []ByzEntry
 }
 
 var _ sim.FaultPlan = (*explicitFaultPlan)(nil)
@@ -159,16 +157,15 @@ func (p *explicitFaultPlan) SendOmit(m msg.Message) bool { return p.send[m.Key()
 // ReceiveOmit implements sim.FaultPlan.
 func (p *explicitFaultPlan) ReceiveOmit(m msg.Message) bool { return p.recv[m.Key()] }
 
-// Specs implements the replayable-machines hook.
-func (p *explicitFaultPlan) Specs() []ByzEntry { return p.specs }
-
 // Extract materializes the fault plan actually exercised by execution e:
-// the omitted message identities recorded in the trace, plus the machine
-// specs of the plan's Byzantine processes. Replaying the result
-// reproduces e exactly — the omission decisions on messages never
-// attempted cannot matter, and the machines are deterministic. It refuses
-// a lean execution, and fails when the plan replaced machines it cannot
-// describe (a plan built outside this package's strategy library).
+// the omitted message identities recorded in the trace, plus the spec of
+// each Byzantine machine, read off the machine plan.Byzantine returns for
+// each faulty process (a machine this package builds carries its spec).
+// Replaying the result reproduces e exactly — the omission decisions on
+// messages never attempted cannot matter, and the machines are
+// deterministic. It refuses a lean execution, and fails when the plan
+// replaced a machine that has no spec (one built outside this package's
+// strategy library).
 func Extract(e *sim.Execution, plan sim.FaultPlan) (*ExplicitPlan, error) {
 	t, err := e.Trace()
 	if err != nil {
@@ -192,20 +189,16 @@ func extract(e *sim.Trace, plan sim.FaultPlan) (*ExplicitPlan, error) {
 	slices.SortFunc(out.SendOmit, msg.Key.Compare)
 	slices.SortFunc(out.ReceiveOmit, msg.Key.Compare)
 
-	specs := make(map[proc.ID]MachineSpec)
-	for _, entry := range specsOf(plan) {
-		specs[entry.ID] = entry.Spec
-	}
-	for _, id := range e.Faulty.Members() {
-		if plan.Byzantine(id) == nil {
+	for _, id := range out.Faulty {
+		m := plan.Byzantine(id)
+		if m == nil {
 			continue
 		}
-		spec, ok := specs[id]
+		sm, ok := m.(specced)
 		if !ok {
 			return nil, fmt.Errorf("extract: byzantine machine of %s has no replayable spec", id)
 		}
-		out.Byzantine = append(out.Byzantine, ByzEntry{ID: id, Spec: spec})
+		out.Byzantine = append(out.Byzantine, ByzEntry{ID: id, Spec: sm.spec()})
 	}
-	sortEntries(out.Byzantine)
 	return out, nil
 }

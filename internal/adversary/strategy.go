@@ -89,11 +89,7 @@ func RandomSendOmission(biasPct int) Strategy {
 	return Strategy{Name: name, Build: func(seed int64, env Env) sim.FaultPlan {
 		r := NewStream(seed, name)
 		f := randomFaulty(&r, env.N, env.T)
-		s := r.Int63()
-		return sim.OmissionPlan{
-			F:      f,
-			SendFn: func(m msg.Message) bool { return coin(s, m, biasPct) },
-		}
+		return coinOmission{f: f, sendSeed: r.Int63(), sendPct: pct32(biasPct)}
 	}}
 }
 
@@ -104,11 +100,7 @@ func RandomReceiveOmission(biasPct int) Strategy {
 	return Strategy{Name: name, Build: func(seed int64, env Env) sim.FaultPlan {
 		r := NewStream(seed, name)
 		f := randomFaulty(&r, env.N, env.T)
-		s := r.Int63()
-		return sim.OmissionPlan{
-			F:         f,
-			ReceiveFn: func(m msg.Message) bool { return coin(s, m, biasPct) },
-		}
+		return coinOmission{f: f, recvSeed: r.Int63(), recvPct: pct32(biasPct)}
 	}}
 }
 
@@ -121,21 +113,27 @@ func RandomOmission(biasPct int) Strategy {
 		r := NewStream(seed, name)
 		f := randomFaulty(&r, env.N, env.T)
 		sendSeed, recvSeed := r.Int63(), r.Int63()
-		return coinOmission{f: f, sendSeed: sendSeed, recvSeed: recvSeed, biasPct: biasPct}
+		pct := pct32(biasPct)
+		return coinOmission{f: f, sendSeed: sendSeed, recvSeed: recvSeed, sendPct: pct, recvPct: pct}
 	}}
 }
 
-// coinOmission is RandomOmission's plan: sim.OmissionPlan with its two
-// predicates written as methods, so that building one is one allocation,
-// not three. It omits a message of a corrupted sender or receiver when
-// that side's coin comes up.
+// coinOmission is the plan of the three random-omission strategies:
+// sim.OmissionPlan with its two predicates written as methods, so that
+// building one is one allocation, not three. It omits a message of a
+// corrupted sender or receiver when that side's coin comes up; a side
+// whose percentage is 0 never omits.
 type coinOmission struct {
 	f                  proc.Set
 	sendSeed, recvSeed int64
-	biasPct            int
+	sendPct, recvPct   int32
 }
 
 var _ sim.FaultPlan = coinOmission{}
+
+// pct32 narrows a percentage to coinOmission's field, clamped to 0..100
+// first: coin reads every value past either end as that end.
+func pct32(pct int) int32 { return int32(min(max(pct, 0), 100)) }
 
 // Faulty implements sim.FaultPlan.
 func (p coinOmission) Faulty() proc.Set { return p.f }
@@ -145,12 +143,12 @@ func (coinOmission) Byzantine(proc.ID) sim.Machine { return nil }
 
 // SendOmit implements sim.FaultPlan.
 func (p coinOmission) SendOmit(m msg.Message) bool {
-	return p.f.Contains(m.Sender) && coin(p.sendSeed, m, p.biasPct)
+	return p.f.Contains(m.Sender) && coin(p.sendSeed, m, int(p.sendPct))
 }
 
 // ReceiveOmit implements sim.FaultPlan.
 func (p coinOmission) ReceiveOmit(m msg.Message) bool {
-	return p.f.Contains(m.Receiver) && coin(p.recvSeed, m, p.biasPct)
+	return p.f.Contains(m.Receiver) && coin(p.recvSeed, m, int(p.recvPct))
 }
 
 // SilentCrash crashes a random subset of at most t processes at random
@@ -191,10 +189,11 @@ func targetParams(seed int64, env Env) (attacker, victim proc.ID, pivot int) {
 
 // TargetedWithhold is the targeted send-omission attack that separates the
 // crash model from the omission model (experiment E10, generalized): a
-// seed-chosen attacker holds the uniquely small proposal, send-omits
-// everything before a seed-chosen pivot round, and from the pivot on
-// delivers only to a single victim. When the pivot lands on the
-// protocol's decision round, crash-tolerant protocols like FloodSet split.
+// seed-chosen attacker holds the uniquely small proposal, and
+// omission.Withhold has it send-omit everything before a seed-chosen pivot
+// round and from the pivot on deliver only to a single victim. When the
+// pivot lands on the protocol's decision round, crash-tolerant protocols
+// like FloodSet split.
 func TargetedWithhold() Strategy {
 	return Strategy{
 		Name: "targeted-withhold",
@@ -202,19 +201,7 @@ func TargetedWithhold() Strategy {
 			if env.T < 1 {
 				return sim.NoFaults{} // no budget (e.g. the small side of a Union split)
 			}
-			attacker, victim, pivot := targetParams(seed, env)
-			return sim.OmissionPlan{
-				F: proc.NewSet(attacker),
-				SendFn: func(m msg.Message) bool {
-					if m.Sender != attacker {
-						return false
-					}
-					if m.Round < pivot {
-						return true // withhold everything before the pivot
-					}
-					return m.Receiver != victim // then reveal to the victim only
-				},
-			}
+			return omission.Withhold(targetParams(seed, env))
 		},
 		Proposals: func(seed int64, env Env) []msg.Value {
 			attacker, _, _ := targetParams(seed, env)
@@ -293,22 +280,6 @@ func (u unionPlan) SendOmit(m msg.Message) bool { return u.a.SendOmit(m) || u.b.
 // ReceiveOmit implements sim.FaultPlan.
 func (u unionPlan) ReceiveOmit(m msg.Message) bool { return u.a.ReceiveOmit(m) || u.b.ReceiveOmit(m) }
 
-// Specs implements the replayable-machines hook by collecting both sides'.
-func (u unionPlan) Specs() []ByzEntry {
-	out := append(specsOf(u.a), specsOf(u.b)...)
-	// A process can only carry one machine (a wins ties in Byzantine), so
-	// keep the first spec per ID, in ID order.
-	seen := make(map[proc.ID]bool, len(out))
-	var uniq []ByzEntry
-	for _, e := range out {
-		if !seen[e.ID] {
-			seen[e.ID] = true
-			uniq = append(uniq, e)
-		}
-	}
-	return sortEntries(uniq)
-}
-
 // Windowed gates a strategy's omission faults to the round interval
 // [lo, hi] (inclusive). Byzantine machines pass through unchanged — a
 // replaced machine misbehaves for the whole run by definition.
@@ -365,6 +336,3 @@ func (p filteredPlan) SendOmit(m msg.Message) bool { return p.inner.SendOmit(m) 
 
 // ReceiveOmit implements sim.FaultPlan.
 func (p filteredPlan) ReceiveOmit(m msg.Message) bool { return p.inner.ReceiveOmit(m) && p.keep(m) }
-
-// Specs implements the replayable-machines hook by delegating inward.
-func (p filteredPlan) Specs() []ByzEntry { return specsOf(p.inner) }

@@ -7,6 +7,7 @@ import (
 	"expensive/internal/crypto/sig"
 	"expensive/internal/lowerbound"
 	"expensive/internal/msg"
+	"expensive/internal/omission"
 	"expensive/internal/proc"
 	"expensive/internal/protocols/dolevstrong"
 	"expensive/internal/protocols/floodset"
@@ -19,7 +20,9 @@ import (
 // paper proves Ω(t²) against *omission* faults, strictly stronger than
 // crashes. FloodSet — correct under crashes — splits under a single
 // omission-faulty process, while the Byzantine-tolerant Phase-King (a
-// fortiori omission-tolerant) survives the same attack.
+// fortiori omission-tolerant) survives the same attack: omission.Withhold
+// with p0 (the lone 0) as attacker, p1 as victim and FloodSet's decision
+// round as pivot, so only p1 learns the 0, in the last round.
 func E10(n, t int) (*Table, error) {
 	proposals := msg.Uniform(n, msg.One)
 	proposals[0] = msg.Zero
@@ -28,7 +31,7 @@ func E10(n, t int) (*Table, error) {
 	crashPlan := sim.Crash(map[proc.ID]sim.CrashSpec{
 		0: {Round: 1, DeliverTo: proc.NewSet(1)},
 	})
-	reveal := floodset.LastRoundReveal(0, 1, t)
+	reveal := omission.Withhold(0, 1, floodset.RoundBound(t))
 	trials := []struct {
 		protocol string
 		t        int

@@ -20,6 +20,21 @@ func Isolation(group proc.Set, fromRound int) sim.OmissionPlan {
 	}
 }
 
+// Withhold returns the withhold-then-reveal plan: attacker is the one
+// corrupted process, send-omits everything it sends before round pivot,
+// and from pivot on delivers only to victim. With pivot at a protocol's
+// decision round it is the attack that splits crash-tolerant FloodSet:
+// the victim learns the attacker's value at decision time, no one else
+// ever does.
+func Withhold(attacker, victim proc.ID, pivot int) sim.OmissionPlan {
+	return sim.OmissionPlan{
+		F: proc.NewSet(attacker),
+		SendFn: func(m msg.Message) bool {
+			return m.Sender == attacker && (m.Round < pivot || m.Receiver != victim)
+		},
+	}
+}
+
 // CheckIsolated verifies that, in execution e, group is isolated from
 // fromRound exactly as Definition 1 demands: members are faulty, never
 // send-omit, and receive-omit a message iff it comes from outside the

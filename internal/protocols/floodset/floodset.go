@@ -152,22 +152,3 @@ func (m *machine) Step(round int, received []msg.Message) []sim.Outgoing {
 	}
 	return m.broadcast()
 }
-
-// LastRoundReveal is the omission attack that defeats FloodSet: the faulty
-// attacker holds a uniquely small value, send-omits everything until the
-// final round, then delivers only to the victim. The victim's set gains
-// the small value at decision time; everyone else never sees it.
-func LastRoundReveal(attacker, victim proc.ID, t int) sim.OmissionPlan {
-	return sim.OmissionPlan{
-		F: proc.NewSet(attacker),
-		SendFn: func(m msg.Message) bool {
-			if m.Sender != attacker {
-				return false
-			}
-			if m.Round < RoundBound(t) {
-				return true // withhold everything before the last round
-			}
-			return m.Receiver != victim // reveal to the victim only
-		},
-	}
-}

@@ -57,7 +57,7 @@ func TestFloodSetBreaksUnderOmission(t *testing.T) {
 	// omission-tolerance. A single faulty process splits the decision.
 	n, tf := 6, 2
 	proposals := []msg.Value{"0", "9", "9", "9", "9", "9"}
-	plan := floodset.LastRoundReveal(0, 1, tf)
+	plan := omission.Withhold(0, 1, floodset.RoundBound(tf))
 	e := runFS(t, n, tf, proposals, plan)
 	if err := omission.Validate(e); err != nil {
 		t.Fatalf("trace invalid: %v", err)
