@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"slices"
 
 	"expensive/internal/msg"
 	"expensive/internal/omission"
@@ -70,16 +71,20 @@ func (s Strategy) ProposalsFor(seed int64, env Env) []msg.Value {
 
 // randomFaulty draws a non-empty random subset of at most t processes
 // (empty when the budget t is zero, as happens under Union sub-budgets).
+// It draws until count distinct IDs are in hand and builds the set once.
 func randomFaulty(r *Stream, n, t int) proc.Set {
-	var f proc.Set
 	if t < 1 {
-		return f
+		return proc.Set{}
 	}
 	count := 1 + r.Intn(t)
-	for f.Len() < count {
-		f = f.Add(proc.ID(r.Intn(n)))
+	var stack [8]proc.ID
+	ids := stack[:0]
+	for len(ids) < count {
+		if id := proc.ID(r.Intn(n)); !slices.Contains(ids, id) {
+			ids = append(ids, id)
+		}
 	}
-	return f
+	return proc.NewSet(ids...)
 }
 
 // RandomSendOmission corrupts a random subset of at most t processes and

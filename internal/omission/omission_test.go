@@ -218,6 +218,24 @@ func TestValidateNamesTheSmallestLostMessage(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesLossInLastRound loses one message of the last round
+// the trace records: send-validity covers every recorded round, the last
+// one included.
+func TestValidateCatchesLossInLastRound(t *testing.T) {
+	e := runFull(t, msg.Zero)
+	last := len(e.Behavior(0).Fragments)
+	f := &e.Behavior(1).Fragments[last-1]
+	if len(f.Received) == 0 || f.Received[0].Sender != 0 {
+		t.Fatalf("p1 received %v in round %d, want a message from p0 first", f.Received, last)
+	}
+	lost := f.Received[0]
+	f.Received = slices.Clone(f.Received[1:])
+	want := fmt.Sprintf("send-validity: %v sent but neither received nor receive-omitted", lost)
+	if err := Validate(e); err == nil || err.Error() != want {
+		t.Errorf("Validate = %v, want %q", err, want)
+	}
+}
+
 // TestValidateRejectsEndpointsOutsidePi: the fragment conditions of
 // Appendix A.1.4 range over Π, so a message to or from a process outside
 // it is a composition error in each of a faulty process's four lists —
@@ -326,6 +344,22 @@ func TestCheckIsolatedRejectsWrongRound(t *testing.T) {
 	}
 	if err := CheckIsolated(e, proc.NewSet(0), 1); err == nil {
 		t.Error("expected CheckIsolated to reject non-faulty group")
+	}
+}
+
+// TestCheckIsolatedCatchesReceiveAtFromRound checks a group isolated
+// from round 3 against a claim of round 2: a message from outside the
+// group received in round fromRound itself breaks the claim.
+func TestCheckIsolatedCatchesReceiveAtFromRound(t *testing.T) {
+	group := proc.NewSet(6, 7)
+	e, err := RunIsolated(tn, tt, echoFactory(tn, 3), msg.Zero, group, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := msg.Message{Sender: 0, Receiver: 6, Round: 2, Payload: string(msg.Zero)}
+	want := fmt.Sprintf("isolation: p6 received %v from outside the group after round 2", m)
+	if err := CheckIsolated(e, group, 2); err == nil || err.Error() != want {
+		t.Errorf("CheckIsolated = %v, want %q", err, want)
 	}
 }
 

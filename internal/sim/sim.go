@@ -150,7 +150,7 @@ func messages(out []Outgoing, n int) int {
 // initial state). Step consumes the messages received in round r and
 // returns the messages to send in round r+1; the received slice is only
 // valid for the duration of the call — it is backing store the engine
-// reuses — so machines must copy anything they keep. The ownership rule is
+// and transport.RunNode reuse — so machines must copy anything they keep. The ownership rule is
 // the same in the other direction: a slice returned by Init or Step is
 // lent until the next Init or Step call on that machine (see Broadcast).
 // An entry of it may be addressed to Everyone, so whoever reads the slice

@@ -1,8 +1,8 @@
 // Package memnet is the in-process mesh: reliable FIFO links realized as
-// buffered Go channels, one per ordered pair of processes, with optional
-// transport-level fault injection. It is the default substrate for the
-// examples and for tests that want live goroutine concurrency without
-// sockets.
+// buffered Go channels, one inbox per process that all its peers send
+// into, with optional transport-level fault injection. It is the default
+// substrate for the examples and for tests that want live goroutine
+// concurrency without sockets.
 package memnet
 
 import (
@@ -32,8 +32,10 @@ type Mesh struct {
 func New(n int, filter DropFilter) *Mesh {
 	m := &Mesh{n: n, inbox: make([]chan transport.Frame, n), filter: filter}
 	for i := range m.inbox {
-		// One frame per peer per round can be in flight; n is a safe bound
-		// that keeps senders from ever blocking within a round.
+		// A peer runs at most one round ahead of the receiver (round r+2
+		// waits for the receiver's r+1 frame), so at most two rounds of
+		// frames per peer are in flight, and chaosnet may duplicate each:
+		// 4(n-1) frames, which 4n covers, keep senders from ever blocking.
 		m.inbox[i] = make(chan transport.Frame, 4*n)
 	}
 	return m

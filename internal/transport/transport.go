@@ -112,6 +112,11 @@ type NodeResult struct {
 
 // RunNode drives one machine for the given number of rounds over an
 // endpoint. It returns when all rounds have completed or an error occurs.
+//
+// The inbox passed to machine.Step is lent for the call only, as the
+// engine lends its own (see sim.Machine): RunNode refills the same slice
+// every round, in sender order, which with the round and the receiver
+// fixed is msg.Key.Compare order.
 func RunNode(ep Endpoint, n int, id proc.ID, machine sim.Machine, rounds int) NodeResult {
 	res := NodeResult{ID: id}
 	out := machine.Init()
@@ -122,40 +127,55 @@ func RunNode(ep Endpoint, n int, id proc.ID, machine sim.Machine, rounds int) No
 	// step immune to both — the round barrier itself provides the dedup
 	// point, so no sequence numbers are needed on the wire. Frames past
 	// the last round are dropped too, so a peer cannot make the buffer
-	// grow without bound.
-	future := make(map[int]map[int]Frame)
+	// grow without bound. A frame arrives early only when a peer runs
+	// ahead, so the map is made on the first one.
+	var future map[int]map[int]Frame
 
-	// sends is the round's out expanded per peer (sim.Expand), reused from
-	// round to round; a node of up to 17 processes expands it on the stack.
-	var stack [16]sim.Outgoing
-	sends := stack[:0]
+	// The round's working state lives for the whole run. sends is out
+	// expanded per peer (sim.Expand); outbox[p] is the frame sent to p;
+	// frames[p] is the first frame from sender p for the current round
+	// exactly when its Round is r, so the table is never cleared.
+	// A node of up to 17 processes keeps all three on the stack.
+	var (
+		sendStack         [16]sim.Outgoing
+		outStack, inStack [17]Frame
+	)
+	sends, outbox, frames := sendStack[:0], outStack[:], inStack[:]
+	if n > len(inStack) {
+		outbox, frames = make([]Frame, n), make([]Frame, n)
+	}
+	outbox, frames = outbox[:n], frames[:n]
+	received := make([]msg.Message, 0, max(n-1, 0))
 	for r := 1; r <= rounds; r++ {
+		for p := range outbox {
+			outbox[p] = Frame{From: int(id), To: p, Round: r}
+		}
 		sends = sim.Expand(sends[:0], out, n, id)
-		payloads := make(map[proc.ID]string, len(sends))
 		for _, o := range sends {
-			payloads[o.To] = o.Payload
+			if o.To >= 0 && int(o.To) < n {
+				outbox[o.To].Has, outbox[o.To].Payload = true, o.Payload
+			}
 		}
 		for p := proc.ID(0); p < proc.ID(n); p++ {
 			if p == id {
 				continue
 			}
-			f := Frame{From: int(id), To: int(p), Round: r}
-			if body, ok := payloads[p]; ok {
-				f.Has, f.Payload = true, body
+			if outbox[p].Has {
 				res.Sent++
 			}
-			if err := ep.Send(p, f); err != nil {
+			if err := ep.Send(p, outbox[p]); err != nil {
 				res.Err = fmt.Errorf("%s round %d: send to %s: %w", id, r, p, err)
 				return res
 			}
 		}
 
-		frames := future[r]
-		if frames == nil {
-			frames = make(map[int]Frame, n-1)
+		got := 0
+		for p, f := range future[r] {
+			frames[p] = f
+			got++
 		}
 		delete(future, r)
-		for len(frames) < n-1 {
+		for got < n-1 {
 			f, err := ep.Recv()
 			if err != nil {
 				res.Err = fmt.Errorf("%s round %d: recv: %w", id, r, err)
@@ -165,10 +185,14 @@ func RunNode(ep Endpoint, n int, id proc.ID, machine sim.Machine, rounds int) No
 				continue // stale duplicate of a completed round, past the horizon, or nonsense
 			}
 			if f.Round == r {
-				if _, dup := frames[f.From]; !dup {
+				if frames[f.From].Round != r {
 					frames[f.From] = f
+					got++
 				}
 				continue
+			}
+			if future == nil {
+				future = make(map[int]map[int]Frame)
 			}
 			ahead := future[f.Round]
 			if ahead == nil {
@@ -180,20 +204,18 @@ func RunNode(ep Endpoint, n int, id proc.ID, machine sim.Machine, rounds int) No
 			}
 		}
 
-		var received []msg.Message
-		for p := 0; p < n; p++ {
-			f, ok := frames[p]
-			if !ok || !f.Has {
-				continue
+		// The barrier is complete: every peer's entry holds round r.
+		received = received[:0]
+		for p := range frames {
+			if f := &frames[p]; f.Has {
+				received = append(received, msg.Message{
+					Sender:   proc.ID(f.From),
+					Receiver: id,
+					Round:    r,
+					Payload:  f.Payload,
+				})
 			}
-			received = append(received, msg.Message{
-				Sender:   proc.ID(f.From),
-				Receiver: id,
-				Round:    r,
-				Payload:  f.Payload,
-			})
 		}
-		msg.Sort(received)
 		out = machine.Step(r, received)
 	}
 

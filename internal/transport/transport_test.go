@@ -28,22 +28,35 @@ func uniform(n int, v msg.Value) []msg.Value {
 	return out
 }
 
-// scripted is an Endpoint whose Recv replays a fixed list of frames and
-// whose Send discards.
+var errScriptEnd = errors.New("script exhausted")
+
+// scripted is an Endpoint whose Recv replays a fixed list of frames, then
+// fails with errScriptEnd, and whose Send logs every frame.
 type scripted struct {
 	frames []transport.Frame
 	next   int
+	sent   []transport.Frame
 }
 
-func (e *scripted) Send(proc.ID, transport.Frame) error { return nil }
+func (e *scripted) Send(_ proc.ID, f transport.Frame) error {
+	e.sent = append(e.sent, f)
+	return nil
+}
 
 func (e *scripted) Recv() (transport.Frame, error) {
+	if e.next == len(e.frames) {
+		return transport.Frame{}, errScriptEnd
+	}
 	f := e.frames[e.next]
 	e.next++
 	return f, nil
 }
 
 func (e *scripted) Close() error { return nil }
+
+// rewind replays the script from its start with an empty send log that
+// keeps its capacity, so a rerun allocates nothing in the endpoint.
+func (e *scripted) rewind() { e.next, e.sent = 0, e.sent[:0] }
 
 // TestRunNodeDropsFramesPastHorizon feeds a one-round node frames for
 // many distinct rounds beyond its last before the frame it waits for. The
@@ -57,7 +70,7 @@ func TestRunNodeDropsFramesPastHorizon(t *testing.T) {
 		}
 		ep.frames = append(ep.frames, transport.Frame{From: 1, To: 0, Round: 1})
 		return testing.AllocsPerRun(10, func() {
-			ep.next = 0
+			ep.rewind()
 			if res := transport.RunNode(ep, 2, 0, cheap.Silent()(0, msg.Zero), 1); res.Err != nil {
 				t.Fatal(res.Err)
 			}
