@@ -61,10 +61,10 @@ type (
 	Solvability = validity.Solvability
 	// Derived is a protocol synthesized from a validity property.
 	Derived = solve.Derived
-	// FalsifyReport is the outcome of the Theorem 2 falsifier.
+	// FalsifyReport is the outcome of the Theorem 2 falsifier. Its
+	// Violation is a CampaignViolation whose explicit omission plan
+	// replays the counterexample, and its Recheck re-validates it.
 	FalsifyReport = lowerbound.Report
-	// Violation is a machine-checkable counterexample execution.
-	Violation = lowerbound.Violation
 	// ExperimentTable is a rendered experiment result.
 	ExperimentTable = experiments.Table
 	// ExperimentOptions tunes the parallel experiment engine (worker count,
@@ -220,18 +220,12 @@ func Floor(t int) int { return lowerbound.Floor(t) }
 
 // FalsifyWeakConsensus runs the §3 construction against a weak consensus
 // protocol with the given decision-round bound. The report either carries
-// a Violation — a valid ≤t-fault execution in which weak consensus
-// demonstrably fails — or certifies that the probe executions exceeded the
-// t²/32 message budget.
+// a violation — the explicit plan of a valid ≤t-fault omission execution
+// in which weak consensus demonstrably fails, which report.Recheck replays
+// and re-validates from scratch — or certifies that the probe executions
+// exceeded the t²/32 message budget.
 func FalsifyWeakConsensus(name string, factory Factory, roundBound, n, t int) (*FalsifyReport, error) {
 	return lowerbound.Falsify(name, factory, roundBound, n, t, lowerbound.Options{})
-}
-
-// CheckViolation independently re-validates a falsifier certificate:
-// execution guarantees, fault budget, machine conformance, and the
-// violation itself.
-func CheckViolation(v *Violation, factory Factory, roundBound int) error {
-	return lowerbound.CheckViolation(v, factory, roundBound)
 }
 
 // Solvability (Theorem 4) as a tool.
@@ -347,7 +341,8 @@ func Shrink(v *CampaignViolation, opts ShrinkOptions) (*ShrinkResult, error) {
 }
 
 // RecheckViolation independently re-validates a campaign violation (and
-// its shrunken counterexample, when present), CheckViolation-style.
+// its shrunken counterexample, when present): its explicit plan is
+// replayed from scratch and must exhibit exactly the recorded verdict.
 func RecheckViolation(v *CampaignViolation, opts ShrinkOptions) error {
 	return adversary.Recheck(v, opts)
 }

@@ -96,8 +96,8 @@ func TestFacadeFalsifier(t *testing.T) {
 	if !rep.Broken() {
 		t.Fatal("silent protocol not falsified")
 	}
-	if err := expensive.CheckViolation(rep.Violation, factory, 1); err != nil {
-		t.Fatalf("CheckViolation: %v", err)
+	if err := rep.Recheck(factory, 1); err != nil {
+		t.Fatalf("Recheck: %v", err)
 	}
 }
 

@@ -297,18 +297,16 @@ func runFalsify(args []string) error {
 			fmt.Println("  " + l)
 		}
 	}
+	fmt.Println("VERDICT:", rep.Verdict())
 	if rep.Broken() {
-		fmt.Println("VERDICT:", rep.Violation)
 		fmt.Println("certificate independently re-validated: execution guarantees, fault budget, machine conformance all hold")
 		if *verbose {
 			// Falsify partitioned Π the same way, so this cannot fail.
 			part, _ := proc.NewPartition(*n, *t)
 			groups := map[string]proc.Set{"A": part.A, "B": part.B, "C": part.C}
 			fmt.Println("\ncounterexample execution timeline:")
-			fmt.Print(viz.Timeline(rep.Violation.Exec.Execution, viz.Options{MaxRounds: 12, Groups: groups}))
+			fmt.Print(viz.Timeline(rep.Trace.Execution, viz.Options{MaxRounds: 12, Groups: groups}))
 		}
-	} else {
-		fmt.Println("VERDICT: no violation — the protocol paid the quadratic price (Theorem 2 satisfied)")
 	}
 	return tel.finish()
 }

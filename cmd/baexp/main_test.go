@@ -325,6 +325,7 @@ func TestGoldenText(t *testing.T) {
 		{"fuzz-shrink-stop.txt", "fuzz -proto floodset -n 4 -t 3 -budget 2048 -shrink -stop"},
 		{"matrix-floodset-4-1.txt", "matrix -proto floodset -sizes 4:1"},
 		{"coord-hunt-shrink-inproc2.txt", "coord -kind hunt " + hunt + " -inproc 2"},
+		{"falsify-star-40-16-v.txt", "falsify -proto star -n 40 -t 16 -v -parallel 1"},
 	} {
 		stdout, _, err := captureRun(t, strings.Fields(tc.cmd))
 		if err != nil {
@@ -375,6 +376,7 @@ func TestDeterminismSmokes(t *testing.T) {
 		{"exp parallel", "exp -json -parallel 1 E8", "exp -json -parallel 4 E8", machine, []string{`"table"`}},
 		{"falsify parallel", "falsify -proto weak-via-ic -n 24 -t 8 -v -parallel 1", "falsify -proto weak-via-ic -n 24 -t 8 -v -parallel 4", nil, []string{"paid the quadratic price"}},
 		{"falsify lifted", "falsify -proto dolev-strong -n 9 -t 8 -v -parallel 1", "falsify -proto dolev-strong -n 9 -t 8 -v -parallel 4", nil, []string{"paid the quadratic price"}},
+		{"falsify broken", "falsify -proto star -n 40 -t 16 -v -parallel 1", "falsify -proto star -n 40 -t 16 -v -parallel 4", nil, []string{"VERDICT: agreement violation"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -48,8 +48,8 @@
 //     corrupted processes, fewer omitted messages, and, when the protocol
 //     is available at smaller sizes, a smaller n — every candidate
 //     through Target.Replay. Recheck
-//     independently re-validates the final certificate from scratch,
-//     CheckViolation-style.
+//     independently re-validates the final certificate from scratch; it
+//     is also the recheck of every Theorem 2 falsifier certificate.
 //
 // The falsifier proves one theorem's construction; campaigns search the
 // whole space around it. Both end the same way: a minimal execution a

@@ -231,10 +231,10 @@ func Shrink(v *Violation, opts ShrinkOptions) (*ShrinkResult, error) {
 	}, nil
 }
 
-// Recheck independently re-validates a violation certificate,
-// CheckViolation-style: the explicit plan (the shrunken one when present)
-// is replayed from scratch through Target.Replay and must exhibit exactly
-// the recorded violation.
+// Recheck independently re-validates a violation certificate — a hunt,
+// fuzz, matrix or falsifier one alike: the explicit plan (the shrunken one
+// when present) is replayed from scratch through Target.Replay and must
+// exhibit exactly the recorded violation.
 func Recheck(v *Violation, opts ShrinkOptions) error {
 	if v == nil {
 		return fmt.Errorf("recheck: nil violation")

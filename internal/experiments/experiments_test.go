@@ -180,9 +180,9 @@ func TestTheorem3OverTheRegistry(t *testing.T) {
 			}
 			switch {
 			case spec.Model == catalog.CrashOnly && rep.Broken():
-				t.Logf("n=%d: crash-only, broken with a rechecked certificate: %s", n, rep.Violation)
+				t.Logf("n=%d: crash-only, broken with a rechecked certificate: %s", n, rep.Verdict())
 			case rep.Broken():
-				t.Fatalf("n=%d: falsified: %s", n, rep.Violation)
+				t.Fatalf("n=%d: falsified: %s", n, rep.Verdict())
 			case rep.MaxCorrectMessages < lowerbound.Floor(tf):
 				t.Fatalf("n=%d: survived with at most %d messages, below t²/32 = %d", n, rep.MaxCorrectMessages, lowerbound.Floor(tf))
 			default:

@@ -96,7 +96,7 @@ func falsifyRows(cands []lowerbound.Candidate, opts runner.Options, size func(lo
 		case err != nil:
 			return nil, err
 		case c.Sound && rep.Broken():
-			return nil, fmt.Errorf("%s: sound protocol falsified: %s", c.Name, rep.Violation)
+			return nil, fmt.Errorf("%s: sound protocol falsified: %s", c.Name, rep.Verdict())
 		case !c.Sound && !rep.Broken():
 			return nil, fmt.Errorf("%s: cheap protocol survived the falsifier", c.Name)
 		case c.Sound && rep.MaxCorrectMessages < rep.Threshold:
@@ -256,8 +256,8 @@ func E3(n, t int, opts runner.Options) (*Table, error) {
 	for _, l := range rep.Log {
 		tab.Rows = append(tab.Rows, []string{l})
 	}
-	if rep.Violation != nil {
-		tab.Rows = append(tab.Rows, []string{"=> " + rep.Violation.String()})
+	if rep.Broken() {
+		tab.Rows = append(tab.Rows, []string{"=> " + rep.Verdict()})
 	}
 	return tab, nil
 }

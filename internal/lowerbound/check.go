@@ -4,81 +4,9 @@ import (
 	"fmt"
 
 	"expensive/internal/msg"
-	"expensive/internal/omission"
-	"expensive/internal/proc"
 	"expensive/internal/protocols/reduction"
 	"expensive/internal/sim"
 )
-
-// CheckViolation independently verifies a certificate produced by Falsify:
-//
-//  1. the execution passes omission.Certify — the five Appendix A.1.6
-//     guarantees (at most t faulty among them) and every process's
-//     recorded behavior exactly reproduced by re-running the protocol's
-//     honest machine on its recorded inputs, so the trace genuinely
-//     belongs to the protocol — and
-//  2. the claimed violation is visible in the trace: two correct processes
-//     with different decisions, a correct process undecided past the
-//     protocol's round bound, or a correct process breaking Weak Validity
-//     in a unanimous fault-free execution.
-//
-// A nil return means the counterexample stands on its own: the protocol is
-// not a correct weak consensus algorithm.
-func CheckViolation(v *Violation, factory sim.Factory, roundBound int) error {
-	if v == nil {
-		return fmt.Errorf("check: nil violation")
-	}
-	e := v.Exec
-	if err := omission.Certify(e, factory, proc.Set{}); err != nil {
-		return fmt.Errorf("check: %w", err)
-	}
-
-	correct := e.Correct()
-	switch v.Kind {
-	case "agreement":
-		if !correct.Contains(v.Witness1) || !correct.Contains(v.Witness2) {
-			return fmt.Errorf("check: agreement witnesses %s, %s not both correct (faulty=%v)",
-				v.Witness1, v.Witness2, e.Faulty)
-		}
-		d1, ok1 := e.Decision(v.Witness1)
-		d2, ok2 := e.Decision(v.Witness2)
-		if !ok1 || !ok2 {
-			return fmt.Errorf("check: agreement witnesses not both decided")
-		}
-		if d1 == d2 {
-			return fmt.Errorf("check: witnesses agree on %q; no agreement violation", d1)
-		}
-	case "termination":
-		if !correct.Contains(v.Witness2) {
-			return fmt.Errorf("check: termination witness %s not correct", v.Witness2)
-		}
-		if _, ok := e.Decision(v.Witness2); ok {
-			return fmt.Errorf("check: termination witness decided")
-		}
-		if e.Rounds < roundBound {
-			return fmt.Errorf("check: execution only ran %d < %d rounds; non-decision is not yet a violation",
-				e.Rounds, roundBound)
-		}
-	case "weak-validity":
-		if !e.Faulty.Empty() {
-			return fmt.Errorf("check: weak-validity violation requires a fully correct execution")
-		}
-		u, err := omission.UniformProposal(e.Execution)
-		if err != nil {
-			return fmt.Errorf("check: weak-validity violation requires unanimous proposals: %w", err)
-		}
-		d, ok := e.Decision(v.Witness2)
-		if !ok {
-			return fmt.Errorf("check: weak-validity witness undecided")
-		}
-		if d == u {
-			return fmt.Errorf("check: witness decided the unanimous proposal %q; no violation", u)
-		}
-	default:
-		return fmt.Errorf("check: unknown violation kind %q", v.Kind)
-	}
-	return nil
-}
 
 // Lift is the pair of uniform fully-correct proposals (V0, V1) Algorithm 1
 // feeds an agreement protocol for weak proposals 0 and 1. The zero Lift
@@ -124,7 +52,7 @@ func (c Candidate) Lifted(n, t int) (inner, weak sim.Factory, rounds int, err er
 
 // Run is the one route from a protocol to Theorems 2 and 3: build and
 // lift c at (n, t) with Lifted, run Falsify, and recheck any certificate
-// with CheckViolation. A broken protocol is a report, not an error.
+// with Report.Recheck. A broken protocol is a report, not an error.
 func (c Candidate) Run(n, t int, opts Options) (*Report, error) {
 	_, factory, rounds, err := c.Lifted(n, t)
 	if err != nil {
@@ -135,7 +63,7 @@ func (c Candidate) Run(n, t int, opts Options) (*Report, error) {
 		return nil, err
 	}
 	if rep.Broken() {
-		if err := CheckViolation(rep.Violation, factory, rounds); err != nil {
+		if err := rep.Recheck(factory, rounds); err != nil {
 			return nil, fmt.Errorf("%s: certificate failed independent recheck: %w", c.Name, err)
 		}
 	}

@@ -2,143 +2,127 @@ package lowerbound
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"expensive/internal/adversary"
+	"expensive/internal/crypto/sig"
 	"expensive/internal/msg"
 	"expensive/internal/proc"
 	"expensive/internal/protocols/cheap"
 	"expensive/internal/protocols/phaseking"
 	"expensive/internal/protocols/reduction"
+	"expensive/internal/protocols/weak"
 	"expensive/internal/sim"
 )
 
-// genuineViolation produces a verified certificate to tamper with.
-func genuineViolation(t *testing.T) (*Violation, func() *Violation) {
+// starCertificate falsifies star at (testN, testT): a fresh certificate to
+// tamper with. Correct p1 decides 0 and correct p32 decides 1, because
+// the faulty hub p0 send-omits its round-2 verdict to p32.
+func starCertificate(t *testing.T) *Report {
 	t.Helper()
-	factory := cheap.Leader(testN)
-	fresh := func() *Violation {
-		rep, err := Falsify("leader", factory, cheap.LeaderRounds, testN, testT, Options{})
-		if err != nil {
-			t.Fatalf("Falsify: %v", err)
-		}
-		if !rep.Broken() {
-			t.Fatal("leader not falsified")
-		}
-		return rep.Violation
+	rep := mustFalsify(t, "star", cheap.Star(testN), cheap.StarRounds, Options{Parallelism: 1})
+	if v := rep.Violation; v == nil || v.Kind != "agreement" || v.Witness1 != 1 || v.Witness2 != 32 {
+		t.Fatalf("star certificate changed: %s", rep.Verdict())
 	}
-	return fresh(), fresh
+	return rep
 }
 
+// TestCheckViolationRejectsTampering holds Report.Recheck to the plan
+// certificate: every forged claim and every forged plan is refused. A
+// forged trace (a decision rewritten, a message injected) is
+// omission.Certify's to refuse, on every replay Target.Replay makes:
+// omission's TestCertify and TestValidateRejectsMutations and adversary's
+// TestReplayRefuses cover it.
 func TestCheckViolationRejectsTampering(t *testing.T) {
-	factory := cheap.Leader(testN)
-	_, fresh := genuineViolation(t)
-
-	mutations := []struct {
+	if err := starCertificate(t).Recheck(cheap.Star(testN), cheap.StarRounds); err != nil {
+		t.Fatalf("genuine certificate refused: %v", err)
+	}
+	for _, tc := range []struct {
 		name string
-		mut  func(v *Violation)
+		mut  func(v *adversary.Violation)
 		want string
 	}{
-		{
-			"nil violation",
-			nil,
-			"nil",
-		},
-		{
-			"forged decision in trace",
-			func(v *Violation) {
-				b := v.Exec.Behavior(v.Witness2)
-				for i := range b.Fragments {
-					if b.Fragments[i].Decided {
-						b.Fragments[i].Decision = msg.FlipBit(b.Fragments[i].Decision)
-					}
-				}
-			},
-			"conform",
-		},
-		{
-			"witness not correct",
-			func(v *Violation) {
-				v.Exec.Faulty = v.Exec.Faulty.Add(v.Witness2)
-			},
-			"correct",
-		},
-		{
-			"agreeing witnesses",
-			func(v *Violation) {
-				// Point both witnesses at the same process.
-				v.Witness1 = v.Witness2
-			},
-			"agree",
-		},
-		{
-			"unknown kind",
-			func(v *Violation) { v.Kind = "mystery" },
-			"unknown",
-		},
-		{
-			"phantom message injected",
-			func(v *Violation) {
-				b := v.Exec.Behavior(v.Witness1)
-				b.Fragments[0].Received = append(b.Fragments[0].Received,
-					msg.Message{Sender: 5, Receiver: v.Witness1, Round: 1, Payload: "ghost"})
-			},
-			"",
-		},
-		{
-			"fault budget exceeded",
-			func(v *Violation) {
-				for i := 0; i < v.Exec.T+1; i++ {
-					v.Exec.Faulty = v.Exec.Faulty.Add(proc.ID(i))
-				}
-				// Keep the witnesses outside the enlarged faulty set.
-				v.Witness1 = proc.ID(v.Exec.N - 1)
-				v.Witness2 = proc.ID(v.Exec.N - 2)
-			},
-			"",
-		},
-	}
-	for _, tc := range mutations {
-		t.Run(tc.name, func(t *testing.T) {
-			var v *Violation
-			if tc.mut != nil {
-				v = fresh()
-				tc.mut(v)
+		{"nil violation", nil, "nil violation"},
+		{"forged decision in trace", func(v *adversary.Violation) { v.D2 = msg.FlipBit(v.D2) }, "does not match"},
+		{"witness not correct", func(v *adversary.Violation) { v.Plan.Faulty = append(v.Plan.Faulty, v.Witness2) }, "no violation"},
+		{"faulty agreement witness", func(v *adversary.Violation) { v.Witness1 = 0 }, "does not match"},
+		{"agreeing witnesses", func(v *adversary.Violation) { v.Witness1 = v.Witness2 }, "does not match"},
+		{"swapped witnesses", func(v *adversary.Violation) { v.Witness1, v.Witness2 = v.Witness2, v.Witness1 }, "does not match"},
+		{"unknown kind", func(v *adversary.Violation) { v.Kind = "mystery" }, "does not match"},
+		{"phantom message injected", func(v *adversary.Violation) {
+			// Faulty p33 sends what no honest machine sends, yet this
+			// equivocator still reports 0 to the hub, so the verdict
+			// replays as it was: only the plan's form refuses it.
+			v.Plan.Byzantine = []adversary.ByzEntry{{ID: 33, Spec: adversary.MachineSpec{Kind: adversary.KindEquivocate}}}
+		}, "omission execution"},
+		{"send-omission dropped", func(v *adversary.Violation) {
+			i := slices.Index(v.Plan.SendOmit, msg.Key{Sender: 0, Receiver: 32, Round: 2})
+			if i < 0 {
+				t.Fatalf("the plan does not send-omit p0→p32 in round 2: %v", v.Plan.SendOmit)
 			}
-			err := CheckViolation(v, factory, cheap.LeaderRounds)
+			v.Plan.SendOmit = slices.Delete(v.Plan.SendOmit, i, i+1)
+		}, "no violation"},
+		{"fault budget exceeded", func(v *adversary.Violation) {
+			// t+1 faulty, the witnesses p1 and p32 kept outside.
+			for id := proc.ID(2); len(v.Plan.Faulty) <= testT; id++ {
+				v.Plan.Faulty = append(v.Plan.Faulty, id)
+			}
+		}, "t=16"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := starCertificate(t)
+			if tc.mut == nil {
+				rep.Violation = nil
+			} else {
+				tc.mut(rep.Violation)
+			}
+			err := rep.Recheck(cheap.Star(testN), cheap.StarRounds)
 			if err == nil {
 				t.Fatal("tampered certificate accepted")
 			}
-			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
+			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
 	}
+	t.Run("sound spec", func(t *testing.T) {
+		// The plan that splits star is harmless to weak consensus via IC.
+		factory, rounds := weak.ViaIC(testN, testT, sig.NewIdeal("recheck-test"))
+		if err := starCertificate(t).Recheck(factory, rounds); err == nil || !strings.Contains(err.Error(), "no violation") {
+			t.Errorf("star's plan against weak-via-ic: got %v, want no violation", err)
+		}
+	})
 }
 
+// TestCheckViolationTerminationNeedsHorizon refuses a decided process
+// claimed as a termination witness.
 func TestCheckViolationTerminationNeedsHorizon(t *testing.T) {
-	// A "termination" claim on an execution shorter than the protocol's
-	// round bound is not yet a violation and must be rejected.
-	v, _ := genuineViolation(t)
-	v.Kind = "termination"
-	// Witness2 actually decided, so this must be rejected either way.
-	if err := CheckViolation(v, cheap.Leader(testN), cheap.LeaderRounds); err == nil {
+	rep := starCertificate(t)
+	rep.Violation.Kind = "termination"
+	if err := rep.Recheck(cheap.Star(testN), cheap.StarRounds); err == nil {
 		t.Fatal("decided process accepted as termination witness")
 	}
 }
 
+// TestViolationString pins Report.Verdict: the three violation sentences
+// and the survivor's.
 func TestViolationString(t *testing.T) {
-	v, _ := genuineViolation(t)
-	if s := v.String(); !strings.Contains(s, "agreement") {
-		t.Errorf("String = %q", s)
+	rep := starCertificate(t)
+	for kind, want := range map[string]string{
+		"agreement":   `agreement violation: correct p1 decides "0", correct p32 decides "1" (E_B(1)_0: Lemma 2 swap`,
+		"termination": "termination violation: correct p32 never decides (E_B(1)_0",
+		"validity":    `weak validity violation: correct p32 decides "1" in a unanimous fault-free execution (E_B(1)_0`,
+	} {
+		rep.Violation.Kind = kind
+		if s := rep.Verdict(); !strings.HasPrefix(s, want) {
+			t.Errorf("%s: Verdict = %q", kind, s)
+		}
 	}
-	v.Kind = "termination"
-	if s := v.String(); !strings.Contains(s, "never decides") {
-		t.Errorf("String = %q", s)
-	}
-	v.Kind = "weak-validity"
-	if s := v.String(); !strings.Contains(s, "unanimous") {
-		t.Errorf("String = %q", s)
+	rep.Violation = nil
+	if s := rep.Verdict(); !strings.Contains(s, "paid the quadratic price") {
+		t.Errorf("survivor: Verdict = %q", s)
 	}
 }
 

@@ -24,13 +24,17 @@
 //     at most t faults in which two correct processes disagree, a correct
 //     process never decides, or Weak Validity breaks.
 //
-// Every certificate is re-validated from scratch: the execution satisfies
-// the Appendix A.1.6 guarantees, every process's recorded behavior is
-// reproduced by re-running its machine (sim.Conforms), and the violation
-// itself is re-read off the trace. For sound (necessarily Ω(t²)-message)
-// protocols, the construction finds no such process and the falsifier
-// reports the observed message complexities instead — which the theorem
-// says must reach t²/32 somewhere along the way.
+// A certificate is a campaign violation (adversary.Violation): the
+// verdict on the certified execution plus the explicit omission plan read
+// off it. Report.Recheck re-validates it from scratch the way every hunt,
+// fuzz and matrix violation is, through adversary.Recheck: the plan is
+// replayed, the replay must satisfy the Appendix A.1.6 guarantees with
+// every process's recorded behavior reproduced by re-running its machine
+// (omission.Certify), and it must exhibit the recorded verdict. For sound
+// (necessarily Ω(t²)-message) protocols, the construction finds no such
+// process and the falsifier reports the observed message complexities
+// instead — which the theorem says must reach t²/32 somewhere along the
+// way.
 package lowerbound
 
 import (
@@ -47,37 +51,6 @@ import (
 	"expensive/internal/validity"
 )
 
-// Violation is a machine-checkable counterexample to weak consensus.
-type Violation struct {
-	// Kind is "agreement", "termination" or "weak-validity".
-	Kind string
-	// Exec is the certified execution.
-	Exec *sim.Trace
-	// Witness1 is a correct process with decision D1.
-	Witness1 proc.ID
-	D1       msg.Value
-	// Witness2 is a correct process that decided D2 ("agreement"), never
-	// decided ("termination"), or decided D2 violating unanimity
-	// ("weak-validity").
-	Witness2 proc.ID
-	D2       msg.Value
-	// Note narrates how the construction reached this certificate.
-	Note string
-}
-
-func (v *Violation) String() string {
-	switch v.Kind {
-	case "termination":
-		return fmt.Sprintf("termination violation: correct %s never decides (%s)", v.Witness2, v.Note)
-	case "weak-validity":
-		return fmt.Sprintf("weak validity violation: correct %s decides %q in a unanimous fault-free execution (%s)",
-			v.Witness2, v.D2, v.Note)
-	default:
-		return fmt.Sprintf("agreement violation: correct %s decides %q, correct %s decides %q (%s)",
-			v.Witness1, v.D1, v.Witness2, v.D2, v.Note)
-	}
-}
-
 // Report is the falsifier's outcome for one protocol and one (n, t).
 type Report struct {
 	Protocol string
@@ -89,14 +62,54 @@ type Report struct {
 	MaxCorrectMessages int
 	// Executions counts the probe executions constructed.
 	Executions int
-	// Violation is non-nil when the construction produced a counterexample.
-	Violation *Violation
+	// Violation is non-nil when the construction produced a counterexample:
+	// the campaign verdict on the certified execution (Weak Validity its
+	// validity property), with that execution's proposals and the explicit
+	// omission plan that replays it. Detail narrates how the construction
+	// reached it.
+	Violation *adversary.Violation
+	// Trace is the certified execution itself, for drawing. Recheck does
+	// not read it: a replay of the plan may stop sooner than the
+	// construction ran.
+	Trace *sim.Trace
 	// Log narrates the construction, step by step.
 	Log []string
 }
 
 // Broken reports whether the protocol was falsified.
 func (r *Report) Broken() bool { return r.Violation != nil }
+
+// Verdict renders the outcome as one sentence.
+func (r *Report) Verdict() string {
+	v := r.Violation
+	switch {
+	case v == nil:
+		return "no violation — the protocol paid the quadratic price (Theorem 2 satisfied)"
+	case v.Kind == "termination":
+		return fmt.Sprintf("termination violation: correct %s never decides (%s)", v.Witness2, v.Detail)
+	case v.Kind == "validity":
+		return fmt.Sprintf("weak validity violation: correct %s decides %q in a unanimous fault-free execution (%s)",
+			v.Witness2, v.D2, v.Detail)
+	}
+	return fmt.Sprintf("agreement violation: correct %s decides %q, correct %s decides %q (%s)",
+		v.Witness1, v.D1, v.Witness2, v.D2, v.Detail)
+}
+
+// Recheck independently re-validates the certificate with adversary.Recheck:
+// the explicit plan, which must be an omission plan, is replayed from
+// scratch against factory at the report's (n, t), the replay is held to
+// omission.Certify, and it must exhibit exactly the recorded verdict under
+// Weak Validity. A nil return means the counterexample stands on its own:
+// the protocol is not a correct weak consensus algorithm.
+func (r *Report) Recheck(factory sim.Factory, rounds int) error {
+	if v := r.Violation; v != nil && v.Plan != nil && len(v.Plan.Byzantine) > 0 {
+		return fmt.Errorf("recheck: a Theorem 2 certificate is an omission execution, but the plan replaces %d machines", len(v.Plan.Byzantine))
+	}
+	return adversary.Recheck(r.Violation, adversary.ShrinkOptions{Target: adversary.Target{
+		Protocol: r.Protocol, Factory: factory, Rounds: rounds, N: r.N, T: r.T,
+		Validity: validity.AdmissibleCheck(validity.Weak(r.N, r.T)),
+	}})
+}
 
 // Options tune the falsifier.
 type Options struct {
@@ -129,7 +142,8 @@ type falsifier struct {
 	horizon int
 	opts    Options
 	report  *Report
-	// weak is Weak Validity at (n, t), the verdict of correctDecision.
+	// weak is Weak Validity at (n, t), the verdict of correctDecision and
+	// of every certificate.
 	weak validity.Check
 
 	// Telemetry handles, nil when no recorder rides on opts.Ctx. Strictly
@@ -275,51 +289,63 @@ func (f *falsifier) probeIsolated(label string, x *isolated) (msg.Value, error) 
 		return msg.NoDecision, fmt.Errorf("probe %s: %w", label, err)
 	}
 	f.observe(label, e)
-	bX, viol := f.correctDecision(e, label)
-	if viol == nil {
-		viol, err = f.lemma2(e, x, bX, label)
+	bX, note := f.correctDecision(e, label)
+	if note == "" {
+		err = f.lemma2(e, x, bX, label)
 	} else {
-		viol.Exec, err = f.full(x)
+		var tr *sim.Trace
+		if tr, err = f.full(x); err == nil {
+			err = f.certify(tr, note)
+		}
 	}
 	if err != nil {
 		return msg.NoDecision, fmt.Errorf("probe %s: full replay: %w", label, err)
 	}
-	if viol != nil {
-		f.report.Violation = viol
-		return msg.NoDecision, nil
-	}
 	return bX, nil
 }
 
-// correctDecision extracts the common decision of the correct processes,
-// or a violation to which the caller attaches e's full trace. The verdict
-// is the campaign's, adversary.CheckExecution with Weak Validity, which is
-// vacuous on every probe but the fully-correct E_0 and E_1.
-func (f *falsifier) correctDecision(e *sim.Execution, label string) (msg.Value, *Violation) {
-	v := adversary.CheckExecution(e, e.Proposals(), f.weak, nil)
+// correctDecision reads the campaign verdict, adversary.CheckExecution
+// with Weak Validity (vacuous on every probe but the fully-correct E_0 and
+// E_1), off e: the correct processes' common decision, or, when e
+// violates weak consensus, the note its certificate carries.
+func (f *falsifier) correctDecision(e *sim.Execution, label string) (common msg.Value, note string) {
+	switch v := adversary.CheckExecution(e, e.Proposals(), f.weak, nil); {
+	case v == nil:
+		common, _, _ = e.Unanimity(e.Correct())
+		return common, ""
+	case v.Kind == "termination":
+		return msg.NoDecision, fmt.Sprintf("%s: correct process undecided after %d rounds (bound %d)", label, e.Rounds, f.bound)
+	}
+	return msg.NoDecision, label
+}
+
+// certify records tr as the report's certificate: the campaign verdict on
+// it, narrated by note, with its proposals and the omission plan read off
+// it. Every trace the construction builds is an omission trace, so the
+// plan is its omitted messages.
+func (f *falsifier) certify(tr *sim.Trace, note string) error {
+	v := adversary.CheckExecution(tr.Execution, tr.Proposals(), f.weak, nil)
 	if v == nil {
-		common, _, _ := e.Unanimity(e.Correct())
-		return common, nil
+		return fmt.Errorf("certify %s: the certified execution violates nothing", note)
 	}
-	viol := &Violation{Kind: v.Kind, Witness1: v.Witness1, D1: v.D1, Witness2: v.Witness2, D2: v.D2, Note: label}
-	switch v.Kind {
-	case "termination":
-		viol.Note = fmt.Sprintf("%s: correct process undecided after %d rounds (bound %d)", label, e.Rounds, f.bound)
-	case "validity":
-		viol.Kind = "weak-validity"
+	plan, err := adversary.Extract(tr.Execution, sim.NoFaults{})
+	if err != nil {
+		return err
 	}
-	return msg.NoDecision, viol
+	v.Detail, v.Proposals, v.Plan = note, tr.Proposals(), plan
+	f.report.Violation, f.report.Trace = v, tr
+	return nil
 }
 
 // lemma2 applies the swap argument: find an isolated process p in x's
 // group with fewer than t/2 receive-omitted messages from correct senders
 // whose decision differs from bX (or is absent); swap its receive-omissions
 // into send-omissions. If the resulting execution has at most t faults it
-// is a certificate. Returns nil if no candidate qualifies (the Lemma 2
-// conclusion holds — the protocol paid enough messages here). Decisions
+// is the certificate. Records nothing if no candidate qualifies (the Lemma
+// 2 conclusion holds — the protocol paid enough messages here). Decisions
 // are read off e, x's run; its full trace is fetched only once a
-// candidate needs its messages, and only that fetch can fail.
-func (f *falsifier) lemma2(e *sim.Execution, x *isolated, bX msg.Value, label string) (*Violation, error) {
+// candidate needs its messages.
+func (f *falsifier) lemma2(e *sim.Execution, x *isolated, bX msg.Value, label string) error {
 	correct := e.Correct()
 	for _, p := range x.group.Members() {
 		d, decided := e.Decision(p)
@@ -328,7 +354,7 @@ func (f *falsifier) lemma2(e *sim.Execution, x *isolated, bX msg.Value, label st
 		}
 		full, err := f.full(x)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mxp := len(omission.MessagesFromTo(full, correct, p))
 		if 2*mxp >= f.t {
@@ -345,34 +371,9 @@ func (f *falsifier) lemma2(e *sim.Execution, x *isolated, bX msg.Value, label st
 			f.logf("%s: swap_omission(%s) yields %d > t faulty processes", label, p, swapped.Faulty.Len())
 			continue
 		}
-		// A correct witness from the original correct set survives the swap.
-		witness := proc.ID(-1)
-		for _, x := range correct.Members() {
-			if !swapped.Faulty.Contains(x) {
-				witness = x
-				break
-			}
-		}
-		if witness < 0 {
-			f.logf("%s: swap_omission(%s) left no correct witness", label, p)
-			continue
-		}
-		kind := "agreement"
-		note := fmt.Sprintf("%s: Lemma 2 swap on %s (|M_X→p|=%d < t/2=%d)", label, p, mxp, f.t/2)
-		if !decided {
-			kind = "termination"
-		}
-		return &Violation{
-			Kind:     kind,
-			Exec:     swapped,
-			Witness1: witness,
-			D1:       bX,
-			Witness2: p,
-			D2:       d,
-			Note:     note,
-		}, nil
+		return f.certify(swapped, fmt.Sprintf("%s: Lemma 2 swap on %s (|M_X→p|=%d < t/2=%d)", label, p, mxp, f.t/2))
 	}
-	return nil, nil
+	return nil
 }
 
 // run drives the full construction. Probe executions are *computed* on
@@ -513,20 +514,17 @@ func (f *falsifier) mergeAndExtract(part proc.Partition, xB, xC *isolated) error
 	}
 	f.observe(fmt.Sprintf("merged E_B(%d),C(%d)", xB.k, xC.k), merged.Execution)
 
-	bA, viol := f.correctDecision(merged.Execution, "merged execution")
-	if viol != nil {
-		viol.Exec = merged
-		f.report.Violation = viol
-		return nil
+	bA, note := f.correctDecision(merged.Execution, "merged execution")
+	if note != "" {
+		return f.certify(merged, note)
 	}
 	f.logf("group A decides %q in the merged execution", bA)
-	for _, g := range []struct { // each x holds its trace, so lemma2 cannot fail
+	for _, g := range []struct { // each x holds its trace
 		name string
 		x    *isolated
 	}{{"B", &isolated{group: part.B, trace: merged}}, {"C", &isolated{group: part.C, trace: merged}}} {
-		if viol, _ := f.lemma2(merged.Execution, g.x, bA, "merged/"+g.name); viol != nil {
-			f.report.Violation = viol
-			return nil
+		if err := f.lemma2(merged.Execution, g.x, bA, "merged/"+g.name); err != nil || f.report.Violation != nil {
+			return err
 		}
 	}
 	f.logf("no Lemma 2 candidate in the merged execution: the protocol paid enough messages for every isolated process to stay informed")

@@ -40,10 +40,10 @@ func TestFalsifyCheapProtocols(t *testing.T) {
 			if !rep.Broken() {
 				t.Fatalf("expected a violation for sub-quadratic protocol %s; log:\n%v", tc.name, rep.Log)
 			}
-			if err := CheckViolation(rep.Violation, tc.factory, tc.rounds); err != nil {
-				t.Fatalf("certificate for %s does not verify: %v\nviolation: %v", tc.name, err, rep.Violation)
+			if err := rep.Recheck(tc.factory, tc.rounds); err != nil {
+				t.Fatalf("certificate for %s does not verify: %v\nviolation: %v", tc.name, err, rep.Verdict())
 			}
-			t.Logf("%s: %v", tc.name, rep.Violation)
+			t.Logf("%s: %v", tc.name, rep.Verdict())
 		})
 	}
 }
@@ -76,7 +76,7 @@ func TestCheapProtocolsUnderBudgetAtScale(t *testing.T) {
 				t.Errorf("probe sent %d >= t²/32 = %d messages; protocol not in the cheap regime",
 					rep.MaxCorrectMessages, rep.Threshold)
 			}
-			if err := CheckViolation(rep.Violation, tc.factory, tc.rounds); err != nil {
+			if err := rep.Recheck(tc.factory, tc.rounds); err != nil {
 				t.Fatalf("certificate does not verify: %v", err)
 			}
 		})
@@ -92,7 +92,7 @@ func TestSoundProtocolRespectsBudget(t *testing.T) {
 		t.Fatalf("Falsify(phase-king): %v", err)
 	}
 	if rep.Broken() {
-		t.Fatalf("sound protocol falsified: %v\nlog:\n%v", rep.Violation, rep.Log)
+		t.Fatalf("sound protocol falsified: %v\nlog:\n%v", rep.Verdict(), rep.Log)
 	}
 	if rep.MaxCorrectMessages < rep.Threshold {
 		t.Errorf("sound protocol stayed under t²/32 = %d (max %d) without being falsified — contradicts Theorem 2",
@@ -112,7 +112,7 @@ func TestSoundAuthenticatedProtocolRespectsBudget(t *testing.T) {
 		t.Fatalf("Falsify(weak-via-ic): %v", err)
 	}
 	if rep.Broken() {
-		t.Fatalf("sound protocol falsified: %v\nlog:\n%v", rep.Violation, rep.Log)
+		t.Fatalf("sound protocol falsified: %v\nlog:\n%v", rep.Verdict(), rep.Log)
 	}
 }
 
@@ -124,13 +124,13 @@ func TestMergeAblation(t *testing.T) {
 	// the disagreement. The merge argument is load-bearing.
 	rep := mustFalsify(t, "silent", cheap.Silent(), cheap.SilentRounds, Options{DisableMerge: true})
 	if rep.Broken() {
-		t.Fatalf("merge-ablated falsifier unexpectedly broke silent: %v", rep.Violation)
+		t.Fatalf("merge-ablated falsifier unexpectedly broke silent: %v", rep.Verdict())
 	}
 	full := mustFalsify(t, "silent", cheap.Silent(), cheap.SilentRounds, Options{})
 	if !full.Broken() {
 		t.Fatalf("full falsifier failed to break silent")
 	}
-	if err := CheckViolation(full.Violation, cheap.Silent(), cheap.SilentRounds); err != nil {
+	if err := full.Recheck(cheap.Silent(), cheap.SilentRounds); err != nil {
 		t.Fatalf("certificate does not verify: %v", err)
 	}
 }

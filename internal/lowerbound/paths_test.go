@@ -106,7 +106,7 @@ func TestFalsifierWalksFullInterpolation(t *testing.T) {
 	factory := detectorFactory(testN, rStar)
 	rep := mustFalsify(t, "detector", factory, rStar, Options{})
 	if rep.Broken() {
-		t.Fatalf("detector is quadratic; the construction must not break it: %v", rep.Violation)
+		t.Fatalf("detector is quadratic; the construction must not break it: %v", rep.Verdict())
 	}
 	joined := strings.Join(rep.Log, "\n")
 	for _, want := range []string{
@@ -150,10 +150,10 @@ func (m *constantMachine) Quiescent() bool { return true }
 func TestFalsifierCatchesWeakValidityViolation(t *testing.T) {
 	factory := func(proc.ID, msg.Value) sim.Machine { return &constantMachine{k: msg.One} }
 	rep := mustFalsify(t, "constant-1", factory, 1, Options{})
-	if !rep.Broken() || rep.Violation.Kind != "weak-validity" {
-		t.Fatalf("expected weak-validity violation, got %v", rep.Violation)
+	if !rep.Broken() || rep.Violation.Kind != "validity" || !strings.Contains(rep.Verdict(), "weak validity violation") {
+		t.Fatalf("expected a weak validity violation, got %s", rep.Verdict())
 	}
-	if err := CheckViolation(rep.Violation, factory, 1); err != nil {
+	if err := rep.Recheck(factory, 1); err != nil {
 		t.Fatalf("certificate: %v", err)
 	}
 }
@@ -170,9 +170,9 @@ func TestFalsifierCatchesTerminationViolation(t *testing.T) {
 	factory := func(proc.ID, msg.Value) sim.Machine { return muteMachine{} }
 	rep := mustFalsify(t, "mute", factory, 1, Options{})
 	if !rep.Broken() || rep.Violation.Kind != "termination" {
-		t.Fatalf("expected termination violation, got %v", rep.Violation)
+		t.Fatalf("expected termination violation, got %v", rep.Verdict())
 	}
-	if err := CheckViolation(rep.Violation, factory, 1); err != nil {
+	if err := rep.Recheck(factory, 1); err != nil {
 		t.Fatalf("certificate: %v", err)
 	}
 }
@@ -206,9 +206,132 @@ func TestFalsifierCatchesDirectAgreementViolation(t *testing.T) {
 		t.Fatal("expected a violation")
 	}
 	// The split is visible among correct processes in any probe: either a
-	// weak-validity or agreement certificate is acceptable, and it must
+	// validity or agreement certificate is acceptable, and it must
 	// verify.
-	if err := CheckViolation(rep.Violation, factory, 1); err != nil {
+	if err := rep.Recheck(factory, 1); err != nil {
+		t.Fatalf("certificate: %v", err)
+	}
+}
+
+// quorumMachine sits on Lemma 2's boundary: in round 1 the t/2 processes
+// p0…p(t/2−1) broadcast their proposals, and at round 1 everyone decides
+// 0 iff every one of them, itself included, proposed 0, and 1 otherwise. A
+// process isolated from round 1 therefore disagrees after receive-omitting
+// exactly t/2 messages from correct senders — one too many for the swap.
+type quorumMachine struct {
+	sim.DecideOnce
+	quorum   int
+	id       proc.ID
+	proposal msg.Value
+}
+
+func (m *quorumMachine) Init() []sim.Outgoing {
+	if int(m.id) >= m.quorum {
+		return nil
+	}
+	var all sim.Broadcast
+	return all.Send(string(m.proposal))
+}
+
+func (m *quorumMachine) Step(_ int, received []msg.Message) []sim.Outgoing {
+	zeros := 0
+	if int(m.id) < m.quorum && m.proposal == msg.Zero {
+		zeros++
+	}
+	for _, rm := range received {
+		if int(rm.Sender) < m.quorum && rm.Payload == string(msg.Zero) {
+			zeros++
+		}
+	}
+	d := msg.One
+	if zeros == m.quorum {
+		d = msg.Zero
+	}
+	m.Decide(d)
+	return nil
+}
+
+// TestLemma2SwapNeedsFewerThanHalfT pins the strict bound of Lemma 2:
+// 2|M_X→p| = t is not < t, so every disagreeing isolated process is
+// logged as inapplicable, the merge finds nothing either, and the
+// protocol survives.
+func TestLemma2SwapNeedsFewerThanHalfT(t *testing.T) {
+	factory := func(id proc.ID, proposal msg.Value) sim.Machine {
+		return &quorumMachine{quorum: testT / 2, id: id, proposal: proposal}
+	}
+	rep := mustFalsify(t, "quorum", factory, 1, Options{Parallelism: 1})
+	if rep.Broken() {
+		t.Fatalf("certified past Lemma 2's bound: %s", rep.Verdict())
+	}
+	joined := strings.Join(rep.Log, "\n")
+	for _, want := range []string{
+		`E_B(1)_0: p32 disagrees (decided=true "1") but receive-omits 8 >= t/2 messages from correct senders — swap inapplicable`,
+		"merged/C: p36 disagrees",
+		"no Lemma 2 candidate",
+	} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("log missing %q:\n%s", want, joined)
+		}
+	}
+}
+
+// beaconMachine is broken only past the critical round. p0 beacons in
+// rounds 1…r−1; a process that misses a beacon raises a flag to everyone
+// in round r; at round r everyone decides 1 if it missed a beacon or saw a
+// flag, and its proposal otherwise. An isolated group always agrees with
+// A: isolated before round r it flags, isolated from round r it misses
+// nothing. The all-0 family flips at R = r−1, and only the merge of
+// E_B(r)_0 with E_C(r−1)_0 splits: C's flags reach A and not B.
+type beaconMachine struct {
+	sim.DecideOnce
+	r        int
+	id       proc.ID
+	proposal msg.Value
+	missed   bool
+}
+
+// Init is Step at round 0, which sends p0's first beacon.
+func (m *beaconMachine) Init() []sim.Outgoing { return m.Step(0, nil) }
+
+func (m *beaconMachine) Step(round int, received []msg.Message) []sim.Outgoing {
+	beacon, flagged := false, false
+	for _, rm := range received {
+		beacon = beacon || rm.Payload == "beacon"
+		flagged = flagged || rm.Payload == "flag"
+	}
+	m.missed = m.missed || (round > 0 && round < m.r && m.id != 0 && !beacon)
+	var all sim.Broadcast
+	switch {
+	case round == m.r:
+		d := m.proposal
+		if m.missed || flagged {
+			d = msg.One
+		}
+		m.Decide(d)
+	case round == m.r-1 && m.missed:
+		return all.Send("flag")
+	case round < m.r-1 && m.id == 0:
+		return all.Send("beacon")
+	}
+	return nil
+}
+
+// TestFalsifierCertifiesMergeAfterCriticalRound walks the scan past round
+// 1 to the critical round and certifies the merged execution's Lemma 2
+// swap on B, which the plan recheck accepts.
+func TestFalsifierCertifiesMergeAfterCriticalRound(t *testing.T) {
+	const r = 4
+	factory := func(id proc.ID, proposal msg.Value) sim.Machine {
+		return &beaconMachine{r: r, id: id, proposal: proposal}
+	}
+	rep := mustFalsify(t, "beacon", factory, r, Options{Parallelism: 1})
+	if !rep.Broken() || !strings.HasPrefix(rep.Violation.Detail, "merged/B: Lemma 2 swap on p32") {
+		t.Fatalf("want a merged/B certificate, got %s\nlog:\n%s", rep.Verdict(), strings.Join(rep.Log, "\n"))
+	}
+	if joined := strings.Join(rep.Log, "\n"); !strings.Contains(joined, `critical round R=3: A decides "1" in E_B(3)_0 and "0" in E_B(4)_0`) {
+		t.Errorf("critical round not R=3:\n%s", joined)
+	}
+	if err := rep.Recheck(factory, r); err != nil {
 		t.Fatalf("certificate: %v", err)
 	}
 }
