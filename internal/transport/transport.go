@@ -120,31 +120,34 @@ type NodeResult struct {
 func RunNode(ep Endpoint, n int, id proc.ID, machine sim.Machine, rounds int) NodeResult {
 	res := NodeResult{ID: id}
 	out := machine.Init()
-	// future buffers frames keyed (round, sender), first frame winning: a
-	// peer may finish round r and emit r+1 before we drain r, and a chaotic
-	// link may duplicate or reorder frames. Keeping exactly one frame per
-	// (round, sender) and dropping stale rounds makes the bulk-synchronous
-	// step immune to both — the round barrier itself provides the dedup
-	// point, so no sequence numbers are needed on the wire. Frames past
-	// the last round are dropped too, so a peer cannot make the buffer
-	// grow without bound. A frame arrives early only when a peer runs
-	// ahead, so the map is made on the first one.
+	// Early frames are kept one per (round, sender), first frame winning:
+	// a peer may finish round r and emit r+1 before we drain r, and a
+	// chaotic link may duplicate or reorder frames. Keeping exactly one
+	// frame per (round, sender) and dropping stale rounds makes the
+	// bulk-synchronous step immune to both — the round barrier itself
+	// provides the dedup point, so no sequence numbers are needed on the
+	// wire. Frames past the last round are dropped too, so a peer cannot
+	// make the buffer grow without bound. A peer that keeps the protocol
+	// is at most one round ahead, and its round-r+1 frame waits in the
+	// next table; future holds frames of round r+2 and later, and is made
+	// on the first one.
 	var future map[int]map[int]Frame
 
 	// The round's working state lives for the whole run. sends is out
 	// expanded per peer (sim.Expand); outbox[p] is the frame sent to p;
 	// frames[p] is the first frame from sender p for the current round
-	// exactly when its Round is r, so the table is never cleared.
-	// A node of up to 17 processes keeps all three on the stack.
+	// exactly when its Round is r, and next[p] the first for round r+1
+	// exactly when its Round is r+1, so neither table is ever cleared.
+	// A node of up to 17 processes keeps all four on the stack.
 	var (
-		sendStack         [16]sim.Outgoing
-		outStack, inStack [17]Frame
+		sendStack                    [16]sim.Outgoing
+		outStack, inStack, nextStack [17]Frame
 	)
-	sends, outbox, frames := sendStack[:0], outStack[:], inStack[:]
+	sends, outbox, frames, next := sendStack[:0], outStack[:], inStack[:], nextStack[:]
 	if n > len(inStack) {
-		outbox, frames = make([]Frame, n), make([]Frame, n)
+		outbox, frames, next = make([]Frame, n), make([]Frame, n), make([]Frame, n)
 	}
-	outbox, frames = outbox[:n], frames[:n]
+	outbox, frames, next = outbox[:n], frames[:n], next[:n]
 	received := make([]msg.Message, 0, max(n-1, 0))
 	for r := 1; r <= rounds; r++ {
 		for p := range outbox {
@@ -169,12 +172,21 @@ func RunNode(ep Endpoint, n int, id proc.ID, machine sim.Machine, rounds int) No
 			}
 		}
 
+		// future's frames of round r arrived before next's (they came
+		// while this node was two or more rounds behind), so they move
+		// first for the first frame to win.
 		got := 0
 		for p, f := range future[r] {
 			frames[p] = f
 			got++
 		}
 		delete(future, r)
+		for p := range next {
+			if next[p].Round == r && frames[p].Round != r {
+				frames[p] = next[p]
+				got++
+			}
+		}
 		for got < n-1 {
 			f, err := ep.Recv()
 			if err != nil {
@@ -188,6 +200,12 @@ func RunNode(ep Endpoint, n int, id proc.ID, machine sim.Machine, rounds int) No
 				if frames[f.From].Round != r {
 					frames[f.From] = f
 					got++
+				}
+				continue
+			}
+			if f.Round == r+1 {
+				if next[f.From].Round != r+1 {
+					next[f.From] = f
 				}
 				continue
 			}
