@@ -11,7 +11,8 @@
 //     probe by the campaign verdict (adversary.CheckExecution) with Weak
 //     Validity, which binds only here, where nobody is faulty.
 //  2. Probe E_B(1)_0 and E_C(1)_1 and learn the "default bit" d that group
-//     A decides whenever faults appear at round 1 (Lemma 3).
+//     A decides whenever faults appear at round 1 (Lemma 3). This pair is
+//     recorded in full, once: a certificate or the merge usually reads it.
 //  3. Interpolate: scan E_B(k)_v for v = 1-d until group A's decision
 //     flips from d to v at some critical round R+1 (Lemma 4).
 //  4. Merge E_B(R+1)_v with E_C(R)_v (Algorithm 5 / Lemma 16): the merged
@@ -215,44 +216,70 @@ func (f *falsifier) observe(label string, e *sim.Execution) {
 		label, c.Rounds, c.Messages, f.report.Threshold)
 }
 
-// isolated is one execution E_group(k)_v of Table 1. Every probe runs it
-// lean (decisions and counts only); trace holds its full trace once a
-// certificate, a Lemma 2 candidate or a merge has asked for it.
+// isolated is one execution E_group(k)_v of Table 1. Its run is lean
+// (decisions and counts only) unless full is set, as it is for the
+// round-1 pair E_B(1)_0 and E_C(1)_1, whose full traces the certificate
+// or the merge of every falsification here reads. trace holds the full
+// trace once a certificate, a Lemma 2 candidate or a merge has asked for
+// it.
 type isolated struct {
 	group proc.Set
 	k     int
 	v     msg.Value
-	lean  *runner.Promise[*sim.Execution]
+	full  bool
+	run   *runner.Promise[*sim.Execution]
 	trace *sim.Trace
 }
 
-// prefetch schedules the lean runs of xs on the worker pool (inline on
-// first Wait when serial) and returns the cancel function that joins it.
+// prefetch schedules the runs of xs on the worker pool (inline on first
+// Wait when serial) and returns the cancel function that joins it. A full
+// x runs through omission.RunIsolated, which also checks Appendix A.1.6
+// and Definition 1, and its promise hands back the recorded execution;
+// the pool's goroutines write nothing to x.
 func (f *falsifier) prefetch(xs ...*isolated) context.CancelFunc {
 	ps, cancel := runner.Prefetch(f.opts.Ctx, runner.Workers(f.opts.Parallelism), len(xs), func(i int) (*sim.Execution, error) {
 		x := xs[i]
-		cfg := sim.Config{N: f.n, T: f.t, Proposals: msg.Uniform(f.n, x.v), MaxRounds: f.horizon, Recording: sim.RecordDecisions}
-		e, err := sim.Run(cfg, f.factory, omission.Isolation(x.group, x.k))
-		if err != nil {
-			return nil, fmt.Errorf("run isolated %v from round %d: %w", x.group, x.k, err)
+		if !x.full {
+			return f.lean(x)
 		}
-		return e, nil
+		tr, err := omission.RunIsolated(f.n, f.t, f.factory, x.v, x.group, x.k, f.horizon)
+		if err != nil {
+			return nil, err
+		}
+		return tr.Execution, nil
 	})
 	for i, x := range xs {
-		x.lean = ps[i]
+		x.run = ps[i]
 	}
 	return cancel
 }
 
-// full returns x's full trace, re-running the same deterministic
-// configuration through omission.RunIsolated — which also checks Appendix
-// A.1.6 and Definition 1 — the first time it is asked for.
+// lean runs x at sim.RecordDecisions.
+func (f *falsifier) lean(x *isolated) (*sim.Execution, error) {
+	cfg := sim.Config{N: f.n, T: f.t, Proposals: msg.Uniform(f.n, x.v), MaxRounds: f.horizon, Recording: sim.RecordDecisions}
+	e, err := sim.Run(cfg, f.factory, omission.Isolation(x.group, x.k))
+	if err != nil {
+		return nil, fmt.Errorf("run isolated %v from round %d: %w", x.group, x.k, err)
+	}
+	return e, nil
+}
+
+// full returns x's full trace: a full x's own run, a lean x's
+// configuration re-run through omission.RunIsolated the first time it is
+// asked for.
 func (f *falsifier) full(x *isolated) (*sim.Trace, error) {
 	if x.trace != nil {
 		return x.trace, nil
 	}
 	var err error
-	x.trace, err = omission.RunIsolated(f.n, f.t, f.factory, x.v, x.group, x.k, f.horizon)
+	if x.full {
+		var e *sim.Execution
+		if e, err = x.run.Wait(); err == nil {
+			x.trace, err = e.Trace()
+		}
+	} else {
+		x.trace, err = omission.RunIsolated(f.n, f.t, f.factory, x.v, x.group, x.k, f.horizon)
+	}
 	return x.trace, err
 }
 
@@ -278,13 +305,14 @@ func decisionRound(e *sim.Execution) int {
 // the correct processes' common decision. A violation is recorded in the
 // report with a nil error.
 //
-// The verdict and Lemma 2's decisions are read off the lean run. When
-// every correct process and every isolated member decide one common value
-// — the overwhelmingly common case for the protocols the construction
-// grinds through — nothing more is needed; a certificate or a Lemma 2
-// candidate fetches the full trace first.
+// The verdict and Lemma 2's decisions are read off x's run, at either
+// tier. When every correct process and every isolated member decide one
+// common value — the overwhelmingly common case for the protocols the
+// construction grinds through — nothing more is needed; a certificate or
+// a Lemma 2 candidate fetches the full trace first, which re-runs only a
+// lean x.
 func (f *falsifier) probeIsolated(label string, x *isolated) (msg.Value, error) {
-	e, err := x.lean.Wait()
+	e, err := x.run.Wait()
 	if err != nil {
 		return msg.NoDecision, fmt.Errorf("probe %s: %w", label, err)
 	}
@@ -391,8 +419,8 @@ func (f *falsifier) run() error {
 	// E_0 and E_1 are E_∅(1)_0 and E_∅(1)_1: nobody is isolated.
 	e0 := &isolated{group: proc.Set{}, k: 1, v: msg.Zero}
 	e1 := &isolated{group: proc.Set{}, k: 1, v: msg.One}
-	eB1 := &isolated{group: part.B, k: 1, v: msg.Zero}
-	eC1 := &isolated{group: part.C, k: 1, v: msg.One}
+	eB1 := &isolated{group: part.B, k: 1, v: msg.Zero, full: true}
+	eC1 := &isolated{group: part.C, k: 1, v: msg.One, full: true}
 	defer f.prefetch(e0, e1, eB1, eC1)()
 
 	// Step 1: Termination, Agreement and Weak Validity on the fully-correct
@@ -442,15 +470,19 @@ func (f *falsifier) run() error {
 	if v == msg.One {
 		eV = e1
 	}
-	lean, _ := eV.lean.Wait() // resolved by Step 1
-	rMax := decisionRound(lean)
+	eVRun, _ := eV.run.Wait() // resolved by Step 1
+	rMax := decisionRound(eVRun)
 	f.logf("all processes decide by round %d in E_%s", rMax, v)
 
 	eB := make([]*isolated, rMax+1) // eB[i] is E_B(i+1)_v
 	for i := range eB {
 		eB[i] = &isolated{group: part.B, k: i + 1, v: v}
 	}
-	defer f.prefetch(eB...)()
+	unrun := eB
+	if v == eB1.v { // E_B(1)_v is the round-1 probe Step 2 already ran
+		eB[0], unrun = eB1, eB[1:]
+	}
+	defer f.prefetch(unrun...)()
 
 	prevDecision, err := f.probeIsolated(fmt.Sprintf("E_B(1)_%s", v), eB[0])
 	if err != nil || f.report.Violation != nil {

@@ -125,6 +125,20 @@ func TestFalsifierWalksFullInterpolation(t *testing.T) {
 	}
 }
 
+// TestInterpolationRunBudget pins the serial run count of the deep path:
+// the detector's interpolation family is the unanimous-0 one, whose
+// E_B(1)_0 is the round-1 probe Step 2 already ran at the full tier, so
+// that probe runs once for two executions; the two merge inputs, E_B(R+1)_0
+// and E_C(R)_0, ran lean and run again at the full tier. Every other
+// execution runs once.
+func TestInterpolationRunBudget(t *testing.T) {
+	before := sim.Runs()
+	rep := mustFalsify(t, "detector", detectorFactory(testN, 5), 5, Options{Parallelism: 1})
+	if got, want := sim.Runs()-before, int64(rep.Executions)-1+2; got != want {
+		t.Errorf("%d simulator runs for %d executions, want %d", got, rep.Executions, want)
+	}
+}
+
 // constantMachine ignores everything and decides k: a Weak Validity
 // violation the falsifier must catch at the very first probe.
 type constantMachine struct {

@@ -537,6 +537,43 @@ func TestMergeLemma16(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesShortHorizon pins Merge's horizon refusal at its
+// boundary. The echo protocol decides in round 3, so a source run to
+// horizon 2 records 2 rounds and one run to 8 records 3. A horizon equal
+// to both sources' rounds is accepted; one shorter than EB's alone, or
+// than EC's alone, is refused.
+func TestMergeRefusesShortHorizon(t *testing.T) {
+	part, err := proc.NewPartition(tn, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(group proc.Set, k, horizon int) *sim.Trace {
+		tr, err := RunIsolated(tn, tt, echoFactory(tn, 3), msg.Zero, group, k, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	for _, c := range []struct {
+		name           string
+		hB, hC, merged int
+		err            string
+	}{
+		{"equal to both", 8, 8, 3, ""},
+		{"shorter than EB", 8, 2, 2, "merge: horizon 2 shorter than sources (3, 2)"},
+		{"shorter than EC", 2, 8, 2, "merge: horizon 2 shorter than sources (2, 3)"},
+	} {
+		spec := MergeSpec{Part: part, EB: run(part.B, 2, c.hB), KB: 2, EC: run(part.C, 3, c.hC), KC: 3}
+		_, err := Merge(spec, echoFactory(tn, 3), c.merged)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.err != "" && (err == nil || err.Error() != c.err):
+			t.Errorf("%s: error %v, want %q", c.name, err, c.err)
+		}
+	}
+}
+
 func TestMergeRejectsNonMergeable(t *testing.T) {
 	part, err := proc.NewPartition(tn, tt)
 	if err != nil {

@@ -147,7 +147,7 @@ func (l *LiveLog) CommitSlot() (Entry, error) {
 		// it, pick the lowest-ID trusted decision, and keep committing.
 		seen := make(map[proc.ID]msg.Value, correct.Len())
 		decision = msg.NoDecision
-		for _, id := range correct.Members() {
+		for id := correct.Min(); id >= 0; id = correct.Next(id) {
 			if results[id].Decided {
 				seen[id] = results[id].Decision
 				if decision == msg.NoDecision {
@@ -163,7 +163,7 @@ func (l *LiveLog) CommitSlot() (Entry, error) {
 	}
 
 	sent := 0
-	for _, id := range correct.Members() {
+	for id := correct.Min(); id >= 0; id = correct.Next(id) {
 		sent += results[id].Sent
 	}
 	entry := Entry{Slot: slot, Command: decision, Messages: sent, Rounds: rounds}

@@ -63,6 +63,9 @@ func New(cfg Config) (*Log, error) {
 // CommitSlot runs one agreement instance over the replicas' current queue
 // heads and appends the decided command. A replica whose queue is empty
 // proposes NoOp. The decided command is dequeued wherever it is queued.
+// The slot runs at sim.RecordDecisions: an entry needs only decisions, the
+// correct processes' message count and the round count, which both tiers
+// record.
 func (l *Log) CommitSlot() (Entry, error) {
 	slot := len(l.entries)
 	factory, rounds := l.cfg.Protocol(slot)
@@ -72,7 +75,7 @@ func (l *Log) CommitSlot() (Entry, error) {
 			plan = p
 		}
 	}
-	cfg := sim.Config{N: l.cfg.N, T: l.cfg.T, Proposals: l.proposals(l.cfg.NoOp), MaxRounds: sim.Horizon(rounds)}
+	cfg := sim.Config{N: l.cfg.N, T: l.cfg.T, Proposals: l.proposals(l.cfg.NoOp), MaxRounds: sim.Horizon(rounds), Recording: sim.RecordDecisions}
 	exec, err := sim.Run(cfg, factory, plan)
 	if err != nil {
 		return Entry{}, fmt.Errorf("smr slot %d: %w", slot, err)

@@ -130,8 +130,15 @@ func (m *trivialMachine) Step(round int, _ []msg.Message) []sim.Outgoing {
 // plan and verifies Termination, Agreement and the problem's validity
 // property on the outcome, through the campaign verdict
 // adversary.CheckExecution. It is the library's acceptance test for derived
-// protocols and the engine behind the solvability experiment (E6).
+// protocols and the engine behind the solvability experiment (E6). The run
+// is recorded at sim.RecordDecisions: the verdict reads only decisions,
+// which both tiers record.
 func Check(p validity.Problem, d *Derived, c validity.InputConfig, byzantine map[proc.ID]sim.Machine) error {
+	return check(p, d, c, byzantine, sim.RecordDecisions)
+}
+
+// check is Check with its run recorded at the given tier.
+func check(p validity.Problem, d *Derived, c validity.InputConfig, byzantine map[proc.ID]sim.Machine, recording sim.Recording) error {
 	if c.N() != p.N {
 		return fmt.Errorf("config is for n=%d, problem has n=%d", c.N(), p.N)
 	}
@@ -156,7 +163,7 @@ func Check(p validity.Problem, d *Derived, c validity.InputConfig, byzantine map
 			machines[id] = sim.Silent{} // the default Byzantine behavior
 		}
 	}
-	cfg := sim.Config{N: p.N, T: p.T, Proposals: proposals, MaxRounds: sim.Horizon(d.Rounds)}
+	cfg := sim.Config{N: p.N, T: p.T, Proposals: proposals, MaxRounds: sim.Horizon(d.Rounds), Recording: recording}
 	exec, err := sim.Run(cfg, d.Factory, sim.ByzantinePlan{Machines: machines})
 	if err != nil {
 		return fmt.Errorf("run derived protocol: %w", err)

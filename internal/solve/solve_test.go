@@ -2,6 +2,8 @@ package solve_test
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"expensive/internal/crypto/sig"
@@ -185,6 +187,86 @@ func TestDerivationEnumeratesOnce(t *testing.T) {
 		}
 		if calls != verdict {
 			t.Errorf("%s calls the validity predicate %d times, the verdict alone %d", name, calls, verdict)
+		}
+	}
+}
+
+// chatter broadcasts its proposal every round; from round decideAt on it
+// decides its own proposal, and with decideAt = 0 it never decides.
+type chatter struct {
+	sim.DecideOnce
+	out      sim.Broadcast
+	proposal msg.Value
+	decideAt int
+}
+
+func (m *chatter) Init() []sim.Outgoing { return m.out.Send(string(m.proposal)) }
+
+func (m *chatter) Step(round int, _ []msg.Message) []sim.Outgoing {
+	if m.decideAt > 0 && round >= m.decideAt {
+		m.Decide(m.proposal)
+	}
+	return m.out.Send(string(m.proposal))
+}
+
+func (m *chatter) Quiescent() bool { return false }
+
+// TestCheckTiersAgree holds Check, which records its run at
+// sim.RecordDecisions, to the same check recorded at sim.RecordFull over
+// one E6 cell, strong consensus at (4, 1) derived over authenticated IC:
+// on every input configuration, with faulty processes silent or lying,
+// both tiers must return the same verdict, error text included. The cell
+// also runs three broken protocols in the derived protocol's place — one
+// deciding its own proposal (Agreement), one deciding 1 (Strong Validity
+// on unanimous 0) and one never deciding (Termination) — so failing
+// configurations are compared too.
+func TestCheckTiersAgree(t *testing.T) {
+	p := validity.Strong(4, 1)
+	derived, err := solve.Authenticated(p, sig.NewIdeal("e6"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := func(decideAt int, decide func(msg.Value) msg.Value) *solve.Derived {
+		return &solve.Derived{Rounds: derived.Rounds, Factory: func(_ proc.ID, v msg.Value) sim.Machine {
+			return &chatter{proposal: decide(v), decideAt: decideAt}
+		}}
+	}
+	same := func(v msg.Value) msg.Value { return v }
+	protocols := map[string]*solve.Derived{
+		"derived":  derived,
+		"own":      broken(2, same),
+		"constant": broken(1, func(msg.Value) msg.Value { return msg.One }),
+		"mute":     broken(0, same),
+	}
+	kind := map[string]string{"own": "agreement", "constant": "validity", "mute": "termination"}
+	failed := map[string]int{}
+	for name, d := range protocols {
+		for _, c := range p.Configs() {
+			byz := make(map[proc.ID]sim.Machine)
+			for _, id := range c.Pi().Complement(p.N).Members() {
+				byz[id] = &liar{n: p.N, id: id}
+			}
+			for _, faulty := range []map[proc.ID]sim.Machine{nil, byz} {
+				lean := solve.Check(p, d, c, faulty)
+				full := solve.CheckAt(p, d, c, faulty, sim.RecordFull)
+				if fmt.Sprint(lean) != fmt.Sprint(full) {
+					t.Errorf("%s on %v (lying faulty %v): lean %v, full %v", name, c, faulty != nil, lean, full)
+				}
+				if lean != nil {
+					failed[name]++
+					if !strings.HasPrefix(lean.Error(), kind[name]+" violated") {
+						t.Errorf("%s on %v: %v, want a %s violation", name, c, lean, kind[name])
+					}
+				}
+			}
+		}
+	}
+	if failed["derived"] != 0 {
+		t.Errorf("the derived protocol fails %d checks", failed["derived"])
+	}
+	for name := range kind {
+		if failed[name] == 0 {
+			t.Errorf("%s never fails: the cell compares no failing verdict of its kind", name)
 		}
 	}
 }

@@ -287,7 +287,7 @@ func (c Cluster) Run() ([]NodeResult, error) {
 func CommonDecision(results []NodeResult, group proc.Set) (msg.Value, error) {
 	var common msg.Value
 	first := true
-	for _, id := range group.Members() {
+	for id := group.Min(); id >= 0; id = group.Next(id) {
 		if int(id) >= len(results) {
 			return msg.NoDecision, fmt.Errorf("%s is not a node of this cluster (n=%d)", id, len(results))
 		}

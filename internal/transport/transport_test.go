@@ -166,6 +166,11 @@ func TestCommonDecision(t *testing.T) {
 			}
 		})
 	}
+	// The fold walks the group in place: a live slot calls it every time.
+	agree, group := results("1", "1", "1"), proc.Universe(3)
+	if a := testing.AllocsPerRun(10, func() { _, _ = transport.CommonDecision(agree, group) }); a != 0 {
+		t.Errorf("an agreeing CommonDecision allocates %.0f times, want 0", a)
+	}
 }
 
 func TestMemnetPhaseKing(t *testing.T) {
